@@ -4,16 +4,22 @@
 Runs the same closed-loop workload (rough-terrain runs with per-tick
 replanning) in two subprocesses, one with LIPRINT_DISABLE_NUMBA=1, and
 reports wall time per path. Compilation happens inside the timed child,
-so a warm-up pass is timed separately from the measured pass.
+so a warm-up pass is timed separately from the measured pass. The children
+import liprint from this checkout's src/, so no install is needed. numba is
+the optional extra liprint[numba]; without it there is only one path and
+the script says so and exits.
 
 Usage: python benchmarks/bench_kernels.py [--runs 20] [--duration 6.0]
 """
 
 import argparse
+import importlib.util
 import os
 import subprocess
 import sys
 import time
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 _WORKLOAD = """
 import time
@@ -49,6 +55,8 @@ def run_child(disable_numba, runs, duration):
         env["LIPRINT_DISABLE_NUMBA"] = "1"
     else:
         env.pop("LIPRINT_DISABLE_NUMBA", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, env.get("PYTHONPATH")) if p)
     code = _WORKLOAD.format(runs=runs, duration=duration)
     t0 = time.perf_counter()
     out = subprocess.run([sys.executable, "-c", code], env=env,
@@ -63,6 +71,11 @@ def main():
     ap.add_argument("--runs", type=int, default=20)
     ap.add_argument("--duration", type=float, default=6.0)
     args = ap.parse_args()
+
+    if importlib.util.find_spec("numba") is None:
+        print("numba is not installed (optional extra liprint[numba]): only "
+              "the pure-Python path exists, so there is nothing to compare")
+        return
 
     print(f"workload: {args.runs} rough-terrain runs x {args.duration} s, "
           f"per-tick replanning")

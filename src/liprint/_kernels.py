@@ -1,9 +1,12 @@
 """Numerically hot kernels shared by the public modules.
 
-Everything here is written as plain scalar/array Python so the same source
-runs two ways: compiled with numba's @njit (the default) or interpreted as
-pure numpy/Python when the environment variable LIPRINT_DISABLE_NUMBA is
-set. benchmarks/bench_kernels.py times the two paths against each other.
+Everything here is written as plain scalar/array Python and runs as pure
+numpy/Python. When numba is installed (the optional extra liprint[numba])
+the same source is compiled with numba's @njit instead, unless the
+environment variable LIPRINT_DISABLE_NUMBA is set; without numba, @njit is
+an identity decorator. perfbench/ measures the pure-Python path, and
+benchmarks/bench_kernels.py times the two paths against each other when
+numba is present.
 
 Kernels operate on raw floats and ndarrays only; the dataclass-based public
 API lives in lip_core / terrain / sim.
@@ -11,6 +14,8 @@ API lives in lip_core / terrain / sim.
 
 import math
 import os
+
+import numpy as np
 
 
 def _numba_wanted() -> bool:
@@ -23,7 +28,7 @@ NUMBA_ENABLED = _numba_wanted()
 if NUMBA_ENABLED:
     try:
         from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is an optional extra
         NUMBA_ENABLED = False
 
 if not NUMBA_ENABLED:
@@ -199,66 +204,151 @@ def steppable(heights, mask, ox, oy, res, x, y, radius, max_dev):
     return True
 
 
+# Chebyshev radius, in nodes around the query's nearest node, of the first
+# window snap_to_steppable searches before falling back to its full window.
+SNAP_FIRST_WINDOW = 4
+
+
 @njit(cache=True)
-def snap_to_steppable(heights, mask, ox, oy, res, x, y, radius, max_dev, max_search):
+def node_steppable_grid(heights, mask, ox, oy, res, radius, max_dev):
+    """steppable() evaluated at every grid node, as a (rows, cols) bool grid.
+
+    Cell (i, j) equals steppable(..., ox + j*res, oy + i*res, ...) bit for
+    bit: the bounds test, the enclosing cell, the 2x2 mask test, the
+    bilinear surface height h0, the per-node ceil/floor disc bounds and the
+    dx*dx + dy*dy > r2 test repeat the scalar kernel's floating-point
+    operations on node arrays.
+    The disc scan becomes one pass per stencil offset (di, dj) inside the
+    bounding box of the disc bounds, each over shifted slices of the grid.
+    """
+    rows, cols = heights.shape
+    xs = ox + np.arange(cols) * res
+    ys = oy + np.arange(rows) * res
+    in_x = (xs >= ox) & (xs <= ox + (cols - 1) * res)
+    in_y = (ys >= oy) & (ys <= oy + (rows - 1) * res)
+    gx = (xs - ox) / res
+    gy = (ys - oy) / res
+    j0 = np.minimum(np.maximum(np.floor(gx).astype(np.int64), 0), cols - 2)
+    i0 = np.minimum(np.maximum(np.floor(gy).astype(np.int64), 0), rows - 2)
+    cell_masked = ((mask[:-1, :-1] != 0) | (mask[:-1, 1:] != 0)
+                   | (mask[1:, :-1] != 0) | (mask[1:, 1:] != 0))
+    ok = ~cell_masked[i0][:, j0]
+    ok &= in_y[:, None] & in_x[None, :]
+
+    fx = (gx - j0)[None, :]
+    fy = (gy - i0)[:, None]
+    lo_rows = heights[i0]
+    hi_rows = heights[i0 + 1]
+    h0 = (lo_rows[:, j0] * (1.0 - fy) * (1.0 - fx)
+          + lo_rows[:, j0 + 1] * (1.0 - fy) * fx
+          + hi_rows[:, j0] * fy * (1.0 - fx)
+          + hi_rows[:, j0 + 1] * fy * fx)
+
+    jlo = np.maximum(np.ceil((xs - radius - ox) / res).astype(np.int64), 0)
+    jhi = np.minimum(np.floor((xs + radius - ox) / res).astype(np.int64), cols - 1)
+    ilo = np.maximum(np.ceil((ys - radius - oy) / res).astype(np.int64), 0)
+    ihi = np.minimum(np.floor((ys + radius - oy) / res).astype(np.int64), rows - 1)
+    node_j = np.arange(cols)
+    node_i = np.arange(rows)
+    r2 = radius * radius
+    for di in range((ilo - node_i).min(), (ihi - node_i).max() + 1):
+        # query rows q whose row q + di exists and lies within q's bounds
+        q0 = max(0, -di)
+        q1 = rows - max(0, di)
+        if q1 <= q0:
+            continue
+        t = node_i[q0:q1] + di
+        row_in = (ilo[q0:q1] <= t) & (t <= ihi[q0:q1])
+        dy = ys[q0 + di:q1 + di] - ys[q0:q1]
+        dy2 = (dy * dy)[:, None]
+        for dj in range((jlo - node_j).min(), (jhi - node_j).max() + 1):
+            p0 = max(0, -dj)
+            p1 = cols - max(0, dj)
+            if p1 <= p0:
+                continue
+            u = node_j[p0:p1] + dj
+            col_in = (jlo[p0:p1] <= u) & (u <= jhi[p0:p1])
+            dx = xs[p0 + dj:p1 + dj] - xs[p0:p1]
+            in_disc = ~((dx * dx)[None, :] + dy2 > r2)
+            in_disc &= row_in[:, None] & col_in[None, :]
+            if not in_disc.any():
+                continue
+            bad = ((mask[q0 + di:q1 + di, p0 + dj:p1 + dj] != 0)
+                   | (np.abs(heights[q0 + di:q1 + di, p0 + dj:p1 + dj]
+                             - h0[q0:q1, p0:p1]) >= max_dev))
+            ok[q0:q1, p0:p1] &= ~(in_disc & bad)
+    return ok
+
+
+@njit(cache=True)
+def _nearest_node(node_grid, ox, oy, res, x, y, ci, cj, k, budget2):
+    """Closest steppable node to (x, y) with d2 <= budget2 among the nodes
+    at Chebyshev distance <= k from node (ci, cj).
+
+    Returns (found, nx, ny, d2). Nodes within 1e-12 of the minimum d2 (and
+    within the budget) tie; a tie goes to the smaller x, then the smaller y,
+    the order np.lexsort((y, x)) gives. As x grows with the column and y
+    with the row, that is the first tied node in column-major order.
+    """
+    rows, cols = node_grid.shape
+    i_lo = max(ci - k, 0)
+    i_hi = min(ci + k, rows - 1)
+    j_lo = max(cj - k, 0)
+    j_hi = min(cj + k, cols - 1)
+    if i_lo > i_hi or j_lo > j_hi:
+        return False, 0.0, 0.0, 0.0
+    dx = ox + np.arange(j_lo, j_hi + 1) * res - x
+    dy = oy + np.arange(i_lo, i_hi + 1) * res - y
+    d2 = (dy * dy)[:, None] + dx * dx
+    d2[node_grid[i_lo:i_hi + 1, j_lo:j_hi + 1] <= 0] = np.inf
+    best = d2.min()
+    if not best <= budget2:
+        return False, 0.0, 0.0, 0.0
+    first = np.argmax(d2.T <= min(best + 1e-12, budget2))
+    i = i_lo + first % d2.shape[0]
+    j = j_lo + first // d2.shape[0]
+    return True, ox + j * res, oy + i * res, float(d2[i - i_lo, j - j_lo])
+
+
+@njit(cache=True)
+def snap_to_steppable(heights, mask, ox, oy, res, x, y, radius, max_dev,
+                      max_search, node_grid):
     """Closest steppable point to (x, y) within max_search.
 
-    Returns (found, sx, sy). The query point itself wins when steppable;
-    otherwise grid nodes are searched in expanding rings, minimising
-    Euclidean distance with ties broken by smaller x then smaller y.
+    Returns (found, sx, sy). The query point itself wins when steppable.
+    Otherwise the answer is the steppable grid node with the smallest
+    Euclidean distance (d2 <= max_search**2 + 1e-12); distances within
+    1e-12 of the minimum tie, and a tie goes to the smaller x, then the
+    smaller y.
+
+    node_grid is a caller-owned (rows, cols) int8 holder for the
+    node_steppable_grid of this map, radius and max_dev; -1 marks it as not
+    built yet. It is filled on the first query that is not itself
+    steppable, so a run whose targets never move never pays for it.
+
+    The node search looks first in the window of Chebyshev radius
+    K = SNAP_FIRST_WINDOW around the query's nearest node (ci, cj). Any
+    node outside it lies more than (K + 1/2)*res from the query, so the
+    window's best node is the overall best when K*res > its distance; this
+    is the point where an expanding ring search around (ci, cj) would stop.
+    Otherwise the full window of int(max_search/res) + 2 rings, which holds
+    every node within max_search, is searched.
     """
     if steppable(heights, mask, ox, oy, res, x, y, radius, max_dev):
         return True, x, y
-    rows, cols = heights.shape
+    if node_grid[0, 0] < 0:
+        node_grid[:, :] = node_steppable_grid(heights, mask, ox, oy, res,
+                                              radius, max_dev)
     ci = int(round((y - oy) / res))
     cj = int(round((x - ox) / res))
-    best_d2 = 1e300
-    bx = 0.0
-    by = 0.0
-    found = False
     budget2 = max_search * max_search + 1e-12
     max_ring = int(max_search / res) + 2
-    for k in range(max_ring + 1):
-        if found and (k - 1) * res > math.sqrt(best_d2):
-            break
-        for i in range(ci - k, ci + k + 1):
-            if i < 0 or i > rows - 1:
-                continue
-            on_row_edge = (i == ci - k) or (i == ci + k)
-            ny = oy + i * res
-            dy = ny - y
-            for j in range(cj - k, cj + k + 1):
-                if j < 0 or j > cols - 1:
-                    continue
-                if not on_row_edge and j != cj - k and j != cj + k:
-                    continue
-                nx = ox + j * res
-                dx = nx - x
-                d2 = dx * dx + dy * dy
-                if d2 > budget2:
-                    continue
-                if found and d2 > best_d2 + 1e-12:
-                    continue
-                if not steppable(heights, mask, ox, oy, res, nx, ny, radius, max_dev):
-                    continue
-                if not found:
-                    take = True
-                elif d2 < best_d2 - 1e-12:
-                    take = True
-                elif abs(d2 - best_d2) <= 1e-12:
-                    if nx < bx - 1e-12:
-                        take = True
-                    elif abs(nx - bx) <= 1e-12 and ny < by - 1e-12:
-                        take = True
-                    else:
-                        take = False
-                else:
-                    take = False
-                if take:
-                    found = True
-                    best_d2 = d2
-                    bx = nx
-                    by = ny
+    k = min(SNAP_FIRST_WINDOW, max_ring)
+    found, bx, by, best_d2 = _nearest_node(node_grid, ox, oy, res, x, y,
+                                           ci, cj, k, budget2)
+    if k < max_ring and not (found and k * res > math.sqrt(best_d2)):
+        found, bx, by, best_d2 = _nearest_node(node_grid, ox, oy, res, x, y,
+                                               ci, cj, max_ring, budget2)
     return found, bx, by
 
 
@@ -266,13 +356,14 @@ def snap_to_steppable(heights, mask, ox, oy, res, x, y, radius, max_dev, max_sea
 def _plan_target(icp_x, icp_y, st_x, st_y, omega, dt_pred, horizon,
                  vx_cmd, vy_cmd, w_cmd, parity, prev_heading,
                  has_terrain, heights, mask, ox, oy, res,
-                 foot_radius, max_dev, snap_search):
+                 foot_radius, max_dev, snap_search, node_grid):
     """Swing-foot target from the current capture point.
 
     The final ICP is predicted over the remaining step time dt_pred; the
     placement offsets are evaluated over `horizon` (the duration the next
-    stance phase will actually last). Returns
-    (ok, x, y, z, heading, raw_x, raw_y).
+    stance phase will actually last). On terrain the target is snapped to
+    steppable ground (node_grid as in snap_to_steppable). Returns
+    (ok, x, y, z, heading).
     """
     e = math.exp(omega * dt_pred)
     fx = e * icp_x + (1.0 - e) * st_x
@@ -296,7 +387,8 @@ def _plan_target(icp_x, icp_y, st_x, st_y, omega, dt_pred, horizon,
     ok = True
     if has_terrain:
         ok, sx, sy = snap_to_steppable(heights, mask, ox, oy, res, px, py,
-                                       foot_radius, max_dev, snap_search)
+                                       foot_radius, max_dev, snap_search,
+                                       node_grid)
         if ok:
             pz = grid_bilinear(heights, ox, oy, res, sx, sy)
             px = sx
@@ -311,7 +403,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
              has_terrain, heights, mask, ox, oy, res,
              foot_radius, max_dev, snap_search,
              com_x, com_y, vel_x, vel_y, st_x, st_y,
-             samples, ev_time, ev_step, ev_realized, ev_parity):
+             samples, ev_time, ev_step, ev_realized, ev_parity, node_grid):
     """Closed-loop stepping simulation.
 
     Per tick: handle the step boundary (instantaneous support transfer to
@@ -320,7 +412,8 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
     the tick instant, then propagate the CoM analytically over dt.
 
     samples is (n_ticks, N_SAMPLE_COLS); ev_* arrays must hold at least
-    n_ticks // ticks_per_step + 2 touchdown events. Returns
+    n_ticks // ticks_per_step + 2 touchdown events. node_grid is the
+    snap_to_steppable holder for this run's heightmap. Returns
     (n_recorded, outcome, fail_time, n_events).
     """
     Ts = ticks_per_step * dt
@@ -347,7 +440,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
         icp_x, icp_y, st_x, st_y, omega, Ts, Ts,
         cmd_vx[0], cmd_vy[0], cmd_w[0], parity, heading,
         has_terrain, heights, mask, ox, oy, res,
-        foot_radius, max_dev, snap_search)
+        foot_radius, max_dev, snap_search, node_grid)
     if not ok:
         outcome = OUTCOME_NO_GROUND
 
@@ -393,7 +486,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
                         cmd_vx[cmd_i], cmd_vy[cmd_i], cmd_w[cmd_i],
                         parity, heading,
                         has_terrain, heights, mask, ox, oy, res,
-                        foot_radius, max_dev, snap_search)
+                        foot_radius, max_dev, snap_search, node_grid)
                     if not ok:
                         outcome = OUTCOME_NO_GROUND
                         fail_time = t_now
@@ -406,7 +499,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
                 cmd_vx[cmd_i], cmd_vy[cmd_i], cmd_w[cmd_i],
                 parity, heading,
                 has_terrain, heights, mask, ox, oy, res,
-                foot_radius, max_dev, snap_search)
+                foot_radius, max_dev, snap_search, node_grid)
             if not ok:
                 outcome = OUTCOME_NO_GROUND
                 fail_time = t_now

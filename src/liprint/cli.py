@@ -133,8 +133,10 @@ def _apply_config_file(argv):
             key, _, value = line.partition("=")
             extra.append(f"--{key.strip()}")
             extra.append(value.strip())
-    # defaults go right after the subcommand so later flags override them
-    return argv[:1] + extra + argv[1:]
+    # defaults go right after the full subcommand path ("simulate",
+    # "terrain gen") so that later flags override them
+    depth = next((i for i, a in enumerate(argv) if a.startswith("-")), len(argv))
+    return argv[:depth] + extra + argv[depth:]
 
 
 def _make_config(args, terrain_spec) -> sim.SimConfig:

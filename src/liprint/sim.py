@@ -19,7 +19,7 @@ outcome_flag is the run outcome code stamped on every row (0 completed,
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -216,6 +216,7 @@ def _run_arrays(config: SimConfig, schedule, initial=None):
     ev_step = np.zeros((cap, 4))
     ev_realized = np.zeros((cap, 3))
     ev_parity = np.zeros(cap, dtype=np.int64)
+    node_grid = np.full(heights.shape, -1, dtype=np.int8)  # built on first snap miss
 
     n_rec, outcome, fail_time, n_events = _kernels.sim_loop(
         n_ticks, config.dt, config.ticks_per_step,
@@ -227,7 +228,7 @@ def _run_arrays(config: SimConfig, schedule, initial=None):
         terrain_mod.SNAP_SEARCH_RADIUS,
         state.com_pos[0], state.com_pos[1], state.com_vel[0], state.com_vel[1],
         stance.p[0], stance.p[1],
-        samples, ev_time, ev_step, ev_realized, ev_parity)
+        samples, ev_time, ev_step, ev_realized, ev_parity, node_grid)
 
     events = (ev_time[:n_events], ev_step[:n_events], ev_realized[:n_events],
               ev_parity[:n_events])
@@ -343,10 +344,7 @@ def sweep(configs, trials: int, base_seed: int = 0, window: float = 5.0,
             cfg = config
             if isinstance(config.terrain, TerrainSpec) and config.terrain.kind == "rough":
                 spec = config.terrain.with_seed(_trial_seed(base_seed, trial))
-                cfg = SimConfig(cmd=config.cmd, gait=config.gait, lip=config.lip,
-                                dt=config.dt, total_duration=config.total_duration,
-                                replan=config.replan, terrain=spec,
-                                reach_limit=config.reach_limit)
+                cfg = replace(config, terrain=spec)
             result = run(cfg)
             if success_metric(result, float(cfg.cmd.v_cmd[0]), window, tolerance):
                 successes += 1

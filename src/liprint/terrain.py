@@ -13,7 +13,7 @@ JSON interchange format:
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,10 +141,7 @@ class TerrainSpec:
             object.__setattr__(self, "gap_offset", self.gap_period / 2.0)
 
     def with_seed(self, seed: int) -> "TerrainSpec":
-        return TerrainSpec(kind=self.kind, amplitude=self.amplitude,
-                           correlation=self.correlation, seed=seed,
-                           gap_width=self.gap_width, gap_period=self.gap_period,
-                           gap_offset=self.gap_offset)
+        return replace(self, seed=seed)
 
 
 def parse_spec(text: str) -> "TerrainSpec | str":
@@ -197,11 +194,14 @@ def nearest_steppable(h: Heightmap, p, radius: float = FOOT_RADIUS,
                       max_search: float = SNAP_SEARCH_RADIUS) -> np.ndarray:
     """Steppable point closest to p (ties to smaller x, then smaller y).
 
+    p itself when steppable, otherwise the closest steppable grid node; each
+    call that has to search builds the map's node-steppability grid anew.
     Raises ValueError when no steppable ground lies within max_search.
     """
     ok, sx, sy = _kernels.snap_to_steppable(
         h.heights, h.mask, h.origin[0], h.origin[1], h.resolution,
-        float(p[0]), float(p[1]), radius, max_dev, max_search)
+        float(p[0]), float(p[1]), radius, max_dev, max_search,
+        np.full(h.heights.shape, -1, dtype=np.int8))
     if not ok:
         raise ValueError(
             f"no steppable ground within {max_search} m of ({p[0]}, {p[1]})")

@@ -230,6 +230,18 @@ class TestTerrainGen:
                    "--terrain", f"file:{m}", "--out", str(tmp_path / "t.csv")])
         assert rc == 0
 
+    def test_config_file_defaults(self, tmp_path):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("resolution = 0.1\n")
+        out = tmp_path / "m.json"
+        args = ["terrain", "gen", "--config", str(cfg), "--spec", "flat",
+                "--extent=-1:-1:1:1", "--out", str(out)]
+        assert main(args) == 0
+        assert Heightmap.load(out).resolution == 0.1
+        # explicit flags still win over config values
+        assert main(args + ["--resolution", "0.25"]) == 0
+        assert Heightmap.load(out).resolution == 0.25
+
     def test_bad_extent(self, tmp_path):
         rc = main(["terrain", "gen", "--spec", "flat", "--extent", "1:2:3",
                    "--out", str(tmp_path / "m.json")])

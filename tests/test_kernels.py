@@ -1,12 +1,15 @@
-"""The numba-compiled kernels and the pure-numpy fallback (selected with
-LIPRINT_DISABLE_NUMBA) must implement identical semantics."""
+"""The numba-compiled kernels (optional extra liprint[numba]) and the
+pure-numpy fallback (selected with LIPRINT_DISABLE_NUMBA, or when numba is
+absent) must implement identical semantics."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from liprint.cli import main
 
@@ -30,7 +33,11 @@ def test_env_flag_selects_fallback():
     assert out.stdout.strip() == "0"
 
 
-def test_fallback_matches_numba_path(tmp_path):
+@pytest.mark.skipif(
+    importlib.util.find_spec("numba") is None,
+    reason="numba is not installed (optional extra liprint[numba]); without it "
+           "both subprocesses run the same pure-Python path")
+def test_numba_path_matches_fallback(tmp_path):
     args = ["simulate", "--vx", "1.0", "--duration", "2",
             "--terrain", "gap:0.15:0.8:0.4", "--replan", "every-tick"]
     fast = tmp_path / "fast.csv"

@@ -7,6 +7,7 @@ import pytest
 from liprint import (FootPosition, IcpPoint, LipState,
                      SimConfig, StepCommand, TerrainSpec, icp_trajectory,
                      is_steppable, run, success_metric, sweep, turn_maneuver)
+from liprint import _kernels
 from liprint import sim as sim_mod
 from liprint._kernels import (COL_COM_X, COL_COM_Y, COL_ICP_X, COL_ICP_Y,
                               COL_STANCE_X, COL_STANCE_Y, COL_STANCE_Z,
@@ -214,6 +215,27 @@ class TestTerrainRuns:
         rows = sweep(cfgs, trials=20, base_seed=5)
         assert rows[0].trials == rows[1].trials == 20
         assert rows[0].successes >= rows[1].successes
+
+    @pytest.mark.skipif(_kernels.NUMBA_ENABLED,
+                        reason="compiled kernels do not call through module globals")
+    def test_node_grid_built_lazily_once_per_run(self, monkeypatch):
+        builds = []
+        build = _kernels.node_steppable_grid
+
+        def counting_build(*args):
+            builds.append(args[0].shape)
+            return build(*args)
+
+        monkeypatch.setattr(_kernels, "node_steppable_grid", counting_build)
+        # gentle rough ground: every snap query is itself steppable
+        gentle = TerrainSpec(kind="rough", amplitude=0.005, correlation=0.5, seed=1)
+        assert run(config(vx=1.0, duration=4.0, replan=sim_mod.REPLAN_EVERY_TICK,
+                          terrain=gentle)).completed
+        assert builds == []
+        # gap ground moves targets many times per run but builds the grid once
+        assert run(config(vx=0.7, duration=4.0, replan=sim_mod.REPLAN_EVERY_TICK,
+                          terrain=gap_spec())).completed
+        assert len(builds) == 1
 
     def test_rough_stance_height_follows_terrain(self):
         rough = TerrainSpec(kind="rough", amplitude=0.05, correlation=0.5, seed=12)

@@ -6,6 +6,7 @@ import pytest
 
 from liprint import (Heightmap, TerrainSpec, generate, height_at, is_steppable,
                      nearest_steppable)
+from liprint import _kernels
 from liprint.terrain import parse_spec
 
 from oracles import exhaustive_nearest_steppable
@@ -130,6 +131,61 @@ class TestNearestSteppable:
             got = nearest_steppable(h, p, max_search=5.0)
             npt.assert_allclose(got, ref, atol=1e-9)
 
+    @pytest.mark.parametrize("gap_width", [0.15, 0.6])
+    def test_matches_exhaustive_oracle_on_gap_maps(self, gap_width):
+        # The 0.6 m gaps put the nearest steppable node beyond the first
+        # search window, so the full-window search runs too.
+        h = gap_map(width=gap_width, period=1.0, offset=0.13, size=2.0)
+        rng = np.random.default_rng(4)
+        inner = rng.uniform(-0.9, 0.9, (12, 2))
+        # near and just beyond the map edge (the map spans [-1, 1] on both axes)
+        edge = np.column_stack([rng.choice([-1.0, 1.0], 8) * rng.uniform(0.9, 1.04, 8),
+                                rng.uniform(-1.0, 1.0, 8)])
+        n_moved = n_missed = 0
+        for p in np.vstack([inner, edge, edge[:, ::-1]]):
+            ref = exhaustive_nearest_steppable(h, p, is_steppable)
+            dist = float(np.hypot(*(ref - p)))
+            for max_search in (0.12, 0.3, 1.0):
+                if abs(dist - max_search) < 1e-9:
+                    continue
+                if dist > max_search:
+                    n_missed += 1
+                    with pytest.raises(ValueError):
+                        nearest_steppable(h, p, max_search=max_search)
+                    continue
+                got = nearest_steppable(h, p, max_search=max_search)
+                npt.assert_allclose(got, ref, atol=1e-12)
+                n_moved += dist > 0.0
+        assert n_moved > 0 and n_missed > 0
+
+    def test_diagonal_tie_to_smaller_x_then_y(self):
+        # Only nodes (x=6, y=2) and (x=2, y=6) have an unmasked cell; the
+        # query (4, 4) is exactly as far from both, and the tie goes to x=2.
+        mask = np.ones((10, 10))
+        mask[2:4, 6:8] = 0
+        mask[6:8, 2:4] = 0
+        h = Heightmap(origin=(0.0, 0.0), resolution=1.0,
+                      heights=np.zeros((10, 10)), mask=mask)
+        got = nearest_steppable(h, (4.0, 4.0), radius=0.3, max_search=5.0)
+        npt.assert_array_equal(got, [2.0, 6.0])
+        ref = exhaustive_nearest_steppable(
+            h, (4.0, 4.0), lambda hm, q: is_steppable(hm, q, radius=0.3))
+        npt.assert_array_equal(got, ref)
+
+    def test_node_grid_built_only_on_a_miss(self):
+        h = gap_map(width=0.2, period=2.0, offset=-0.1)
+        args = (h.heights, h.mask, h.origin[0], h.origin[1], h.resolution)
+        holder = np.full(h.heights.shape, -1, dtype=np.int8)
+        # a steppable query answers itself and leaves the holder unbuilt
+        assert _kernels.snap_to_steppable(*args, 0.5, 0.3, 0.07, 0.03, 1.0,
+                                          holder) == (True, 0.5, 0.3)
+        assert np.all(holder == -1)
+        found, sx, sy = _kernels.snap_to_steppable(*args, 0.0, 0.0, 0.07, 0.03,
+                                                   1.0, holder)
+        assert found and sx < -0.1
+        npt.assert_array_equal(holder, _kernels.node_steppable_grid(
+            *args, 0.07, 0.03))
+
     def test_fully_gapped_raises(self):
         h = gap_map(width=5.0, period=0.1, size=2.0)
         with pytest.raises(ValueError):
@@ -142,6 +198,58 @@ class TestNearestSteppable:
             p = rng.uniform(-2.5, 2.5, 2)
             q = nearest_steppable(h, p)
             assert is_steppable(h, q)
+
+
+def _node_grid_map(kind, resolution, seed):
+    # non-round origin and extent, so node coordinates carry rounding error
+    rng = np.random.default_rng(seed)
+    x0, y0 = rng.uniform(-1.37, -1.11), rng.uniform(-0.93, -0.71)
+    extent = (x0, y0, x0 + rng.uniform(1.3, 1.7), y0 + rng.uniform(0.8, 1.1))
+    if kind == "rough":
+        spec = TerrainSpec(kind="rough", amplitude=0.06, correlation=0.2, seed=seed)
+    else:
+        spec = TerrainSpec(kind="gap", gap_width=0.15, gap_period=0.5,
+                           gap_offset=float(rng.uniform(0.0, 0.5)))
+    return generate(spec, extent, resolution)
+
+
+class TestNodeSteppableGrid:
+    @pytest.mark.parametrize("kind", ["rough", "gap"])
+    @pytest.mark.parametrize("resolution", [0.03, 0.05, 0.07, 0.1])
+    def test_equals_scalar_steppable_at_every_node(self, kind, resolution):
+        h = _node_grid_map(kind, resolution, seed=int(resolution * 100))
+        ox, oy = h.origin[0], h.origin[1]
+        n_true = n_nodes = 0
+        # foot radii below, at and above the node spacing
+        for radius in (0.6 * resolution, resolution, 0.07, 2.3 * resolution):
+            for max_dev in (0.01, 0.03):
+                grid = _kernels.node_steppable_grid(h.heights, h.mask, ox, oy,
+                                                    resolution, radius, max_dev)
+                ref = np.array([[_kernels.steppable(h.heights, h.mask, ox, oy,
+                                                    resolution, ox + j * resolution,
+                                                    oy + i * resolution, radius,
+                                                    max_dev)
+                                 for j in range(h.cols)] for i in range(h.rows)])
+                assert grid.dtype == np.bool_
+                npt.assert_array_equal(grid, ref)
+                n_true += int(ref.sum())
+                n_nodes += ref.size
+        assert 0 < n_true < n_nodes
+
+    def test_exact_disc_and_deviation_boundaries(self):
+        # Binary-exact values: the four neighbours of the raised node lie
+        # exactly on the disc edge and deviate by exactly max_dev.
+        heights = np.zeros((11, 11))
+        heights[5, 5] = 0.25
+        h = Heightmap(origin=(0.0, 0.0), resolution=0.5, heights=heights,
+                      mask=np.zeros((11, 11)))
+        grid = _kernels.node_steppable_grid(h.heights, h.mask, 0.0, 0.0, 0.5,
+                                            0.5, 0.25)
+        assert not grid[5, 4] and not grid[4, 5] and not grid[5, 5]
+        assert grid[4, 4] and grid[5, 3]
+        ref = [[is_steppable(h, (0.5 * j, 0.5 * i), radius=0.5, max_dev=0.25)
+                for j in range(11)] for i in range(11)]
+        npt.assert_array_equal(grid, ref)
 
 
 class TestGenerate:
