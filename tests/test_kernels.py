@@ -9,7 +9,6 @@ import sys
 
 import numpy as np
 import numpy.testing as npt
-import pytest
 
 from liprint.cli import main
 
@@ -33,11 +32,17 @@ def test_env_flag_selects_fallback():
     assert out.stdout.strip() == "0"
 
 
-@pytest.mark.skipif(
-    importlib.util.find_spec("numba") is None,
-    reason="numba is not installed (optional extra liprint[numba]); without it "
-           "both subprocesses run the same pure-Python path")
-def test_numba_path_matches_fallback(tmp_path):
+def test_fallback_matches_numba_path(tmp_path):
+    # The default backend is the compiled one exactly when numba is importable;
+    # without numba the default path must fall back rather than fail.
+    env = dict(os.environ)
+    env.pop("LIPRINT_DISABLE_NUMBA", None)
+    probe = subprocess.run([sys.executable, "-c", _PROBE], env=env,
+                           capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    numba_present = importlib.util.find_spec("numba") is not None
+    assert probe.stdout.strip() == str(int(numba_present))
+
     args = ["simulate", "--vx", "1.0", "--duration", "2",
             "--terrain", "gap:0.15:0.8:0.4", "--replan", "every-tick"]
     fast = tmp_path / "fast.csv"
