@@ -18,6 +18,9 @@ import math
 import os
 import sys
 from importlib.metadata import version as _pkg_version
+from operator import itemgetter
+
+import numpy as np
 
 from . import metrics, sim, terrain as terrain_mod
 from .gait import GaitParams, GaitState
@@ -36,10 +39,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x) + 0.0, ".17g")  # +0.0 folds -0.0 into 0
 
 
 def _add_common(p):
@@ -239,8 +238,8 @@ def _cmd_sweep(args) -> int:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["vx", "terrain", "replan", "trials", "successes", "success_rate"])
         for row, label, config in zip(rows, labels, configs):
-            rate = "" if row.trials == 0 else _fmt(row.success_rate)
-            w.writerow([_fmt(row.vx_cmd), label, config.replan,
+            rate = "" if row.trials == 0 else sim.format_float(row.success_rate)
+            w.writerow([sim.format_float(row.vx_cmd), label, config.replan,
                         row.trials, row.successes, rate])
     return 0
 
@@ -302,132 +301,120 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-_JOINT_PREFIXES = ("q", "dq", "tau", "a")
-_JOINT_BASE_COLS = ("omega_x", "omega_y", "omega_z", "g_x", "g_y", "g_z",
-                    "v_z", "base_height", "self_collision")
+# Joint-log columns: per-joint vectors <prefix><index> and base signals. A
+# field made of several base signals is read only when all of them are there.
+_JOINT_VECTORS = {"q": "q", "dq": "dq", "tau": "tau", "a": "action"}
+_JOINT_SIGNALS = {"base_height": ("base_height",), "base_vel_z": ("v_z",),
+                  "base_ang_vel": ("omega_x", "omega_y", "omega_z"),
+                  "gravity_proj": ("g_x", "g_y", "g_z"),
+                  "self_collision": ("self_collision",)}
 
 
-def _split_joint_row(header, row):
-    vec = {p: [] for p in _JOINT_PREFIXES}
-    base = {}
-    for name, value in zip(header, row):
-        if name in _JOINT_BASE_COLS:
-            base[name] = float(value)
-            continue
-        for p in _JOINT_PREFIXES:
-            if name.startswith(p) and name[len(p):].isdigit():
-                vec[p].append((int(name[len(p):]), float(value)))
-                break
-    return {p: [v for _, v in sorted(vals)] for p, vals in vec.items()}, base
+def _read_rows(path) -> list:
+    try:
+        with open(path, newline="") as f:
+            return list(csv.reader(f))
+    except OSError as e:
+        raise _UsageError(f"cannot read {path}: {e}") from None
+
+
+def _float_table(rows, cols, what) -> np.ndarray:
+    """Columns `cols` of all rows as floats, one (n,) table row per column.
+
+    A row too short for them or holding a non-numeric value in one of them
+    is an input error naming its 1-based data row.
+    """
+    try:
+        table = np.array([np.fromiter(map(float, map(itemgetter(c), rows)),
+                                      np.float64, len(rows)) for c in cols])
+    except (ValueError, IndexError):
+        for i, row in enumerate(rows, 1):
+            try:
+                [float(row[c]) for c in cols]
+            except (ValueError, IndexError):
+                raise _UsageError(f"bad {what} row {i}") from None
+        raise
+    return table.reshape(len(cols), len(rows))
+
+
+def _joint_columns(path, n) -> dict:
+    """metrics.reward_table columns from a joint-log CSV with n data rows."""
+    rows = _read_rows(path)
+    if not rows:
+        return {}
+    header, data = rows[0], rows[1:]
+    if len(data) != n:
+        raise _UsageError(f"joint log has {len(data)} rows but the trajectory has {n}")
+    for i, row in enumerate(data, 1):
+        if len(row) != len(header):
+            raise _UsageError(f"bad joint row {i}: {len(row)} fields, "
+                              f"the header has {len(header)}")
+    pos = {}  # (prefix, joint index) or (name, None) -> column
+    for c, name in enumerate(header):
+        prefix = next((p for p in _JOINT_VECTORS
+                       if name.startswith(p) and name[len(p):].isdigit()), None)
+        key = (prefix, int(name[len(prefix):])) if prefix else (name, None)
+        if key in pos:
+            raise _UsageError(f"joint log column {name!r} duplicates "
+                              f"column {header[pos[key]]!r}")
+        pos[key] = c
+    fields = {f: [pos[k] for k in sorted(k for k in pos if k[0] == p and k[1] is not None)]
+              for p, f in _JOINT_VECTORS.items()}
+    fields.update((f, [pos[k, None] for k in names]) for f, names in _JOINT_SIGNALS.items()
+                  if all((k, None) in pos for k in names))
+    table = _float_table(data, [c for cs in fields.values() for c in cs], "joint")
+    parts = np.split(table, np.cumsum([len(cs) for cs in fields.values()])[:-1])
+    cols = {f: part.T for f, part in zip(fields, parts)}
+    for f in ("base_height", "base_vel_z", "self_collision"):
+        if f in cols:
+            cols[f] = cols[f][:, 0]
+    prev = np.maximum(np.arange(n) - 1, 0)  # row 0 is its own predecessor
+    cols["action_prev"], cols["action_prev2"] = cols["action"][prev], cols["action"][prev[prev]]
+    return cols
 
 
 def _cmd_score(args) -> int:
     if not args.out:
         raise _UsageError("score requires --out")
-    try:
-        with open(args.traj, newline="") as f:
-            rows = list(csv.reader(f))
-    except OSError as e:
-        raise _UsageError(f"cannot read {args.traj}: {e}") from None
-
-    reg_keys = ["joint_torques", "torque_limits", "joint_velocity", "joint_limits",
-                "action_smoothness_1", "action_smoothness_2", "hip_regularization",
-                "base_rollpitch_velocity", "base_z_velocity", "base_tilting",
-                "termination"]
-    out_header = (["time", "base_height", "base_orientation", "velocity_tracking",
-                   "contact_schedule"] + [f"reg_{k}" for k in reg_keys] + ["total"])
-
-    if not rows:
-        with open(args.out, "w", newline="") as f:
-            csv.writer(f, lineterminator="\n").writerow(out_header)
-        return 0
-    header = rows[0]
-    if tuple(header) != sim.CSV_COLUMNS:
-        print(f"error: trajectory columns {header} do not match the simulate "
-              f"schema {list(sim.CSV_COLUMNS)}", file=sys.stderr)
-        return 1
+    rows = _read_rows(args.traj)
+    if rows and tuple(rows[0]) != sim.CSV_COLUMNS:
+        raise _UsageError(f"trajectory columns {rows[0]} do not match the simulate "
+                          f"schema {list(sim.CSV_COLUMNS)}")
     data = rows[1:]
+    n = len(data)
+    columns = _joint_columns(args.joints, n) if args.joints else {}
+    # every column but outcome_flag
+    table = _float_table(data, range(len(sim.CSV_COLUMNS) - 1), "trajectory")
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        raise _UsageError(f"bad trajectory row {int(np.argmin(finite)) + 1}")
+    t = dict(zip(sim.CSV_COLUMNS, table))
 
-    joint_rows = None
-    joint_header = None
-    if args.joints:
-        with open(args.joints, newline="") as f:
-            jrows = list(csv.reader(f))
-        if jrows:
-            joint_header = jrows[0]
-            joint_rows = jrows[1:]
-            if len(joint_rows) != len(data):
-                print(f"error: joint log has {len(joint_rows)} rows but the "
-                      f"trajectory has {len(data)}", file=sys.stderr)
-                return 1
-
-    col = {name: i for i, name in enumerate(sim.CSV_COLUMNS)}
     params = metrics.RewardParams(
         sigma=args.sigma,
         base_height_target=args.base_height,
         heading_target=math.atan2(args.vy, args.vx or 0.0) if (args.vx or args.vy) else 0.0,
         vel_cmd=(args.vx or 0.0, args.vy),
         step_duration=args.step_duration)
+    # each foot stands at its target: the stance foot at its touchdown point,
+    # the swing foot at its planned one
+    right = np.mod(np.trunc(t["parity"]), 2.0) == 0.0
+    stance = np.stack([t["stance_x"], t["stance_y"]], axis=1)
+    swing = np.stack([t["target_x"], t["target_y"]], axis=1)
+    feet = np.where(right[:, None, None], np.stack([stance, swing], axis=1),
+                    np.stack([swing, stance], axis=1))
+    columns = {"base_height": np.full(n, args.base_height), "base_heading": t["target_heading"],
+               "base_vel_world": np.stack([t["vel_x"], t["vel_y"]], axis=1),
+               "foot_pos": feet, "foot_contact": np.stack([right, ~right], axis=1), **columns}
+    total, breakdown = metrics.reward_table(columns, params, t["contact_schedule"], feet,
+                                            np.where(right, metrics.RIGHT, metrics.LEFT))
 
+    out = [t["time"], *(breakdown[k] for k in metrics.TASK_TERMS + metrics.REG_TERMS), total]
     with open(args.out, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(out_header)
-        prev_action: list = []
-        prev_action2: list = []
-        for i, row in enumerate(data):
-            try:
-                vals = [float(row[col[c]]) for c in sim.CSV_COLUMNS[:-1]]
-            except (ValueError, IndexError):
-                print(f"error: bad trajectory row {i + 1}", file=sys.stderr)
-                return 1
-            parity = int(vals[col["parity"]])
-            stance_side = metrics.RIGHT if parity % 2 == 0 else metrics.LEFT
-            stance_xy = (vals[col["stance_x"]], vals[col["stance_y"]])
-            target_xy = (vals[col["target_x"]], vals[col["target_y"]])
-            foot_pos = [stance_xy, stance_xy]
-            targets = [stance_xy, stance_xy]
-            foot_pos[1 - stance_side] = target_xy
-            targets[1 - stance_side] = target_xy
-            contact = [False, False]
-            contact[stance_side] = True
-
-            kw = dict(
-                base_height=args.base_height,
-                base_heading=vals[col["target_heading"]],
-                base_vel_world=(vals[col["vel_x"]], vals[col["vel_y"]]),
-                foot_pos=foot_pos,
-                foot_contact=tuple(contact))
-            if joint_rows is not None:
-                vecs, base = _split_joint_row(joint_header, joint_rows[i])
-                action = vecs["a"]
-                if i == 0:
-                    prev_action = prev_action2 = action
-                kw.update(q=vecs["q"], dq=vecs["dq"], tau=vecs["tau"],
-                          action=action, action_prev=prev_action,
-                          action_prev2=prev_action2)
-                prev_action2 = prev_action
-                prev_action = action
-                if "base_height" in base:
-                    kw["base_height"] = base["base_height"]
-                if "v_z" in base:
-                    kw["base_vel_z"] = base["v_z"]
-                if all(k in base for k in ("omega_x", "omega_y", "omega_z")):
-                    kw["base_ang_vel"] = (base["omega_x"], base["omega_y"], base["omega_z"])
-                if all(k in base for k in ("g_x", "g_y", "g_z")):
-                    kw["gravity_proj"] = (base["g_x"], base["g_y"], base["g_z"])
-                if "self_collision" in base:
-                    kw["self_collision"] = bool(base["self_collision"])
-            sample = metrics.RobotSample(**kw)
-            total, breakdown = metrics.total_reward(
-                sample, params, vals[col["contact_schedule"]], targets,
-                stance_side=stance_side)
-            out_row = [_fmt(vals[col["time"]])]
-            out_row += [_fmt(breakdown[k]) for k in
-                        ("base_height", "base_orientation", "velocity_tracking",
-                         "contact_schedule")]
-            out_row += [_fmt(breakdown[k]) for k in reg_keys]
-            out_row.append(_fmt(total))
-            w.writerow(out_row)
+        f.write(",".join(["time", *metrics.TASK_TERMS,
+                          *(f"reg_{k}" for k in metrics.REG_TERMS), "total"]) + "\n")
+        for vals in zip(*(c.tolist() for c in out)):
+            f.write(",".join(map(sim.format_float, vals)) + "\n")
     return 0
 
 

@@ -1,12 +1,18 @@
-"""Reward evaluators and the joint PD law, as pure functions over samples.
+"""Reward evaluators and the joint PD law.
 
-These score externally supplied robot samples (from the reduced simulator's
-logs or any robot log); nothing here depends on the simulator. The task
-terms peak at 1 (base height), 2 (base heading), 4 (velocity tracking), and
-9 (contact schedule); eleven regularization terms mirror the weighted
-penalty table, with the termination term evaluating its five conditions on
-the sample (self-collision is an input flag, not computed).
+`reward_table` evaluates every reward term over whole columns: (n,) for
+scalar signals, (n, k) for per-joint vectors, (n, 2, 2) for the feet. The
+scalar API (`RobotSample`, the `r_*` terms, `regularization`,
+`total_reward`) runs the same core on one row, so each formula exists once.
+Each row's values are bit-identical to scoring that row alone: exp is
+`math.exp` and squares of scalar signals use `pow` (Python's `**`), where
+np.exp and x * x can differ in the last bit; row dot products use stacked
+matmul (the BLAS dot of `x @ x`) and row sums run over C-contiguous rows.
 
+The task terms peak at 1 (base height), 2 (base heading), 4 (velocity
+tracking), and 9 (contact schedule); eleven regularization terms mirror the
+weighted penalty table, with the termination term evaluating its five
+conditions on the sample (self-collision is an input flag, not computed).
 Note the heading term decays with |error|/sigma, not the squared error;
 its shaping scale therefore carries different units than the height term.
 This is deliberate and kept verbatim.
@@ -14,6 +20,7 @@ This is deliberate and kept verbatim.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,9 +28,27 @@ from .gait import GaitState, contact_schedule as gait_contact_schedule, swing_fo
 
 RIGHT, LEFT = 0, 1
 
+TASK_TERMS = ("base_height", "base_orientation", "velocity_tracking", "contact_schedule")
+REG_TERMS = ("joint_torques", "torque_limits", "joint_velocity", "joint_limits",
+             "action_smoothness_1", "action_smoothness_2", "hip_regularization",
+             "base_rollpitch_velocity", "base_z_velocity", "base_tilting", "termination")
+
 
 def _arr(v) -> np.ndarray:
     return np.asarray(v, dtype=np.float64).reshape(-1)
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    return np.array(list(map(math.exp, x.tolist())), dtype=np.float64)
+
+
+def _sq(x: np.ndarray) -> np.ndarray:
+    return np.array([v ** 2 for v in x.tolist()], dtype=np.float64)
+
+
+def _rowdot(x: np.ndarray) -> np.ndarray:
+    x = np.ascontiguousarray(x)
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -53,6 +78,25 @@ class RobotSample:
             object.__setattr__(self, name, _arr(getattr(self, name)))
         object.__setattr__(self, "foot_pos",
                            np.asarray(self.foot_pos, dtype=np.float64).reshape(2, 2))
+
+
+_DEFAULT_SAMPLE = RobotSample()
+
+
+def _columns(n: int, cols: dict) -> SimpleNamespace:
+    """Every RobotSample field as an n-row C-contiguous column; omitted
+    fields repeat the RobotSample default."""
+    if not cols.keys() <= vars(_DEFAULT_SAMPLE).keys():
+        raise ValueError(f"unknown sample columns {sorted(cols.keys() - vars(_DEFAULT_SAMPLE))}")
+    out = SimpleNamespace()
+    for name, default in vars(_DEFAULT_SAMPLE).items():
+        default = np.asarray(default)  # float64, or bool for the two flags
+        v = np.asarray(cols.get(name, np.broadcast_to(default, (n,) + default.shape)),
+                       dtype=default.dtype)
+        if v.shape[:1] != (n,):
+            raise ValueError(f"column {name} has shape {v.shape}, expected {n} rows")
+        setattr(out, name, np.ascontiguousarray(v))
+    return out
 
 
 @dataclass(frozen=True)
@@ -85,20 +129,74 @@ class RewardParams:
         object.__setattr__(self, "vel_cmd", _arr(self.vel_cmd))
 
 
+def reward_table(columns: dict, params: RewardParams, schedule, targets,
+                 stance_side) -> tuple[np.ndarray, dict]:
+    """Every task and regularization term of n samples, and their totals.
+
+    columns: RobotSample fields as arrays with a leading row axis (omitted
+    fields take the RobotSample default); schedule: (n,) contact-schedule
+    values C; targets: (n, 2, 2) per-foot desired placements [right, left];
+    stance_side: (n,) RIGHT or LEFT. Returns (total, breakdown): breakdown
+    maps TASK_TERMS, then REG_TERMS, to (n,) columns, and each total sums
+    its row's terms in that order.
+    """
+    schedule = np.asarray(schedule, dtype=np.float64)
+    n = len(schedule)
+    s = _columns(n, columns)
+    sig, dt = params.sigma, params.action_dt
+    a, a1, a2 = s.action, s.action_prev, s.action_prev2
+    omega, g = s.base_ang_vel, s.gravity_proj
+    tau_max, q_max = (np.asarray(v, dtype=np.float64) for v in (params.tau_max, params.q_max))
+    height_err = params.base_height_target - s.base_height
+    heading_err = np.fmod(params.heading_target - s.base_heading, 2.0 * math.pi)
+    heading_err = np.where(np.abs(heading_err) > math.pi,
+                           heading_err - np.copysign(2.0 * math.pi, heading_err), heading_err)
+    vel_err = ((params.vel_cmd - s.base_vel_world)
+               / (1.0 + float(np.linalg.norm(params.vel_cmd))))
+    rows, side = np.arange(n), np.asarray(stance_side, dtype=np.intp)
+    foot_err = np.sqrt(_rowdot(np.asarray(targets, dtype=np.float64)[rows, side]
+                               - s.foot_pos[rows, side]))
+    speed = np.sqrt(_rowdot(s.base_vel_world) + _sq(s.base_vel_z))
+    terminated = (s.self_collision | (speed >= 10.0) | (np.sqrt(_rowdot(omega)) >= 5.0)
+                  | (np.abs(g[:, 0]) >= 0.7) | (np.abs(g[:, 1]) >= 0.7)
+                  | (s.base_height < 0.3))
+    breakdown = {
+        "base_height": _exp(-height_err * height_err / sig),
+        "base_orientation": 2.0 * _exp(-np.abs(heading_err) / sig),
+        "velocity_tracking": 4.0 * _exp(-_rowdot(vel_err) / sig),
+        "contact_schedule": 9.0 * (s.foot_contact[:, RIGHT].astype(np.float64)
+                                   - s.foot_contact[:, LEFT])
+            * schedule * _exp(-foot_err / sig),
+        "joint_torques": params.w_torque * -_rowdot(s.tau),
+        "torque_limits": params.w_torque_limits
+            * -np.maximum(np.abs(s.tau) - 0.9 * tau_max, 0.0).sum(axis=1),
+        "joint_velocity": params.w_joint_vel * -_rowdot(s.dq),
+        "joint_limits": params.w_joint_limits
+            * -np.clip(np.abs(s.q) - 0.9 * q_max, 0.0, 1.0).sum(axis=1),
+        "action_smoothness_1": params.w_smooth1
+            * -(((a - a1) / dt) ** 2).sum(axis=1) if a.shape[1] else np.zeros(n),
+        "action_smoothness_2": params.w_smooth2
+            * -(((a - 2.0 * a1 + a2) / dt) ** 2).sum(axis=1) if a.shape[1] else np.zeros(n),
+        "hip_regularization": params.w_hip * _exp(-_rowdot(s.q_hip_xz) / sig),
+        "base_rollpitch_velocity": params.w_rollpitch * -(_sq(omega[:, 0]) + _sq(omega[:, 1])),
+        "base_z_velocity": params.w_zvel * -_sq(s.base_vel_z),
+        "base_tilting": params.w_tilt * _exp(-(_sq(g[:, 0]) + _sq(g[:, 1])) / sig),
+        "termination": params.w_termination * np.where(terminated, -1.0, 0.0),
+    }
+    total = np.zeros(n)
+    for v in breakdown.values():
+        total = total + v
+    return total, breakdown
+
+
 def r_base_height(s: RobotSample, params: RewardParams) -> float:
     """exp(-(target - height)^2 / sigma), peak 1 at exact tracking."""
-    err = params.base_height_target - s.base_height
-    return math.exp(-err * err / params.sigma)
+    return total_reward(s, params, 0.0, np.zeros((2, 2)))[1]["base_height"]
 
 
 def r_base_orientation(s: RobotSample, params: RewardParams) -> float:
     """2 exp(-|target - heading| / sigma), peak 2; error wrapped to [0, pi]."""
-    d = math.fmod(params.heading_target - s.base_heading, 2.0 * math.pi)
-    if d > math.pi:
-        d -= 2.0 * math.pi
-    elif d < -math.pi:
-        d += 2.0 * math.pi
-    return 2.0 * math.exp(-abs(d) / params.sigma)
+    return total_reward(s, params, 0.0, np.zeros((2, 2)))[1]["base_orientation"]
 
 
 def r_velocity_tracking(s: RobotSample, params: RewardParams) -> float:
@@ -107,21 +205,7 @@ def r_velocity_tracking(s: RobotSample, params: RewardParams) -> float:
     The error vector is normalized by 1 + |v_cmd| and enters as its squared
     Euclidean norm.
     """
-    v_cmd = params.vel_cmd
-    err = (v_cmd - s.base_vel_world) / (1.0 + float(np.linalg.norm(v_cmd)))
-    return 4.0 * math.exp(-float(err @ err) / params.sigma)
-
-
-def _schedule_and_stance(gait, stance_side):
-    if isinstance(gait, GaitState):
-        c = gait_contact_schedule(gait)
-        if stance_side is None:
-            stance_side = RIGHT if swing_foot(gait) == "left" else LEFT
-    else:
-        c = float(gait)
-        if stance_side is None:
-            stance_side = RIGHT if c >= 0.0 else LEFT
-    return c, stance_side
+    return total_reward(s, params, 0.0, np.zeros((2, 2)))[1]["velocity_tracking"]
 
 
 def r_contact_schedule(s: RobotSample, params: RewardParams, gait,
@@ -134,11 +218,7 @@ def r_contact_schedule(s: RobotSample, params: RewardParams, gait,
     the stance side deriving from the gait parity (or the sign of C) unless
     given explicitly.
     """
-    c, stance_side = _schedule_and_stance(gait, stance_side)
-    targets = np.asarray(targets, dtype=np.float64).reshape(2, 2)
-    indicator = float(bool(s.foot_contact[RIGHT])) - float(bool(s.foot_contact[LEFT]))
-    err = float(np.linalg.norm(targets[stance_side] - s.foot_pos[stance_side]))
-    return 9.0 * indicator * c * math.exp(-err / params.sigma)
+    return total_reward(s, params, gait, targets, stance_side)[1]["contact_schedule"]
 
 
 def pd_torque(q_ref, dq_action, q, qd, kp=30.0, kd=1.0) -> np.ndarray:
@@ -150,65 +230,28 @@ def pd_torque(q_ref, dq_action, q, qd, kp=30.0, kd=1.0) -> np.ndarray:
     return np.asarray(kp) * (q_ref + dq_action - q) - np.asarray(kd) * qd
 
 
-def _terminated(s: RobotSample) -> bool:
-    v = math.sqrt(float(s.base_vel_world @ s.base_vel_world) + s.base_vel_z ** 2)
-    if s.self_collision:
-        return True
-    if v >= 10.0:
-        return True
-    if float(np.linalg.norm(s.base_ang_vel)) >= 5.0:
-        return True
-    if abs(s.gravity_proj[0]) >= 0.7 or abs(s.gravity_proj[1]) >= 0.7:
-        return True
-    if s.base_height < 0.3:
-        return True
-    return False
-
-
 def regularization(s: RobotSample, params: RewardParams) -> dict:
     """Weighted regularization terms, keyed by name."""
-    sig = params.sigma
-    dt = params.action_dt
-    tau_max = np.broadcast_to(np.asarray(params.tau_max, dtype=np.float64), s.tau.shape)
-    q_max = np.broadcast_to(np.asarray(params.q_max, dtype=np.float64), s.q.shape)
-    a, a1, a2 = s.action, s.action_prev, s.action_prev2
-    terms = {
-        "joint_torques": params.w_torque * -float(s.tau @ s.tau),
-        "torque_limits": params.w_torque_limits
-            * -float(np.maximum(np.abs(s.tau) - 0.9 * tau_max, 0.0).sum()),
-        "joint_velocity": params.w_joint_vel * -float(s.dq @ s.dq),
-        "joint_limits": params.w_joint_limits
-            * -float(np.clip(np.abs(s.q) - 0.9 * q_max, 0.0, 1.0).sum()),
-        "action_smoothness_1": params.w_smooth1
-            * -float(np.sum(((a - a1) / dt) ** 2)) if a.size else 0.0,
-        "action_smoothness_2": params.w_smooth2
-            * -float(np.sum(((a - 2.0 * a1 + a2) / dt) ** 2)) if a.size else 0.0,
-        "hip_regularization": params.w_hip
-            * math.exp(-float(s.q_hip_xz @ s.q_hip_xz) / sig),
-        "base_rollpitch_velocity": params.w_rollpitch
-            * -(s.base_ang_vel[0] ** 2 + s.base_ang_vel[1] ** 2),
-        "base_z_velocity": params.w_zvel * -(s.base_vel_z ** 2),
-        "base_tilting": params.w_tilt
-            * math.exp(-(s.gravity_proj[0] ** 2 + s.gravity_proj[1] ** 2) / sig),
-        "termination": params.w_termination * (-1.0 if _terminated(s) else 0.0),
-    }
-    return terms
+    breakdown = total_reward(s, params, 0.0, np.zeros((2, 2)))[1]
+    return {k: breakdown[k] for k in REG_TERMS}
 
 
 def total_reward(s: RobotSample, params: RewardParams, gait, targets,
                  stance_side: int | None = None) -> tuple[float, dict]:
     """Sum of the four task terms and all regularization terms.
 
-    Returns (total, breakdown); the breakdown sums to the total exactly.
+    `gait` and `stance_side` are as in r_contact_schedule. Returns
+    (total, breakdown); the breakdown sums to the total exactly.
     """
-    breakdown = {
-        "base_height": r_base_height(s, params),
-        "base_orientation": r_base_orientation(s, params),
-        "velocity_tracking": r_velocity_tracking(s, params),
-        "contact_schedule": r_contact_schedule(s, params, gait, targets, stance_side),
-    }
-    breakdown.update(regularization(s, params))
-    total = 0.0
-    for v in breakdown.values():
-        total += v
-    return total, breakdown
+    if isinstance(gait, GaitState):
+        c = gait_contact_schedule(gait)
+        if stance_side is None:
+            stance_side = RIGHT if swing_foot(gait) == "left" else LEFT
+    else:
+        c = float(gait)
+        if stance_side is None:
+            stance_side = RIGHT if c >= 0.0 else LEFT
+    total, breakdown = reward_table(
+        {k: np.asarray(v)[None] for k, v in vars(s).items()}, params, [c],
+        np.asarray(targets, dtype=np.float64).reshape(1, 2, 2), [stance_side])
+    return float(total[0]), {k: float(v[0]) for k, v in breakdown.items()}

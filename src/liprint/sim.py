@@ -354,8 +354,9 @@ def sweep(configs, trials: int, base_seed: int = 0, window: float = 5.0,
     return rows
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def format_float(x: float) -> str:
+    """17 significant digits, '.' decimal separator; -0.0 is written as 0."""
+    return format(float(x) + 0.0, ".17g")
 
 
 def write_trajectory_csv(result: SimResult, path) -> None:
@@ -365,9 +366,9 @@ def write_trajectory_csv(result: SimResult, path) -> None:
     with open(path, "w", newline="") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
         for row in arr:
-            vals = [_fmt(row[c]) for c in range(_kernels.COL_PARITY)]
+            vals = [format_float(row[c]) for c in range(_kernels.COL_PARITY)]
             vals.append(str(int(row[_kernels.COL_PARITY])))
-            vals.extend(_fmt(row[c]) for c in
+            vals.extend(format_float(row[c]) for c in
                         (_kernels.COL_CONTACT_SCHED, _kernels.COL_PHASE_SIN,
                          _kernels.COL_PHASE_COS))
             vals.append(str(flag))

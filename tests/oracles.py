@@ -87,3 +87,164 @@ def exhaustive_nearest_steppable(hmap, p, is_steppable_fn):
                 best_key = key
                 best = node
     return best
+
+
+# ---------------------------------------------------------------- rewards
+#
+# The per-row reward evaluation, one sample at a time, as the reference for
+# the array core in liprint.metrics. Samples are liprint.metrics.RobotSample
+# (a plain container); every formula below is evaluated here independently.
+
+RIGHT, LEFT = 0, 1
+
+
+def _r_base_height(s, params):
+    err = params.base_height_target - s.base_height
+    return math.exp(-err * err / params.sigma)
+
+
+def _r_base_orientation(s, params):
+    d = math.fmod(params.heading_target - s.base_heading, 2.0 * math.pi)
+    if d > math.pi:
+        d -= 2.0 * math.pi
+    elif d < -math.pi:
+        d += 2.0 * math.pi
+    return 2.0 * math.exp(-abs(d) / params.sigma)
+
+
+def _r_velocity_tracking(s, params):
+    v_cmd = params.vel_cmd
+    err = (v_cmd - s.base_vel_world) / (1.0 + float(np.linalg.norm(v_cmd)))
+    return 4.0 * math.exp(-float(err @ err) / params.sigma)
+
+
+def _r_contact_schedule(s, params, c, targets, stance_side):
+    targets = np.asarray(targets, dtype=np.float64).reshape(2, 2)
+    indicator = float(bool(s.foot_contact[RIGHT])) - float(bool(s.foot_contact[LEFT]))
+    err = float(np.linalg.norm(targets[stance_side] - s.foot_pos[stance_side]))
+    return 9.0 * indicator * c * math.exp(-err / params.sigma)
+
+
+def _terminated(s):
+    v = math.sqrt(float(s.base_vel_world @ s.base_vel_world) + s.base_vel_z ** 2)
+    if s.self_collision:
+        return True
+    if v >= 10.0:
+        return True
+    if float(np.linalg.norm(s.base_ang_vel)) >= 5.0:
+        return True
+    if abs(s.gravity_proj[0]) >= 0.7 or abs(s.gravity_proj[1]) >= 0.7:
+        return True
+    if s.base_height < 0.3:
+        return True
+    return False
+
+
+def regularization_row(s, params):
+    """The eleven weighted regularization terms of one sample, keyed by name."""
+    sig = params.sigma
+    dt = params.action_dt
+    tau_max = np.broadcast_to(np.asarray(params.tau_max, dtype=np.float64), s.tau.shape)
+    q_max = np.broadcast_to(np.asarray(params.q_max, dtype=np.float64), s.q.shape)
+    a, a1, a2 = s.action, s.action_prev, s.action_prev2
+    return {
+        "joint_torques": params.w_torque * -float(s.tau @ s.tau),
+        "torque_limits": params.w_torque_limits
+            * -float(np.maximum(np.abs(s.tau) - 0.9 * tau_max, 0.0).sum()),
+        "joint_velocity": params.w_joint_vel * -float(s.dq @ s.dq),
+        "joint_limits": params.w_joint_limits
+            * -float(np.clip(np.abs(s.q) - 0.9 * q_max, 0.0, 1.0).sum()),
+        "action_smoothness_1": params.w_smooth1
+            * -float(np.sum(((a - a1) / dt) ** 2)) if a.size else 0.0,
+        "action_smoothness_2": params.w_smooth2
+            * -float(np.sum(((a - 2.0 * a1 + a2) / dt) ** 2)) if a.size else 0.0,
+        "hip_regularization": params.w_hip
+            * math.exp(-float(s.q_hip_xz @ s.q_hip_xz) / sig),
+        "base_rollpitch_velocity": params.w_rollpitch
+            * -(s.base_ang_vel[0] ** 2 + s.base_ang_vel[1] ** 2),
+        "base_z_velocity": params.w_zvel * -(s.base_vel_z ** 2),
+        "base_tilting": params.w_tilt
+            * math.exp(-(s.gravity_proj[0] ** 2 + s.gravity_proj[1] ** 2) / sig),
+        "termination": params.w_termination * (-1.0 if _terminated(s) else 0.0),
+    }
+
+
+def total_reward_row(s, params, c, targets, stance_side):
+    """(total, breakdown) of one sample; the total sums the terms in order."""
+    breakdown = {
+        "base_height": _r_base_height(s, params),
+        "base_orientation": _r_base_orientation(s, params),
+        "velocity_tracking": _r_velocity_tracking(s, params),
+        "contact_schedule": _r_contact_schedule(s, params, c, targets, stance_side),
+    }
+    breakdown.update(regularization_row(s, params))
+    total = 0.0
+    for v in breakdown.values():
+        total += v
+    return total, breakdown
+
+
+_JOINT_PREFIXES = ("q", "dq", "tau", "a")
+_JOINT_BASE_COLS = ("omega_x", "omega_y", "omega_z", "g_x", "g_y", "g_z",
+                    "v_z", "base_height", "self_collision")
+
+
+def score_lines(traj_rows, joint_rows, params, base_height, sample_cls):
+    """`liprint score` output lines, scoring one trajectory row at a time.
+
+    traj_rows: the trajectory CSV data rows in the simulate schema (no
+    header); joint_rows: None or the joint-log rows with their header
+    first; sample_cls: the RobotSample container to fill.
+    """
+    columns = ("time", "com_x", "com_y", "vel_x", "vel_y", "icp_x", "icp_y",
+               "stance_x", "stance_y", "stance_z", "target_x", "target_y", "target_z",
+               "target_heading", "parity", "contact_schedule")
+    col = {name: i for i, name in enumerate(columns)}
+    lines = []
+    prev_action = prev_action2 = None
+    for i, row in enumerate(traj_rows):
+        vals = [float(row[col[c]]) for c in columns]
+        stance_side = RIGHT if int(vals[col["parity"]]) % 2 == 0 else LEFT
+        stance_xy = (vals[col["stance_x"]], vals[col["stance_y"]])
+        target_xy = (vals[col["target_x"]], vals[col["target_y"]])
+        foot_pos = [stance_xy, stance_xy]
+        foot_pos[1 - stance_side] = target_xy
+        contact = [False, False]
+        contact[stance_side] = True
+        kw = dict(base_height=base_height, base_heading=vals[col["target_heading"]],
+                  base_vel_world=(vals[col["vel_x"]], vals[col["vel_y"]]),
+                  foot_pos=foot_pos, foot_contact=tuple(contact))
+        if joint_rows is not None:
+            vec = {p: [] for p in _JOINT_PREFIXES}
+            base = {}
+            for name, value in zip(joint_rows[0], joint_rows[i + 1]):
+                if name in _JOINT_BASE_COLS:
+                    base[name] = float(value)
+                    continue
+                for p in _JOINT_PREFIXES:
+                    if name.startswith(p) and name[len(p):].isdigit():
+                        vec[p].append((int(name[len(p):]), float(value)))
+                        break
+            vec = {p: [v for _, v in sorted(vals)] for p, vals in vec.items()}
+            action = vec["a"]
+            if i == 0:
+                prev_action = prev_action2 = action
+            kw.update(q=vec["q"], dq=vec["dq"], tau=vec["tau"], action=action,
+                      action_prev=prev_action, action_prev2=prev_action2)
+            prev_action2, prev_action = prev_action, action
+            if "base_height" in base:
+                kw["base_height"] = base["base_height"]
+            if "v_z" in base:
+                kw["base_vel_z"] = base["v_z"]
+            if all(k in base for k in ("omega_x", "omega_y", "omega_z")):
+                kw["base_ang_vel"] = (base["omega_x"], base["omega_y"], base["omega_z"])
+            if all(k in base for k in ("g_x", "g_y", "g_z")):
+                kw["gravity_proj"] = (base["g_x"], base["g_y"], base["g_z"])
+            if "self_collision" in base:
+                kw["self_collision"] = bool(base["self_collision"])
+        total, breakdown = total_reward_row(sample_cls(**kw), params,
+                                            vals[col["contact_schedule"]], foot_pos,
+                                            stance_side)
+        out = [vals[col["time"]], *breakdown.values(), total]
+        lines.append(",".join(format(float(v) + 0.0, ".17g") for v in out))
+    return lines

@@ -1,10 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from liprint.cli import main
+from liprint.metrics import RewardParams, RobotSample
+from liprint.sim import CSV_COLUMNS
 from liprint.terrain import Heightmap
+from oracles import score_lines
 
 
 def read(path):
@@ -208,6 +212,89 @@ class TestScore:
         joints.write_text("q0\n0.0\n")
         assert main(["score", "--traj", str(traj), "--joints", str(joints),
                      "--out", str(tmp_path / "r.csv")]) == 1
+
+    def test_joint_row_shorter_than_header(self, tmp_path, capsys):
+        traj = write_traj(tmp_path, [zero_row()])
+        joints = tmp_path / "j.csv"
+        joints.write_text("q0,dq0\n1\n")
+        assert main(["score", "--traj", str(traj), "--joints", str(joints),
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        assert "bad joint row 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["q0,q0", "q1,dq0,q01", "v_z,q0,v_z"])
+    def test_duplicate_joint_column(self, tmp_path, capsys, header):
+        traj = write_traj(tmp_path, [zero_row()])
+        joints = tmp_path / "j.csv"
+        joints.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+        assert main(["score", "--traj", str(traj), "--joints", str(joints),
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        assert "duplicates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["x", "short", "inf"])
+    def test_bad_trajectory_row(self, tmp_path, capsys, bad):
+        row = zero_row()
+        if bad == "short":
+            row = row[:10]
+        else:
+            row[CSV_COLUMNS.index("vel_x")] = bad
+        traj = write_traj(tmp_path, [zero_row(), zero_row(), row])
+        assert main(["score", "--traj", str(traj), "--out", str(tmp_path / "r.csv")]) == 1
+        assert "bad trajectory row 3" in capsys.readouterr().err
+
+    def test_outcome_flag_is_not_read(self, tmp_path):
+        row = zero_row()
+        row[-1] = "not-a-number"
+        traj = write_traj(tmp_path, [row])
+        assert main(["score", "--traj", str(traj), "--out", str(tmp_path / "r.csv")]) == 0
+
+    @pytest.mark.parametrize("joints", ["none", "permuted", "gapped", "no-base",
+                                        "partial-base"])
+    def test_matches_per_row_oracle(self, tmp_path, joints):
+        rng = np.random.default_rng(len(joints))
+        n = 40
+        traj_rows = [[repr(float(v)) for v in rng.normal(0.0, 1.0, len(CSV_COLUMNS))]
+                     for _ in range(n)]
+        for i, row in enumerate(traj_rows):
+            row[CSV_COLUMNS.index("parity")] = str(float(i - 5))  # both parities, < 0 too
+            row[CSV_COLUMNS.index("time")] = repr(0.01 * i)
+        traj = write_traj(tmp_path, traj_rows)
+        header = [f"{p}{j}" for p in ("q", "dq", "tau", "a") for j in range(4)]
+        header += ["omega_x", "omega_y", "omega_z", "g_x", "g_y", "g_z", "v_z",
+                   "base_height", "self_collision", "quality", "q"]
+        if joints == "permuted":
+            header = [header[i] for i in rng.permutation(len(header))]
+        elif joints == "gapped":
+            header = [h for h in header if h not in ("q1", "dq0", "tau3", "a2")]
+            header = [h.replace("q3", "q7") for h in header]
+        elif joints == "no-base":
+            header = [h for h in header if h[0] in "qdta" and h not in ("quality", "q")]
+        elif joints == "partial-base":
+            header = [h for h in header if h not in ("omega_y", "g_z")]
+        table = rng.normal(0.0, 0.4, (n, len(header)))
+        if "self_collision" in header:
+            table[:, header.index("self_collision")] = rng.random(n) < 0.2
+        joint_rows = [header] + [[repr(float(v)) for v in row] for row in table]
+        argv = ["score", "--traj", str(traj), "--vx", "0.7", "--vy", "0.2",
+                "--sigma", "0.3", "--base-height", "0.6", "--out", str(tmp_path / "r.csv")]
+        if joints != "none":
+            (tmp_path / "j.csv").write_text("\n".join(",".join(r) for r in joint_rows) + "\n")
+            argv += ["--joints", str(tmp_path / "j.csv")]
+        assert main(argv) == 0
+        p = RewardParams(sigma=0.3, base_height_target=0.6, heading_target=math.atan2(0.2, 0.7),
+                         vel_cmd=(0.7, 0.2))
+        expected = score_lines(traj_rows, None if joints == "none" else joint_rows,
+                               p, 0.6, RobotSample)
+        assert read(tmp_path / "r.csv")[1:] == expected
+
+
+def zero_row():
+    return ["0"] * len(CSV_COLUMNS)
+
+
+def write_traj(tmp_path, rows):
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([",".join(CSV_COLUMNS)] + [",".join(r) for r in rows]) + "\n")
+    return path
 
 
 class TestTerrainGen:

@@ -5,10 +5,12 @@ import numpy.testing as npt
 import pytest
 
 from liprint import GaitParams, GaitState
-from liprint.metrics import (RIGHT, RewardParams, RobotSample,
-                             pd_torque, r_base_height, r_base_orientation,
-                             r_contact_schedule, r_velocity_tracking,
-                             regularization, total_reward)
+from liprint.metrics import (LEFT, REG_TERMS, RIGHT, TASK_TERMS, RewardParams,
+                             RobotSample, pd_torque, r_base_height,
+                             r_base_orientation, r_contact_schedule,
+                             r_velocity_tracking, regularization, reward_table,
+                             total_reward)
+from oracles import regularization_row, total_reward_row
 
 SIGMA = 0.25
 
@@ -289,3 +291,121 @@ class TestTotalReward:
             assert 0.0 < r_base_height(s, p) <= 1.0
             assert 0.0 < r_base_orientation(s, p) <= 2.0
             assert 0.0 < r_velocity_tracking(s, p) <= 4.0
+
+
+def stack(samples):
+    """reward_table columns holding the given RobotSamples, one per row."""
+    return {name: np.array([np.asarray(getattr(s, name)) for s in samples])
+            for name in vars(samples[0])}
+
+
+def random_samples(rng, n, k):
+    return [RobotSample(base_height=float(rng.uniform(0.2, 1.0)),
+                        base_heading=float(rng.uniform(-7.0, 7.0)),
+                        base_vel_world=rng.normal(0.0, 4.0, 2),
+                        base_vel_z=float(rng.normal(0.0, 1.0)),
+                        base_ang_vel=rng.normal(0.0, 2.5, 3),
+                        gravity_proj=rng.normal(0.0, 0.5, 3),
+                        q=rng.normal(0.0, 1.5, k), dq=rng.normal(0.0, 3.0, k),
+                        tau=rng.normal(0.0, 30.0, k),
+                        action=rng.normal(0.0, 0.3, k),
+                        action_prev=rng.normal(0.0, 0.3, k),
+                        action_prev2=rng.normal(0.0, 0.3, k),
+                        q_hip_xz=rng.normal(0.0, 0.5, 4),
+                        foot_pos=rng.uniform(-1.0, 1.0, (2, 2)),
+                        foot_contact=tuple(bool(b) for b in rng.integers(0, 2, 2)),
+                        self_collision=bool(rng.random() < 0.1))
+            for _ in range(n)]
+
+
+def assert_rows_match_oracle(samples, p, schedule, targets, sides):
+    total, breakdown = reward_table(stack(samples), p, schedule, targets, sides)
+    assert list(breakdown) == list(TASK_TERMS + REG_TERMS)
+    for i, s in enumerate(samples):
+        o_total, o_breakdown = total_reward_row(s, p, schedule[i], targets[i], sides[i])
+        assert total[i] == o_total, i
+        assert {k: v[i] for k, v in breakdown.items()} == o_breakdown, i
+    return total, breakdown
+
+
+class TestArrayCoreOracle:
+    """reward_table equals the per-row reference exactly, row by row."""
+
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    @pytest.mark.parametrize("k", [0, 1, 12])
+    @pytest.mark.parametrize("limits", ["none", "scalar", "per-joint"])
+    def test_random_batches(self, n, k, limits):
+        rng = np.random.default_rng([n, k, len(limits)])
+        kw = {"none": {}, "scalar": dict(tau_max=30.0, q_max=1.2),
+              "per-joint": dict(tau_max=rng.uniform(10.0, 40.0, k),
+                                q_max=rng.uniform(0.5, 2.0, k))}[limits]
+        p = params(vel_cmd=rng.normal(0.0, 1.0, 2), heading_target=0.3,
+                   sigma=0.3, **kw)
+        samples = random_samples(rng, n, k)
+        schedule = rng.uniform(-1.0, 1.0, n)
+        targets = rng.uniform(-1.0, 1.0, (n, 2, 2))
+        sides = rng.integers(0, 2, n)
+        assert_rows_match_oracle(samples, p, schedule, targets, sides)
+        # the one-row wrappers run the same core
+        for i in range(min(n, 3)):
+            s, c, t, side = samples[i], schedule[i], targets[i], sides[i]
+            o_total, o_breakdown = total_reward_row(s, p, c, t, side)
+            assert total_reward(s, p, c, t, stance_side=side) == (o_total, o_breakdown)
+            assert regularization(s, p) == regularization_row(s, p)
+            assert r_base_height(s, p) == o_breakdown["base_height"]
+            assert r_base_orientation(s, p) == o_breakdown["base_orientation"]
+            assert r_velocity_tracking(s, p) == o_breakdown["velocity_tracking"]
+            assert r_contact_schedule(s, p, c, t, side) == o_breakdown["contact_schedule"]
+
+    def test_both_parities(self):
+        rng = np.random.default_rng(12)
+        samples = random_samples(rng, 8, 3)
+        targets = rng.uniform(-1.0, 1.0, (8, 2, 2))
+        schedule = rng.uniform(-1.0, 1.0, 8)
+        for sides in (np.full(8, RIGHT), np.full(8, LEFT), np.arange(8) % 2):
+            assert_rows_match_oracle(samples, params(), schedule, targets, sides)
+
+    def test_squares_of_scalar_signals_use_pow(self):
+        # with glibc, pow(x, 2) and x * x differ in the last bit for these
+        xs = [0.22837912815394867, 0.24785257880800576, 0.5854721844001616,
+              -0.12215715250210951, 0.03888317268016638, -0.0016322209104065438]
+        samples = [RobotSample(base_vel_z=x, base_ang_vel=(x, -x, 0.0),
+                               gravity_proj=(-x, x, -1.0)) for x in xs]
+        n = len(xs)
+        assert_rows_match_oracle(samples, params(), np.ones(n), np.zeros((n, 2, 2)),
+                                 np.zeros(n, dtype=int))
+
+    def test_termination_thresholds_at_the_boundary(self):
+        below = np.nextafter
+        cases = [  # (sample fields, terminated)
+            (dict(base_vel_world=(6.0, 8.0)), True),
+            (dict(base_vel_world=(10.0, 0.0)), True),
+            (dict(base_vel_z=10.0), True),
+            (dict(base_vel_world=(below(10.0, 0.0), 0.0)), False),
+            (dict(base_ang_vel=(3.0, 4.0, 0.0)), True),
+            (dict(base_ang_vel=(0.0, 0.0, 5.0)), True),
+            (dict(base_ang_vel=(0.0, 0.0, below(5.0, 0.0))), False),
+            (dict(gravity_proj=(0.7, 0.0, -0.7)), True),
+            (dict(gravity_proj=(-0.7, 0.0, -0.7)), True),
+            (dict(gravity_proj=(0.0, 0.7, -0.7)), True),
+            (dict(gravity_proj=(below(0.7, 0.0), below(0.7, 0.0), -0.7)), False),
+            (dict(base_height=0.3), False),
+            (dict(base_height=below(0.3, 0.0)), True),
+            (dict(self_collision=True), True),
+            (dict(), False),
+        ]
+        samples = [RobotSample(**kw) for kw, _ in cases]
+        n = len(samples)
+        _, breakdown = assert_rows_match_oracle(
+            samples, params(), np.ones(n), np.zeros((n, 2, 2)), np.zeros(n, dtype=int))
+        assert list(breakdown["termination"]) == [-100.0 if t else 0.0 for _, t in cases]
+
+    def test_columns_checked(self):
+        args = (params(), np.ones(3), np.zeros((3, 2, 2)), np.zeros(3, dtype=int))
+        with pytest.raises(ValueError, match="base_height"):
+            reward_table({"base_height": np.zeros(2)}, *args)
+        with pytest.raises(ValueError, match="base_hight"):
+            reward_table({"base_hight": np.zeros(3)}, *args)
+        total, _ = reward_table({}, *args)  # every field at its default
+        assert list(total) == [total_reward(RobotSample(), params(), 1.0,
+                                            np.zeros((2, 2)), RIGHT)[0]] * 3

@@ -286,6 +286,22 @@ class TestDeterminism:
                [tuple(e.realized) for e in r2.step_events]
 
 
+class TestTrajectoryCsv:
+    def test_negative_zero_written_as_zero(self, tmp_path):
+        arr = np.zeros((2, _kernels.N_SAMPLE_COLS))
+        arr[1, :] = -0.0
+        arr[0, COL_TIME] = 0.5
+        result = sim_mod.SimResult(config=config(), outcome="completed",
+                                   failure_reason=None, failure_time=None,
+                                   step_events=(), sample_array=arr)
+        out = tmp_path / "t.csv"
+        sim_mod.write_trajectory_csv(result, out)
+        lines = out.read_text().splitlines()
+        assert lines[0] == ",".join(sim_mod.CSV_COLUMNS)
+        assert lines[1].split(",")[0] == "0.5"
+        assert lines[2] == ",".join(["0"] * len(sim_mod.CSV_COLUMNS))
+
+
 class TestInitialConditions:
     def test_custom_initial(self):
         cfg = config(vx=1.0, duration=2.0)
