@@ -8,8 +8,11 @@ an identity decorator. perfbench/ measures the pure-Python path, and
 benchmarks/bench_kernels.py times the two paths against each other when
 numba is present.
 
-Kernels operate on raw floats and ndarrays only; the dataclass-based public
-API lives in lip_core / terrain / sim.
+Kernels operate on raw floats and ndarrays only, and each formula is
+written once here: ICP propagation (icp_step), the foot placement with its
+offsets and heading rule (plan_placement), and the grid-cell lookup
+(_cell). The dataclass-based public API in lip_core / planner / terrain /
+sim validates its arguments and calls these kernels.
 """
 
 import math
@@ -111,16 +114,50 @@ def offset_pair(s_d, w_d, omega, duration):
 
 
 @njit(cache=True)
-def smooth_square(phase):
-    """Contact schedule: +/-1-ish square wave, smoothed, period 1 in phase."""
-    s = math.sin(2.0 * math.pi * phase)
-    return s / math.sqrt(s * s + 0.04)
+def step_width(w, span, Ts):
+    """Desired step width |w| * (span / Ts); exactly |w| when span == Ts."""
+    return abs(w) * (span / Ts)
+
+
+# Commanded speeds below this hold the fallback heading (stepping in place
+# must not spin).
+ZERO_SPEED = 1e-6
 
 
 @njit(cache=True)
-def grid_bilinear(heights, ox, oy, res, x, y):
-    """Bilinear height at (x, y). Caller guarantees the point is in bounds;
-    indices are clamped so queries on the far edges stay exact."""
+def command_heading(vx, vy, fallback_heading):
+    """atan2(vy, vx), or fallback_heading below ZERO_SPEED."""
+    if math.hypot(vx, vy) < ZERO_SPEED:
+        return fallback_heading
+    return math.atan2(vy, vx)
+
+
+@njit(cache=True)
+def plan_placement(icp_x, icp_y, st_x, st_y, omega, dt_pred, span, Ts,
+                   vx, vy, w, parity, fallback_heading):
+    """Desired foot placement p_d = xi_f + R(heading) (-b_x, +/-b_y).
+
+    xi_f is the capture point predicted over the remaining step time
+    dt_pred. Step length |v| * span and step_width(w, span, Ts) give the
+    offsets over `span`; b_y is positive for even parity. The heading is
+    command_heading(vx, vy, fallback_heading). Returns (x, y, heading).
+    """
+    fx, fy = icp_step(icp_x, icp_y, st_x, st_y, omega, dt_pred)
+    heading = command_heading(vx, vy, fallback_heading)
+    bx, by = offset_pair(math.hypot(vx, vy) * span, step_width(w, span, Ts), omega, span)
+    if parity % 2 != 0:
+        by = -by
+    c = math.cos(heading)
+    s = math.sin(heading)
+    return fx - c * bx - s * by, fy - s * bx + c * by, heading
+
+
+@njit(cache=True)
+def _cell(heights, ox, oy, res, x, y):
+    """Grid cell (i, j) enclosing (x, y) and the bilinear height there.
+
+    Indices are clamped so points on the far edges fall in the last cell.
+    """
     rows, cols = heights.shape
     gx = (x - ox) / res
     gy = (y - oy) / res
@@ -136,10 +173,16 @@ def grid_bilinear(heights, ox, oy, res, x, y):
         i = 0
     fx = gx - j
     fy = gy - i
-    return (heights[i, j] * (1.0 - fy) * (1.0 - fx)
-            + heights[i, j + 1] * (1.0 - fy) * fx
-            + heights[i + 1, j] * fy * (1.0 - fx)
-            + heights[i + 1, j + 1] * fy * fx)
+    return i, j, (heights[i, j] * (1.0 - fy) * (1.0 - fx)
+                  + heights[i, j + 1] * (1.0 - fy) * fx
+                  + heights[i + 1, j] * fy * (1.0 - fx)
+                  + heights[i + 1, j + 1] * fy * fx)
+
+
+@njit(cache=True)
+def grid_bilinear(heights, ox, oy, res, x, y):
+    """Bilinear height at (x, y). Caller guarantees the point is in bounds."""
+    return _cell(heights, ox, oy, res, x, y)[2]
 
 
 @njit(cache=True)
@@ -160,22 +203,10 @@ def steppable(heights, mask, ox, oy, res, x, y, radius, max_dev):
     rows, cols = heights.shape
     if not grid_contains(rows, cols, ox, oy, res, x, y):
         return False
-    gx = (x - ox) / res
-    gy = (y - oy) / res
-    j0 = int(math.floor(gx))
-    i0 = int(math.floor(gy))
-    if j0 > cols - 2:
-        j0 = cols - 2
-    if j0 < 0:
-        j0 = 0
-    if i0 > rows - 2:
-        i0 = rows - 2
-    if i0 < 0:
-        i0 = 0
+    i0, j0, h0 = _cell(heights, ox, oy, res, x, y)
     if (mask[i0, j0] != 0 or mask[i0, j0 + 1] != 0
             or mask[i0 + 1, j0] != 0 or mask[i0 + 1, j0 + 1] != 0):
         return False
-    h0 = grid_bilinear(heights, ox, oy, res, x, y)
     jlo = int(math.ceil((x - radius - ox) / res))
     jhi = int(math.floor((x + radius - ox) / res))
     ilo = int(math.ceil((y - radius - oy) / res))
@@ -353,50 +384,6 @@ def snap_to_steppable(heights, mask, ox, oy, res, x, y, radius, max_dev,
 
 
 @njit(cache=True)
-def _plan_target(icp_x, icp_y, st_x, st_y, omega, dt_pred, horizon,
-                 vx_cmd, vy_cmd, w_cmd, parity, prev_heading,
-                 has_terrain, heights, mask, ox, oy, res,
-                 foot_radius, max_dev, snap_search, node_grid):
-    """Swing-foot target from the current capture point.
-
-    The final ICP is predicted over the remaining step time dt_pred; the
-    placement offsets are evaluated over `horizon` (the duration the next
-    stance phase will actually last). On terrain the target is snapped to
-    steppable ground (node_grid as in snap_to_steppable). Returns
-    (ok, x, y, z, heading).
-    """
-    e = math.exp(omega * dt_pred)
-    fx = e * icp_x + (1.0 - e) * st_x
-    fy = e * icp_y + (1.0 - e) * st_y
-    speed = math.hypot(vx_cmd, vy_cmd)
-    if speed >= 1e-6:
-        heading = math.atan2(vy_cmd, vx_cmd)
-    else:
-        heading = prev_heading
-    bx, by = offset_pair(speed * horizon, abs(w_cmd), omega, horizon)
-    if parity % 2 == 0:
-        oy_off = by
-    else:
-        oy_off = -by
-    ox_off = -bx
-    c = math.cos(heading)
-    s = math.sin(heading)
-    px = fx + c * ox_off - s * oy_off
-    py = fy + s * ox_off + c * oy_off
-    pz = 0.0
-    ok = True
-    if has_terrain:
-        ok, sx, sy = snap_to_steppable(heights, mask, ox, oy, res, px, py,
-                                       foot_radius, max_dev, snap_search,
-                                       node_grid)
-        if ok:
-            pz = grid_bilinear(heights, ox, oy, res, sx, sy)
-            px = sx
-            py = sy
-    return ok, px, py, pz, heading
-
-
-@njit(cache=True)
 def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
              cmd_ticks, cmd_vx, cmd_vy, cmd_w,
              replan_every_tick, reach_limit,
@@ -408,12 +395,17 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
 
     Per tick: handle the step boundary (instantaneous support transfer to
     the current swing target, stance-height dependent pendulum frequency),
-    plan or replan the swing target, terrain-adjust it, record a sample at
-    the tick instant, then propagate the CoM analytically over dt.
+    plan or replan the swing target with plan_placement over the remaining
+    step time Ts - s*dt (offsets always over Ts), snap it to steppable
+    ground (node_grid is the snap_to_steppable holder for this run's
+    heightmap), record a sample at the tick instant, then propagate the CoM
+    analytically over dt. When no steppable ground is found the sample
+    keeps the raw, unsnapped target.
 
-    samples is (n_ticks, N_SAMPLE_COLS); ev_* arrays must hold at least
-    n_ticks // ticks_per_step + 2 touchdown events. node_grid is the
-    snap_to_steppable holder for this run's heightmap. Returns
+    samples is (n_ticks, N_SAMPLE_COLS); the loop fills every column but
+    the gait-phase ones (COL_CONTACT_SCHED, COL_PHASE_SIN, COL_PHASE_COS),
+    which depend only on the tick and the parity. ev_* arrays must hold at
+    least n_ticks // ticks_per_step + 2 touchdown events. Returns
     (n_recorded, outcome, fail_time, n_events).
     """
     Ts = ticks_per_step * dt
@@ -427,6 +419,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
 
     parity = 0
     heading = 0.0
+    tg_x = tg_y = tg_z = 0.0
     cmd_i = 0
     n_cmd = cmd_ticks.shape[0]
     n_events = 0
@@ -434,24 +427,15 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
     fail_time = 0.0
     n_rec = 0
 
-    icp_x = com_x + vel_x / omega
-    icp_y = com_y + vel_y / omega
-    ok, tg_x, tg_y, tg_z, heading = _plan_target(
-        icp_x, icp_y, st_x, st_y, omega, Ts, Ts,
-        cmd_vx[0], cmd_vy[0], cmd_w[0], parity, heading,
-        has_terrain, heights, mask, ox, oy, res,
-        foot_radius, max_dev, snap_search, node_grid)
-    if not ok:
-        outcome = OUTCOME_NO_GROUND
-
     for i in range(n_ticks):
         t_now = i * dt
         s = i % ticks_per_step
         while cmd_i + 1 < n_cmd and i >= cmd_ticks[cmd_i + 1]:
             cmd_i += 1
+        touchdown = outcome == OUTCOME_COMPLETED and i > 0 and s == 0
 
-        if outcome == OUTCOME_COMPLETED and i > 0 and s == 0:
-            # Touchdown: support transfers to the swing target.
+        if touchdown:
+            # Support transfers to the swing target.
             st_x = tg_x
             st_y = tg_y
             st_z = tg_z
@@ -472,44 +456,33 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
                 fail_time = t_now
             else:
                 omega = math.sqrt(g / z0)
-                icp_x = com_x + vel_x / omega
-                icp_y = com_y + vel_y / omega
-                if math.hypot(icp_x - st_x, icp_y - st_y) > reach_limit:
-                    outcome = OUTCOME_REACH
-                    fail_time = t_now
-                elif math.hypot(st_x - com_x, st_y - com_y) > reach_limit:
-                    outcome = OUTCOME_REACH
-                    fail_time = t_now
-                else:
-                    ok, tg_x, tg_y, tg_z, heading = _plan_target(
-                        icp_x, icp_y, st_x, st_y, omega, Ts, Ts,
-                        cmd_vx[cmd_i], cmd_vy[cmd_i], cmd_w[cmd_i],
-                        parity, heading,
-                        has_terrain, heights, mask, ox, oy, res,
-                        foot_radius, max_dev, snap_search, node_grid)
-                    if not ok:
-                        outcome = OUTCOME_NO_GROUND
-                        fail_time = t_now
-        elif outcome == OUTCOME_COMPLETED and replan_every_tick and s != 0:
-            dt_pred = Ts - s * dt
-            icp_x = com_x + vel_x / omega
-            icp_y = com_y + vel_y / omega
-            ok, tg_x, tg_y, tg_z, heading = _plan_target(
-                icp_x, icp_y, st_x, st_y, omega, dt_pred, Ts,
-                cmd_vx[cmd_i], cmd_vy[cmd_i], cmd_w[cmd_i],
-                parity, heading,
-                has_terrain, heights, mask, ox, oy, res,
-                foot_radius, max_dev, snap_search, node_grid)
-            if not ok:
-                outcome = OUTCOME_NO_GROUND
-                fail_time = t_now
-
         icp_x = com_x + vel_x / omega
         icp_y = com_y + vel_y / omega
-        t_cycle = (parity % 2) * Ts + s * dt
-        phase = t_cycle / (2.0 * Ts)
-        ps = math.sin(2.0 * math.pi * phase)
-        pc = math.cos(2.0 * math.pi * phase)
+
+        if outcome == OUTCOME_COMPLETED and (s == 0 or replan_every_tick):
+            if touchdown and (math.hypot(icp_x - st_x, icp_y - st_y) > reach_limit
+                              or math.hypot(st_x - com_x, st_y - com_y) > reach_limit):
+                outcome = OUTCOME_REACH
+                fail_time = t_now
+            else:
+                # the first step is planned with the opening command
+                c = cmd_i if i > 0 else 0
+                tg_x, tg_y, heading = plan_placement(
+                    icp_x, icp_y, st_x, st_y, omega, Ts - s * dt, Ts, Ts,
+                    cmd_vx[c], cmd_vy[c], cmd_w[c], parity, heading)
+                if has_terrain:
+                    ok, sx, sy = snap_to_steppable(heights, mask, ox, oy, res,
+                                                   tg_x, tg_y, foot_radius,
+                                                   max_dev, snap_search, node_grid)
+                    if ok:
+                        tg_x = sx
+                        tg_y = sy
+                        tg_z = grid_bilinear(heights, ox, oy, res, sx, sy)
+                    else:
+                        tg_z = 0.0
+                        outcome = OUTCOME_NO_GROUND
+                        fail_time = t_now
+
         samples[i, COL_TIME] = t_now
         samples[i, COL_COM_X] = com_x
         samples[i, COL_COM_Y] = com_y
@@ -525,9 +498,6 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
         samples[i, COL_TARGET_Z] = tg_z
         samples[i, COL_TARGET_HEADING] = heading
         samples[i, COL_PARITY] = parity
-        samples[i, COL_CONTACT_SCHED] = ps / math.sqrt(ps * ps + 0.04)
-        samples[i, COL_PHASE_SIN] = ps
-        samples[i, COL_PHASE_COS] = pc
         n_rec = i + 1
         if outcome != OUTCOME_COMPLETED:
             break

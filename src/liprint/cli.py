@@ -47,13 +47,17 @@ def _add_common(p):
     p.add_argument("--out", help="output file path")
 
 
-def _add_model_flags(p):
+def _add_command_flags(p):
     p.add_argument("--vx", type=float, help="forward velocity command (m/s)")
     p.add_argument("--vy", type=float, default=0.0, help="lateral velocity command (m/s)")
+    p.add_argument("--base-height", type=float, default=0.62)
+
+
+def _add_model_flags(p):
+    _add_command_flags(p)
     p.add_argument("--width", type=float, default=0.3, help="step width command (m)")
     p.add_argument("--Ts", type=float, default=0.35, dest="step_duration",
                    help="step duration (s)")
-    p.add_argument("--base-height", type=float, default=0.62)
     p.add_argument("--g", type=float, default=9.81)
 
 
@@ -99,7 +103,7 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("score", help="reward terms per trajectory row")
-    _add_model_flags(p)
+    _add_command_flags(p)
     p.add_argument("--traj", required=True, help="trajectory CSV (simulate schema)")
     p.add_argument("--joints", help="optional joint-log CSV for regularization terms")
     p.add_argument("--sigma", type=float, default=0.25)
@@ -394,8 +398,7 @@ def _cmd_score(args) -> int:
         sigma=args.sigma,
         base_height_target=args.base_height,
         heading_target=math.atan2(args.vy, args.vx or 0.0) if (args.vx or args.vy) else 0.0,
-        vel_cmd=(args.vx or 0.0, args.vy),
-        step_duration=args.step_duration)
+        vel_cmd=(args.vx or 0.0, args.vy))
     # each foot stands at its target: the stance foot at its touchdown point,
     # the swing foot at its planned one
     right = np.mod(np.trunc(t["parity"]), 2.0) == 0.0

@@ -10,8 +10,6 @@ phase used by the contact schedule and the sine/cosine phase clock.
 import math
 from dataclasses import dataclass
 
-from ._kernels import smooth_square
-
 _WRAP_TOL = 1e-9
 
 
@@ -79,15 +77,23 @@ def cycle_phase(g: GaitState) -> float:
     return g.t_prime / (2.0 * g.params.step_duration)
 
 
+def phase_signals(phase: float) -> tuple[float, float, float]:
+    """(contact schedule, sin, cos) at a two-step phase in [0, 1): the sine of
+    the phase angle smoothed into a square wave in [-1, 1], and the phase clock.
+    """
+    a = 2.0 * math.pi * phase
+    s = math.sin(a)
+    return s / math.sqrt(s * s + 0.04), s, math.cos(a)
+
+
 def contact_schedule(g: GaitState) -> float:
     """Smoothed square wave in [-1, 1]: positive half assigns right-foot stance."""
-    return smooth_square(cycle_phase(g))
+    return phase_signals(cycle_phase(g))[0]
 
 
 def phase_clock(g: GaitState) -> tuple[float, float]:
     """(sin, cos) of the two-step phase angle."""
-    a = 2.0 * math.pi * cycle_phase(g)
-    return math.sin(a), math.cos(a)
+    return phase_signals(cycle_phase(g))[1:]
 
 
 def swing_foot(g: GaitState) -> str:

@@ -22,10 +22,10 @@ BASE_HEIGHT = 0.62
 
 def natural_frequency(g: float, z0: float) -> float:
     """Pendulum natural frequency sqrt(g / z0)."""
-    if g <= 0.0:
-        raise ValueError(f"gravity must be positive, got {g}")
-    if z0 <= 0.0:
-        raise ValueError(f"pendulum height must be positive, got {z0}")
+    if not (g > 0.0 and math.isfinite(g)):
+        raise ValueError(f"gravity must be positive and finite, got {g}")
+    if not (z0 > 0.0 and math.isfinite(z0)):
+        raise ValueError(f"pendulum height must be positive and finite, got {z0}")
     return math.sqrt(g / z0)
 
 
@@ -54,9 +54,6 @@ class LipParams:
         elif abs(self.omega0 - w) > 1e-12 * w:
             raise ValueError(
                 f"omega0 {self.omega0} inconsistent with sqrt(g/z0) = {w}")
-
-    def with_height(self, z0: float) -> "LipParams":
-        return LipParams(g=self.g, z0=z0)
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,6 @@ class RewardParams:
     tau_max: np.ndarray = math.inf
     q_max: np.ndarray = math.inf
     action_dt: float = 0.01
-    step_duration: float = 0.35
     w_torque: float = 1e-4
     w_torque_limits: float = 1e-2
     w_joint_vel: float = 1e-3

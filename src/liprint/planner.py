@@ -1,11 +1,14 @@
 """Step-pattern generation: foot placement from the predicted capture point.
 
 Given the remaining step time dT, the desired step length is |v_cmd| * dT
-and the width |w_cmd| * dT / Ts. Predicting the capture point at the end of
-the step and subtracting a constant offset (b_x, b_y) in the walking frame
-yields a placement whose next step advances the capture point by exactly
-the desired length; the lateral offset alternates sign with the step
-parity. Turning reuses the same offsets rotated by the command heading.
+and the width |w_cmd| * (dT / Ts). Predicting the capture point at the end
+of the step and subtracting a constant offset (b_x, b_y) in the walking
+frame yields a placement whose next step advances the capture point by
+exactly the desired length; the lateral offset alternates sign with the
+step parity. Turning reuses the same offsets rotated by the command heading.
+
+The functions here validate typed arguments and call the scalar kernels
+the simulator runs (`_kernels.plan_placement` and its parts).
 """
 
 import math
@@ -15,10 +18,8 @@ import numpy as np
 
 from . import lip_core
 from .gait import GaitState, remaining_time
-from ._kernels import offset_pair
+from ._kernels import command_heading, offset_pair, plan_placement, step_width
 from .lip_core import FootPosition, IcpPoint, LipState
-
-ZERO_SPEED = 1e-6
 
 
 def wrap_angle(a: float) -> float:
@@ -91,10 +92,10 @@ def desired_step_length(cmd: StepCommand, dT: float) -> float:
 
 
 def desired_step_width(w_cmd: float, dT: float, Ts: float) -> float:
-    """w_d = |w_cmd| * dT / Ts."""
+    """w_d = |w_cmd| * (dT / Ts)."""
     if not (0.0 < dT <= Ts):
         raise ValueError(f"remaining time must lie in (0, {Ts}], got {dT}")
-    return abs(w_cmd) * dT / Ts
+    return step_width(w_cmd, dT, Ts)
 
 
 def predict_final_icp(xi0: IcpPoint, stance: FootPosition, omega0: float,
@@ -120,9 +121,7 @@ def offsets(s_d: float, w_d: float, omega0: float, dT: float) -> OffsetVector:
 def turning_angle(cmd: StepCommand) -> float:
     """Command heading via full-quadrant arctangent; held at the fallback
     heading while the commanded speed is effectively zero."""
-    if cmd.speed < ZERO_SPEED:
-        return wrap_angle(cmd.fallback_heading)
-    return math.atan2(cmd.v_cmd[1], cmd.v_cmd[0])
+    return command_heading(cmd.v_cmd[0], cmd.v_cmd[1], wrap_angle(cmd.fallback_heading))
 
 
 def plan_step(state: LipState, stance: FootPosition, cmd: StepCommand,
@@ -134,23 +133,17 @@ def plan_step(state: LipState, stance: FootPosition, cmd: StepCommand,
     passing `horizon` evaluates step length, width, and offsets over that
     duration instead (the simulator replans every tick with the full step
     duration as horizon so that the executed touchdown keeps the per-step
-    velocity recurrence).
+    velocity recurrence). With step_duration = ticks_per_step * dt and
+    horizon = Ts the result equals the simulator's target bit for bit.
     """
-    dT = remaining_time(gait)
-    if dT <= 0.0:
-        raise ValueError(f"remaining step time must be positive, got {dT}")
+    dT = remaining_time(gait)  # in (0, Ts], as GaitState holds 0 <= t < Ts
     Ts = gait.params.step_duration
     span = dT if horizon is None else horizon
-    omega0 = state.params.omega0
-    xi0 = lip_core.icp_of(state)
-    xi_f = predict_final_icp(xi0, stance, omega0, dT)
-    s_d = cmd.speed * span
-    w_d = desired_step_width(cmd.w_cmd, span, Ts)
-    b = offsets(s_d, w_d, omega0, span)
-    gamma = turning_angle(cmd)
-    sign = 1.0 if gait.parity % 2 == 0 else -1.0
-    local = np.array([-b.b_x, sign * b.b_y])
-    c, s = math.cos(gamma), math.sin(gamma)
-    rot = np.array([[c, -s], [s, c]])
-    p_d = xi_f.xi + rot @ local
-    return PlannedStep(p_d=p_d, z_d=stance.z, heading=gamma, parity=gait.parity)
+    if not (0.0 < span <= Ts):
+        raise ValueError(f"step horizon must lie in (0, {Ts}], got {span}")
+    xi0 = lip_core.icp_of(state).xi
+    x, y, gamma = plan_placement(
+        xi0[0], xi0[1], stance.p[0], stance.p[1], state.params.omega0, dT, span, Ts,
+        cmd.v_cmd[0], cmd.v_cmd[1], cmd.w_cmd, gait.parity,
+        wrap_angle(cmd.fallback_heading))
+    return PlannedStep(p_d=(x, y), z_d=stance.z, heading=gamma, parity=gait.parity)

@@ -4,8 +4,10 @@ The plant is the pendulum itself: support transfers to the planned target
 instantaneously at each step boundary, the stance height re-derives the
 pendulum frequency (commanded base height minus stance height), and the
 CoM propagates analytically between boundaries. Planning runs either once
-per step or every tick; targets are snapped to steppable ground and their
-elevation refined from the heightmap. Failure is recorded, not raised:
+per step or every tick, through the same kernel as planner.plan_step;
+targets are snapped to steppable ground and their elevation refined from
+the heightmap. The contact-schedule and phase-clock columns come from
+gait.phase_signals, tabulated once per run. Failure is recorded, not raised:
 a touchdown farther than the reach limit from the capture point or the
 CoM, no steppable ground within the snap radius, or a non-finite state.
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels, terrain as terrain_mod
-from .gait import GaitParams
+from .gait import GaitParams, phase_signals
 from .lip_core import FootPosition, LipParams, LipState
 from .planner import PlannedStep, StepCommand
 from .terrain import Heightmap, TerrainSpec
@@ -61,12 +63,11 @@ class SimConfig:
     def __post_init__(self):
         if self.replan not in (REPLAN_AT_STEP_START, REPLAN_EVERY_TICK):
             raise ValueError(f"unknown replanning mode {self.replan!r}")
-        if self.total_duration <= 0.0:
-            raise ValueError(f"total duration must be positive, got {self.total_duration}")
-        if self.reach_limit <= 0.0:
-            raise ValueError(f"reach limit must be positive, got {self.reach_limit}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        for name in ("total_duration", "reach_limit", "dt"):
+            v = getattr(self, name)
+            if not (v > 0.0 and math.isfinite(v)):
+                raise ValueError(f"{name.replace('_', ' ')} must be positive and finite, "
+                                 f"got {v}")
         Ts = self.gait.step_duration
         k = round(Ts / self.dt)
         if k < 1 or abs(k * self.dt - Ts) > 1e-9:
@@ -230,9 +231,17 @@ def _run_arrays(config: SimConfig, schedule, initial=None):
         stance.p[0], stance.p[1],
         samples, ev_time, ev_step, ev_realized, ev_parity, node_grid)
 
+    # gait-phase columns: row (parity % 2) * k + tick % k of a two-step table
+    k = config.ticks_per_step
+    Ts = k * config.dt
+    table = np.array([phase_signals(((r // k) * Ts + (r % k) * config.dt) / (2.0 * Ts))
+                      for r in range(2 * k)])
+    samples = samples[:n_rec]
+    rows = samples[:, _kernels.COL_PARITY].astype(np.int64) % 2 * k + np.arange(n_rec) % k
+    samples[:, _kernels.COL_CONTACT_SCHED:_kernels.COL_PHASE_COS + 1] = table[rows]
     events = (ev_time[:n_events], ev_step[:n_events], ev_realized[:n_events],
               ev_parity[:n_events])
-    return samples[:n_rec], outcome, fail_time, events
+    return samples, outcome, fail_time, events
 
 
 def _build_result(config: SimConfig, samples, outcome_code, fail_time, events) -> SimResult:
@@ -268,6 +277,8 @@ def turn_maneuver(config: SimConfig, turn_angle: float,
 
     turn_angle is in radians; 0 reproduces run() exactly.
     """
+    if not (math.isfinite(turn_angle) and math.isfinite(switch_time)):
+        raise ValueError(f"turn angle and time must be finite, got {turn_angle}, {switch_time}")
     v = config.cmd.v_cmd
     c, s = math.cos(turn_angle), math.sin(turn_angle)
     v2 = (c * v[0] - s * v[1], s * v[0] + c * v[1])

@@ -60,14 +60,6 @@ class Heightmap:
     def cols(self) -> int:
         return self.heights.shape[1]
 
-    @property
-    def x_max(self) -> float:
-        return float(self.origin[0] + (self.cols - 1) * self.resolution)
-
-    @property
-    def y_max(self) -> float:
-        return float(self.origin[1] + (self.rows - 1) * self.resolution)
-
     def contains(self, p) -> bool:
         x, y = float(p[0]), float(p[1])
         return bool(_kernels.grid_contains(self.rows, self.cols,
@@ -86,6 +78,12 @@ class Heightmap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Heightmap":
+        if not isinstance(d, dict):
+            raise ValueError(f"heightmap must be a JSON object, got {type(d).__name__}")
+        missing = [k for k in ("origin", "resolution", "rows", "cols", "heights")
+                   if k not in d]
+        if missing:
+            raise ValueError(f"heightmap lacks {', '.join(missing)}")
         rows, cols = int(d["rows"]), int(d["cols"])
         heights = np.asarray(d["heights"], dtype=np.float64)
         if heights.size != rows * cols:
@@ -218,10 +216,10 @@ def generate(spec: TerrainSpec, extent, resolution: float) -> Heightmap:
     strictly inside a strip are masked.
     """
     x0, y0, x1, y1 = (float(v) for v in extent)
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError(f"empty extent {extent}")
-    if resolution <= 0.0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    if not (x1 > x0 and y1 > y0 and all(map(math.isfinite, (x0, y0, x1, y1)))):
+        raise ValueError(f"extent {extent} must be finite and non-empty")
+    if not (resolution > 0.0 and math.isfinite(resolution)):
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     cols = max(2, int(math.ceil((x1 - x0) / resolution)) + 1)
     rows = max(2, int(math.ceil((y1 - y0) / resolution)) + 1)
     xs = x0 + resolution * np.arange(cols)

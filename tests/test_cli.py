@@ -241,6 +241,14 @@ class TestScore:
         assert main(["score", "--traj", str(traj), "--out", str(tmp_path / "r.csv")]) == 1
         assert "bad trajectory row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--Ts", "--width", "--g"])
+    def test_model_flags_not_read_by_score_are_rejected(self, tmp_path, flag):
+        traj = tmp_path / "t.csv"
+        assert main(["simulate", "--vx", "1.0", "--duration", "1", "--out", str(traj)]) == 0
+        args = ["score", "--traj", str(traj), "--vx", "1.0", "--out", str(tmp_path / "r.csv")]
+        assert main(args) == 0
+        assert main(args + [flag, "0.5"]) == 1
+
     def test_outcome_flag_is_not_read(self, tmp_path):
         row = zero_row()
         row[-1] = "not-a-number"
@@ -338,6 +346,36 @@ class TestTerrainGen:
 class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--vx", "1", "--duration", "inf"], "total duration must be positive"),
+        (["simulate", "--vx", "1", "--duration", "nan"], "total duration must be positive"),
+        (["simulate", "--vx", "1", "--dt", "nan"], "dt must be positive"),
+        (["simulate", "--vx", "1", "--reach-limit", "nan"], "reach limit must be positive"),
+        (["simulate", "--vx", "1", "--base-height", "nan"], "pendulum height must be positive"),
+        (["simulate", "--vx", "1", "--g", "nan"], "gravity must be positive"),
+        (["simulate", "--vx", "1", "--turn", "90", "--turn-time", "inf"],
+         "turn angle and time must be finite"),
+        (["simulate", "--vx", "1", "--turn", "nan"], "turn angle and time must be finite"),
+        (["terrain", "gen", "--spec", "flat", "--resolution", "nan"],
+         "resolution must be positive"),
+        (["terrain", "gen", "--spec", "flat", "--extent", "0:0:inf:1"],
+         "must be finite and non-empty"),
+        (["simulate", "--vx", "1", "--terrain", "file:{no_origin}"], "heightmap lacks origin"),
+        (["simulate", "--vx", "1", "--terrain", "file:{not_object}"],
+         "heightmap must be a JSON object"),
+    ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
+            "g-nan", "turn-time-inf", "turn-nan", "resolution-nan", "extent-inf",
+            "map-without-origin", "map-not-object"])
+    def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
+        no_origin = tmp_path / "m.json"
+        no_origin.write_text('{"resolution": 0.1, "rows": 2, "cols": 2, "heights": [0, 0, 0, 0]}')
+        not_object = tmp_path / "n.json"
+        not_object.write_text("5\n")
+        argv = [a.format(no_origin=no_origin, not_object=not_object) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_bad_terrain_spec(self, tmp_path):
         rc = main(["simulate", "--vx", "1.0", "--terrain", "lava:9",

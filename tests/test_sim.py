@@ -4,14 +4,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from liprint import (FootPosition, IcpPoint, LipState,
-                     SimConfig, StepCommand, TerrainSpec, icp_trajectory,
-                     is_steppable, run, success_metric, sweep, turn_maneuver)
+from liprint import (FootPosition, GaitParams, GaitState, IcpPoint, LipParams,
+                     LipState, SimConfig, StepCommand, TerrainSpec,
+                     contact_schedule, icp_trajectory, is_steppable, phase_clock,
+                     plan_step, run, success_metric, sweep, turn_maneuver)
 from liprint import _kernels
 from liprint import sim as sim_mod
-from liprint._kernels import (COL_COM_X, COL_COM_Y, COL_ICP_X, COL_ICP_Y,
+from liprint._kernels import (COL_COM_X, COL_COM_Y, COL_CONTACT_SCHED, COL_ICP_X,
+                              COL_ICP_Y, COL_PARITY, COL_PHASE_COS, COL_PHASE_SIN,
                               COL_STANCE_X, COL_STANCE_Y, COL_STANCE_Z,
-                              COL_TIME, COL_VEL_X, COL_VEL_Y)
+                              COL_TARGET_HEADING, COL_TARGET_X, COL_TARGET_Y,
+                              COL_TARGET_Z, COL_TIME, COL_VEL_X, COL_VEL_Y)
 
 
 def config(vx=1.0, vy=0.0, duration=10.0, replan=sim_mod.REPLAN_AT_STEP_START,
@@ -108,6 +111,92 @@ class TestFlatRuns:
         npt.assert_allclose(td1, td2, atol=1e-9)
         sel = r2.sample_array[:, COL_TIME] >= 3 * 0.35
         assert r2.sample_array[sel, COL_VEL_X].mean() == pytest.approx(1.0, rel=0.01)
+
+
+def planned_from_row(cfg, row, fallback_heading=0.0):
+    """plan_step at a recorded sample, with the simulator's tick grid and the
+    full step as horizon: the placement the simulator plans there, unsnapped."""
+    k, dt = cfg.ticks_per_step, cfg.dt
+    Ts = k * dt
+    i = round(row[COL_TIME] / dt)
+    parity = int(row[COL_PARITY])
+    lip = LipParams(g=cfg.lip.g, z0=cfg.lip.z0 - row[COL_STANCE_Z])
+    state = LipState(com_pos=row[COL_COM_X:COL_COM_Y + 1],
+                     com_vel=row[COL_VEL_X:COL_VEL_Y + 1], params=lip)
+    stance = FootPosition(p=row[COL_STANCE_X:COL_STANCE_Y + 1], z=row[COL_STANCE_Z])
+    c = StepCommand(v_cmd=cfg.cmd.v_cmd, w_cmd=cfg.cmd.w_cmd,
+                    fallback_heading=fallback_heading)
+    gait = GaitState(t=i % k * dt, t_prime=parity % 2 * Ts + i % k * dt,
+                     parity=parity, params=GaitParams(step_duration=Ts))
+    return plan_step(state, stance, c, gait, horizon=Ts)
+
+
+class TestSharedCore:
+    """plan_step and the gait clocks against the simulator, compared with ==."""
+
+    def test_first_target_equals_plan_step(self):
+        rng = np.random.default_rng(11)
+        for n in range(240):
+            dt = (0.01, 0.005, 0.02)[n % 3]
+            k = int(rng.integers(10, 50))
+            vx, vy = rng.uniform(-1.5, 1.5, 2) if n % 8 else (0.0, 0.0)
+            cfg = SimConfig(cmd=StepCommand(v_cmd=(vx, vy), w_cmd=rng.uniform(0.1, 0.4)),
+                            gait=GaitParams(step_duration=k * dt),
+                            lip=LipParams(z0=rng.uniform(0.4, 1.0)),
+                            dt=dt, total_duration=dt)
+            state = LipState(com_pos=rng.uniform(-0.2, 0.2, 2),
+                             com_vel=rng.uniform(-1.0, 1.0, 2), params=cfg.lip)
+            stance = FootPosition(p=rng.uniform(-0.3, 0.3, 2))
+            row = run(cfg, initial=(state, stance)).sample_array[0]
+            step = planned_from_row(cfg, row)
+            assert (step.p_d[0], step.p_d[1]) == (row[COL_TARGET_X], row[COL_TARGET_Y])
+            assert step.heading == row[COL_TARGET_HEADING]
+
+    @pytest.mark.parametrize("replan", [sim_mod.REPLAN_AT_STEP_START,
+                                        sim_mod.REPLAN_EVERY_TICK])
+    @pytest.mark.parametrize("vx,vy", [(0.8, 0.0), (0.6, -0.3), (0.0, 0.0)])
+    def test_touchdown_targets_equal_plan_step(self, replan, vx, vy):
+        cfg = config(vx=vx, vy=vy, duration=4.0, replan=replan)
+        res = run(cfg)
+        assert res.completed
+        arr = res.sample_array
+        k = cfg.ticks_per_step
+        rows = range(k, len(arr), k) if replan == sim_mod.REPLAN_AT_STEP_START \
+            else range(1, len(arr))
+        assert {int(arr[i, COL_PARITY]) % 2 for i in rows} == {0, 1}
+        for i in rows:
+            step = planned_from_row(cfg, arr[i], arr[i - 1, COL_TARGET_HEADING])
+            assert (step.p_d[0], step.p_d[1]) == (arr[i, COL_TARGET_X],
+                                                  arr[i, COL_TARGET_Y])
+
+    def test_failed_snap_keeps_raw_target(self):
+        cfg = config(vx=1.0, terrain=gap_spec(width=2.0, period=0.1))
+        res = run(cfg)
+        assert res.failure_reason == sim_mod._FAIL_REASONS[_kernels.OUTCOME_NO_GROUND]
+        row = res.sample_array[0]
+        step = planned_from_row(cfg, row)
+        target = (row[COL_TARGET_X], row[COL_TARGET_Y])
+        assert target == (step.p_d[0], step.p_d[1])
+        assert target != (0.0, 0.0)
+        assert row[COL_TARGET_Z] == 0.0
+
+    @pytest.mark.parametrize("cfg", [
+        config(vx=0.9, duration=3.0),
+        config(vx=1.0, duration=3.0, terrain=gap_spec(width=2.0, period=0.1)),
+        config(vx=1.0, reach=0.2),
+        SimConfig(cmd=StepCommand(v_cmd=(0.7, 0.1)), gait=GaitParams(step_duration=0.4),
+                  dt=0.005, total_duration=2.0, replan=sim_mod.REPLAN_EVERY_TICK),
+    ], ids=["completed", "no-ground", "reach", "dt-0.005-Ts-0.4"])
+    def test_phase_columns_equal_gait_clocks(self, cfg):
+        arr = run(cfg).sample_array
+        k, dt = cfg.ticks_per_step, cfg.dt
+        Ts = k * dt
+        for i, row in enumerate(arr):
+            parity = int(row[COL_PARITY])
+            g = GaitState(t=i % k * dt, t_prime=parity % 2 * Ts + i % k * dt,
+                          parity=parity, params=GaitParams(step_duration=Ts))
+            assert row[COL_CONTACT_SCHED] == contact_schedule(g)
+            assert (row[COL_PHASE_SIN], row[COL_PHASE_COS]) == phase_clock(g)
 
 
 class TestSampleConsistency:
