@@ -76,10 +76,12 @@ N_SAMPLE_COLS = 18
 
 
 @njit(cache=True)
-def lip_step(cx, cy, vx, vy, px, py, omega, t):
-    """Exact CoM propagation about a fixed stance foot over duration t."""
-    ch = math.cosh(omega * t)
-    sh = math.sinh(omega * t)
+def lip_step(cx, cy, vx, vy, px, py, omega, ch, sh):
+    """Exact CoM propagation about a fixed stance foot over a duration t.
+
+    ch and sh are cosh(omega*t) and sinh(omega*t); the caller computes them,
+    so a loop with a fixed t pays for them only when omega changes.
+    """
     rx = cx - px
     ry = cy - py
     nx = px + rx * ch + vx * sh / omega
@@ -404,9 +406,12 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
 
     samples is (n_ticks, N_SAMPLE_COLS); the loop fills every column but
     the gait-phase ones (COL_CONTACT_SCHED, COL_PHASE_SIN, COL_PHASE_COS),
-    which depend only on the tick and the parity. ev_* arrays must hold at
-    least n_ticks // ticks_per_step + 2 touchdown events. Returns
-    (n_recorded, outcome, fail_time, n_events).
+    which depend only on the tick and the parity. Each tick's row is one
+    float tuple appended to a list, copied into
+    samples[:n_recorded, :COL_PARITY + 1] once after the loop. cosh and
+    sinh of omega*dt are computed once per stance, when omega changes.
+    ev_* arrays must hold at least n_ticks // ticks_per_step + 2 touchdown
+    events. Returns (n_recorded, outcome, fail_time, n_events).
     """
     Ts = ticks_per_step * dt
     st_z = 0.0
@@ -416,6 +421,8 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
     if z0 <= 0.0:
         return 0, OUTCOME_BAD_HEIGHT, 0.0, 0
     omega = math.sqrt(g / z0)
+    ch = math.cosh(omega * dt)
+    sh = math.sinh(omega * dt)
 
     parity = 0
     heading = 0.0
@@ -425,7 +432,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
     n_events = 0
     outcome = OUTCOME_COMPLETED
     fail_time = 0.0
-    n_rec = 0
+    rows = []
 
     for i in range(n_ticks):
         t_now = i * dt
@@ -456,6 +463,8 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
                 fail_time = t_now
             else:
                 omega = math.sqrt(g / z0)
+                ch = math.cosh(omega * dt)
+                sh = math.sinh(omega * dt)
         icp_x = com_x + vel_x / omega
         icp_y = com_y + vel_y / omega
 
@@ -465,11 +474,9 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
                 outcome = OUTCOME_REACH
                 fail_time = t_now
             else:
-                # the first step is planned with the opening command
-                c = cmd_i if i > 0 else 0
                 tg_x, tg_y, heading = plan_placement(
                     icp_x, icp_y, st_x, st_y, omega, Ts - s * dt, Ts, Ts,
-                    cmd_vx[c], cmd_vy[c], cmd_w[c], parity, heading)
+                    cmd_vx[cmd_i], cmd_vy[cmd_i], cmd_w[cmd_i], parity, heading)
                 if has_terrain:
                     ok, sx, sy = snap_to_steppable(heights, mask, ox, oy, res,
                                                    tg_x, tg_y, foot_radius,
@@ -483,31 +490,21 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
                         outcome = OUTCOME_NO_GROUND
                         fail_time = t_now
 
-        samples[i, COL_TIME] = t_now
-        samples[i, COL_COM_X] = com_x
-        samples[i, COL_COM_Y] = com_y
-        samples[i, COL_VEL_X] = vel_x
-        samples[i, COL_VEL_Y] = vel_y
-        samples[i, COL_ICP_X] = icp_x
-        samples[i, COL_ICP_Y] = icp_y
-        samples[i, COL_STANCE_X] = st_x
-        samples[i, COL_STANCE_Y] = st_y
-        samples[i, COL_STANCE_Z] = st_z
-        samples[i, COL_TARGET_X] = tg_x
-        samples[i, COL_TARGET_Y] = tg_y
-        samples[i, COL_TARGET_Z] = tg_z
-        samples[i, COL_TARGET_HEADING] = heading
-        samples[i, COL_PARITY] = parity
-        n_rec = i + 1
+        # columns COL_TIME .. COL_PARITY, in order
+        rows.append((t_now, com_x, com_y, vel_x, vel_y, icp_x, icp_y,
+                     st_x, st_y, st_z, tg_x, tg_y, tg_z, heading, float(parity)))
         if outcome != OUTCOME_COMPLETED:
             break
 
         com_x, com_y, vel_x, vel_y = lip_step(
-            com_x, com_y, vel_x, vel_y, st_x, st_y, omega, dt)
+            com_x, com_y, vel_x, vel_y, st_x, st_y, omega, ch, sh)
         if not (math.isfinite(com_x) and math.isfinite(com_y)
                 and math.isfinite(vel_x) and math.isfinite(vel_y)):
             outcome = OUTCOME_NON_FINITE
             fail_time = (i + 1) * dt
             break
 
+    n_rec = len(rows)
+    if n_rec > 0:
+        samples[:n_rec, :COL_PARITY + 1] = np.array(rows)
     return n_rec, outcome, fail_time, n_events

@@ -105,7 +105,7 @@ def com_trajectory(s0: LipState, f: FootPosition, t: float) -> LipState:
     w = s0.params.omega0
     cx, cy, vx, vy = _kernels.lip_step(
         s0.com_pos[0], s0.com_pos[1], s0.com_vel[0], s0.com_vel[1],
-        f.p[0], f.p[1], w, t)
+        f.p[0], f.p[1], w, math.cosh(w * t), math.sinh(w * t))
     return LipState(com_pos=(cx, cy), com_vel=(vx, vy), params=s0.params)
 
 

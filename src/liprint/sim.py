@@ -290,8 +290,18 @@ def turn_maneuver(config: SimConfig, turn_angle: float,
 def _window_mean_vx(samples: np.ndarray, window: float) -> float:
     times = samples[:, _kernels.COL_TIME]
     t_end = times[-1]
-    sel = times >= t_end - window + 1e-12
+    # min(): a window under 1e-12 s still holds the last sample
+    sel = times >= min(t_end - window + 1e-12, t_end)
     return float(samples[sel, _kernels.COL_VEL_X].mean())
+
+
+def _check_window_tolerance(window: float, tolerance: float, duration: float) -> None:
+    if not window > 0.0:
+        raise ValueError(f"window must be positive, got {window}")
+    if window > duration:
+        raise ValueError(f"window {window} exceeds run duration {duration}")
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
 
 
 def success_metric(result: SimResult, vx_cmd: float, window: float,
@@ -299,9 +309,7 @@ def success_metric(result: SimResult, vx_cmd: float, window: float,
     """True when the run completed and the mean forward velocity over the
     trailing window is within the relative tolerance of the command
     (absolute tolerance when the command is zero)."""
-    if window > result.config.total_duration:
-        raise ValueError(f"window {window} exceeds run duration "
-                         f"{result.config.total_duration}")
+    _check_window_tolerance(window, tolerance, result.config.total_duration)
     if not result.completed:
         return False
     mean_vx = _window_mean_vx(result.sample_array, window)
@@ -343,24 +351,32 @@ def sweep(configs, trials: int, base_seed: int = 0, window: float = 5.0,
     """Success fraction per config over seeded trials.
 
     Rough-terrain specs are re-seeded per trial; trial seeds depend only on
-    (base_seed, trial index) so trials are paired across configs. Results
-    are deterministic in (configs, trials, base_seed).
+    (base_seed, trial index) so trials are paired across configs. Every
+    other config (no terrain, flat, gap, a loaded heightmap) makes the
+    trials of one deterministic run, so it runs once and its success counts
+    `trials` times. Results are deterministic in (configs, trials,
+    base_seed).
     """
     if not configs:
         raise ValueError("sweep needs at least one config")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    for config in configs:
+        _check_window_tolerance(window, tolerance, config.total_duration)
     rows = []
     for ci, config in enumerate(configs):
+        vx = float(config.cmd.v_cmd[0])
+        spec = config.terrain
+        rough = isinstance(spec, TerrainSpec) and spec.kind == "rough"
         successes = 0
-        for trial in range(trials):
+        for trial in range(trials if rough else min(trials, 1)):
             cfg = config
-            if isinstance(config.terrain, TerrainSpec) and config.terrain.kind == "rough":
-                spec = config.terrain.with_seed(_trial_seed(base_seed, trial))
-                cfg = replace(config, terrain=spec)
-            result = run(cfg)
-            if success_metric(result, float(cfg.cmd.v_cmd[0]), window, tolerance):
-                successes += 1
-        rows.append(SweepRow(config_index=ci, vx_cmd=float(config.cmd.v_cmd[0]),
-                             terrain_label=_terrain_label(config.terrain),
+            if rough:
+                cfg = replace(config, terrain=spec.with_seed(_trial_seed(base_seed, trial)))
+            if success_metric(run(cfg), vx, window, tolerance):
+                successes += 1 if rough else trials
+        rows.append(SweepRow(config_index=ci, vx_cmd=vx,
+                             terrain_label=_terrain_label(spec),
                              trials=trials, successes=successes))
     return rows
 

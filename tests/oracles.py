@@ -37,6 +37,20 @@ def rk4_lip(pos0, vel0, foot, omega, duration, dt):
     return x, v
 
 
+def lip_step_over(cx, cy, vx, vy, px, py, omega, t):
+    """The closed-form CoM step with cosh/sinh of omega*t taken inline, as
+    the kernel computed it before they became arguments."""
+    ch = math.cosh(omega * t)
+    sh = math.sinh(omega * t)
+    rx = cx - px
+    ry = cy - py
+    nx = px + rx * ch + vx * sh / omega
+    ny = py + ry * ch + vy * sh / omega
+    nvx = rx * omega * sh + vx * ch
+    nvy = ry * omega * sh + vy * ch
+    return nx, ny, nvx, nvy
+
+
 def _bisect(f, lo, hi, iters=80):
     flo = f(lo)
     for _ in range(iters):
@@ -87,6 +101,30 @@ def exhaustive_nearest_steppable(hmap, p, is_steppable_fn):
                 best_key = key
                 best = node
     return best
+
+
+def sweep_per_trial(configs, trials, base_seed=0, window=5.0, tolerance=0.1):
+    """liprint.sim.sweep as one simulation per trial, whatever the terrain:
+    the reference for sweep running a trial-invariant config once."""
+    from dataclasses import replace
+
+    from liprint import sim
+
+    rows = []
+    for ci, config in enumerate(configs):
+        successes = 0
+        for trial in range(trials):
+            cfg = config
+            if isinstance(config.terrain, sim.TerrainSpec) and config.terrain.kind == "rough":
+                spec = config.terrain.with_seed(sim._trial_seed(base_seed, trial))
+                cfg = replace(config, terrain=spec)
+            result = sim.run(cfg)
+            if sim.success_metric(result, float(cfg.cmd.v_cmd[0]), window, tolerance):
+                successes += 1
+        rows.append(sim.SweepRow(config_index=ci, vx_cmd=float(config.cmd.v_cmd[0]),
+                                 terrain_label=sim._terrain_label(config.terrain),
+                                 trials=trials, successes=successes))
+    return rows
 
 
 # ---------------------------------------------------------------- rewards

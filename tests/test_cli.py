@@ -364,9 +364,17 @@ class TestUsage:
         (["simulate", "--vx", "1", "--terrain", "file:{no_origin}"], "heightmap lacks origin"),
         (["simulate", "--vx", "1", "--terrain", "file:{not_object}"],
          "heightmap must be a JSON object"),
+        (["sweep", "--trials", "-2"], "trials must be non-negative"),
+        (["sweep", "--window", "-1"], "window must be positive"),
+        (["sweep", "--window", "0"], "window must be positive"),
+        (["sweep", "--window", "nan"], "window must be positive"),
+        (["sweep", "--tolerance", "nan"], "tolerance must be non-negative"),
+        (["sweep", "--tolerance", "-0.1"], "tolerance must be non-negative"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-nan", "resolution-nan", "extent-inf",
-            "map-without-origin", "map-not-object"])
+            "map-without-origin", "map-not-object", "sweep-trials-negative",
+            "sweep-window-negative", "sweep-window-zero", "sweep-window-nan",
+            "sweep-tolerance-nan", "sweep-tolerance-negative"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         no_origin = tmp_path / "m.json"
         no_origin.write_text('{"resolution": 0.1, "rows": 2, "cols": 2, "heights": [0, 0, 0, 0]}')

@@ -52,7 +52,7 @@ GOLDEN = {
     "gap-step": "6e7728a2fbdacf7dc9e7036d2ef0e46de995a0080d708d92da37c94422e5bcbc",
     "gap-tick": "8bf1630807c4dd0010a4c640e6ef8b240d318778ef2d750e05fbbca5a79585bf",
     "turn-90": "e0e41a2595bc779856091303c43a92638387d2195dd74ddbc76b2af19b52a95c",
-    "turn-180-at-0": "85c73e3eae68cf71090674854e93e22ea64cb37ce184ae08923fb114e29ed1b7",
+    "turn-180-at-0": "8b99a1098eba4d1b3ff3ee00e277df97fbc5d4ee8e8ec3186a06683049eab391",
     "impassable-gap": "2377d7c09e0db38103ba2753a10ab857fe85acc5995ca4a71b253863655b316f",
     "reach-failure": "e1467a016a4963a6e74669ce8e6833d344a05bcd15a7c5b0c590aaf12e2acf52",
     "height-failure": "e7bacac61661e81a4c8b04c4669fac62bc8237fdc5d65ca2f43b664c77908887",

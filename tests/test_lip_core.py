@@ -8,7 +8,7 @@ from liprint import (FootPosition, IcpPoint, LipParams, LipState,
                      com_trajectory, icp_derivative, icp_of, icp_trajectory,
                      lip_acceleration, natural_frequency)
 
-from oracles import rk4_lip
+from oracles import lip_step_over, rk4_lip
 
 W_TABLE = 3.97776  # rounded natural frequency of the 0.62 m pendulum
 
@@ -103,6 +103,17 @@ class TestComTrajectory:
         s0 = state((0.0, 0.0), (0.0, 0.0), p)
         with pytest.raises(ValueError):
             com_trajectory(s0, FootPosition(p=(0.0, 0.0)), -0.1)
+
+    def test_equals_inline_cosh_sinh_formula(self):
+        rng = np.random.default_rng(17)
+        for t in np.concatenate([[0.0, 0.01, 0.35], rng.uniform(0.0, 2.0, 200)]):
+            p = params_for(rng.uniform(2.0, 6.0))
+            s0 = state(rng.uniform(-0.5, 0.5, 2), rng.uniform(-1.5, 1.5, 2), p)
+            foot = FootPosition(p=rng.uniform(-0.5, 0.5, 2))
+            s = com_trajectory(s0, foot, t)
+            assert (s.com_pos[0], s.com_pos[1], s.com_vel[0], s.com_vel[1]) == lip_step_over(
+                s0.com_pos[0], s0.com_pos[1], s0.com_vel[0], s0.com_vel[1],
+                foot.p[0], foot.p[1], p.omega0, t)
 
 
 class TestIcp:

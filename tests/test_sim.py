@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -10,11 +12,14 @@ from liprint import (FootPosition, GaitParams, GaitState, IcpPoint, LipParams,
                      plan_step, run, success_metric, sweep, turn_maneuver)
 from liprint import _kernels
 from liprint import sim as sim_mod
+from liprint import terrain as terrain_mod
 from liprint._kernels import (COL_COM_X, COL_COM_Y, COL_CONTACT_SCHED, COL_ICP_X,
                               COL_ICP_Y, COL_PARITY, COL_PHASE_COS, COL_PHASE_SIN,
                               COL_STANCE_X, COL_STANCE_Y, COL_STANCE_Z,
                               COL_TARGET_HEADING, COL_TARGET_X, COL_TARGET_Y,
                               COL_TARGET_Z, COL_TIME, COL_VEL_X, COL_VEL_Y)
+
+from oracles import sweep_per_trial
 
 
 def config(vx=1.0, vy=0.0, duration=10.0, replan=sim_mod.REPLAN_AT_STEP_START,
@@ -254,6 +259,28 @@ class TestTurning:
         r2 = turn_maneuver(config(vx=1.0, duration=5.0), 0.0, switch_time=2.0)
         npt.assert_array_equal(r1.sample_array, r2.sample_array)
 
+    @pytest.mark.parametrize("replan", [sim_mod.REPLAN_AT_STEP_START,
+                                        sim_mod.REPLAN_EVERY_TICK])
+    @pytest.mark.parametrize("terrain", [None, TerrainSpec(kind="rough", amplitude=0.03,
+                                                           correlation=0.5, seed=4)],
+                             ids=["flat", "rough"])
+    def test_turn_at_tick_zero_is_rotated_run(self, replan, terrain):
+        """A switch at t = 0 governs row 0 too: the run equals a plain run
+        under the pre-rotated command."""
+        cfg = config(vx=0.6, vy=0.1, duration=3.0, replan=replan, terrain=terrain)
+        v = cfg.cmd.v_cmd
+        for angle in (math.pi, math.pi / 2, -0.7):
+            c, s = math.cos(angle), math.sin(angle)
+            rotated = StepCommand(v_cmd=(c * v[0] - s * v[1], s * v[0] + c * v[1]),
+                                  w_cmd=cfg.cmd.w_cmd)
+            turned = turn_maneuver(cfg, angle, 0.0)
+            plain = run(replace(cfg, cmd=rotated))
+            assert turned.completed and plain.completed
+            assert turned.sample_array.shape == plain.sample_array.shape
+            assert (turned.sample_array == plain.sample_array).all()
+            assert turned.sample_array[0, COL_TARGET_HEADING] == math.atan2(
+                rotated.v_cmd[1], rotated.v_cmd[0])
+
 
 class TestSuccessMetric:
     def test_tracking_run_succeeds(self):
@@ -273,6 +300,19 @@ class TestSuccessMetric:
         res = run(config(vx=1.0, duration=4.0))
         with pytest.raises(ValueError):
             success_metric(res, 1.0, window=5.0)
+        for window, tolerance in ((0.0, 0.1), (-1.0, 0.1), (math.nan, 0.1),
+                                  (1.0, -0.1), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                success_metric(res, 1.0, window=window, tolerance=tolerance)
+
+    def test_tiny_window_holds_last_sample(self):
+        res = run(config(vx=1.0, duration=4.0))
+        last_vx = res.sample_array[-1, COL_VEL_X]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no mean of an empty selection
+            for tolerance in (0.05, 0.5):
+                assert success_metric(res, 1.0, window=1e-13, tolerance=tolerance) == (
+                    abs(last_vx - 1.0) <= tolerance)
 
 
 class TestTerrainRuns:
@@ -363,6 +403,51 @@ class TestSweep:
         r1 = sweep(cfgs, trials=5, base_seed=3)
         r2 = sweep(cfgs, trials=5, base_seed=3)
         assert r1 == r2
+
+
+def _sweep_terrains(tmp_path):
+    path = tmp_path / "map.json"
+    terrain_mod.generate(TerrainSpec(kind="rough", amplitude=0.03, correlation=0.5, seed=2),
+                         (-2.0, -2.0, 6.0, 2.0), 0.05).save(path)
+    return {"none": None, "flat": TerrainSpec(kind="flat"), "gap": gap_spec(),
+            "heightmap": terrain_mod.Heightmap.load(path),
+            "rough": TerrainSpec(kind="rough", amplitude=0.05, correlation=0.5, seed=0)}
+
+
+class TestSweepRunsTrialInvariantConfigsOnce:
+    """sweep against the per-trial reference loop, compared with ==."""
+
+    @pytest.mark.parametrize("replan", [sim_mod.REPLAN_AT_STEP_START,
+                                        sim_mod.REPLAN_EVERY_TICK])
+    @pytest.mark.parametrize("trials", [0, 1, 3])
+    @pytest.mark.parametrize("terrain", ["none", "flat", "gap", "heightmap", "rough"])
+    def test_matches_per_trial_reference(self, tmp_path, terrain, trials, replan):
+        spec = _sweep_terrains(tmp_path)[terrain]
+        cfgs = [config(vx=vx, duration=2.0, replan=replan, terrain=spec, reach=reach)
+                for vx, reach in ((0.6, 0.6), (2.5, 0.35))]
+        rows = sweep(cfgs, trials, base_seed=7, window=1.0, tolerance=0.3)
+        assert rows == sweep_per_trial(cfgs, trials, base_seed=7, window=1.0, tolerance=0.3)
+        # not vacuous: the slow config succeeds, the fast one fails its reach
+        assert [r.successes for r in rows] == [trials, 0]
+
+    @pytest.mark.parametrize("trials", [0, 1, 3])
+    def test_run_calls(self, tmp_path, monkeypatch, trials):
+        seen = []
+        real_run = sim_mod.run
+
+        def counting_run(cfg, initial=None):
+            seen.append(cfg.terrain)
+            return real_run(cfg, initial)
+
+        monkeypatch.setattr(sim_mod, "run", counting_run)
+        for name, spec in _sweep_terrains(tmp_path).items():
+            seen.clear()
+            sweep([config(vx=0.6, duration=2.0, terrain=spec)], trials, window=1.0)
+            if name == "rough":
+                assert len(seen) == trials
+                assert len({t.seed for t in seen}) == trials  # one seed per trial
+            else:
+                assert seen == [spec] * min(trials, 1)
 
 
 class TestDeterminism:
