@@ -1,7 +1,6 @@
 """Footstep planning on the linear inverted pendulum, a terrain-adaptive
 reduced-order walking simulator, and locomotion reward evaluators."""
 
-from ._kernels import NUMBA_ENABLED
 from .lip_core import (FootPosition, IcpPoint, LipParams, LipState,
                        com_trajectory, icp_derivative, icp_of, icp_trajectory,
                        lip_acceleration, natural_frequency)
@@ -18,8 +17,12 @@ from . import metrics
 
 __version__ = "0.1.0"
 
+# perfbench/run.py reads this for its report's backend field; it can go once
+# perfbench reads it with getattr (ROADMAP item 1).
+NUMBA_ENABLED = False
+
 __all__ = [
-    "NUMBA_ENABLED", "__version__",
+    "__version__",
     "FootPosition", "IcpPoint", "LipParams", "LipState",
     "com_trajectory", "icp_derivative", "icp_of", "icp_trajectory",
     "lip_acceleration", "natural_frequency",

@@ -1,49 +1,15 @@
 """Numerically hot kernels shared by the public modules.
 
-Everything here is written as plain scalar/array Python and runs as pure
-numpy/Python. When numba is installed (the optional extra liprint[numba])
-the same source is compiled with numba's @njit instead, unless the
-environment variable LIPRINT_DISABLE_NUMBA is set; without numba, @njit is
-an identity decorator. perfbench/ measures the pure-Python path, and
-benchmarks/bench_kernels.py times the two paths against each other when
-numba is present.
-
-Kernels operate on raw floats and ndarrays only, and each formula is
-written once here: ICP propagation (icp_step), the foot placement with its
-offsets and heading rule (plan_placement), and the grid-cell lookup
-(_cell). The dataclass-based public API in lip_core / planner / terrain /
-sim validates its arguments and calls these kernels.
+Kernels are plain numpy/Python on raw floats and ndarrays, and each
+formula is written once here: ICP propagation (icp_step), the foot
+placement with its offsets and heading rule (plan_placement), and the
+grid-cell lookup (_cell). The dataclass-based public API in lip_core /
+planner / terrain / sim validates its arguments and calls these kernels.
 """
 
 import math
-import os
 
 import numpy as np
-
-
-def _numba_wanted() -> bool:
-    flag = os.environ.get("LIPRINT_DISABLE_NUMBA", "").strip().lower()
-    return flag in ("", "0", "false", "no")
-
-
-NUMBA_ENABLED = _numba_wanted()
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # numba is an optional extra
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):
-        """Identity decorator used on the pure-numpy fallback path."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
 
 
 # Run outcome codes shared with sim.
@@ -75,7 +41,6 @@ COL_PHASE_COS = 17
 N_SAMPLE_COLS = 18
 
 
-@njit(cache=True)
 def lip_step(cx, cy, vx, vy, px, py, omega, ch, sh):
     """Exact CoM propagation about a fixed stance foot over a duration t.
 
@@ -91,14 +56,12 @@ def lip_step(cx, cy, vx, vy, px, py, omega, ch, sh):
     return nx, ny, nvx, nvy
 
 
-@njit(cache=True)
 def icp_step(xx, xy, px, py, omega, t):
     """Exact capture-point propagation about a fixed stance foot."""
     e = math.exp(omega * t)
     return e * xx + (1.0 - e) * px, e * xy + (1.0 - e) * py
 
 
-@njit(cache=True)
 def offset_pair(s_d, w_d, omega, duration):
     """Stance offsets that realise step length s_d and width w_d.
 
@@ -115,7 +78,6 @@ def offset_pair(s_d, w_d, omega, duration):
     return bx, by
 
 
-@njit(cache=True)
 def step_width(w, span, Ts):
     """Desired step width |w| * (span / Ts); exactly |w| when span == Ts."""
     return abs(w) * (span / Ts)
@@ -126,7 +88,6 @@ def step_width(w, span, Ts):
 ZERO_SPEED = 1e-6
 
 
-@njit(cache=True)
 def command_heading(vx, vy, fallback_heading):
     """atan2(vy, vx), or fallback_heading below ZERO_SPEED."""
     if math.hypot(vx, vy) < ZERO_SPEED:
@@ -134,7 +95,6 @@ def command_heading(vx, vy, fallback_heading):
     return math.atan2(vy, vx)
 
 
-@njit(cache=True)
 def plan_placement(icp_x, icp_y, st_x, st_y, omega, dt_pred, span, Ts,
                    vx, vy, w, parity, fallback_heading):
     """Desired foot placement p_d = xi_f + R(heading) (-b_x, +/-b_y).
@@ -154,7 +114,6 @@ def plan_placement(icp_x, icp_y, st_x, st_y, omega, dt_pred, span, Ts,
     return fx - c * bx - s * by, fy - s * bx + c * by, heading
 
 
-@njit(cache=True)
 def _cell(heights, ox, oy, res, x, y):
     """Grid cell (i, j) enclosing (x, y) and the bilinear height there.
 
@@ -181,19 +140,16 @@ def _cell(heights, ox, oy, res, x, y):
                   + heights[i + 1, j + 1] * fy * fx)
 
 
-@njit(cache=True)
 def grid_bilinear(heights, ox, oy, res, x, y):
     """Bilinear height at (x, y). Caller guarantees the point is in bounds."""
     return _cell(heights, ox, oy, res, x, y)[2]
 
 
-@njit(cache=True)
 def grid_contains(rows, cols, ox, oy, res, x, y):
     return (x >= ox and x <= ox + (cols - 1) * res
             and y >= oy and y <= oy + (rows - 1) * res)
 
 
-@njit(cache=True)
 def steppable(heights, mask, ox, oy, res, x, y, radius, max_dev):
     """True when (x, y) offers foot-sized flat support.
 
@@ -242,7 +198,6 @@ def steppable(heights, mask, ox, oy, res, x, y, radius, max_dev):
 SNAP_FIRST_WINDOW = 4
 
 
-@njit(cache=True)
 def node_steppable_grid(heights, mask, ox, oy, res, radius, max_dev):
     """steppable() evaluated at every grid node, as a (rows, cols) bool grid.
 
@@ -313,7 +268,6 @@ def node_steppable_grid(heights, mask, ox, oy, res, radius, max_dev):
     return ok
 
 
-@njit(cache=True)
 def _nearest_node(node_grid, ox, oy, res, x, y, ci, cj, k, budget2):
     """Closest steppable node to (x, y) with d2 <= budget2 among the nodes
     at Chebyshev distance <= k from node (ci, cj).
@@ -343,7 +297,6 @@ def _nearest_node(node_grid, ox, oy, res, x, y, ci, cj, k, budget2):
     return True, ox + j * res, oy + i * res, float(d2[i - i_lo, j - j_lo])
 
 
-@njit(cache=True)
 def snap_to_steppable(heights, mask, ox, oy, res, x, y, radius, max_dev,
                       max_search, node_grid):
     """Closest steppable point to (x, y) within max_search.
@@ -385,7 +338,6 @@ def snap_to_steppable(heights, mask, ox, oy, res, x, y, radius, max_dev,
     return found, bx, by
 
 
-@njit(cache=True)
 def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
              cmd_ticks, cmd_vx, cmd_vy, cmd_w,
              replan_every_tick, reach_limit,

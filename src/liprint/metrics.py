@@ -121,11 +121,14 @@ class RewardParams:
     w_termination: float = 100.0
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.action_dt <= 0.0:
-            raise ValueError(f"action dt must be positive, got {self.action_dt}")
+        for name in ("sigma", "action_dt"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         object.__setattr__(self, "vel_cmd", _arr(self.vel_cmd))
+        for name in ("base_height_target", "vel_cmd", "heading_target"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def reward_table(columns: dict, params: RewardParams, schedule, targets,

@@ -160,9 +160,12 @@ def _auto_extent(config: SimConfig, schedule) -> tuple[float, float, float, floa
     margin = 2.0
     x_lo = x_hi = y_lo = y_hi = 0.0
     t_prev = 0.0
-    for i, (t_start, vx, vy, _w) in enumerate(schedule):
-        t_end = schedule[i + 1][0] if i + 1 < len(schedule) else config.total_duration
-        span = max(0.0, t_end - max(t_start, t_prev))
+    for i, (_t, vx, vy, _w) in enumerate(schedule):
+        # segment ends clipped to [t_prev, total_duration]: a switch after
+        # the run ends adds no travel
+        t_next = schedule[i + 1][0] if i + 1 < len(schedule) else math.inf
+        t_end = min(max(t_next, t_prev), config.total_duration)
+        span = t_end - t_prev
         x_hi += max(vx, 0.0) * span * 1.5
         x_lo += min(vx, 0.0) * span * 1.5
         y_hi += max(vy, 0.0) * span * 1.5
@@ -207,7 +210,9 @@ def _run_arrays(config: SimConfig, schedule, initial=None):
         res = hmap.resolution
 
     n_ticks = config.n_ticks
-    cmd_ticks = np.array([round(t / config.dt) for t, *_ in schedule], dtype=np.int64)
+    # a switch before the start or after the end acts at tick 0 or never
+    cmd_ticks = np.array([min(max(round(t / config.dt), 0), n_ticks) for t, *_ in schedule],
+                         dtype=np.int64)
     cmd_vx = np.array([s[1] for s in schedule])
     cmd_vy = np.array([s[2] for s in schedule])
     cmd_w = np.array([s[3] for s in schedule])
@@ -275,7 +280,8 @@ def turn_maneuver(config: SimConfig, turn_angle: float,
                   initial: "tuple[LipState, FootPosition] | None" = None) -> SimResult:
     """Run with the velocity command rotated by turn_angle at switch_time.
 
-    turn_angle is in radians; 0 reproduces run() exactly.
+    turn_angle is in radians; 0, or a switch_time at or after the end of
+    the run, reproduces run() exactly.
     """
     if not (math.isfinite(turn_angle) and math.isfinite(switch_time)):
         raise ValueError(f"turn angle and time must be finite, got {turn_angle}, {switch_time}")

@@ -129,14 +129,17 @@ class TerrainSpec:
     def __post_init__(self):
         if self.kind not in ("flat", "rough", "gap"):
             raise ValueError(f"unknown terrain kind {self.kind!r}")
+        if self.gap_offset is None:
+            object.__setattr__(self, "gap_offset", self.gap_period / 2.0)
+        for name in ("amplitude", "correlation", "gap_width", "gap_period", "gap_offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.amplitude < 0.0:
             raise ValueError(f"amplitude must be non-negative, got {self.amplitude}")
         if self.kind == "rough" and self.correlation <= 0.0:
             raise ValueError(f"correlation length must be positive, got {self.correlation}")
         if self.kind == "gap" and (self.gap_width <= 0.0 or self.gap_period <= 0.0):
             raise ValueError("gap width and period must be positive")
-        if self.gap_offset is None:
-            object.__setattr__(self, "gap_offset", self.gap_period / 2.0)
 
     def with_seed(self, seed: int) -> "TerrainSpec":
         return replace(self, seed=seed)

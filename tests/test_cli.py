@@ -370,20 +370,53 @@ class TestUsage:
         (["sweep", "--window", "nan"], "window must be positive"),
         (["sweep", "--tolerance", "nan"], "tolerance must be non-negative"),
         (["sweep", "--tolerance", "-0.1"], "tolerance must be non-negative"),
+        (["simulate", "--vx", "1", "--terrain", "rough:inf:0.5:0"], "amplitude must be finite"),
+        (["terrain", "gen", "--spec", "rough:inf:0.5:0"], "amplitude must be finite"),
+        (["simulate", "--vx", "1", "--terrain", "rough:nan:0.5:0"], "amplitude must be finite"),
+        (["simulate", "--vx", "1", "--terrain", "rough:0.05:nan:0"],
+         "correlation must be finite"),
+        (["simulate", "--vx", "1", "--terrain", "gap:nan:0.8"], "gap_width must be finite"),
+        (["simulate", "--vx", "1", "--terrain", "gap:0.15:nan"], "gap_period must be finite"),
+        (["simulate", "--vx", "1", "--terrain", "gap:0.15:inf"], "gap_period must be finite"),
+        (["simulate", "--vx", "1", "--terrain", "gap:0.15:0.8:nan"],
+         "gap_offset must be finite"),
+        (["score", "--traj", "{traj}", "--sigma", "nan"], "sigma must be positive and finite"),
+        (["score", "--traj", "{traj}", "--sigma", "inf"], "sigma must be positive and finite"),
+        (["score", "--traj", "{traj}", "--base-height", "nan"],
+         "base_height_target must be finite"),
+        (["score", "--traj", "{traj}", "--vx", "1", "--vy", "nan"], "vel_cmd must be finite"),
+        (["score", "--traj", "{traj}", "--vx", "inf"], "vel_cmd must be finite"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-nan", "resolution-nan", "extent-inf",
             "map-without-origin", "map-not-object", "sweep-trials-negative",
             "sweep-window-negative", "sweep-window-zero", "sweep-window-nan",
-            "sweep-tolerance-nan", "sweep-tolerance-negative"])
+            "sweep-tolerance-nan", "sweep-tolerance-negative",
+            "rough-amplitude-inf", "terrain-gen-amplitude-inf", "rough-amplitude-nan",
+            "rough-correlation-nan", "gap-width-nan", "gap-period-nan", "gap-period-inf",
+            "gap-offset-nan", "score-sigma-nan", "score-sigma-inf",
+            "score-base-height-nan", "score-vy-nan", "score-vx-inf"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         no_origin = tmp_path / "m.json"
         no_origin.write_text('{"resolution": 0.1, "rows": 2, "cols": 2, "heights": [0, 0, 0, 0]}')
         not_object = tmp_path / "n.json"
         not_object.write_text("5\n")
-        argv = [a.format(no_origin=no_origin, not_object=not_object) for a in argv]
+        traj = tmp_path / "traj.csv"
+        if "{traj}" in argv:
+            assert main(["simulate", "--vx", "1", "--duration", "1", "--out", str(traj)]) == 0
+            capsys.readouterr()
+        argv = [a.format(no_origin=no_origin, not_object=not_object, traj=traj) for a in argv]
         assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_turn_after_run_end_writes_plain_run(self, tmp_path):
+        args = ["simulate", "--vx", "1", "--duration", "2", "--terrain", "rough:0.05:0.5:0"]
+        assert main(args + ["--out", str(tmp_path / "plain.csv")]) == 0
+        assert main(args + ["--turn", "90", "--turn-time", "1e300",
+                            "--out", str(tmp_path / "late.csv")]) == 0
+        for suffix in (".csv", ".events.json"):
+            assert ((tmp_path / f"late{suffix}").read_bytes()
+                    == (tmp_path / f"plain{suffix}").read_bytes())
 
     def test_bad_terrain_spec(self, tmp_path):
         rc = main(["simulate", "--vx", "1.0", "--terrain", "lava:9",

@@ -1,61 +1,79 @@
-"""The numba-compiled kernels (optional extra liprint[numba]) and the
-pure-numpy fallback (selected with LIPRINT_DISABLE_NUMBA, or when numba is
-absent) must implement identical semantics."""
+"""The kernels have one backend, pure numpy/Python, and never import numba.
 
-import importlib.util
+Each child process gets a stub `numba` package first on its PYTHONPATH whose
+import raises RuntimeError, so any attempt to import numba fails loudly
+instead of quietly picking another code path.
+"""
+
 import os
 import subprocess
 import sys
+from pathlib import Path
 
-import numpy as np
-import numpy.testing as npt
+import pytest
 
+import liprint
 from liprint.cli import main
 
-_PROBE = "import liprint; print(int(liprint.NUMBA_ENABLED))"
+_SRC = str(Path(liprint.__file__).resolve().parents[1])
+
+_PROBE = ("import sys, liprint; "
+          "assert liprint.NUMBA_ENABLED is False; "
+          "assert 'numba' not in sys.modules; "
+          "print('ok')")
 
 
-def _run_cli_in_subprocess(args, disable_numba):
+@pytest.fixture
+def numba_stub(tmp_path):
+    pkg = tmp_path / "stub" / "numba"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text(
+        'raise RuntimeError("liprint must not import numba")\n')
+    return str(pkg.parent)
+
+
+def _child_env(stub=None):
+    """This process's environment with src/ (after the stub, if given) first
+    on PYTHONPATH and LIPRINT_DISABLE_NUMBA unset."""
     env = dict(os.environ)
-    if disable_numba:
-        env["LIPRINT_DISABLE_NUMBA"] = "1"
-    else:
-        env.pop("LIPRINT_DISABLE_NUMBA", None)
+    env.pop("LIPRINT_DISABLE_NUMBA", None)
+    path = [stub] if stub else []
+    env["PYTHONPATH"] = os.pathsep.join(path + [_SRC] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
+def _run_cli_in_subprocess(args, env):
     cmd = [sys.executable, "-m", "liprint.cli"] + args
     return subprocess.run(cmd, env=env, capture_output=True, text=True)
 
 
-def test_env_flag_selects_fallback():
-    env = dict(os.environ, LIPRINT_DISABLE_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", _PROBE], env=env,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "0"
+def test_env_flag_selects_fallback(numba_stub):
+    # LIPRINT_DISABLE_NUMBA, set or not, selects nothing: there is one backend.
+    for disable in (None, "1"):
+        env = _child_env(numba_stub)
+        if disable is not None:
+            env["LIPRINT_DISABLE_NUMBA"] = disable
+        out = subprocess.run([sys.executable, "-c", _PROBE], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, (disable, out.stderr)
+        assert out.stdout.strip() == "ok"
 
 
-def test_fallback_matches_numba_path(tmp_path):
-    # The default backend is the compiled one exactly when numba is importable;
-    # without numba the default path must fall back rather than fail.
-    env = dict(os.environ)
-    env.pop("LIPRINT_DISABLE_NUMBA", None)
-    probe = subprocess.run([sys.executable, "-c", _PROBE], env=env,
-                           capture_output=True, text=True)
-    assert probe.returncode == 0, probe.stderr
-    numba_present = importlib.util.find_spec("numba") is not None
-    assert probe.stdout.strip() == str(int(numba_present))
-
+def test_fallback_matches_numba_path(numba_stub, tmp_path):
+    # A child that cannot import numba writes the in-process bytes.
     args = ["simulate", "--vx", "1.0", "--duration", "2",
             "--terrain", "gap:0.15:0.8:0.4", "--replan", "every-tick"]
-    fast = tmp_path / "fast.csv"
-    slow = tmp_path / "slow.csv"
-    r1 = _run_cli_in_subprocess(args + ["--out", str(fast)], disable_numba=False)
-    r2 = _run_cli_in_subprocess(args + ["--out", str(slow)], disable_numba=True)
-    assert r1.returncode == 0, r1.stderr
-    assert r2.returncode == 0, r2.stderr
-    a = np.genfromtxt(fast, delimiter=",", skip_header=1)
-    b = np.genfromtxt(slow, delimiter=",", skip_header=1)
-    assert a.shape == b.shape == (200, 19)
-    # identical semantics; libm vs compiled intrinsics may differ in the last ulp
-    npt.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    inproc = tmp_path / "inproc.csv"
+    sub = tmp_path / "sub.csv"
+    assert main(args + ["--out", str(inproc)]) == 0
+    r = _run_cli_in_subprocess(args + ["--out", str(sub)], _child_env(numba_stub))
+    assert r.returncode == 0, r.stderr
+    assert sub.read_bytes() == inproc.read_bytes()
+    assert len(inproc.read_text().splitlines()) == 201
+    sub_events = tmp_path / "sub.events.json"
+    inproc_events = tmp_path / "inproc.events.json"
+    assert sub_events.read_bytes() == inproc_events.read_bytes()
 
 
 def test_in_process_run_matches_subprocess_bytes(tmp_path):
@@ -63,6 +81,6 @@ def test_in_process_run_matches_subprocess_bytes(tmp_path):
     inproc = tmp_path / "inproc.csv"
     sub = tmp_path / "sub.csv"
     assert main(args + ["--out", str(inproc)]) == 0
-    r = _run_cli_in_subprocess(args + ["--out", str(sub)], disable_numba=False)
+    r = _run_cli_in_subprocess(args + ["--out", str(sub)], _child_env())
     assert r.returncode == 0, r.stderr
     assert inproc.read_bytes() == sub.read_bytes()

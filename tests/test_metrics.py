@@ -219,6 +219,25 @@ class TestTermination:
                               params())["termination"] == -100.0
 
 
+class TestRewardParams:
+    @pytest.mark.parametrize("kw,message", [
+        ({"sigma": math.nan}, "sigma must be positive and finite"),
+        ({"sigma": math.inf}, "sigma must be positive and finite"),
+        ({"sigma": 0.0}, "sigma must be positive and finite"),
+        ({"action_dt": math.inf}, "action_dt must be positive and finite"),
+        ({"base_height_target": math.nan}, "base_height_target must be finite"),
+        ({"heading_target": -math.inf}, "heading_target must be finite"),
+        ({"vel_cmd": (math.inf, 0.0)}, "vel_cmd must be finite"),
+    ])
+    def test_non_finite_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            params(**kw)
+
+    def test_infinite_limits_allowed(self):
+        p = params(tau_max=math.inf, q_max=math.inf)
+        assert p.tau_max == p.q_max == math.inf
+
+
 class TestPdTorque:
     def test_zero_at_setpoint(self):
         tau = pd_torque(q_ref=[0.1, 0.2], dq_action=[0.05, -0.1],

@@ -281,6 +281,22 @@ class TestTurning:
             assert turned.sample_array[0, COL_TARGET_HEADING] == math.atan2(
                 rotated.v_cmd[1], rotated.v_cmd[0])
 
+    @pytest.mark.parametrize("replan", [sim_mod.REPLAN_AT_STEP_START,
+                                        sim_mod.REPLAN_EVERY_TICK])
+    @pytest.mark.parametrize("terrain", [None, TerrainSpec(kind="rough", amplitude=0.05,
+                                                           correlation=0.5, seed=0),
+                                         gap_spec()],
+                             ids=["flat", "rough", "gap"])
+    def test_turn_after_run_end_is_plain_run(self, replan, terrain):
+        """A switch at or after the end neither acts nor widens the map."""
+        cfg = config(vx=1.0, duration=3.0, replan=replan, terrain=terrain)
+        plain = run(cfg)
+        for switch_time in (3.0, 5.0, 1e300):
+            turned = turn_maneuver(cfg, math.pi / 2, switch_time)
+            assert turned.outcome == plain.outcome
+            assert turned.sample_array.shape == plain.sample_array.shape
+            assert (turned.sample_array == plain.sample_array).all()
+
 
 class TestSuccessMetric:
     def test_tracking_run_succeeds(self):
@@ -345,8 +361,6 @@ class TestTerrainRuns:
         assert rows[0].trials == rows[1].trials == 20
         assert rows[0].successes >= rows[1].successes
 
-    @pytest.mark.skipif(_kernels.NUMBA_ENABLED,
-                        reason="compiled kernels do not call through module globals")
     def test_node_grid_built_lazily_once_per_run(self, monkeypatch):
         builds = []
         build = _kernels.node_steppable_grid

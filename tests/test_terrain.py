@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -336,6 +337,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             Heightmap(origin=(0, 0), resolution=0.1, heights=heights,
                       mask=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("kind", ["flat", "rough", "gap"])
+    @pytest.mark.parametrize("name", ["amplitude", "correlation", "gap_width",
+                                      "gap_period", "gap_offset"])
+    def test_non_finite_spec_parameters(self, kind, name):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                TerrainSpec(kind=kind, **{name: bad})
 
     def test_immutable(self):
         h = flat_map(size=1.0)
