@@ -341,10 +341,10 @@ def snap_to_steppable(heights, mask, ox, oy, res, x, y, radius, max_dev,
 def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
              cmd_ticks, cmd_vx, cmd_vy, cmd_w,
              replan_every_tick, reach_limit,
-             has_terrain, heights, mask, ox, oy, res,
+             heights, mask, ox, oy, res,
              foot_radius, max_dev, snap_search,
              com_x, com_y, vel_x, vel_y, st_x, st_y,
-             samples, ev_time, ev_step, ev_realized, ev_parity, node_grid):
+             samples, node_grid):
     """Closed-loop stepping simulation.
 
     Per tick: handle the step boundary (instantaneous support transfer to
@@ -354,7 +354,8 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
     ground (node_grid is the snap_to_steppable holder for this run's
     heightmap), record a sample at the tick instant, then propagate the CoM
     analytically over dt. When no steppable ground is found the sample
-    keeps the raw, unsnapped target.
+    keeps the raw, unsnapped target. On flat ground heights, mask and
+    node_grid are None: nothing is snapped and every height is 0.
 
     samples is (n_ticks, N_SAMPLE_COLS); the loop fills every column but
     the gait-phase ones (COL_CONTACT_SCHED, COL_PHASE_SIN, COL_PHASE_COS),
@@ -362,16 +363,18 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
     float tuple appended to a list, copied into
     samples[:n_recorded, :COL_PARITY + 1] once after the loop. cosh and
     sinh of omega*dt are computed once per stance, when omega changes.
-    ev_* arrays must hold at least n_ticks // ticks_per_step + 2 touchdown
-    events. Returns (n_recorded, outcome, fail_time, n_events).
+    The rows are the whole record of the run (the touchdown at row
+    i = m * ticks_per_step, m >= 1, moves the stance onto row i - 1's
+    target); the loop stops after recording a failed tick's row.
+    Returns (n_recorded, outcome, fail_time).
     """
     Ts = ticks_per_step * dt
     st_z = 0.0
-    if has_terrain:
+    if heights is not None:
         st_z = grid_bilinear(heights, ox, oy, res, st_x, st_y)
     z0 = base_height - st_z
     if z0 <= 0.0:
-        return 0, OUTCOME_BAD_HEIGHT, 0.0, 0
+        return 0, OUTCOME_BAD_HEIGHT, 0.0
     omega = math.sqrt(g / z0)
     ch = math.cosh(omega * dt)
     sh = math.sinh(omega * dt)
@@ -381,7 +384,6 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
     tg_x = tg_y = tg_z = 0.0
     cmd_i = 0
     n_cmd = cmd_ticks.shape[0]
-    n_events = 0
     outcome = OUTCOME_COMPLETED
     fail_time = 0.0
     rows = []
@@ -391,7 +393,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
         s = i % ticks_per_step
         while cmd_i + 1 < n_cmd and i >= cmd_ticks[cmd_i + 1]:
             cmd_i += 1
-        touchdown = outcome == OUTCOME_COMPLETED and i > 0 and s == 0
+        touchdown = i > 0 and s == 0
 
         if touchdown:
             # Support transfers to the swing target.
@@ -399,16 +401,6 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
             st_y = tg_y
             st_z = tg_z
             parity += 1
-            ev_time[n_events] = t_now
-            ev_step[n_events, 0] = tg_x
-            ev_step[n_events, 1] = tg_y
-            ev_step[n_events, 2] = tg_z
-            ev_step[n_events, 3] = heading
-            ev_realized[n_events, 0] = st_x
-            ev_realized[n_events, 1] = st_y
-            ev_realized[n_events, 2] = st_z
-            ev_parity[n_events] = parity
-            n_events += 1
             z0 = base_height - st_z
             if z0 <= 0.0:
                 outcome = OUTCOME_BAD_HEIGHT
@@ -429,7 +421,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
                 tg_x, tg_y, heading = plan_placement(
                     icp_x, icp_y, st_x, st_y, omega, Ts - s * dt, Ts, Ts,
                     cmd_vx[cmd_i], cmd_vy[cmd_i], cmd_w[cmd_i], parity, heading)
-                if has_terrain:
+                if heights is not None:
                     ok, sx, sy = snap_to_steppable(heights, mask, ox, oy, res,
                                                    tg_x, tg_y, foot_radius,
                                                    max_dev, snap_search, node_grid)
@@ -459,4 +451,4 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
     n_rec = len(rows)
     if n_rec > 0:
         samples[:n_rec, :COL_PARITY + 1] = np.array(rows)
-    return n_rec, outcome, fail_time, n_events
+    return n_rec, outcome, fail_time

@@ -200,7 +200,7 @@ def _cmd_simulate(args) -> int:
             "status": result.outcome,
             "reason": result.failure_reason,
             "time": result.failure_time,
-            "steps": len(result.step_events),
+            "steps": result.n_steps,
             "samples": int(result.sample_array.shape[0]),
         },
     }
@@ -265,7 +265,7 @@ def _cmd_plan(args) -> int:
             parity = int(state_spec["parity"])
             if len(com) != 2 or len(vel) != 2 or len(stance_raw) not in (2, 3):
                 raise ValueError("com/vel need 2 components, stance 2 or 3")
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, KeyError, TypeError, OverflowError) as e:
             raise _UsageError(f"malformed --state JSON: {e}") from None
     else:
         com, vel = state_spec["com"], state_spec["vel"]

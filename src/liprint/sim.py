@@ -110,12 +110,34 @@ class SimResult:
     outcome: str
     failure_reason: str | None
     failure_time: float | None
-    step_events: tuple
     sample_array: np.ndarray
 
     @property
     def completed(self) -> bool:
         return self.outcome == "completed"
+
+    @property
+    def n_steps(self) -> int:
+        """Number of touchdowns, len(step_events) without building them."""
+        return max(self.sample_array.shape[0] - 1, 0) // self.config.ticks_per_step
+
+    @property
+    def step_events(self) -> tuple:
+        """One StepEvent per touchdown row i = k, 2k, ... (k = ticks_per_step),
+        built on each access: `time` and `realized` (stance) from row i,
+        `planned` (target, heading, parity) from row i - 1, whose target the
+        stance moved onto. A run that fails at a touchdown lists it last."""
+        arr = self.sample_array
+        k = self.config.ticks_per_step
+        return tuple(
+            StepEvent(time=float(arr[i, _kernels.COL_TIME]),
+                      planned=PlannedStep(
+                          p_d=arr[i - 1, _kernels.COL_TARGET_X:_kernels.COL_TARGET_Y + 1].copy(),
+                          z_d=float(arr[i - 1, _kernels.COL_TARGET_Z]),
+                          heading=float(arr[i - 1, _kernels.COL_TARGET_HEADING]),
+                          parity=int(arr[i - 1, _kernels.COL_PARITY])),
+                      realized=arr[i, _kernels.COL_STANCE_X:_kernels.COL_STANCE_Z + 1].copy())
+            for i in range(k, arr.shape[0], k))
 
     @property
     def samples(self) -> tuple:
@@ -187,54 +209,37 @@ def _materialize_terrain(config: SimConfig, schedule, resolution: float = 0.05):
     raise TypeError(f"terrain must be a Heightmap, TerrainSpec, or None, got {type(t)}")
 
 
-def _run_arrays(config: SimConfig, schedule, initial=None):
-    """Kernel invocation; returns (samples, outcome_code, fail_time, events)."""
-    if initial is None:
-        state, stance = default_initial(config)
-    else:
-        state, stance = initial
+def _simulate(config: SimConfig, schedule, initial=None) -> SimResult:
+    """Run sim_loop under a schedule of (time, vx, vy, width) command switches."""
+    state, stance = default_initial(config) if initial is None else initial
     hmap = _materialize_terrain(config, schedule)
-    if hmap is None:
-        has_terrain = False
-        heights = np.zeros((2, 2))
-        mask = np.zeros((2, 2), dtype=np.uint8)
-        ox = oy = 0.0
-        res = 1.0
-    else:
+    heights = mask = node_grid = None
+    ox, oy, res = 0.0, 0.0, 1.0
+    if hmap is not None:
         if not hmap.contains(stance.p):
             raise ValueError("initial stance foot lies outside the heightmap")
-        has_terrain = True
-        heights = hmap.heights
-        mask = hmap.mask
+        heights, mask, res = hmap.heights, hmap.mask, hmap.resolution
         ox, oy = float(hmap.origin[0]), float(hmap.origin[1])
-        res = hmap.resolution
+        node_grid = np.full(heights.shape, -1, dtype=np.int8)  # built on first snap miss
 
     n_ticks = config.n_ticks
     # a switch before the start or after the end acts at tick 0 or never
     cmd_ticks = np.array([min(max(round(t / config.dt), 0), n_ticks) for t, *_ in schedule],
                          dtype=np.int64)
-    cmd_vx = np.array([s[1] for s in schedule])
-    cmd_vy = np.array([s[2] for s in schedule])
-    cmd_w = np.array([s[3] for s in schedule])
+    cmd_vx, cmd_vy, cmd_w = np.array([s[1:] for s in schedule], dtype=np.float64).T
     samples = np.zeros((n_ticks, _kernels.N_SAMPLE_COLS))
-    cap = n_ticks // config.ticks_per_step + 2
-    ev_time = np.zeros(cap)
-    ev_step = np.zeros((cap, 4))
-    ev_realized = np.zeros((cap, 3))
-    ev_parity = np.zeros(cap, dtype=np.int64)
-    node_grid = np.full(heights.shape, -1, dtype=np.int8)  # built on first snap miss
 
-    n_rec, outcome, fail_time, n_events = _kernels.sim_loop(
+    n_rec, outcome, fail_time = _kernels.sim_loop(
         n_ticks, config.dt, config.ticks_per_step,
         config.lip.g, config.lip.z0,
         cmd_ticks, cmd_vx, cmd_vy, cmd_w,
         config.replan == REPLAN_EVERY_TICK, config.reach_limit,
-        has_terrain, heights, mask, ox, oy, res,
+        heights, mask, ox, oy, res,
         terrain_mod.FOOT_RADIUS, terrain_mod.MAX_HEIGHT_DEV,
         terrain_mod.SNAP_SEARCH_RADIUS,
         state.com_pos[0], state.com_pos[1], state.com_vel[0], state.com_vel[1],
         stance.p[0], stance.p[1],
-        samples, ev_time, ev_step, ev_realized, ev_parity, node_grid)
+        samples, node_grid)
 
     # gait-phase columns: row (parity % 2) * k + tick % k of a two-step table
     k = config.ticks_per_step
@@ -244,27 +249,12 @@ def _run_arrays(config: SimConfig, schedule, initial=None):
     samples = samples[:n_rec]
     rows = samples[:, _kernels.COL_PARITY].astype(np.int64) % 2 * k + np.arange(n_rec) % k
     samples[:, _kernels.COL_CONTACT_SCHED:_kernels.COL_PHASE_COS + 1] = table[rows]
-    events = (ev_time[:n_events], ev_step[:n_events], ev_realized[:n_events],
-              ev_parity[:n_events])
-    return samples, outcome, fail_time, events
-
-
-def _build_result(config: SimConfig, samples, outcome_code, fail_time, events) -> SimResult:
-    ev_time, ev_step, ev_realized, ev_parity = events
-    step_events = tuple(
-        StepEvent(time=float(ev_time[i]),
-                  planned=PlannedStep(p_d=ev_step[i, :2], z_d=float(ev_step[i, 2]),
-                                      heading=float(ev_step[i, 3]),
-                                      parity=int(ev_parity[i]) - 1),
-                  realized=ev_realized[i].copy())
-        for i in range(len(ev_time)))
-    completed = outcome_code == _kernels.OUTCOME_COMPLETED
+    completed = outcome == _kernels.OUTCOME_COMPLETED
     return SimResult(
         config=config,
         outcome="completed" if completed else "failed",
-        failure_reason=None if completed else _FAIL_REASONS[outcome_code],
+        failure_reason=None if completed else _FAIL_REASONS[outcome],
         failure_time=None if completed else float(fail_time),
-        step_events=step_events,
         sample_array=samples)
 
 
@@ -272,7 +262,7 @@ def run(config: SimConfig, initial: "tuple[LipState, FootPosition] | None" = Non
     """Simulate under a constant command for the configured duration."""
     v = config.cmd.v_cmd
     schedule = [(0.0, float(v[0]), float(v[1]), config.cmd.w_cmd)]
-    return _build_result(config, *_run_arrays(config, schedule, initial))
+    return _simulate(config, schedule, initial)
 
 
 def turn_maneuver(config: SimConfig, turn_angle: float,
@@ -290,7 +280,7 @@ def turn_maneuver(config: SimConfig, turn_angle: float,
     v2 = (c * v[0] - s * v[1], s * v[0] + c * v[1])
     schedule = [(0.0, float(v[0]), float(v[1]), config.cmd.w_cmd),
                 (switch_time, float(v2[0]), float(v2[1]), config.cmd.w_cmd)]
-    return _build_result(config, *_run_arrays(config, schedule, initial))
+    return _simulate(config, schedule, initial)
 
 
 def _window_mean_vx(samples: np.ndarray, window: float) -> float:

@@ -84,17 +84,32 @@ class Heightmap:
                    if k not in d]
         if missing:
             raise ValueError(f"heightmap lacks {', '.join(missing)}")
+        for key in ("rows", "cols"):
+            v = d[key]
+            # `0 < v < inf` first: int(v) of a nan or inf would raise
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not (0 < v < math.inf and v == int(v))):
+                raise ValueError(f"heightmap {key} must be a positive integer, got {v!r}")
         rows, cols = int(d["rows"]), int(d["cols"])
+        resolution = d["resolution"]
+        if isinstance(resolution, bool) or not isinstance(resolution, (int, float)):
+            raise ValueError(f"heightmap resolution must be a number, got {resolution!r}")
         heights = np.asarray(d["heights"], dtype=np.float64)
         if heights.size != rows * cols:
             raise ValueError(f"rows*cols = {rows * cols} but got {heights.size} heights")
-        mask = np.asarray(d.get("mask", np.zeros(rows * cols)), dtype=np.uint8)
+        try:  # null reads as nan
+            mask = np.asarray(d.get("mask", np.zeros(rows * cols)), dtype=np.float64)
+            binary = np.all((mask == 0.0) | (mask == 1.0))
+        except (TypeError, ValueError):
+            binary = False
+        if not binary:
+            raise ValueError("heightmap mask must be a list of 0 and 1 entries")
         if mask.size != rows * cols:
             raise ValueError(f"rows*cols = {rows * cols} but got {mask.size} mask entries")
         return cls(origin=np.asarray(d["origin"], dtype=np.float64),
-                   resolution=float(d["resolution"]),
+                   resolution=float(resolution),
                    heights=heights.reshape(rows, cols),
-                   mask=mask.reshape(rows, cols))
+                   mask=mask.astype(np.uint8).reshape(rows, cols))
 
     def save(self, path) -> None:
         with open(path, "w") as f:

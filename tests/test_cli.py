@@ -27,6 +27,15 @@ class TestSimulate:
         assert (tmp_path / "t.events.json").exists()
         assert (tmp_path / "t.manifest.json").exists()
 
+    @pytest.mark.parametrize("extra,rc", [(["--vx", "1.0"], 0),
+                                          (["--vx", "2.5", "--reach-limit", "0.35"], 2)])
+    def test_manifest_steps_counts_events(self, tmp_path, extra, rc):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--duration", "3", "--out", str(out)] + extra) == rc
+        events = json.loads((tmp_path / "t.events.json").read_text())["step_events"]
+        manifest = json.loads((tmp_path / "t.manifest.json").read_text())
+        assert manifest["outcome"]["steps"] == len(events) > 0
+
     def test_missing_vx_usage_error(self, tmp_path):
         rc = main(["simulate", "--duration", "10",
                    "--out", str(tmp_path / "t.csv")])
@@ -386,6 +395,26 @@ class TestUsage:
          "base_height_target must be finite"),
         (["score", "--traj", "{traj}", "--vx", "1", "--vy", "nan"], "vel_cmd must be finite"),
         (["score", "--traj", "{traj}", "--vx", "inf"], "vel_cmd must be finite"),
+        (["simulate", "--vx", "1", "--terrain", "file:{rows_null}"],
+         "heightmap rows must be a positive integer"),
+        (["simulate", "--vx", "1", "--terrain", "file:{rows_list}"],
+         "heightmap rows must be a positive integer"),
+        (["simulate", "--vx", "1", "--terrain", "file:{rows_fraction}"],
+         "heightmap rows must be a positive integer"),
+        (["simulate", "--vx", "1", "--terrain", "file:{cols_fraction}"],
+         "heightmap cols must be a positive integer"),
+        (["simulate", "--vx", "1", "--terrain", "file:{resolution_null}"],
+         "heightmap resolution must be a number"),
+        (["simulate", "--vx", "1", "--terrain", "file:{mask_null}"],
+         "heightmap mask must be a list of 0 and 1 entries"),
+        (["simulate", "--vx", "1", "--terrain", "file:{mask_negative}"],
+         "heightmap mask must be a list of 0 and 1 entries"),
+        (["simulate", "--vx", "1", "--terrain", "file:{mask_300}"],
+         "heightmap mask must be a list of 0 and 1 entries"),
+        # doubled braces: argv entries go through str.format
+        (["plan", "--vx", "1", "--state",
+          '{{"com":[0,0],"vel":[0,0],"stance":[0,-0.15],"parity":1e400}}'],
+         "malformed --state JSON"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-nan", "resolution-nan", "extent-inf",
             "map-without-origin", "map-not-object", "sweep-trials-negative",
@@ -394,17 +423,34 @@ class TestUsage:
             "rough-amplitude-inf", "terrain-gen-amplitude-inf", "rough-amplitude-nan",
             "rough-correlation-nan", "gap-width-nan", "gap-period-nan", "gap-period-inf",
             "gap-offset-nan", "score-sigma-nan", "score-sigma-inf",
-            "score-base-height-nan", "score-vy-nan", "score-vx-inf"])
+            "score-base-height-nan", "score-vy-nan", "score-vx-inf",
+            "map-rows-null", "map-rows-list", "map-rows-fraction", "map-cols-fraction",
+            "map-resolution-null", "map-mask-null", "map-mask-negative", "map-mask-300",
+            "plan-parity-overflow"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
-        no_origin = tmp_path / "m.json"
-        no_origin.write_text('{"resolution": 0.1, "rows": 2, "cols": 2, "heights": [0, 0, 0, 0]}')
-        not_object = tmp_path / "n.json"
-        not_object.write_text("5\n")
+        good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
+                "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}
+        maps = {
+            "no_origin": {k: v for k, v in good.items() if k != "origin"},
+            "not_object": 5,
+            "rows_null": {**good, "rows": None},
+            "rows_list": {**good, "rows": [2]},
+            "rows_fraction": {**good, "rows": 2.7},
+            "cols_fraction": {**good, "cols": 2.5},
+            "resolution_null": {**good, "resolution": None},
+            "mask_null": {**good, "mask": None},
+            "mask_negative": {**good, "mask": [-1, 0, 0, 0]},
+            "mask_300": {**good, "mask": [300, 0, 0, 0]},
+        }
+        paths = {}
+        for name, doc in maps.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc) + "\n")
         traj = tmp_path / "traj.csv"
         if "{traj}" in argv:
             assert main(["simulate", "--vx", "1", "--duration", "1", "--out", str(traj)]) == 0
             capsys.readouterr()
-        argv = [a.format(no_origin=no_origin, not_object=not_object, traj=traj) for a in argv]
+        argv = [a.format(traj=traj, **paths) for a in argv]
         assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

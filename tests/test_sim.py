@@ -397,6 +397,91 @@ class TestTerrainRuns:
                             arr[:, COL_COM_Y] + arr[:, COL_VEL_Y] / w, atol=1e-12)
 
 
+def loaded_map(step_height=0.0, gap=False):
+    """Flat map over x in [-1, 5], y in [-1.5, 1.5] whose part at x >= 0.6 is
+    raised by step_height, or masked out when gap is set."""
+    xs = np.arange(-1.0, 5.0 + 1e-9, 0.05)
+    ys = np.arange(-1.5, 1.5 + 1e-9, 0.05)
+    ahead = np.broadcast_to(xs >= 0.6, (len(ys), len(xs)))
+    return terrain_mod.Heightmap(origin=(-1.0, -1.5), resolution=0.05,
+                                 heights=np.where(ahead, step_height, 0.0),
+                                 mask=ahead & gap)
+
+
+class TestStepEvents:
+    """step_events are read from the sample rows at each touchdown."""
+
+    @pytest.mark.parametrize("case", ["reach", "height"])
+    def test_failed_touchdown_is_last_event(self, case):
+        if case == "reach":
+            cfg = config(vx=1.0, reach=0.05)
+            outcome = _kernels.OUTCOME_REACH
+        else:
+            # the ground ahead is higher than the 0.62 m pendulum
+            cfg = config(vx=1.0, terrain=loaded_map(step_height=0.7))
+            outcome = _kernels.OUTCOME_BAD_HEIGHT
+        res = run(cfg)
+        assert res.failure_reason == sim_mod._FAIL_REASONS[outcome]
+        events = res.step_events
+        assert res.n_steps == len(events) >= 1
+        last = events[-1]
+        arr = res.sample_array
+        assert last.time == res.failure_time == arr[-1, COL_TIME] > 0.0
+        npt.assert_array_equal(last.realized, arr[-1, COL_STANCE_X:COL_STANCE_Z + 1])
+        npt.assert_array_equal(last.planned.p_d, last.realized[:2])
+        assert last.planned.z_d == last.realized[2]
+        if case == "height":
+            assert last.realized[2] >= cfg.lip.z0
+
+    @pytest.mark.parametrize("case", ["no-ground-mid-step", "no-ground-at-start",
+                                      "height-at-start"])
+    def test_no_event_after_last_completed_touchdown(self, case):
+        if case == "no-ground-mid-step":
+            # a half turn mid-step throws the every-tick target over the gap,
+            # beyond the snap search radius
+            cfg = config(vx=2.0, duration=3.0, reach=1.5, replan=sim_mod.REPLAN_EVERY_TICK,
+                         terrain=loaded_map(gap=True))
+            res = turn_maneuver(cfg, math.pi, 0.85)
+            outcome = _kernels.OUTCOME_NO_GROUND
+        elif case == "no-ground-at-start":
+            cfg = config(vx=1.0, terrain=gap_spec(width=2.0, period=0.1))
+            res = run(cfg)
+            outcome = _kernels.OUTCOME_NO_GROUND
+        else:
+            cfg = replace(config(vx=0.8, terrain=TerrainSpec(
+                kind="rough", amplitude=0.08, correlation=1.0, seed=5)),
+                lip=LipParams(z0=0.02))
+            res = run(cfg)
+            outcome = _kernels.OUTCOME_BAD_HEIGHT
+        assert res.failure_reason == sim_mod._FAIL_REASONS[outcome]
+        k = cfg.ticks_per_step
+        fail_tick = round(res.failure_time / cfg.dt)
+        times = [ev.time for ev in res.step_events]
+        assert res.n_steps == len(times) == fail_tick // k
+        assert all(t < res.failure_time for t in times)
+        if case == "no-ground-mid-step":
+            assert fail_tick % k != 0 and len(times) == 2
+        else:
+            assert res.failure_time == 0.0 and times == []
+
+    def test_sweep_builds_no_step_events(self, tmp_path, monkeypatch):
+        built = []
+        real_event = sim_mod.StepEvent
+
+        def counting_event(*args, **kwargs):
+            built.append(kwargs["time"])
+            return real_event(*args, **kwargs)
+
+        monkeypatch.setattr(sim_mod, "StepEvent", counting_event)
+        cfgs = [config(vx=vx, duration=2.0, terrain=spec, reach=reach)
+                for spec in _sweep_terrains(tmp_path).values()
+                for vx, reach in ((0.6, 0.6), (2.5, 0.35))]
+        sweep(cfgs, trials=2, window=1.0)
+        assert built == []
+        # not vacuous: reading the events goes through the counter
+        assert len(run(cfgs[0]).step_events) == len(built) > 0
+
+
 class TestSweep:
     def test_flat_grid_all_success(self):
         cfgs = [config(vx=vx, duration=6.0) for vx in (0.5, 1.0, 1.5, 2.0)]
@@ -481,7 +566,7 @@ class TestTrajectoryCsv:
         arr[0, COL_TIME] = 0.5
         result = sim_mod.SimResult(config=config(), outcome="completed",
                                    failure_reason=None, failure_time=None,
-                                   step_events=(), sample_array=arr)
+                                   sample_array=arr)
         out = tmp_path / "t.csv"
         sim_mod.write_trajectory_csv(result, out)
         lines = out.read_text().splitlines()
