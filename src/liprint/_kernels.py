@@ -343,8 +343,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
              replan_every_tick, reach_limit,
              heights, mask, ox, oy, res,
              foot_radius, max_dev, snap_search,
-             com_x, com_y, vel_x, vel_y, st_x, st_y,
-             samples, node_grid):
+             com_x, com_y, vel_x, vel_y, st_x, st_y, node_grid):
     """Closed-loop stepping simulation.
 
     Per tick: handle the step boundary (instantaneous support transfer to
@@ -357,16 +356,16 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
     keeps the raw, unsnapped target. On flat ground heights, mask and
     node_grid are None: nothing is snapped and every height is 0.
 
-    samples is (n_ticks, N_SAMPLE_COLS); the loop fills every column but
-    the gait-phase ones (COL_CONTACT_SCHED, COL_PHASE_SIN, COL_PHASE_COS),
-    which depend only on the tick and the parity. Each tick's row is one
-    float tuple appended to a list, copied into
-    samples[:n_recorded, :COL_PARITY + 1] once after the loop. cosh and
-    sinh of omega*dt are computed once per stance, when omega changes.
+    Each recorded tick is one float tuple of columns COL_TIME .. COL_PARITY,
+    appended to a list that becomes the returned (n_recorded,
+    COL_PARITY + 1) array after the loop; the gait-phase columns
+    (COL_CONTACT_SCHED, COL_PHASE_SIN, COL_PHASE_COS) depend only on the
+    tick and the parity and are left to the caller. cosh and sinh of
+    omega*dt are computed once per stance, when omega changes.
     The rows are the whole record of the run (the touchdown at row
     i = m * ticks_per_step, m >= 1, moves the stance onto row i - 1's
     target); the loop stops after recording a failed tick's row.
-    Returns (n_recorded, outcome, fail_time).
+    Returns (n_recorded, outcome, fail_time, rows).
     """
     Ts = ticks_per_step * dt
     st_z = 0.0
@@ -374,7 +373,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
         st_z = grid_bilinear(heights, ox, oy, res, st_x, st_y)
     z0 = base_height - st_z
     if z0 <= 0.0:
-        return 0, OUTCOME_BAD_HEIGHT, 0.0
+        return 0, OUTCOME_BAD_HEIGHT, 0.0, np.empty((0, COL_PARITY + 1))
     omega = math.sqrt(g / z0)
     ch = math.cosh(omega * dt)
     sh = math.sinh(omega * dt)
@@ -448,7 +447,5 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
             fail_time = (i + 1) * dt
             break
 
-    n_rec = len(rows)
-    if n_rec > 0:
-        samples[:n_rec, :COL_PARITY + 1] = np.array(rows)
-    return n_rec, outcome, fail_time
+    rows = np.array(rows, dtype=np.float64).reshape(-1, COL_PARITY + 1)
+    return rows.shape[0], outcome, fail_time, rows

@@ -413,11 +413,9 @@ def _cmd_score(args) -> int:
                                             np.where(right, metrics.RIGHT, metrics.LEFT))
 
     out = [t["time"], *(breakdown[k] for k in metrics.TASK_TERMS + metrics.REG_TERMS), total]
-    with open(args.out, "w", newline="") as f:
-        f.write(",".join(["time", *metrics.TASK_TERMS,
-                          *(f"reg_{k}" for k in metrics.REG_TERMS), "total"]) + "\n")
-        for vals in zip(*(c.tolist() for c in out)):
-            f.write(",".join(map(sim.format_float, vals)) + "\n")
+    sim.write_csv(args.out, ["time", *metrics.TASK_TERMS,
+                             *(f"reg_{k}" for k in metrics.REG_TERMS), "total"],
+                  np.column_stack(out))
     return 0
 
 

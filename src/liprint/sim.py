@@ -7,7 +7,8 @@ CoM propagates analytically between boundaries. Planning runs either once
 per step or every tick, through the same kernel as planner.plan_step;
 targets are snapped to steppable ground and their elevation refined from
 the heightmap. The contact-schedule and phase-clock columns come from
-gait.phase_signals, tabulated once per run. Failure is recorded, not raised:
+gait.phase_signals, tabulated once per (ticks_per_step, dt) and shared by
+every run with those values. Failure is recorded, not raised:
 a touchdown farther than the reach limit from the capture point or the
 CoM, no steppable ground within the snap radius, or a non-finite state.
 
@@ -19,6 +20,7 @@ outcome_flag is the run outcome code stamped on every row (0 completed,
 2 failed). A step-event JSON log accompanies the CSV.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -127,17 +129,16 @@ class SimResult:
         built on each access: `time` and `realized` (stance) from row i,
         `planned` (target, heading, parity) from row i - 1, whose target the
         stance moved onto. A run that fails at a touchdown lists it last."""
-        arr = self.sample_array
-        k = self.config.ticks_per_step
+        touch, planned = _touchdown_rows(self.sample_array, self.config.ticks_per_step)
         return tuple(
-            StepEvent(time=float(arr[i, _kernels.COL_TIME]),
+            StepEvent(time=float(t[_kernels.COL_TIME]),
                       planned=PlannedStep(
-                          p_d=arr[i - 1, _kernels.COL_TARGET_X:_kernels.COL_TARGET_Y + 1].copy(),
-                          z_d=float(arr[i - 1, _kernels.COL_TARGET_Z]),
-                          heading=float(arr[i - 1, _kernels.COL_TARGET_HEADING]),
-                          parity=int(arr[i - 1, _kernels.COL_PARITY])),
-                      realized=arr[i, _kernels.COL_STANCE_X:_kernels.COL_STANCE_Z + 1].copy())
-            for i in range(k, arr.shape[0], k))
+                          p_d=p[_kernels.COL_TARGET_X:_kernels.COL_TARGET_Y + 1].copy(),
+                          z_d=float(p[_kernels.COL_TARGET_Z]),
+                          heading=float(p[_kernels.COL_TARGET_HEADING]),
+                          parity=int(p[_kernels.COL_PARITY])),
+                      realized=t[_kernels.COL_STANCE_X:_kernels.COL_STANCE_Z + 1].copy())
+            for t, p in zip(touch, planned))
 
     @property
     def samples(self) -> tuple:
@@ -167,6 +168,14 @@ class SimResult:
         k = self.config.ticks_per_step
         n = self.sample_array.shape[0]
         return self.sample_array[np.arange(0, n, k)]
+
+
+def _touchdown_rows(arr: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(touchdown rows arr[k::k], planned rows arr[k-1:-1:k]) of a sample
+    array with k ticks per step: row i = m * k (m >= 1) is a touchdown and
+    row i - 1 holds the target its stance moved onto. Both have one row per
+    touchdown."""
+    return arr[k::k], arr[k - 1:-1:k]
 
 
 def default_initial(config: SimConfig) -> tuple[LipState, FootPosition]:
@@ -209,6 +218,17 @@ def _materialize_terrain(config: SimConfig, schedule, resolution: float = 0.05):
     raise TypeError(f"terrain must be a Heightmap, TerrainSpec, or None, got {type(t)}")
 
 
+@functools.lru_cache(maxsize=16)
+def _phase_table(k: int, dt: float) -> np.ndarray:
+    """Read-only (2k, 3) gait-phase table of two steps of k ticks of dt:
+    row (parity % 2) * k + tick % k holds phase_signals at that tick."""
+    Ts = k * dt
+    table = np.array([phase_signals(((r // k) * Ts + (r % k) * dt) / (2.0 * Ts))
+                      for r in range(2 * k)])
+    table.flags.writeable = False
+    return table
+
+
 def _simulate(config: SimConfig, schedule, initial=None) -> SimResult:
     """Run sim_loop under a schedule of (time, vx, vy, width) command switches."""
     state, stance = default_initial(config) if initial is None else initial
@@ -227,9 +247,8 @@ def _simulate(config: SimConfig, schedule, initial=None) -> SimResult:
     cmd_ticks = np.array([min(max(round(t / config.dt), 0), n_ticks) for t, *_ in schedule],
                          dtype=np.int64)
     cmd_vx, cmd_vy, cmd_w = np.array([s[1:] for s in schedule], dtype=np.float64).T
-    samples = np.zeros((n_ticks, _kernels.N_SAMPLE_COLS))
 
-    n_rec, outcome, fail_time = _kernels.sim_loop(
+    n_rec, outcome, fail_time, rows = _kernels.sim_loop(
         n_ticks, config.dt, config.ticks_per_step,
         config.lip.g, config.lip.z0,
         cmd_ticks, cmd_vx, cmd_vy, cmd_w,
@@ -238,17 +257,12 @@ def _simulate(config: SimConfig, schedule, initial=None) -> SimResult:
         terrain_mod.FOOT_RADIUS, terrain_mod.MAX_HEIGHT_DEV,
         terrain_mod.SNAP_SEARCH_RADIUS,
         state.com_pos[0], state.com_pos[1], state.com_vel[0], state.com_vel[1],
-        stance.p[0], stance.p[1],
-        samples, node_grid)
+        stance.p[0], stance.p[1], node_grid)
 
     # gait-phase columns: row (parity % 2) * k + tick % k of a two-step table
     k = config.ticks_per_step
-    Ts = k * config.dt
-    table = np.array([phase_signals(((r // k) * Ts + (r % k) * config.dt) / (2.0 * Ts))
-                      for r in range(2 * k)])
-    samples = samples[:n_rec]
-    rows = samples[:, _kernels.COL_PARITY].astype(np.int64) % 2 * k + np.arange(n_rec) % k
-    samples[:, _kernels.COL_CONTACT_SCHED:_kernels.COL_PHASE_COS + 1] = table[rows]
+    phase = rows[:, _kernels.COL_PARITY].astype(np.int64) % 2 * k + np.arange(n_rec) % k
+    samples = np.hstack((rows, _phase_table(k, config.dt)[phase]))
     completed = outcome == _kernels.OUTCOME_COMPLETED
     return SimResult(
         config=config,
@@ -377,46 +391,69 @@ def sweep(configs, trials: int, base_seed: int = 0, window: float = 5.0,
     return rows
 
 
+# The one number format of liprint's CSV output: 17 significant digits, '.'
+# decimal separator. "%.17g" % x equals format(x, ".17g") for every float.
+_FLOAT_SPEC = ".17g"
+
+
 def format_float(x: float) -> str:
-    """17 significant digits, '.' decimal separator; -0.0 is written as 0."""
-    return format(float(x) + 0.0, ".17g")
+    """17 significant digits, '.' decimal separator; -0.0 is written as 0.
+
+    The scalar form of write_csv: its row template's fields are
+    "%" + this spec, and "%.17g" % x equals format(x, ".17g").
+    """
+    return format(float(x) + 0.0, _FLOAT_SPEC)
+
+
+def write_csv(path, header, table: np.ndarray, int_columns=()) -> None:
+    """A header line and one line per row of the 2-D array `table`.
+
+    One format pass: a row template of "%" + format_float's spec fields
+    ("%.17g" % x equals format(x, ".17g")) and "%d" fields at int_columns
+    (truncating toward zero, as int() does) is applied to table + 0.0,
+    where + 0.0 writes -0.0 as 0. The text goes out in one write.
+    """
+    n, m = table.shape
+    row = ",".join("%d" if c in int_columns else "%" + _FLOAT_SPEC for c in range(m))
+    text = ((row + "\n") * n) % tuple((table + 0.0).ravel().tolist())
+    with open(path, "w", newline="") as f:
+        f.write(",".join(header) + "\n" + text)
 
 
 def write_trajectory_csv(result: SimResult, path) -> None:
-    """One row per tick, 17 significant digits, '.' decimal separator."""
-    flag = 0 if result.completed else 2
+    """One row per tick in CSV_COLUMNS order, through write_csv: parity
+    and outcome_flag as integers, every other value as format_float writes
+    it (17 significant digits, -0.0 as 0). The row template is derived from
+    format_float's spec, and "%.17g" % x equals format(x, ".17g")."""
     arr = result.sample_array
-    with open(path, "w", newline="") as f:
-        f.write(",".join(CSV_COLUMNS) + "\n")
-        for row in arr:
-            vals = [format_float(row[c]) for c in range(_kernels.COL_PARITY)]
-            vals.append(str(int(row[_kernels.COL_PARITY])))
-            vals.extend(format_float(row[c]) for c in
-                        (_kernels.COL_CONTACT_SCHED, _kernels.COL_PHASE_SIN,
-                         _kernels.COL_PHASE_COS))
-            vals.append(str(flag))
-            f.write(",".join(vals) + "\n")
+    flag = np.full(arr.shape[0], 0.0 if result.completed else 2.0)
+    write_csv(path, CSV_COLUMNS, np.column_stack((arr, flag)),
+              (_kernels.COL_PARITY, _kernels.N_SAMPLE_COLS))
 
 
 def write_step_events(result: SimResult, path) -> None:
+    """The step-event JSON log: per touchdown, its time and realized
+    stance from the touchdown row and the planned target from the row
+    before it (the rows SimResult.step_events reads)."""
+    touch, planned = _touchdown_rows(result.sample_array, result.config.ticks_per_step)
     events = [
         {
-            "time": ev.time,
+            "time": t[_kernels.COL_TIME],
             "planned": {
-                "x": float(ev.planned.p_d[0]),
-                "y": float(ev.planned.p_d[1]),
-                "z": ev.planned.z_d,
-                "heading": ev.planned.heading,
-                "parity": ev.planned.parity,
+                "x": p[_kernels.COL_TARGET_X],
+                "y": p[_kernels.COL_TARGET_Y],
+                "z": p[_kernels.COL_TARGET_Z],
+                "heading": p[_kernels.COL_TARGET_HEADING],
+                "parity": int(p[_kernels.COL_PARITY]),
             },
             "realized": {
-                "x": float(ev.realized[0]),
-                "y": float(ev.realized[1]),
-                "z": float(ev.realized[2]),
+                "x": t[_kernels.COL_STANCE_X],
+                "y": t[_kernels.COL_STANCE_Y],
+                "z": t[_kernels.COL_STANCE_Z],
             },
         }
-        for ev in result.step_events
+        for t, p in zip(touch.tolist(), planned.tolist())
     ]
+    text = json.dumps({"step_events": events}, indent=2, sort_keys=True)
     with open(path, "w") as f:
-        json.dump({"step_events": events}, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")

@@ -35,7 +35,12 @@ class Heightmap:
     mask: np.ndarray
 
     def __post_init__(self):
-        origin = np.array(self.origin, dtype=np.float64).reshape(2)
+        try:
+            origin = np.array(self.origin, dtype=np.float64).reshape(2)
+        except (TypeError, ValueError):
+            raise ValueError(f"origin must be 2 numbers, got {self.origin!r}") from None
+        if not np.all(np.isfinite(origin)):
+            raise ValueError(f"origin must be finite, got {origin.tolist()}")
         heights = np.array(self.heights, dtype=np.float64, order="C")
         if heights.ndim != 2 or heights.shape[0] < 2 or heights.shape[1] < 2:
             raise ValueError(f"heights must be a 2D grid of at least 2x2 nodes, got {heights.shape}")
@@ -94,7 +99,10 @@ class Heightmap:
         resolution = d["resolution"]
         if isinstance(resolution, bool) or not isinstance(resolution, (int, float)):
             raise ValueError(f"heightmap resolution must be a number, got {resolution!r}")
-        heights = np.asarray(d["heights"], dtype=np.float64)
+        try:
+            heights = np.asarray(d["heights"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError("heightmap heights must be a list of numbers") from None
         if heights.size != rows * cols:
             raise ValueError(f"rows*cols = {rows * cols} but got {heights.size} heights")
         try:  # null reads as nan
@@ -106,7 +114,7 @@ class Heightmap:
             raise ValueError("heightmap mask must be a list of 0 and 1 entries")
         if mask.size != rows * cols:
             raise ValueError(f"rows*cols = {rows * cols} but got {mask.size} mask entries")
-        return cls(origin=np.asarray(d["origin"], dtype=np.float64),
+        return cls(origin=d["origin"],
                    resolution=float(resolution),
                    heights=heights.reshape(rows, cols),
                    mask=mask.astype(np.uint8).reshape(rows, cols))

@@ -286,3 +286,71 @@ def score_lines(traj_rows, joint_rows, params, base_height, sample_cls):
         out = [vals[col["time"]], *breakdown.values(), total]
         lines.append(",".join(format(float(v) + 0.0, ".17g") for v in out))
     return lines
+
+
+# ---------------------------------------------------------------- writers
+#
+# The per-value CSV and JSON writers that liprint.sim.write_csv's one format
+# pass replaced: one format() call per value and one write per line, as the
+# byte-for-byte reference for the trajectory, step-event and rewards files.
+
+def _format_value(x):
+    return format(float(x) + 0.0, ".17g")
+
+
+def write_trajectory_csv_per_value(result, path):
+    """liprint.sim.write_trajectory_csv, one formatted value at a time."""
+    from liprint import _kernels, sim
+
+    flag = 0 if result.completed else 2
+    with open(path, "w", newline="") as f:
+        f.write(",".join(sim.CSV_COLUMNS) + "\n")
+        for row in result.sample_array:
+            vals = [_format_value(row[c]) for c in range(_kernels.COL_PARITY)]
+            vals.append(str(int(row[_kernels.COL_PARITY])))
+            vals.extend(_format_value(row[c]) for c in
+                        (_kernels.COL_CONTACT_SCHED, _kernels.COL_PHASE_SIN,
+                         _kernels.COL_PHASE_COS))
+            vals.append(str(flag))
+            f.write(",".join(vals) + "\n")
+
+
+def write_step_events_per_event(result, path):
+    """liprint.sim.write_step_events, one dict per touchdown row index
+    i = k, 2k, ... < len(sample_array), its planned step from row i - 1."""
+    import json
+
+    from liprint import _kernels as K
+
+    arr = result.sample_array
+    k = result.config.ticks_per_step
+    events = [
+        {
+            "time": float(arr[i, K.COL_TIME]),
+            "planned": {
+                "x": float(arr[i - 1, K.COL_TARGET_X]),
+                "y": float(arr[i - 1, K.COL_TARGET_Y]),
+                "z": float(arr[i - 1, K.COL_TARGET_Z]),
+                "heading": float(arr[i - 1, K.COL_TARGET_HEADING]),
+                "parity": int(arr[i - 1, K.COL_PARITY]),
+            },
+            "realized": {
+                "x": float(arr[i, K.COL_STANCE_X]),
+                "y": float(arr[i, K.COL_STANCE_Y]),
+                "z": float(arr[i, K.COL_STANCE_Z]),
+            },
+        }
+        for i in range(k, arr.shape[0], k)
+    ]
+    with open(path, "w") as f:
+        json.dump({"step_events": events}, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def write_rewards_csv_per_value(path, header, columns):
+    """The `liprint score` rewards CSV from its (n,) columns, one line per
+    row and one formatted value at a time."""
+    with open(path, "w", newline="") as f:
+        f.write(",".join(header) + "\n")
+        for vals in zip(*(np.asarray(c).tolist() for c in columns)):
+            f.write(",".join(map(_format_value, vals)) + "\n")

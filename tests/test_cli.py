@@ -411,6 +411,14 @@ class TestUsage:
          "heightmap mask must be a list of 0 and 1 entries"),
         (["simulate", "--vx", "1", "--terrain", "file:{mask_300}"],
          "heightmap mask must be a list of 0 and 1 entries"),
+        (["simulate", "--vx", "1", "--terrain", "file:{origin_overflow}"],
+         "origin must be finite, got [inf, 0.0]"),
+        (["simulate", "--vx", "1", "--terrain", "file:{origin_null}"],
+         "origin must be 2 numbers, got None"),
+        (["simulate", "--vx", "1", "--terrain", "file:{origin_three}"],
+         "origin must be 2 numbers, got [0, 0, 0]"),
+        (["simulate", "--vx", "1", "--terrain", "file:{heights_strings}"],
+         "heightmap heights must be a list of numbers"),
         # doubled braces: argv entries go through str.format
         (["plan", "--vx", "1", "--state",
           '{{"com":[0,0],"vel":[0,0],"stance":[0,-0.15],"parity":1e400}}'],
@@ -426,7 +434,8 @@ class TestUsage:
             "score-base-height-nan", "score-vy-nan", "score-vx-inf",
             "map-rows-null", "map-rows-list", "map-rows-fraction", "map-cols-fraction",
             "map-resolution-null", "map-mask-null", "map-mask-negative", "map-mask-300",
-            "plan-parity-overflow"])
+            "map-origin-overflow", "map-origin-null", "map-origin-three",
+            "map-heights-strings", "plan-parity-overflow"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}
@@ -441,11 +450,17 @@ class TestUsage:
             "mask_null": {**good, "mask": None},
             "mask_negative": {**good, "mask": [-1, 0, 0, 0]},
             "mask_300": {**good, "mask": [300, 0, 0, 0]},
+            # JSON text as written: json.dumps would spell the overflow Infinity
+            "origin_overflow": json.dumps(good).replace('"origin": [0, 0]',
+                                                        '"origin": [1e400, 0]'),
+            "origin_null": {**good, "origin": None},
+            "origin_three": {**good, "origin": [0, 0, 0]},
+            "heights_strings": {**good, "heights": ["a", 0, 0, 0]},
         }
         paths = {}
         for name, doc in maps.items():
             paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(json.dumps(doc) + "\n")
+            paths[name].write_text((doc if isinstance(doc, str) else json.dumps(doc)) + "\n")
         traj = tmp_path / "traj.csv"
         if "{traj}" in argv:
             assert main(["simulate", "--vx", "1", "--duration", "1", "--out", str(traj)]) == 0

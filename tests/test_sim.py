@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from dataclasses import replace
@@ -13,13 +14,15 @@ from liprint import (FootPosition, GaitParams, GaitState, IcpPoint, LipParams,
 from liprint import _kernels
 from liprint import sim as sim_mod
 from liprint import terrain as terrain_mod
+from liprint.gait import phase_signals
 from liprint._kernels import (COL_COM_X, COL_COM_Y, COL_CONTACT_SCHED, COL_ICP_X,
                               COL_ICP_Y, COL_PARITY, COL_PHASE_COS, COL_PHASE_SIN,
                               COL_STANCE_X, COL_STANCE_Y, COL_STANCE_Z,
                               COL_TARGET_HEADING, COL_TARGET_X, COL_TARGET_Y,
                               COL_TARGET_Z, COL_TIME, COL_VEL_X, COL_VEL_Y)
 
-from oracles import sweep_per_trial
+from oracles import (sweep_per_trial, write_rewards_csv_per_value,
+                     write_step_events_per_event, write_trajectory_csv_per_value)
 
 
 def config(vx=1.0, vy=0.0, duration=10.0, replan=sim_mod.REPLAN_AT_STEP_START,
@@ -574,6 +577,162 @@ class TestTrajectoryCsv:
         assert lines[1].split(",")[0] == "0.5"
         assert lines[2] == ",".join(["0"] * len(sim_mod.CSV_COLUMNS))
 
+
+# float64 values whose 17-digit text is easy to get wrong
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    1e300, -1e300, 1e-300, -1e-300, 1e308, 1.7976931348623157e308,
+    float(2**53 + 1), float(2**64), -float(2**63), 1e22, 1e23,
+    0.30000000000000004, 0.1, 1.0 / 3.0, 2.0 / 3.0, 123456789012345680.0,
+    math.inf, -math.inf, math.nan,
+]
+
+
+def _random_samples(rng, n):
+    """(n, N_SAMPLE_COLS) floats over many decades, with -0.0 and specials
+    sprinkled in and an integer-valued parity column."""
+    arr = rng.standard_normal((n, _kernels.N_SAMPLE_COLS)) * 10.0 ** rng.integers(
+        -30, 30, size=(n, _kernels.N_SAMPLE_COLS))
+    arr[rng.random(arr.shape) < 0.1] = -0.0
+    if n:
+        arr.reshape(-1)[rng.choice(arr.size, len(SPECIAL_FLOATS))] = SPECIAL_FLOATS
+    arr[:, COL_PARITY] = rng.integers(0, 1000, size=n)
+    arr[rng.random(n) < 0.2, COL_PARITY] = -0.0
+    arr[rng.random(n) < 0.1, COL_PARITY] = 2.0 ** 62  # beyond 17 digits
+    return arr
+
+
+@functools.cache
+def _writer_results():
+    """name -> SimResult covering random rows, -0.0, failures (flag 2),
+    zero rows and runs shorter than one step."""
+    rng = np.random.default_rng(8)
+    results = {}
+    for outcome in ("completed", "failed"):
+        results[f"random-{outcome}"] = sim_mod.SimResult(
+            config=config(), outcome=outcome, failure_reason=None, failure_time=None,
+            sample_array=_random_samples(rng, 200))
+    results["gap-tick"] = run(config(vx=0.7, duration=3.0, replan=sim_mod.REPLAN_EVERY_TICK,
+                                     terrain=gap_spec()))
+    results["no-ground-at-start"] = run(config(vx=1.0, terrain=gap_spec(width=2.0,
+                                                                        period=0.1)))
+    results["zero-rows"] = run(replace(config(vx=0.8, terrain=TerrainSpec(
+        kind="rough", amplitude=0.08, correlation=1.0, seed=5)), lip=LipParams(z0=0.02)))
+    results["shorter-than-a-step"] = run(config(vx=1.0, duration=0.2))
+    results["one-tick-steps"] = run(replace(config(vx=0.5, duration=0.3),
+                                            gait=GaitParams(step_duration=0.01)))
+    return results
+
+
+WRITER_CASES = ["gap-tick", "no-ground-at-start", "one-tick-steps", "random-completed",
+                "random-failed", "shorter-than-a-step", "zero-rows"]
+
+
+class TestWritersMatchPerValueOracles:
+    def test_results_cover_their_cases(self):
+        r = _writer_results()
+        assert sorted(r) == WRITER_CASES
+        assert (r["random-completed"].sample_array == 0.0).any()
+        assert np.signbit(r["random-completed"].sample_array).any()
+        assert not r["no-ground-at-start"].completed
+        assert r["no-ground-at-start"].sample_array.shape[0] == 1
+        assert r["zero-rows"].sample_array.shape == (0, _kernels.N_SAMPLE_COLS)
+        assert r["shorter-than-a-step"].n_steps == 0
+        assert r["shorter-than-a-step"].sample_array.shape[0] == 20
+        assert r["gap-tick"].n_steps > 5
+        assert r["one-tick-steps"].n_steps == 29
+
+    @pytest.mark.parametrize("name", WRITER_CASES)
+    def test_touchdown_rows_pair_up(self, name):
+        result = _writer_results()[name]
+        touch, planned = sim_mod._touchdown_rows(result.sample_array,
+                                                 result.config.ticks_per_step)
+        assert len(touch) == len(planned) == result.n_steps
+
+    @pytest.mark.parametrize("x", SPECIAL_FLOATS)
+    def test_template_field_equals_format_float(self, x):
+        assert "%.17g" % (x + 0.0) == sim_mod.format_float(x) == format(x + 0.0, ".17g")
+
+    def test_template_field_equals_format_float_on_random_bits(self):
+        bits = np.random.default_rng(3).integers(0, 2**64, size=5000, dtype=np.uint64)
+        for x in bits.view(np.float64).tolist():
+            assert "%.17g" % (x + 0.0) == sim_mod.format_float(x)
+
+    @pytest.mark.parametrize("name", WRITER_CASES)
+    def test_trajectory_csv(self, name, tmp_path):
+        result = _writer_results()[name]
+        sim_mod.write_trajectory_csv(result, tmp_path / "new.csv")
+        write_trajectory_csv_per_value(result, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", WRITER_CASES)
+    def test_step_events(self, name, tmp_path):
+        result = _writer_results()[name]
+        sim_mod.write_step_events(result, tmp_path / "new.json")
+        write_step_events_per_event(result, tmp_path / "old.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 300])
+    def test_rewards_csv(self, n, tmp_path):
+        rng = np.random.default_rng(n)
+        columns = list(_random_samples(rng, n)[:, :17].T)
+        header = [f"c{i}" for i in range(17)]
+        sim_mod.write_csv(tmp_path / "new.csv", header, np.column_stack(columns))
+        write_rewards_csv_per_value(tmp_path / "old.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+class TestPhaseTable:
+    @pytest.mark.parametrize("k,dt", [(35, 0.01), (1, 0.01), (7, 0.05), (40, 0.0125)])
+    def test_cached_table_equals_per_run_table(self, k, dt):
+        Ts = k * dt
+        per_run = np.array([phase_signals(((r // k) * Ts + (r % k) * dt) / (2.0 * Ts))
+                            for r in range(2 * k)])
+        table = sim_mod._phase_table(k, dt)
+        npt.assert_array_equal(table, per_run)
+        assert sim_mod._phase_table(k, dt) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
+
+    def test_runs_share_one_table(self, monkeypatch):
+        calls = []
+
+        def counting(phase):
+            calls.append(phase)
+            return phase_signals(phase)
+
+        sim_mod._phase_table.cache_clear()
+        monkeypatch.setattr(sim_mod, "phase_signals", counting)
+        cfg = replace(config(vx=0.5, duration=1.0), dt=0.005)
+        first = run(cfg)
+        assert len(calls) == 2 * cfg.ticks_per_step
+        assert run(cfg).sample_array.tobytes() == first.sample_array.tobytes()
+        assert len(calls) == 2 * cfg.ticks_per_step
+
+
+class TestSimLoopRows:
+    def test_returns_recorded_rows(self):
+        cfg = config(vx=1.0, reach=0.05)
+        res = run(cfg)
+        n_rec, outcome, fail_time, rows = _kernels.sim_loop(
+            cfg.n_ticks, cfg.dt, cfg.ticks_per_step, cfg.lip.g, cfg.lip.z0,
+            np.array([0]), np.array([1.0]), np.array([0.0]), np.array([0.3]),
+            False, cfg.reach_limit, None, None, 0.0, 0.0, 1.0,
+            terrain_mod.FOOT_RADIUS, terrain_mod.MAX_HEIGHT_DEV,
+            terrain_mod.SNAP_SEARCH_RADIUS, 0.0, 0.0, 0.0, 0.0, 0.0, -0.15, None)
+        assert outcome == _kernels.OUTCOME_REACH and fail_time == res.failure_time
+        assert rows.shape == (n_rec, COL_PARITY + 1) == (res.sample_array.shape[0], 15)
+        npt.assert_array_equal(rows, res.sample_array[:, :COL_PARITY + 1])
+
+    def test_bad_height_at_start_records_no_rows(self):
+        hmap = loaded_map(step_height=0.0)
+        n_rec, outcome, fail_time, rows = _kernels.sim_loop(
+            10, 0.01, 35, 9.81, 0.0, np.array([0]), np.array([1.0]), np.array([0.0]),
+            np.array([0.3]), False, 0.6, hmap.heights, hmap.mask, -1.0, -1.5, 0.05,
+            0.07, 0.03, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.15,
+            np.full(hmap.heights.shape, -1, dtype=np.int8))
+        assert (n_rec, outcome, fail_time) == (0, _kernels.OUTCOME_BAD_HEIGHT, 0.0)
+        assert rows.shape == (0, COL_PARITY + 1)
 
 class TestInitialConditions:
     def test_custom_initial(self):
