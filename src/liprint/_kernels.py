@@ -1,16 +1,23 @@
 """Numerically hot kernels shared by the public modules.
 
-Kernels are plain numpy/Python on raw floats and ndarrays, and each
-formula is written once here: ICP propagation (icp_step), the foot
-placement with its offsets and heading rule (plan_placement), and the
-grid-cell lookup (_cell). The dataclass-based public API in lip_core /
-planner / terrain / sim validates its arguments and calls these kernels.
+Kernels are plain numpy/Python on floats, ndarrays and lists (sim_loop
+also takes the run's Heightmap), and each formula is written once here:
+ICP propagation (icp_step), the foot placement with its offsets and
+heading rule (plan_placement), and the grid-cell lookup (_cell). The
+dataclass-based public API in lip_core / planner / terrain / sim validates
+its arguments and calls these kernels.
 """
 
 import math
 
 import numpy as np
 
+
+# Foot radius, height tolerance and snap search radius (m) of sim_loop's
+# snaps; terrain's query defaults.
+FOOT_RADIUS = 0.07
+MAX_HEIGHT_DEV = 0.03
+SNAP_SEARCH_RADIUS = 1.0
 
 # Run outcome codes shared with sim.
 OUTCOME_COMPLETED = 0
@@ -287,7 +294,7 @@ def _nearest_node(node_grid, ox, oy, res, x, y, ci, cj, k, budget2):
     dx = ox + np.arange(j_lo, j_hi + 1) * res - x
     dy = oy + np.arange(i_lo, i_hi + 1) * res - y
     d2 = (dy * dy)[:, None] + dx * dx
-    d2[node_grid[i_lo:i_hi + 1, j_lo:j_hi + 1] <= 0] = np.inf
+    d2[~node_grid[i_lo:i_hi + 1, j_lo:j_hi + 1]] = np.inf
     best = d2.min()
     if not best <= budget2:
         return False, 0.0, 0.0, 0.0
@@ -307,10 +314,10 @@ def snap_to_steppable(heights, mask, ox, oy, res, x, y, radius, max_dev,
     1e-12 of the minimum tie, and a tie goes to the smaller x, then the
     smaller y.
 
-    node_grid is a caller-owned (rows, cols) int8 holder for the
-    node_steppable_grid of this map, radius and max_dev; -1 marks it as not
-    built yet. It is filled on the first query that is not itself
-    steppable, so a run whose targets never move never pays for it.
+    node_grid is a caller-owned list that holds the node_steppable_grid of
+    this map, radius and max_dev once built: the first query that is not
+    itself steppable appends it, later ones read node_grid[0], so a run
+    whose targets never move never pays for it.
 
     The node search looks first in the window of Chebyshev radius
     K = SNAP_FIRST_WINDOW around the query's nearest node (ci, cj). Any
@@ -322,39 +329,38 @@ def snap_to_steppable(heights, mask, ox, oy, res, x, y, radius, max_dev,
     """
     if steppable(heights, mask, ox, oy, res, x, y, radius, max_dev):
         return True, x, y
-    if node_grid[0, 0] < 0:
-        node_grid[:, :] = node_steppable_grid(heights, mask, ox, oy, res,
-                                              radius, max_dev)
+    if not node_grid:
+        node_grid.append(node_steppable_grid(heights, mask, ox, oy, res,
+                                             radius, max_dev))
     ci = int(round((y - oy) / res))
     cj = int(round((x - ox) / res))
     budget2 = max_search * max_search + 1e-12
     max_ring = int(max_search / res) + 2
     k = min(SNAP_FIRST_WINDOW, max_ring)
-    found, bx, by, best_d2 = _nearest_node(node_grid, ox, oy, res, x, y,
+    found, bx, by, best_d2 = _nearest_node(node_grid[0], ox, oy, res, x, y,
                                            ci, cj, k, budget2)
     if k < max_ring and not (found and k * res > math.sqrt(best_d2)):
-        found, bx, by, best_d2 = _nearest_node(node_grid, ox, oy, res, x, y,
+        found, bx, by, best_d2 = _nearest_node(node_grid[0], ox, oy, res, x, y,
                                                ci, cj, max_ring, budget2)
     return found, bx, by
 
 
-def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
-             cmd_ticks, cmd_vx, cmd_vy, cmd_w,
-             replan_every_tick, reach_limit,
-             heights, mask, ox, oy, res,
-             foot_radius, max_dev, snap_search,
-             com_x, com_y, vel_x, vel_y, st_x, st_y, node_grid):
+def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
+             replan_every_tick, reach_limit, hmap,
+             com_x, com_y, vel_x, vel_y, st_x, st_y):
     """Closed-loop stepping simulation.
 
     Per tick: handle the step boundary (instantaneous support transfer to
     the current swing target, stance-height dependent pendulum frequency),
     plan or replan the swing target with plan_placement over the remaining
     step time Ts - s*dt (offsets always over Ts), snap it to steppable
-    ground (node_grid is the snap_to_steppable holder for this run's
-    heightmap), record a sample at the tick instant, then propagate the CoM
-    analytically over dt. When no steppable ground is found the sample
-    keeps the raw, unsnapped target. On flat ground heights, mask and
-    node_grid are None: nothing is snapped and every height is 0.
+    ground (the node grid is built at most once per call), record a sample
+    at the tick instant, then propagate the CoM analytically over dt. When
+    no steppable ground is found the sample keeps the raw, unsnapped target.
+    hmap is the run's Heightmap, or None on flat ground: nothing is snapped
+    and every height is 0. schedule lists (tick, vx, vy, width) switches;
+    the first holds from tick 0, each later one from its tick on. Pass the
+    state com_x .. st_y as Python floats, not numpy scalars.
 
     Each recorded tick is one float tuple of columns COL_TIME .. COL_PARITY,
     appended to a list that becomes the returned (n_recorded,
@@ -369,7 +375,10 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
     """
     Ts = ticks_per_step * dt
     st_z = 0.0
-    if heights is not None:
+    if hmap is not None:
+        heights, mask, res = hmap.heights, hmap.mask, hmap.resolution
+        ox, oy = float(hmap.origin[0]), float(hmap.origin[1])
+        node_grid = []
         st_z = grid_bilinear(heights, ox, oy, res, st_x, st_y)
     z0 = base_height - st_z
     if z0 <= 0.0:
@@ -382,7 +391,8 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
     heading = 0.0
     tg_x = tg_y = tg_z = 0.0
     cmd_i = 0
-    n_cmd = cmd_ticks.shape[0]
+    n_cmd = len(schedule)
+    _, vx, vy, w = schedule[0]
     outcome = OUTCOME_COMPLETED
     fail_time = 0.0
     rows = []
@@ -390,8 +400,9 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
     for i in range(n_ticks):
         t_now = i * dt
         s = i % ticks_per_step
-        while cmd_i + 1 < n_cmd and i >= cmd_ticks[cmd_i + 1]:
+        while cmd_i + 1 < n_cmd and i >= schedule[cmd_i + 1][0]:
             cmd_i += 1
+            _, vx, vy, w = schedule[cmd_i]
         touchdown = i > 0 and s == 0
 
         if touchdown:
@@ -419,11 +430,12 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height,
             else:
                 tg_x, tg_y, heading = plan_placement(
                     icp_x, icp_y, st_x, st_y, omega, Ts - s * dt, Ts, Ts,
-                    cmd_vx[cmd_i], cmd_vy[cmd_i], cmd_w[cmd_i], parity, heading)
-                if heights is not None:
+                    vx, vy, w, parity, heading)
+                if hmap is not None:
                     ok, sx, sy = snap_to_steppable(heights, mask, ox, oy, res,
-                                                   tg_x, tg_y, foot_radius,
-                                                   max_dev, snap_search, node_grid)
+                                                   tg_x, tg_y, FOOT_RADIUS,
+                                                   MAX_HEIGHT_DEV, SNAP_SEARCH_RADIUS,
+                                                   node_grid)
                     if ok:
                         tg_x = sx
                         tg_y = sy

@@ -12,6 +12,7 @@ Terrain spec grammar:
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
@@ -22,7 +23,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import metrics, sim, terrain as terrain_mod
+from . import _kernels, metrics, sim, terrain as terrain_mod
 from .gait import GaitParams, GaitState
 from .lip_core import FootPosition, LipParams, LipState, icp_of
 from .planner import (StepCommand, desired_step_length, desired_step_width,
@@ -61,7 +62,10 @@ def _add_model_flags(p):
     p.add_argument("--g", type=float, default=9.81)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process: parse_args keeps no state
+    between calls and returns a fresh namespace each time."""
     parser = _Parser(prog="liprint", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -231,9 +235,10 @@ def _cmd_sweep(args) -> int:
     configs = []
     labels = []
     for text in terrain_texts:
+        spec = _load_terrain(text)  # one load per flag: maps are immutable
         for vx in vx_values:
             args.vx = vx
-            configs.append(_make_config(args, _load_terrain(text)))
+            configs.append(_make_config(args, spec))
             labels.append(text)
     rows = sim.sweep(configs, args.trials, base_seed=args.seed,
                      window=min(args.window, args.duration),
@@ -394,11 +399,12 @@ def _cmd_score(args) -> int:
         raise _UsageError(f"bad trajectory row {int(np.argmin(finite)) + 1}")
     t = dict(zip(sim.CSV_COLUMNS, table))
 
+    vx = args.vx or 0.0
     params = metrics.RewardParams(
         sigma=args.sigma,
         base_height_target=args.base_height,
-        heading_target=math.atan2(args.vy, args.vx or 0.0) if (args.vx or args.vy) else 0.0,
-        vel_cmd=(args.vx or 0.0, args.vy))
+        heading_target=_kernels.command_heading(vx, args.vy, 0.0),  # the simulator's rule
+        vel_cmd=(vx, args.vy))
     # each foot stands at its target: the stance foot at its touchdown point,
     # the swing foot at its planned one
     right = np.mod(np.trunc(t["parity"]), 2.0) == 0.0

@@ -233,31 +233,16 @@ def _simulate(config: SimConfig, schedule, initial=None) -> SimResult:
     """Run sim_loop under a schedule of (time, vx, vy, width) command switches."""
     state, stance = default_initial(config) if initial is None else initial
     hmap = _materialize_terrain(config, schedule)
-    heights = mask = node_grid = None
-    ox, oy, res = 0.0, 0.0, 1.0
-    if hmap is not None:
-        if not hmap.contains(stance.p):
-            raise ValueError("initial stance foot lies outside the heightmap")
-        heights, mask, res = hmap.heights, hmap.mask, hmap.resolution
-        ox, oy = float(hmap.origin[0]), float(hmap.origin[1])
-        node_grid = np.full(heights.shape, -1, dtype=np.int8)  # built on first snap miss
-
+    if hmap is not None and not hmap.contains(stance.p):
+        raise ValueError("initial stance foot lies outside the heightmap")
     n_ticks = config.n_ticks
     # a switch before the start or after the end acts at tick 0 or never
-    cmd_ticks = np.array([min(max(round(t / config.dt), 0), n_ticks) for t, *_ in schedule],
-                         dtype=np.int64)
-    cmd_vx, cmd_vy, cmd_w = np.array([s[1:] for s in schedule], dtype=np.float64).T
-
+    switches = [(min(max(round(t / config.dt), 0), n_ticks), float(vx), float(vy), float(w))
+                for t, vx, vy, w in schedule]
     n_rec, outcome, fail_time, rows = _kernels.sim_loop(
-        n_ticks, config.dt, config.ticks_per_step,
-        config.lip.g, config.lip.z0,
-        cmd_ticks, cmd_vx, cmd_vy, cmd_w,
-        config.replan == REPLAN_EVERY_TICK, config.reach_limit,
-        heights, mask, ox, oy, res,
-        terrain_mod.FOOT_RADIUS, terrain_mod.MAX_HEIGHT_DEV,
-        terrain_mod.SNAP_SEARCH_RADIUS,
-        state.com_pos[0], state.com_pos[1], state.com_vel[0], state.com_vel[1],
-        stance.p[0], stance.p[1], node_grid)
+        n_ticks, config.dt, config.ticks_per_step, config.lip.g, config.lip.z0,
+        switches, config.replan == REPLAN_EVERY_TICK, config.reach_limit, hmap,
+        *map(float, (*state.com_pos, *state.com_vel, *stance.p)))
 
     # gait-phase columns: row (parity % 2) * k + tick % k of a two-step table
     k = config.ticks_per_step

@@ -13,18 +13,34 @@ JSON interchange format:
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
-
-FOOT_RADIUS = 0.07
-MAX_HEIGHT_DEV = 0.03
-SNAP_SEARCH_RADIUS = 1.0
+from ._kernels import FOOT_RADIUS, MAX_HEIGHT_DEV, SNAP_SEARCH_RADIUS
 
 ROUGH_AMPLITUDE = 0.05
 ROUGH_CORRELATION = 0.5
+
+
+def _is_json_number(x) -> bool:
+    """A parsed JSON number that converts to a float: not a string, boolean
+    or null, and not an integer beyond the float range."""
+    return type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max)
+
+
+def _json_numbers(d: dict, key: str, expected: str, size=None) -> np.ndarray:
+    """d[key] as a float array; it must be a flat JSON list of numbers, of
+    `size` entries when size is given."""
+    v = d[key]
+    if not isinstance(v, list) or (size is not None and len(v) != size):
+        raise ValueError(f"heightmap {key} must be {expected}, got {v!r}")
+    bad = next((i for i, x in enumerate(v) if not _is_json_number(x)), None)
+    if bad is not None:
+        raise ValueError(f"heightmap {key} must be {expected}, got {v[bad]!r} at index {bad}")
+    return np.array(v, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -97,24 +113,18 @@ class Heightmap:
                 raise ValueError(f"heightmap {key} must be a positive integer, got {v!r}")
         rows, cols = int(d["rows"]), int(d["cols"])
         resolution = d["resolution"]
-        if isinstance(resolution, bool) or not isinstance(resolution, (int, float)):
+        if not _is_json_number(resolution):
             raise ValueError(f"heightmap resolution must be a number, got {resolution!r}")
-        try:
-            heights = np.asarray(d["heights"], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError("heightmap heights must be a list of numbers") from None
+        heights = _json_numbers(d, "heights", "a list of numbers")
         if heights.size != rows * cols:
             raise ValueError(f"rows*cols = {rows * cols} but got {heights.size} heights")
-        try:  # null reads as nan
-            mask = np.asarray(d.get("mask", np.zeros(rows * cols)), dtype=np.float64)
-            binary = np.all((mask == 0.0) | (mask == 1.0))
-        except (TypeError, ValueError):
-            binary = False
-        if not binary:
+        mask = (_json_numbers(d, "mask", "a list of 0 and 1 entries") if "mask" in d
+                else np.zeros(rows * cols))
+        if not np.all((mask == 0.0) | (mask == 1.0)):
             raise ValueError("heightmap mask must be a list of 0 and 1 entries")
         if mask.size != rows * cols:
             raise ValueError(f"rows*cols = {rows * cols} but got {mask.size} mask entries")
-        return cls(origin=d["origin"],
+        return cls(origin=_json_numbers(d, "origin", "2 numbers", size=2),
                    resolution=float(resolution),
                    heights=heights.reshape(rows, cols),
                    mask=mask.astype(np.uint8).reshape(rows, cols))
@@ -224,8 +234,7 @@ def nearest_steppable(h: Heightmap, p, radius: float = FOOT_RADIUS,
     """
     ok, sx, sy = _kernels.snap_to_steppable(
         h.heights, h.mask, h.origin[0], h.origin[1], h.resolution,
-        float(p[0]), float(p[1]), radius, max_dev, max_search,
-        np.full(h.heights.shape, -1, dtype=np.int8))
+        float(p[0]), float(p[1]), radius, max_dev, max_search, [])
     if not ok:
         raise ValueError(
             f"no steppable ground within {max_search} m of ({p[0]}, {p[1]})")

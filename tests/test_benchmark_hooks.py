@@ -66,6 +66,10 @@ def test_traced_simulate_fills_the_writer_and_kernel_spans(tmp_path):
         assert tracer.stats[name][0] >= 1, name
     assert layer["kernels.sim_loop.ticks"][0] == rows
     assert layer["sim.write_trajectory_csv.bytes"][0] == out.stat().st_size
+    # the moved counter compares the result with args[5], args[6] as the query
+    # x and y: gap targets move on some calls, never on more than all of them
+    calls = tracer.stats["kernels.snap_to_steppable"][0]
+    assert 0 < tracer.counters["kernels.snap_to_steppable.moved"] <= calls
 
 
 def test_numba_flag_exists_while_run_reads_it():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from liprint.cli import main
+from liprint.cli import build_parser, main
 from liprint.metrics import RewardParams, RobotSample
 from liprint.sim import CSV_COLUMNS
 from liprint.terrain import Heightmap
@@ -110,6 +110,39 @@ class TestSweep:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_each_terrain_flag_loads_its_map_once(self, tmp_path, monkeypatch):
+        m = tmp_path / "m.json"
+        assert main(["terrain", "gen", "--spec", "flat", "--extent=-3:-3:8:3",
+                     "--out", str(m)]) == 0
+        loads = []
+        load = Heightmap.load.__func__
+
+        def counting_load(cls, path):
+            loads.append(path)
+            return load(cls, path)
+
+        monkeypatch.setattr(Heightmap, "load", classmethod(counting_load))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--vx-list", "0.5,1.0,1.5", "--terrain", f"file:{m}",
+                     "--trials", "2", "--duration", "2", "--window", "1",
+                     "--out", str(out)]) == 0
+        assert loads == [str(m)]
+        assert [line.split(",")[:2] for line in read(out)[1:]] == [
+            ["0.5", f"file:{m}"], ["1", f"file:{m}"], ["1.5", f"file:{m}"]]
+
+    def test_consecutive_calls_share_no_parser_state(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        common = ["sweep", "--vx-list", "1.0", "--trials", "1", "--duration", "2",
+                  "--window", "1"]
+        assert main(common + ["--terrain", "flat", "--terrain", "gap:0.15:0.8",
+                              "--out", str(a)]) == 0
+        assert main(common + ["--out", str(b)]) == 0
+        assert [line.split(",")[1:3] for line in read(a)[1:]] == [
+            ["flat", "at-step-start"], ["gap:0.15:0.8", "every-tick"]]
+        assert [line.split(",")[1:3] for line in read(b)[1:]] == [
+            ["flat", "at-step-start"]]
+        assert build_parser() is build_parser()
+
 
 class TestPlan:
     def test_defaults_match_offset_table(self, tmp_path, capsys):
@@ -155,6 +188,21 @@ class TestScore:
                    "--out", str(rewards)])
         assert rc == 0
         assert len(read(rewards)) == len(read(traj))
+
+    def test_heading_target_below_zero_speed_is_zero(self, tmp_path):
+        # score's heading target follows the simulator's zero-speed rule
+        traj = tmp_path / "t.csv"
+        assert main(["simulate", "--vx", "0.5", "--vy", "0.2", "--duration", "1",
+                     "--out", str(traj)]) == 0
+        columns = []
+        for v in ("0", "1e-9"):
+            out = tmp_path / f"r{v}.csv"
+            assert main(["score", "--traj", str(traj), "--vx", v, "--vy", v,
+                         "--out", str(out)]) == 0
+            lines = read(out)
+            c = lines[0].split(",").index("base_orientation")
+            columns.append([line.split(",")[c] for line in lines[1:]])
+        assert columns[0] == columns[1]
 
     def test_empty_file(self, tmp_path):
         traj = tmp_path / "empty.csv"
@@ -419,6 +467,20 @@ class TestUsage:
          "origin must be 2 numbers, got [0, 0, 0]"),
         (["simulate", "--vx", "1", "--terrain", "file:{heights_strings}"],
          "heightmap heights must be a list of numbers"),
+        (["simulate", "--vx", "1", "--terrain", "file:{origin_bool_string}"],
+         "heightmap origin must be 2 numbers, got True at index 0"),
+        (["simulate", "--vx", "1", "--terrain", "file:{origin_numeric_string}"],
+         "heightmap origin must be 2 numbers, got '0.5' at index 1"),
+        (["simulate", "--vx", "1", "--terrain", "file:{heights_numeric_string}"],
+         "heightmap heights must be a list of numbers, got '0.5' at index 0"),
+        (["simulate", "--vx", "1", "--terrain", "file:{mask_numeric_string}"],
+         "heightmap mask must be a list of 0 and 1 entries, got '1' at index 0"),
+        (["simulate", "--vx", "1", "--terrain", "file:{mask_bool}"],
+         "heightmap mask must be a list of 0 and 1 entries, got True at index 2"),
+        (["simulate", "--vx", "1", "--terrain", "file:{heights_huge_int}"],
+         "heightmap heights must be a list of numbers, got 1000"),
+        (["simulate", "--vx", "1", "--terrain", "file:{resolution_huge_int}"],
+         "heightmap resolution must be a number, got 1000"),
         # doubled braces: argv entries go through str.format
         (["plan", "--vx", "1", "--state",
           '{{"com":[0,0],"vel":[0,0],"stance":[0,-0.15],"parity":1e400}}'],
@@ -435,7 +497,9 @@ class TestUsage:
             "map-rows-null", "map-rows-list", "map-rows-fraction", "map-cols-fraction",
             "map-resolution-null", "map-mask-null", "map-mask-negative", "map-mask-300",
             "map-origin-overflow", "map-origin-null", "map-origin-three",
-            "map-heights-strings", "plan-parity-overflow"])
+            "map-heights-strings", "map-origin-bool-string", "map-origin-numeric-string",
+            "map-heights-numeric-string", "map-mask-numeric-string", "map-mask-bool",
+            "map-heights-huge-int", "map-resolution-huge-int", "plan-parity-overflow"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}
@@ -456,6 +520,14 @@ class TestUsage:
             "origin_null": {**good, "origin": None},
             "origin_three": {**good, "origin": [0, 0, 0]},
             "heights_strings": {**good, "heights": ["a", 0, 0, 0]},
+            "origin_bool_string": {**good, "origin": [True, "0.5"]},
+            "origin_numeric_string": {**good, "origin": [0, "0.5"]},
+            "heights_numeric_string": {**good, "heights": ["0.5", 0, 0, 0]},
+            "mask_numeric_string": {**good, "mask": ["1", 0, 0, 0]},
+            "mask_bool": {**good, "mask": [0, 0, True, 0]},
+            # integers that no float holds
+            "heights_huge_int": {**good, "heights": [10 ** 400, 0, 0, 0]},
+            "resolution_huge_int": {**good, "resolution": 10 ** 400},
         }
         paths = {}
         for name, doc in maps.items():

@@ -716,10 +716,8 @@ class TestSimLoopRows:
         res = run(cfg)
         n_rec, outcome, fail_time, rows = _kernels.sim_loop(
             cfg.n_ticks, cfg.dt, cfg.ticks_per_step, cfg.lip.g, cfg.lip.z0,
-            np.array([0]), np.array([1.0]), np.array([0.0]), np.array([0.3]),
-            False, cfg.reach_limit, None, None, 0.0, 0.0, 1.0,
-            terrain_mod.FOOT_RADIUS, terrain_mod.MAX_HEIGHT_DEV,
-            terrain_mod.SNAP_SEARCH_RADIUS, 0.0, 0.0, 0.0, 0.0, 0.0, -0.15, None)
+            [(0, 1.0, 0.0, 0.3)], False, cfg.reach_limit, None,
+            0.0, 0.0, 0.0, 0.0, 0.0, -0.15)
         assert outcome == _kernels.OUTCOME_REACH and fail_time == res.failure_time
         assert rows.shape == (n_rec, COL_PARITY + 1) == (res.sample_array.shape[0], 15)
         npt.assert_array_equal(rows, res.sample_array[:, :COL_PARITY + 1])
@@ -727,12 +725,29 @@ class TestSimLoopRows:
     def test_bad_height_at_start_records_no_rows(self):
         hmap = loaded_map(step_height=0.0)
         n_rec, outcome, fail_time, rows = _kernels.sim_loop(
-            10, 0.01, 35, 9.81, 0.0, np.array([0]), np.array([1.0]), np.array([0.0]),
-            np.array([0.3]), False, 0.6, hmap.heights, hmap.mask, -1.0, -1.5, 0.05,
-            0.07, 0.03, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.15,
-            np.full(hmap.heights.shape, -1, dtype=np.int8))
+            10, 0.01, 35, 9.81, 0.0, [(0, 1.0, 0.0, 0.3)], False, 0.6, hmap,
+            0.0, 0.0, 0.0, 0.0, 0.0, -0.15)
         assert (n_rec, outcome, fail_time) == (0, _kernels.OUTCOME_BAD_HEIGHT, 0.0)
         assert rows.shape == (0, COL_PARITY + 1)
+
+    def test_simulate_passes_python_floats(self, monkeypatch):
+        calls = []
+        loop = _kernels.sim_loop
+
+        def spy(*args):
+            calls.append(args)
+            return loop(*args)
+
+        monkeypatch.setattr(_kernels, "sim_loop", spy)
+        # the default initial state and the command are numpy arrays
+        assert sim_mod.turn_maneuver(config(vx=0.7, duration=1.0, terrain=gap_spec()),
+                                     0.5, 0.5).completed
+        (args,) = calls
+        schedule, hmap, state = args[5], args[8], args[9:]
+        assert [type(v) for v in state] == [float] * 6
+        assert [tuple(map(type, c)) for c in schedule] == [(int, float, float, float)] * 2
+        assert [c[0] for c in schedule] == [0, 50]
+        assert isinstance(hmap, terrain_mod.Heightmap)
 
 class TestInitialConditions:
     def test_custom_initial(self):

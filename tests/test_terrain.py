@@ -176,16 +176,21 @@ class TestNearestSteppable:
     def test_node_grid_built_only_on_a_miss(self):
         h = gap_map(width=0.2, period=2.0, offset=-0.1)
         args = (h.heights, h.mask, h.origin[0], h.origin[1], h.resolution)
-        holder = np.full(h.heights.shape, -1, dtype=np.int8)
-        # a steppable query answers itself and leaves the holder unbuilt
+        holder = []
+        # a steppable query answers itself and leaves the holder empty
         assert _kernels.snap_to_steppable(*args, 0.5, 0.3, 0.07, 0.03, 1.0,
                                           holder) == (True, 0.5, 0.3)
-        assert np.all(holder == -1)
+        assert holder == []
         found, sx, sy = _kernels.snap_to_steppable(*args, 0.0, 0.0, 0.07, 0.03,
                                                    1.0, holder)
         assert found and sx < -0.1
-        npt.assert_array_equal(holder, _kernels.node_steppable_grid(
+        assert len(holder) == 1 and holder[0].dtype == np.bool_
+        npt.assert_array_equal(holder[0], _kernels.node_steppable_grid(
             *args, 0.07, 0.03))
+        # a later miss reads the grid built by the first one
+        assert _kernels.snap_to_steppable(*args, 0.0, 0.0, 0.07, 0.03, 1.0,
+                                          holder) == (found, sx, sy)
+        assert len(holder) == 1
 
     def test_fully_gapped_raises(self):
         h = gap_map(width=5.0, period=0.1, size=2.0)
