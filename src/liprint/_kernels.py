@@ -6,9 +6,18 @@ ICP propagation (icp_step), the foot placement with its offsets and
 heading rule (plan_placement), and the grid-cell lookup (_cell). The
 dataclass-based public API in lip_core / planner / terrain / sim validates
 its arguments and calls these kernels.
+
+numpy builds per-run tables; per query, the snap search reads them in
+plain Python. On its first miss a run builds snap_tables: a flag per grid
+cell whose every point is steppable, and each node row's steppable
+columns. A flagged cell answers a query at once, other queries run the
+exact steppable() scan, and a miss searches the rows outward from the
+query with bisect.
 """
 
 import math
+from array import array
+from bisect import bisect_left
 
 import numpy as np
 
@@ -121,14 +130,9 @@ def plan_placement(icp_x, icp_y, st_x, st_y, omega, dt_pred, span, Ts,
     return fx - c * bx - s * by, fy - s * bx + c * by, heading
 
 
-def _cell(heights, ox, oy, res, x, y):
-    """Grid cell (i, j) enclosing (x, y) and the bilinear height there.
-
-    Indices are clamped so points on the far edges fall in the last cell.
-    """
-    rows, cols = heights.shape
-    gx = (x - ox) / res
-    gy = (y - oy) / res
+def _cell_index(rows, cols, gx, gy):
+    """Cell (i, j) of the grid coordinates (gx, gy): their floors, clamped
+    so points on the far edges fall in the last cell."""
     j = int(math.floor(gx))
     i = int(math.floor(gy))
     if j > cols - 2:
@@ -139,6 +143,16 @@ def _cell(heights, ox, oy, res, x, y):
         i = rows - 2
     if i < 0:
         i = 0
+    return i, j
+
+
+def _cell(heights, ox, oy, res, x, y):
+    """Grid cell (i, j) enclosing (x, y) (see _cell_index) and the bilinear
+    height there."""
+    rows, cols = heights.shape
+    gx = (x - ox) / res
+    gy = (y - oy) / res
+    i, j = _cell_index(rows, cols, gx, gy)
     fx = gx - j
     fy = gy - i
     return i, j, (heights[i, j] * (1.0 - fy) * (1.0 - fx)
@@ -198,11 +212,6 @@ def steppable(heights, mask, ox, oy, res, x, y, radius, max_dev):
             if abs(heights[i, j] - h0) >= max_dev:
                 return False
     return True
-
-
-# Chebyshev radius, in nodes around the query's nearest node, of the first
-# window snap_to_steppable searches before falling back to its full window.
-SNAP_FIRST_WINDOW = 4
 
 
 def node_steppable_grid(heights, mask, ox, oy, res, radius, max_dev):
@@ -275,37 +284,145 @@ def node_steppable_grid(heights, mask, ox, oy, res, radius, max_dev):
     return ok
 
 
-def _nearest_node(node_grid, ox, oy, res, x, y, ci, cj, k, budget2):
-    """Closest steppable node to (x, y) with d2 <= budget2 among the nodes
-    at Chebyshev distance <= k from node (ci, cj).
-
-    Returns (found, nx, ny, d2). Nodes within 1e-12 of the minimum d2 (and
-    within the budget) tie; a tie goes to the smaller x, then the smaller y,
-    the order np.lexsort((y, x)) gives. As x grows with the column and y
-    with the row, that is the first tied node in column-major order.
+def _box_reduce(a, R, op):
+    """op (np.maximum or np.minimum) of `a` over the node box
+    [i-R, i+1+R] x [j-R, j+1+R] of each cell (i, j), clipped to the grid,
+    as a (rows-1, cols-1) array. Edge padding repeats values that every
+    clipped box already holds, so it does not change a result.
     """
-    rows, cols = node_grid.shape
-    i_lo = max(ci - k, 0)
-    i_hi = min(ci + k, rows - 1)
-    j_lo = max(cj - k, 0)
-    j_hi = min(cj + k, cols - 1)
-    if i_lo > i_hi or j_lo > j_hi:
-        return False, 0.0, 0.0, 0.0
-    dx = ox + np.arange(j_lo, j_hi + 1) * res - x
-    dy = oy + np.arange(i_lo, i_hi + 1) * res - y
-    d2 = (dy * dy)[:, None] + dx * dx
-    d2[~node_grid[i_lo:i_hi + 1, j_lo:j_hi + 1]] = np.inf
-    best = d2.min()
+    a = np.pad(a, R, mode="edge")
+    w = 2 * R + 2
+    for _ in range(2):  # along rows, then along columns of the transpose
+        n = a.shape[0] - w + 1
+        out = a[:n].copy()
+        for s in range(1, w):
+            op(out, a[s:s + n], out=out)
+        a = out.T
+    return a
+
+
+def snap_tables(heights, mask, ox, oy, res, radius, max_dev):
+    """The two tables snap_to_steppable answers from, for this map, radius
+    and max_dev: (flags, row_cols).
+
+    flags holds one byte per grid cell, row-major over (rows-1, cols-1);
+    it is nonzero only when every point of the cell is steppable. That
+    holds when no node of the box [i-R, i+1+R] x [j-R, j+1+R], R =
+    int(radius/res) + 1, is masked and every box height lies within
+    max_dev - margin of both the lowest and the highest corner of the cell.
+    The box holds every node steppable() scans for a point of the cell,
+    also where the disc bounds round up by one node; the bilinear height
+    of such a point lies between the corner heights up to rounding, which
+    the margin (1e-9 per metre of the largest |height|, at least 1e-9)
+    covers.
+
+    row_cols[i] is an array('q') of the ascending columns j whose node
+    (i, j) is steppable, read from node_steppable_grid.
+    """
+    # the node grid first: its build holds the most memory, so it runs
+    # before the box arrays exist
+    row_cols = [array("q", np.flatnonzero(r).astype(np.int64).tobytes())
+                for r in node_steppable_grid(heights, mask, ox, oy, res,
+                                             radius, max_dev)]
+    R = int(radius / res) + 1
+    box_masked = _box_reduce(mask, R, np.maximum)
+    box_hi = _box_reduce(heights, R, np.maximum)
+    box_lo = _box_reduce(heights, R, np.minimum)
+    # box_hi = max(box_hi - lowest corner, highest corner - box_lo), with
+    # one corner buffer and in place, so no step outgrows the node grid's
+    a, b = heights[:-1, :-1], heights[:-1, 1:]
+    c, d = heights[1:, :-1], heights[1:, 1:]
+    corner = np.minimum(a, b)
+    np.minimum(corner, c, out=corner)
+    np.minimum(corner, d, out=corner)
+    box_hi -= corner
+    np.maximum(a, b, out=corner)
+    np.maximum(corner, c, out=corner)
+    np.maximum(corner, d, out=corner)
+    np.subtract(corner, box_lo, out=box_lo)
+    np.maximum(box_hi, box_lo, out=box_hi)
+    margin = 1e-9 * max(1.0, float(np.abs(heights).max()))
+    flags = ((box_hi < max_dev - margin) & (box_masked == 0)).tobytes()
+    return flags, row_cols
+
+
+def _nearest_steppable_node(row_cols, ox, oy, res, x, y, budget2):
+    """Closest steppable node to (x, y) with d2 <= budget2, from snap_tables'
+    row_cols: (found, nx, ny).
+
+    d2 = dy*dy + dx*dx with dx = ox + j*res - x and dy = oy + i*res - y.
+    Rows are scanned outward from the query's nearest row, first upward,
+    then downward; a side stops at the first row beyond y whose dy*dy
+    exceeds the best d2 so far plus the tie margin, since rows further out
+    lie further still. dx grows with j, so a row's d2 falls to its minimum
+    at one of the two columns around x, found by bisecting on
+    gx = (x - ox)/res, then rises. (Where gx and dx round to opposite
+    sides of a column, that column lies within rounding of x and is itself
+    the minimum, unless res is as small as that rounding.) Nodes within
+    1e-12 of the minimum d2 (and within the budget) tie; a tie goes to the
+    smaller x, then the smaller y, i.e. the smaller column, then the
+    smaller row.
+    """
+    rows = len(row_cols)
+    gx = (x - ox) / res
+    c = int(round(min(max((y - oy) / res, 0.0), rows - 1.0)))
+    best = math.inf
+    limit = budget2
+    seen = []  # (i, dy2, k) of each scanned row with steppable nodes
+    for i, step in ((c, 1), (c - 1, -1)):
+        while 0 <= i < rows:
+            dy = oy + i * res - y
+            dy2 = dy * dy
+            if dy2 <= limit:
+                row = row_cols[i]
+                n = len(row)
+                k = bisect_left(row, gx)
+                if k:
+                    dx = ox + row[k - 1] * res - x
+                    d2 = dy2 + dx * dx
+                    if d2 < best:
+                        best = d2
+                if k < n:
+                    dx = ox + row[k] * res - x
+                    d2 = dy2 + dx * dx
+                    if d2 < best:
+                        best = d2
+                if n:
+                    seen.append((i, dy2, k))
+                    limit = best + 1e-12 if best + 1e-12 < budget2 else budget2
+            elif (dy > 0.0) == (step > 0):
+                break
+            i += step
     if not best <= budget2:
-        return False, 0.0, 0.0, 0.0
-    first = np.argmax(d2.T <= min(best + 1e-12, budget2))
-    i = i_lo + first % d2.shape[0]
-    j = j_lo + first // d2.shape[0]
-    return True, ox + j * res, oy + i * res, float(d2[i - i_lo, j - j_lo])
+        return False, 0.0, 0.0
+    win = None
+    for i, dy2, k in seen:
+        # the row's leftmost node with d2 <= limit: walk left from column
+        # k - 1 while d2 stays within it, else try column k
+        row = row_cols[i]
+        m = k
+        while m:
+            dx = ox + row[m - 1] * res - x
+            if dy2 + dx * dx > limit:
+                break
+            m -= 1
+        if m < k:
+            j = row[m]
+        else:
+            if k == len(row):
+                continue
+            dx = ox + row[k] * res - x
+            if dy2 + dx * dx > limit:
+                continue
+            j = row[k]
+        if win is None or (j, i) < win:
+            win = (j, i)
+    j, i = win
+    return True, ox + j * res, oy + i * res
 
 
 def snap_to_steppable(heights, mask, ox, oy, res, x, y, radius, max_dev,
-                      max_search, node_grid):
+                      max_search, tables):
     """Closest steppable point to (x, y) within max_search.
 
     Returns (found, sx, sy). The query point itself wins when steppable.
@@ -314,35 +431,24 @@ def snap_to_steppable(heights, mask, ox, oy, res, x, y, radius, max_dev,
     1e-12 of the minimum tie, and a tie goes to the smaller x, then the
     smaller y.
 
-    node_grid is a caller-owned list that holds the node_steppable_grid of
-    this map, radius and max_dev once built: the first query that is not
-    itself steppable appends it, later ones read node_grid[0], so a run
-    whose targets never move never pays for it.
-
-    The node search looks first in the window of Chebyshev radius
-    K = SNAP_FIRST_WINDOW around the query's nearest node (ci, cj). Any
-    node outside it lies more than (K + 1/2)*res from the query, so the
-    window's best node is the overall best when K*res > its distance; this
-    is the point where an expanding ring search around (ci, cj) would stop.
-    Otherwise the full window of int(max_search/res) + 2 rings, which holds
-    every node within max_search, is searched.
+    tables is a caller-owned list for this map, radius and max_dev. The
+    first query that is not itself steppable fills it with snap_tables'
+    (flags, row_cols), so a run whose targets never move never builds
+    them. Once filled, an in-grid query whose cell (_cell's floor and
+    clamp) is flagged answers itself; any other query runs the exact
+    steppable() scan, and a miss searches row_cols. No numpy runs per query.
     """
+    rows, cols = heights.shape
+    if tables and grid_contains(rows, cols, ox, oy, res, x, y):
+        i, j = _cell_index(rows, cols, (x - ox) / res, (y - oy) / res)
+        if tables[0][i * (cols - 1) + j]:
+            return True, x, y
     if steppable(heights, mask, ox, oy, res, x, y, radius, max_dev):
         return True, x, y
-    if not node_grid:
-        node_grid.append(node_steppable_grid(heights, mask, ox, oy, res,
-                                             radius, max_dev))
-    ci = int(round((y - oy) / res))
-    cj = int(round((x - ox) / res))
-    budget2 = max_search * max_search + 1e-12
-    max_ring = int(max_search / res) + 2
-    k = min(SNAP_FIRST_WINDOW, max_ring)
-    found, bx, by, best_d2 = _nearest_node(node_grid[0], ox, oy, res, x, y,
-                                           ci, cj, k, budget2)
-    if k < max_ring and not (found and k * res > math.sqrt(best_d2)):
-        found, bx, by, best_d2 = _nearest_node(node_grid[0], ox, oy, res, x, y,
-                                               ci, cj, max_ring, budget2)
-    return found, bx, by
+    if not tables:
+        tables.extend(snap_tables(heights, mask, ox, oy, res, radius, max_dev))
+    return _nearest_steppable_node(tables[1], ox, oy, res, x, y,
+                                   max_search * max_search + 1e-12)
 
 
 def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
@@ -354,7 +460,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     the current swing target, stance-height dependent pendulum frequency),
     plan or replan the swing target with plan_placement over the remaining
     step time Ts - s*dt (offsets always over Ts), snap it to steppable
-    ground (the node grid is built at most once per call), record a sample
+    ground (the snap tables are built at most once per call), record a sample
     at the tick instant, then propagate the CoM analytically over dt. When
     no steppable ground is found the sample keeps the raw, unsnapped target.
     hmap is the run's Heightmap, or None on flat ground: nothing is snapped
@@ -378,7 +484,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     if hmap is not None:
         heights, mask, res = hmap.heights, hmap.mask, hmap.resolution
         ox, oy = float(hmap.origin[0]), float(hmap.origin[1])
-        node_grid = []
+        tables = []
         st_z = grid_bilinear(heights, ox, oy, res, st_x, st_y)
     z0 = base_height - st_z
     if z0 <= 0.0:
@@ -435,7 +541,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                     ok, sx, sy = snap_to_steppable(heights, mask, ox, oy, res,
                                                    tg_x, tg_y, FOOT_RADIUS,
                                                    MAX_HEIGHT_DEV, SNAP_SEARCH_RADIUS,
-                                                   node_grid)
+                                                   tables)
                     if ok:
                         tg_x = sx
                         tg_y = sy

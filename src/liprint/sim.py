@@ -71,6 +71,10 @@ class SimConfig:
                 raise ValueError(f"{name.replace('_', ' ')} must be positive and finite, "
                                  f"got {v}")
         Ts = self.gait.step_duration
+        for name, span in (("step", Ts), ("total", self.total_duration)):
+            if not math.isfinite(span / self.dt):
+                raise ValueError(f"dt = {self.dt} makes the {name} duration {span} "
+                                 "a non-finite tick count")
         k = round(Ts / self.dt)
         if k < 1 or abs(k * self.dt - Ts) > 1e-9:
             raise ValueError(f"dt = {self.dt} must divide the step duration {Ts}")
@@ -236,8 +240,9 @@ def _simulate(config: SimConfig, schedule, initial=None) -> SimResult:
     if hmap is not None and not hmap.contains(stance.p):
         raise ValueError("initial stance foot lies outside the heightmap")
     n_ticks = config.n_ticks
-    # a switch before the start or after the end acts at tick 0 or never
-    switches = [(min(max(round(t / config.dt), 0), n_ticks), float(vx), float(vy), float(w))
+    # a switch before the start or after the end acts at tick 0 or never;
+    # clamping before round() keeps a huge t / dt from overflowing
+    switches = [(round(min(max(t / config.dt, 0.0), n_ticks)), float(vx), float(vy), float(w))
                 for t, vx, vy, w in schedule]
     n_rec, outcome, fail_time, rows = _kernels.sim_loop(
         n_ticks, config.dt, config.ticks_per_step, config.lip.g, config.lip.z0,
@@ -390,19 +395,27 @@ def format_float(x: float) -> str:
     return format(float(x) + 0.0, _FLOAT_SPEC)
 
 
+# Rows write_csv formats per write: its memory stays bounded by one block
+# of text and values, whatever the row count.
+CSV_BLOCK_ROWS = 1024
+
+
 def write_csv(path, header, table: np.ndarray, int_columns=()) -> None:
     """A header line and one line per row of the 2-D array `table`.
 
-    One format pass: a row template of "%" + format_float's spec fields
-    ("%.17g" % x equals format(x, ".17g")) and "%d" fields at int_columns
-    (truncating toward zero, as int() does) is applied to table + 0.0,
-    where + 0.0 writes -0.0 as 0. The text goes out in one write.
+    One format pass per block of CSV_BLOCK_ROWS rows: a row template of
+    "%" + format_float's spec fields ("%.17g" % x equals format(x, ".17g"))
+    and "%d" fields at int_columns (truncating toward zero, as int() does)
+    is applied to the block + 0.0, where + 0.0 writes -0.0 as 0. Each
+    block's text goes out in one write.
     """
     n, m = table.shape
-    row = ",".join("%d" if c in int_columns else "%" + _FLOAT_SPEC for c in range(m))
-    text = ((row + "\n") * n) % tuple((table + 0.0).ravel().tolist())
+    row = ",".join("%d" if c in int_columns else "%" + _FLOAT_SPEC for c in range(m)) + "\n"
     with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\n" + text)
+        f.write(",".join(header) + "\n")
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            f.write((row * block.shape[0]) % tuple((block + 0.0).ravel().tolist()))
 
 
 def write_trajectory_csv(result: SimResult, path) -> None:

@@ -229,11 +229,15 @@ def nearest_steppable(h: Heightmap, p, radius: float = FOOT_RADIUS,
     """Steppable point closest to p (ties to smaller x, then smaller y).
 
     p itself when steppable, otherwise the closest steppable grid node; each
-    call that has to search builds the map's node-steppability grid anew.
-    Raises ValueError when no steppable ground lies within max_search.
+    call that has to search builds the map's snap tables anew. Raises
+    ValueError when no steppable ground lies within max_search.
     """
+    if radius <= 0.0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    if not max_search >= 0.0:
+        raise ValueError(f"max_search must be non-negative, got {max_search}")
     ok, sx, sy = _kernels.snap_to_steppable(
-        h.heights, h.mask, h.origin[0], h.origin[1], h.resolution,
+        h.heights, h.mask, float(h.origin[0]), float(h.origin[1]), h.resolution,
         float(p[0]), float(p[1]), radius, max_dev, max_search, [])
     if not ok:
         raise ValueError(

@@ -103,6 +103,64 @@ def exhaustive_nearest_steppable(hmap, p, is_steppable_fn):
     return best
 
 
+def _two_window_nearest_node(node_grid, ox, oy, res, x, y, ci, cj, k, budget2):
+    """Closest steppable node to (x, y) with d2 <= budget2 among the nodes
+    at Chebyshev distance <= k from node (ci, cj): (found, nx, ny, d2).
+
+    Nodes within 1e-12 of the minimum d2 (and within the budget) tie; a tie
+    goes to the first tied node in column-major order, i.e. the smaller x,
+    then the smaller y.
+    """
+    rows, cols = node_grid.shape
+    i_lo = max(ci - k, 0)
+    i_hi = min(ci + k, rows - 1)
+    j_lo = max(cj - k, 0)
+    j_hi = min(cj + k, cols - 1)
+    if i_lo > i_hi or j_lo > j_hi:
+        return False, 0.0, 0.0, 0.0
+    dx = ox + np.arange(j_lo, j_hi + 1) * res - x
+    dy = oy + np.arange(i_lo, i_hi + 1) * res - y
+    d2 = (dy * dy)[:, None] + dx * dx
+    d2[~node_grid[i_lo:i_hi + 1, j_lo:j_hi + 1]] = np.inf
+    best = d2.min()
+    if not best <= budget2:
+        return False, 0.0, 0.0, 0.0
+    first = np.argmax(d2.T <= min(best + 1e-12, budget2))
+    i = i_lo + first % d2.shape[0]
+    j = j_lo + first // d2.shape[0]
+    return True, ox + j * res, oy + i * res, float(d2[i - i_lo, j - j_lo])
+
+
+def two_window_snap(heights, mask, ox, oy, res, x, y, radius, max_dev, max_search,
+                    grid):
+    """liprint._kernels.snap_to_steppable as numpy windows over `grid`, the
+    node_steppable_grid of the same map, radius and max_dev: the reference
+    for the table search.
+
+    The search looks first in the window of Chebyshev radius 4 around the
+    query's nearest node (ci, cj). Any node outside it lies more than
+    4.5*res from the query, so the window's best node is the overall best
+    when 4*res exceeds its distance. Otherwise it searches the full window
+    of int(max_search/res) + 2 rings, which holds every node within
+    max_search.
+    """
+    from liprint import _kernels
+
+    if _kernels.steppable(heights, mask, ox, oy, res, x, y, radius, max_dev):
+        return True, x, y
+    ci = int(round((y - oy) / res))
+    cj = int(round((x - ox) / res))
+    budget2 = max_search * max_search + 1e-12
+    max_ring = int(max_search / res) + 2
+    k = min(4, max_ring)
+    found, bx, by, best_d2 = _two_window_nearest_node(grid, ox, oy, res, x, y,
+                                                      ci, cj, k, budget2)
+    if k < max_ring and not (found and k * res > math.sqrt(best_d2)):
+        found, bx, by, best_d2 = _two_window_nearest_node(grid, ox, oy, res, x, y,
+                                                          ci, cj, max_ring, budget2)
+    return found, bx, by
+
+
 def sweep_per_trial(configs, trials, base_seed=0, window=5.0, tolerance=0.1):
     """liprint.sim.sweep as one simulation per trial, whatever the terrain:
     the reference for sweep running a trial-invariant config once."""

@@ -414,6 +414,10 @@ class TestUsage:
         (["simulate", "--vx", "1", "--turn", "90", "--turn-time", "inf"],
          "turn angle and time must be finite"),
         (["simulate", "--vx", "1", "--turn", "nan"], "turn angle and time must be finite"),
+        (["simulate", "--vx", "1", "--duration", "1e307"],
+         "total duration 1e+307 a non-finite tick count"),
+        (["simulate", "--vx", "1", "--dt", "1e-320"],
+         "step duration 0.35 a non-finite tick count"),
         (["terrain", "gen", "--spec", "flat", "--resolution", "nan"],
          "resolution must be positive"),
         (["terrain", "gen", "--spec", "flat", "--extent", "0:0:inf:1"],
@@ -486,7 +490,8 @@ class TestUsage:
           '{{"com":[0,0],"vel":[0,0],"stance":[0,-0.15],"parity":1e400}}'],
          "malformed --state JSON"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
-            "g-nan", "turn-time-inf", "turn-nan", "resolution-nan", "extent-inf",
+            "g-nan", "turn-time-inf", "turn-nan", "duration-overflow", "dt-underflow",
+            "resolution-nan", "extent-inf",
             "map-without-origin", "map-not-object", "sweep-trials-negative",
             "sweep-window-negative", "sweep-window-zero", "sweep-window-nan",
             "sweep-tolerance-nan", "sweep-tolerance-negative",
@@ -545,11 +550,13 @@ class TestUsage:
     def test_turn_after_run_end_writes_plain_run(self, tmp_path):
         args = ["simulate", "--vx", "1", "--duration", "2", "--terrain", "rough:0.05:0.5:0"]
         assert main(args + ["--out", str(tmp_path / "plain.csv")]) == 0
-        assert main(args + ["--turn", "90", "--turn-time", "1e300",
-                            "--out", str(tmp_path / "late.csv")]) == 0
-        for suffix in (".csv", ".events.json"):
-            assert ((tmp_path / f"late{suffix}").read_bytes()
-                    == (tmp_path / f"plain{suffix}").read_bytes())
+        # 1e307 s / dt overflows to inf, which clamps to the end like 1e300 s
+        for turn_time in ("1e300", "1e307"):
+            assert main(args + ["--turn", "90", "--turn-time", turn_time,
+                                "--out", str(tmp_path / "late.csv")]) == 0
+            for suffix in (".csv", ".events.json"):
+                assert ((tmp_path / f"late{suffix}").read_bytes()
+                        == (tmp_path / f"plain{suffix}").read_bytes())
 
     def test_bad_terrain_spec(self, tmp_path):
         rc = main(["simulate", "--vx", "1.0", "--terrain", "lava:9",

@@ -366,19 +366,19 @@ class TestTerrainRuns:
 
     def test_node_grid_built_lazily_once_per_run(self, monkeypatch):
         builds = []
-        build = _kernels.node_steppable_grid
+        build = _kernels.snap_tables
 
         def counting_build(*args):
             builds.append(args[0].shape)
             return build(*args)
 
-        monkeypatch.setattr(_kernels, "node_steppable_grid", counting_build)
+        monkeypatch.setattr(_kernels, "snap_tables", counting_build)
         # gentle rough ground: every snap query is itself steppable
         gentle = TerrainSpec(kind="rough", amplitude=0.005, correlation=0.5, seed=1)
         assert run(config(vx=1.0, duration=4.0, replan=sim_mod.REPLAN_EVERY_TICK,
                           terrain=gentle)).completed
         assert builds == []
-        # gap ground moves targets many times per run but builds the grid once
+        # gap ground moves targets many times per run but builds the tables once
         assert run(config(vx=0.7, duration=4.0, replan=sim_mod.REPLAN_EVERY_TICK,
                           terrain=gap_spec())).completed
         assert len(builds) == 1
@@ -665,6 +665,16 @@ class TestWritersMatchPerValueOracles:
         write_trajectory_csv_per_value(result, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    @pytest.mark.parametrize("n", [0, 1, sim_mod.CSV_BLOCK_ROWS - 1,
+                                   sim_mod.CSV_BLOCK_ROWS, sim_mod.CSV_BLOCK_ROWS + 1])
+    def test_trajectory_csv_at_block_edges(self, n, tmp_path):
+        result = sim_mod.SimResult(
+            config=config(), outcome="failed", failure_reason=None, failure_time=None,
+            sample_array=_random_samples(np.random.default_rng(n), n))
+        sim_mod.write_trajectory_csv(result, tmp_path / "new.csv")
+        write_trajectory_csv_per_value(result, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     @pytest.mark.parametrize("name", WRITER_CASES)
     def test_step_events(self, name, tmp_path):
         result = _writer_results()[name]
@@ -672,7 +682,8 @@ class TestWritersMatchPerValueOracles:
         write_step_events_per_event(result, tmp_path / "old.json")
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
-    @pytest.mark.parametrize("n", [0, 1, 300])
+    @pytest.mark.parametrize("n", [0, 1, 300, sim_mod.CSV_BLOCK_ROWS - 1,
+                                   sim_mod.CSV_BLOCK_ROWS, sim_mod.CSV_BLOCK_ROWS + 1])
     def test_rewards_csv(self, n, tmp_path):
         rng = np.random.default_rng(n)
         columns = list(_random_samples(rng, n)[:, :17].T)

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+from array import array
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +12,7 @@ from liprint import (Heightmap, TerrainSpec, generate, height_at, is_steppable,
 from liprint import _kernels
 from liprint.terrain import parse_spec
 
-from oracles import exhaustive_nearest_steppable
+from oracles import exhaustive_nearest_steppable, two_window_snap
 
 
 def flat_map(size=4.0, resolution=0.05, height=0.0):
@@ -184,13 +186,24 @@ class TestNearestSteppable:
         found, sx, sy = _kernels.snap_to_steppable(*args, 0.0, 0.0, 0.07, 0.03,
                                                    1.0, holder)
         assert found and sx < -0.1
-        assert len(holder) == 1 and holder[0].dtype == np.bool_
-        npt.assert_array_equal(holder[0], _kernels.node_steppable_grid(
-            *args, 0.07, 0.03))
-        # a later miss reads the grid built by the first one
+        # the first miss fills the holder with the flags and the row tables
+        flags, row_cols = holder
+        assert type(flags) is bytes and len(flags) == (h.rows - 1) * (h.cols - 1)
+        grid = _kernels.node_steppable_grid(*args, 0.07, 0.03)
+        assert len(row_cols) == h.rows
+        for row, ref in zip(row_cols, grid):
+            assert type(row) is array and row.typecode == "q"
+            assert list(row) == np.flatnonzero(ref).tolist()
+        # a later miss reads the tables built by the first one
         assert _kernels.snap_to_steppable(*args, 0.0, 0.0, 0.07, 0.03, 1.0,
                                           holder) == (found, sx, sy)
-        assert len(holder) == 1
+        assert holder[0] is flags and holder[1] is row_cols
+
+    @pytest.mark.parametrize("kw", [{"radius": 0.0}, {"max_search": -1.0},
+                                    {"max_search": math.nan}])
+    def test_bad_radius_or_search_raises(self, kw):
+        with pytest.raises(ValueError, match=f"{next(iter(kw))} must be"):
+            nearest_steppable(gap_map(width=0.2), (0.0, 0.0), **kw)
 
     def test_fully_gapped_raises(self):
         h = gap_map(width=5.0, period=0.1, size=2.0)
@@ -206,16 +219,16 @@ class TestNearestSteppable:
             assert is_steppable(h, q)
 
 
-def _node_grid_map(kind, resolution, seed):
+def _node_grid_map(kind, resolution, seed, amplitude=0.06, gap_period=0.5):
     # non-round origin and extent, so node coordinates carry rounding error
     rng = np.random.default_rng(seed)
     x0, y0 = rng.uniform(-1.37, -1.11), rng.uniform(-0.93, -0.71)
     extent = (x0, y0, x0 + rng.uniform(1.3, 1.7), y0 + rng.uniform(0.8, 1.1))
     if kind == "rough":
-        spec = TerrainSpec(kind="rough", amplitude=0.06, correlation=0.2, seed=seed)
+        spec = TerrainSpec(kind="rough", amplitude=amplitude, correlation=0.2, seed=seed)
     else:
-        spec = TerrainSpec(kind="gap", gap_width=0.15, gap_period=0.5,
-                           gap_offset=float(rng.uniform(0.0, 0.5)))
+        spec = TerrainSpec(kind="gap", gap_width=0.15, gap_period=gap_period,
+                           gap_offset=float(rng.uniform(0.0, gap_period)))
     return generate(spec, extent, resolution)
 
 
@@ -256,6 +269,129 @@ class TestNodeSteppableGrid:
         ref = [[is_steppable(h, (0.5 * j, 0.5 * i), radius=0.5, max_dev=0.25)
                 for j in range(11)] for i in range(11)]
         npt.assert_array_equal(grid, ref)
+
+
+def _plateau_map(resolution):
+    # A flat plateau at 0.3 m with single nodes raised by the largest step
+    # that stays below max_dev = 0.03: a cell whose box holds such a node
+    # has a height spread just under max_dev, and the bilinear height at
+    # some of its points rounds below 0.3, so their deviation reaches
+    # max_dev. Only the flag margin keeps those cells unflagged.
+    base = 0.3
+    raised = base + 0.03
+    while raised - base >= 0.03:
+        raised = math.nextafter(raised, 0.0)
+    heights = np.full((31, 31), base)
+    heights[4::11, 4::11] = raised
+    return Heightmap(origin=(-0.53, 0.27), resolution=resolution, heights=heights,
+                     mask=np.zeros((31, 31)))
+
+
+def _pit_map(resolution):
+    # flat ground with single masked nodes nine nodes apart in x and y
+    mask = np.zeros((37, 37))
+    mask[4::9, 4::9] = 1
+    return Heightmap(origin=(-0.53, 0.27), resolution=resolution,
+                     heights=np.zeros((37, 37)), mask=mask)
+
+
+def _snap_query_points(h, rng, n=40):
+    """Random, node, mid-cell, node + 1e-15 and out-of-grid points."""
+    ox, oy, res = float(h.origin[0]), float(h.origin[1]), h.resolution
+    x1, y1 = ox + (h.cols - 1) * res, oy + (h.rows - 1) * res
+    points = []
+    for _ in range(n):
+        nx = ox + int(rng.integers(0, h.cols)) * res
+        ny = oy + int(rng.integers(0, h.rows)) * res
+        points += [(nx, ny), (nx + 0.5 * res, ny + 0.5 * res),
+                   (nx + 1e-15, ny + 1e-15),
+                   tuple(rng.uniform((ox, oy), (x1, y1)).tolist()),
+                   tuple(rng.uniform((ox - 0.3, oy - 0.3), (x1 + 0.3, y1 + 0.3)).tolist())]
+    return points
+
+
+class TestSnapTables:
+    @pytest.mark.parametrize("kind", ["rough", "gap"])
+    @pytest.mark.parametrize("resolution", [0.03, 0.05, 0.07, 0.1])
+    def test_snap_equals_two_window_search(self, kind, resolution):
+        h = _node_grid_map(kind, resolution, seed=int(resolution * 100))
+        ox, oy = float(h.origin[0]), float(h.origin[1])
+        rng = np.random.default_rng(7)
+        n_flagged = n_moved = n_missed = 0
+        # foot radii below, at and above the node spacing
+        for radius in (0.6 * resolution, resolution, 2.3 * resolution):
+            grid = _kernels.node_steppable_grid(h.heights, h.mask, ox, oy,
+                                                resolution, radius, 0.03)
+            holder = []  # warm: every query on this map and radius shares it
+            for x, y in _snap_query_points(h, rng):
+                for max_search in (0.12, 1.0):
+                    got = _kernels.snap_to_steppable(h.heights, h.mask, ox, oy,
+                                                     resolution, x, y, radius,
+                                                     0.03, max_search, holder)
+                    ref = two_window_snap(h.heights, h.mask, ox, oy, resolution,
+                                          x, y, radius, 0.03, max_search, grid)
+                    assert got == ref, (radius, max_search, x, y)
+                    n_moved += got[0] and got[1:] != (x, y)
+                    n_missed += not got[0]
+            n_flagged += sum(holder[0])
+        assert n_moved > 0 and n_missed > 0
+        # at 0.1 m, two of every five node columns of the gap map are masked,
+        # so no cell box is clear of them
+        assert n_flagged > 0 or (kind, resolution) == ("gap", 0.1)
+
+    @pytest.mark.parametrize("kind", ["rough", "gap"])
+    @pytest.mark.parametrize("resolution", [0.05, 0.1])
+    def test_snap_equals_exhaustive_scan(self, kind, resolution):
+        h = _node_grid_map(kind, resolution, seed=int(resolution * 100) + 1)
+        rng = np.random.default_rng(8)
+        n_moved = 0
+        for radius in (0.6 * resolution, resolution, 2.3 * resolution):
+            node_ok = functools.cache(
+                lambda x, y, r=radius: is_steppable(h, (x, y), radius=r))
+            holder = []
+            for x, y in _snap_query_points(h, rng, n=4):
+                ref = exhaustive_nearest_steppable(
+                    h, (x, y), lambda hm, q: node_ok(float(q[0]), float(q[1])))
+                found, sx, sy = _kernels.snap_to_steppable(
+                    h.heights, h.mask, float(h.origin[0]), float(h.origin[1]),
+                    resolution, x, y, radius, 0.03, 5.0, holder)
+                assert found == (ref is not None)
+                if found:
+                    npt.assert_allclose((sx, sy), ref, atol=1e-9)
+                    n_moved += (sx, sy) != (x, y)
+        assert n_moved > 0
+
+    @pytest.mark.parametrize("kind", ["rough", "gap", "plateau", "pits"])
+    @pytest.mark.parametrize("resolution,radius", [
+        (0.03, 0.07), (0.05, 0.05), (0.07, 0.07), (0.1, 0.1), (0.1, 0.3)])
+    def test_flagged_cells_are_steppable_everywhere(self, kind, resolution, radius):
+        # (0.1, 0.3): 0.3 / 0.1 rounds to just below 3, so the disc bounds of
+        # a point on a far cell edge can round out one node beyond the
+        # int(radius / res) nodes a cell's points reach in exact arithmetic
+        if kind == "plateau":
+            h = _plateau_map(resolution)
+        elif kind == "pits":
+            h = _pit_map(resolution)
+        else:
+            h = _node_grid_map(kind, resolution, seed=int(resolution * 100) + 2,
+                               amplitude=0.025, gap_period=1.2)
+        ox, oy, res = float(h.origin[0]), float(h.origin[1]), h.resolution
+        flags, _ = _kernels.snap_tables(h.heights, h.mask, ox, oy, res, radius, 0.03)
+        flagged = np.flatnonzero(np.frombuffer(flags, dtype=np.uint8))
+        assert flagged.size > 0
+        rng = np.random.default_rng(11)
+        for cell in flagged:
+            i, j = divmod(int(cell), h.cols - 1)
+            x0, x1 = ox + j * res, ox + (j + 1) * res
+            y0, y1 = oy + i * res, oy + (i + 1) * res
+            # the corners and far edges, the points just inside them, and
+            # random points of the closed cell
+            xs = [x0, x1, math.nextafter(x1, x0), *rng.uniform(x0, x1, 3).tolist()]
+            ys = [y0, y1, math.nextafter(y1, y0), *rng.uniform(y0, y1, 3).tolist()]
+            for x in xs:
+                for y in ys:
+                    assert _kernels.steppable(h.heights, h.mask, ox, oy, res, x, y,
+                                              radius, 0.03), (i, j, x, y)
 
 
 class TestGenerate:
