@@ -11,8 +11,7 @@ from .planner import (OffsetVector, PlannedStep, StepCommand,
                       plan_step, predict_final_icp, turning_angle)
 from .terrain import (Heightmap, TerrainSpec, generate, height_at,
                       is_steppable, nearest_steppable)
-from .sim import (SimConfig, SimResult, StepEvent, TrajectorySample,
-                  run, success_metric, sweep, turn_maneuver)
+from .sim import (SimConfig, SimResult, StepEvent, run, success_metric, sweep, turn_maneuver)
 from . import metrics
 
 __version__ = "0.1.0"
@@ -33,7 +32,6 @@ __all__ = [
     "plan_step", "predict_final_icp", "turning_angle",
     "Heightmap", "TerrainSpec", "generate", "height_at",
     "is_steppable", "nearest_steppable",
-    "SimConfig", "SimResult", "StepEvent", "TrajectorySample",
-    "run", "success_metric", "sweep", "turn_maneuver",
+    "SimConfig", "SimResult", "StepEvent", "run", "success_metric", "sweep", "turn_maneuver",
     "metrics",
 ]

@@ -473,7 +473,9 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     COL_PARITY + 1) array after the loop; the gait-phase columns
     (COL_CONTACT_SCHED, COL_PHASE_SIN, COL_PHASE_COS) depend only on the
     tick and the parity and are left to the caller. cosh and sinh of
-    omega*dt are computed once per stance, when omega changes.
+    omega*dt are computed once per stance, when omega changes; if they
+    overflow, the run fails as non-finite with no rows at the start, or
+    after the touchdown's row.
     The rows are the whole record of the run (the touchdown at row
     i = m * ticks_per_step, m >= 1, moves the stance onto row i - 1's
     target); the loop stops after recording a failed tick's row.
@@ -490,8 +492,11 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     if z0 <= 0.0:
         return 0, OUTCOME_BAD_HEIGHT, 0.0, np.empty((0, COL_PARITY + 1))
     omega = math.sqrt(g / z0)
-    ch = math.cosh(omega * dt)
-    sh = math.sinh(omega * dt)
+    try:
+        ch = math.cosh(omega * dt)
+        sh = math.sinh(omega * dt)
+    except OverflowError:
+        return 0, OUTCOME_NON_FINITE, 0.0, np.empty((0, COL_PARITY + 1))
 
     parity = 0
     heading = 0.0
@@ -523,8 +528,12 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                 fail_time = t_now
             else:
                 omega = math.sqrt(g / z0)
-                ch = math.cosh(omega * dt)
-                sh = math.sinh(omega * dt)
+                try:
+                    ch = math.cosh(omega * dt)
+                    sh = math.sinh(omega * dt)
+                except OverflowError:
+                    outcome = OUTCOME_NON_FINITE
+                    fail_time = t_now
         icp_x = com_x + vel_x / omega
         icp_y = com_y + vel_y / omega
 

@@ -285,14 +285,19 @@ def _cmd_plan(args) -> int:
     stance = FootPosition(p=stance_raw[:2],
                           z=stance_raw[2] if len(stance_raw) == 3 else 0.0)
     cmd = StepCommand(v_cmd=(args.vx, args.vy), w_cmd=args.width)
-    gait_state = GaitState(t=Ts - remaining, t_prime=(parity % 2) * Ts + Ts - remaining,
-                           parity=parity, params=GaitParams(step_duration=Ts))
+    gait_state = GaitState(t=Ts - remaining, parity=parity,
+                           params=GaitParams(step_duration=Ts))
     xi0 = icp_of(state)
-    xi_f = predict_final_icp(xi0, stance, params.omega0, remaining)
-    s_d = desired_step_length(cmd, remaining)
-    w_d = desired_step_width(cmd.w_cmd, remaining, Ts)
-    b = offsets(s_d, w_d, params.omega0, remaining)
-    step = plan_step(state, stance, cmd, gait_state)
+    try:
+        xi_f = predict_final_icp(xi0, stance, params.omega0, remaining)
+        s_d = desired_step_length(cmd, remaining)
+        w_d = desired_step_width(cmd.w_cmd, remaining, Ts)
+        b = offsets(s_d, w_d, params.omega0, remaining)
+        step = plan_step(state, stance, cmd, gait_state)
+    except OverflowError:
+        raise _UsageError(f"exp(omega * dT) overflows (omega = {params.omega0:g} 1/s, "
+                          f"dT = {remaining:g} s): lower --g, raise --base-height "
+                          "or shorten --dT") from None
     out = {
         "xi0": [float(xi0.xi[0]), float(xi0.xi[1])],
         "xi_final": [float(xi_f.xi[0]), float(xi_f.xi[1])],

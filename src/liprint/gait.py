@@ -2,9 +2,10 @@
 
 The gait is a fixed-duration alternation: step parity n counts completed
 steps (even n plans the left foot while the right foot supports, odd n the
-opposite). Two clocks run together: t since the current step began, and t'
-since the start of the last right-foot step, which drives the two-step
-phase used by the contact schedule and the sine/cosine phase clock.
+opposite). One clock runs: t since the current step began. The two-step
+clock t' = (n % 2) * Ts + t, since the start of the last right-foot step,
+follows from t and the parity; it drives the two-step phase used by the
+contact schedule and the sine/cosine phase clock.
 """
 
 import math
@@ -24,10 +25,10 @@ class GaitParams:
 
 @dataclass(frozen=True)
 class GaitState:
-    """Clocks and parity; t in [0, Ts), t_prime in [0, 2*Ts)."""
+    """Step clock t in [0, Ts) and parity; the two-step clock t_prime in
+    [0, 2*Ts) is derived from them."""
 
     t: float
-    t_prime: float
     parity: int
     params: GaitParams
 
@@ -35,16 +36,19 @@ class GaitState:
         Ts = self.params.step_duration
         if not (0.0 <= self.t < Ts):
             raise ValueError(f"t must lie in [0, {Ts}), got {self.t}")
-        if not (0.0 <= self.t_prime < 2.0 * Ts):
-            raise ValueError(f"t_prime must lie in [0, {2 * Ts}), got {self.t_prime}")
+
+    @property
+    def t_prime(self) -> float:
+        """Two-step clock (parity % 2) * Ts + t."""
+        return (self.parity % 2) * self.params.step_duration + self.t
 
     @classmethod
     def start(cls, params: GaitParams) -> "GaitState":
-        return cls(t=0.0, t_prime=0.0, parity=0, params=params)
+        return cls(t=0.0, parity=0, params=params)
 
 
 def advance(g: GaitState, dt: float) -> tuple[GaitState, bool]:
-    """Tick both clocks by dt; returns (new state, crossed a step boundary)."""
+    """Tick the step clock by dt; returns (new state, crossed a step boundary)."""
     Ts = g.params.step_duration
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -59,12 +63,7 @@ def advance(g: GaitState, dt: float) -> tuple[GaitState, bool]:
             t = 0.0
         parity += 1
         boundary = True
-    tp = g.t_prime + dt
-    if tp >= 2.0 * Ts - _WRAP_TOL:
-        tp -= 2.0 * Ts
-        if abs(tp) < _WRAP_TOL:
-            tp = 0.0
-    return GaitState(t=t, t_prime=tp, parity=parity, params=g.params), boundary
+    return GaitState(t=t, parity=parity, params=g.params), boundary
 
 
 def remaining_time(g: GaitState) -> float:

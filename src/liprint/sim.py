@@ -7,8 +7,9 @@ CoM propagates analytically between boundaries. Planning runs either once
 per step or every tick, through the same kernel as planner.plan_step;
 targets are snapped to steppable ground and their elevation refined from
 the heightmap. The contact-schedule and phase-clock columns come from
-gait.phase_signals, tabulated once per (ticks_per_step, dt) and shared by
-every run with those values. Failure is recorded, not raised:
+gait.phase_signals at gait.cycle_phase of each tick's GaitState,
+tabulated once per (ticks_per_step, dt) and shared by every run with
+those values. Failure is recorded, not raised:
 a touchdown farther than the reach limit from the capture point or the
 CoM, no steppable ground within the snap radius, or a non-finite state.
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels, terrain as terrain_mod
-from .gait import GaitParams, phase_signals
+from .gait import GaitParams, GaitState, cycle_phase, phase_signals
 from .lip_core import FootPosition, LipParams, LipState
 from .planner import PlannedStep, StepCommand
 from .terrain import Heightmap, TerrainSpec
@@ -90,20 +91,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    time: float
-    com_pos: np.ndarray
-    com_vel: np.ndarray
-    icp: np.ndarray
-    stance_pos: np.ndarray
-    swing_target: PlannedStep
-    parity: int
-    contact_schedule: float
-    phase_sin: float
-    phase_cos: float
-
-
-@dataclass(frozen=True)
 class StepEvent:
     time: float
     planned: PlannedStep
@@ -143,29 +130,6 @@ class SimResult:
                           parity=int(p[_kernels.COL_PARITY])),
                       realized=t[_kernels.COL_STANCE_X:_kernels.COL_STANCE_Z + 1].copy())
             for t, p in zip(touch, planned))
-
-    @property
-    def samples(self) -> tuple:
-        return tuple(self._sample(i) for i in range(self.sample_array.shape[0]))
-
-    def _sample(self, i: int) -> TrajectorySample:
-        row = self.sample_array[i]
-        target = PlannedStep(
-            p_d=row[_kernels.COL_TARGET_X:_kernels.COL_TARGET_Y + 1],
-            z_d=row[_kernels.COL_TARGET_Z],
-            heading=row[_kernels.COL_TARGET_HEADING],
-            parity=int(row[_kernels.COL_PARITY]))
-        return TrajectorySample(
-            time=row[_kernels.COL_TIME],
-            com_pos=row[_kernels.COL_COM_X:_kernels.COL_COM_Y + 1].copy(),
-            com_vel=row[_kernels.COL_VEL_X:_kernels.COL_VEL_Y + 1].copy(),
-            icp=row[_kernels.COL_ICP_X:_kernels.COL_ICP_Y + 1].copy(),
-            stance_pos=row[_kernels.COL_STANCE_X:_kernels.COL_STANCE_Z + 1].copy(),
-            swing_target=target,
-            parity=int(row[_kernels.COL_PARITY]),
-            contact_schedule=row[_kernels.COL_CONTACT_SCHED],
-            phase_sin=row[_kernels.COL_PHASE_SIN],
-            phase_cos=row[_kernels.COL_PHASE_COS])
 
     def boundary_samples(self) -> np.ndarray:
         """Rows recorded at step-boundary instants (touchdowns)."""
@@ -225,9 +189,11 @@ def _materialize_terrain(config: SimConfig, schedule, resolution: float = 0.05):
 @functools.lru_cache(maxsize=16)
 def _phase_table(k: int, dt: float) -> np.ndarray:
     """Read-only (2k, 3) gait-phase table of two steps of k ticks of dt:
-    row (parity % 2) * k + tick % k holds phase_signals at that tick."""
-    Ts = k * dt
-    table = np.array([phase_signals(((r // k) * Ts + (r % k) * dt) / (2.0 * Ts))
+    row (parity % 2) * k + tick % k holds phase_signals at that tick's
+    gait.cycle_phase."""
+    params = GaitParams(step_duration=k * dt)
+    table = np.array([phase_signals(cycle_phase(GaitState(t=(r % k) * dt, parity=r // k,
+                                                          params=params)))
                       for r in range(2 * k)])
     table.flags.writeable = False
     return table
@@ -319,9 +285,7 @@ def success_metric(result: SimResult, vx_cmd: float, window: float,
 
 @dataclass(frozen=True)
 class SweepRow:
-    config_index: int
     vx_cmd: float
-    terrain_label: str
     trials: int
     successes: int
 
@@ -332,18 +296,6 @@ class SweepRow:
 
 def _trial_seed(base_seed: int, trial: int) -> int:
     return int(np.random.SeedSequence([base_seed, trial]).generate_state(1)[0])
-
-
-def _terrain_label(t) -> str:
-    if t is None:
-        return "flat"
-    if isinstance(t, TerrainSpec):
-        if t.kind == "rough":
-            return f"rough:{t.amplitude}:{t.correlation}"
-        if t.kind == "gap":
-            return f"gap:{t.gap_width}:{t.gap_period}:{t.gap_offset}"
-        return "flat"
-    return "heightmap"
 
 
 def sweep(configs, trials: int, base_seed: int = 0, window: float = 5.0,
@@ -364,7 +316,7 @@ def sweep(configs, trials: int, base_seed: int = 0, window: float = 5.0,
     for config in configs:
         _check_window_tolerance(window, tolerance, config.total_duration)
     rows = []
-    for ci, config in enumerate(configs):
+    for config in configs:
         vx = float(config.cmd.v_cmd[0])
         spec = config.terrain
         rough = isinstance(spec, TerrainSpec) and spec.kind == "rough"
@@ -375,9 +327,7 @@ def sweep(configs, trials: int, base_seed: int = 0, window: float = 5.0,
                 cfg = replace(config, terrain=spec.with_seed(_trial_seed(base_seed, trial)))
             if success_metric(run(cfg), vx, window, tolerance):
                 successes += 1 if rough else trials
-        rows.append(SweepRow(config_index=ci, vx_cmd=vx,
-                             terrain_label=_terrain_label(spec),
-                             trials=trials, successes=successes))
+        rows.append(SweepRow(vx_cmd=vx, trials=trials, successes=successes))
     return rows
 
 

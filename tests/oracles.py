@@ -169,7 +169,7 @@ def sweep_per_trial(configs, trials, base_seed=0, window=5.0, tolerance=0.1):
     from liprint import sim
 
     rows = []
-    for ci, config in enumerate(configs):
+    for config in configs:
         successes = 0
         for trial in range(trials):
             cfg = config
@@ -179,8 +179,7 @@ def sweep_per_trial(configs, trials, base_seed=0, window=5.0, tolerance=0.1):
             result = sim.run(cfg)
             if sim.success_metric(result, float(cfg.cmd.v_cmd[0]), window, tolerance):
                 successes += 1
-        rows.append(sim.SweepRow(config_index=ci, vx_cmd=float(config.cmd.v_cmd[0]),
-                                 terrain_label=sim._terrain_label(config.terrain),
+        rows.append(sim.SweepRow(vx_cmd=float(config.cmd.v_cmd[0]),
                                  trials=trials, successes=successes))
     return rows
 

@@ -95,8 +95,8 @@ def test_criterion_4_contact_schedule_properties():
         params = GaitParams(step_duration=TS)
 
         def C(tp):
-            return contact_schedule(GaitState(t=tp % TS, t_prime=tp % (2 * TS),
-                                              parity=0, params=params))
+            return contact_schedule(GaitState(t=tp % TS, parity=int(tp // TS),
+                                              params=params))
 
         for tp in np.linspace(0.0, 2 * TS, 141):
             assert -1.0 <= C(tp) <= 1.0
@@ -140,8 +140,7 @@ def test_criterion_5_turning():
         state = LipState(com_pos=(0.03, -0.01), com_vel=(0.7, 0.1), params=p)
         foot = FootPosition(p=(0.0, -0.15))
         for parity in (0, 1):
-            g = GaitState(t=0.0, t_prime=(parity % 2) * TS, parity=parity,
-                          params=GaitParams(TS))
+            g = GaitState(t=0.0, parity=parity, params=GaitParams(TS))
             step = plan_step(state, foot, StepCommand(v_cmd=(1.0, 0.0)), g)
             xi_f = predict_final_icp(icp_of(state), foot, p.omega0, TS)
             b = offsets(1.0 * TS, 0.3, p.omega0, TS)

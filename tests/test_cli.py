@@ -41,6 +41,27 @@ class TestSimulate:
                    "--out", str(tmp_path / "t.csv")])
         assert rc == 1
 
+    def test_non_finite_state_fails_with_manifest_reason(self, tmp_path):
+        # a reach limit nothing exceeds lets the fast pendulum blow up
+        out = tmp_path / "t.csv"
+        rc = main(["simulate", "--vx", "1", "--g", "1e5", "--reach-limit", "1e300",
+                   "--duration", "5", "--out", str(out)])
+        assert rc == 2
+        outcome = json.loads((tmp_path / "t.manifest.json").read_text())["outcome"]
+        assert outcome["reason"] == "non-finite state"
+        assert outcome["time"] == pytest.approx(2.02, abs=1e-9)
+        assert len(read(out)) == outcome["samples"] + 1
+
+    @pytest.mark.parametrize("flag,value", [("--g", "1e300"), ("--base-height", "1e-300")])
+    def test_overflowing_pendulum_fails_before_the_first_tick(self, tmp_path, flag, value):
+        # cosh(omega * dt) overflows at the start: a failed run with no rows
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--vx", "1", flag, value, "--out", str(out)]) == 2
+        outcome = json.loads((tmp_path / "t.manifest.json").read_text())["outcome"]
+        assert outcome == {"status": "failed", "reason": "non-finite state", "time": 0.0,
+                           "steps": 0, "samples": 0}
+        assert read(out) == [",".join(CSV_COLUMNS)]
+
     def test_impassable_gap_fails_with_manifest_reason(self, tmp_path):
         out = tmp_path / "t.csv"
         rc = main(["simulate", "--vx", "1.0", "--terrain", "gap:2.0:0.1",
@@ -130,6 +151,12 @@ class TestSweep:
         assert [line.split(",")[:2] for line in read(out)[1:]] == [
             ["0.5", f"file:{m}"], ["1", f"file:{m}"], ["1.5", f"file:{m}"]]
 
+    def test_overflowing_pendulum_counts_as_failure(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--vx-list", "1", "--g", "1e300", "--trials", "3",
+                     "--out", str(out)]) == 0
+        assert read(out)[1] == "1,flat,at-step-start,3,0,0"
+
     def test_consecutive_calls_share_no_parser_state(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         common = ["sweep", "--vx-list", "1.0", "--trials", "1", "--duration", "2",
@@ -172,6 +199,16 @@ class TestPlan:
         assert out["step"]["parity"] == 1
         assert out["xi0"][0] == pytest.approx(0.1 + 0.5 / math.sqrt(9.81 / 0.62),
                                               rel=1e-12)
+
+    def test_out_file_holds_printed_text(self, tmp_path, capsys):
+        args = ["plan", "--vx", "0.8", "--vy", "0.1", "--state",
+                '{"com": [0.1, 0.0], "vel": [0.5, 0.0], "stance": [0.0, 0.15], "parity": 1}']
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "plan.json"
+        assert main(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
 
     def test_malformed_state_json(self):
         assert main(["plan", "--vx", "1.0", "--state", "{not json"]) == 1
@@ -404,6 +441,15 @@ class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("argv", [["simulate", "--vx", "1"], ["sweep"],
+                                      ["score", "--traj", "t.csv"],
+                                      ["terrain", "gen", "--spec", "flat"]],
+                             ids=["simulate", "sweep", "score", "terrain-gen"])
+    def test_missing_out_is_usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        command = " ".join(argv[:2] if argv[0] == "terrain" else argv[:1])
+        assert capsys.readouterr().err == f"error: {command} requires --out\n"
+
     @pytest.mark.parametrize("argv,message", [
         (["simulate", "--vx", "1", "--duration", "inf"], "total duration must be positive"),
         (["simulate", "--vx", "1", "--duration", "nan"], "total duration must be positive"),
@@ -489,6 +535,18 @@ class TestUsage:
         (["plan", "--vx", "1", "--state",
           '{{"com":[0,0],"vel":[0,0],"stance":[0,-0.15],"parity":1e400}}'],
          "malformed --state JSON"),
+        (["plan", "--vx", "1", "--state", "[1]"],
+         "malformed --state JSON: state JSON must be an object"),
+        (["plan"], "plan requires --vx"),
+        (["plan", "--vx", "1", "--dT", "0"], "--dT must lie in (0, 0.35]"),
+        (["plan", "--vx", "1", "--dT", "0.5"], "--dT must lie in (0, 0.35]"),
+        (["plan", "--vx", "1", "--g", "1e300"], "lower --g"),
+        (["plan", "--vx", "1", "--base-height", "1e-300"], "raise --base-height"),
+        (["plan", "--vx", "1", "--Ts", "1000"], "shorten --dT"),
+        (["simulate", "--vx", "1", "--terrain", "file:{far_away}"],
+         "initial stance foot lies outside the heightmap"),
+        (["terrain", "gen", "--spec", "file:x"],
+         "terrain gen expects a generative spec, not file:"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-nan", "duration-overflow", "dt-underflow",
             "resolution-nan", "extent-inf",
@@ -504,7 +562,10 @@ class TestUsage:
             "map-origin-overflow", "map-origin-null", "map-origin-three",
             "map-heights-strings", "map-origin-bool-string", "map-origin-numeric-string",
             "map-heights-numeric-string", "map-mask-numeric-string", "map-mask-bool",
-            "map-heights-huge-int", "map-resolution-huge-int", "plan-parity-overflow"])
+            "map-heights-huge-int", "map-resolution-huge-int", "plan-parity-overflow",
+            "plan-state-list", "plan-missing-vx", "plan-dT-zero", "plan-dT-over-step",
+            "plan-g-overflow", "plan-base-height-underflow", "plan-dT-overflow",
+            "map-excludes-stance", "terrain-gen-file-spec"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}
@@ -533,6 +594,8 @@ class TestUsage:
             # integers that no float holds
             "heights_huge_int": {**good, "heights": [10 ** 400, 0, 0, 0]},
             "resolution_huge_int": {**good, "resolution": 10 ** 400},
+            # covers [5, 5.1] x [5, 5.1], not the initial stance (0, -0.15)
+            "far_away": {**good, "origin": [5, 5]},
         }
         paths = {}
         for name, doc in maps.items():

@@ -9,10 +9,13 @@ from liprint import (GaitParams, GaitState, advance, contact_schedule,
 TS = 0.35
 
 
-def gait(t=0.0, t_prime=None, parity=0, Ts=TS):
-    if t_prime is None:
-        t_prime = (parity % 2) * Ts + t
-    return GaitState(t=t, t_prime=t_prime, parity=parity, params=GaitParams(Ts))
+def gait(t=0.0, parity=0, Ts=TS):
+    return GaitState(t=t, parity=parity, params=GaitParams(Ts))
+
+
+def at(tp, Ts=TS):
+    """The state whose two-step clock reads tp: t = tp % Ts, parity tp // Ts."""
+    return gait(t=tp % Ts, parity=int(tp // Ts), Ts=Ts)
 
 
 class TestAdvance:
@@ -51,6 +54,7 @@ class TestAdvance:
         for _ in range(140):
             g, _ = advance(g, 0.01)
             tps.append(g.t_prime)
+            assert g.t_prime == (g.parity % 2) * TS + g.t
         assert max(tps) < 2 * TS
         assert min(tps) >= 0.0
 
@@ -74,26 +78,26 @@ class TestContactSchedule:
         assert contact_schedule(gait()) == 0.0
 
     def test_quarter_phase(self):
-        c = contact_schedule(gait(t_prime=0.25 * 2 * TS, t=0.175))
+        c = contact_schedule(gait(t=0.175))
         assert c == pytest.approx(1.0 / math.sqrt(1.04), abs=1e-12)
         assert c == pytest.approx(0.980581, abs=1e-6)
 
     def test_three_quarter_phase(self):
-        c = contact_schedule(gait(t_prime=0.75 * 2 * TS, t=0.175, parity=1))
+        c = contact_schedule(gait(t=0.175, parity=1))
         assert c == pytest.approx(-1.0 / math.sqrt(1.04), abs=1e-12)
 
     def test_bounds_and_period(self):
         # sampled over one full cycle: bounded, and exactly periodic in 2 Ts
         for frac in np.linspace(0.0, 0.999, 97):
             tp = frac * 2 * TS
-            c = contact_schedule(gait(t=tp % TS, t_prime=tp))
+            c = contact_schedule(at(tp))
             assert -1.0 <= c <= 1.0
 
     def test_half_period_antisymmetry(self):
         for frac in np.linspace(0.0, 0.499, 41):
             tp = frac * 2 * TS
-            c1 = contact_schedule(gait(t=tp % TS, t_prime=tp))
-            c2 = contact_schedule(gait(t=(tp + TS) % TS, t_prime=tp + TS))
+            c1 = contact_schedule(at(tp))
+            c2 = contact_schedule(at(tp + TS))
             assert c2 == pytest.approx(-c1, abs=1e-12)
 
 
@@ -102,18 +106,18 @@ class TestPhaseClock:
         assert phase_clock(gait()) == (0.0, 1.0)
 
     def test_quarter(self):
-        s, c = phase_clock(gait(t_prime=0.25 * 2 * TS, t=0.175))
+        s, c = phase_clock(gait(t=0.175))
         assert s == pytest.approx(1.0, abs=1e-12)
         assert c == pytest.approx(0.0, abs=1e-12)
 
     def test_tenth(self):
-        s, c = phase_clock(gait(t_prime=0.1 * 2 * TS, t=0.07))
+        s, c = phase_clock(gait(t=0.07))
         assert s == pytest.approx(0.587785, abs=1e-6)
         assert c == pytest.approx(0.809017, abs=1e-6)
 
     def test_unit_circle(self):
         for tp in np.linspace(0.0, 2 * TS * 0.999, 29):
-            s, c = phase_clock(gait(t=tp % TS, t_prime=tp))
+            s, c = phase_clock(at(tp))
             assert s * s + c * c == pytest.approx(1.0, rel=1e-12)
 
 
@@ -151,7 +155,5 @@ class TestValidation:
             gait(t=0.35)
         with pytest.raises(ValueError):
             gait(t=-0.01)
-        with pytest.raises(ValueError):
-            GaitState(t=0.0, t_prime=0.7, parity=0, params=GaitParams(TS))
         with pytest.raises(ValueError):
             GaitParams(0.0)

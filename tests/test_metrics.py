@@ -120,7 +120,7 @@ class TestContactSchedule:
         assert r == pytest.approx(9.0 * math.exp(-0.1 / SIGMA), rel=1e-12)
 
     def test_gait_state_input(self):
-        g = GaitState(t=0.175, t_prime=0.175, parity=0, params=GaitParams(0.35))
+        g = GaitState(t=0.175, parity=0, params=GaitParams(0.35))
         s = RobotSample(foot_pos=((0.1, -0.15), (0.5, 0.15)),
                         foot_contact=(True, False))
         targets = [(0.1, -0.15), (0.9, 0.15)]

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from liprint import (FootPosition, GaitParams, GaitState, IcpPoint, LipParams,
-                     LipState, StepCommand, com_trajectory, desired_step_length,
+                     LipState, PlannedStep, StepCommand, com_trajectory, desired_step_length,
                      desired_step_width, icp_of, icp_trajectory, offsets,
                      plan_step, predict_final_icp, turning_angle)
 from liprint.planner import wrap_angle
@@ -21,8 +21,7 @@ def params_for(w=W_TABLE):
 
 
 def gait_at(t=0.0, parity=0, Ts=TS):
-    return GaitState(t=t, t_prime=(parity % 2) * Ts + t, parity=parity,
-                     params=GaitParams(Ts))
+    return GaitState(t=t, parity=parity, params=GaitParams(Ts))
 
 
 def cmd(vx, vy=0.0, w=0.3):
@@ -127,6 +126,21 @@ class TestTurningAngle:
         c = StepCommand(v_cmd=(0.0, 0.0), w_cmd=0.3, fallback_heading=0.7)
         assert turning_angle(c) == pytest.approx(0.7, abs=1e-15)
         assert turning_angle(cmd(0.0, 0.0)) == 0.0
+
+
+class TestWrapAngle:
+    @pytest.mark.parametrize("a,wrapped", [
+        (1.5 * math.pi, -0.5 * math.pi),  # above pi: one turn down
+        (-1.5 * math.pi, 0.5 * math.pi),  # below -pi: one turn up
+        (-math.pi, math.pi),  # the open end maps to the closed one
+        (math.pi, math.pi),
+    ])
+    def test_wraps_into_half_open_interval(self, a, wrapped):
+        assert wrap_angle(a) == pytest.approx(wrapped, abs=1e-15)
+
+    def test_planned_step_heading_is_wrapped(self):
+        step = PlannedStep(p_d=(0.0, 0.0), z_d=0.0, heading=4.0, parity=0)
+        assert step.heading == 4.0 - 2.0 * math.pi
 
 
 class TestPlanStep:

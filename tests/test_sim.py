@@ -134,8 +134,7 @@ def planned_from_row(cfg, row, fallback_heading=0.0):
     stance = FootPosition(p=row[COL_STANCE_X:COL_STANCE_Y + 1], z=row[COL_STANCE_Z])
     c = StepCommand(v_cmd=cfg.cmd.v_cmd, w_cmd=cfg.cmd.w_cmd,
                     fallback_heading=fallback_heading)
-    gait = GaitState(t=i % k * dt, t_prime=parity % 2 * Ts + i % k * dt,
-                     parity=parity, params=GaitParams(step_duration=Ts))
+    gait = GaitState(t=i % k * dt, parity=parity, params=GaitParams(step_duration=Ts))
     return plan_step(state, stance, c, gait, horizon=Ts)
 
 
@@ -201,8 +200,7 @@ class TestSharedCore:
         Ts = k * dt
         for i, row in enumerate(arr):
             parity = int(row[COL_PARITY])
-            g = GaitState(t=i % k * dt, t_prime=parity % 2 * Ts + i % k * dt,
-                          parity=parity, params=GaitParams(step_duration=Ts))
+            g = GaitState(t=i % k * dt, parity=parity, params=GaitParams(step_duration=Ts))
             assert row[COL_CONTACT_SCHED] == contact_schedule(g)
             assert (row[COL_PHASE_SIN], row[COL_PHASE_COS]) == phase_clock(g)
 
@@ -223,12 +221,13 @@ class TestSampleConsistency:
 
     def test_sample_objects(self):
         res = run(config(vx=0.7, duration=1.0))
-        samples = res.samples
-        assert len(samples) == 100
-        s = samples[40]
-        assert s.time == pytest.approx(0.40, abs=1e-12)
-        assert s.parity == 1
-        npt.assert_array_equal(s.stance_pos[:2], res.step_events[0].realized[:2])
+        arr = res.sample_array
+        assert arr.shape[0] == 100
+        s = arr[40]
+        assert s[COL_TIME] == pytest.approx(0.40, abs=1e-12)
+        assert s[COL_PARITY] == 1
+        npt.assert_array_equal(s[COL_STANCE_X:COL_STANCE_Y + 1],
+                               res.step_events[0].realized[:2])
 
 
 class TestTurning:
@@ -414,15 +413,19 @@ def loaded_map(step_height=0.0, gap=False):
 class TestStepEvents:
     """step_events are read from the sample rows at each touchdown."""
 
-    @pytest.mark.parametrize("case", ["reach", "height"])
+    @pytest.mark.parametrize("case", ["reach", "height", "overflow"])
     def test_failed_touchdown_is_last_event(self, case):
         if case == "reach":
             cfg = config(vx=1.0, reach=0.05)
             outcome = _kernels.OUTCOME_REACH
-        else:
+        elif case == "height":
             # the ground ahead is higher than the 0.62 m pendulum
             cfg = config(vx=1.0, terrain=loaded_map(step_height=0.7))
             outcome = _kernels.OUTCOME_BAD_HEIGHT
+        else:
+            # ground 1e-13 m below the base height: cosh(omega * dt) overflows
+            cfg = config(vx=1.0, terrain=loaded_map(step_height=0.62 - 1e-13))
+            outcome = _kernels.OUTCOME_NON_FINITE
         res = run(cfg)
         assert res.failure_reason == sim_mod._FAIL_REASONS[outcome]
         events = res.step_events
@@ -435,6 +438,9 @@ class TestStepEvents:
         assert last.planned.z_d == last.realized[2]
         if case == "height":
             assert last.realized[2] >= cfg.lip.z0
+        if case == "overflow":
+            assert 0.0 < cfg.lip.z0 - last.realized[2] < 1e-12
+            assert np.isfinite(arr).all()
 
     @pytest.mark.parametrize("case", ["no-ground-mid-step", "no-ground-at-start",
                                       "height-at-start"])
@@ -740,6 +746,21 @@ class TestSimLoopRows:
             0.0, 0.0, 0.0, 0.0, 0.0, -0.15)
         assert (n_rec, outcome, fail_time) == (0, _kernels.OUTCOME_BAD_HEIGHT, 0.0)
         assert rows.shape == (0, COL_PARITY + 1)
+
+    @pytest.mark.parametrize("g,z0", [(1e300, 0.62), (9.81, 1e-300)])
+    def test_overflow_at_start_records_no_rows(self, g, z0):
+        # cosh(omega * dt) overflows before the first tick: a failed run, as
+        # a non-positive pendulum height gives
+        n_rec, outcome, fail_time, rows = _kernels.sim_loop(
+            10, 0.01, 35, g, z0, [(0, 1.0, 0.0, 0.3)], False, 0.6, None,
+            0.0, 0.0, 0.0, 0.0, 0.0, -0.15)
+        assert (n_rec, outcome, fail_time) == (0, _kernels.OUTCOME_NON_FINITE, 0.0)
+        assert rows.shape == (0, COL_PARITY + 1)
+        res = run(replace(config(vx=1.0), lip=LipParams(g=g, z0=z0)))
+        assert (res.outcome, res.failure_reason, res.failure_time) == (
+            "failed", "non-finite state", 0.0)
+        assert res.sample_array.shape == (0, _kernels.N_SAMPLE_COLS)
+        assert res.step_events == ()
 
     def test_simulate_passes_python_floats(self, monkeypatch):
         calls = []
