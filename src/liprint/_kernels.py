@@ -3,7 +3,8 @@
 Kernels are plain numpy/Python on floats, ndarrays and lists (sim_loop
 also takes the run's Heightmap), and each formula is written once here:
 ICP propagation (icp_step), the foot placement with its offsets and
-heading rule (plan_placement), and the grid-cell lookup (_cell). The
+heading rule (plan_placement), and the grid-cell lookup with its bilinear
+sum (_cell for one point, grid_resample for a separable grid of them). The
 dataclass-based public API in lip_core / planner / terrain / sim validates
 its arguments and calls these kernels.
 
@@ -161,6 +162,24 @@ def _cell(heights, ox, oy, res, x, y):
                   + heights[i + 1, j + 1] * fy * fx)
 
 
+def grid_resample(grid, gy, gx):
+    """_cell on separable grid coordinates: gy holds one per output row, gx
+    one per output column. Returns (i, j, values): the clamped floors
+    (see _cell_index) and the (len(gy), len(gx)) bilinear values. Each
+    value is _cell's four terms in _cell's order, the row weight applied
+    to whole grid rows before the column gather, so it equals _cell bit
+    for bit.
+    """
+    i = np.clip(np.floor(gy).astype(np.int64), 0, grid.shape[0] - 2)
+    j = np.clip(np.floor(gx).astype(np.int64), 0, grid.shape[1] - 2)
+    fy = (gy - i)[:, None]
+    fx = gx - j
+    lo = grid[i] * (1.0 - fy)
+    hi = grid[i + 1] * fy
+    return i, j, (lo[:, j] * (1.0 - fx) + lo[:, j + 1] * fx
+                  + hi[:, j] * (1.0 - fx) + hi[:, j + 1] * fx)
+
+
 def grid_bilinear(heights, ox, oy, res, x, y):
     """Bilinear height at (x, y). Caller guarantees the point is in bounds."""
     return _cell(heights, ox, oy, res, x, y)[2]
@@ -218,35 +237,20 @@ def node_steppable_grid(heights, mask, ox, oy, res, radius, max_dev):
     """steppable() evaluated at every grid node, as a (rows, cols) bool grid.
 
     Cell (i, j) equals steppable(..., ox + j*res, oy + i*res, ...) bit for
-    bit: the bounds test, the enclosing cell, the 2x2 mask test, the
-    bilinear surface height h0, the per-node ceil/floor disc bounds and the
-    dx*dx + dy*dy > r2 test repeat the scalar kernel's floating-point
-    operations on node arrays.
+    bit: the enclosing cell and the bilinear surface height h0
+    (grid_resample), the 2x2 mask test, the per-node ceil/floor disc bounds
+    and the dx*dx + dy*dy > r2 test repeat the scalar kernel's
+    floating-point operations on node arrays. steppable()'s bounds test
+    holds at every node: ox + j*res is monotone in j under rounding, so
+    for 0 <= j <= cols-1 it lies between ox and ox + (cols-1)*res.
     The disc scan becomes one pass per stencil offset (di, dj) inside the
     bounding box of the disc bounds, each over shifted slices of the grid.
     """
     rows, cols = heights.shape
     xs = ox + np.arange(cols) * res
     ys = oy + np.arange(rows) * res
-    in_x = (xs >= ox) & (xs <= ox + (cols - 1) * res)
-    in_y = (ys >= oy) & (ys <= oy + (rows - 1) * res)
-    gx = (xs - ox) / res
-    gy = (ys - oy) / res
-    j0 = np.minimum(np.maximum(np.floor(gx).astype(np.int64), 0), cols - 2)
-    i0 = np.minimum(np.maximum(np.floor(gy).astype(np.int64), 0), rows - 2)
-    cell_masked = ((mask[:-1, :-1] != 0) | (mask[:-1, 1:] != 0)
-                   | (mask[1:, :-1] != 0) | (mask[1:, 1:] != 0))
-    ok = ~cell_masked[i0][:, j0]
-    ok &= in_y[:, None] & in_x[None, :]
-
-    fx = (gx - j0)[None, :]
-    fy = (gy - i0)[:, None]
-    lo_rows = heights[i0]
-    hi_rows = heights[i0 + 1]
-    h0 = (lo_rows[:, j0] * (1.0 - fy) * (1.0 - fx)
-          + lo_rows[:, j0 + 1] * (1.0 - fy) * fx
-          + hi_rows[:, j0] * fy * (1.0 - fx)
-          + hi_rows[:, j0 + 1] * fy * fx)
+    i0, j0, h0 = grid_resample(heights, (ys - oy) / res, (xs - ox) / res)
+    ok = _box_reduce(mask, 0, np.maximum)[i0][:, j0] == 0
 
     jlo = np.maximum(np.ceil((xs - radius - ox) / res).astype(np.int64), 0)
     jhi = np.minimum(np.floor((xs + radius - ox) / res).astype(np.int64), cols - 1)
@@ -328,18 +332,9 @@ def snap_tables(heights, mask, ox, oy, res, radius, max_dev):
     box_masked = _box_reduce(mask, R, np.maximum)
     box_hi = _box_reduce(heights, R, np.maximum)
     box_lo = _box_reduce(heights, R, np.minimum)
-    # box_hi = max(box_hi - lowest corner, highest corner - box_lo), with
-    # one corner buffer and in place, so no step outgrows the node grid's
-    a, b = heights[:-1, :-1], heights[:-1, 1:]
-    c, d = heights[1:, :-1], heights[1:, 1:]
-    corner = np.minimum(a, b)
-    np.minimum(corner, c, out=corner)
-    np.minimum(corner, d, out=corner)
-    box_hi -= corner
-    np.maximum(a, b, out=corner)
-    np.maximum(corner, c, out=corner)
-    np.maximum(corner, d, out=corner)
-    np.subtract(corner, box_lo, out=box_lo)
+    # box_hi = max(box_hi - lowest corner, highest corner - box_lo), in place
+    box_hi -= _box_reduce(heights, 0, np.minimum)
+    np.subtract(_box_reduce(heights, 0, np.maximum), box_lo, out=box_lo)
     np.maximum(box_hi, box_lo, out=box_hi)
     margin = 1e-9 * max(1.0, float(np.abs(heights).max()))
     flags = ((box_hi < max_dev - margin) & (box_masked == 0)).tobytes()

@@ -355,7 +355,7 @@ def _joint_columns(path, n) -> dict:
     """metrics.reward_table columns from a joint-log CSV with n data rows."""
     rows = _read_rows(path)
     if not rows:
-        return {}
+        raise _UsageError(f"joint log {path} is empty")
     header, data = rows[0], rows[1:]
     if len(data) != n:
         raise _UsageError(f"joint log has {len(data)} rows but the trajectory has {n}")

@@ -21,12 +21,16 @@ BASE_HEIGHT = 0.62
 
 
 def natural_frequency(g: float, z0: float) -> float:
-    """Pendulum natural frequency sqrt(g / z0)."""
+    """Pendulum natural frequency sqrt(g / z0); g, z0 and their ratio must
+    be positive and finite."""
     if not (g > 0.0 and math.isfinite(g)):
         raise ValueError(f"gravity must be positive and finite, got {g}")
     if not (z0 > 0.0 and math.isfinite(z0)):
         raise ValueError(f"pendulum height must be positive and finite, got {z0}")
-    return math.sqrt(g / z0)
+    ratio = g / z0
+    if not (ratio > 0.0 and math.isfinite(ratio)):
+        raise ValueError(f"g / z0 must be positive and finite, got {g} / {z0} = {ratio}")
+    return math.sqrt(ratio)
 
 
 def _vec2(v, name: str) -> np.ndarray:

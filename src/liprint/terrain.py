@@ -250,7 +250,8 @@ def generate(spec: TerrainSpec, extent, resolution: float) -> Heightmap:
 
     Deterministic in (spec, extent, resolution). Rough terrain is bilinear
     value noise: an independent uniform height in [-amplitude, amplitude]
-    per lattice cell of the correlation length, interpolated to the grid.
+    per lattice node, spaced by the correlation length, interpolated to the
+    grid nodes by _kernels.grid_resample.
     Gap terrain is flat with periodic non-supporting strips across x; nodes
     strictly inside a strip are masked.
     """
@@ -274,18 +275,8 @@ def generate(spec: TerrainSpec, extent, resolution: float) -> Heightmap:
         lat_rows = int(math.ceil(y1 / corr)) - lat_y0 + 2
         lattice = rng.uniform(-spec.amplitude, spec.amplitude, (lat_rows, lat_cols))
         ys = y0 + resolution * np.arange(rows)
-        gx = xs / corr - lat_x0
-        gy = ys / corr - lat_y0
-        jx = np.clip(np.floor(gx).astype(np.int64), 0, lat_cols - 2)
-        iy = np.clip(np.floor(gy).astype(np.int64), 0, lat_rows - 2)
-        fx = (gx - jx)[None, :]
-        fy = (gy - iy)[:, None]
-        iy = iy[:, None]
-        jx = jx[None, :]
-        heights = (lattice[iy, jx] * (1 - fy) * (1 - fx)
-                   + lattice[iy, jx + 1] * (1 - fy) * fx
-                   + lattice[iy + 1, jx] * fy * (1 - fx)
-                   + lattice[iy + 1, jx + 1] * fy * fx)
+        heights = _kernels.grid_resample(lattice, ys / corr - lat_y0,
+                                         xs / corr - lat_x0)[2]
     elif spec.kind == "gap":
         rel = np.mod(xs - spec.gap_offset, spec.gap_period)
         in_gap = (rel > 1e-12) & (rel < spec.gap_width - 1e-12)

@@ -161,6 +161,35 @@ def two_window_snap(heights, mask, ox, oy, res, x, y, radius, max_dev, max_searc
     return found, bx, by
 
 
+def rough_heights_per_formula(spec, extent, resolution):
+    """liprint.terrain.generate's rough heights with the bilinear sum written
+    out on 2-D index arrays, each corner gathered before its two weights
+    are applied: the reference for generate reading the lattice through
+    _kernels.grid_resample."""
+    x0, y0, x1, y1 = (float(v) for v in extent)
+    cols = max(2, int(math.ceil((x1 - x0) / resolution)) + 1)
+    rows = max(2, int(math.ceil((y1 - y0) / resolution)) + 1)
+    rng = np.random.default_rng(spec.seed)
+    corr = spec.correlation
+    lat_x0 = math.floor(x0 / corr) - 1
+    lat_y0 = math.floor(y0 / corr) - 1
+    lat_cols = int(math.ceil(x1 / corr)) - lat_x0 + 2
+    lat_rows = int(math.ceil(y1 / corr)) - lat_y0 + 2
+    lattice = rng.uniform(-spec.amplitude, spec.amplitude, (lat_rows, lat_cols))
+    gx = (x0 + resolution * np.arange(cols)) / corr - lat_x0
+    gy = (y0 + resolution * np.arange(rows)) / corr - lat_y0
+    jx = np.clip(np.floor(gx).astype(np.int64), 0, lat_cols - 2)
+    iy = np.clip(np.floor(gy).astype(np.int64), 0, lat_rows - 2)
+    fx = (gx - jx)[None, :]
+    fy = (gy - iy)[:, None]
+    iy = iy[:, None]
+    jx = jx[None, :]
+    return (lattice[iy, jx] * (1 - fy) * (1 - fx)
+            + lattice[iy, jx + 1] * (1 - fy) * fx
+            + lattice[iy + 1, jx] * fy * (1 - fx)
+            + lattice[iy + 1, jx + 1] * fy * fx)
+
+
 def sweep_per_trial(configs, trials, base_seed=0, window=5.0, tolerance=0.1):
     """liprint.sim.sweep as one simulation per trial, whatever the terrain:
     the reference for sweep running a trial-invariant config once."""

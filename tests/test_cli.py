@@ -307,6 +307,14 @@ class TestScore:
         assert main(["score", "--traj", str(traj), "--joints", str(joints),
                      "--out", str(tmp_path / "r.csv")]) == 1
 
+    def test_empty_joint_log(self, tmp_path, capsys):
+        traj = write_traj(tmp_path, [zero_row()])
+        joints = tmp_path / "j.csv"
+        joints.write_text("")
+        assert main(["score", "--traj", str(traj), "--joints", str(joints),
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        assert f"joint log {joints} is empty" in capsys.readouterr().err
+
     def test_joint_row_shorter_than_header(self, tmp_path, capsys):
         traj = write_traj(tmp_path, [zero_row()])
         joints = tmp_path / "j.csv"
@@ -450,6 +458,9 @@ class TestUsage:
         command = " ".join(argv[:2] if argv[0] == "terrain" else argv[:1])
         assert capsys.readouterr().err == f"error: {command} requires --out\n"
 
+    # a warning (numpy's RuntimeWarning on a non-finite value) is a failure:
+    # bad input gets the one error line and nothing else
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv,message", [
         (["simulate", "--vx", "1", "--duration", "inf"], "total duration must be positive"),
         (["simulate", "--vx", "1", "--duration", "nan"], "total duration must be positive"),
@@ -547,6 +558,13 @@ class TestUsage:
          "initial stance foot lies outside the heightmap"),
         (["terrain", "gen", "--spec", "file:x"],
          "terrain gen expects a generative spec, not file:"),
+        (["simulate", "--vx", "1", "--g", "1e-320", "--base-height", "1e300"],
+         "g / z0 must be positive and finite, got 1e-320 / 1e+300 = 0.0"),
+        (["plan", "--vx", "1", "--g", "1e300", "--base-height", "1e-10"],
+         "g / z0 must be positive and finite, got 1e+300 / 1e-10 = inf"),
+        (["simulate", "--vx", "1", "--terrain", "file:{mask_short}"],
+         "rows*cols = 4 but got 3 mask entries"),
+        (["score", "--traj", "no/such/traj.csv"], "cannot read no/such/traj.csv"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-nan", "duration-overflow", "dt-underflow",
             "resolution-nan", "extent-inf",
@@ -565,7 +583,8 @@ class TestUsage:
             "map-heights-huge-int", "map-resolution-huge-int", "plan-parity-overflow",
             "plan-state-list", "plan-missing-vx", "plan-dT-zero", "plan-dT-over-step",
             "plan-g-overflow", "plan-base-height-underflow", "plan-dT-overflow",
-            "map-excludes-stance", "terrain-gen-file-spec"])
+            "map-excludes-stance", "terrain-gen-file-spec", "simulate-g-over-z0-underflow",
+            "plan-g-over-z0-overflow", "map-mask-short", "score-traj-missing"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}
@@ -596,6 +615,7 @@ class TestUsage:
             "resolution_huge_int": {**good, "resolution": 10 ** 400},
             # covers [5, 5.1] x [5, 5.1], not the initial stance (0, -0.15)
             "far_away": {**good, "origin": [5, 5]},
+            "mask_short": {**good, "mask": [0, 0, 0]},
         }
         paths = {}
         for name, doc in maps.items():

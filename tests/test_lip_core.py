@@ -37,6 +37,11 @@ class TestNaturalFrequency:
             natural_frequency(0.0, 0.62)
         with pytest.raises(ValueError):
             natural_frequency(9.81, -0.5)
+        # each value positive and finite, their ratio not
+        with pytest.raises(ValueError, match=r"got 1e-320 / 1e\+300 = 0.0"):
+            natural_frequency(1e-320, 1e300)
+        with pytest.raises(ValueError, match=r"got 1e\+300 / 1e-10 = inf"):
+            natural_frequency(1e300, 1e-10)
 
 
 class TestLipParams:
@@ -240,6 +245,10 @@ class TestValidation:
             LipState(com_pos=(np.nan, 0.0), com_vel=(0.0, 0.0), params=p)
         with pytest.raises(ValueError):
             FootPosition(p=(0.0, np.inf))
+        with pytest.raises(ValueError, match="foot height must be finite"):
+            FootPosition(p=(0.0, 0.0), z=np.nan)
+        with pytest.raises(ValueError, match=r"com_vel must be a 2-vector, got shape \(3,\)"):
+            LipState(com_pos=(0.0, 0.0), com_vel=(0.0, 0.0, 0.0), params=p)
 
     def test_immutable(self):
         p = params_for()

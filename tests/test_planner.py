@@ -269,3 +269,25 @@ class TestStepRecurrence:
                 lateral = xi[1] - foot.p[1]
                 expected_sign = 1.0 if (n + 1) % 2 == 0 else -1.0
                 assert lateral == pytest.approx(expected_sign * b.b_y, abs=1e-9)
+
+
+def _plan_at_rest(horizon):
+    state = LipState(com_pos=(0.0, 0.0), com_vel=(0.0, 0.0), params=params_for())
+    return plan_step(state, FootPosition(p=(0.0, -0.15)), cmd(1.0), gait_at(), horizon=horizon)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: cmd(1.0, w=0.0), "step width command must be positive"),
+        (lambda: cmd(1.0, w=math.inf), "step width command must be positive"),
+        (lambda: PlannedStep(p_d=(0.0, 0.0), z_d=math.nan, heading=0.0, parity=0),
+         "step height must be finite"),
+        (lambda: desired_step_length(cmd(1.0), 0.0), "remaining time must be positive"),
+        (lambda: desired_step_width(0.3, 0.0, TS), r"remaining time must lie in \(0, 0.35\]"),
+        (lambda: desired_step_width(0.3, 0.5, TS), r"remaining time must lie in \(0, 0.35\]"),
+        (lambda: offsets(0.0, 0.2, W_TABLE, -0.1), "remaining time must be non-negative"),
+        (lambda: _plan_at_rest(horizon=0.5), r"step horizon must lie in \(0, 0.35\], got 0.5"),
+        (lambda: _plan_at_rest(horizon=0.0), r"step horizon must lie in \(0, 0.35\], got 0.0")])
+    def test_bad_arguments_raise(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -49,6 +49,8 @@ class TestConfigValidation:
             SimConfig(cmd=StepCommand(v_cmd=(1, 0)), reach_limit=-1.0)
         with pytest.raises(ValueError):
             SimConfig(cmd=StepCommand(v_cmd=(1, 0)), replan="sometimes")
+        with pytest.raises(ValueError, match="sweep needs at least one config"):
+            sweep([], trials=1)
 
 
 class TestFlatRuns:

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 from array import array
 
 import numpy as np
@@ -12,7 +13,8 @@ from liprint import (Heightmap, TerrainSpec, generate, height_at, is_steppable,
 from liprint import _kernels
 from liprint.terrain import parse_spec
 
-from oracles import exhaustive_nearest_steppable, two_window_snap
+from oracles import (exhaustive_nearest_steppable, rough_heights_per_formula,
+                     two_window_snap)
 
 
 def flat_map(size=4.0, resolution=0.05, height=0.0):
@@ -200,10 +202,14 @@ class TestNearestSteppable:
         assert holder[0] is flags and holder[1] is row_cols
 
     @pytest.mark.parametrize("kw", [{"radius": 0.0}, {"max_search": -1.0},
-                                    {"max_search": math.nan}])
+                                    {"max_search": math.nan}, {"radius": -0.1}])
     def test_bad_radius_or_search_raises(self, kw):
+        h = gap_map(width=0.2)
         with pytest.raises(ValueError, match=f"{next(iter(kw))} must be"):
-            nearest_steppable(gap_map(width=0.2), (0.0, 0.0), **kw)
+            nearest_steppable(h, (0.0, 0.0), **kw)
+        if "radius" in kw:
+            with pytest.raises(ValueError, match="radius must be positive"):
+                is_steppable(h, (0.0, 0.0), **kw)
 
     def test_fully_gapped_raises(self):
         h = gap_map(width=5.0, period=0.1, size=2.0)
@@ -394,7 +400,48 @@ class TestSnapTables:
                                               radius, 0.03), (i, j, x, y)
 
 
+class TestGridResample:
+    def test_equals_scalar_cell(self):
+        rng = np.random.default_rng(13)
+        heights = rng.uniform(-0.1, 0.1, (13, 17))
+        ox, oy, res = -1.2345678, 0.7654321, 0.0731
+        x1, y1 = ox + 16 * res, oy + 12 * res
+
+        def coords(lo, hi, n):
+            # nodes, the far edge and the points around it (which clamp to
+            # the last cell), points before the origin, and random points
+            return np.array([lo, hi, math.nextafter(hi, lo), math.nextafter(hi, math.inf),
+                             hi + 0.4 * res, lo - 0.3 * res,
+                             *(lo + res * np.arange(n)).tolist(),
+                             *rng.uniform(lo, hi, 25).tolist()])
+
+        xs, ys = coords(ox, x1, 17), coords(oy, y1, 13)
+        i, j, values = _kernels.grid_resample(heights, (ys - oy) / res, (xs - ox) / res)
+        assert values.shape == (ys.size, xs.size)
+        assert i.max() == 11 and j.max() == 15  # the last cell is reached
+        for a, y in enumerate(ys.tolist()):
+            for b, x in enumerate(xs.tolist()):
+                ci, cj, h0 = _kernels._cell(heights, ox, oy, res, x, y)
+                assert (int(i[a]), int(j[b])) == (ci, cj)
+                assert values[a, b].tobytes() == np.float64(h0).tobytes(), (x, y)
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("spec,extent,resolution", [
+        (TerrainSpec(kind="rough", amplitude=0.05, correlation=0.5, seed=0),
+         (-2.0, -2.0, 12.0, 2.0), 0.05),
+        (TerrainSpec(kind="rough", amplitude=0.03, correlation=0.37, seed=5),
+         (-1.37, -0.93, 2.71, 1.13), 0.07),
+        (TerrainSpec(kind="rough", amplitude=0.08, correlation=0.77, seed=9),
+         (0.123, -2.2, 4.567, -0.3), 0.033),
+        (TerrainSpec(kind="rough", amplitude=0.05, correlation=0.2, seed=3),
+         (-0.61, 0.29, -0.1, 0.83), 0.1)])
+    def test_rough_equals_per_formula_oracle(self, spec, extent, resolution):
+        h = generate(spec, extent, resolution)
+        ref = rough_heights_per_formula(spec, extent, resolution)
+        assert h.heights.shape == ref.shape
+        assert h.heights.tobytes() == ref.tobytes()
+
     def test_flat_all_zero(self):
         h = flat_map()
         assert np.all(h.heights == 0.0)
@@ -471,6 +518,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             Heightmap(origin=(0, 0), resolution=0.0, heights=np.zeros((2, 2)),
                       mask=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("kw,message", [
+        ({"origin": (0.0, 0.0, 0.0)}, "origin must be 2 numbers"),
+        ({"heights": np.zeros(4), "mask": np.zeros(4)}, "heights must be a 2D grid"),
+        ({"heights": np.zeros((1, 4)), "mask": np.zeros((1, 4))},
+         "heights must be a 2D grid"),
+        ({"mask": np.zeros((2, 3))}, "mask shape (2, 3) must match heights (2, 2)")])
+    def test_bad_heightmap(self, kw, message):
+        args = {"origin": (0.0, 0.0), "resolution": 0.1, "heights": np.zeros((2, 2)),
+                "mask": np.zeros((2, 2)), **kw}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Heightmap(**args)
+
+    @pytest.mark.parametrize("kw,message", [
+        ({"kind": "lava"}, "unknown terrain kind 'lava'"),
+        ({"kind": "rough", "amplitude": -0.01}, "amplitude must be non-negative"),
+        ({"kind": "rough", "correlation": 0.0}, "correlation length must be positive"),
+        ({"kind": "rough", "correlation": -0.5}, "correlation length must be positive"),
+        ({"kind": "gap", "gap_width": 0.0}, "gap width and period must be positive"),
+        ({"kind": "gap", "gap_period": -0.8}, "gap width and period must be positive")])
+    def test_bad_spec_parameters(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            TerrainSpec(**kw)
 
     def test_non_finite_heights(self):
         heights = np.zeros((2, 2))
