@@ -3,22 +3,19 @@
 Kernels are plain numpy/Python on floats, ndarrays and lists (sim_loop
 also takes the run's Heightmap), and each formula is written once here:
 ICP propagation (icp_step), the foot placement with its offsets and
-heading rule (plan_placement), and the grid-cell lookup with its bilinear
-sum (_cell for one point, grid_resample for a separable grid of them). The
-dataclass-based public API in lip_core / planner / terrain / sim validates
-its arguments and calls these kernels.
+heading rule (plan_placement), the grid-cell lookup with its bilinear sum
+(_cell for one point, grid_resample for a separable grid of them), and the
+steppability test (steppable). The dataclass-based public API in
+lip_core / planner / terrain / sim validates its arguments and calls these
+kernels.
 
-numpy builds per-run tables; per query, the snap search reads them in
-plain Python. On its first miss a run builds snap_tables: a flag per grid
-cell whose every point is steppable, and each node row's steppable
-columns. A flagged cell answers a query at once, other queries run the
-exact steppable() scan, and a miss searches the rows outward from the
-query with bisect.
+The snap search tests grid nodes with steppable() itself, each at most
+once per run: a caller-owned memo of one byte per node keeps the answers.
+So a node's steppability is the exact scalar test by construction, and
+the search runs in plain Python.
 """
 
 import math
-from array import array
-from bisect import bisect_left
 
 import numpy as np
 
@@ -131,9 +128,13 @@ def plan_placement(icp_x, icp_y, st_x, st_y, omega, dt_pred, span, Ts,
     return fx - c * bx - s * by, fy - s * bx + c * by, heading
 
 
-def _cell_index(rows, cols, gx, gy):
-    """Cell (i, j) of the grid coordinates (gx, gy): their floors, clamped
-    so points on the far edges fall in the last cell."""
+def _cell(heights, ox, oy, res, x, y):
+    """Grid cell (i, j) enclosing (x, y) and the bilinear height there. The
+    cell is the floor of the grid coordinates, clamped so points on the far
+    edges fall in the last cell."""
+    rows, cols = heights.shape
+    gx = (x - ox) / res
+    gy = (y - oy) / res
     j = int(math.floor(gx))
     i = int(math.floor(gy))
     if j > cols - 2:
@@ -144,16 +145,6 @@ def _cell_index(rows, cols, gx, gy):
         i = rows - 2
     if i < 0:
         i = 0
-    return i, j
-
-
-def _cell(heights, ox, oy, res, x, y):
-    """Grid cell (i, j) enclosing (x, y) (see _cell_index) and the bilinear
-    height there."""
-    rows, cols = heights.shape
-    gx = (x - ox) / res
-    gy = (y - oy) / res
-    i, j = _cell_index(rows, cols, gx, gy)
     fx = gx - j
     fy = gy - i
     return i, j, (heights[i, j] * (1.0 - fy) * (1.0 - fx)
@@ -165,7 +156,7 @@ def _cell(heights, ox, oy, res, x, y):
 def grid_resample(grid, gy, gx):
     """_cell on separable grid coordinates: gy holds one per output row, gx
     one per output column. Returns (i, j, values): the clamped floors
-    (see _cell_index) and the (len(gy), len(gx)) bilinear values. Each
+    (see _cell) and the (len(gy), len(gx)) bilinear values. Each
     value is _cell's four terms in _cell's order, the row weight applied
     to whole grid rows before the column gather, so it equals _cell bit
     for bit.
@@ -233,183 +224,86 @@ def steppable(heights, mask, ox, oy, res, x, y, radius, max_dev):
     return True
 
 
-def node_steppable_grid(heights, mask, ox, oy, res, radius, max_dev):
-    """steppable() evaluated at every grid node, as a (rows, cols) bool grid.
+def _nearest_steppable_node(heights, mask, ox, oy, res, x, y, radius, max_dev,
+                            budget2, memo):
+    """Closest steppable node to (x, y) with d2 <= budget2: (found, nx, ny).
 
-    Cell (i, j) equals steppable(..., ox + j*res, oy + i*res, ...) bit for
-    bit: the enclosing cell and the bilinear surface height h0
-    (grid_resample), the 2x2 mask test, the per-node ceil/floor disc bounds
-    and the dx*dx + dy*dy > r2 test repeat the scalar kernel's
-    floating-point operations on node arrays. steppable()'s bounds test
-    holds at every node: ox + j*res is monotone in j under rounding, so
-    for 0 <= j <= cols-1 it lies between ox and ox + (cols-1)*res.
-    The disc scan becomes one pass per stencil offset (di, dj) inside the
-    bounding box of the disc bounds, each over shifted slices of the grid.
-    """
-    rows, cols = heights.shape
-    xs = ox + np.arange(cols) * res
-    ys = oy + np.arange(rows) * res
-    i0, j0, h0 = grid_resample(heights, (ys - oy) / res, (xs - ox) / res)
-    ok = _box_reduce(mask, 0, np.maximum)[i0][:, j0] == 0
-
-    jlo = np.maximum(np.ceil((xs - radius - ox) / res).astype(np.int64), 0)
-    jhi = np.minimum(np.floor((xs + radius - ox) / res).astype(np.int64), cols - 1)
-    ilo = np.maximum(np.ceil((ys - radius - oy) / res).astype(np.int64), 0)
-    ihi = np.minimum(np.floor((ys + radius - oy) / res).astype(np.int64), rows - 1)
-    node_j = np.arange(cols)
-    node_i = np.arange(rows)
-    r2 = radius * radius
-    for di in range((ilo - node_i).min(), (ihi - node_i).max() + 1):
-        # query rows q whose row q + di exists and lies within q's bounds
-        q0 = max(0, -di)
-        q1 = rows - max(0, di)
-        if q1 <= q0:
-            continue
-        t = node_i[q0:q1] + di
-        row_in = (ilo[q0:q1] <= t) & (t <= ihi[q0:q1])
-        dy = ys[q0 + di:q1 + di] - ys[q0:q1]
-        dy2 = (dy * dy)[:, None]
-        for dj in range((jlo - node_j).min(), (jhi - node_j).max() + 1):
-            p0 = max(0, -dj)
-            p1 = cols - max(0, dj)
-            if p1 <= p0:
-                continue
-            u = node_j[p0:p1] + dj
-            col_in = (jlo[p0:p1] <= u) & (u <= jhi[p0:p1])
-            dx = xs[p0 + dj:p1 + dj] - xs[p0:p1]
-            in_disc = ~((dx * dx)[None, :] + dy2 > r2)
-            in_disc &= row_in[:, None] & col_in[None, :]
-            if not in_disc.any():
-                continue
-            bad = ((mask[q0 + di:q1 + di, p0 + dj:p1 + dj] != 0)
-                   | (np.abs(heights[q0 + di:q1 + di, p0 + dj:p1 + dj]
-                             - h0[q0:q1, p0:p1]) >= max_dev))
-            ok[q0:q1, p0:p1] &= ~(in_disc & bad)
-    return ok
-
-
-def _box_reduce(a, R, op):
-    """op (np.maximum or np.minimum) of `a` over the node box
-    [i-R, i+1+R] x [j-R, j+1+R] of each cell (i, j), clipped to the grid,
-    as a (rows-1, cols-1) array. Edge padding repeats values that every
-    clipped box already holds, so it does not change a result.
-    """
-    a = np.pad(a, R, mode="edge")
-    w = 2 * R + 2
-    for _ in range(2):  # along rows, then along columns of the transpose
-        n = a.shape[0] - w + 1
-        out = a[:n].copy()
-        for s in range(1, w):
-            op(out, a[s:s + n], out=out)
-        a = out.T
-    return a
-
-
-def snap_tables(heights, mask, ox, oy, res, radius, max_dev):
-    """The two tables snap_to_steppable answers from, for this map, radius
-    and max_dev: (flags, row_cols).
-
-    flags holds one byte per grid cell, row-major over (rows-1, cols-1);
-    it is nonzero only when every point of the cell is steppable. That
-    holds when no node of the box [i-R, i+1+R] x [j-R, j+1+R], R =
-    int(radius/res) + 1, is masked and every box height lies within
-    max_dev - margin of both the lowest and the highest corner of the cell.
-    The box holds every node steppable() scans for a point of the cell,
-    also where the disc bounds round up by one node; the bilinear height
-    of such a point lies between the corner heights up to rounding, which
-    the margin (1e-9 per metre of the largest |height|, at least 1e-9)
-    covers.
-
-    row_cols[i] is an array('q') of the ascending columns j whose node
-    (i, j) is steppable, read from node_steppable_grid.
-    """
-    # the node grid first: its build holds the most memory, so it runs
-    # before the box arrays exist
-    row_cols = [array("q", np.flatnonzero(r).astype(np.int64).tobytes())
-                for r in node_steppable_grid(heights, mask, ox, oy, res,
-                                             radius, max_dev)]
-    R = int(radius / res) + 1
-    box_masked = _box_reduce(mask, R, np.maximum)
-    box_hi = _box_reduce(heights, R, np.maximum)
-    box_lo = _box_reduce(heights, R, np.minimum)
-    # box_hi = max(box_hi - lowest corner, highest corner - box_lo), in place
-    box_hi -= _box_reduce(heights, 0, np.minimum)
-    np.subtract(_box_reduce(heights, 0, np.maximum), box_lo, out=box_lo)
-    np.maximum(box_hi, box_lo, out=box_hi)
-    margin = 1e-9 * max(1.0, float(np.abs(heights).max()))
-    flags = ((box_hi < max_dev - margin) & (box_masked == 0)).tobytes()
-    return flags, row_cols
-
-
-def _nearest_steppable_node(row_cols, ox, oy, res, x, y, budget2):
-    """Closest steppable node to (x, y) with d2 <= budget2, from snap_tables'
-    row_cols: (found, nx, ny).
+    Node (i, j) is steppable when steppable(..., ox + j*res, oy + i*res,
+    radius, max_dev) holds. memo, a bytearray of one byte per node in
+    row-major order, keeps each answer (0 untested, 1 not steppable,
+    2 steppable), so a node is tested at most once per memo.
 
     d2 = dy*dy + dx*dx with dx = ox + j*res - x and dy = oy + i*res - y.
     Rows are scanned outward from the query's nearest row, first upward,
     then downward; a side stops at the first row beyond y whose dy*dy
     exceeds the best d2 so far plus the tie margin, since rows further out
-    lie further still. dx grows with j, so a row's d2 falls to its minimum
-    at one of the two columns around x, found by bisecting on
-    gx = (x - ox)/res, then rises. (Where gx and dx round to opposite
-    sides of a column, that column lies within rounding of x and is itself
-    the minimum, unless res is as small as that rounding.) Nodes within
-    1e-12 of the minimum d2 (and within the budget) tie; a tie goes to the
-    smaller x, then the smaller y, i.e. the smaller column, then the
-    smaller row.
+    lie further still. dx grows with j, so a row's d2 falls toward x and
+    rises beyond it: the row is scanned outward from gx = (x - ox)/res on
+    each side, left over the columns j < gx and right over j >= gx, up to
+    the first steppable node or the first column past that bound. (Where
+    gx and dx round to opposite sides of a column, that column lies within
+    rounding of x and is itself the minimum, unless res is as small as
+    that rounding.) Nodes within 1e-12 of the minimum d2 (and within the
+    budget) tie; a tie goes to the smaller x, then the smaller y, i.e. the
+    smaller column, then the smaller row.
     """
-    rows = len(row_cols)
-    gx = (x - ox) / res
+    rows, cols = heights.shape
+
+    def first(i, j, step, dy2, limit):
+        # (d2, j) of row i's first steppable node from column j on in
+        # direction step, or None once d2 exceeds limit or the row ends
+        while 0 <= j < cols:
+            nx = ox + j * res
+            dx = nx - x
+            d2 = dy2 + dx * dx
+            if not d2 <= limit:
+                return None
+            k = i * cols + j
+            if not memo[k]:
+                memo[k] = 1 + steppable(heights, mask, ox, oy, res, nx, oy + i * res,
+                                        radius, max_dev)
+            if memo[k] == 2:
+                return d2, j
+            j += step
+        return None
+
+    # the first column j >= gx, clamped to [0, cols]; max(0.0, gx) maps a NaN to 0
+    jr = math.ceil(min(max(0.0, (x - ox) / res), cols))
     c = int(round(min(max((y - oy) / res, 0.0), rows - 1.0)))
     best = math.inf
     limit = budget2
-    seen = []  # (i, dy2, k) of each scanned row with steppable nodes
+    seen = []  # (i, dy2, left, right) of each scanned row with a node found
     for i, step in ((c, 1), (c - 1, -1)):
         while 0 <= i < rows:
             dy = oy + i * res - y
             dy2 = dy * dy
             if dy2 <= limit:
-                row = row_cols[i]
-                n = len(row)
-                k = bisect_left(row, gx)
-                if k:
-                    dx = ox + row[k - 1] * res - x
-                    d2 = dy2 + dx * dx
-                    if d2 < best:
-                        best = d2
-                if k < n:
-                    dx = ox + row[k] * res - x
-                    d2 = dy2 + dx * dx
-                    if d2 < best:
-                        best = d2
-                if n:
-                    seen.append((i, dy2, k))
+                left = first(i, jr - 1, -1, dy2, limit)
+                right = first(i, jr, 1, dy2, limit)
+                if left or right:
+                    for node in (left, right):
+                        if node and node[0] < best:
+                            best = node[0]
                     limit = best + 1e-12 if best + 1e-12 < budget2 else budget2
+                    seen.append((i, dy2, left, right))
             elif (dy > 0.0) == (step > 0):
                 break
             i += step
     if not best <= budget2:
         return False, 0.0, 0.0
     win = None
-    for i, dy2, k in seen:
-        # the row's leftmost node with d2 <= limit: walk left from column
-        # k - 1 while d2 stays within it, else try column k
-        row = row_cols[i]
-        m = k
-        while m:
-            dx = ox + row[m - 1] * res - x
-            if dy2 + dx * dx > limit:
-                break
-            m -= 1
-        if m < k:
-            j = row[m]
+    for i, dy2, left, right in seen:
+        # the row's leftmost node with d2 <= limit: walk left from its
+        # nearest node left of x while d2 stays within it, else take its
+        # nearest node right of x
+        if left and left[0] <= limit:
+            j = left[1]
+            while node := first(i, j - 1, -1, dy2, limit):
+                j = node[1]
+        elif right and right[0] <= limit:
+            j = right[1]
         else:
-            if k == len(row):
-                continue
-            dx = ox + row[k] * res - x
-            if dy2 + dx * dx > limit:
-                continue
-            j = row[k]
+            continue
         if win is None or (j, i) < win:
             win = (j, i)
     j, i = win
@@ -417,7 +311,7 @@ def _nearest_steppable_node(row_cols, ox, oy, res, x, y, budget2):
 
 
 def snap_to_steppable(heights, mask, ox, oy, res, x, y, radius, max_dev,
-                      max_search, tables):
+                      max_search, memo):
     """Closest steppable point to (x, y) within max_search.
 
     Returns (found, sx, sy). The query point itself wins when steppable.
@@ -426,24 +320,15 @@ def snap_to_steppable(heights, mask, ox, oy, res, x, y, radius, max_dev,
     1e-12 of the minimum tie, and a tie goes to the smaller x, then the
     smaller y.
 
-    tables is a caller-owned list for this map, radius and max_dev. The
-    first query that is not itself steppable fills it with snap_tables'
-    (flags, row_cols), so a run whose targets never move never builds
-    them. Once filled, an in-grid query whose cell (_cell's floor and
-    clamp) is flagged answers itself; any other query runs the exact
-    steppable() scan, and a miss searches row_cols. No numpy runs per query.
+    memo is a caller-owned bytearray(rows * cols) for this map, radius and
+    max_dev, all zero when new. The search tests nodes with steppable()
+    through it (see _nearest_steppable_node), so queries that share a memo
+    test each node at most once.
     """
-    rows, cols = heights.shape
-    if tables and grid_contains(rows, cols, ox, oy, res, x, y):
-        i, j = _cell_index(rows, cols, (x - ox) / res, (y - oy) / res)
-        if tables[0][i * (cols - 1) + j]:
-            return True, x, y
     if steppable(heights, mask, ox, oy, res, x, y, radius, max_dev):
         return True, x, y
-    if not tables:
-        tables.extend(snap_tables(heights, mask, ox, oy, res, radius, max_dev))
-    return _nearest_steppable_node(tables[1], ox, oy, res, x, y,
-                                   max_search * max_search + 1e-12)
+    return _nearest_steppable_node(heights, mask, ox, oy, res, x, y, radius, max_dev,
+                                   max_search * max_search + 1e-12, memo)
 
 
 def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
@@ -455,9 +340,10 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     the current swing target, stance-height dependent pendulum frequency),
     plan or replan the swing target with plan_placement over the remaining
     step time Ts - s*dt (offsets always over Ts), snap it to steppable
-    ground (the snap tables are built at most once per call), record a sample
-    at the tick instant, then propagate the CoM analytically over dt. When
-    no steppable ground is found the sample keeps the raw, unsnapped target.
+    ground (through one node memo per call, so each grid node is tested at
+    most once), record a sample at the tick instant, then propagate the CoM
+    analytically over dt. When no steppable ground is found the sample
+    keeps the raw, unsnapped target.
     hmap is the run's Heightmap, or None on flat ground: nothing is snapped
     and every height is 0. schedule lists (tick, vx, vy, width) switches;
     the first holds from tick 0, each later one from its tick on. Pass the
@@ -470,7 +356,8 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     tick and the parity and are left to the caller. cosh and sinh of
     omega*dt are computed once per stance, when omega changes; if they
     overflow, the run fails as non-finite with no rows at the start, or
-    after the touchdown's row.
+    after the touchdown's row. So does a plan whose exp(omega * (Ts - s*dt))
+    overflows, after that tick's row, which keeps the previous target.
     The rows are the whole record of the run (the touchdown at row
     i = m * ticks_per_step, m >= 1, moves the stance onto row i - 1's
     target); the loop stops after recording a failed tick's row.
@@ -481,7 +368,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     if hmap is not None:
         heights, mask, res = hmap.heights, hmap.mask, hmap.resolution
         ox, oy = float(hmap.origin[0]), float(hmap.origin[1])
-        tables = []
+        memo = bytearray(heights.size)
         st_z = grid_bilinear(heights, ox, oy, res, st_x, st_y)
     z0 = base_height - st_z
     if z0 <= 0.0:
@@ -538,22 +425,27 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                 outcome = OUTCOME_REACH
                 fail_time = t_now
             else:
-                tg_x, tg_y, heading = plan_placement(
-                    icp_x, icp_y, st_x, st_y, omega, Ts - s * dt, Ts, Ts,
-                    vx, vy, w, parity, heading)
-                if hmap is not None:
-                    ok, sx, sy = snap_to_steppable(heights, mask, ox, oy, res,
-                                                   tg_x, tg_y, FOOT_RADIUS,
-                                                   MAX_HEIGHT_DEV, SNAP_SEARCH_RADIUS,
-                                                   tables)
-                    if ok:
-                        tg_x = sx
-                        tg_y = sy
-                        tg_z = grid_bilinear(heights, ox, oy, res, sx, sy)
-                    else:
-                        tg_z = 0.0
-                        outcome = OUTCOME_NO_GROUND
-                        fail_time = t_now
+                try:
+                    tg_x, tg_y, heading = plan_placement(
+                        icp_x, icp_y, st_x, st_y, omega, Ts - s * dt, Ts, Ts,
+                        vx, vy, w, parity, heading)
+                except OverflowError:
+                    outcome = OUTCOME_NON_FINITE
+                    fail_time = t_now
+                else:
+                    if hmap is not None:
+                        ok, sx, sy = snap_to_steppable(heights, mask, ox, oy, res,
+                                                       tg_x, tg_y, FOOT_RADIUS,
+                                                       MAX_HEIGHT_DEV, SNAP_SEARCH_RADIUS,
+                                                       memo)
+                        if ok:
+                            tg_x = sx
+                            tg_y = sy
+                            tg_z = grid_bilinear(heights, ox, oy, res, sx, sy)
+                        else:
+                            tg_z = 0.0
+                            outcome = OUTCOME_NO_GROUND
+                            fail_time = t_now
 
         # columns COL_TIME .. COL_PARITY, in order
         rows.append((t_now, com_x, com_y, vel_x, vel_y, icp_x, icp_y,

@@ -18,12 +18,11 @@ import logging
 import math
 import os
 import sys
-from importlib.metadata import version as _pkg_version
 from operator import itemgetter
 
 import numpy as np
 
-from . import _kernels, metrics, sim, terrain as terrain_mod
+from . import __version__, _kernels, metrics, sim, terrain as terrain_mod
 from .gait import GaitParams, GaitState
 from .lip_core import FootPosition, LipParams, LipState, icp_of
 from .planner import (StepCommand, desired_step_length, desired_step_width,
@@ -189,7 +188,7 @@ def _cmd_simulate(args) -> int:
     sim.write_step_events(result, events_path)
     manifest = {
         "command": "simulate",
-        "version": _version(),
+        "version": __version__,
         "seed": args.seed,
         "config": {
             "vx": args.vx, "vy": args.vy, "width": args.width,
@@ -218,13 +217,6 @@ def _cmd_simulate(args) -> int:
 def _sibling(out_path: str, suffix: str) -> str:
     root, _ = os.path.splitext(str(out_path))
     return root + suffix
-
-
-def _version() -> str:
-    try:
-        return _pkg_version("liprint")
-    except Exception:
-        return "unknown"
 
 
 def _cmd_sweep(args) -> int:
@@ -391,7 +383,9 @@ def _cmd_score(args) -> int:
     if not args.out:
         raise _UsageError("score requires --out")
     rows = _read_rows(args.traj)
-    if rows and tuple(rows[0]) != sim.CSV_COLUMNS:
+    if not rows:
+        raise _UsageError(f"trajectory {args.traj} is empty")
+    if tuple(rows[0]) != sim.CSV_COLUMNS:
         raise _UsageError(f"trajectory columns {rows[0]} do not match the simulate "
                           f"schema {list(sim.CSV_COLUMNS)}")
     data = rows[1:]

@@ -45,19 +45,14 @@ def _vec2(v, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LipParams:
-    """Pendulum constants; omega0 is derived from g and z0 when omitted."""
+    """Pendulum constants; omega0 = natural_frequency(g, z0) is derived."""
 
     g: float = GRAVITY
     z0: float = BASE_HEIGHT
-    omega0: float = field(default=None)
+    omega0: float = field(init=False)
 
     def __post_init__(self):
-        w = natural_frequency(self.g, self.z0)
-        if self.omega0 is None:
-            object.__setattr__(self, "omega0", w)
-        elif abs(self.omega0 - w) > 1e-12 * w:
-            raise ValueError(
-                f"omega0 {self.omega0} inconsistent with sqrt(g/z0) = {w}")
+        object.__setattr__(self, "omega0", natural_frequency(self.g, self.z0))
 
 
 @dataclass(frozen=True)

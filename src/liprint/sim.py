@@ -34,6 +34,9 @@ from .lip_core import FootPosition, LipParams, LipState
 from .planner import PlannedStep, StepCommand
 from .terrain import Heightmap, TerrainSpec
 
+# Node spacing (m) of the heightmaps generated for TerrainSpec terrain.
+TERRAIN_RESOLUTION = 0.05
+
 REPLAN_AT_STEP_START = "at-step-start"
 REPLAN_EVERY_TICK = "every-tick"
 
@@ -173,7 +176,7 @@ def _auto_extent(config: SimConfig, schedule) -> tuple[float, float, float, floa
     return (x_lo - margin, y_lo - margin, x_hi + margin, y_hi + margin)
 
 
-def _materialize_terrain(config: SimConfig, schedule, resolution: float = 0.05):
+def _materialize_terrain(config: SimConfig, schedule):
     t = config.terrain
     if t is None:
         return None
@@ -182,7 +185,7 @@ def _materialize_terrain(config: SimConfig, schedule, resolution: float = 0.05):
     if isinstance(t, TerrainSpec):
         if t.kind == "flat":
             return None
-        return terrain_mod.generate(t, _auto_extent(config, schedule), resolution)
+        return terrain_mod.generate(t, _auto_extent(config, schedule), TERRAIN_RESOLUTION)
     raise TypeError(f"terrain must be a Heightmap, TerrainSpec, or None, got {type(t)}")
 
 

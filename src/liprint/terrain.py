@@ -228,8 +228,9 @@ def nearest_steppable(h: Heightmap, p, radius: float = FOOT_RADIUS,
                       max_search: float = SNAP_SEARCH_RADIUS) -> np.ndarray:
     """Steppable point closest to p (ties to smaller x, then smaller y).
 
-    p itself when steppable, otherwise the closest steppable grid node; each
-    call that has to search builds the map's snap tables anew. Raises
+    p itself when steppable, otherwise the closest steppable grid node. The
+    search tests only nodes within max_search of p, each at most once per
+    call. Raises
     ValueError when no steppable ground lies within max_search.
     """
     if radius <= 0.0:
@@ -238,7 +239,8 @@ def nearest_steppable(h: Heightmap, p, radius: float = FOOT_RADIUS,
         raise ValueError(f"max_search must be non-negative, got {max_search}")
     ok, sx, sy = _kernels.snap_to_steppable(
         h.heights, h.mask, float(h.origin[0]), float(h.origin[1]), h.resolution,
-        float(p[0]), float(p[1]), radius, max_dev, max_search, [])
+        float(p[0]), float(p[1]), radius, max_dev, max_search,
+        bytearray(h.heights.size))
     if not ok:
         raise ValueError(
             f"no steppable ground within {max_search} m of ({p[0]}, {p[1]})")

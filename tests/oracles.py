@@ -103,6 +103,17 @@ def exhaustive_nearest_steppable(hmap, p, is_steppable_fn):
     return best
 
 
+def node_grid_per_steppable(h, radius, max_dev):
+    """liprint._kernels.steppable evaluated at every node (i, j) of the
+    heightmap h, at (ox + j*res, oy + i*res): a (rows, cols) bool grid."""
+    from liprint import _kernels
+
+    ox, oy, res = float(h.origin[0]), float(h.origin[1]), h.resolution
+    return np.array([[_kernels.steppable(h.heights, h.mask, ox, oy, res, ox + j * res,
+                                         oy + i * res, radius, max_dev)
+                      for j in range(h.cols)] for i in range(h.rows)], dtype=bool)
+
+
 def _two_window_nearest_node(node_grid, ox, oy, res, x, y, ci, cj, k, budget2):
     """Closest steppable node to (x, y) with d2 <= budget2 among the nodes
     at Chebyshev distance <= k from node (ci, cj): (found, nx, ny, d2).
@@ -134,8 +145,8 @@ def _two_window_nearest_node(node_grid, ox, oy, res, x, y, ci, cj, k, budget2):
 def two_window_snap(heights, mask, ox, oy, res, x, y, radius, max_dev, max_search,
                     grid):
     """liprint._kernels.snap_to_steppable as numpy windows over `grid`, the
-    node_steppable_grid of the same map, radius and max_dev: the reference
-    for the table search.
+    node_grid_per_steppable of the same map, radius and max_dev: the
+    reference for the row search.
 
     The search looks first in the window of Chebyshev radius 4 around the
     query's nearest node (ci, cj). Any node outside it lies more than

@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import liprint
 from liprint.cli import build_parser, main
 from liprint.metrics import RewardParams, RobotSample
 from liprint.sim import CSV_COLUMNS
@@ -36,6 +38,17 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "t.manifest.json").read_text())
         assert manifest["outcome"]["steps"] == len(events) > 0
 
+    def test_manifest_records_package_version(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--vx", "1", "--duration", "1", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "t.manifest.json").read_text())
+        assert manifest["version"] == liprint.__version__
+
+    def test_pyproject_version_is_package_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+            assert tomllib.load(f)["project"]["version"] == liprint.__version__
+
     def test_missing_vx_usage_error(self, tmp_path):
         rc = main(["simulate", "--duration", "10",
                    "--out", str(tmp_path / "t.csv")])
@@ -61,6 +74,18 @@ class TestSimulate:
         assert outcome == {"status": "failed", "reason": "non-finite state", "time": 0.0,
                            "steps": 0, "samples": 0}
         assert read(out) == [",".join(CSV_COLUMNS)]
+
+    def test_overflowing_plan_fails_at_the_first_tick(self, tmp_path, capsys):
+        # omega * dt = 31.6 keeps cosh finite, but exp(omega * Ts) in the
+        # first plan overflows: a failed run that records tick 0
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--vx", "1", "--g", "1e7", "--base-height", "1",
+                     "--duration", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ""
+        outcome = json.loads((tmp_path / "t.manifest.json").read_text())["outcome"]
+        assert outcome == {"status": "failed", "reason": "non-finite state", "time": 0.0,
+                           "steps": 0, "samples": 1}
+        assert len(read(out)) == 2
 
     def test_impassable_gap_fails_with_manifest_reason(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -157,6 +182,14 @@ class TestSweep:
                      "--out", str(out)]) == 0
         assert read(out)[1] == "1,flat,at-step-start,3,0,0"
 
+    def test_overflowing_plan_counts_as_failure(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--vx-list", "1", "--g", "1e7", "--base-height", "1",
+                     "--duration", "1", "--window", "1", "--trials", "3",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read(out)[1] == "1,flat,at-step-start,3,0,0"
+
     def test_consecutive_calls_share_no_parser_state(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         common = ["sweep", "--vx-list", "1.0", "--trials", "1", "--duration", "2",
@@ -241,9 +274,18 @@ class TestScore:
             columns.append([line.split(",")[c] for line in lines[1:]])
         assert columns[0] == columns[1]
 
-    def test_empty_file(self, tmp_path):
+    def test_empty_file(self, tmp_path, capsys):
         traj = tmp_path / "empty.csv"
         traj.write_text("")
+        out = tmp_path / "r.csv"
+        assert main(["score", "--traj", str(traj), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: trajectory {traj} is empty\n"
+        assert not out.exists()
+
+    def test_header_only_file_scores_no_rows(self, tmp_path):
+        # a run that failed before its first tick writes only the header
+        traj = tmp_path / "header.csv"
+        traj.write_text(",".join(CSV_COLUMNS) + "\n")
         out = tmp_path / "r.csv"
         assert main(["score", "--traj", str(traj), "--out", str(out)]) == 0
         assert len(read(out)) == 1  # header only
@@ -565,6 +607,7 @@ class TestUsage:
         (["simulate", "--vx", "1", "--terrain", "file:{mask_short}"],
          "rows*cols = 4 but got 3 mask entries"),
         (["score", "--traj", "no/such/traj.csv"], "cannot read no/such/traj.csv"),
+        (["score", "--traj", "{empty}"], "is empty"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-nan", "duration-overflow", "dt-underflow",
             "resolution-nan", "extent-inf",
@@ -584,7 +627,8 @@ class TestUsage:
             "plan-state-list", "plan-missing-vx", "plan-dT-zero", "plan-dT-over-step",
             "plan-g-overflow", "plan-base-height-underflow", "plan-dT-overflow",
             "map-excludes-stance", "terrain-gen-file-spec", "simulate-g-over-z0-underflow",
-            "plan-g-over-z0-overflow", "map-mask-short", "score-traj-missing"])
+            "plan-g-over-z0-overflow", "map-mask-short", "score-traj-missing",
+            "score-traj-empty"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}
@@ -621,11 +665,12 @@ class TestUsage:
         for name, doc in maps.items():
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text((doc if isinstance(doc, str) else json.dumps(doc)) + "\n")
+        (tmp_path / "empty.csv").write_text("")
         traj = tmp_path / "traj.csv"
         if "{traj}" in argv:
             assert main(["simulate", "--vx", "1", "--duration", "1", "--out", str(traj)]) == 0
             capsys.readouterr()
-        argv = [a.format(traj=traj, **paths) for a in argv]
+        argv = [a.format(traj=traj, empty=tmp_path / "empty.csv", **paths) for a in argv]
         assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

@@ -49,10 +49,6 @@ class TestLipParams:
         p = LipParams(g=9.81, z0=0.62)
         assert p.omega0 == math.sqrt(9.81 / 0.62)
 
-    def test_omega_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            LipParams(g=9.81, z0=0.62, omega0=4.2)
-
 
 class TestAcceleration:
     def test_equilibrium(self):

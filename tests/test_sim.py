@@ -366,23 +366,35 @@ class TestTerrainRuns:
         assert rows[0].successes >= rows[1].successes
 
     def test_node_grid_built_lazily_once_per_run(self, monkeypatch):
-        builds = []
-        build = _kernels.snap_tables
+        # the node grid is a per-run memo of steppable() at the nodes a miss
+        # tests: filled only on misses, and each node at most once per run
+        calls = []  # (x, y) of every steppable() call: queries and node tests
+        real = _kernels.steppable
 
-        def counting_build(*args):
-            builds.append(args[0].shape)
-            return build(*args)
+        def spy(heights, mask, ox, oy, res, x, y, radius, max_dev):
+            calls.append((x, y))
+            return real(heights, mask, ox, oy, res, x, y, radius, max_dev)
 
-        monkeypatch.setattr(_kernels, "snap_tables", counting_build)
-        # gentle rough ground: every snap query is itself steppable
+        monkeypatch.setattr(_kernels, "steppable", spy)
+        # gentle rough ground: every snap query is itself steppable, so the
+        # one call per tick is the query's and no node is tested
         gentle = TerrainSpec(kind="rough", amplitude=0.005, correlation=0.5, seed=1)
-        assert run(config(vx=1.0, duration=4.0, replan=sim_mod.REPLAN_EVERY_TICK,
-                          terrain=gentle)).completed
-        assert builds == []
-        # gap ground moves targets many times per run but builds the tables once
-        assert run(config(vx=0.7, duration=4.0, replan=sim_mod.REPLAN_EVERY_TICK,
-                          terrain=gap_spec())).completed
-        assert len(builds) == 1
+        res = run(config(vx=1.0, duration=4.0, replan=sim_mod.REPLAN_EVERY_TICK,
+                         terrain=gentle))
+        assert res.completed and len(calls) == res.sample_array.shape[0]
+        # gap ground moves targets on many ticks, and the misses of a run
+        # share one memo: beyond one query per tick, each node is tested once
+        calls.clear()
+        cfg = config(vx=0.7, duration=4.0, replan=sim_mod.REPLAN_EVERY_TICK,
+                     terrain=gap_spec())
+        res = run(cfg)
+        assert res.completed
+        hmap = sim_mod._materialize_terrain(cfg, [(0.0, 0.7, 0.0, 0.3)])
+        ox, oy, r = float(hmap.origin[0]), float(hmap.origin[1]), hmap.resolution
+        nodes = [(x, y) for x, y in calls
+                 if x == ox + round((x - ox) / r) * r and y == oy + round((y - oy) / r) * r]
+        assert len(calls) - len(nodes) == res.sample_array.shape[0]
+        assert len(nodes) == len(set(nodes)) > 0
 
     def test_rough_stance_height_follows_terrain(self):
         rough = TerrainSpec(kind="rough", amplitude=0.05, correlation=0.5, seed=12)
@@ -415,7 +427,7 @@ def loaded_map(step_height=0.0, gap=False):
 class TestStepEvents:
     """step_events are read from the sample rows at each touchdown."""
 
-    @pytest.mark.parametrize("case", ["reach", "height", "overflow"])
+    @pytest.mark.parametrize("case", ["reach", "height", "overflow", "plan-overflow"])
     def test_failed_touchdown_is_last_event(self, case):
         if case == "reach":
             cfg = config(vx=1.0, reach=0.05)
@@ -424,9 +436,14 @@ class TestStepEvents:
             # the ground ahead is higher than the 0.62 m pendulum
             cfg = config(vx=1.0, terrain=loaded_map(step_height=0.7))
             outcome = _kernels.OUTCOME_BAD_HEIGHT
-        else:
+        elif case == "overflow":
             # ground 1e-13 m below the base height: cosh(omega * dt) overflows
             cfg = config(vx=1.0, terrain=loaded_map(step_height=0.62 - 1e-13))
+            outcome = _kernels.OUTCOME_NON_FINITE
+        else:
+            # ground 1e-6 m below the base height: cosh(omega * dt) stays
+            # finite, but exp(omega * Ts) of the touchdown's plan overflows
+            cfg = config(vx=1.0, terrain=loaded_map(step_height=0.62 - 1e-6))
             outcome = _kernels.OUTCOME_NON_FINITE
         res = run(cfg)
         assert res.failure_reason == sim_mod._FAIL_REASONS[outcome]
@@ -443,6 +460,12 @@ class TestStepEvents:
         if case == "overflow":
             assert 0.0 < cfg.lip.z0 - last.realized[2] < 1e-12
             assert np.isfinite(arr).all()
+        if case == "plan-overflow":
+            assert 1e-12 < cfg.lip.z0 - last.realized[2] < 2e-6
+            assert np.isfinite(arr).all()
+            # the failed plan leaves the target the stance moved onto
+            npt.assert_array_equal(arr[-1, COL_TARGET_X:COL_TARGET_Z + 1],
+                                   arr[-1, COL_STANCE_X:COL_STANCE_Z + 1])
 
     @pytest.mark.parametrize("case", ["no-ground-mid-step", "no-ground-at-start",
                                       "height-at-start"])

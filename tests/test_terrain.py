@@ -2,7 +2,6 @@ import functools
 import json
 import math
 import re
-from array import array
 
 import numpy as np
 import numpy.testing as npt
@@ -13,8 +12,8 @@ from liprint import (Heightmap, TerrainSpec, generate, height_at, is_steppable,
 from liprint import _kernels
 from liprint.terrain import parse_spec
 
-from oracles import (exhaustive_nearest_steppable, rough_heights_per_formula,
-                     two_window_snap)
+from oracles import (exhaustive_nearest_steppable, node_grid_per_steppable,
+                     rough_heights_per_formula, two_window_snap)
 
 
 def flat_map(size=4.0, resolution=0.05, height=0.0):
@@ -103,6 +102,18 @@ class TestIsSteppable:
         h = flat_map(size=2.0)
         assert not is_steppable(h, (10.0, 0.0))
 
+    def test_exact_disc_and_deviation_boundaries(self):
+        # Binary-exact values: the four neighbours of the raised node lie
+        # exactly on the disc edge and deviate by exactly max_dev.
+        heights = np.zeros((11, 11))
+        heights[5, 5] = 0.25
+        h = Heightmap(origin=(0.0, 0.0), resolution=0.5, heights=heights,
+                      mask=np.zeros((11, 11)))
+        grid = [[is_steppable(h, (0.5 * j, 0.5 * i), radius=0.5, max_dev=0.25)
+                 for j in range(11)] for i in range(11)]
+        assert not grid[5][4] and not grid[4][5] and not grid[5][5]
+        assert grid[4][4] and grid[5][3]
+
 
 class TestNearestSteppable:
     def test_identity_when_steppable(self):
@@ -177,29 +188,53 @@ class TestNearestSteppable:
             h, (4.0, 4.0), lambda hm, q: is_steppable(hm, q, radius=0.3))
         npt.assert_array_equal(got, ref)
 
-    def test_node_grid_built_only_on_a_miss(self):
+    def test_node_exactly_at_the_search_budget(self):
+        # Only node (2, 2) at (1, 1) has an unmasked cell. The query (1.5, 1)
+        # lies 0.5 from it, so d2 = 0.25, which max_search**2 + 1e-12 equals
+        # exactly for this max_search: the node is inside the budget, and
+        # one ulp less of max_search puts it outside.
+        mask = np.ones((6, 6))
+        mask[2:4, 2:4] = 0
+        h = Heightmap(origin=(0.0, 0.0), resolution=0.5, heights=np.zeros((6, 6)),
+                      mask=mask)
+        max_search = 0.499999999999
+        assert max_search * max_search + 1e-12 == 0.25
+        npt.assert_array_equal(
+            nearest_steppable(h, (1.5, 1.0), radius=0.3, max_search=max_search), [1.0, 1.0])
+        with pytest.raises(ValueError, match="no steppable ground"):
+            nearest_steppable(h, (1.5, 1.0), radius=0.3,
+                              max_search=math.nextafter(max_search, 0.0))
+
+    def test_node_grid_built_only_on_a_miss(self, monkeypatch):
+        # the node grid is a per-run memo, one byte a node: 0 untested,
+        # 1 + steppable(node) once a miss has tested it
         h = gap_map(width=0.2, period=2.0, offset=-0.1)
-        args = (h.heights, h.mask, h.origin[0], h.origin[1], h.resolution)
-        holder = []
-        # a steppable query answers itself and leaves the holder empty
+        args = (h.heights, h.mask, float(h.origin[0]), float(h.origin[1]), h.resolution)
+        real = _kernels.steppable
+        memo = bytearray(h.heights.size)
+        # a steppable query answers itself and leaves the memo untouched
         assert _kernels.snap_to_steppable(*args, 0.5, 0.3, 0.07, 0.03, 1.0,
-                                          holder) == (True, 0.5, 0.3)
-        assert holder == []
-        found, sx, sy = _kernels.snap_to_steppable(*args, 0.0, 0.0, 0.07, 0.03,
-                                                   1.0, holder)
+                                          memo) == (True, 0.5, 0.3)
+        assert not any(memo)
+        found, sx, sy = _kernels.snap_to_steppable(*args, 0.0, 0.0, 0.07, 0.03, 1.0, memo)
         assert found and sx < -0.1
-        # the first miss fills the holder with the flags and the row tables
-        flags, row_cols = holder
-        assert type(flags) is bytes and len(flags) == (h.rows - 1) * (h.cols - 1)
-        grid = _kernels.node_steppable_grid(*args, 0.07, 0.03)
-        assert len(row_cols) == h.rows
-        for row, ref in zip(row_cols, grid):
-            assert type(row) is array and row.typecode == "q"
-            assert list(row) == np.flatnonzero(ref).tolist()
-        # a later miss reads the tables built by the first one
+        tested = [k for k, v in enumerate(memo) if v]
+        assert tested
+        for k in tested:
+            i, j = divmod(k, h.cols)
+            assert memo[k] == 1 + real(*args, args[2] + j * args[4], args[3] + i * args[4],
+                                       0.07, 0.03)
+        # the same miss again reads the memo and tests only the query
+        calls = []
+
+        def spy(heights, mask, ox, oy, res, x, y, radius, max_dev):
+            calls.append((x, y))
+            return real(heights, mask, ox, oy, res, x, y, radius, max_dev)
+
+        monkeypatch.setattr(_kernels, "steppable", spy)
         assert _kernels.snap_to_steppable(*args, 0.0, 0.0, 0.07, 0.03, 1.0,
-                                          holder) == (found, sx, sy)
-        assert holder[0] is flags and holder[1] is row_cols
+                                          memo) == (found, sx, sy)
+        assert calls == [(0.0, 0.0)]
 
     @pytest.mark.parametrize("kw", [{"radius": 0.0}, {"max_search": -1.0},
                                     {"max_search": math.nan}, {"radius": -0.1}])
@@ -238,69 +273,6 @@ def _node_grid_map(kind, resolution, seed, amplitude=0.06, gap_period=0.5):
     return generate(spec, extent, resolution)
 
 
-class TestNodeSteppableGrid:
-    @pytest.mark.parametrize("kind", ["rough", "gap"])
-    @pytest.mark.parametrize("resolution", [0.03, 0.05, 0.07, 0.1])
-    def test_equals_scalar_steppable_at_every_node(self, kind, resolution):
-        h = _node_grid_map(kind, resolution, seed=int(resolution * 100))
-        ox, oy = h.origin[0], h.origin[1]
-        n_true = n_nodes = 0
-        # foot radii below, at and above the node spacing
-        for radius in (0.6 * resolution, resolution, 0.07, 2.3 * resolution):
-            for max_dev in (0.01, 0.03):
-                grid = _kernels.node_steppable_grid(h.heights, h.mask, ox, oy,
-                                                    resolution, radius, max_dev)
-                ref = np.array([[_kernels.steppable(h.heights, h.mask, ox, oy,
-                                                    resolution, ox + j * resolution,
-                                                    oy + i * resolution, radius,
-                                                    max_dev)
-                                 for j in range(h.cols)] for i in range(h.rows)])
-                assert grid.dtype == np.bool_
-                npt.assert_array_equal(grid, ref)
-                n_true += int(ref.sum())
-                n_nodes += ref.size
-        assert 0 < n_true < n_nodes
-
-    def test_exact_disc_and_deviation_boundaries(self):
-        # Binary-exact values: the four neighbours of the raised node lie
-        # exactly on the disc edge and deviate by exactly max_dev.
-        heights = np.zeros((11, 11))
-        heights[5, 5] = 0.25
-        h = Heightmap(origin=(0.0, 0.0), resolution=0.5, heights=heights,
-                      mask=np.zeros((11, 11)))
-        grid = _kernels.node_steppable_grid(h.heights, h.mask, 0.0, 0.0, 0.5,
-                                            0.5, 0.25)
-        assert not grid[5, 4] and not grid[4, 5] and not grid[5, 5]
-        assert grid[4, 4] and grid[5, 3]
-        ref = [[is_steppable(h, (0.5 * j, 0.5 * i), radius=0.5, max_dev=0.25)
-                for j in range(11)] for i in range(11)]
-        npt.assert_array_equal(grid, ref)
-
-
-def _plateau_map(resolution):
-    # A flat plateau at 0.3 m with single nodes raised by the largest step
-    # that stays below max_dev = 0.03: a cell whose box holds such a node
-    # has a height spread just under max_dev, and the bilinear height at
-    # some of its points rounds below 0.3, so their deviation reaches
-    # max_dev. Only the flag margin keeps those cells unflagged.
-    base = 0.3
-    raised = base + 0.03
-    while raised - base >= 0.03:
-        raised = math.nextafter(raised, 0.0)
-    heights = np.full((31, 31), base)
-    heights[4::11, 4::11] = raised
-    return Heightmap(origin=(-0.53, 0.27), resolution=resolution, heights=heights,
-                     mask=np.zeros((31, 31)))
-
-
-def _pit_map(resolution):
-    # flat ground with single masked nodes nine nodes apart in x and y
-    mask = np.zeros((37, 37))
-    mask[4::9, 4::9] = 1
-    return Heightmap(origin=(-0.53, 0.27), resolution=resolution,
-                     heights=np.zeros((37, 37)), mask=mask)
-
-
 def _snap_query_points(h, rng, n=40):
     """Random, node, mid-cell, node + 1e-15 and out-of-grid points."""
     ox, oy, res = float(h.origin[0]), float(h.origin[1]), h.resolution
@@ -317,33 +289,31 @@ def _snap_query_points(h, rng, n=40):
 
 
 class TestSnapTables:
+    """snap_to_steppable's row search over its node memo, against the
+    window and exhaustive oracles."""
+
     @pytest.mark.parametrize("kind", ["rough", "gap"])
     @pytest.mark.parametrize("resolution", [0.03, 0.05, 0.07, 0.1])
     def test_snap_equals_two_window_search(self, kind, resolution):
         h = _node_grid_map(kind, resolution, seed=int(resolution * 100))
         ox, oy = float(h.origin[0]), float(h.origin[1])
         rng = np.random.default_rng(7)
-        n_flagged = n_moved = n_missed = 0
+        n_moved = n_missed = 0
         # foot radii below, at and above the node spacing
         for radius in (0.6 * resolution, resolution, 2.3 * resolution):
-            grid = _kernels.node_steppable_grid(h.heights, h.mask, ox, oy,
-                                                resolution, radius, 0.03)
-            holder = []  # warm: every query on this map and radius shares it
+            grid = node_grid_per_steppable(h, radius, 0.03)
+            memo = bytearray(h.heights.size)  # warm: shared by every query here
             for x, y in _snap_query_points(h, rng):
                 for max_search in (0.12, 1.0):
                     got = _kernels.snap_to_steppable(h.heights, h.mask, ox, oy,
                                                      resolution, x, y, radius,
-                                                     0.03, max_search, holder)
+                                                     0.03, max_search, memo)
                     ref = two_window_snap(h.heights, h.mask, ox, oy, resolution,
                                           x, y, radius, 0.03, max_search, grid)
                     assert got == ref, (radius, max_search, x, y)
                     n_moved += got[0] and got[1:] != (x, y)
                     n_missed += not got[0]
-            n_flagged += sum(holder[0])
         assert n_moved > 0 and n_missed > 0
-        # at 0.1 m, two of every five node columns of the gap map are masked,
-        # so no cell box is clear of them
-        assert n_flagged > 0 or (kind, resolution) == ("gap", 0.1)
 
     @pytest.mark.parametrize("kind", ["rough", "gap"])
     @pytest.mark.parametrize("resolution", [0.05, 0.1])
@@ -354,50 +324,41 @@ class TestSnapTables:
         for radius in (0.6 * resolution, resolution, 2.3 * resolution):
             node_ok = functools.cache(
                 lambda x, y, r=radius: is_steppable(h, (x, y), radius=r))
-            holder = []
+            memo = bytearray(h.heights.size)
             for x, y in _snap_query_points(h, rng, n=4):
                 ref = exhaustive_nearest_steppable(
                     h, (x, y), lambda hm, q: node_ok(float(q[0]), float(q[1])))
                 found, sx, sy = _kernels.snap_to_steppable(
                     h.heights, h.mask, float(h.origin[0]), float(h.origin[1]),
-                    resolution, x, y, radius, 0.03, 5.0, holder)
+                    resolution, x, y, radius, 0.03, 5.0, memo)
                 assert found == (ref is not None)
                 if found:
                     npt.assert_allclose((sx, sy), ref, atol=1e-9)
                     n_moved += (sx, sy) != (x, y)
         assert n_moved > 0
 
-    @pytest.mark.parametrize("kind", ["rough", "gap", "plateau", "pits"])
-    @pytest.mark.parametrize("resolution,radius", [
-        (0.03, 0.07), (0.05, 0.05), (0.07, 0.07), (0.1, 0.1), (0.1, 0.3)])
-    def test_flagged_cells_are_steppable_everywhere(self, kind, resolution, radius):
-        # (0.1, 0.3): 0.3 / 0.1 rounds to just below 3, so the disc bounds of
-        # a point on a far cell edge can round out one node beyond the
-        # int(radius / res) nodes a cell's points reach in exact arithmetic
-        if kind == "plateau":
-            h = _plateau_map(resolution)
-        elif kind == "pits":
-            h = _pit_map(resolution)
-        else:
-            h = _node_grid_map(kind, resolution, seed=int(resolution * 100) + 2,
-                               amplitude=0.025, gap_period=1.2)
-        ox, oy, res = float(h.origin[0]), float(h.origin[1]), h.resolution
-        flags, _ = _kernels.snap_tables(h.heights, h.mask, ox, oy, res, radius, 0.03)
-        flagged = np.flatnonzero(np.frombuffer(flags, dtype=np.uint8))
-        assert flagged.size > 0
-        rng = np.random.default_rng(11)
-        for cell in flagged:
-            i, j = divmod(int(cell), h.cols - 1)
-            x0, x1 = ox + j * res, ox + (j + 1) * res
-            y0, y1 = oy + i * res, oy + (i + 1) * res
-            # the corners and far edges, the points just inside them, and
-            # random points of the closed cell
-            xs = [x0, x1, math.nextafter(x1, x0), *rng.uniform(x0, x1, 3).tolist()]
-            ys = [y0, y1, math.nextafter(y1, y0), *rng.uniform(y0, y1, 3).tolist()]
-            for x in xs:
-                for y in ys:
-                    assert _kernels.steppable(h.heights, h.mask, ox, oy, res, x, y,
-                                              radius, 0.03), (i, j, x, y)
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    @pytest.mark.parametrize("res", [2.0 ** -23, 2.0 ** -24])
+    def test_tie_goes_to_leftmost_of_several_nodes_in_a_row(self, res, side):
+        # Only nodes (6, 12..18) have an unmasked cell. The query lies 0.01 m
+        # off the map, level with the midpoint of columns 15 and 16. At these
+        # spacings (about 1e-7 m) the seven nodes' d2 lie within the 1e-12
+        # tie band, so the search must walk left from column 15 to column
+        # 12; at 1e-6 m the band holds at most one node on each side of x.
+        # The exhaustive scan, rounding distances to 1e-9 m, ties them too.
+        mask = np.ones((12, 30))
+        mask[6:8, 12:20] = 0
+        h = Heightmap(origin=(0.0, 0.0), resolution=res, heights=np.zeros((12, 30)),
+                      mask=mask)
+        radius = 0.6 * res
+        assert np.flatnonzero(node_grid_per_steppable(h, radius, 0.03)).tolist() == [
+            6 * 30 + j for j in range(12, 19)]
+        p = (15.5 * res, 6 * res + side * 0.01)
+        got = nearest_steppable(h, p, radius=radius, max_search=0.02)
+        ref = exhaustive_nearest_steppable(
+            h, p, lambda hm, q: is_steppable(hm, q, radius=radius))
+        npt.assert_array_equal(got, ref)
+        npt.assert_array_equal(got, [12 * res, 6 * res])
 
 
 class TestGridResample:
