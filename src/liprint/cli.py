@@ -18,6 +18,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 from operator import itemgetter
 
 import numpy as np
@@ -316,45 +317,104 @@ _JOINT_SIGNALS = {"base_height": ("base_height",), "base_vel_z": ("v_z",),
                   "self_collision": ("self_collision",)}
 
 
+# The ASCII separators: numpy's reader strips them around a value as
+# whitespace, float() does not.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt(path, header=None):
+    """The header and the (n, k) float64 data rows of CSV file `path`,
+    parsed by numpy's C reader, or None where `_read_rows` must decide.
+
+    The file is decoded as `_read_rows` decodes it, and split at the same
+    line ends (\\r, \\n, \\r\\n) as csv.reader splits unquoted records.
+    The result stands only where csv.reader and float() accept the file
+    with the same floats:
+    - the header line is not blank, holds no quote and, if `header` is
+      given, equals it;
+    - there is a data line, no line is longer than csv's field limit and
+      no separator character is in the file;
+    - loadtxt raises and warns nothing and returns one row of len(header)
+      values per data line.
+    Apart from the separators, loadtxt accepts only strings that float()
+    accepts, and gives the same double. So every other file goes to the old
+    parser and its messages.
+    """
+    try:
+        with open(path, newline="") as f:
+            lines = f.readlines()
+    except (OSError, ValueError):
+        return None  # `_read_rows` reports it
+    text = "".join(lines)
+    first = lines[0].rstrip("\r\n") if lines else ""
+    names = first.split(",")
+    if (len(lines) < 2 or not first or '"' in first
+            or (header is not None and tuple(names) != header)
+            or max(map(len, lines)) > csv.field_size_limit()
+            or any(c in text for c in _SEPARATORS)):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            # comments=None: the default "#" would cut "1#x" to 1
+            table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2,
+                               dtype=np.float64)
+        except (ValueError, Warning):
+            return None
+    # loadtxt skips blank lines, which csv.reader reads as empty rows
+    return (names, table) if table.shape == (len(lines) - 1, len(names)) else None
+
+
 def _read_rows(path) -> list:
+    """All records of CSV file `path` by csv.reader: the exact fallback of
+    `_loadtxt`, and the source of every message about a malformed file."""
     try:
         with open(path, newline="") as f:
             return list(csv.reader(f))
-    except OSError as e:
+    except (OSError, csv.Error) as e:
         raise _UsageError(f"cannot read {path}: {e}") from None
 
 
-def _float_table(rows, cols, what) -> np.ndarray:
-    """Columns `cols` of all rows as floats, one (n,) table row per column.
+def _float_table(data, cols, what) -> np.ndarray:
+    """Columns `cols` of all data rows as floats, one (n,) table row per column.
 
-    A row too short for them or holding a non-numeric value in one of them
-    is an input error naming its 1-based data row.
+    `data` is the array `_loadtxt` parsed, or `_read_rows`' rows. Of the
+    latter, a row too short for `cols` or holding a non-numeric value in
+    one of them is an input error naming its 1-based data row.
     """
+    if isinstance(data, np.ndarray):
+        # C order, as below, so that reductions over the columns add in
+        # the same order
+        return np.ascontiguousarray(data[:, cols].T)
     try:
-        table = np.array([np.fromiter(map(float, map(itemgetter(c), rows)),
-                                      np.float64, len(rows)) for c in cols])
+        table = np.array([np.fromiter(map(float, map(itemgetter(c), data)),
+                                      np.float64, len(data)) for c in cols])
     except (ValueError, IndexError):
-        for i, row in enumerate(rows, 1):
+        for i, row in enumerate(data, 1):
             try:
                 [float(row[c]) for c in cols]
             except (ValueError, IndexError):
                 raise _UsageError(f"bad {what} row {i}") from None
         raise
-    return table.reshape(len(cols), len(rows))
+    return table.reshape(len(cols), len(data))
 
 
 def _joint_columns(path, n) -> dict:
     """metrics.reward_table columns from a joint-log CSV with n data rows."""
-    rows = _read_rows(path)
-    if not rows:
-        raise _UsageError(f"joint log {path} is empty")
-    header, data = rows[0], rows[1:]
-    if len(data) != n:
-        raise _UsageError(f"joint log has {len(data)} rows but the trajectory has {n}")
-    for i, row in enumerate(data, 1):
-        if len(row) != len(header):
-            raise _UsageError(f"bad joint row {i}: {len(row)} fields, "
-                              f"the header has {len(header)}")
+    fast = _loadtxt(path)
+    if fast is not None and len(fast[1]) == n:
+        header, data = fast
+    else:
+        rows = _read_rows(path)
+        if not rows:
+            raise _UsageError(f"joint log {path} is empty")
+        header, data = rows[0], rows[1:]
+        if len(data) != n:
+            raise _UsageError(f"joint log has {len(data)} rows but the trajectory has {n}")
+        for i, row in enumerate(data, 1):
+            if len(row) != len(header):
+                raise _UsageError(f"bad joint row {i}: {len(row)} fields, "
+                                  f"the header has {len(header)}")
     pos = {}  # (prefix, joint index) or (name, None) -> column
     for c, name in enumerate(header):
         prefix = next((p for p in _JOINT_VECTORS
@@ -382,13 +442,17 @@ def _joint_columns(path, n) -> dict:
 def _cmd_score(args) -> int:
     if not args.out:
         raise _UsageError("score requires --out")
-    rows = _read_rows(args.traj)
-    if not rows:
-        raise _UsageError(f"trajectory {args.traj} is empty")
-    if tuple(rows[0]) != sim.CSV_COLUMNS:
-        raise _UsageError(f"trajectory columns {rows[0]} do not match the simulate "
-                          f"schema {list(sim.CSV_COLUMNS)}")
-    data = rows[1:]
+    fast = _loadtxt(args.traj, sim.CSV_COLUMNS)
+    if fast is not None:
+        data = fast[1]
+    else:
+        rows = _read_rows(args.traj)
+        if not rows:
+            raise _UsageError(f"trajectory {args.traj} is empty")
+        if tuple(rows[0]) != sim.CSV_COLUMNS:
+            raise _UsageError(f"trajectory columns {rows[0]} do not match the simulate "
+                              f"schema {list(sim.CSV_COLUMNS)}")
+        data = rows[1:]
     n = len(data)
     columns = _joint_columns(args.joints, n) if args.joints else {}
     # every column but outcome_flag

@@ -230,17 +230,19 @@ def nearest_steppable(h: Heightmap, p, radius: float = FOOT_RADIUS,
 
     p itself when steppable, otherwise the closest steppable grid node. The
     search tests only nodes within max_search of p, each at most once per
-    call. Raises
-    ValueError when no steppable ground lies within max_search.
+    call. Raises ValueError when p is not finite or no steppable ground
+    lies within max_search.
     """
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     if not max_search >= 0.0:
         raise ValueError(f"max_search must be non-negative, got {max_search}")
+    x, y = float(p[0]), float(p[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"p must be finite, got ({x}, {y})")
     ok, sx, sy = _kernels.snap_to_steppable(
         h.heights, h.mask, float(h.origin[0]), float(h.origin[1]), h.resolution,
-        float(p[0]), float(p[1]), radius, max_dev, max_search,
-        bytearray(h.heights.size))
+        x, y, radius, max_dev, max_search, bytearray(h.heights.size))
     if not ok:
         raise ValueError(
             f"no steppable ground within {max_search} m of ({p[0]}, {p[1]})")

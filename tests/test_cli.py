@@ -1,11 +1,13 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import liprint
+from liprint import cli
 from liprint.cli import build_parser, main
 from liprint.metrics import RewardParams, RobotSample
 from liprint.sim import CSV_COLUMNS
@@ -449,6 +451,206 @@ def write_traj(tmp_path, rows):
     return path
 
 
+JOINT_HEADER = ["q0", "q1", "dq0", "dq1", "tau0", "tau1", "a0", "a1", "v_z", "quality"]
+
+
+def corpus_csv(header, n=3, cells=(), eol="\n", last_eol=True):
+    """CSV text of n distinct numeric rows under `header`, with `cells`
+    (row, column name, text) overwritten."""
+    rows = [[repr(0.25 * i - 0.001 * c) for c in range(len(header))] for i in range(n)]
+    for i, name, text in cells:
+        rows[i][header.index(name)] = text
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    return eol.join(lines) + (eol if last_eol else "")
+
+
+def corpus_traj(n=3, cells=(), **kw):
+    return corpus_csv(CSV_COLUMNS, n, cells, **kw)
+
+
+def corpus_joints(n=3, cells=(), **kw):
+    return corpus_csv(JOINT_HEADER, n, cells, **kw)
+
+
+def edit_line(text, k, edit):
+    """`text` with its k-th "\\n"-separated line replaced by edit(line)."""
+    lines = text.split("\n")
+    lines[k] = edit(lines[k])
+    return "\n".join(lines)
+
+
+def drop_fields(k):
+    return lambda line: line.rsplit(",", k)[0]
+
+
+def twelve_joint_log(n=3):
+    """A joint log of 12 joints whose values span 12 orders of magnitude, so
+    that a row sum's value depends on the order it adds in."""
+    rng = np.random.default_rng(12)
+    header = [f"{p}{j}" for p in ("q", "dq", "tau", "a") for j in range(12)]
+    table = rng.normal(size=(n, len(header))) * 10.0 ** rng.uniform(-6, 6, (n, len(header)))
+    return "\n".join([",".join(header)] + [",".join(map(repr, row)) for row in table.tolist()])
+
+
+HUGE = "1" * 200000  # longer than csv's default field limit of 131072
+# id -> (trajectory text, joint-log text or None, whether numpy's reader
+# takes the trajectory, whether it takes the joint log)
+PARSE_CORPUS = {
+    "plain": (corpus_traj(), corpus_joints(), True, True),
+    "twelve-joints": (corpus_traj(), twelve_joint_log(), True, True),
+    "signs-and-spaces": (corpus_traj(cells=[(0, "vel_x", " -1.5 "), (1, "com_x", "+2"),
+                                            (2, "vel_y", "\t-0\t"), (1, "icp_y", "+.5")]),
+                         corpus_joints(cells=[(1, "q0", "+0.5 "), (2, "dq0", " -0")]),
+                         True, True),
+    "unicode-spaces": (corpus_traj(cells=[(1, "vel_x", "\xa01　"),
+                                          (2, "com_x", "\x851 ")]),
+                       corpus_joints(cells=[(0, "q1", " -2")]), True, True),
+    "inf-in-trajectory": (corpus_traj(cells=[(1, "vel_x", "Infinity")]), None, True, None),
+    "nan-in-trajectory": (corpus_traj(cells=[(2, "com_y", "-nan")]), None, True, None),
+    # inf only in dq and v_z: the terms on q, tau and the actions subtract
+    # an inf (the default limits, row 0's own predecessor), which warns
+    "inf-nan-spellings": (corpus_traj(), corpus_joints(cells=[
+        (0, "q0", "nan"), (1, "q1", "-nan"), (2, "tau0", "NaN"), (0, "a0", "+nan"),
+        (1, "dq0", "inf"), (2, "dq1", "-Infinity"), (0, "v_z", "+iNfInItY"),
+        (2, "dq0", "-inf")]), True, True),
+    "bad-inf-nan-spellings": (corpus_traj(cells=[(1, "com_x", "nan(1)")]),
+                              corpus_joints(cells=[(1, "q0", "infinit")]), False, False),
+    "underscore": (corpus_traj(cells=[(1, "vel_x", "1_0")]),
+                   corpus_joints(cells=[(2, "q0", "2_5.0_1")]), False, False),
+    "unicode-digits": (corpus_traj(cells=[(1, "com_x", "１")]),
+                       corpus_joints(cells=[(1, "q0", "٣.٥")]), False, False),
+    "hex-float": (corpus_traj(cells=[(1, "com_x", "0x1p3")]), None, False, None),
+    "quoted-field": (corpus_traj(cells=[(1, "com_x", '"1.5"')]),
+                     corpus_joints(cells=[(0, "q0", '" 2"')]), False, False),
+    "quoted-header": ('"time"' + corpus_traj()[len("time"):], None, False, None),
+    "joints-quoted-header": (corpus_traj(), corpus_joints().replace("q1", '"q1"', 1),
+                             True, False),
+    "quoted-newline": (corpus_traj(cells=[(1, "com_x", '"1\n"')]), None, False, None),
+    "overflow": (corpus_traj(cells=[(1, "vel_x", "1e400")]),
+                 corpus_joints(cells=[(1, "dq0", "1e400"), (2, "dq1", "-1e400")]), True, True),
+    "subnormal-and-underflow": (corpus_traj(cells=[
+        (0, "com_x", "4.9e-324"), (1, "com_y", "2.5e-324"), (2, "vel_x", "1e-400"),
+        (1, "vel_y", "2.2250738585072011e-308"), (2, "icp_x", "-2.4703282292062328e-324")]),
+        corpus_joints(cells=[(1, "q0", "5e-324"), (2, "q1", "-1e-320")]), True, True),
+    "hard-rounding": (corpus_traj(cells=[
+        (0, "com_x", "9007199254740993"),
+        (1, "com_x", "1.00000000000000011102230246251565404236316680908203125"),
+        (2, "com_x", "0." + "0" * 300 + "1"), (0, "com_y", "1" * 300),
+        (1, "com_y", "0.1000000000000000055511151231257827021181583404541015625"),
+        (2, "com_y", "1.7976931348623158e308"), (0, "vel_x", "1e-5"),
+        (1, "vel_x", "1E+05"), (2, "vel_x", "00001.")]), None, True, None),
+    "malformed-numbers": (corpus_traj(cells=[(1, "vel_x", "1e")]),
+                          corpus_joints(cells=[(1, "q0", ".")]), False, False),
+    "empty-field": (corpus_traj(cells=[(1, "vel_x", "")]), None, False, None),
+    "inner-space": (corpus_traj(cells=[(1, "vel_x", "1 1")]), None, False, None),
+    "hash-in-field": (corpus_traj(cells=[(1, "com_x", "1#x")]),
+                      corpus_joints(cells=[(1, "q0", "2#")]), False, False),
+    "hash-at-line-start": (corpus_traj(cells=[(1, "time", "#1")]),
+                           corpus_joints(cells=[(1, "q0", "#")]), False, False),
+    "hash-in-last-column": (corpus_traj(), "v_z\n1#5\n2\n3\n", True, False),
+    "hash-in-unread-column": (corpus_traj(), corpus_joints(cells=[(1, "quality", "0#")]),
+                              True, False),
+    "separators": (corpus_traj(cells=[(1, "vel_x", "1\x1c"), (2, "com_x", "\x1f2")]),
+                   corpus_joints(cells=[(1, "q0", "\x1d3"), (2, "q1", "4\x1e")]),
+                   False, False),
+    "nul": (corpus_traj(cells=[(1, "vel_x", "1\x00")]), None, False, None),
+    "blank-line": (corpus_traj().replace("\n", "\n\n", 2), None, False, None),
+    "whitespace-line": (corpus_traj().replace("\n", "\n  \n", 2), None, False, None),
+    "blank-last-line": (corpus_traj() + "\n", None, False, None),
+    "joints-blank-line": (corpus_traj(), corpus_joints().replace("\n", "\n\n", 1),
+                          True, False),
+    "joints-whitespace-line": (corpus_traj(), corpus_joints(n=2) + " \n", True, False),
+    "joints-blank-last-line": (corpus_traj(), corpus_joints() + "\n", True, False),
+    "no-outcome-flag": (edit_line(corpus_traj(), 2, drop_fields(1)), None, False, None),
+    "ragged-short": (edit_line(corpus_traj(), 2, drop_fields(2)), None, False, None),
+    "ragged-long": (edit_line(corpus_traj(), 2, lambda line: line + ",7"), None, False, None),
+    "joints-ragged-long": (corpus_traj(),
+                           edit_line(corpus_joints(), 3, lambda line: line + ",7"),
+                           True, False),
+    "joints-all-rows-short": (corpus_traj(), ",".join(JOINT_HEADER) + "\n"
+                              + corpus_csv(JOINT_HEADER[:-1]).split("\n", 1)[1],
+                              True, False),
+    "crlf": (corpus_traj(eol="\r\n"), corpus_joints(eol="\r\n"), True, True),
+    "cr-only": (corpus_traj(eol="\r"), corpus_joints(eol="\r"), True, True),
+    "mixed-line-ends": (corpus_traj(n=4).replace("\n", "\r", 2).replace("\n", "\r\n", 1),
+                        corpus_joints(n=4, eol="\r\n").replace("\r\n", "\n", 2), True, True),
+    "no-trailing-newline": (corpus_traj(last_eol=False), corpus_joints(last_eol=False),
+                            True, True),
+    "single-row": (corpus_traj(n=1), corpus_joints(n=1), True, True),
+    "header-only": (corpus_traj(n=0), corpus_joints(n=0), False, False),
+    "header-only-no-newline": (corpus_traj(n=0, last_eol=False), None, False, None),
+    "header-only-blank-line": (corpus_traj(n=0) + "\n", None, False, None),
+    "empty": ("", None, False, None),
+    "joints-empty": (corpus_traj(), "", True, False),
+    "blank-header": ("\n" + corpus_traj().split("\n", 1)[1], None, False, None),
+    "joints-blank-header": (corpus_traj(n=1), "\n1\n", True, False),
+    "wrong-header": (corpus_traj().replace("vel_x", "vel_X"), None, False, None),
+    "joints-row-count": (corpus_traj(), corpus_joints(n=2), True, True),
+    "joints-one-column": (corpus_traj(), "v_z\n1\n2\n3\n", True, True),
+    "joints-duplicate-column": (corpus_traj(), corpus_joints().replace("quality", "q0"),
+                                True, True),
+    "unread-columns": (corpus_traj(cells=[(1, "outcome_flag", "completed")]),
+                       corpus_joints(cells=[(2, "quality", "good")]), False, False),
+    "huge-field": (corpus_traj(cells=[(1, "vel_x", HUGE)]), None, False, None),
+    "joints-huge-field": (corpus_traj(), corpus_joints(cells=[(1, "q0", HUGE)]),
+                          True, False),
+}
+
+
+class TestScoreParsing:
+    """numpy's reader (`cli._loadtxt`) against the forced fallback to
+    csv.reader and float(): the same floats, or the same rejection."""
+
+    @staticmethod
+    def score(monkeypatch, capsys, tmp_path, traj, joints, fallback):
+        real, tables = cli._float_table, []
+
+        def record(data, cols, what):
+            table = real(data, cols, what)
+            # strides too: numpy's row sums add in an order set by the layout
+            tables.append((what, table.dtype, table.shape, table.strides, table.tobytes()))
+            return table
+
+        out = tmp_path / "r.csv"
+        out.unlink(missing_ok=True)
+        argv = ["score", "--traj", str(traj), "--vx", "0.7", "--out", str(out)]
+        if joints is not None:
+            argv += ["--joints", str(joints)]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_float_table", record)
+            if fallback:
+                m.setattr(cli, "_loadtxt", lambda path, header=None: None)
+            rc = main(argv)
+        return rc, capsys.readouterr().err, tables, out.exists() and out.read_bytes()
+
+    @pytest.mark.parametrize("case", PARSE_CORPUS)
+    def test_fast_path_equals_fallback(self, monkeypatch, capsys, tmp_path, case):
+        traj_text, joints_text, traj_fast, joints_fast = PARSE_CORPUS[case]
+        files = [(tmp_path / "t.csv", traj_text, CSV_COLUMNS, traj_fast)]
+        if joints_text is not None:
+            files.append((tmp_path / "j.csv", joints_text, None, joints_fast))
+        for path, text, header, taken in files:
+            with open(path, "w", newline="") as f:
+                f.write(text)
+            # each file takes the path it should, so no case passes vacuously
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fast = cli._loadtxt(path, header)
+            assert (fast is not None) == taken and not caught
+            if fast is not None:
+                rows = cli._read_rows(path)
+                assert fast[0] == rows[0]
+                expected = np.array([[float(v) for v in row] for row in rows[1:]])
+                assert fast[1].shape == expected.shape
+                assert fast[1].tobytes() == expected.tobytes()
+        joints = files[1][0] if joints_text is not None else None
+        fast = self.score(monkeypatch, capsys, tmp_path, files[0][0], joints, False)
+        slow = self.score(monkeypatch, capsys, tmp_path, files[0][0], joints, True)
+        assert fast == slow
+        rc, err, _, _ = fast
+        assert rc in (0, 1) and (rc == 0) != err.startswith("error: ")
+
+
 class TestTerrainGen:
     def test_generates_loadable_map(self, tmp_path):
         out = tmp_path / "m.json"
@@ -608,6 +810,9 @@ class TestUsage:
          "rows*cols = 4 but got 3 mask entries"),
         (["score", "--traj", "no/such/traj.csv"], "cannot read no/such/traj.csv"),
         (["score", "--traj", "{empty}"], "is empty"),
+        (["score", "--traj", "{huge}"], "huge.csv: field larger than field limit"),
+        (["score", "--traj", "{traj}", "--joints", "{huge}"],
+         "huge.csv: field larger than field limit"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-nan", "duration-overflow", "dt-underflow",
             "resolution-nan", "extent-inf",
@@ -628,7 +833,7 @@ class TestUsage:
             "plan-g-overflow", "plan-base-height-underflow", "plan-dT-overflow",
             "map-excludes-stance", "terrain-gen-file-spec", "simulate-g-over-z0-underflow",
             "plan-g-over-z0-overflow", "map-mask-short", "score-traj-missing",
-            "score-traj-empty"])
+            "score-traj-empty", "score-traj-huge-field", "score-joints-huge-field"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}
@@ -666,11 +871,14 @@ class TestUsage:
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text((doc if isinstance(doc, str) else json.dumps(doc)) + "\n")
         (tmp_path / "empty.csv").write_text("")
+        # one field longer than csv's default limit of 131072 characters
+        (tmp_path / "huge.csv").write_text("1" * 200000 + "\n")
         traj = tmp_path / "traj.csv"
         if "{traj}" in argv:
             assert main(["simulate", "--vx", "1", "--duration", "1", "--out", str(traj)]) == 0
             capsys.readouterr()
-        argv = [a.format(traj=traj, empty=tmp_path / "empty.csv", **paths) for a in argv]
+        argv = [a.format(traj=traj, empty=tmp_path / "empty.csv", huge=tmp_path / "huge.csv",
+                         **paths) for a in argv]
         assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

@@ -246,6 +246,13 @@ class TestNearestSteppable:
             with pytest.raises(ValueError, match="radius must be positive"):
                 is_steppable(h, (0.0, 0.0), **kw)
 
+    @pytest.mark.parametrize("p", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                                   (0.0, -math.inf)])
+    def test_non_finite_point_raises(self, p):
+        h = gap_map(width=0.2)
+        with pytest.raises(ValueError, match=re.escape(f"p must be finite, got {p}")):
+            nearest_steppable(h, p)
+
     def test_fully_gapped_raises(self):
         h = gap_map(width=5.0, period=0.1, size=2.0)
         with pytest.raises(ValueError):
