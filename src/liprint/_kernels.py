@@ -333,56 +333,46 @@ def snap_to_steppable(heights, mask, ox, oy, res, x, y, radius, max_dev,
 
 def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
              replan_every_tick, reach_limit, hmap,
-             com_x, com_y, vel_x, vel_y, st_x, st_y):
-    """Closed-loop stepping simulation.
+             com_x, com_y, vel_x, vel_y, st_x, st_y, heading):
+    """Closed-loop stepping simulation over n_ticks >= 1 ticks (SimConfig
+    guarantees it).
 
-    Per tick: handle the step boundary (instantaneous support transfer to
-    the current swing target, stance-height dependent pendulum frequency),
-    plan or replan the swing target with plan_placement over the remaining
-    step time Ts - s*dt (offsets always over Ts), snap it to steppable
-    ground (through one node memo per call, so each grid node is tested at
-    most once), record a sample at the tick instant, then propagate the CoM
+    Per tick: at a step start, tick i = m * ticks_per_step (m >= 0, tick 0
+    included), the support transfers to the swing target, parity becomes m
+    and the stance height re-derives the pendulum frequency; the swing
+    target starts as the initial stance at its height. Then the loop plans
+    or replans the target with plan_placement over the remaining step time
+    Ts - s*dt (offsets always over Ts), snaps it to steppable ground
+    (through one node memo per call, so each grid node is tested at most
+    once), records a sample at the tick instant and propagates the CoM
     analytically over dt. When no steppable ground is found the sample
     keeps the raw, unsnapped target.
     hmap is the run's Heightmap, or None on flat ground: nothing is snapped
     and every height is 0. schedule lists (tick, vx, vy, width) switches;
-    the first holds from tick 0, each later one from its tick on. Pass the
-    state com_x .. st_y as Python floats, not numpy scalars.
+    the first holds from tick 0, each later one from its tick on. heading
+    is the fallback heading until the first plan. Pass the state com_x ..
+    heading as Python floats, not numpy scalars.
 
-    Each recorded tick is one float tuple of columns COL_TIME .. COL_PARITY,
-    appended to a list that becomes the returned (n_recorded,
-    COL_PARITY + 1) array after the loop; the gait-phase columns
-    (COL_CONTACT_SCHED, COL_PHASE_SIN, COL_PHASE_COS) depend only on the
-    tick and the parity and are left to the caller. cosh and sinh of
-    omega*dt are computed once per stance, when omega changes; if they
-    overflow, the run fails as non-finite with no rows at the start, or
-    after the touchdown's row. So does a plan whose exp(omega * (Ts - s*dt))
-    overflows, after that tick's row, which keeps the previous target.
-    The rows are the whole record of the run (the touchdown at row
-    i = m * ticks_per_step, m >= 1, moves the stance onto row i - 1's
-    target); the loop stops after recording a failed tick's row.
+    Each recorded tick is one float tuple of columns COL_TIME .. COL_PARITY
+    (parity i // ticks_per_step), stacked into the returned (n_recorded,
+    COL_PARITY + 1) array; the gait-phase columns depend only on the tick
+    and are left to the caller. A step start whose pendulum height is not
+    positive, or whose cosh(omega*dt) overflows, fails the run: with no
+    rows at tick 0, else after the touchdown's row. So does a touchdown
+    beyond reach_limit of the capture point or the CoM, and a plan whose
+    exp(omega * (Ts - s*dt)) overflows, which keeps the previous target.
+    The touchdown at row i = m * ticks_per_step, m >= 1, moves the stance
+    onto row i - 1's target; the loop stops after a failed tick's row.
     Returns (n_recorded, outcome, fail_time, rows).
     """
     Ts = ticks_per_step * dt
-    st_z = 0.0
+    tg_x, tg_y, tg_z = st_x, st_y, 0.0
     if hmap is not None:
         heights, mask, res = hmap.heights, hmap.mask, hmap.resolution
         ox, oy = float(hmap.origin[0]), float(hmap.origin[1])
         memo = bytearray(heights.size)
-        st_z = grid_bilinear(heights, ox, oy, res, st_x, st_y)
-    z0 = base_height - st_z
-    if z0 <= 0.0:
-        return 0, OUTCOME_BAD_HEIGHT, 0.0, np.empty((0, COL_PARITY + 1))
-    omega = math.sqrt(g / z0)
-    try:
-        ch = math.cosh(omega * dt)
-        sh = math.sinh(omega * dt)
-    except OverflowError:
-        return 0, OUTCOME_NON_FINITE, 0.0, np.empty((0, COL_PARITY + 1))
+        tg_z = grid_bilinear(heights, ox, oy, res, st_x, st_y)
 
-    parity = 0
-    heading = 0.0
-    tg_x = tg_y = tg_z = 0.0
     cmd_i = 0
     n_cmd = len(schedule)
     _, vx, vy, w = schedule[0]
@@ -396,18 +386,16 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
         while cmd_i + 1 < n_cmd and i >= schedule[cmd_i + 1][0]:
             cmd_i += 1
             _, vx, vy, w = schedule[cmd_i]
-        touchdown = i > 0 and s == 0
 
-        if touchdown:
+        if s == 0:
             # Support transfers to the swing target.
             st_x = tg_x
             st_y = tg_y
             st_z = tg_z
-            parity += 1
+            parity = i // ticks_per_step
             z0 = base_height - st_z
             if z0 <= 0.0:
                 outcome = OUTCOME_BAD_HEIGHT
-                fail_time = t_now
             else:
                 omega = math.sqrt(g / z0)
                 try:
@@ -415,13 +403,16 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                     sh = math.sinh(omega * dt)
                 except OverflowError:
                     outcome = OUTCOME_NON_FINITE
-                    fail_time = t_now
+            if outcome != OUTCOME_COMPLETED:
+                fail_time = t_now
+                if i == 0:
+                    break
         icp_x = com_x + vel_x / omega
         icp_y = com_y + vel_y / omega
 
         if outcome == OUTCOME_COMPLETED and (s == 0 or replan_every_tick):
-            if touchdown and (math.hypot(icp_x - st_x, icp_y - st_y) > reach_limit
-                              or math.hypot(st_x - com_x, st_y - com_y) > reach_limit):
+            if i > 0 and s == 0 and (math.hypot(icp_x - st_x, icp_y - st_y) > reach_limit
+                                     or math.hypot(st_x - com_x, st_y - com_y) > reach_limit):
                 outcome = OUTCOME_REACH
                 fail_time = t_now
             else:

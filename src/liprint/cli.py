@@ -376,27 +376,35 @@ def _read_rows(path) -> list:
 
 
 def _float_table(data, cols, what) -> np.ndarray:
-    """Columns `cols` of all data rows as floats, one (n,) table row per column.
+    """Columns `cols` of all data rows as finite floats, one (n,) table row
+    per column.
 
-    `data` is the array `_loadtxt` parsed, or `_read_rows`' rows. Of the
-    latter, a row too short for `cols` or holding a non-numeric value in
-    one of them is an input error naming its 1-based data row.
+    `data` is the array `_loadtxt` parsed, or `_read_rows`' rows. A row too
+    short for `cols` (a blank line is named as one), or holding a
+    non-numeric or non-finite value in one of them, is an input error
+    naming its 1-based data row.
     """
     if isinstance(data, np.ndarray):
         # C order, as below, so that reductions over the columns add in
         # the same order
-        return np.ascontiguousarray(data[:, cols].T)
-    try:
-        table = np.array([np.fromiter(map(float, map(itemgetter(c), data)),
-                                      np.float64, len(data)) for c in cols])
-    except (ValueError, IndexError):
-        for i, row in enumerate(data, 1):
-            try:
-                [float(row[c]) for c in cols]
-            except (ValueError, IndexError):
-                raise _UsageError(f"bad {what} row {i}") from None
-        raise
-    return table.reshape(len(cols), len(data))
+        table = np.ascontiguousarray(data[:, cols].T)
+    else:
+        try:
+            table = np.array([np.fromiter(map(float, map(itemgetter(c), data)),
+                                          np.float64, len(data)) for c in cols])
+        except (ValueError, IndexError):
+            for i, row in enumerate(data, 1):
+                try:
+                    [float(row[c]) for c in cols]
+                except (ValueError, IndexError):
+                    raise _UsageError(f"bad {what} row {i}"
+                                      + ("" if row else ": blank line")) from None
+            raise
+        table = table.reshape(len(cols), len(data))
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        raise _UsageError(f"bad {what} row {int(np.argmin(finite)) + 1}")
+    return table
 
 
 def _joint_columns(path, n) -> dict:
@@ -410,11 +418,14 @@ def _joint_columns(path, n) -> dict:
             raise _UsageError(f"joint log {path} is empty")
         header, data = rows[0], rows[1:]
         if len(data) != n:
-            raise _UsageError(f"joint log has {len(data)} rows but the trajectory has {n}")
+            blank = next((i for i, row in enumerate(data, 1) if not row), None)
+            raise _UsageError(f"joint log has {len(data)} rows but the trajectory has {n}"
+                              + (f"; joint row {blank} is a blank line" if blank else ""))
         for i, row in enumerate(data, 1):
             if len(row) != len(header):
-                raise _UsageError(f"bad joint row {i}: {len(row)} fields, "
-                                  f"the header has {len(header)}")
+                raise _UsageError(f"bad joint row {i}: " + (
+                    f"{len(row)} fields, the header has {len(header)}" if row
+                    else "blank line"))
     pos = {}  # (prefix, joint index) or (name, None) -> column
     for c, name in enumerate(header):
         prefix = next((p for p in _JOINT_VECTORS
@@ -454,12 +465,9 @@ def _cmd_score(args) -> int:
                               f"schema {list(sim.CSV_COLUMNS)}")
         data = rows[1:]
     n = len(data)
-    columns = _joint_columns(args.joints, n) if args.joints else {}
     # every column but outcome_flag
     table = _float_table(data, range(len(sim.CSV_COLUMNS) - 1), "trajectory")
-    finite = np.isfinite(table).all(axis=0)
-    if not finite.all():
-        raise _UsageError(f"bad trajectory row {int(np.argmin(finite)) + 1}")
+    columns = _joint_columns(args.joints, n) if args.joints else {}
     t = dict(zip(sim.CSV_COLUMNS, table))
 
     vx = args.vx or 0.0
@@ -531,7 +539,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # argparse -h/--help exits 0; treat other argparse exits as usage errors
         return 0 if not e.code else 1
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

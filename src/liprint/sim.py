@@ -31,7 +31,7 @@ import numpy as np
 from . import _kernels, terrain as terrain_mod
 from .gait import GaitParams, GaitState, cycle_phase, phase_signals
 from .lip_core import FootPosition, LipParams, LipState
-from .planner import PlannedStep, StepCommand
+from .planner import PlannedStep, StepCommand, wrap_angle
 from .terrain import Heightmap, TerrainSpec
 
 # Node spacing (m) of the heightmaps generated for TerrainSpec terrain.
@@ -192,8 +192,8 @@ def _materialize_terrain(config: SimConfig, schedule):
 @functools.lru_cache(maxsize=16)
 def _phase_table(k: int, dt: float) -> np.ndarray:
     """Read-only (2k, 3) gait-phase table of two steps of k ticks of dt:
-    row (parity % 2) * k + tick % k holds phase_signals at that tick's
-    gait.cycle_phase."""
+    row r holds phase_signals at gait.cycle_phase of tick r % k of parity
+    r // k, so tick i of a run reads row i % (2k)."""
     params = GaitParams(step_duration=k * dt)
     table = np.array([phase_signals(cycle_phase(GaitState(t=(r % k) * dt, parity=r // k,
                                                           params=params)))
@@ -216,12 +216,11 @@ def _simulate(config: SimConfig, schedule, initial=None) -> SimResult:
     n_rec, outcome, fail_time, rows = _kernels.sim_loop(
         n_ticks, config.dt, config.ticks_per_step, config.lip.g, config.lip.z0,
         switches, config.replan == REPLAN_EVERY_TICK, config.reach_limit, hmap,
-        *map(float, (*state.com_pos, *state.com_vel, *stance.p)))
+        *map(float, (*state.com_pos, *state.com_vel, *stance.p)),
+        wrap_angle(config.cmd.fallback_heading))
 
-    # gait-phase columns: row (parity % 2) * k + tick % k of a two-step table
     k = config.ticks_per_step
-    phase = rows[:, _kernels.COL_PARITY].astype(np.int64) % 2 * k + np.arange(n_rec) % k
-    samples = np.hstack((rows, _phase_table(k, config.dt)[phase]))
+    samples = np.hstack((rows, _phase_table(k, config.dt)[np.arange(n_rec) % (2 * k)]))
     completed = outcome == _kernels.OUTCOME_COMPLETED
     return SimResult(
         config=config,
@@ -232,7 +231,13 @@ def _simulate(config: SimConfig, schedule, initial=None) -> SimResult:
 
 
 def run(config: SimConfig, initial: "tuple[LipState, FootPosition] | None" = None) -> SimResult:
-    """Simulate under a constant command for the configured duration."""
+    """Simulate under a constant command for the configured duration.
+
+    `initial` (default: default_initial) supplies com_pos, com_vel and
+    stance.p only: the stance height comes from the terrain and the
+    pendulum from config.lip; LipState.params and FootPosition.z are not
+    read.
+    """
     v = config.cmd.v_cmd
     schedule = [(0.0, float(v[0]), float(v[1]), config.cmd.w_cmd)]
     return _simulate(config, schedule, initial)
@@ -244,7 +249,8 @@ def turn_maneuver(config: SimConfig, turn_angle: float,
     """Run with the velocity command rotated by turn_angle at switch_time.
 
     turn_angle is in radians; 0, or a switch_time at or after the end of
-    the run, reproduces run() exactly.
+    the run, reproduces run() exactly. As in run(), `initial` supplies
+    com_pos, com_vel and stance.p only.
     """
     if not (math.isfinite(turn_angle) and math.isfinite(switch_time)):
         raise ValueError(f"turn angle and time must be finite, got {turn_angle}, {switch_time}")

@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 import warnings
 from pathlib import Path
 
@@ -507,8 +508,7 @@ PARSE_CORPUS = {
                        corpus_joints(cells=[(0, "q1", " -2")]), True, True),
     "inf-in-trajectory": (corpus_traj(cells=[(1, "vel_x", "Infinity")]), None, True, None),
     "nan-in-trajectory": (corpus_traj(cells=[(2, "com_y", "-nan")]), None, True, None),
-    # inf only in dq and v_z: the terms on q, tau and the actions subtract
-    # an inf (the default limits, row 0's own predecessor), which warns
+    # non-finite joint values: both paths reject the file, naming row 1
     "inf-nan-spellings": (corpus_traj(), corpus_joints(cells=[
         (0, "q0", "nan"), (1, "q1", "-nan"), (2, "tau0", "NaN"), (0, "a0", "+nan"),
         (1, "dq0", "inf"), (2, "dq1", "-Infinity"), (0, "v_z", "+iNfInItY"),
@@ -649,6 +649,35 @@ class TestScoreParsing:
         assert fast == slow
         rc, err, _, _ = fast
         assert rc in (0, 1) and (rc == 0) != err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("case,message", [
+        ("blank-last-line", "bad trajectory row 4: blank line"),
+        ("blank-line", "bad trajectory row 1: blank line"),
+        ("joints-blank-last-line",
+         "joint log has 4 rows but the trajectory has 3; joint row 4 is a blank line"),
+        ("joints-blank-line",
+         "joint log has 4 rows but the trajectory has 3; joint row 1 is a blank line"),
+    ])
+    def test_blank_row_is_named(self, monkeypatch, capsys, tmp_path, case, message):
+        traj_text, joints_text, _, _ = PARSE_CORPUS[case]
+        (tmp_path / "t.csv").write_text(traj_text)
+        joints = None
+        if joints_text is not None:
+            joints = tmp_path / "j.csv"
+            joints.write_text(joints_text)
+        for fallback in (False, True):
+            rc, err, _, written = self.score(monkeypatch, capsys, tmp_path,
+                                             tmp_path / "t.csv", joints, fallback)
+            assert (rc, err, written) == (1, f"error: {message}\n", False)
+
+    def test_blank_joint_row_of_matching_count_is_named(self, tmp_path, capsys):
+        traj = write_traj(tmp_path, [zero_row()] * 3)
+        joints = tmp_path / "j.csv"
+        joints.write_text("q0,dq0\n1,2\n\n3,4\n")
+        assert main(["score", "--traj", str(traj), "--joints", str(joints),
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == "error: bad joint row 2: blank line\n"
 
 
 class TestTerrainGen:
@@ -813,6 +842,13 @@ class TestUsage:
         (["score", "--traj", "{huge}"], "huge.csv: field larger than field limit"),
         (["score", "--traj", "{traj}", "--joints", "{huge}"],
          "huge.csv: field larger than field limit"),
+        (["score", "--traj", "{traj}", "--joints", "{joints_inf}"], "bad joint row 40\n"),
+        (["score", "--traj", "{traj}", "--joints", "{joints_neg_inf}"], "bad joint row 7\n"),
+        (["score", "--traj", "{traj}", "--joints", "{joints_nan}"], "bad joint row 100\n"),
+        # 14 m at 1e-15 m needs 1.4e16 nodes: the first array (99.5 PiB) is
+        # beyond the address space, so its allocation fails at once
+        (["terrain", "gen", "--spec", "flat", "--resolution", "1e-15"],
+         "Unable to allocate"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-nan", "duration-overflow", "dt-underflow",
             "resolution-nan", "extent-inf",
@@ -833,7 +869,9 @@ class TestUsage:
             "plan-g-overflow", "plan-base-height-underflow", "plan-dT-overflow",
             "map-excludes-stance", "terrain-gen-file-spec", "simulate-g-over-z0-underflow",
             "plan-g-over-z0-overflow", "map-mask-short", "score-traj-missing",
-            "score-traj-empty", "score-traj-huge-field", "score-joints-huge-field"])
+            "score-traj-empty", "score-traj-huge-field", "score-joints-huge-field",
+            "score-joints-inf", "score-joints-neg-inf", "score-joints-nan",
+            "terrain-gen-resolution-too-fine"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}
@@ -873,6 +911,16 @@ class TestUsage:
         (tmp_path / "empty.csv").write_text("")
         # one field longer than csv's default limit of 131072 characters
         (tmp_path / "huge.csv").write_text("1" * 200000 + "\n")
+        # joint logs of the 100 rows of {traj}, each with one non-finite value
+        # in a column score reads
+        for name, row, col, value in (("joints_inf", 40, 1, "inf"),
+                                      ("joints_neg_inf", 7, 3, "-inf"),
+                                      ("joints_nan", 100, 0, "nan")):
+            rows = [["0.5"] * 4 for _ in range(100)]
+            rows[row - 1][col] = value
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text("\n".join(["q0,dq0,a0,v_z"] + [",".join(r) for r in rows])
+                                   + "\n")
         traj = tmp_path / "traj.csv"
         if "{traj}" in argv:
             assert main(["simulate", "--vx", "1", "--duration", "1", "--out", str(traj)]) == 0
@@ -901,3 +949,21 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+def readme_cli_commands():
+    """The `liprint ...` commands of README's CLI block, continuations joined,
+    split as a shell splits them, without the leading `liprint`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("liprint ")]
+
+
+class TestReadme:
+    def test_cli_block_commands_parse(self):
+        commands = readme_cli_commands()
+        assert len(commands) == 7
+        for argv in commands:
+            args = build_parser().parse_args(argv)
+            assert args.command == argv[0]

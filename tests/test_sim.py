@@ -15,6 +15,7 @@ from liprint import _kernels
 from liprint import sim as sim_mod
 from liprint import terrain as terrain_mod
 from liprint.gait import phase_signals
+from liprint.planner import wrap_angle
 from liprint._kernels import (COL_COM_X, COL_COM_Y, COL_CONTACT_SCHED, COL_ICP_X,
                               COL_ICP_Y, COL_PARITY, COL_PHASE_COS, COL_PHASE_SIN,
                               COL_STANCE_X, COL_STANCE_Y, COL_STANCE_Z,
@@ -177,6 +178,23 @@ class TestSharedCore:
             step = planned_from_row(cfg, arr[i], arr[i - 1, COL_TARGET_HEADING])
             assert (step.p_d[0], step.p_d[1]) == (arr[i, COL_TARGET_X],
                                                   arr[i, COL_TARGET_Y])
+
+    @pytest.mark.parametrize("fb", [0.7, -2.0, 4.0, math.pi, -math.pi])
+    @pytest.mark.parametrize("vx,vy", [(0.0, 0.0), (0.6, -0.3)])
+    @pytest.mark.parametrize("replan", [sim_mod.REPLAN_AT_STEP_START,
+                                        sim_mod.REPLAN_EVERY_TICK])
+    def test_fallback_heading_reaches_the_simulator(self, fb, vx, vy, replan):
+        cfg = SimConfig(cmd=StepCommand(v_cmd=(vx, vy), fallback_heading=fb),
+                        total_duration=1.0, replan=replan)
+        res = run(cfg)
+        assert res.completed
+        arr = res.sample_array
+        step = planned_from_row(cfg, arr[0], fb)
+        assert (step.p_d[0], step.p_d[1]) == (arr[0, COL_TARGET_X], arr[0, COL_TARGET_Y])
+        assert step.heading == arr[0, COL_TARGET_HEADING]
+        # stepping in place holds the wrapped fallback on every row
+        expected = wrap_angle(fb) if (vx, vy) == (0.0, 0.0) else math.atan2(vy, vx)
+        assert set(arr[:, COL_TARGET_HEADING].tolist()) == {expected}
 
     def test_failed_snap_keeps_raw_target(self):
         cfg = config(vx=1.0, terrain=gap_spec(width=2.0, period=0.1))
@@ -752,6 +770,47 @@ class TestPhaseTable:
         assert len(calls) == 2 * cfg.ticks_per_step
 
 
+_ROUGH = TerrainSpec(kind="rough", amplitude=0.05, correlation=0.5, seed=3)
+_EVERY = sim_mod.REPLAN_EVERY_TICK
+
+
+class TestStepStarts:
+    """Every step start, tick 0 included, takes one path: parity is the step
+    index i // k on every row, and the gait-phase row follows the tick."""
+
+    @pytest.mark.parametrize("cfg,turn,outcome", [
+        pytest.param(config(vx=0.8, duration=2.0), None, _kernels.OUTCOME_COMPLETED,
+                     id="flat-at-step-start"),
+        pytest.param(config(vx=0.8, duration=2.0, replan=_EVERY), None,
+                     _kernels.OUTCOME_COMPLETED, id="flat-every-tick"),
+        pytest.param(config(vx=1.0, duration=3.0, replan=_EVERY, terrain=gap_spec()), None,
+                     _kernels.OUTCOME_COMPLETED, id="gap-every-tick"),
+        pytest.param(config(vx=1.0, duration=3.0, terrain=_ROUGH), None,
+                     _kernels.OUTCOME_COMPLETED, id="rough-at-step-start"),
+        pytest.param(config(vx=1.0, duration=3.0, replan=_EVERY, terrain=_ROUGH), None,
+                     _kernels.OUTCOME_COMPLETED, id="rough-every-tick"),
+        pytest.param(config(vx=1.0, duration=3.0, replan=_EVERY), math.pi / 2,
+                     _kernels.OUTCOME_COMPLETED, id="turn"),
+        pytest.param(config(vx=1.0, reach=0.05), None, _kernels.OUTCOME_REACH, id="reach"),
+        pytest.param(config(vx=1.0, terrain=loaded_map(step_height=0.7)), None,
+                     _kernels.OUTCOME_BAD_HEIGHT, id="bad-height"),
+    ])
+    def test_parity_and_phase_follow_the_tick(self, cfg, turn, outcome):
+        res = run(cfg) if turn is None else turn_maneuver(cfg, turn, 1.5)
+        assert res.failure_reason == sim_mod._FAIL_REASONS.get(outcome)
+        arr = res.sample_array
+        n = arr.shape[0]
+        k = cfg.ticks_per_step
+        i = np.arange(n)
+        assert n > k  # at least one touchdown
+        if outcome != _kernels.OUTCOME_COMPLETED:
+            assert (n - 1) % k == 0  # the failed row is a touchdown's
+        npt.assert_array_equal(arr[:, COL_PARITY], i // k)
+        table = sim_mod._phase_table(k, cfg.dt)
+        npt.assert_array_equal(arr[:, COL_CONTACT_SCHED:COL_PHASE_COS + 1],
+                               table[i % (2 * k)])
+
+
 class TestSimLoopRows:
     def test_returns_recorded_rows(self):
         cfg = config(vx=1.0, reach=0.05)
@@ -759,7 +818,7 @@ class TestSimLoopRows:
         n_rec, outcome, fail_time, rows = _kernels.sim_loop(
             cfg.n_ticks, cfg.dt, cfg.ticks_per_step, cfg.lip.g, cfg.lip.z0,
             [(0, 1.0, 0.0, 0.3)], False, cfg.reach_limit, None,
-            0.0, 0.0, 0.0, 0.0, 0.0, -0.15)
+            0.0, 0.0, 0.0, 0.0, 0.0, -0.15, 0.0)
         assert outcome == _kernels.OUTCOME_REACH and fail_time == res.failure_time
         assert rows.shape == (n_rec, COL_PARITY + 1) == (res.sample_array.shape[0], 15)
         npt.assert_array_equal(rows, res.sample_array[:, :COL_PARITY + 1])
@@ -768,7 +827,7 @@ class TestSimLoopRows:
         hmap = loaded_map(step_height=0.0)
         n_rec, outcome, fail_time, rows = _kernels.sim_loop(
             10, 0.01, 35, 9.81, 0.0, [(0, 1.0, 0.0, 0.3)], False, 0.6, hmap,
-            0.0, 0.0, 0.0, 0.0, 0.0, -0.15)
+            0.0, 0.0, 0.0, 0.0, 0.0, -0.15, 0.0)
         assert (n_rec, outcome, fail_time) == (0, _kernels.OUTCOME_BAD_HEIGHT, 0.0)
         assert rows.shape == (0, COL_PARITY + 1)
 
@@ -778,7 +837,7 @@ class TestSimLoopRows:
         # a non-positive pendulum height gives
         n_rec, outcome, fail_time, rows = _kernels.sim_loop(
             10, 0.01, 35, g, z0, [(0, 1.0, 0.0, 0.3)], False, 0.6, None,
-            0.0, 0.0, 0.0, 0.0, 0.0, -0.15)
+            0.0, 0.0, 0.0, 0.0, 0.0, -0.15, 0.0)
         assert (n_rec, outcome, fail_time) == (0, _kernels.OUTCOME_NON_FINITE, 0.0)
         assert rows.shape == (0, COL_PARITY + 1)
         res = run(replace(config(vx=1.0), lip=LipParams(g=g, z0=z0)))
@@ -801,7 +860,7 @@ class TestSimLoopRows:
                                      0.5, 0.5).completed
         (args,) = calls
         schedule, hmap, state = args[5], args[8], args[9:]
-        assert [type(v) for v in state] == [float] * 6
+        assert [type(v) for v in state] == [float] * 7
         assert [tuple(map(type, c)) for c in schedule] == [(int, float, float, float)] * 2
         assert [c[0] for c in schedule] == [0, 50]
         assert isinstance(hmap, terrain_mod.Heightmap)
