@@ -333,7 +333,7 @@ def snap_to_steppable(heights, mask, ox, oy, res, x, y, radius, max_dev,
 
 def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
              replan_every_tick, reach_limit, hmap,
-             com_x, com_y, vel_x, vel_y, st_x, st_y, heading):
+             com_x, com_y, vel_x, vel_y, st_x, st_y, heading, *, vel_x_only=False):
     """Closed-loop stepping simulation over n_ticks >= 1 ticks (SimConfig
     guarantees it).
 
@@ -363,7 +363,12 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     exp(omega * (Ts - s*dt)) overflows, which keeps the previous target.
     The touchdown at row i = m * ticks_per_step, m >= 1, moves the stance
     onto row i - 1's target; the loop stops after a failed tick's row.
-    Returns (n_recorded, outcome, fail_time, rows).
+    A touchdown row that fails for a non-positive pendulum height keeps
+    the previous step's omega, so its icp_x, icp_y are com + vel / that
+    omega.
+    Returns (n_recorded, outcome, fail_time, rows). With vel_x_only, each
+    recorded tick keeps only its vel_x and rows is the 1-D array of them,
+    equal to the full rows' COL_VEL_X column; n_recorded stays first.
     """
     Ts = ticks_per_step * dt
     tg_x, tg_y, tg_z = st_x, st_y, 0.0
@@ -438,9 +443,12 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                             outcome = OUTCOME_NO_GROUND
                             fail_time = t_now
 
-        # columns COL_TIME .. COL_PARITY, in order
-        rows.append((t_now, com_x, com_y, vel_x, vel_y, icp_x, icp_y,
-                     st_x, st_y, st_z, tg_x, tg_y, tg_z, heading, float(parity)))
+        if vel_x_only:
+            rows.append(vel_x)
+        else:
+            # columns COL_TIME .. COL_PARITY, in order
+            rows.append((t_now, com_x, com_y, vel_x, vel_y, icp_x, icp_y,
+                         st_x, st_y, st_z, tg_x, tg_y, tg_z, heading, float(parity)))
         if outcome != OUTCOME_COMPLETED:
             break
 
@@ -452,5 +460,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
             fail_time = (i + 1) * dt
             break
 
-    rows = np.array(rows, dtype=np.float64).reshape(-1, COL_PARITY + 1)
-    return rows.shape[0], outcome, fail_time, rows
+    rows = np.array(rows, dtype=np.float64)
+    if not vel_x_only:
+        rows = rows.reshape(-1, COL_PARITY + 1)
+    return len(rows), outcome, fail_time, rows

@@ -202,8 +202,11 @@ def _phase_table(k: int, dt: float) -> np.ndarray:
     return table
 
 
-def _simulate(config: SimConfig, schedule, initial=None) -> SimResult:
-    """Run sim_loop under a schedule of (time, vx, vy, width) command switches."""
+def _loop_args(config: SimConfig, schedule, initial=None) -> tuple:
+    """sim_loop's positional arguments for a run of config under a schedule
+    of (time, vx, vy, width) command switches: the initial state (default
+    default_initial), the materialized terrain, which must hold the initial
+    stance, and the switch table in ticks."""
     state, stance = default_initial(config) if initial is None else initial
     hmap = _materialize_terrain(config, schedule)
     if hmap is not None and not hmap.contains(stance.p):
@@ -213,12 +216,15 @@ def _simulate(config: SimConfig, schedule, initial=None) -> SimResult:
     # clamping before round() keeps a huge t / dt from overflowing
     switches = [(round(min(max(t / config.dt, 0.0), n_ticks)), float(vx), float(vy), float(w))
                 for t, vx, vy, w in schedule]
-    n_rec, outcome, fail_time, rows = _kernels.sim_loop(
-        n_ticks, config.dt, config.ticks_per_step, config.lip.g, config.lip.z0,
-        switches, config.replan == REPLAN_EVERY_TICK, config.reach_limit, hmap,
-        *map(float, (*state.com_pos, *state.com_vel, *stance.p)),
-        wrap_angle(config.cmd.fallback_heading))
+    return (n_ticks, config.dt, config.ticks_per_step, config.lip.g, config.lip.z0,
+            switches, config.replan == REPLAN_EVERY_TICK, config.reach_limit, hmap,
+            *map(float, (*state.com_pos, *state.com_vel, *stance.p)),
+            wrap_angle(config.cmd.fallback_heading))
 
+
+def _simulate(config: SimConfig, schedule, initial=None) -> SimResult:
+    """Run sim_loop under a schedule of (time, vx, vy, width) command switches."""
+    n_rec, outcome, fail_time, rows = _kernels.sim_loop(*_loop_args(config, schedule, initial))
     k = config.ticks_per_step
     samples = np.hstack((rows, _phase_table(k, config.dt)[np.arange(n_rec) % (2 * k)]))
     completed = outcome == _kernels.OUTCOME_COMPLETED
@@ -230,6 +236,12 @@ def _simulate(config: SimConfig, schedule, initial=None) -> SimResult:
         sample_array=samples)
 
 
+def _constant_schedule(config: SimConfig) -> list:
+    """The one-switch schedule of config's constant command."""
+    v = config.cmd.v_cmd
+    return [(0.0, float(v[0]), float(v[1]), config.cmd.w_cmd)]
+
+
 def run(config: SimConfig, initial: "tuple[LipState, FootPosition] | None" = None) -> SimResult:
     """Simulate under a constant command for the configured duration.
 
@@ -238,9 +250,7 @@ def run(config: SimConfig, initial: "tuple[LipState, FootPosition] | None" = Non
     pendulum from config.lip; LipState.params and FootPosition.z are not
     read.
     """
-    v = config.cmd.v_cmd
-    schedule = [(0.0, float(v[0]), float(v[1]), config.cmd.w_cmd)]
-    return _simulate(config, schedule, initial)
+    return _simulate(config, _constant_schedule(config), initial)
 
 
 def turn_maneuver(config: SimConfig, turn_angle: float,
@@ -257,17 +267,23 @@ def turn_maneuver(config: SimConfig, turn_angle: float,
     v = config.cmd.v_cmd
     c, s = math.cos(turn_angle), math.sin(turn_angle)
     v2 = (c * v[0] - s * v[1], s * v[0] + c * v[1])
-    schedule = [(0.0, float(v[0]), float(v[1]), config.cmd.w_cmd),
-                (switch_time, float(v2[0]), float(v2[1]), config.cmd.w_cmd)]
+    schedule = _constant_schedule(config) + [
+        (switch_time, float(v2[0]), float(v2[1]), config.cmd.w_cmd)]
     return _simulate(config, schedule, initial)
 
 
-def _window_mean_vx(samples: np.ndarray, window: float) -> float:
-    times = samples[:, _kernels.COL_TIME]
+def _tracks(times: np.ndarray, vel_x: np.ndarray, vx_cmd: float, window: float,
+            tolerance: float) -> bool:
+    """True when the mean of vel_x over the samples whose times lie in the
+    trailing window is within the relative tolerance of vx_cmd (absolute
+    tolerance when the command is zero). times and vel_x are 1-D, one
+    entry per recorded tick, at least one."""
     t_end = times[-1]
     # min(): a window under 1e-12 s still holds the last sample
     sel = times >= min(t_end - window + 1e-12, t_end)
-    return float(samples[sel, _kernels.COL_VEL_X].mean())
+    mean_vx = float(vel_x[sel].mean())
+    scale = abs(vx_cmd) if vx_cmd != 0.0 else 1.0
+    return abs(mean_vx - vx_cmd) <= tolerance * scale
 
 
 def _check_window_tolerance(window: float, tolerance: float, duration: float) -> None:
@@ -287,9 +303,9 @@ def success_metric(result: SimResult, vx_cmd: float, window: float,
     _check_window_tolerance(window, tolerance, result.config.total_duration)
     if not result.completed:
         return False
-    mean_vx = _window_mean_vx(result.sample_array, window)
-    scale = abs(vx_cmd) if vx_cmd != 0.0 else 1.0
-    return abs(mean_vx - vx_cmd) <= tolerance * scale
+    arr = result.sample_array
+    return _tracks(arr[:, _kernels.COL_TIME], arr[:, _kernels.COL_VEL_X], vx_cmd, window,
+                   tolerance)
 
 
 @dataclass(frozen=True)
@@ -311,12 +327,18 @@ def sweep(configs, trials: int, base_seed: int = 0, window: float = 5.0,
           tolerance: float = 0.1) -> list[SweepRow]:
     """Success fraction per config over seeded trials.
 
+    A trial succeeds as success_metric(run(cfg), vx, window, tolerance)
+    says, with vx the config's forward command. sweep decides it from a run
+    that records only vel_x: it builds no trajectory, SimResult or phase
+    table.
+
     Rough-terrain specs are re-seeded per trial; trial seeds depend only on
-    (base_seed, trial index) so trials are paired across configs. Every
-    other config (no terrain, flat, gap, a loaded heightmap) makes the
-    trials of one deterministic run, so it runs once and its success counts
-    `trials` times. Results are deterministic in (configs, trials,
-    base_seed).
+    (base_seed, trial index), so the seeds, not the maps, are paired across
+    configs: each map's extent is sized from its config's command, and the
+    same seed draws other terrain on another extent. Every other config (no
+    terrain, flat, gap, a loaded heightmap) makes the trials of one
+    deterministic run, so it runs once and its success counts `trials`
+    times. Results are deterministic in (configs, trials, base_seed).
     """
     if not configs:
         raise ValueError("sweep needs at least one config")
@@ -334,7 +356,10 @@ def sweep(configs, trials: int, base_seed: int = 0, window: float = 5.0,
             cfg = config
             if rough:
                 cfg = replace(config, terrain=spec.with_seed(_trial_seed(base_seed, trial)))
-            if success_metric(run(cfg), vx, window, tolerance):
+            n, outcome, _, vel_x = _kernels.sim_loop(
+                *_loop_args(cfg, _constant_schedule(cfg)), vel_x_only=True)
+            if (outcome == _kernels.OUTCOME_COMPLETED
+                    and _tracks(cfg.dt * np.arange(n), vel_x, vx, window, tolerance)):
                 successes += 1 if rough else trials
         rows.append(SweepRow(vx_cmd=vx, trials=trials, successes=successes))
     return rows

@@ -10,6 +10,7 @@ the library side.
 
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -48,6 +49,34 @@ def test_sim_loop_ticks_counter_reads_the_recorded_rows(tmp_path):
     rows = len(out.read_text().splitlines()) - 1
     assert 0 < rows < 300
     assert tracer.counters["kernels.sim_loop.ticks"] == rows
+
+
+def test_traced_sweep_counts_the_simulated_ticks(tmp_path):
+    """sweep runs sim_loop recording vel_x only; its result[0] must still be
+    the recorded-tick count, which failed runs make smaller than n_ticks."""
+    argv = ["sweep", "--vx-list", "0.6,2.5", "--terrain", "flat",
+            "--terrain", "rough:0.05:0.5:4", "--trials", "2", "--duration", "2",
+            "--window", "1", "--reach-limit", "0.35", "--replan", "at-step-start",
+            "--out", str(tmp_path / "rates.csv")]
+    args = cli.build_parser().parse_args(argv)
+    runs = []
+    for text in args.terrain:
+        spec = cli._load_terrain(text)
+        for vx in (0.6, 2.5):
+            args.vx = vx
+            cfg = cli._make_config(args, spec)
+            if spec is None:
+                runs.append(cfg)
+            else:
+                runs += [replace(cfg, terrain=spec.with_seed(sim._trial_seed(0, trial)))
+                         for trial in range(2)]
+    ticks = [sim.run(cfg).sample_array.shape[0] for cfg in runs]
+    assert len(ticks) == 6 and min(ticks) < 200 == max(ticks)
+    tracer = tracer_mod.Tracer()
+    with tracer.installed(MODS):
+        assert cli.main(argv) == 0
+    assert tracer.stats["kernels.sim_loop"][0] == len(runs)
+    assert tracer.counters["kernels.sim_loop.ticks"] == sum(ticks)
 
 
 def test_traced_simulate_fills_the_writer_and_kernel_spans(tmp_path):

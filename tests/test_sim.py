@@ -352,6 +352,22 @@ class TestSuccessMetric:
                 assert success_metric(res, 1.0, window=1e-13, tolerance=tolerance) == (
                     abs(last_vx - 1.0) <= tolerance)
 
+    def test_window_of_k_ticks_holds_the_last_k_samples(self):
+        """A window of k * dt selects the last k samples: the one at
+        t_end - window lies 1e-12 s outside it. The tolerance is the distance
+        of that mean from the command, so a mean over any other selection
+        fails as often as not."""
+        cfg = config(vx=1.0, duration=2.0, replan=_EVERY, terrain=gap_spec())
+        res = run(cfg)
+        vel_x = res.sample_array[:, COL_VEL_X]
+        assert res.completed and len(vel_x) == 200
+        for k in range(1, 200):
+            window = k * cfg.dt
+            tolerance = abs(vel_x[-k:].copy().mean() - 1.0)
+            assert success_metric(res, 1.0, window, tolerance), k
+            if k in (1, 2, 34, 35, 99, 100, 101, 199):
+                assert sweep([cfg], 1, window=window, tolerance=tolerance)[0].successes == 1, k
+
 
 class TestTerrainRuns:
     def test_gap_run_completes_on_steppable_ground(self):
@@ -583,17 +599,27 @@ class TestSweepRunsTrialInvariantConfigsOnce:
 
     @pytest.mark.parametrize("trials", [0, 1, 3])
     def test_run_calls(self, tmp_path, monkeypatch, trials):
+        """One run set-up and one sim_loop per simulated trial."""
         seen = []
-        real_run = sim_mod.run
+        loops = []
+        real_loop_args = sim_mod._loop_args
+        real_sim_loop = _kernels.sim_loop
 
-        def counting_run(cfg, initial=None):
+        def counting_loop_args(cfg, schedule, initial=None):
             seen.append(cfg.terrain)
-            return real_run(cfg, initial)
+            return real_loop_args(cfg, schedule, initial)
 
-        monkeypatch.setattr(sim_mod, "run", counting_run)
+        def counting_sim_loop(*args, **kwargs):
+            loops.append(args)
+            return real_sim_loop(*args, **kwargs)
+
+        monkeypatch.setattr(sim_mod, "_loop_args", counting_loop_args)
+        monkeypatch.setattr(_kernels, "sim_loop", counting_sim_loop)
         for name, spec in _sweep_terrains(tmp_path).items():
             seen.clear()
+            loops.clear()
             sweep([config(vx=0.6, duration=2.0, terrain=spec)], trials, window=1.0)
+            assert len(loops) == len(seen)
             if name == "rough":
                 assert len(seen) == trials
                 assert len({t.seed for t in seen}) == trials  # one seed per trial
@@ -864,6 +890,112 @@ class TestSimLoopRows:
         assert [tuple(map(type, c)) for c in schedule] == [(int, float, float, float)] * 2
         assert [c[0] for c in schedule] == [0, 50]
         assert isinstance(hmap, terrain_mod.Heightmap)
+
+    def test_bad_height_touchdown_row_keeps_the_previous_omega(self):
+        # the touchdown onto ground above the pendulum fails before omega is
+        # re-derived: its ICP uses the omega of the step before
+        cfg = config(vx=1.0, terrain=loaded_map(step_height=0.7))
+        res = run(cfg)
+        assert res.failure_reason == sim_mod._FAIL_REASONS[_kernels.OUTCOME_BAD_HEIGHT]
+        prev, last = res.sample_array[-2:]
+        assert last[COL_STANCE_Z] >= cfg.lip.z0 > prev[COL_STANCE_Z]
+        omega_prev = math.sqrt(cfg.lip.g / (cfg.lip.z0 - prev[COL_STANCE_Z]))
+        assert last[COL_ICP_X] == last[COL_COM_X] + last[COL_VEL_X] / omega_prev
+        assert last[COL_ICP_Y] == last[COL_COM_Y] + last[COL_VEL_Y] / omega_prev
+
+
+_ROUGH_B = TerrainSpec(kind="rough", amplitude=0.08, correlation=0.3, seed=9)
+
+# Failing runs of each kind: (config, turn (angle, time) or None, kind).
+_FAILING_RUNS = [
+    (config(vx=1.0, reach=0.05), None, "reach"),
+    (config(vx=1.0, terrain=gap_spec(width=2.0, period=0.1)), None, "no-ground"),
+    (config(vx=2.0, duration=3.0, reach=1.5, replan=_EVERY, terrain=loaded_map(gap=True)),
+     (math.pi, 0.85), "no-ground"),
+    (replace(config(vx=0.8, terrain=TerrainSpec(kind="rough", amplitude=0.08,
+                                                 correlation=1.0, seed=5)),
+             lip=LipParams(z0=0.02)), None, "bad-height-at-start"),
+    (config(vx=1.0, terrain=loaded_map(step_height=0.7)), None, "bad-height-at-touchdown"),
+    (replace(config(vx=1.0), lip=LipParams(g=1e300)), None, "non-finite"),
+    (config(vx=1.0, terrain=loaded_map(step_height=0.62 - 1e-13)), None, "non-finite"),
+    (config(vx=1.0, terrain=loaded_map(step_height=0.62 - 1e-6)), None, "non-finite"),
+]
+
+
+def _turned(schedule, angle, t):
+    """schedule plus a switch at time t to its first command rotated by angle."""
+    _, vx, vy, w = schedule[0]
+    c, s = math.cos(angle), math.sin(angle)
+    return schedule + [(t, c * vx - s * vy, s * vx + c * vy, w)]
+
+
+def _seeded_runs(n=60, seed=16):
+    """(config, schedule, kind) triples: n seeded ones over no terrain, gaps
+    and two rough specs, both replan modes, two reach limits and, in about a
+    third of them, a turn, of no set kind (None); then _FAILING_RUNS."""
+    rng = np.random.default_rng(seed)
+    terrains = (None, gap_spec(), _ROUGH, _ROUGH_B)
+    runs = []
+    for _ in range(n):
+        cfg = config(vx=rng.uniform(0.0, 2.5), vy=rng.uniform(-0.3, 0.3),
+                     duration=float(rng.choice([1.0, 2.0])),
+                     replan=str(rng.choice([sim_mod.REPLAN_AT_STEP_START, _EVERY])),
+                     terrain=terrains[rng.integers(len(terrains))],
+                     reach=float(rng.choice([0.35, 0.6])))
+        schedule = sim_mod._constant_schedule(cfg)
+        if rng.random() < 1 / 3:
+            schedule = _turned(schedule, rng.uniform(-math.pi, math.pi),
+                               rng.uniform(0.0, cfg.total_duration))
+        runs.append((cfg, schedule, None))
+    for cfg, turn, kind in _FAILING_RUNS:
+        schedule = sim_mod._constant_schedule(cfg)
+        runs.append((cfg, schedule if turn is None else _turned(schedule, *turn), kind))
+    return runs
+
+
+def _kind(outcome, n_rec):
+    if outcome == _kernels.OUTCOME_BAD_HEIGHT:
+        return "bad-height-at-start" if n_rec == 0 else "bad-height-at-touchdown"
+    return {_kernels.OUTCOME_COMPLETED: "completed", _kernels.OUTCOME_REACH: "reach",
+            _kernels.OUTCOME_NO_GROUND: "no-ground",
+            _kernels.OUTCOME_NON_FINITE: "non-finite"}[outcome]
+
+
+class TestVelXOnlyMode:
+    """sim_loop's vel_x-only mode, which sweep runs, against its full rows."""
+
+    def test_matches_the_full_rows(self):
+        kinds = []
+        for cfg, schedule, expected in _seeded_runs():
+            args = sim_mod._loop_args(cfg, schedule)
+            n_rec, outcome, fail_time, rows = _kernels.sim_loop(*args)
+            n_vx, outcome_vx, fail_time_vx, vel_x = _kernels.sim_loop(*args, vel_x_only=True)
+            assert (n_vx, outcome_vx, fail_time_vx) == (n_rec, outcome, fail_time)
+            assert vel_x.dtype == np.float64 and vel_x.shape == (n_rec,)
+            assert vel_x.tobytes() == rows[:, COL_VEL_X].tobytes()
+            kinds.append(_kind(outcome, n_rec))
+            assert expected in (None, kinds[-1])
+        counts = {kind: kinds.count(kind) for kind in set(kinds)}
+        assert counts == {"completed": 41, "reach": 20, "no-ground": 2,
+                          "bad-height-at-start": 1, "bad-height-at-touchdown": 1,
+                          "non-finite": 3}
+
+    @pytest.mark.parametrize("window", ["tick", "duration"])
+    def test_sweep_matches_per_trial_reference(self, tmp_path, window):
+        cfgs = [config(vx=vx, duration=2.0, replan=replan, terrain=spec, reach=reach)
+                for spec in _sweep_terrains(tmp_path).values()
+                for replan in (sim_mod.REPLAN_AT_STEP_START, _EVERY)
+                for vx, reach in ((0.6, 0.6), (1.0, 0.6), (2.5, 0.35))]
+        w = 1e-12 if window == "tick" else 2.0
+        successes = []
+        for tolerance in (0.05, 0.35):
+            rows = sweep(cfgs, 2, base_seed=3, window=w, tolerance=tolerance)
+            assert rows == sweep_per_trial(cfgs, 2, base_seed=3, window=w,
+                                           tolerance=tolerance)
+            successes += [r.successes for r in rows]
+        # not vacuous: some trials succeed and some fail
+        assert 0 < sum(successes) < 2 * len(successes)
+
 
 class TestInitialConditions:
     def test_custom_initial(self):
