@@ -1,13 +1,18 @@
 """Numerically hot kernels shared by the public modules.
 
-Kernels are plain numpy/Python on floats, ndarrays and lists (sim_loop
-also takes the run's Heightmap), and each formula is written once here:
-ICP propagation (icp_step), the foot placement with its offsets and
-heading rule (plan_placement), the grid-cell lookup with its bilinear sum
-(_cell for one point, grid_resample for a separable grid of them), and the
-steppability test (steppable). The dataclass-based public API in
-lip_core / planner / terrain / sim validates its arguments and calls these
-kernels.
+Kernels are plain numpy/Python on floats, ndarrays and lists, and each
+formula is written once here: ICP propagation (icp_step), the foot
+placement with its offsets and heading rule (plan_placement), the
+grid-cell lookup with its bilinear sum (_cell for one point, grid_resample
+for a separable grid of them), and the steppability test (steppable). The
+dataclass-based public API in lip_core / planner / terrain / sim validates
+its arguments and calls these kernels.
+
+The grid kernels read a map through one Grid view: its shape, origin and
+spacing as Python numbers, and node heights and mask flags read as
+h[i][j] and m[i][j] from Rows that fill each row (or node) on first read.
+terrain builds the views: a Heightmap's rows as Python lists, and rough
+terrain's heights computed node by node from its lattice.
 
 The snap search tests grid nodes with steppable() itself, each at most
 once per run: a caller-owned memo of one byte per node keeps the answers.
@@ -16,6 +21,7 @@ the search runs in plain Python.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,13 +134,40 @@ def plan_placement(icp_x, icp_y, st_x, st_y, omega, dt_pred, span, Ts,
     return fx - c * bx - s * by, fy - s * bx + c * by, heading
 
 
-def _cell(heights, ox, oy, res, x, y):
-    """Grid cell (i, j) enclosing (x, y) and the bilinear height there. The
-    cell is the floor of the grid coordinates, clamped so points on the far
-    edges fall in the last cell."""
-    rows, cols = heights.shape
-    gx = (x - ox) / res
-    gy = (y - oy) / res
+class Rows(dict):
+    """Rows of a grid read as rows[i]: row i is fill(i), made on first read
+    and kept. A row may itself be Rows of nodes, so that rows[i][j] makes
+    only the nodes that are read."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, i):
+        row = self[i] = self.fill(i)
+        return row
+
+
+class Grid(NamedTuple):
+    """A map as the grid kernels read it: rows x cols nodes, node (i, j) at
+    (ox + j*res, oy + i*res) with height h[i][j] and mask flag m[i][j]
+    (nonzero in a gap). h and m are Rows or lists of rows."""
+
+    rows: int
+    cols: int
+    ox: float
+    oy: float
+    res: float
+    h: Rows
+    m: "Rows | list"
+
+
+def _cell(h, rows, cols, gx, gy):
+    """Cell (i, j) enclosing grid coordinates (gx, gy) of a rows x cols
+    grid of node values h[i][j], and the bilinear value there. The cell is
+    the floor of the coordinates, clamped so points on the far edges fall
+    in the last cell."""
     j = int(math.floor(gx))
     i = int(math.floor(gy))
     if j > cols - 2:
@@ -147,10 +180,12 @@ def _cell(heights, ox, oy, res, x, y):
         i = 0
     fx = gx - j
     fy = gy - i
-    return i, j, (heights[i, j] * (1.0 - fy) * (1.0 - fx)
-                  + heights[i, j + 1] * (1.0 - fy) * fx
-                  + heights[i + 1, j] * fy * (1.0 - fx)
-                  + heights[i + 1, j + 1] * fy * fx)
+    lo = h[i]
+    hi = h[i + 1]
+    return i, j, (lo[j] * (1.0 - fy) * (1.0 - fx)
+                  + lo[j + 1] * (1.0 - fy) * fx
+                  + hi[j] * fy * (1.0 - fx)
+                  + hi[j + 1] * fy * fx)
 
 
 def grid_resample(grid, gy, gx):
@@ -171,17 +206,19 @@ def grid_resample(grid, gy, gx):
                   + hi[:, j] * (1.0 - fx) + hi[:, j + 1] * fx)
 
 
-def grid_bilinear(heights, ox, oy, res, x, y):
+def grid_bilinear(grid, x, y):
     """Bilinear height at (x, y). Caller guarantees the point is in bounds."""
-    return _cell(heights, ox, oy, res, x, y)[2]
+    rows, cols, ox, oy, res, h, _ = grid
+    return _cell(h, rows, cols, (x - ox) / res, (y - oy) / res)[2]
 
 
-def grid_contains(rows, cols, ox, oy, res, x, y):
+def grid_contains(grid, x, y):
+    rows, cols, ox, oy, res, _, _ = grid
     return (x >= ox and x <= ox + (cols - 1) * res
             and y >= oy and y <= oy + (rows - 1) * res)
 
 
-def steppable(heights, mask, ox, oy, res, x, y, radius, max_dev):
+def steppable(grid, x, y, radius, max_dev):
     """True when (x, y) offers foot-sized flat support.
 
     The four enclosing nodes must be supporting (mask marks gap cells, the
@@ -189,12 +226,13 @@ def steppable(heights, mask, ox, oy, res, x, y, radius, max_dev):
     must be supporting with height within `max_dev` of the surface height
     at the query point. Samples falling outside the grid are ignored.
     """
-    rows, cols = heights.shape
-    if not grid_contains(rows, cols, ox, oy, res, x, y):
+    if not grid_contains(grid, x, y):
         return False
-    i0, j0, h0 = _cell(heights, ox, oy, res, x, y)
-    if (mask[i0, j0] != 0 or mask[i0, j0 + 1] != 0
-            or mask[i0 + 1, j0] != 0 or mask[i0 + 1, j0 + 1] != 0):
+    rows, cols, ox, oy, res, h, m = grid
+    i0, j0, h0 = _cell(h, rows, cols, (x - ox) / res, (y - oy) / res)
+    lo = m[i0]
+    hi = m[i0 + 1]
+    if lo[j0] != 0 or lo[j0 + 1] != 0 or hi[j0] != 0 or hi[j0 + 1] != 0:
         return False
     jlo = int(math.ceil((x - radius - ox) / res))
     jhi = int(math.floor((x + radius - ox) / res))
@@ -212,23 +250,24 @@ def steppable(heights, mask, ox, oy, res, x, y, radius, max_dev):
     for i in range(ilo, ihi + 1):
         ny = oy + i * res
         dy = ny - y
+        h_row = h[i]
+        m_row = m[i]
         for j in range(jlo, jhi + 1):
             nx = ox + j * res
             dx = nx - x
             if dx * dx + dy * dy > r2:
                 continue
-            if mask[i, j] != 0:
+            if m_row[j] != 0:
                 return False
-            if abs(heights[i, j] - h0) >= max_dev:
+            if abs(h_row[j] - h0) >= max_dev:
                 return False
     return True
 
 
-def _nearest_steppable_node(heights, mask, ox, oy, res, x, y, radius, max_dev,
-                            budget2, memo):
+def _nearest_steppable_node(grid, x, y, radius, max_dev, budget2, memo):
     """Closest steppable node to (x, y) with d2 <= budget2: (found, nx, ny).
 
-    Node (i, j) is steppable when steppable(..., ox + j*res, oy + i*res,
+    Node (i, j) is steppable when steppable(grid, ox + j*res, oy + i*res,
     radius, max_dev) holds. memo, a bytearray of one byte per node in
     row-major order, keeps each answer (0 untested, 1 not steppable,
     2 steppable), so a node is tested at most once per memo.
@@ -247,7 +286,7 @@ def _nearest_steppable_node(heights, mask, ox, oy, res, x, y, radius, max_dev,
     budget) tie; a tie goes to the smaller x, then the smaller y, i.e. the
     smaller column, then the smaller row.
     """
-    rows, cols = heights.shape
+    rows, cols, ox, oy, res, _, _ = grid
 
     def first(i, j, step, dy2, limit):
         # (d2, j) of row i's first steppable node from column j on in
@@ -260,8 +299,7 @@ def _nearest_steppable_node(heights, mask, ox, oy, res, x, y, radius, max_dev,
                 return None
             k = i * cols + j
             if not memo[k]:
-                memo[k] = 1 + steppable(heights, mask, ox, oy, res, nx, oy + i * res,
-                                        radius, max_dev)
+                memo[k] = 1 + steppable(grid, nx, oy + i * res, radius, max_dev)
             if memo[k] == 2:
                 return d2, j
             j += step
@@ -310,9 +348,8 @@ def _nearest_steppable_node(heights, mask, ox, oy, res, x, y, radius, max_dev,
     return True, ox + j * res, oy + i * res
 
 
-def snap_to_steppable(heights, mask, ox, oy, res, x, y, radius, max_dev,
-                      max_search, memo):
-    """Closest steppable point to (x, y) within max_search.
+def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y):
+    """Closest steppable point to the query (x, y) within max_search.
 
     Returns (found, sx, sy). The query point itself wins when steppable.
     Otherwise the answer is the steppable grid node with the smallest
@@ -320,19 +357,20 @@ def snap_to_steppable(heights, mask, ox, oy, res, x, y, radius, max_dev,
     1e-12 of the minimum tie, and a tie goes to the smaller x, then the
     smaller y.
 
-    memo is a caller-owned bytearray(rows * cols) for this map, radius and
-    max_dev, all zero when new. The search tests nodes with steppable()
+    memo is a caller-owned bytearray(rows * cols) for this grid, radius
+    and max_dev, all zero when new. The search tests nodes with steppable()
     through it (see _nearest_steppable_node), so queries that share a memo
-    test each node at most once.
+    test each node at most once. The per-search arguments come first and
+    the query last, at positions 5 and 6, where perfbench's tracer reads it.
     """
-    if steppable(heights, mask, ox, oy, res, x, y, radius, max_dev):
+    if steppable(grid, x, y, radius, max_dev):
         return True, x, y
-    return _nearest_steppable_node(heights, mask, ox, oy, res, x, y, radius, max_dev,
+    return _nearest_steppable_node(grid, x, y, radius, max_dev,
                                    max_search * max_search + 1e-12, memo)
 
 
 def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
-             replan_every_tick, reach_limit, hmap,
+             replan_every_tick, reach_limit, grid,
              com_x, com_y, vel_x, vel_y, st_x, st_y, heading, *, vel_x_only=False):
     """Closed-loop stepping simulation over n_ticks >= 1 ticks (SimConfig
     guarantees it).
@@ -347,8 +385,8 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     once), records a sample at the tick instant and propagates the CoM
     analytically over dt. When no steppable ground is found the sample
     keeps the raw, unsnapped target.
-    hmap is the run's Heightmap, or None on flat ground: nothing is snapped
-    and every height is 0. schedule lists (tick, vx, vy, width) switches;
+    grid is the run's Grid view of its terrain, or None on flat ground:
+    nothing is snapped and every height is 0. schedule lists (tick, vx, vy, width) switches;
     the first holds from tick 0, each later one from its tick on. heading
     is the fallback heading until the first plan. Pass the state com_x ..
     heading as Python floats, not numpy scalars.
@@ -372,11 +410,9 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     """
     Ts = ticks_per_step * dt
     tg_x, tg_y, tg_z = st_x, st_y, 0.0
-    if hmap is not None:
-        heights, mask, res = hmap.heights, hmap.mask, hmap.resolution
-        ox, oy = float(hmap.origin[0]), float(hmap.origin[1])
-        memo = bytearray(heights.size)
-        tg_z = grid_bilinear(heights, ox, oy, res, st_x, st_y)
+    if grid is not None:
+        memo = bytearray(grid.rows * grid.cols)
+        tg_z = grid_bilinear(grid, st_x, st_y)
 
     cmd_i = 0
     n_cmd = len(schedule)
@@ -429,15 +465,13 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                     outcome = OUTCOME_NON_FINITE
                     fail_time = t_now
                 else:
-                    if hmap is not None:
-                        ok, sx, sy = snap_to_steppable(heights, mask, ox, oy, res,
-                                                       tg_x, tg_y, FOOT_RADIUS,
-                                                       MAX_HEIGHT_DEV, SNAP_SEARCH_RADIUS,
-                                                       memo)
+                    if grid is not None:
+                        ok, sx, sy = snap_to_steppable(grid, FOOT_RADIUS, MAX_HEIGHT_DEV,
+                                                       SNAP_SEARCH_RADIUS, memo, tg_x, tg_y)
                         if ok:
                             tg_x = sx
                             tg_y = sy
-                            tg_z = grid_bilinear(heights, ox, oy, res, sx, sy)
+                            tg_z = grid_bilinear(grid, sx, sy)
                         else:
                             tg_z = 0.0
                             outcome = OUTCOME_NO_GROUND

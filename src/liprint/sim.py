@@ -6,10 +6,14 @@ pendulum frequency (commanded base height minus stance height), and the
 CoM propagates analytically between boundaries. Planning runs either once
 per step or every tick, through the same kernel as planner.plan_step;
 targets are snapped to steppable ground and their elevation refined from
-the heightmap. The contact-schedule and phase-clock columns come from
-gait.phase_signals at gait.cycle_phase of each tick's GaitState,
-tabulated once per (ticks_per_step, dt) and shared by every run with
-those values. Failure is recorded, not raised:
+the terrain. The kernels read the terrain through its grid view: a
+Heightmap's rows become Python lists on first read, and a rough
+TerrainSpec's heights are computed only at the nodes the run reads
+(terrain.generate_grid), equal to terrain.generate's. The
+contact-schedule and phase-clock columns come from gait.phase_signals at
+gait.cycle_phase of each tick's GaitState, tabulated once per
+(ticks_per_step, dt) and shared by every run with those values. Failure
+is recorded, not raised:
 a touchdown farther than the reach limit from the capture point or the
 CoM, no steppable ground within the snap radius, or a non-finite state.
 
@@ -176,16 +180,19 @@ def _auto_extent(config: SimConfig, schedule) -> tuple[float, float, float, floa
     return (x_lo - margin, y_lo - margin, x_hi + margin, y_hi + margin)
 
 
-def _materialize_terrain(config: SimConfig, schedule):
+def _terrain_grid(config: SimConfig, schedule) -> "_kernels.Grid | None":
+    """The run's Grid view of config.terrain, None on flat ground. A
+    TerrainSpec is generated on _auto_extent at TERRAIN_RESOLUTION, rough
+    heights only where the run reads them (terrain.generate_grid)."""
     t = config.terrain
     if t is None:
         return None
     if isinstance(t, Heightmap):
-        return t
+        return t.grid
     if isinstance(t, TerrainSpec):
         if t.kind == "flat":
             return None
-        return terrain_mod.generate(t, _auto_extent(config, schedule), TERRAIN_RESOLUTION)
+        return terrain_mod.generate_grid(t, _auto_extent(config, schedule), TERRAIN_RESOLUTION)
     raise TypeError(f"terrain must be a Heightmap, TerrainSpec, or None, got {type(t)}")
 
 
@@ -205,11 +212,11 @@ def _phase_table(k: int, dt: float) -> np.ndarray:
 def _loop_args(config: SimConfig, schedule, initial=None) -> tuple:
     """sim_loop's positional arguments for a run of config under a schedule
     of (time, vx, vy, width) command switches: the initial state (default
-    default_initial), the materialized terrain, which must hold the initial
+    default_initial), the terrain's grid view, which must hold the initial
     stance, and the switch table in ticks."""
     state, stance = default_initial(config) if initial is None else initial
-    hmap = _materialize_terrain(config, schedule)
-    if hmap is not None and not hmap.contains(stance.p):
+    grid = _terrain_grid(config, schedule)
+    if grid is not None and not _kernels.grid_contains(grid, *map(float, stance.p)):
         raise ValueError("initial stance foot lies outside the heightmap")
     n_ticks = config.n_ticks
     # a switch before the start or after the end acts at tick 0 or never;
@@ -217,7 +224,7 @@ def _loop_args(config: SimConfig, schedule, initial=None) -> tuple:
     switches = [(round(min(max(t / config.dt, 0.0), n_ticks)), float(vx), float(vy), float(w))
                 for t, vx, vy, w in schedule]
     return (n_ticks, config.dt, config.ticks_per_step, config.lip.g, config.lip.z0,
-            switches, config.replan == REPLAN_EVERY_TICK, config.reach_limit, hmap,
+            switches, config.replan == REPLAN_EVERY_TICK, config.reach_limit, grid,
             *map(float, (*state.com_pos, *state.com_vel, *stance.p)),
             wrap_angle(config.cmd.fallback_heading))
 

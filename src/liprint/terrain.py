@@ -11,6 +11,7 @@ JSON interchange format:
      "heights": [...], "mask": [...]}   # row-major, len == rows*cols
 """
 
+import functools
 import json
 import math
 import sys
@@ -41,6 +42,10 @@ def _json_numbers(d: dict, key: str, expected: str, size=None) -> np.ndarray:
     if bad is not None:
         raise ValueError(f"heightmap {key} must be {expected}, got {v[bad]!r} at index {bad}")
     return np.array(v, dtype=np.float64)
+
+
+def _row_list(array: np.ndarray, i: int) -> list:
+    return array[i].tolist()
 
 
 @dataclass(frozen=True)
@@ -81,11 +86,18 @@ class Heightmap:
     def cols(self) -> int:
         return self.heights.shape[1]
 
+    @functools.cached_property
+    def grid(self) -> _kernels.Grid:
+        """The map as the grid kernels read it: each height and mask row
+        becomes a Python list on its first read."""
+        ox, oy = self.origin.tolist()
+        # the fills hold the arrays, not self: no cycle keeps the map alive
+        return _kernels.Grid(self.rows, self.cols, ox, oy, self.resolution,
+                             _kernels.Rows(functools.partial(_row_list, self.heights)),
+                             _kernels.Rows(functools.partial(_row_list, self.mask)))
+
     def contains(self, p) -> bool:
-        x, y = float(p[0]), float(p[1])
-        return bool(_kernels.grid_contains(self.rows, self.cols,
-                                           self.origin[0], self.origin[1],
-                                           self.resolution, x, y))
+        return _kernels.grid_contains(self.grid, float(p[0]), float(p[1]))
 
     def to_dict(self) -> dict:
         return {
@@ -169,6 +181,10 @@ class TerrainSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.amplitude < 0.0:
             raise ValueError(f"amplitude must be non-negative, got {self.amplitude}")
+        # heights are drawn from [-amplitude, amplitude], a range of 2 * amplitude
+        if not math.isfinite(2.0 * self.amplitude):
+            raise ValueError(f"amplitude must be at most {sys.float_info.max / 2.0}, "
+                             f"got {self.amplitude}")
         if self.kind == "rough" and self.correlation <= 0.0:
             raise ValueError(f"correlation length must be positive, got {self.correlation}")
         if self.kind == "gap" and (self.gap_width <= 0.0 or self.gap_period <= 0.0):
@@ -209,8 +225,7 @@ def height_at(h: Heightmap, p) -> float:
     x, y = float(p[0]), float(p[1])
     if not h.contains((x, y)):
         raise ValueError(f"query point ({x}, {y}) outside heightmap bounds")
-    return float(_kernels.grid_bilinear(h.heights, h.origin[0], h.origin[1],
-                                        h.resolution, x, y))
+    return _kernels.grid_bilinear(h.grid, x, y)
 
 
 def is_steppable(h: Heightmap, p, radius: float = FOOT_RADIUS,
@@ -218,9 +233,7 @@ def is_steppable(h: Heightmap, p, radius: float = FOOT_RADIUS,
     """Foot-sized flat support test; False outside the map or in a gap."""
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
-    return bool(_kernels.steppable(h.heights, h.mask, h.origin[0], h.origin[1],
-                                   h.resolution, float(p[0]), float(p[1]),
-                                   radius, max_dev))
+    return _kernels.steppable(h.grid, float(p[0]), float(p[1]), radius, max_dev)
 
 
 def nearest_steppable(h: Heightmap, p, radius: float = FOOT_RADIUS,
@@ -240,13 +253,40 @@ def nearest_steppable(h: Heightmap, p, radius: float = FOOT_RADIUS,
     x, y = float(p[0]), float(p[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"p must be finite, got ({x}, {y})")
-    ok, sx, sy = _kernels.snap_to_steppable(
-        h.heights, h.mask, float(h.origin[0]), float(h.origin[1]), h.resolution,
-        x, y, radius, max_dev, max_search, bytearray(h.heights.size))
+    ok, sx, sy = _kernels.snap_to_steppable(h.grid, radius, max_dev, max_search,
+                                            bytearray(h.heights.size), x, y)
     if not ok:
         raise ValueError(
             f"no steppable ground within {max_search} m of ({p[0]}, {p[1]})")
     return np.array([sx, sy])
+
+
+def _layout(spec: TerrainSpec, extent, resolution: float):
+    """(x0, y0, rows, cols, lattice) of the map generate builds on extent =
+    (x0, y0, x1, y1): nodes at (x0 + resolution*j, y0 + resolution*i), the
+    grid reaching x1 and y1. lattice is None unless the spec is rough of
+    positive amplitude; then it is (values, lat_x0, lat_y0): uniform
+    heights in [-amplitude, amplitude] drawn from spec.seed, lattice node
+    (a, b) at ((lat_x0 + b) * corr, (lat_y0 + a) * corr), one node beyond
+    the extent on every side."""
+    x0, y0, x1, y1 = (float(v) for v in extent)
+    if not (x1 > x0 and y1 > y0 and all(map(math.isfinite, (x0, y0, x1, y1)))):
+        raise ValueError(f"extent {extent} must be finite and non-empty")
+    if not (resolution > 0.0 and math.isfinite(resolution)):
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+    cols = max(2, int(math.ceil((x1 - x0) / resolution)) + 1)
+    rows = max(2, int(math.ceil((y1 - y0) / resolution)) + 1)
+    lattice = None
+    if spec.kind == "rough" and spec.amplitude > 0.0:
+        rng = np.random.default_rng(spec.seed)
+        corr = spec.correlation
+        lat_x0 = math.floor(x0 / corr) - 1
+        lat_y0 = math.floor(y0 / corr) - 1
+        lat_cols = int(math.ceil(x1 / corr)) - lat_x0 + 2
+        lat_rows = int(math.ceil(y1 / corr)) - lat_y0 + 2
+        values = rng.uniform(-spec.amplitude, spec.amplitude, (lat_rows, lat_cols))
+        lattice = values, lat_x0, lat_y0
+    return x0, y0, rows, cols, lattice
 
 
 def generate(spec: TerrainSpec, extent, resolution: float) -> Heightmap:
@@ -255,32 +295,21 @@ def generate(spec: TerrainSpec, extent, resolution: float) -> Heightmap:
     Deterministic in (spec, extent, resolution). Rough terrain is bilinear
     value noise: an independent uniform height in [-amplitude, amplitude]
     per lattice node, spaced by the correlation length, interpolated to the
-    grid nodes by _kernels.grid_resample.
+    grid nodes by _kernels.grid_resample. The simulator reads the same
+    nodes on demand through generate_grid, which builds no array.
     Gap terrain is flat with periodic non-supporting strips across x; nodes
     strictly inside a strip are masked.
     """
-    x0, y0, x1, y1 = (float(v) for v in extent)
-    if not (x1 > x0 and y1 > y0 and all(map(math.isfinite, (x0, y0, x1, y1)))):
-        raise ValueError(f"extent {extent} must be finite and non-empty")
-    if not (resolution > 0.0 and math.isfinite(resolution)):
-        raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    cols = max(2, int(math.ceil((x1 - x0) / resolution)) + 1)
-    rows = max(2, int(math.ceil((y1 - y0) / resolution)) + 1)
+    x0, y0, rows, cols, lattice = _layout(spec, extent, resolution)
     xs = x0 + resolution * np.arange(cols)
     heights = np.zeros((rows, cols))
     mask = np.zeros((rows, cols), dtype=np.uint8)
 
-    if spec.kind == "rough" and spec.amplitude > 0.0:
-        rng = np.random.default_rng(spec.seed)
+    if lattice is not None:
+        values, lat_x0, lat_y0 = lattice
         corr = spec.correlation
-        lat_x0 = math.floor(x0 / corr) - 1
-        lat_y0 = math.floor(y0 / corr) - 1
-        lat_cols = int(math.ceil(x1 / corr)) - lat_x0 + 2
-        lat_rows = int(math.ceil(y1 / corr)) - lat_y0 + 2
-        lattice = rng.uniform(-spec.amplitude, spec.amplitude, (lat_rows, lat_cols))
         ys = y0 + resolution * np.arange(rows)
-        heights = _kernels.grid_resample(lattice, ys / corr - lat_y0,
-                                         xs / corr - lat_x0)[2]
+        heights = _kernels.grid_resample(values, ys / corr - lat_y0, xs / corr - lat_x0)[2]
     elif spec.kind == "gap":
         rel = np.mod(xs - spec.gap_offset, spec.gap_period)
         in_gap = (rel > 1e-12) & (rel < spec.gap_width - 1e-12)
@@ -288,3 +317,29 @@ def generate(spec: TerrainSpec, extent, resolution: float) -> Heightmap:
 
     return Heightmap(origin=np.array([x0, y0]), resolution=resolution,
                      heights=heights, mask=mask)
+
+
+def generate_grid(spec: TerrainSpec, extent, resolution: float) -> _kernels.Grid:
+    """generate(spec, extent, resolution) as the grid kernels read it.
+
+    Rough terrain of positive amplitude builds no map: it draws generate's
+    lattice, and each height node is _kernels._cell's bilinear sum over the
+    lattice at the grid coordinates generate computes, made on its first
+    read, so it equals generate's node bit for bit. Its mask is all zero.
+    Other specs read the generated Heightmap's grid.
+    """
+    x0, y0, rows, cols, lattice = _layout(spec, extent, resolution)
+    if lattice is None:
+        return generate(spec, extent, resolution).grid
+    values, lat_x0, lat_y0 = lattice
+    lat_rows, lat_cols = values.shape
+    lat = values.tolist()
+    corr = spec.correlation
+
+    def row(i):
+        gy = (y0 + resolution * i) / corr - lat_y0
+        return _kernels.Rows(lambda j: _kernels._cell(
+            lat, lat_rows, lat_cols, (x0 + resolution * j) / corr - lat_x0, gy)[2])
+
+    return _kernels.Grid(rows, cols, x0, y0, resolution, _kernels.Rows(row),
+                         [[0] * cols] * rows)

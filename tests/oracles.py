@@ -108,9 +108,9 @@ def node_grid_per_steppable(h, radius, max_dev):
     heightmap h, at (ox + j*res, oy + i*res): a (rows, cols) bool grid."""
     from liprint import _kernels
 
-    ox, oy, res = float(h.origin[0]), float(h.origin[1]), h.resolution
-    return np.array([[_kernels.steppable(h.heights, h.mask, ox, oy, res, ox + j * res,
-                                         oy + i * res, radius, max_dev)
+    grid = h.grid
+    ox, oy, res = grid.ox, grid.oy, grid.res
+    return np.array([[_kernels.steppable(grid, ox + j * res, oy + i * res, radius, max_dev)
                       for j in range(h.cols)] for i in range(h.rows)], dtype=bool)
 
 
@@ -142,11 +142,10 @@ def _two_window_nearest_node(node_grid, ox, oy, res, x, y, ci, cj, k, budget2):
     return True, ox + j * res, oy + i * res, float(d2[i - i_lo, j - j_lo])
 
 
-def two_window_snap(heights, mask, ox, oy, res, x, y, radius, max_dev, max_search,
-                    grid):
-    """liprint._kernels.snap_to_steppable as numpy windows over `grid`, the
-    node_grid_per_steppable of the same map, radius and max_dev: the
-    reference for the row search.
+def two_window_snap(h, x, y, radius, max_dev, max_search, node_grid):
+    """liprint._kernels.snap_to_steppable on the heightmap h as numpy
+    windows over `node_grid`, the node_grid_per_steppable of the same map,
+    radius and max_dev: the reference for the row search.
 
     The search looks first in the window of Chebyshev radius 4 around the
     query's nearest node (ci, cj). Any node outside it lies more than
@@ -157,17 +156,18 @@ def two_window_snap(heights, mask, ox, oy, res, x, y, radius, max_dev, max_searc
     """
     from liprint import _kernels
 
-    if _kernels.steppable(heights, mask, ox, oy, res, x, y, radius, max_dev):
+    if _kernels.steppable(h.grid, x, y, radius, max_dev):
         return True, x, y
+    ox, oy, res = h.grid.ox, h.grid.oy, h.grid.res
     ci = int(round((y - oy) / res))
     cj = int(round((x - ox) / res))
     budget2 = max_search * max_search + 1e-12
     max_ring = int(max_search / res) + 2
     k = min(4, max_ring)
-    found, bx, by, best_d2 = _two_window_nearest_node(grid, ox, oy, res, x, y,
+    found, bx, by, best_d2 = _two_window_nearest_node(node_grid, ox, oy, res, x, y,
                                                       ci, cj, k, budget2)
     if k < max_ring and not (found and k * res > math.sqrt(best_d2)):
-        found, bx, by, best_d2 = _two_window_nearest_node(grid, ox, oy, res, x, y,
+        found, bx, by, best_d2 = _two_window_nearest_node(node_grid, ox, oy, res, x, y,
                                                           ci, cj, max_ring, budget2)
     return found, bx, by
 

@@ -18,6 +18,7 @@ from liprint import (FootPosition, GaitParams, GaitState, LipParams, LipState,
                      offsets, plan_step, predict_final_icp, icp_of, is_steppable,
                      run, sweep, turn_maneuver)
 from liprint import sim as sim_mod
+from liprint import terrain as terrain_mod
 from liprint._kernels import COL_COM_X, COL_COM_Y, COL_ICP_X, COL_TIME, COL_VEL_X
 from liprint.cli import main as cli_main
 from liprint.metrics import RobotSample, RewardParams, regularization, total_reward
@@ -158,7 +159,8 @@ def test_criterion_6_terrain_adaptation():
                         replan=sim_mod.REPLAN_EVERY_TICK, terrain=gap)
         res = run(cfg)
         assert res.completed, res.failure_reason
-        hmap = sim_mod._materialize_terrain(cfg, [(0.0, 1.0, 0.0, 0.3)])
+        hmap = terrain_mod.generate(gap, sim_mod._auto_extent(cfg, [(0.0, 1.0, 0.0, 0.3)]),
+                                    sim_mod.TERRAIN_RESOLUTION)
         assert len(res.step_events) >= 25
         for ev in res.step_events:
             assert is_steppable(hmap, ev.realized[:2]), ev

@@ -849,6 +849,13 @@ class TestUsage:
         # beyond the address space, so its allocation fails at once
         (["terrain", "gen", "--spec", "flat", "--resolution", "1e-15"],
          "Unable to allocate"),
+        # heights are drawn from [-amplitude, amplitude]: 2 * 1e308 overflows
+        (["simulate", "--vx", "1", "--terrain", "rough:1e308:0.5:0"],
+         "amplitude must be at most 8.988465674311579e+307, got 1e+308"),
+        (["sweep", "--terrain", "rough:1e308:0.5:0"],
+         "amplitude must be at most 8.988465674311579e+307, got 1e+308"),
+        (["terrain", "gen", "--spec", "rough:1e308:0.5:0"],
+         "amplitude must be at most 8.988465674311579e+307, got 1e+308"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-nan", "duration-overflow", "dt-underflow",
             "resolution-nan", "extent-inf",
@@ -871,7 +878,8 @@ class TestUsage:
             "plan-g-over-z0-overflow", "map-mask-short", "score-traj-missing",
             "score-traj-empty", "score-traj-huge-field", "score-joints-huge-field",
             "score-joints-inf", "score-joints-neg-inf", "score-joints-nan",
-            "terrain-gen-resolution-too-fine"])
+            "terrain-gen-resolution-too-fine", "rough-amplitude-overflow",
+            "sweep-amplitude-overflow", "terrain-gen-amplitude-overflow"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}

@@ -375,7 +375,9 @@ class TestTerrainRuns:
                      terrain=gap_spec())
         res = run(cfg)
         assert res.completed
-        hmap = sim_mod._materialize_terrain(cfg, [(0.0, 1.0, 0.0, 0.3)])
+        hmap = terrain_mod.generate(cfg.terrain,
+                                    sim_mod._auto_extent(cfg, [(0.0, 1.0, 0.0, 0.3)]),
+                                    sim_mod.TERRAIN_RESOLUTION)
         for ev in res.step_events:
             assert is_steppable(hmap, ev.realized[:2])
 
@@ -405,9 +407,9 @@ class TestTerrainRuns:
         calls = []  # (x, y) of every steppable() call: queries and node tests
         real = _kernels.steppable
 
-        def spy(heights, mask, ox, oy, res, x, y, radius, max_dev):
+        def spy(grid, x, y, radius, max_dev):
             calls.append((x, y))
-            return real(heights, mask, ox, oy, res, x, y, radius, max_dev)
+            return real(grid, x, y, radius, max_dev)
 
         monkeypatch.setattr(_kernels, "steppable", spy)
         # gentle rough ground: every snap query is itself steppable, so the
@@ -423,12 +425,51 @@ class TestTerrainRuns:
                      terrain=gap_spec())
         res = run(cfg)
         assert res.completed
-        hmap = sim_mod._materialize_terrain(cfg, [(0.0, 0.7, 0.0, 0.3)])
+        hmap = terrain_mod.generate(cfg.terrain,
+                                    sim_mod._auto_extent(cfg, [(0.0, 0.7, 0.0, 0.3)]),
+                                    sim_mod.TERRAIN_RESOLUTION)
         ox, oy, r = float(hmap.origin[0]), float(hmap.origin[1]), hmap.resolution
         nodes = [(x, y) for x, y in calls
                  if x == ox + round((x - ox) / r) * r and y == oy + round((y - oy) / r) * r]
         assert len(calls) - len(nodes) == res.sample_array.shape[0]
         assert len(nodes) == len(set(nodes)) > 0
+
+    def test_rough_heights_filled_only_where_read(self, monkeypatch):
+        # spies: the grid views sim builds, and every terrain.generate call
+        grids, generate_calls = [], []
+        real_grid, real_generate = terrain_mod.generate_grid, terrain_mod.generate
+
+        def grid_spy(*args):
+            grids.append(real_grid(*args))
+            return grids[-1]
+
+        def generate_spy(*args):
+            generate_calls.append(args)
+            return real_generate(*args)
+
+        monkeypatch.setattr(terrain_mod, "generate_grid", grid_spy)
+        monkeypatch.setattr(terrain_mod, "generate", generate_spy)
+        rough = TerrainSpec(kind="rough", amplitude=0.05, correlation=0.5, seed=7)
+        assert run(config(vx=1.0, duration=6.0, terrain=rough)).completed
+        assert sweep([config(vx=1.0, duration=6.0, terrain=rough)], trials=1)[0].successes == 1
+        assert len(grids) == 2 and generate_calls == []
+        for grid in grids:
+            filled = sum(len(row) for row in grid.h.values())
+            assert 0 < filled < 0.02 * grid.rows * grid.cols, filled
+
+    @pytest.mark.parametrize("replan", [sim_mod.REPLAN_AT_STEP_START, sim_mod.REPLAN_EVERY_TICK])
+    def test_rough_run_equals_run_on_generated_map(self, replan):
+        for seed in (0, 7, 12):
+            cfg = config(vx=1.2, duration=4.0, replan=replan,
+                         terrain=TerrainSpec(kind="rough", amplitude=0.06, correlation=0.4,
+                                             seed=seed))
+            schedule = sim_mod._constant_schedule(cfg)
+            hmap = terrain_mod.generate(cfg.terrain, sim_mod._auto_extent(cfg, schedule),
+                                        sim_mod.TERRAIN_RESOLUTION)
+            lazy, eager = run(cfg), run(replace(cfg, terrain=hmap))
+            assert (lazy.outcome, lazy.failure_time) == (eager.outcome, eager.failure_time)
+            assert lazy.sample_array.tobytes() == eager.sample_array.tobytes()
+            assert np.abs(lazy.sample_array[:, COL_STANCE_Z]).max() > 1e-4
 
     def test_rough_stance_height_follows_terrain(self):
         rough = TerrainSpec(kind="rough", amplitude=0.05, correlation=0.5, seed=12)
@@ -852,7 +893,7 @@ class TestSimLoopRows:
     def test_bad_height_at_start_records_no_rows(self):
         hmap = loaded_map(step_height=0.0)
         n_rec, outcome, fail_time, rows = _kernels.sim_loop(
-            10, 0.01, 35, 9.81, 0.0, [(0, 1.0, 0.0, 0.3)], False, 0.6, hmap,
+            10, 0.01, 35, 9.81, 0.0, [(0, 1.0, 0.0, 0.3)], False, 0.6, hmap.grid,
             0.0, 0.0, 0.0, 0.0, 0.0, -0.15, 0.0)
         assert (n_rec, outcome, fail_time) == (0, _kernels.OUTCOME_BAD_HEIGHT, 0.0)
         assert rows.shape == (0, COL_PARITY + 1)
@@ -885,11 +926,11 @@ class TestSimLoopRows:
         assert sim_mod.turn_maneuver(config(vx=0.7, duration=1.0, terrain=gap_spec()),
                                      0.5, 0.5).completed
         (args,) = calls
-        schedule, hmap, state = args[5], args[8], args[9:]
+        schedule, grid, state = args[5], args[8], args[9:]
         assert [type(v) for v in state] == [float] * 7
         assert [tuple(map(type, c)) for c in schedule] == [(int, float, float, float)] * 2
         assert [c[0] for c in schedule] == [0, 50]
-        assert isinstance(hmap, terrain_mod.Heightmap)
+        assert isinstance(grid, _kernels.Grid)
 
     def test_bad_height_touchdown_row_keeps_the_previous_omega(self):
         # the touchdown onto ground above the pendulum fails before omega is

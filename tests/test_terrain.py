@@ -10,7 +10,7 @@ import pytest
 from liprint import (Heightmap, TerrainSpec, generate, height_at, is_steppable,
                      nearest_steppable)
 from liprint import _kernels
-from liprint.terrain import parse_spec
+from liprint.terrain import generate_grid, parse_spec
 
 from oracles import (exhaustive_nearest_steppable, node_grid_per_steppable,
                      rough_heights_per_formula, two_window_snap)
@@ -209,31 +209,30 @@ class TestNearestSteppable:
         # the node grid is a per-run memo, one byte a node: 0 untested,
         # 1 + steppable(node) once a miss has tested it
         h = gap_map(width=0.2, period=2.0, offset=-0.1)
-        args = (h.heights, h.mask, float(h.origin[0]), float(h.origin[1]), h.resolution)
+        grid = h.grid
         real = _kernels.steppable
         memo = bytearray(h.heights.size)
+        args = (grid, 0.07, 0.03, 1.0, memo)
         # a steppable query answers itself and leaves the memo untouched
-        assert _kernels.snap_to_steppable(*args, 0.5, 0.3, 0.07, 0.03, 1.0,
-                                          memo) == (True, 0.5, 0.3)
+        assert _kernels.snap_to_steppable(*args, 0.5, 0.3) == (True, 0.5, 0.3)
         assert not any(memo)
-        found, sx, sy = _kernels.snap_to_steppable(*args, 0.0, 0.0, 0.07, 0.03, 1.0, memo)
+        found, sx, sy = _kernels.snap_to_steppable(*args, 0.0, 0.0)
         assert found and sx < -0.1
         tested = [k for k, v in enumerate(memo) if v]
         assert tested
         for k in tested:
             i, j = divmod(k, h.cols)
-            assert memo[k] == 1 + real(*args, args[2] + j * args[4], args[3] + i * args[4],
+            assert memo[k] == 1 + real(grid, grid.ox + j * grid.res, grid.oy + i * grid.res,
                                        0.07, 0.03)
         # the same miss again reads the memo and tests only the query
         calls = []
 
-        def spy(heights, mask, ox, oy, res, x, y, radius, max_dev):
+        def spy(grid, x, y, radius, max_dev):
             calls.append((x, y))
-            return real(heights, mask, ox, oy, res, x, y, radius, max_dev)
+            return real(grid, x, y, radius, max_dev)
 
         monkeypatch.setattr(_kernels, "steppable", spy)
-        assert _kernels.snap_to_steppable(*args, 0.0, 0.0, 0.07, 0.03, 1.0,
-                                          memo) == (found, sx, sy)
+        assert _kernels.snap_to_steppable(*args, 0.0, 0.0) == (found, sx, sy)
         assert calls == [(0.0, 0.0)]
 
     @pytest.mark.parametrize("kw", [{"radius": 0.0}, {"max_search": -1.0},
@@ -303,7 +302,6 @@ class TestSnapTables:
     @pytest.mark.parametrize("resolution", [0.03, 0.05, 0.07, 0.1])
     def test_snap_equals_two_window_search(self, kind, resolution):
         h = _node_grid_map(kind, resolution, seed=int(resolution * 100))
-        ox, oy = float(h.origin[0]), float(h.origin[1])
         rng = np.random.default_rng(7)
         n_moved = n_missed = 0
         # foot radii below, at and above the node spacing
@@ -312,11 +310,9 @@ class TestSnapTables:
             memo = bytearray(h.heights.size)  # warm: shared by every query here
             for x, y in _snap_query_points(h, rng):
                 for max_search in (0.12, 1.0):
-                    got = _kernels.snap_to_steppable(h.heights, h.mask, ox, oy,
-                                                     resolution, x, y, radius,
-                                                     0.03, max_search, memo)
-                    ref = two_window_snap(h.heights, h.mask, ox, oy, resolution,
-                                          x, y, radius, 0.03, max_search, grid)
+                    got = _kernels.snap_to_steppable(h.grid, radius, 0.03, max_search,
+                                                     memo, x, y)
+                    ref = two_window_snap(h, x, y, radius, 0.03, max_search, grid)
                     assert got == ref, (radius, max_search, x, y)
                     n_moved += got[0] and got[1:] != (x, y)
                     n_missed += not got[0]
@@ -335,9 +331,8 @@ class TestSnapTables:
             for x, y in _snap_query_points(h, rng, n=4):
                 ref = exhaustive_nearest_steppable(
                     h, (x, y), lambda hm, q: node_ok(float(q[0]), float(q[1])))
-                found, sx, sy = _kernels.snap_to_steppable(
-                    h.heights, h.mask, float(h.origin[0]), float(h.origin[1]),
-                    resolution, x, y, radius, 0.03, 5.0, memo)
+                found, sx, sy = _kernels.snap_to_steppable(h.grid, radius, 0.03, 5.0,
+                                                           memo, x, y)
                 assert found == (ref is not None)
                 if found:
                     npt.assert_allclose((sx, sy), ref, atol=1e-9)
@@ -387,9 +382,10 @@ class TestGridResample:
         i, j, values = _kernels.grid_resample(heights, (ys - oy) / res, (xs - ox) / res)
         assert values.shape == (ys.size, xs.size)
         assert i.max() == 11 and j.max() == 15  # the last cell is reached
+        rows = heights.tolist()
         for a, y in enumerate(ys.tolist()):
             for b, x in enumerate(xs.tolist()):
-                ci, cj, h0 = _kernels._cell(heights, ox, oy, res, x, y)
+                ci, cj, h0 = _kernels._cell(rows, 13, 17, (x - ox) / res, (y - oy) / res)
                 assert (int(i[a]), int(j[b])) == (ci, cj)
                 assert values[a, b].tobytes() == np.float64(h0).tobytes(), (x, y)
 
@@ -439,6 +435,65 @@ class TestGenerate:
         rel = np.mod(xs - 0.4, 0.8)
         inside = (rel > 1e-9) & (rel < 0.15 - 1e-9)
         npt.assert_array_equal(h.mask[0], inside.astype(np.uint8))
+
+
+def _rough(amplitude, correlation, seed):
+    return TerrainSpec(kind="rough", amplitude=amplitude, correlation=correlation, seed=seed)
+
+
+class TestGenerateGrid:
+    """generate_grid's lazily filled rough nodes against generate's map."""
+
+    @pytest.mark.parametrize("spec,extent,resolution", [
+        # x1 a multiple of neither resolution nor correlation; negative origin
+        (_rough(0.05, 0.5, 0), (-2.0, -2.0, 7.33, 2.0), 0.05),
+        (_rough(0.03, 0.37, 5), (-1.37, -0.93, 2.71, 1.13), 0.07),
+        (_rough(0.08, 0.77, 9), (0.123, -2.2, 4.567, -0.3), 0.033),
+        # correlation below the node spacing
+        (_rough(0.05, 0.03, 3), (-0.61, 0.29, 0.47, 0.83), 0.05),
+        # correlation larger than the extent
+        (_rough(0.05, 10.0, 11), (-1.21, -0.4, 1.3, 0.55), 0.05),
+    ], ids=["non-round", "non-round-2", "fine-resolution", "corr-below-res",
+            "corr-beyond-extent"])
+    def test_lazy_nodes_equal_generate(self, spec, extent, resolution):
+        eager = generate(spec, extent, resolution)
+        grid = generate_grid(spec, extent, resolution)
+        assert (grid.rows, grid.cols) == eager.heights.shape
+        assert (grid.ox, grid.oy, grid.res) == (*eager.origin.tolist(), eager.resolution)
+        assert not grid.h  # no height is filled before it is read
+        # the far-edge row and column first, on the fresh view
+        last_row = [grid.h[grid.rows - 1][j] for j in range(grid.cols)]
+        last_col = [grid.h[i][grid.cols - 1] for i in range(grid.rows)]
+        assert np.array(last_row).tobytes() == eager.heights[-1].tobytes()
+        assert np.array(last_col).tobytes() == eager.heights[:, -1].copy().tobytes()
+        nodes = [[grid.h[i][j] for j in range(grid.cols)] for i in range(grid.rows)]
+        assert {type(v) for row in nodes for v in row} == {float}
+        assert np.array(nodes).tobytes() == eager.heights.tobytes()
+        assert np.abs(eager.heights).max() > 0.0
+        mask = [[grid.m[i][j] for j in range(grid.cols)] for i in range(grid.rows)]
+        assert np.array(mask, dtype=np.uint8).tobytes() == eager.mask.tobytes()
+        assert not eager.mask.any()
+
+    def test_zero_amplitude_is_all_zero_without_a_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a lattice was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        spec = _rough(0.0, 0.5, 4)
+        extent = (-1.3, -1.1, 1.05, 1.0)
+        eager = generate(spec, extent, 0.05)
+        grid = generate_grid(spec, extent, 0.05)
+        nodes = [[grid.h[i][j] for j in range(grid.cols)] for i in range(grid.rows)]
+        assert np.array(nodes).tobytes() == eager.heights.tobytes()
+        assert not eager.heights.any()
+
+    def test_gap_reads_the_generated_map(self):
+        spec = TerrainSpec(kind="gap", gap_width=0.15, gap_period=0.8, gap_offset=0.4)
+        extent = (-2.0, -2.0, 4.3, 2.0)
+        eager = generate(spec, extent, 0.05)
+        grid = generate_grid(spec, extent, 0.05)
+        assert grid.m[7] == eager.mask[7].tolist() and any(grid.m[7])
+        assert grid.h[7] == eager.heights[7].tolist()
 
 
 class TestJsonFormat:
