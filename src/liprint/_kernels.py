@@ -11,8 +11,8 @@ its arguments and calls these kernels.
 The grid kernels read a map through one Grid view: its shape, origin and
 spacing as Python numbers, and node heights and mask flags read as
 h[i][j] and m[i][j] from Rows that fill each row (or node) on first read.
-terrain builds the views: a Heightmap's rows as Python lists, and rough
-terrain's heights computed node by node from its lattice.
+terrain builds the views: a Heightmap's rows as Python lists, and a
+TerrainSpec's from its layout, rough heights node by node, with no map.
 
 The snap search tests grid nodes with steppable() itself, each at most
 once per run: a caller-owned memo of one byte per node keeps the answers.

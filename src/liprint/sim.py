@@ -7,9 +7,9 @@ CoM propagates analytically between boundaries. Planning runs either once
 per step or every tick, through the same kernel as planner.plan_step;
 targets are snapped to steppable ground and their elevation refined from
 the terrain. The kernels read the terrain through its grid view: a
-Heightmap's rows become Python lists on first read, and a rough
-TerrainSpec's heights are computed only at the nodes the run reads
-(terrain.generate_grid), equal to terrain.generate's. The
+Heightmap's rows become Python lists on first read, and a TerrainSpec
+builds no map (terrain.generate_grid): its view equals terrain.generate's
+map node for node, rough heights computed only where the run reads. The
 contact-schedule and phase-clock columns come from gait.phase_signals at
 gait.cycle_phase of each tick's GaitState, tabulated once per
 (ticks_per_step, dt) and shared by every run with those values. Failure
@@ -182,8 +182,8 @@ def _auto_extent(config: SimConfig, schedule) -> tuple[float, float, float, floa
 
 def _terrain_grid(config: SimConfig, schedule) -> "_kernels.Grid | None":
     """The run's Grid view of config.terrain, None on flat ground. A
-    TerrainSpec is generated on _auto_extent at TERRAIN_RESOLUTION, rough
-    heights only where the run reads them (terrain.generate_grid)."""
+    TerrainSpec's view is terrain.generate_grid on _auto_extent at
+    TERRAIN_RESOLUTION, which builds no map."""
     t = config.terrain
     if t is None:
         return None

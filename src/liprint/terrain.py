@@ -262,13 +262,16 @@ def nearest_steppable(h: Heightmap, p, radius: float = FOOT_RADIUS,
 
 
 def _layout(spec: TerrainSpec, extent, resolution: float):
-    """(x0, y0, rows, cols, lattice) of the map generate builds on extent =
-    (x0, y0, x1, y1): nodes at (x0 + resolution*j, y0 + resolution*i), the
-    grid reaching x1 and y1. lattice is None unless the spec is rough of
-    positive amplitude; then it is (values, lat_x0, lat_y0): uniform
-    heights in [-amplitude, amplitude] drawn from spec.seed, lattice node
-    (a, b) at ((lat_x0 + b) * corr, (lat_y0 + a) * corr), one node beyond
-    the extent on every side."""
+    """(x0, y0, rows, cols, gap, lattice): the geometry of spec's map on
+    extent = (x0, y0, x1, y1), which generate and generate_grid share.
+    Node (i, j) lies at (x0 + resolution*j, y0 + resolution*i), the grid
+    reaching x1 and y1. gap is every row's uint8 mask, nonzero only at
+    nodes strictly inside a gap strip. lattice is None unless the spec is
+    rough of positive amplitude; then it is (values, gy, gx): uniform
+    heights in [-amplitude, amplitude] drawn from spec.seed, spaced by the
+    correlation length, one node beyond the extent on every side and
+    holding every grid node's cell, and the grid rows' and columns'
+    coordinates on it."""
     x0, y0, x1, y1 = (float(v) for v in extent)
     if not (x1 > x0 and y1 > y0 and all(map(math.isfinite, (x0, y0, x1, y1)))):
         raise ValueError(f"extent {extent} must be finite and non-empty")
@@ -276,17 +279,29 @@ def _layout(spec: TerrainSpec, extent, resolution: float):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
     cols = max(2, int(math.ceil((x1 - x0) / resolution)) + 1)
     rows = max(2, int(math.ceil((y1 - y0) / resolution)) + 1)
+    if not (math.isfinite(x0 + resolution * (cols - 1))
+            and math.isfinite(y0 + resolution * (rows - 1))):
+        raise ValueError(f"extent {extent} at resolution {resolution} has non-finite nodes")
+    xs = x0 + resolution * np.arange(cols)
+    ys = y0 + resolution * np.arange(rows)
+    gap = np.zeros(cols, dtype=np.uint8)
+    if spec.kind == "gap":
+        rel = np.mod(xs - spec.gap_offset, spec.gap_period)
+        gap[(rel > 1e-12) & (rel < spec.gap_width - 1e-12)] = 1
     lattice = None
     if spec.kind == "rough" and spec.amplitude > 0.0:
-        rng = np.random.default_rng(spec.seed)
         corr = spec.correlation
         lat_x0 = math.floor(x0 / corr) - 1
         lat_y0 = math.floor(y0 / corr) - 1
-        lat_cols = int(math.ceil(x1 / corr)) - lat_x0 + 2
-        lat_rows = int(math.ceil(y1 / corr)) - lat_y0 + 2
-        values = rng.uniform(-spec.amplitude, spec.amplitude, (lat_rows, lat_cols))
-        lattice = values, lat_x0, lat_y0
-    return x0, y0, rows, cols, lattice
+        gx = xs / corr - lat_x0
+        gy = ys / corr - lat_y0
+        # the lattice must hold the last node's cell, or _cell extrapolates
+        lat_cols = max(int(math.ceil(x1 / corr)) - lat_x0 + 2, int(math.ceil(gx[-1])) + 1)
+        lat_rows = max(int(math.ceil(y1 / corr)) - lat_y0 + 2, int(math.ceil(gy[-1])) + 1)
+        values = np.random.default_rng(spec.seed).uniform(
+            -spec.amplitude, spec.amplitude, (lat_rows, lat_cols))
+        lattice = values, gy, gx
+    return x0, y0, rows, cols, gap, lattice
 
 
 def generate(spec: TerrainSpec, extent, resolution: float) -> Heightmap:
@@ -295,51 +310,30 @@ def generate(spec: TerrainSpec, extent, resolution: float) -> Heightmap:
     Deterministic in (spec, extent, resolution). Rough terrain is bilinear
     value noise: an independent uniform height in [-amplitude, amplitude]
     per lattice node, spaced by the correlation length, interpolated to the
-    grid nodes by _kernels.grid_resample. The simulator reads the same
-    nodes on demand through generate_grid, which builds no array.
-    Gap terrain is flat with periodic non-supporting strips across x; nodes
-    strictly inside a strip are masked.
+    grid nodes by _kernels.grid_resample. Gap terrain is flat with periodic
+    non-supporting strips across x; nodes strictly inside a strip are
+    masked. The geometry comes from _layout, which generate_grid shares.
     """
-    x0, y0, rows, cols, lattice = _layout(spec, extent, resolution)
-    xs = x0 + resolution * np.arange(cols)
-    heights = np.zeros((rows, cols))
-    mask = np.zeros((rows, cols), dtype=np.uint8)
-
-    if lattice is not None:
-        values, lat_x0, lat_y0 = lattice
-        corr = spec.correlation
-        ys = y0 + resolution * np.arange(rows)
-        heights = _kernels.grid_resample(values, ys / corr - lat_y0, xs / corr - lat_x0)[2]
-    elif spec.kind == "gap":
-        rel = np.mod(xs - spec.gap_offset, spec.gap_period)
-        in_gap = (rel > 1e-12) & (rel < spec.gap_width - 1e-12)
-        mask[:, in_gap] = 1
-
+    x0, y0, rows, cols, gap, lattice = _layout(spec, extent, resolution)
+    heights = (np.zeros((rows, cols)) if lattice is None
+               else _kernels.grid_resample(*lattice)[2])
     return Heightmap(origin=np.array([x0, y0]), resolution=resolution,
-                     heights=heights, mask=mask)
+                     heights=heights, mask=np.broadcast_to(gap, (rows, cols)))
 
 
 def generate_grid(spec: TerrainSpec, extent, resolution: float) -> _kernels.Grid:
-    """generate(spec, extent, resolution) as the grid kernels read it.
-
-    Rough terrain of positive amplitude builds no map: it draws generate's
-    lattice, and each height node is _kernels._cell's bilinear sum over the
-    lattice at the grid coordinates generate computes, made on its first
-    read, so it equals generate's node bit for bit. Its mask is all zero.
-    Other specs read the generated Heightmap's grid.
-    """
-    x0, y0, rows, cols, lattice = _layout(spec, extent, resolution)
+    """generate(spec, extent, resolution) as the grid kernels read it,
+    built from _layout without a map. Rows share one mask row, and flat
+    and gap rows one row of zeros. A rough height node is _kernels._cell
+    over the lattice at _layout's (gx[j], gy[i]), made on its first read,
+    so it equals generate's node bit for bit."""
+    x0, y0, rows, cols, gap, lattice = _layout(spec, extent, resolution)
     if lattice is None:
-        return generate(spec, extent, resolution).grid
-    values, lat_x0, lat_y0 = lattice
-    lat_rows, lat_cols = values.shape
-    lat = values.tolist()
-    corr = spec.correlation
-
-    def row(i):
-        gy = (y0 + resolution * i) / corr - lat_y0
-        return _kernels.Rows(lambda j: _kernels._cell(
-            lat, lat_rows, lat_cols, (x0 + resolution * j) / corr - lat_x0, gy)[2])
-
-    return _kernels.Grid(rows, cols, x0, y0, resolution, _kernels.Rows(row),
-                         [[0] * cols] * rows)
+        h = [[0.0] * cols] * rows
+    else:
+        values, gy, gx = lattice
+        lat_rows, lat_cols = values.shape
+        lat, gy, gx = values.tolist(), gy.tolist(), gx.tolist()
+        h = _kernels.Rows(lambda i: _kernels.Rows(
+            lambda j: _kernels._cell(lat, lat_rows, lat_cols, gx[j], gy[i])[2]))
+    return _kernels.Grid(rows, cols, x0, y0, resolution, h, [gap.tolist()] * rows)

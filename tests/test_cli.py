@@ -856,6 +856,11 @@ class TestUsage:
          "amplitude must be at most 8.988465674311579e+307, got 1e+308"),
         (["terrain", "gen", "--spec", "rough:1e308:0.5:0"],
          "amplitude must be at most 8.988465674311579e+307, got 1e+308"),
+        # the second node column lies at 1e308 + 1e308, beyond the float range
+        (["terrain", "gen", "--spec", "gap:0.1:0.5", "--resolution", "1e308",
+          "--extent=1e308:0:1.5e308:1"], "at resolution 1e+308 has non-finite nodes"),
+        (["terrain", "gen", "--spec", "rough:0.05:1e307:1", "--resolution", "1e308",
+          "--extent=1e308:0:1.5e308:1"], "at resolution 1e+308 has non-finite nodes"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-nan", "duration-overflow", "dt-underflow",
             "resolution-nan", "extent-inf",
@@ -879,7 +884,8 @@ class TestUsage:
             "score-traj-empty", "score-traj-huge-field", "score-joints-huge-field",
             "score-joints-inf", "score-joints-neg-inf", "score-joints-nan",
             "terrain-gen-resolution-too-fine", "rough-amplitude-overflow",
-            "sweep-amplitude-overflow", "terrain-gen-amplitude-overflow"])
+            "sweep-amplitude-overflow", "terrain-gen-amplitude-overflow",
+            "terrain-gen-gap-node-overflow", "terrain-gen-rough-node-overflow"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}

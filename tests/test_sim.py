@@ -457,19 +457,53 @@ class TestTerrainRuns:
             filled = sum(len(row) for row in grid.h.values())
             assert 0 < filled < 0.02 * grid.rows * grid.cols, filled
 
+    def test_spec_runs_build_no_map(self, monkeypatch):
+        # spies: every terrain.generate call and every Heightmap built
+        built = []
+        real_generate, real_post_init = terrain_mod.generate, terrain_mod.Heightmap.__post_init__
+
+        def generate_spy(*args):
+            built.append("generate")
+            return real_generate(*args)
+
+        def post_init_spy(self):
+            built.append("Heightmap")
+            real_post_init(self)
+
+        monkeypatch.setattr(terrain_mod, "generate", generate_spy)
+        monkeypatch.setattr(terrain_mod.Heightmap, "__post_init__", post_init_spy)
+        gap = gap_spec()
+        rough = TerrainSpec(kind="rough", amplitude=0.05, correlation=0.5, seed=7)
+        for replan in (sim_mod.REPLAN_AT_STEP_START, sim_mod.REPLAN_EVERY_TICK):
+            assert run(config(vx=1.0, duration=4.0, replan=replan, terrain=gap)).completed
+        assert turn_maneuver(config(vx=1.0, duration=4.0, terrain=gap), math.pi / 2,
+                             1.2).completed
+        rows = sweep([config(vx=0.8, duration=6.0, terrain=t) for t in (gap, rough)], trials=2)
+        assert [r.successes for r in rows] == [2, 2]
+        assert built == []
+
     @pytest.mark.parametrize("replan", [sim_mod.REPLAN_AT_STEP_START, sim_mod.REPLAN_EVERY_TICK])
     def test_rough_run_equals_run_on_generated_map(self, replan):
-        for seed in (0, 7, 12):
-            cfg = config(vx=1.2, duration=4.0, replan=replan,
-                         terrain=TerrainSpec(kind="rough", amplitude=0.06, correlation=0.4,
-                                             seed=seed))
+        specs = [TerrainSpec(kind="rough", amplitude=0.06, correlation=0.4, seed=seed)
+                 for seed in (0, 7, 12)]
+        specs += [gap_spec(), gap_spec(width=0.12, period=0.67, offset=0.29),
+                  gap_spec(width=0.23, period=0.71, offset=0.37),
+                  # no supporting ground: the run fails at its first snap
+                  gap_spec(width=0.9, period=0.8, offset=0.4)]
+        reasons = []
+        for spec in specs:
+            cfg = config(vx=1.2, duration=4.0, replan=replan, terrain=spec)
             schedule = sim_mod._constant_schedule(cfg)
-            hmap = terrain_mod.generate(cfg.terrain, sim_mod._auto_extent(cfg, schedule),
+            hmap = terrain_mod.generate(spec, sim_mod._auto_extent(cfg, schedule),
                                         sim_mod.TERRAIN_RESOLUTION)
             lazy, eager = run(cfg), run(replace(cfg, terrain=hmap))
             assert (lazy.outcome, lazy.failure_time) == (eager.outcome, eager.failure_time)
             assert lazy.sample_array.tobytes() == eager.sample_array.tobytes()
-            assert np.abs(lazy.sample_array[:, COL_STANCE_Z]).max() > 1e-4
+            if spec.kind == "rough":
+                assert np.abs(lazy.sample_array[:, COL_STANCE_Z]).max() > 1e-4
+            reasons.append(lazy.failure_reason)
+        assert reasons[3:] == [None, None, "step beyond reach limit",
+                               "no steppable ground within search radius"]
 
     def test_rough_stance_height_follows_terrain(self):
         rough = TerrainSpec(kind="rough", amplitude=0.05, correlation=0.5, seed=12)

@@ -441,8 +441,16 @@ def _rough(amplitude, correlation, seed):
     return TerrainSpec(kind="rough", amplitude=amplitude, correlation=correlation, seed=seed)
 
 
+def _view_nodes(grid):
+    """Every node of a grid view, read one by one: (heights, mask) arrays."""
+    h = [[grid.h[i][j] for j in range(grid.cols)] for i in range(grid.rows)]
+    m = [[grid.m[i][j] for j in range(grid.cols)] for i in range(grid.rows)]
+    assert {type(v) for row in h for v in row} == {float}
+    return np.array(h), np.array(m, dtype=np.uint8)
+
+
 class TestGenerateGrid:
-    """generate_grid's lazily filled rough nodes against generate's map."""
+    """generate_grid's view of a spec against generate's map, node by node."""
 
     @pytest.mark.parametrize("spec,extent,resolution", [
         # x1 a multiple of neither resolution nor correlation; negative origin
@@ -453,8 +461,10 @@ class TestGenerateGrid:
         (_rough(0.05, 0.03, 3), (-0.61, 0.29, 0.47, 0.83), 0.05),
         # correlation larger than the extent
         (_rough(0.05, 10.0, 11), (-1.21, -0.4, 1.3, 0.55), 0.05),
+        # the last node lies past a lattice sized from x1, y1 (26 m heights once)
+        (_rough(0.05, 0.02, 1), (0.0, 0.0, 2.1, 2.1), 0.5),
     ], ids=["non-round", "non-round-2", "fine-resolution", "corr-below-res",
-            "corr-beyond-extent"])
+            "corr-beyond-extent", "last-node-past-extent"])
     def test_lazy_nodes_equal_generate(self, spec, extent, resolution):
         eager = generate(spec, extent, resolution)
         grid = generate_grid(spec, extent, resolution)
@@ -466,13 +476,53 @@ class TestGenerateGrid:
         last_col = [grid.h[i][grid.cols - 1] for i in range(grid.rows)]
         assert np.array(last_row).tobytes() == eager.heights[-1].tobytes()
         assert np.array(last_col).tobytes() == eager.heights[:, -1].copy().tobytes()
-        nodes = [[grid.h[i][j] for j in range(grid.cols)] for i in range(grid.rows)]
-        assert {type(v) for row in nodes for v in row} == {float}
-        assert np.array(nodes).tobytes() == eager.heights.tobytes()
-        assert np.abs(eager.heights).max() > 0.0
-        mask = [[grid.m[i][j] for j in range(grid.cols)] for i in range(grid.rows)]
-        assert np.array(mask, dtype=np.uint8).tobytes() == eager.mask.tobytes()
+        heights, mask = _view_nodes(grid)
+        assert heights.tobytes() == eager.heights.tobytes()
+        assert 0.0 < np.abs(eager.heights).max() <= spec.amplitude
+        assert mask.tobytes() == eager.mask.tobytes()
         assert not eager.mask.any()
+
+    def test_rough_heights_stay_within_amplitude(self):
+        rng = np.random.default_rng(18)
+        past_extent = 0
+        for _ in range(300):
+            corr, resolution = rng.uniform(0.01, 1.0), rng.uniform(0.02, 1.0)
+            x0, y0 = rng.uniform(-3.0, 3.0, 2)
+            x1, y1 = (x0, y0) + rng.uniform(0.01, 3.0, 2)
+            spec = _rough(0.05, corr, int(rng.integers(1000)))
+            eager = generate(spec, (x0, y0, x1, y1), resolution)
+            assert np.abs(eager.heights).max() <= spec.amplitude
+            # a last node two correlation lengths past x1 lies past the
+            # lattice nodes that x1 alone asks for
+            past_extent += x0 + resolution * (eager.cols - 1) >= x1 + 2.0 * corr
+            grid = generate_grid(spec, (x0, y0, x1, y1), resolution)
+            last_col = [grid.h[i][grid.cols - 1] for i in range(grid.rows)]
+            assert np.array(last_col).tobytes() == eager.heights[:, -1].copy().tobytes()
+        assert past_extent >= 30, past_extent
+
+    @pytest.mark.parametrize("spec,extent,resolution", [
+        (TerrainSpec(kind="gap", gap_width=0.15, gap_period=0.8, gap_offset=0.4),
+         (-2.0, -2.0, 4.3, 2.0), 0.05),
+        # the default offset, half a period
+        (TerrainSpec(kind="gap", gap_width=0.13, gap_period=0.57),
+         (-1.37, -0.41, 3.29, 0.77), 0.03),
+        (TerrainSpec(kind="gap", gap_width=0.21, gap_period=0.9, gap_offset=-0.33),
+         (0.123, -1.1, 5.7, 0.9), 0.07),
+        # no supporting ground at all
+        (TerrainSpec(kind="gap", gap_width=1.0, gap_period=0.8, gap_offset=0.1),
+         (-0.5, -0.5, 2.05, 0.5), 0.05),
+        (TerrainSpec(kind="flat"), (-1.3, -1.1, 1.05, 1.0), 0.05),
+    ], ids=["gap", "gap-default-offset", "gap-negative-offset", "gap-impassable", "flat"])
+    def test_view_equals_generate(self, spec, extent, resolution):
+        eager = generate(spec, extent, resolution)
+        grid = generate_grid(spec, extent, resolution)
+        assert (grid.rows, grid.cols) == eager.heights.shape
+        assert (grid.ox, grid.oy, grid.res) == (*eager.origin.tolist(), eager.resolution)
+        heights, mask = _view_nodes(grid)
+        assert heights.tobytes() == eager.heights.tobytes()
+        assert mask.tobytes() == eager.mask.tobytes()
+        assert not eager.heights.any()
+        assert eager.mask.any() == (spec.kind == "gap")
 
     def test_zero_amplitude_is_all_zero_without_a_draw(self, monkeypatch):
         def no_draw(*args):
@@ -482,18 +532,10 @@ class TestGenerateGrid:
         spec = _rough(0.0, 0.5, 4)
         extent = (-1.3, -1.1, 1.05, 1.0)
         eager = generate(spec, extent, 0.05)
-        grid = generate_grid(spec, extent, 0.05)
-        nodes = [[grid.h[i][j] for j in range(grid.cols)] for i in range(grid.rows)]
-        assert np.array(nodes).tobytes() == eager.heights.tobytes()
-        assert not eager.heights.any()
-
-    def test_gap_reads_the_generated_map(self):
-        spec = TerrainSpec(kind="gap", gap_width=0.15, gap_period=0.8, gap_offset=0.4)
-        extent = (-2.0, -2.0, 4.3, 2.0)
-        eager = generate(spec, extent, 0.05)
-        grid = generate_grid(spec, extent, 0.05)
-        assert grid.m[7] == eager.mask[7].tolist() and any(grid.m[7])
-        assert grid.h[7] == eager.heights[7].tolist()
+        heights, mask = _view_nodes(generate_grid(spec, extent, 0.05))
+        assert heights.tobytes() == eager.heights.tobytes()
+        assert mask.tobytes() == eager.mask.tobytes()
+        assert not eager.heights.any() and not eager.mask.any()
 
 
 class TestJsonFormat:
