@@ -394,16 +394,18 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     Each recorded tick is one float tuple of columns COL_TIME .. COL_PARITY
     (parity i // ticks_per_step), stacked into the returned (n_recorded,
     COL_PARITY + 1) array; the gait-phase columns depend only on the tick
-    and are left to the caller. A step start whose pendulum height is not
-    positive, or whose cosh(omega*dt) overflows, fails the run: with no
-    rows at tick 0, else after the touchdown's row. So does a touchdown
-    beyond reach_limit of the capture point or the CoM, and a plan whose
+    and are left to the caller. The touchdown at row i = m * ticks_per_step,
+    m >= 1, moves the stance onto row i - 1's target. A step start whose
+    pendulum height is not positive, or whose cosh(omega*dt) overflows,
+    fails the run (with no rows at tick 0), and so do a touchdown beyond
+    reach_limit of the capture point or the CoM and a plan whose
     exp(omega * (Ts - s*dt)) overflows, which keeps the previous target.
-    The touchdown at row i = m * ticks_per_step, m >= 1, moves the stance
-    onto row i - 1's target; the loop stops after a failed tick's row.
-    A touchdown row that fails for a non-positive pendulum height keeps
-    the previous step's omega, so its icp_x, icp_y are com + vel / that
-    omega.
+    Each failure only sets the outcome: one exit after the failed tick's
+    row stops the loop, with that row's time as the failure time. Only a
+    non-finite CoM state after the pendulum step fails at the next tick's
+    time, (i + 1) * dt. A touchdown row that fails for a non-positive
+    pendulum height keeps the previous step's omega, so its icp_x, icp_y
+    are com + vel / that omega.
     Returns (n_recorded, outcome, fail_time, rows). With vel_x_only, each
     recorded tick keeps only its vel_x and rows is the 1-D array of them,
     equal to the full rows' COL_VEL_X column; n_recorded stays first.
@@ -444,10 +446,8 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                     sh = math.sinh(omega * dt)
                 except OverflowError:
                     outcome = OUTCOME_NON_FINITE
-            if outcome != OUTCOME_COMPLETED:
-                fail_time = t_now
-                if i == 0:
-                    break
+            if outcome != OUTCOME_COMPLETED and i == 0:
+                break
         icp_x = com_x + vel_x / omega
         icp_y = com_y + vel_y / omega
 
@@ -455,7 +455,6 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
             if i > 0 and s == 0 and (math.hypot(icp_x - st_x, icp_y - st_y) > reach_limit
                                      or math.hypot(st_x - com_x, st_y - com_y) > reach_limit):
                 outcome = OUTCOME_REACH
-                fail_time = t_now
             else:
                 try:
                     tg_x, tg_y, heading = plan_placement(
@@ -463,7 +462,6 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                         vx, vy, w, parity, heading)
                 except OverflowError:
                     outcome = OUTCOME_NON_FINITE
-                    fail_time = t_now
                 else:
                     if grid is not None:
                         ok, sx, sy = snap_to_steppable(grid, FOOT_RADIUS, MAX_HEIGHT_DEV,
@@ -475,7 +473,6 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                         else:
                             tg_z = 0.0
                             outcome = OUTCOME_NO_GROUND
-                            fail_time = t_now
 
         if vel_x_only:
             rows.append(vel_x)
@@ -484,6 +481,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
             rows.append((t_now, com_x, com_y, vel_x, vel_y, icp_x, icp_y,
                          st_x, st_y, st_z, tg_x, tg_y, tg_z, heading, float(parity)))
         if outcome != OUTCOME_COMPLETED:
+            fail_time = t_now
             break
 
         com_x, com_y, vel_x, vel_y = lip_step(

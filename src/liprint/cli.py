@@ -83,6 +83,7 @@ def build_parser() -> _Parser:
     p.add_argument("--events", help="step-event JSON path (default: <out>.events.json)")
     p.add_argument("--manifest", help="manifest JSON path (default: <out>.manifest.json)")
     _add_common(p)
+    p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="success rates over a vx x terrain grid")
     _add_model_flags(p)
@@ -97,6 +98,7 @@ def build_parser() -> _Parser:
     p.add_argument("--window", type=float, default=5.0)
     p.add_argument("--tolerance", type=float, default=0.1)
     _add_common(p)
+    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("plan", help="one-shot step plan for a given state")
     _add_model_flags(p)
@@ -105,6 +107,7 @@ def build_parser() -> _Parser:
     p.add_argument("--state", help='state JSON, e.g. {"com":[0,0],"vel":[0,0],'
                                    '"stance":[0,-0.15],"parity":0}')
     _add_common(p)
+    p.set_defaults(handler=_cmd_plan)
 
     p = sub.add_parser("score", help="reward terms per trajectory row")
     _add_command_flags(p)
@@ -112,6 +115,7 @@ def build_parser() -> _Parser:
     p.add_argument("--joints", help="optional joint-log CSV for regularization terms")
     p.add_argument("--sigma", type=float, default=0.25)
     _add_common(p)
+    p.set_defaults(handler=_cmd_score)
 
     p = sub.add_parser("terrain", help="terrain utilities")
     tsub = p.add_subparsers(dest="terrain_command", required=True)
@@ -120,6 +124,7 @@ def build_parser() -> _Parser:
     pg.add_argument("--extent", default="-2:-2:12:2", help="x0:y0:x1:y1")
     pg.add_argument("--resolution", type=float, default=0.05)
     _add_common(pg)
+    pg.set_defaults(handler=_cmd_terrain_gen)
 
     return parser
 
@@ -251,23 +256,19 @@ def _cmd_plan(args) -> int:
         raise _UsageError("plan requires --vx")
     state_spec = {"com": [0.0, 0.0], "vel": [0.0, 0.0],
                   "stance": [0.0, -args.width / 2.0], "parity": 0}
-    if args.state:
-        try:
-            loaded = json.loads(args.state)
-            if not isinstance(loaded, dict):
-                raise ValueError("state JSON must be an object")
-            state_spec.update(loaded)
-            com = [float(v) for v in state_spec["com"]]
-            vel = [float(v) for v in state_spec["vel"]]
-            stance_raw = [float(v) for v in state_spec["stance"]]
-            parity = int(state_spec["parity"])
-            if len(com) != 2 or len(vel) != 2 or len(stance_raw) not in (2, 3):
-                raise ValueError("com/vel need 2 components, stance 2 or 3")
-        except (ValueError, KeyError, TypeError, OverflowError) as e:
-            raise _UsageError(f"malformed --state JSON: {e}") from None
-    else:
-        com, vel = state_spec["com"], state_spec["vel"]
-        stance_raw, parity = state_spec["stance"], state_spec["parity"]
+    try:
+        loaded = json.loads(args.state or "{}")
+        if not isinstance(loaded, dict):
+            raise ValueError("state JSON must be an object")
+        state_spec.update(loaded)
+        com = [float(v) for v in state_spec["com"]]
+        vel = [float(v) for v in state_spec["vel"]]
+        stance_raw = [float(v) for v in state_spec["stance"]]
+        parity = int(state_spec["parity"])
+        if len(com) != 2 or len(vel) != 2 or len(stance_raw) not in (2, 3):
+            raise ValueError("com/vel need 2 components, stance 2 or 3")
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
+        raise _UsageError(f"malformed --state JSON: {e}") from None
 
     Ts = args.step_duration
     remaining = args.remaining if args.remaining is not None else Ts
@@ -522,17 +523,7 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(list(argv))
         args = parser.parse_args(argv)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "plan":
-            return _cmd_plan(args)
-        if args.command == "score":
-            return _cmd_score(args)
-        if args.command == "terrain":
-            return _cmd_terrain_gen(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -13,9 +13,9 @@ map node for node, rough heights computed only where the run reads. The
 contact-schedule and phase-clock columns come from gait.phase_signals at
 gait.cycle_phase of each tick's GaitState, tabulated once per
 (ticks_per_step, dt) and shared by every run with those values. Failure
-is recorded, not raised:
-a touchdown farther than the reach limit from the capture point or the
-CoM, no steppable ground within the snap radius, or a non-finite state.
+is recorded, not raised: a touchdown farther than the reach limit from the
+capture point or the CoM, no steppable ground within the snap radius, a
+non-positive pendulum height at a step start, or a non-finite state.
 
 Trajectory CSV schema (one row per tick):
     time, com_x, com_y, vel_x, vel_y, icp_x, icp_y, stance_x, stance_y,
@@ -119,7 +119,7 @@ class SimResult:
     @property
     def n_steps(self) -> int:
         """Number of touchdowns, len(step_events) without building them."""
-        return max(self.sample_array.shape[0] - 1, 0) // self.config.ticks_per_step
+        return len(_touchdown_rows(self.sample_array, self.config.ticks_per_step)[0])
 
     @property
     def step_events(self) -> tuple:

@@ -277,10 +277,13 @@ def _layout(spec: TerrainSpec, extent, resolution: float):
         raise ValueError(f"extent {extent} must be finite and non-empty")
     if not (resolution > 0.0 and math.isfinite(resolution)):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    cols = max(2, int(math.ceil((x1 - x0) / resolution)) + 1)
-    rows = max(2, int(math.ceil((y1 - y0) / resolution)) + 1)
-    if not (math.isfinite(x0 + resolution * (cols - 1))
-            and math.isfinite(y0 + resolution * (rows - 1))):
+    # the spans in node spacings, then the last node
+    far = ((x1 - x0) / resolution, (y1 - y0) / resolution)
+    if all(map(math.isfinite, far)):
+        cols = max(2, int(math.ceil(far[0])) + 1)
+        rows = max(2, int(math.ceil(far[1])) + 1)
+        far = (x0 + resolution * (cols - 1), y0 + resolution * (rows - 1))
+    if not all(map(math.isfinite, far)):
         raise ValueError(f"extent {extent} at resolution {resolution} has non-finite nodes")
     xs = x0 + resolution * np.arange(cols)
     ys = y0 + resolution * np.arange(rows)
@@ -291,13 +294,20 @@ def _layout(spec: TerrainSpec, extent, resolution: float):
     lattice = None
     if spec.kind == "rough" and spec.amplitude > 0.0:
         corr = spec.correlation
-        lat_x0 = math.floor(x0 / corr) - 1
-        lat_y0 = math.floor(y0 / corr) - 1
+        # lattice coordinates of the extent's corners, then of the last node
+        lat = (x0 / corr, y0 / corr, x1 / corr, y1 / corr)
+        if all(map(math.isfinite, lat)):
+            lat_x0 = math.floor(lat[0]) - 1
+            lat_y0 = math.floor(lat[1]) - 1
+            lat = (*lat[2:], far[0] / corr - lat_x0, far[1] / corr - lat_y0)
+        if not all(map(math.isfinite, lat)):
+            raise ValueError(f"extent {extent} has non-finite lattice coordinates at "
+                             f"correlation length {corr}")
         gx = xs / corr - lat_x0
         gy = ys / corr - lat_y0
         # the lattice must hold the last node's cell, or _cell extrapolates
-        lat_cols = max(int(math.ceil(x1 / corr)) - lat_x0 + 2, int(math.ceil(gx[-1])) + 1)
-        lat_rows = max(int(math.ceil(y1 / corr)) - lat_y0 + 2, int(math.ceil(gy[-1])) + 1)
+        lat_cols = max(int(math.ceil(lat[0])) - lat_x0 + 2, int(math.ceil(lat[2])) + 1)
+        lat_rows = max(int(math.ceil(lat[1])) - lat_y0 + 2, int(math.ceil(lat[3])) + 1)
         values = np.random.default_rng(spec.seed).uniform(
             -spec.amplitude, spec.amplitude, (lat_rows, lat_cols))
         lattice = values, gy, gx

@@ -224,6 +224,123 @@ def sweep_per_trial(configs, trials, base_seed=0, window=5.0, tolerance=0.1):
     return rows
 
 
+def reference_run(config, schedule):
+    """The stepping loop of liprint.sim, one tick per iteration through the
+    typed API: the reference for _kernels.sim_loop.
+
+    schedule lists (time, vx, vy, width) command switches; the first holds
+    from tick 0 and a switch at time t acts from tick round(t / dt), kept
+    within [0, n_ticks], once every earlier switch has acted. Returns
+    (rows, outcome, fail_time) with rows the (n, 15) array of the
+    trajectory's columns time .. parity.
+
+    Each tick i = m*k + s (k ticks per step):
+    - at a step start (s == 0) the stance moves onto the target, whose
+      height sets the pendulum height z0 = base height - stance height.
+      z0 <= 0 fails the run ("bad height") and keeps the previous step's
+      pendulum, so that row's capture point uses the old omega. An
+      overflowing cosh(omega * dt) fails it as "non-finite". Either at
+      tick 0 ends the run with no row;
+    - the target is planned at every step start, or every tick under
+      every-tick replanning: plan_step over the step's remaining time with
+      horizon Ts. A touchdown (step start after tick 0) first checks
+      reach: the capture point or the CoM farther than the reach limit
+      from the stance fails it and keeps the target. An overflowing plan
+      fails as "non-finite" and keeps the target;
+    - on a map the planned point is snapped by nearest_steppable and
+      takes the map height there; with no ground in range the run fails
+      ("no ground") and the target is the raw plan at height 0;
+    - the row is recorded at time i * dt; a failed tick ends the run with
+      its own time as the failure time;
+    - else the CoM moves over dt by com_trajectory; a non-finite state
+      fails the run at time (i + 1) * dt.
+    """
+    from liprint import _kernels, sim, terrain
+    from liprint.gait import GaitParams, GaitState
+    from liprint.lip_core import FootPosition, LipParams, LipState, com_trajectory, icp_of
+    from liprint.planner import StepCommand, plan_step, wrap_angle
+
+    dt = config.dt
+    k = config.ticks_per_step
+    n = config.n_ticks
+    Ts = k * dt
+    gait = GaitParams(step_duration=Ts)
+    every_tick = config.replan == sim.REPLAN_EVERY_TICK
+    hmap = config.terrain
+    if isinstance(hmap, terrain.TerrainSpec):
+        hmap = (None if hmap.kind == "flat" else
+                terrain.generate(hmap, sim._auto_extent(config, schedule),
+                                 sim.TERRAIN_RESOLUTION))
+    switch_ticks = [min(max(round(t / dt), 0), n) for t, _, _, _ in schedule]
+
+    state, stance = sim.default_initial(config)
+    target = FootPosition(p=stance.p, z=terrain.height_at(hmap, stance.p) if hmap else 0.0)
+    heading = wrap_angle(config.cmd.fallback_heading)
+    rows = []
+    outcome, fail_time = _kernels.OUTCOME_COMPLETED, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            m, s = divmod(i, k)
+            c = 0
+            while c + 1 < len(schedule) and switch_ticks[c + 1] <= i:
+                c += 1
+            _, vx, vy, w = schedule[c]
+
+            if s == 0:
+                stance = target
+                z0 = config.lip.z0 - stance.z
+                if z0 <= 0.0:
+                    outcome = _kernels.OUTCOME_BAD_HEIGHT
+                else:
+                    state = LipState(com_pos=state.com_pos, com_vel=state.com_vel,
+                                     params=LipParams(g=config.lip.g, z0=z0))
+                    try:
+                        math.cosh(state.params.omega0 * dt)
+                    except OverflowError:
+                        outcome = _kernels.OUTCOME_NON_FINITE
+                if outcome != _kernels.OUTCOME_COMPLETED and i == 0:
+                    break
+            icp = icp_of(state).xi
+
+            if outcome == _kernels.OUTCOME_COMPLETED and (s == 0 or every_tick):
+                reach = max(math.hypot(*(icp - stance.p)),
+                            math.hypot(*(stance.p - state.com_pos)))
+                if i > 0 and s == 0 and reach > config.reach_limit:
+                    outcome = _kernels.OUTCOME_REACH
+                else:
+                    cmd = StepCommand(v_cmd=(vx, vy), w_cmd=w, fallback_heading=heading)
+                    try:
+                        step = plan_step(state, stance, cmd,
+                                         GaitState(t=s * dt, parity=m, params=gait),
+                                         horizon=Ts)
+                    except OverflowError:
+                        outcome = _kernels.OUTCOME_NON_FINITE
+                    else:
+                        heading = step.heading
+                        target = FootPosition(p=step.p_d, z=target.z)
+                        if hmap is not None:
+                            try:
+                                p = terrain.nearest_steppable(hmap, step.p_d)
+                            except ValueError:
+                                outcome = _kernels.OUTCOME_NO_GROUND
+                                target = FootPosition(p=step.p_d, z=0.0)
+                            else:
+                                target = FootPosition(p=p, z=terrain.height_at(hmap, p))
+
+            rows.append((i * dt, *state.com_pos, *state.com_vel, *icp, *stance.p, stance.z,
+                         *target.p, target.z, heading, float(m)))
+            if outcome != _kernels.OUTCOME_COMPLETED:
+                fail_time = i * dt
+                break
+            try:
+                state = com_trajectory(state, stance, dt)
+            except ValueError:
+                outcome = _kernels.OUTCOME_NON_FINITE
+                fail_time = (i + 1) * dt
+                break
+    return np.array(rows, dtype=np.float64).reshape(-1, 15), outcome, fail_time
+
+
 # ---------------------------------------------------------------- rewards
 #
 # The per-row reward evaluation, one sample at a time, as the reference for

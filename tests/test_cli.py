@@ -861,6 +861,11 @@ class TestUsage:
           "--extent=1e308:0:1.5e308:1"], "at resolution 1e+308 has non-finite nodes"),
         (["terrain", "gen", "--spec", "rough:0.05:1e307:1", "--resolution", "1e308",
           "--extent=1e308:0:1.5e308:1"], "at resolution 1e+308 has non-finite nodes"),
+        # (x1 - x0) / resolution and x0 / correlation overflow
+        (["terrain", "gen", "--spec", "flat", "--resolution", "1",
+          "--extent=-1e308:0:1e308:1"], "at resolution 1.0 has non-finite nodes"),
+        (["terrain", "gen", "--spec", "rough:0.05:0.5:1", "--resolution", "1e301",
+          "--extent=1e308:0:1.00001e308:1"], "has non-finite lattice coordinates"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-nan", "duration-overflow", "dt-underflow",
             "resolution-nan", "extent-inf",
@@ -885,7 +890,8 @@ class TestUsage:
             "score-joints-inf", "score-joints-neg-inf", "score-joints-nan",
             "terrain-gen-resolution-too-fine", "rough-amplitude-overflow",
             "sweep-amplitude-overflow", "terrain-gen-amplitude-overflow",
-            "terrain-gen-gap-node-overflow", "terrain-gen-rough-node-overflow"])
+            "terrain-gen-gap-node-overflow", "terrain-gen-rough-node-overflow",
+            "terrain-gen-span-overflow", "terrain-gen-lattice-overflow"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}

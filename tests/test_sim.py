@@ -22,7 +22,7 @@ from liprint._kernels import (COL_COM_X, COL_COM_Y, COL_CONTACT_SCHED, COL_ICP_X
                               COL_TARGET_HEADING, COL_TARGET_X, COL_TARGET_Y,
                               COL_TARGET_Z, COL_TIME, COL_VEL_X, COL_VEL_Y)
 
-from oracles import (sweep_per_trial, write_rewards_csv_per_value,
+from oracles import (reference_run, sweep_per_trial, write_rewards_csv_per_value,
                      write_step_events_per_event, write_trajectory_csv_per_value)
 
 
@@ -795,9 +795,11 @@ class TestWritersMatchPerValueOracles:
     @pytest.mark.parametrize("name", WRITER_CASES)
     def test_touchdown_rows_pair_up(self, name):
         result = _writer_results()[name]
-        touch, planned = sim_mod._touchdown_rows(result.sample_array,
-                                                 result.config.ticks_per_step)
+        k = result.config.ticks_per_step
+        touch, planned = sim_mod._touchdown_rows(result.sample_array, k)
         assert len(touch) == len(planned) == result.n_steps
+        # rows k, 2k, ... of the n rows: one touchdown per k rows after row 0
+        assert result.n_steps == max(len(result.sample_array) - 1, 0) // k
 
     @pytest.mark.parametrize("x", SPECIAL_FLOATS)
     def test_template_field_equals_format_float(self, x):
@@ -1070,6 +1072,65 @@ class TestVelXOnlyMode:
             successes += [r.successes for r in rows]
         # not vacuous: some trials succeed and some fail
         assert 0 < sum(successes) < 2 * len(successes)
+
+
+class TestReferenceLoop:
+    """sim_loop against tests/oracles.py::reference_run, the same loop one
+    tick per iteration through the typed API: the 15 row columns byte for
+    byte, the outcome and the failure time."""
+
+    @staticmethod
+    def _compare(cfg, schedule):
+        n_rec, outcome, fail_time, rows = _kernels.sim_loop(*sim_mod._loop_args(cfg, schedule))
+        ref_rows, ref_outcome, ref_fail_time = reference_run(cfg, schedule)
+        assert rows.shape == ref_rows.shape
+        assert rows.tobytes() == ref_rows.tobytes()
+        assert (outcome, fail_time) == (ref_outcome, ref_fail_time)
+        return _kind(outcome, n_rec)
+
+    def test_seeded_runs(self):
+        kinds = []
+        for cfg, schedule, expected in _seeded_runs():
+            kinds.append(self._compare(cfg, schedule))
+            assert expected in (None, kinds[-1])
+        counts = {kind: kinds.count(kind) for kind in set(kinds)}
+        assert counts == {"completed": 41, "reach": 20, "no-ground": 2,
+                          "bad-height-at-start": 1, "bad-height-at-touchdown": 1,
+                          "non-finite": 3}
+
+    # every tick is a step start: the parity is the tick itself
+    _ONE_TICK_STEPS = replace(config(vx=0.5, duration=0.3, terrain=gap_spec()),
+                              gait=GaitParams(step_duration=0.01))
+
+    @pytest.mark.parametrize("cfg,turn,kind", [
+        (_ONE_TICK_STEPS, None, "completed"),
+        (_ONE_TICK_STEPS, (1.0, 0.155), "completed"),
+        # stepping in place holds the fallback heading
+        (replace(config(vx=0.0, duration=2.0, terrain=gap_spec()),
+                 cmd=StepCommand(v_cmd=(0.0, 0.0), fallback_heading=2.0)), None, "completed"),
+        # cosh(omega*dt) and the one-tick plan stay finite, the CoM step does not
+        (replace(config(vx=1.0, duration=1.0), gait=GaitParams(step_duration=0.01),
+                 lip=LipParams(g=3.1e9)), None, "non-finite"),
+    ], ids=["one-tick-steps", "one-tick-steps-turn", "zero-speed", "non-finite-after-step"])
+    def test_edge_runs(self, cfg, turn, kind):
+        schedule = sim_mod._constant_schedule(cfg)
+        assert self._compare(cfg, schedule if turn is None else _turned(schedule, *turn)) == kind
+
+    @pytest.mark.parametrize("vx,vy,width,icp_farther", [(1.0, 0.0, 0.3, False),
+                                                         (0.4, 0.9, 0.1, True)],
+                             ids=["com", "capture-point"])
+    def test_touchdown_at_the_reach_limit(self, vx, vy, width, icp_farther):
+        # the first touchdown's farther point, the CoM or the capture point,
+        # lies exactly at the limit: within reach
+        cfg = config(vx=vx, vy=vy, width=width, duration=2.0)
+        k = cfg.ticks_per_step
+        r = run(cfg).sample_array[k].tolist()
+        d_icp = math.hypot(r[COL_ICP_X] - r[COL_STANCE_X], r[COL_ICP_Y] - r[COL_STANCE_Y])
+        d_com = math.hypot(r[COL_STANCE_X] - r[COL_COM_X], r[COL_STANCE_Y] - r[COL_COM_Y])
+        assert (d_icp > d_com) == icp_farther
+        cfg = replace(cfg, reach_limit=max(d_icp, d_com))
+        self._compare(cfg, sim_mod._constant_schedule(cfg))
+        assert run(cfg).sample_array.shape[0] > k + 1
 
 
 class TestInitialConditions:

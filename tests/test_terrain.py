@@ -524,6 +524,20 @@ class TestGenerateGrid:
         assert not eager.heights.any()
         assert eager.mask.any() == (spec.kind == "gap")
 
+    @pytest.mark.parametrize("build", [generate, generate_grid])
+    @pytest.mark.parametrize("spec,extent,resolution,message", [
+        (TerrainSpec(kind="flat"), (-1e308, 0.0, 1e308, 1.0), 1.0,
+         "at resolution 1.0 has non-finite nodes"),
+        (_rough(0.05, 0.5, 1), (1e308, 0.0, 1.00001e308, 1.0), 1e301,
+         "has non-finite lattice coordinates"),
+        # the corners' lattice coordinates are finite, the last node's are not
+        (_rough(0.05, 0.5, 1), (-8e307, 0.0, 8e307, 1.0), 1e306,
+         "has non-finite lattice coordinates"),
+    ], ids=["span", "corner", "last-node"])
+    def test_overflowing_extent_raises(self, build, spec, extent, resolution, message):
+        with pytest.raises(ValueError, match=re.escape(f"extent {extent} ") + ".*" + message):
+            build(spec, extent, resolution)
+
     def test_zero_amplitude_is_all_zero_without_a_draw(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("a lattice was drawn")
