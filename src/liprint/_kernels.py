@@ -109,10 +109,11 @@ ZERO_SPEED = 1e-6
 
 
 def command_heading(vx, vy, fallback_heading):
-    """atan2(vy, vx), or fallback_heading below ZERO_SPEED."""
+    """atan2(vy, vx), or fallback_heading below ZERO_SPEED; in (-pi, pi], as
+    StepCommand wraps the fallback and vy + 0.0 makes a backward heading pi."""
     if math.hypot(vx, vy) < ZERO_SPEED:
         return fallback_heading
-    return math.atan2(vy, vx)
+    return math.atan2(vy + 0.0, vx)
 
 
 def plan_placement(icp_x, icp_y, st_x, st_y, omega, dt_pred, span, Ts,

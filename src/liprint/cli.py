@@ -33,7 +33,7 @@ from .terrain import Heightmap
 log = logging.getLogger("liprint")
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -323,14 +323,12 @@ _JOINT_SIGNALS = {"base_height": ("base_height",), "base_vel_z": ("v_z",),
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def _loadtxt(path, header=None):
-    """The header and the (n, k) float64 data rows of CSV file `path`,
-    parsed by numpy's C reader, or None where `_read_rows` must decide.
-
-    The file is decoded as `_read_rows` decodes it, and split at the same
-    line ends (\\r, \\n, \\r\\n) as csv.reader splits unquoted records.
-    The result stands only where csv.reader and float() accept the file
-    with the same floats:
+def _loadtxt(lines, header):
+    """The header and the (n, k) float64 data rows of a CSV file's decoded
+    `lines`, split at the line ends (\\r, \\n, \\r\\n) where csv.reader
+    splits unquoted records, parsed by numpy's C reader; or None where
+    csv.reader must decide. The result stands only where csv.reader and
+    float() accept the lines with the same floats:
     - the header line is not blank, holds no quote and, if `header` is
       given, equals it;
     - there is a data line, no line is longer than csv's field limit and
@@ -338,14 +336,8 @@ def _loadtxt(path, header=None):
     - loadtxt raises and warns nothing and returns one row of len(header)
       values per data line.
     Apart from the separators, loadtxt accepts only strings that float()
-    accepts, and gives the same double. So every other file goes to the old
-    parser and its messages.
+    accepts, and gives the same double.
     """
-    try:
-        with open(path, newline="") as f:
-            lines = f.readlines()
-    except (OSError, ValueError):
-        return None  # `_read_rows` reports it
     text = "".join(lines)
     first = lines[0].rstrip("\r\n") if lines else ""
     names = first.split(",")
@@ -366,24 +358,44 @@ def _loadtxt(path, header=None):
     return (names, table) if table.shape == (len(lines) - 1, len(names)) else None
 
 
-def _read_rows(path) -> list:
-    """All records of CSV file `path` by csv.reader: the exact fallback of
-    `_loadtxt`, and the source of every message about a malformed file."""
+def _read_table(path, what, header=None) -> tuple:
+    """The header and data rows of CSV file `path` (the command's `what`),
+    read from disk once: `_loadtxt`'s array where it stands, else
+    csv.reader's records of the same lines. Without a fixed `header` (a
+    joint log), each non-blank record must be as wide as the file's own
+    header; numpy's array is by construction. The caller names blank rows.
+    """
     try:
         with open(path, newline="") as f:
-            return list(csv.reader(f))
+            lines = f.readlines()
+        parsed = _loadtxt(lines, header)
+        if parsed is not None:
+            return parsed
+        rows = list(csv.reader(lines))
     except (OSError, csv.Error) as e:
         raise _UsageError(f"cannot read {path}: {e}") from None
+    if not rows:
+        raise _UsageError(f"{what} {path} is empty")
+    names, data = rows[0], rows[1:]
+    if header is not None and tuple(names) != header:
+        raise _UsageError(f"{what} columns {names} do not match the simulate "
+                          f"schema {list(header)}")
+    if header is None:
+        for i, row in enumerate(data, 1):
+            if row and len(row) != len(names):
+                raise _UsageError(f"bad joint row {i}: {len(row)} fields, "
+                                  f"the header has {len(names)}")
+    return names, data
 
 
 def _float_table(data, cols, what) -> np.ndarray:
     """Columns `cols` of all data rows as finite floats, one (n,) table row
     per column.
 
-    `data` is the array `_loadtxt` parsed, or `_read_rows`' rows. A row too
-    short for `cols` (a blank line is named as one), or holding a
-    non-numeric or non-finite value in one of them, is an input error
-    naming its 1-based data row.
+    `data` is `_read_table`'s data rows, numpy's array or csv.reader's
+    records. A row too short for `cols` (a blank line is named as one), or
+    holding a non-numeric or non-finite value in one of them, is an input
+    error naming its 1-based data row.
     """
     if isinstance(data, np.ndarray):
         # C order, as below, so that reductions over the columns add in
@@ -402,6 +414,8 @@ def _float_table(data, cols, what) -> np.ndarray:
                                       + ("" if row else ": blank line")) from None
             raise
         table = table.reshape(len(cols), len(data))
+        if [] in data:  # a blank row is too short even where no column is read
+            raise _UsageError(f"bad {what} row {data.index([]) + 1}: blank line")
     finite = np.isfinite(table).all(axis=0)
     if not finite.all():
         raise _UsageError(f"bad {what} row {int(np.argmin(finite)) + 1}")
@@ -410,23 +424,11 @@ def _float_table(data, cols, what) -> np.ndarray:
 
 def _joint_columns(path, n) -> dict:
     """metrics.reward_table columns from a joint-log CSV with n data rows."""
-    fast = _loadtxt(path)
-    if fast is not None and len(fast[1]) == n:
-        header, data = fast
-    else:
-        rows = _read_rows(path)
-        if not rows:
-            raise _UsageError(f"joint log {path} is empty")
-        header, data = rows[0], rows[1:]
-        if len(data) != n:
-            blank = next((i for i, row in enumerate(data, 1) if not row), None)
-            raise _UsageError(f"joint log has {len(data)} rows but the trajectory has {n}"
-                              + (f"; joint row {blank} is a blank line" if blank else ""))
-        for i, row in enumerate(data, 1):
-            if len(row) != len(header):
-                raise _UsageError(f"bad joint row {i}: " + (
-                    f"{len(row)} fields, the header has {len(header)}" if row
-                    else "blank line"))
+    header, data = _read_table(path, "joint log")
+    if len(data) != n:
+        blank = next((i for i, row in enumerate(data, 1) if not len(row)), None)
+        raise _UsageError(f"joint log has {len(data)} rows but the trajectory has {n}"
+                          + (f"; joint row {blank} is a blank line" if blank else ""))
     pos = {}  # (prefix, joint index) or (name, None) -> column
     for c, name in enumerate(header):
         prefix = next((p for p in _JOINT_VECTORS
@@ -454,17 +456,7 @@ def _joint_columns(path, n) -> dict:
 def _cmd_score(args) -> int:
     if not args.out:
         raise _UsageError("score requires --out")
-    fast = _loadtxt(args.traj, sim.CSV_COLUMNS)
-    if fast is not None:
-        data = fast[1]
-    else:
-        rows = _read_rows(args.traj)
-        if not rows:
-            raise _UsageError(f"trajectory {args.traj} is empty")
-        if tuple(rows[0]) != sim.CSV_COLUMNS:
-            raise _UsageError(f"trajectory columns {rows[0]} do not match the simulate "
-                              f"schema {list(sim.CSV_COLUMNS)}")
-        data = rows[1:]
+    data = _read_table(args.traj, "trajectory", sim.CSV_COLUMNS)[1]
     n = len(data)
     # every column but outcome_flag
     table = _float_table(data, range(len(sim.CSV_COLUMNS) - 1), "trajectory")
@@ -524,9 +516,6 @@ def main(argv=None) -> int:
         argv = _apply_config_file(list(argv))
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except SystemExit as e:
         # argparse -h/--help exits 0; treat other argparse exits as usage errors
         return 0 if not e.code else 1

@@ -36,7 +36,7 @@ def wrap_angle(a: float) -> float:
 class StepCommand:
     """Velocity and step-width command; fallback_heading is used while the
     commanded speed is below the zero threshold (stepping in place must not
-    spin)."""
+    spin); it must be finite and is stored wrapped to (-pi, pi]."""
 
     v_cmd: np.ndarray
     w_cmd: float = 0.3
@@ -46,6 +46,9 @@ class StepCommand:
         object.__setattr__(self, "v_cmd", lip_core._vec2(self.v_cmd, "v_cmd"))
         if not (self.w_cmd > 0.0 and math.isfinite(self.w_cmd)):
             raise ValueError(f"step width command must be positive, got {self.w_cmd}")
+        if not math.isfinite(self.fallback_heading):
+            raise ValueError(f"fallback heading must be finite, got {self.fallback_heading}")
+        object.__setattr__(self, "fallback_heading", wrap_angle(self.fallback_heading))
 
     @property
     def speed(self) -> float:
@@ -119,9 +122,9 @@ def offsets(s_d: float, w_d: float, omega0: float, dT: float) -> OffsetVector:
 
 
 def turning_angle(cmd: StepCommand) -> float:
-    """Command heading via full-quadrant arctangent; held at the fallback
-    heading while the commanded speed is effectively zero."""
-    return command_heading(cmd.v_cmd[0], cmd.v_cmd[1], wrap_angle(cmd.fallback_heading))
+    """Command heading in (-pi, pi] via full-quadrant arctangent; held at the
+    fallback heading while the commanded speed is effectively zero."""
+    return command_heading(cmd.v_cmd[0], cmd.v_cmd[1], cmd.fallback_heading)
 
 
 def plan_step(state: LipState, stance: FootPosition, cmd: StepCommand,
@@ -144,6 +147,5 @@ def plan_step(state: LipState, stance: FootPosition, cmd: StepCommand,
     xi0 = lip_core.icp_of(state).xi
     x, y, gamma = plan_placement(
         xi0[0], xi0[1], stance.p[0], stance.p[1], state.params.omega0, dT, span, Ts,
-        cmd.v_cmd[0], cmd.v_cmd[1], cmd.w_cmd, gait.parity,
-        wrap_angle(cmd.fallback_heading))
+        cmd.v_cmd[0], cmd.v_cmd[1], cmd.w_cmd, gait.parity, cmd.fallback_heading)
     return PlannedStep(p_d=(x, y), z_d=stance.z, heading=gamma, parity=gait.parity)

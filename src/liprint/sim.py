@@ -35,7 +35,7 @@ import numpy as np
 from . import _kernels, terrain as terrain_mod
 from .gait import GaitParams, GaitState, cycle_phase, phase_signals
 from .lip_core import FootPosition, LipParams, LipState
-from .planner import PlannedStep, StepCommand, wrap_angle
+from .planner import PlannedStep, StepCommand
 from .terrain import Heightmap, TerrainSpec
 
 # Node spacing (m) of the heightmaps generated for TerrainSpec terrain.
@@ -226,7 +226,7 @@ def _loop_args(config: SimConfig, schedule, initial=None) -> tuple:
     return (n_ticks, config.dt, config.ticks_per_step, config.lip.g, config.lip.z0,
             switches, config.replan == REPLAN_EVERY_TICK, config.reach_limit, grid,
             *map(float, (*state.com_pos, *state.com_vel, *stance.p)),
-            wrap_angle(config.cmd.fallback_heading))
+            config.cmd.fallback_heading)
 
 
 def _simulate(config: SimConfig, schedule, initial=None) -> SimResult:

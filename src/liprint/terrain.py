@@ -96,17 +96,14 @@ class Heightmap:
                              _kernels.Rows(functools.partial(_row_list, self.heights)),
                              _kernels.Rows(functools.partial(_row_list, self.mask)))
 
-    def contains(self, p) -> bool:
-        return _kernels.grid_contains(self.grid, float(p[0]), float(p[1]))
-
     def to_dict(self) -> dict:
         return {
-            "origin": [float(self.origin[0]), float(self.origin[1])],
+            "origin": self.origin.tolist(),
             "resolution": float(self.resolution),
             "rows": self.rows,
             "cols": self.cols,
-            "heights": [float(h) for h in self.heights.ravel()],
-            "mask": [int(m) for m in self.mask.ravel()],
+            "heights": self.heights.ravel().tolist(),
+            "mask": self.mask.ravel().tolist(),
         }
 
     @classmethod
@@ -223,16 +220,22 @@ def parse_spec(text: str) -> "TerrainSpec | str":
 def height_at(h: Heightmap, p) -> float:
     """Bilinear interpolation of the four surrounding node heights."""
     x, y = float(p[0]), float(p[1])
-    if not h.contains((x, y)):
+    if not _kernels.grid_contains(h.grid, x, y):
         raise ValueError(f"query point ({x}, {y}) outside heightmap bounds")
     return _kernels.grid_bilinear(h.grid, x, y)
+
+
+def _check_foot(radius: float, max_dev: float) -> None:
+    """A query's foot radius and height tolerance are positive and finite."""
+    for name, v in (("radius", radius), ("max_dev", max_dev)):
+        if not (v > 0.0 and math.isfinite(v)):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 def is_steppable(h: Heightmap, p, radius: float = FOOT_RADIUS,
                  max_dev: float = MAX_HEIGHT_DEV) -> bool:
     """Foot-sized flat support test; False outside the map or in a gap."""
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    _check_foot(radius, max_dev)
     return _kernels.steppable(h.grid, float(p[0]), float(p[1]), radius, max_dev)
 
 
@@ -246,8 +249,7 @@ def nearest_steppable(h: Heightmap, p, radius: float = FOOT_RADIUS,
     call. Raises ValueError when p is not finite or no steppable ground
     lies within max_search.
     """
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    _check_foot(radius, max_dev)
     if not max_search >= 0.0:
         raise ValueError(f"max_search must be non-negative, got {max_search}")
     x, y = float(p[0]), float(p[1])
@@ -289,6 +291,10 @@ def _layout(spec: TerrainSpec, extent, resolution: float):
     ys = y0 + resolution * np.arange(rows)
     gap = np.zeros(cols, dtype=np.uint8)
     if spec.kind == "gap":
+        # xs is monotone: both ends finite relative to the offset, all are
+        if not all(math.isfinite(v - spec.gap_offset) for v in (x0, far[0])):
+            raise ValueError(f"extent {extent} has non-finite node coordinates relative "
+                             f"to gap offset {spec.gap_offset}")
         rel = np.mod(xs - spec.gap_offset, spec.gap_period)
         gap[(rel > 1e-12) & (rel < spec.gap_width - 1e-12)] = 1
     lattice = None

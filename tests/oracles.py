@@ -258,7 +258,7 @@ def reference_run(config, schedule):
     from liprint import _kernels, sim, terrain
     from liprint.gait import GaitParams, GaitState
     from liprint.lip_core import FootPosition, LipParams, LipState, com_trajectory, icp_of
-    from liprint.planner import StepCommand, plan_step, wrap_angle
+    from liprint.planner import StepCommand, plan_step
 
     dt = config.dt
     k = config.ticks_per_step
@@ -275,7 +275,7 @@ def reference_run(config, schedule):
 
     state, stance = sim.default_initial(config)
     target = FootPosition(p=stance.p, z=terrain.height_at(hmap, stance.p) if hmap else 0.0)
-    heading = wrap_angle(config.cmd.fallback_heading)
+    heading = config.cmd.fallback_heading
     rows = []
     outcome, fail_time = _kernels.OUTCOME_COMPLETED, 0.0
     with np.errstate(over="ignore", invalid="ignore"):

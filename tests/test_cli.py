@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import shlex
@@ -219,6 +220,12 @@ class TestPlan:
         assert out["offset"][0] == pytest.approx(0.115752, abs=5e-6)
         assert out["offset"][1] == pytest.approx(0.059718, abs=5e-6)
         assert out["step"]["parity"] == 0
+
+    def test_backward_command_heading_is_pi(self, capsys):
+        # the planner's heading and the planned step's agree on the half turn
+        assert main(["plan", "--vx", "-1", "--vy", "-0"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["heading"] == out["step"]["heading"] == math.pi
 
     def test_zero_velocity_zero_bx(self, tmp_path, capsys):
         rc = main(["plan", "--vx", "0.0"])
@@ -633,12 +640,14 @@ class TestScoreParsing:
             with open(path, "w", newline="") as f:
                 f.write(text)
             # each file takes the path it should, so no case passes vacuously
+            with open(path, newline="") as f:
+                lines = f.readlines()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                fast = cli._loadtxt(path, header)
+                fast = cli._loadtxt(lines, header)
             assert (fast is not None) == taken and not caught
             if fast is not None:
-                rows = cli._read_rows(path)
+                rows = list(csv.reader(lines))
                 assert fast[0] == rows[0]
                 expected = np.array([[float(v) for v in row] for row in rows[1:]])
                 assert fast[1].shape == expected.shape
@@ -649,6 +658,27 @@ class TestScoreParsing:
         assert fast == slow
         rc, err, _, _ = fast
         assert rc in (0, 1) and (rc == 0) != err.startswith("error: ")
+
+    # numpy's reader on both files, csv.reader on both, and a joint log of
+    # the wrong row count
+    @pytest.mark.parametrize("case", ["plain", "unread-columns", "joints-row-count"])
+    def test_each_input_is_opened_once(self, monkeypatch, tmp_path, case):
+        traj_text, joints_text, _, _ = PARSE_CORPUS[case]
+        traj, joints = tmp_path / "t.csv", tmp_path / "j.csv"
+        traj.write_text(traj_text)
+        joints.write_text(joints_text)
+        opened, real_open = [], open
+
+        def spy(path, *args, **kwargs):
+            opened.append(str(path))
+            return real_open(path, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr("builtins.open", spy)
+            rc = main(["score", "--traj", str(traj), "--joints", str(joints),
+                       "--out", str(tmp_path / "r.csv")])
+        assert rc == (1 if case == "joints-row-count" else 0)
+        assert opened.count(str(traj)) == opened.count(str(joints)) == 1
 
 
     @pytest.mark.parametrize("case,message", [
@@ -675,6 +705,14 @@ class TestScoreParsing:
         traj = write_traj(tmp_path, [zero_row()] * 3)
         joints = tmp_path / "j.csv"
         joints.write_text("q0,dq0\n1,2\n\n3,4\n")
+        assert main(["score", "--traj", str(traj), "--joints", str(joints),
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == "error: bad joint row 2: blank line\n"
+
+    def test_blank_joint_row_is_named_where_no_column_is_read(self, tmp_path, capsys):
+        traj = write_traj(tmp_path, [zero_row()] * 3)
+        joints = tmp_path / "j.csv"
+        joints.write_text("quality\n1\n\n3\n")
         assert main(["score", "--traj", str(traj), "--joints", str(joints),
                      "--out", str(tmp_path / "r.csv")]) == 1
         assert capsys.readouterr().err == "error: bad joint row 2: blank line\n"
@@ -866,6 +904,10 @@ class TestUsage:
           "--extent=-1e308:0:1e308:1"], "at resolution 1.0 has non-finite nodes"),
         (["terrain", "gen", "--spec", "rough:0.05:0.5:1", "--resolution", "1e301",
           "--extent=1e308:0:1.00001e308:1"], "has non-finite lattice coordinates"),
+        # the nodes are finite, but 1e308 - (-1e308) is not
+        (["terrain", "gen", "--spec", "gap:0.1:0.5:-1e308", "--resolution", "1e307",
+          "--extent=1e308:0:1.5e308:1"],
+         "has non-finite node coordinates relative to gap offset -1e+308"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-nan", "duration-overflow", "dt-underflow",
             "resolution-nan", "extent-inf",
@@ -891,7 +933,8 @@ class TestUsage:
             "terrain-gen-resolution-too-fine", "rough-amplitude-overflow",
             "sweep-amplitude-overflow", "terrain-gen-amplitude-overflow",
             "terrain-gen-gap-node-overflow", "terrain-gen-rough-node-overflow",
-            "terrain-gen-span-overflow", "terrain-gen-lattice-overflow"])
+            "terrain-gen-span-overflow", "terrain-gen-lattice-overflow",
+            "terrain-gen-gap-offset-overflow"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}

@@ -8,6 +8,7 @@ from liprint import (FootPosition, GaitParams, GaitState, IcpPoint, LipParams,
                      LipState, PlannedStep, StepCommand, com_trajectory, desired_step_length,
                      desired_step_width, icp_of, icp_trajectory, offsets,
                      plan_step, predict_final_icp, turning_angle)
+from liprint import _kernels
 from liprint.planner import wrap_angle
 
 from oracles import bisect_offsets
@@ -126,6 +127,24 @@ class TestTurningAngle:
         c = StepCommand(v_cmd=(0.0, 0.0), w_cmd=0.3, fallback_heading=0.7)
         assert turning_angle(c) == pytest.approx(0.7, abs=1e-15)
         assert turning_angle(cmd(0.0, 0.0)) == 0.0
+
+    @pytest.mark.parametrize("vy", [-0.0, 0.0])
+    def test_signed_zero_lateral_never_gives_minus_pi(self, vy):
+        # a backward command is a half turn whatever the sign of its zero
+        for vx in (-1.0, -1e-3, -0.0, 0.0, 1e-3, 1.0):
+            h = _kernels.command_heading(vx, vy, 0.5)
+            assert -math.pi < h <= math.pi and (vx >= 0.0 or h == math.pi)
+        assert turning_angle(cmd(-1.0, vy)) == math.pi
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_fallback_heading_rejected(self, bad):
+        with pytest.raises(ValueError, match="fallback heading must be finite"):
+            StepCommand(v_cmd=(0.0, 0.0), fallback_heading=bad)
+
+    def test_fallback_heading_stored_wrapped(self):
+        c = StepCommand(v_cmd=(0.0, 0.0), fallback_heading=7.0)
+        assert c.fallback_heading == 7.0 - 2.0 * math.pi
+        assert turning_angle(c) == c.fallback_heading
 
 
 class TestWrapAngle:

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -606,6 +607,20 @@ class TestStepEvents:
             assert fail_tick % k != 0 and len(times) == 2
         else:
             assert res.failure_time == 0.0 and times == []
+
+    def test_event_log_heading_equals_planned_heading(self, tmp_path):
+        # a backward command with a -0.0 lateral part plans a half turn: pi
+        runs = _seeded_runs() + [(config(vx=-1.0, vy=-0.0, duration=1.0), None, None)]
+        backward = []
+        for cfg, schedule, _ in runs:
+            res = sim_mod._simulate(cfg, schedule or sim_mod._constant_schedule(cfg))
+            sim_mod.write_step_events(res, tmp_path / "e.json")
+            logged = [ev["planned"]["heading"] for ev in
+                      json.loads((tmp_path / "e.json").read_text())["step_events"]]
+            planned = [ev.planned.heading for ev in res.step_events]
+            assert np.array(logged).tobytes() == np.array(planned).tobytes()
+            backward = planned
+        assert backward and set(backward) == {math.pi}
 
     def test_sweep_builds_no_step_events(self, tmp_path, monkeypatch):
         built = []

@@ -236,13 +236,17 @@ class TestNearestSteppable:
         assert calls == [(0.0, 0.0)]
 
     @pytest.mark.parametrize("kw", [{"radius": 0.0}, {"max_search": -1.0},
-                                    {"max_search": math.nan}, {"radius": -0.1}])
+                                    {"max_search": math.nan}, {"radius": -0.1},
+                                    {"radius": math.inf}, {"radius": math.nan},
+                                    {"max_dev": 0.0}, {"max_dev": -0.01},
+                                    {"max_dev": math.inf}, {"max_dev": math.nan}])
     def test_bad_radius_or_search_raises(self, kw):
         h = gap_map(width=0.2)
-        with pytest.raises(ValueError, match=f"{next(iter(kw))} must be"):
+        name = next(iter(kw))
+        with pytest.raises(ValueError, match=f"{name} must be"):
             nearest_steppable(h, (0.0, 0.0), **kw)
-        if "radius" in kw:
-            with pytest.raises(ValueError, match="radius must be positive"):
+        if name != "max_search":
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                 is_steppable(h, (0.0, 0.0), **kw)
 
     @pytest.mark.parametrize("p", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
@@ -533,7 +537,11 @@ class TestGenerateGrid:
         # the corners' lattice coordinates are finite, the last node's are not
         (_rough(0.05, 0.5, 1), (-8e307, 0.0, 8e307, 1.0), 1e306,
          "has non-finite lattice coordinates"),
-    ], ids=["span", "corner", "last-node"])
+        # the nodes are finite, their distance to the gap offset is not
+        (TerrainSpec(kind="gap", gap_width=0.1, gap_period=0.5, gap_offset=-1e308),
+         (1e308, 0.0, 1.5e308, 1.0), 1e307,
+         "has non-finite node coordinates relative to gap offset " + re.escape("-1e+308")),
+    ], ids=["span", "corner", "last-node", "gap-offset"])
     def test_overflowing_extent_raises(self, build, spec, extent, resolution, message):
         with pytest.raises(ValueError, match=re.escape(f"extent {extent} ") + ".*" + message):
             build(spec, extent, resolution)
@@ -566,6 +574,21 @@ class TestJsonFormat:
         npt.assert_array_equal(h.mask, h2.mask)
         npt.assert_array_equal(h.origin, h2.origin)
         assert h.resolution == h2.resolution
+
+    def test_to_dict_equals_per_value_form(self):
+        heights = np.zeros((3, 4))
+        heights[0, 1], heights[1, 2], heights[2, 3] = -0.0, 0.1, -1e-300
+        mask = np.zeros((3, 4), dtype=np.uint8)
+        mask[:, 1] = 1
+        h = Heightmap(origin=(-0.5, 1.25), resolution=0.05, heights=heights, mask=mask)
+        per_value = {"origin": [float(h.origin[0]), float(h.origin[1])],
+                     "resolution": float(h.resolution), "rows": h.rows, "cols": h.cols,
+                     "heights": [float(v) for v in h.heights.ravel()],
+                     "mask": [int(m) for m in h.mask.ravel()]}
+        text = json.dumps(h.to_dict(), sort_keys=True)
+        assert text == json.dumps(per_value, sort_keys=True)
+        # not vacuous: the map holds a negative zero and mask ones
+        assert '"heights": [0.0, -0.0' in text and sum(per_value["mask"]) == 3
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
