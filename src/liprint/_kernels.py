@@ -17,7 +17,13 @@ TerrainSpec's from its layout, rough heights node by node, with no map.
 The snap search tests grid nodes with steppable() itself, each at most
 once per run: a caller-owned memo of one byte per node keeps the answers.
 So a node's steppability is the exact scalar test by construction, and
-the search runs in plain Python.
+the search runs in plain Python. Each search also returns a certificate:
+the d2 of its answer and a lower bound on the d2 of every other
+steppable node. A later miss reuses that answer without a search only
+when the certificate, widened by the query's move and a bound on the
+rounding, proves that the search would return it again
+(snap_to_steppable), so a run that replans every tick searches about once
+per step instead of once per tick.
 """
 
 import math
@@ -266,7 +272,8 @@ def steppable(grid, x, y, radius, max_dev):
 
 
 def _nearest_steppable_node(grid, x, y, radius, max_dev, budget2, memo):
-    """Closest steppable node to (x, y) with d2 <= budget2: (found, nx, ny).
+    """Closest steppable node to (x, y) with d2 <= budget2, and its
+    certificate: (found, nx, ny, best, floor).
 
     Node (i, j) is steppable when steppable(grid, ox + j*res, oy + i*res,
     radius, max_dev) holds. memo, a bytearray of one byte per node in
@@ -286,17 +293,31 @@ def _nearest_steppable_node(grid, x, y, radius, max_dev, budget2, memo):
     that rounding.) Nodes within 1e-12 of the minimum d2 (and within the
     budget) tie; a tie goes to the smaller x, then the smaller y, i.e. the
     smaller column, then the smaller row.
+
+    The certificate is best, the d2 of the answer, and floor, a lower
+    bound on the d2 of every steppable node outside the tie set, taken
+    from bounds the scan meets anyway: the d2 at which a row side stops
+    (the computed d2 never falls further out along a side), the d2 of
+    each steppable node that a row scan finds but that loses, the dy*dy
+    of each row the scan prunes or stops at, and, where the answer is the
+    first node right of x in its row, the d2 of the column after it. A
+    tie set of more than one node gives floor = best. A not-found search's
+    certificate means nothing.
     """
     rows, cols, ox, oy, res, _, _ = grid
+    floor = math.inf
 
     def first(i, j, step, dy2, limit):
         # (d2, j) of row i's first steppable node from column j on in
-        # direction step, or None once d2 exceeds limit or the row ends
+        # direction step, or None once d2 exceeds limit (that d2 lowers
+        # floor) or the row ends
+        nonlocal floor
         while 0 <= j < cols:
             nx = ox + j * res
             dx = nx - x
             d2 = dy2 + dx * dx
             if not d2 <= limit:
+                floor = min(floor, d2)
                 return None
             k = i * cols + j
             if not memo[k]:
@@ -325,31 +346,44 @@ def _nearest_steppable_node(grid, x, y, radius, max_dev, budget2, memo):
                             best = node[0]
                     limit = best + 1e-12 if best + 1e-12 < budget2 else budget2
                     seen.append((i, dy2, left, right))
-            elif (dy > 0.0) == (step > 0):
-                break
+            else:
+                floor = min(floor, dy2)
+                if (dy > 0.0) == (step > 0):
+                    break
             i += step
     if not best <= budget2:
-        return False, 0.0, 0.0
+        return False, 0.0, 0.0, best, floor
     win = None
+    ties = 0
     for i, dy2, left, right in seen:
+        for node in (left, right):
+            if node:
+                if node[0] <= limit:
+                    ties += 1
+                else:
+                    floor = min(floor, node[0])
         # the row's leftmost node with d2 <= limit: walk left from its
         # nearest node left of x while d2 stays within it, else take its
-        # nearest node right of x
+        # nearest node right of x, bounding the columns after it
         if left and left[0] <= limit:
-            j = left[1]
+            d2, j = left
             while node := first(i, j - 1, -1, dy2, limit):
-                j = node[1]
+                d2, j = node
+                ties += 1
         elif right and right[0] <= limit:
-            j = right[1]
+            d2, j = right
+            if j + 1 < cols:
+                dx = ox + (j + 1) * res - x
+                floor = min(floor, dy2 + dx * dx)
         else:
             continue
-        if win is None or (j, i) < win:
-            win = (j, i)
-    j, i = win
-    return True, ox + j * res, oy + i * res
+        if win is None or (j, i) < win[:2]:
+            win = (j, i, d2)
+    j, i, best = win
+    return True, ox + j * res, oy + i * res, best, floor if ties == 1 else best
 
 
-def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y):
+def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None):
     """Closest steppable point to the query (x, y) within max_search.
 
     Returns (found, sx, sy). The query point itself wins when steppable.
@@ -363,11 +397,51 @@ def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y):
     through it (see _nearest_steppable_node), so queries that share a memo
     test each node at most once. The per-search arguments come first and
     the query last, at positions 5 and 6, where perfbench's tracer reads it.
+
+    last, when given, is a caller-owned list kept with memo: empty at
+    first, then [qx, qy, nx, ny, best, floor] of the last search, which a
+    not-found search empties. A miss at distance d = hypot(x - qx, y - qy)
+    from that search's query returns its node (nx, ny) without a search
+    when, with a = sqrt(best) + d, b = sqrt(floor) - d and
+    tol = 4e-15 * floor,
+
+        b > 0,  a*a + 1e-12 + 2*tol < b*b  and  a*a + tol <= budget2.
+
+    A move of d changes every distance by at most d, so the answer now lies
+    within a and every other steppable node beyond b: the search would
+    return the same node, alone in its tie band and within the budget.
+    tol bounds the rounding. With u = 2**-53, a computed d2 lies within a
+    factor (1 +- u)**4 of the exact squared distance of its (float) node,
+    at any coordinate magnitude: two rounded differences, two rounded
+    squares, one rounded sum. d lies within (1 +- 3u) of the exact move,
+    and sqrt, + and - in a and b and the squares a*a, b*b add a factor
+    (1 +- u) each. Chained, the search on the new query computes at most
+    a*a * (1 + 14u) for the answer and at least b*b - 20u * floor for every
+    other steppable node, and the rule's own three roundings cost at most
+    3u * floor. As a*a < b*b <= floor, the answer stays within budget2,
+    and every other node beyond its d2 + 1e-12 (the search's tie limit,
+    rounded), when 2*tol >= 38u * floor and tol >= 16u * floor; tol is
+    36u * floor. (Underflow errors, below 1e-300, are far under tol, as
+    floor > 1e-12 whenever the rule holds.) So reuse returns the search's
+    answer for any query sequence on one grid and memo. floor = inf (a map
+    scanned to its edges) never passes.
     """
     if steppable(grid, x, y, radius, max_dev):
         return True, x, y
-    return _nearest_steppable_node(grid, x, y, radius, max_dev,
-                                   max_search * max_search + 1e-12, memo)
+    budget2 = max_search * max_search + 1e-12
+    if last:
+        qx, qy, nx, ny, best, floor = last
+        d = math.hypot(x - qx, y - qy)
+        a = math.sqrt(best) + d
+        b = math.sqrt(floor) - d
+        tol = 4e-15 * floor
+        if b > 0.0 and a * a + 1e-12 + 2.0 * tol < b * b and a * a + tol <= budget2:
+            return True, nx, ny
+    found, nx, ny, best, floor = _nearest_steppable_node(grid, x, y, radius, max_dev,
+                                                         budget2, memo)
+    if last is not None:
+        last[:] = (x, y, nx, ny, best, floor) if found else ()
+    return found, nx, ny
 
 
 def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
@@ -385,7 +459,11 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     (through one node memo per call, so each grid node is tested at most
     once), records a sample at the tick instant and propagates the CoM
     analytically over dt. When no steppable ground is found the sample
-    keeps the raw, unsnapped target.
+    keeps the raw, unsnapped target. The run's snaps also share one `last`
+    list, so a miss whose target moved by little since the last search
+    reuses its node when that search's certificate proves it exact (see
+    snap_to_steppable); a step's first replan jumps far enough to search
+    again, so no state is reset per step.
     grid is the run's Grid view of its terrain, or None on flat ground:
     nothing is snapped and every height is 0. schedule lists (tick, vx, vy, width) switches;
     the first holds from tick 0, each later one from its tick on. heading
@@ -415,6 +493,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     tg_x, tg_y, tg_z = st_x, st_y, 0.0
     if grid is not None:
         memo = bytearray(grid.rows * grid.cols)
+        last = []
         tg_z = grid_bilinear(grid, st_x, st_y)
 
     cmd_i = 0
@@ -466,7 +545,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                 else:
                     if grid is not None:
                         ok, sx, sy = snap_to_steppable(grid, FOOT_RADIUS, MAX_HEIGHT_DEV,
-                                                       SNAP_SEARCH_RADIUS, memo, tg_x, tg_y)
+                                                       SNAP_SEARCH_RADIUS, memo, tg_x, tg_y, last)
                         if ok:
                             tg_x = sx
                             tg_y = sy

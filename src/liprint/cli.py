@@ -254,8 +254,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_plan(args) -> int:
     if args.vx is None:
         raise _UsageError("plan requires --vx")
+    cmd = StepCommand(v_cmd=(args.vx, args.vy), w_cmd=args.width)
     state_spec = {"com": [0.0, 0.0], "vel": [0.0, 0.0],
-                  "stance": [0.0, -args.width / 2.0], "parity": 0}
+                  "stance": [0.0, -cmd.w_cmd / 2.0], "parity": 0}
     try:
         loaded = json.loads(args.state or "{}")
         if not isinstance(loaded, dict):
@@ -278,12 +279,16 @@ def _cmd_plan(args) -> int:
     state = LipState(com_pos=com, com_vel=vel, params=params)
     stance = FootPosition(p=stance_raw[:2],
                           z=stance_raw[2] if len(stance_raw) == 3 else 0.0)
-    cmd = StepCommand(v_cmd=(args.vx, args.vy), w_cmd=args.width)
     gait_state = GaitState(t=Ts - remaining, parity=parity,
                            params=GaitParams(step_duration=Ts))
-    xi0 = icp_of(state)
     try:
-        xi_f = predict_final_icp(xi0, stance, params.omega0, remaining)
+        try:
+            xi0 = icp_of(state)
+            xi_f = predict_final_icp(xi0, stance, params.omega0, remaining)
+        except ValueError as e:
+            # a finite exp(omega * dT) (an overflow raises OverflowError):
+            # the state itself is beyond the float range
+            raise _UsageError(f"--state overflows the capture point: {e}") from None
         s_d = desired_step_length(cmd, remaining)
         w_d = desired_step_width(cmd.w_cmd, remaining, Ts)
         b = offsets(s_d, w_d, params.omega0, remaining)

@@ -110,7 +110,11 @@ def com_trajectory(s0: LipState, f: FootPosition, t: float) -> LipState:
 
 def icp_of(s: LipState) -> IcpPoint:
     """Capture point xi = x + xdot / omega0."""
-    return IcpPoint(xi=s.com_pos + s.com_vel / s.params.omega0)
+    # Python floats: an overflow gives inf, which IcpPoint rejects, and no
+    # numpy warning
+    w = s.params.omega0
+    (cx, cy), (vx, vy) = s.com_pos.tolist(), s.com_vel.tolist()
+    return IcpPoint(xi=(cx + vx / w, cy + vy / w))
 
 
 def icp_derivative(xi: IcpPoint, f: FootPosition, omega0: float) -> np.ndarray:
@@ -122,5 +126,7 @@ def icp_trajectory(xi0: IcpPoint, f: FootPosition, omega0: float, t: float) -> I
     """Exact capture point after time t: xi(t) = e^{w t} xi0 + (1 - e^{w t}) p."""
     if t < 0.0:
         raise ValueError(f"duration must be non-negative, got {t}")
-    xx, xy = _kernels.icp_step(xi0.xi[0], xi0.xi[1], f.p[0], f.p[1], omega0, t)
+    # Python floats: an overflow gives inf, which IcpPoint rejects, and no
+    # numpy warning
+    xx, xy = _kernels.icp_step(*xi0.xi.tolist(), *f.p.tolist(), omega0, t)
     return IcpPoint(xi=(xx, xy))

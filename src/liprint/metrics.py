@@ -129,6 +129,10 @@ class RewardParams:
         for name in ("base_height_target", "vel_cmd", "heading_target"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # reward_table divides by 1 + its norm, which numpy takes as the root
+        # of the squared norm: an overflow there would zero every error
+        if not math.isfinite(sum(v * v for v in self.vel_cmd.ravel().tolist())):
+            raise ValueError(f"vel_cmd must have a finite squared norm, got {self.vel_cmd}")
 
 
 def reward_table(columns: dict, params: RewardParams, schedule, targets,

@@ -257,6 +257,20 @@ class TestPlan:
         assert main(["plan", "--vx", "1.0", "--state", "{not json"]) == 1
         assert main(["plan", "--vx", "1.0", "--state", '{"com": [1]}']) == 1
 
+    # a warning is a failure: the one error line is all that is printed
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["--state", '{"com":[1e308,0],"vel":[1e308,0]}'],
+        # the velocity term vel / omega overflows, before any prediction
+        ["--g", "1", "--base-height", "10", "--state", '{"com":[1e308,0],"vel":[1e308,0]}'],
+        ["--state", '{"com":[0,0],"vel":[0,0],"stance":[1e308,0]}'],
+    ], ids=["com-and-vel", "vel-over-omega", "stance"])
+    def test_state_overflowing_the_capture_point(self, capsys, argv):
+        assert main(["plan", "--vx", "1"] + argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: --state overflows the capture point: ")
+
 
 class TestScore:
     def test_round_trip_row_counts(self, tmp_path):
@@ -908,6 +922,12 @@ class TestUsage:
         (["terrain", "gen", "--spec", "gap:0.1:0.5:-1e308", "--resolution", "1e307",
           "--extent=1e308:0:1.5e308:1"],
          "has non-finite node coordinates relative to gap offset -1e+308"),
+        # each component is finite, the squared norm is not
+        (["score", "--traj", "{traj}", "--vx", "1e308", "--vy", "1e308"],
+         "vel_cmd must have a finite squared norm"),
+        (["plan", "--vx", "1", "--state", '{{"com":[1e308,0],"vel":[1e308,0]}}'],
+         "--state overflows the capture point"),
+        (["plan", "--vx", "1", "--width", "nan"], "step width command must be positive, got nan"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-nan", "duration-overflow", "dt-underflow",
             "resolution-nan", "extent-inf",
@@ -934,7 +954,8 @@ class TestUsage:
             "sweep-amplitude-overflow", "terrain-gen-amplitude-overflow",
             "terrain-gen-gap-node-overflow", "terrain-gen-rough-node-overflow",
             "terrain-gen-span-overflow", "terrain-gen-lattice-overflow",
-            "terrain-gen-gap-offset-overflow"])
+            "terrain-gen-gap-offset-overflow", "score-vel-cmd-norm-overflow",
+            "plan-state-overflow", "plan-width-nan"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}

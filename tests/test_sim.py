@@ -1147,6 +1147,56 @@ class TestReferenceLoop:
         self._compare(cfg, sim_mod._constant_schedule(cfg))
         assert run(cfg).sample_array.shape[0] > k + 1
 
+    def test_gap_steps_search_once(self, monkeypatch):
+        # every target of these steps lies in a gap, and within a step the
+        # replanned target moves by about 1e-14 m: the step's first miss
+        # searches, and its certificate answers the step's other ticks
+        cfg = config(vx=0.7, duration=2.0, replan=_EVERY, terrain=gap_spec(offset=0.6))
+        schedule = sim_mod._constant_schedule(cfg)
+        moved, searched = [], []  # per snap (one a tick), and the tick of each search
+        real_snap, real_search = _kernels.snap_to_steppable, _kernels._nearest_steppable_node
+
+        def snap_spy(*args):
+            found, sx, sy = real_snap(*args)
+            moved.append(found and (sx, sy) != args[5:7])
+            return found, sx, sy
+
+        def search_spy(*args):
+            searched.append(len(moved))
+            return real_search(*args)
+
+        monkeypatch.setattr(_kernels, "snap_to_steppable", snap_spy)
+        monkeypatch.setattr(_kernels, "_nearest_steppable_node", search_spy)
+        n_rec, outcome, _, _ = _kernels.sim_loop(*sim_mod._loop_args(cfg, schedule))
+        monkeypatch.undo()
+        k = cfg.ticks_per_step
+        assert outcome == _kernels.OUTCOME_COMPLETED and len(moved) == n_rec == 200
+        gap_steps = [i for i in range(0, n_rec, k) if all(moved[i:i + k])]
+        assert len(gap_steps) == 6
+        for i in gap_steps:
+            assert sum(i <= t < i + k for t in searched) == 1
+        assert self._compare(cfg, schedule) == "completed"
+
+    def test_snapped_target_ties_between_two_nodes(self):
+        # a flat map with one gap of three node columns, centred on the raw
+        # target of the second step: the nodes two columns beyond the gap on
+        # either side, equally far, tie, and the tie goes to the smaller x
+        cfg = config(vx=0.5, duration=1.5, replan=_EVERY)
+        k = cfg.ticks_per_step
+        raw_x, raw_y = run(cfg).sample_array[k, [COL_TARGET_X, COL_TARGET_Y]].tolist()
+        res = 0.05
+        mask = np.zeros((40, 80))
+        mask[:, 20:23] = 1
+        hmap = terrain_mod.Heightmap(origin=(raw_x - 21 * res, -1.0), resolution=res,
+                                     heights=np.zeros((40, 80)), mask=mask)
+        cfg = replace(cfg, terrain=hmap)
+        left, right = hmap.grid.ox + 18 * res, hmap.grid.ox + 24 * res
+        assert abs((raw_x - left) ** 2 - (right - raw_x) ** 2) < 1e-15
+        assert self._compare(cfg, sim_mod._constant_schedule(cfg)) == "completed"
+        rows = run(cfg).sample_array
+        row = hmap.grid.oy + round((raw_y - hmap.grid.oy) / res) * res
+        assert (rows[k:2 * k, [COL_TARGET_X, COL_TARGET_Y]] == [left, row]).all()
+
 
 class TestInitialConditions:
     def test_custom_initial(self):

@@ -367,6 +367,138 @@ class TestSnapTables:
         npt.assert_array_equal(got, [12 * res, 6 * res])
 
 
+def _certificate_misses(grid, radius, rng, n):
+    """n unsteppable query points on the map and up to 0.3 m beyond it."""
+    x1, y1 = grid.ox + (grid.cols - 1) * grid.res, grid.oy + (grid.rows - 1) * grid.res
+    points = []
+    while len(points) < n:
+        for x, y in rng.uniform((grid.ox - 0.3, grid.oy - 0.3), (x1 + 0.3, y1 + 0.3),
+                                (n, 2)).tolist():
+            if not _kernels.steppable(grid, x, y, radius, 0.03):
+                points.append((x, y))
+    return points[:n]
+
+
+def _certificate_ties(grid, radius, steppable_nodes):
+    """Unsteppable points on the bisector of two steppable nodes: for each
+    run of unsteppable nodes in a row between two steppable ones, the
+    midpoint of those two, and the point level with the midpoint of that
+    row and the next one, one column in from the run's left end."""
+    ox, oy, res = grid.ox, grid.oy, grid.res
+    points = []
+    for i in range(grid.rows - 1):
+        ends = np.flatnonzero(steppable_nodes[i]).tolist()
+        for left, right in zip(ends, ends[1:]):
+            if right - left >= 2:
+                points += [((ox + left * res + ox + right * res) / 2, oy + i * res),
+                           (ox + (left + 1) * res, oy + (i + 0.5) * res)]
+    return [(x, y) for x, y in points if not _kernels.steppable(grid, x, y, radius, 0.03)]
+
+
+class TestSnapCertificate:
+    """snap_to_steppable's reuse of the last search's node (its `last`
+    list) against the uncached search."""
+
+    @staticmethod
+    def _check_certificate(grid, steppable_nodes, x, y, last):
+        # floor bounds the d2 of every steppable node but the answer, as
+        # the search computes d2, unless another node ties with the answer
+        # (within the 1e-12 band and its rounding): then floor = best
+        _, _, nx, ny, best, floor = last
+        dx = grid.ox + np.arange(grid.cols) * grid.res - x
+        dy = grid.oy + np.arange(grid.rows) * grid.res - y
+        d2 = (dy * dy)[:, None] + dx * dx
+        j, i = round((nx - grid.ox) / grid.res), round((ny - grid.oy) / grid.res)
+        assert steppable_nodes[i, j] and d2[i, j] == best
+        others = steppable_nodes.copy()
+        others[i, j] = False
+        if floor == best:
+            assert np.abs(d2[others] - best).min() <= 1.5e-12
+            return True
+        assert not others.any() or d2[others].min() >= floor > best
+        return False
+
+    def test_reuse_equals_uncached_search(self, monkeypatch):
+        searches = []  # one entry per row search
+        real_search = _kernels._nearest_steppable_node
+
+        def counting_search(*args):
+            searches.append(None)
+            return real_search(*args)
+
+        monkeypatch.setattr(_kernels, "_nearest_steppable_node", counting_search)
+        rng = np.random.default_rng(21)
+        n_seq = n_reused = n_ties = n_exhaustive = 0
+        for kind in ("gap", "rough"):
+            for resolution in (0.03, 0.05, 0.07, 0.1):
+                # foot radii below, at and above the node spacing
+                for radius in (0.6 * resolution, resolution, 2.3 * resolution):
+                    # rough heights scaled by 1/radius, so that every radius
+                    # from the spacing up fails some nodes (a smaller disc
+                    # holds one node, which always passes)
+                    h = _node_grid_map(kind, resolution, seed=int(resolution * 100) + 2,
+                                       amplitude=0.006 / radius)
+                    grid = h.grid
+                    steppable_nodes = node_grid_per_steppable(h, radius, 0.03)
+                    filled = bytearray((1 + steppable_nodes.ravel()).astype(np.uint8))
+                    node_ok = functools.cache(
+                        lambda x, y, r=radius: is_steppable(h, (x, y), radius=r))
+                    memo = bytearray(grid.rows * grid.cols)  # shared, filled lazily
+                    ties = _certificate_ties(grid, radius, steppable_nodes)
+                    starts = ([(p, True) for p in ties[::max(1, len(ties) // 60)]]
+                              + [(p, False) for p in _certificate_misses(grid, radius, rng, 850)])
+                    for (x0, y0), tie in starts:
+                        max_search = 1.0
+                        last0 = []
+                        _kernels.snap_to_steppable(grid, radius, 0.03, max_search, memo,
+                                                   x0, y0, last0)
+                        if last0 and not tie and rng.random() < 0.25:
+                            # a budget just above the answer's distance
+                            margin = 10 ** float(rng.uniform(-15, -3))
+                            max_search = math.sqrt(last0[4]) * (1 + margin)
+                            last0 = []
+                            _kernels.snap_to_steppable(grid, radius, 0.03, max_search, memo,
+                                                       x0, y0, last0)
+                        if last0:
+                            n_ties += tie and self._check_certificate(
+                                grid, steppable_nodes, x0, y0, last0)
+                        # moves of 1e-14 to 1e-3 m in random directions
+                        for d, angle in zip((10.0 ** rng.uniform(-14, -3, 5)).tolist(),
+                                            rng.uniform(-math.pi, math.pi, 5).tolist()):
+                            x1, y1 = x0 + d * math.cos(angle), y0 + d * math.sin(angle)
+                            last = list(last0)
+                            n_before = len(searches)
+                            got = _kernels.snap_to_steppable(grid, radius, 0.03, max_search,
+                                                             memo, x1, y1, last)
+                            # no search, and not the query itself: the reuse path
+                            n_reused += len(searches) == n_before and got[1:] != (x1, y1)
+                            # the uncached call: no `last`, and a memo of its own,
+                            # filled in advance with the answers a fresh one collects
+                            ref = _kernels.snap_to_steppable(grid, radius, 0.03, max_search,
+                                                             bytearray(filled), x1, y1)
+                            assert got == ref, (kind, resolution, radius, max_search,
+                                                (x0, y0), (x1, y1))
+                            n_seq += 1
+                            if tie or max_search != 1.0 or n_seq % 500:
+                                continue
+                            # a subsample against the exhaustive node scan,
+                            # away from ties and from the budget's edge
+                            ex = exhaustive_nearest_steppable(
+                                h, (x1, y1), lambda hm, q: node_ok(float(q[0]), float(q[1])))
+                            dist = math.inf if ex is None else math.hypot(*(ex - (x1, y1)))
+                            if abs(dist - max_search) < 1e-9:
+                                continue
+                            if dist > max_search:
+                                ex = None
+                            assert got[0] == (ex is not None)
+                            if got[0]:
+                                assert got[1:] == tuple(ex.tolist())
+                            n_exhaustive += 1
+        assert n_seq >= 100_000 and n_exhaustive >= 100 and n_ties >= 300
+        # not vacuous: most second queries reuse the first one's node
+        assert n_reused > 0.6 * n_seq, (n_reused, n_seq)
+
+
 class TestGridResample:
     def test_equals_scalar_cell(self):
         rng = np.random.default_rng(13)
