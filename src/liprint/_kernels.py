@@ -448,46 +448,37 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
              replan_every_tick, reach_limit, grid,
              com_x, com_y, vel_x, vel_y, st_x, st_y, heading, *, vel_x_only=False):
     """Closed-loop stepping simulation over n_ticks >= 1 ticks (SimConfig
-    guarantees it).
+    guarantees it): one outer iteration per step, one inner per tick.
 
-    Per tick: at a step start, tick i = m * ticks_per_step (m >= 0, tick 0
-    included), the support transfers to the swing target, parity becomes m
-    and the stance height re-derives the pendulum frequency; the swing
-    target starts as the initial stance at its height. Then the loop plans
-    or replans the target with plan_placement over the remaining step time
-    Ts - s*dt (offsets always over Ts), snaps it to steppable ground
-    (through one node memo per call, so each grid node is tested at most
-    once), records a sample at the tick instant and propagates the CoM
-    analytically over dt. When no steppable ground is found the sample
-    keeps the raw, unsnapped target. The run's snaps also share one `last`
-    list, so a miss whose target moved by little since the last search
-    reuses its node when that search's certificate proves it exact (see
-    snap_to_steppable); a step's first replan jumps far enough to search
-    again, so no state is reset per step.
-    grid is the run's Grid view of its terrain, or None on flat ground:
-    nothing is snapped and every height is 0. schedule lists (tick, vx, vy, width) switches;
-    the first holds from tick 0, each later one from its tick on. heading
-    is the fallback heading until the first plan. Pass the state com_x ..
-    heading as Python floats, not numpy scalars.
+    Per step, at tick i0 = m * ticks_per_step (m >= 0, tick 0 included): the
+    support transfers to the swing target (at tick 0, the initial stance at
+    its height), parity becomes m and the stance height re-derives omega and
+    cosh/sinh(omega*dt). A non-positive pendulum height or an overflowing
+    cosh fails the run; at tick 0 with no rows, later with the touchdown row,
+    which keeps the previous step's omega on a bad height. A touchdown (m >=
+    1) whose capture point or CoM lies beyond reach_limit of the new stance
+    fails too.
 
-    Each recorded tick is one float tuple of columns COL_TIME .. COL_PARITY
-    (parity i // ticks_per_step), stacked into the returned (n_recorded,
-    COL_PARITY + 1) array; the gait-phase columns depend only on the tick
-    and are left to the caller. The touchdown at row i = m * ticks_per_step,
-    m >= 1, moves the stance onto row i - 1's target. A step start whose
-    pendulum height is not positive, or whose cosh(omega*dt) overflows,
-    fails the run (with no rows at tick 0), and so do a touchdown beyond
-    reach_limit of the capture point or the CoM and a plan whose
-    exp(omega * (Ts - s*dt)) overflows, which keeps the previous target.
-    Each failure only sets the outcome: one exit after the failed tick's
-    row stops the loop, with that row's time as the failure time. Only a
-    non-finite CoM state after the pendulum step fails at the next tick's
-    time, (i + 1) * dt. A touchdown row that fails for a non-positive
-    pendulum height keeps the previous step's omega, so its icp_x, icp_y
-    are com + vel / that omega.
-    Returns (n_recorded, outcome, fail_time, rows). With vel_x_only, each
-    recorded tick keeps only its vel_x and rows is the 1-D array of them,
-    equal to the full rows' COL_VEL_X column; n_recorded stays first.
+    Per tick: the schedule's (tick, vx, vy, width) switches take effect (the
+    first holds from tick 0); at the step's first tick, or every tick when
+    replan_every_tick, plan_placement plans the target over the remaining
+    time Ts - (i - i0)*dt (offsets over Ts) and snap_to_steppable moves it
+    onto steppable ground (one node memo and one `last` list per run; see
+    snap_to_steppable); then the tick's row is recorded and the CoM
+    propagates over dt by lip_step.
+    A plan whose exp overflows keeps the previous target; no steppable
+    ground keeps the raw one. grid is the run's Grid view of its terrain,
+    or None on flat ground (nothing snapped, every height 0). heading is the
+    fallback heading until the first plan. Pass com_x .. heading as Python
+    floats, not numpy scalars.
+
+    Each failure only sets the outcome; one exit after the failed tick's row
+    stops the run at that row's time, except a non-finite CoM state after
+    lip_step, which fails at (i + 1) * dt. A row is one float tuple of the
+    columns COL_TIME .. COL_PARITY (the gait-phase columns are the caller's),
+    and the rows stack into an (n_recorded, COL_PARITY + 1) array. Returns
+    (n_recorded, outcome, fail_time, rows). With vel_x_only each row is its
+    vel_x alone and rows is the 1-D array of them; n_recorded stays first.
     """
     Ts = ticks_per_step * dt
     tg_x, tg_y, tg_z = st_x, st_y, 0.0
@@ -503,42 +494,40 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     fail_time = 0.0
     rows = []
 
-    for i in range(n_ticks):
-        t_now = i * dt
-        s = i % ticks_per_step
-        while cmd_i + 1 < n_cmd and i >= schedule[cmd_i + 1][0]:
-            cmd_i += 1
-            _, vx, vy, w = schedule[cmd_i]
-
-        if s == 0:
-            # Support transfers to the swing target.
-            st_x = tg_x
-            st_y = tg_y
-            st_z = tg_z
-            parity = i // ticks_per_step
-            z0 = base_height - st_z
-            if z0 <= 0.0:
-                outcome = OUTCOME_BAD_HEIGHT
-            else:
-                omega = math.sqrt(g / z0)
-                try:
-                    ch = math.cosh(omega * dt)
-                    sh = math.sinh(omega * dt)
-                except OverflowError:
-                    outcome = OUTCOME_NON_FINITE
-            if outcome != OUTCOME_COMPLETED and i == 0:
+    for i0 in range(0, n_ticks, ticks_per_step):
+        # Step start: the support transfers to the swing target.
+        st_x, st_y, st_z = tg_x, tg_y, tg_z
+        parity = float(i0 // ticks_per_step)
+        z0 = base_height - st_z
+        if z0 <= 0.0:
+            outcome = OUTCOME_BAD_HEIGHT
+        else:
+            omega = math.sqrt(g / z0)
+            try:
+                ch = math.cosh(omega * dt)
+                sh = math.sinh(omega * dt)
+            except OverflowError:
+                outcome = OUTCOME_NON_FINITE
+        if outcome != OUTCOME_COMPLETED:
+            if i0 == 0:
                 break
-        icp_x = com_x + vel_x / omega
-        icp_y = com_y + vel_y / omega
+        elif i0 > 0 and (math.hypot(com_x + vel_x / omega - st_x,
+                                    com_y + vel_y / omega - st_y) > reach_limit
+                         or math.hypot(st_x - com_x, st_y - com_y) > reach_limit):
+            outcome = OUTCOME_REACH
 
-        if outcome == OUTCOME_COMPLETED and (s == 0 or replan_every_tick):
-            if i > 0 and s == 0 and (math.hypot(icp_x - st_x, icp_y - st_y) > reach_limit
-                                     or math.hypot(st_x - com_x, st_y - com_y) > reach_limit):
-                outcome = OUTCOME_REACH
-            else:
+        for i in range(i0, min(i0 + ticks_per_step, n_ticks)):
+            t_now = i * dt
+            while cmd_i + 1 < n_cmd and i >= schedule[cmd_i + 1][0]:
+                cmd_i += 1
+                _, vx, vy, w = schedule[cmd_i]
+            icp_x = com_x + vel_x / omega
+            icp_y = com_y + vel_y / omega
+
+            if outcome == OUTCOME_COMPLETED and (i == i0 or replan_every_tick):
                 try:
                     tg_x, tg_y, heading = plan_placement(
-                        icp_x, icp_y, st_x, st_y, omega, Ts - s * dt, Ts, Ts,
+                        icp_x, icp_y, st_x, st_y, omega, Ts - (i - i0) * dt, Ts, Ts,
                         vx, vy, w, parity, heading)
                 except OverflowError:
                     outcome = OUTCOME_NON_FINITE
@@ -547,29 +536,29 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                         ok, sx, sy = snap_to_steppable(grid, FOOT_RADIUS, MAX_HEIGHT_DEV,
                                                        SNAP_SEARCH_RADIUS, memo, tg_x, tg_y, last)
                         if ok:
-                            tg_x = sx
-                            tg_y = sy
-                            tg_z = grid_bilinear(grid, sx, sy)
+                            tg_x, tg_y, tg_z = sx, sy, grid_bilinear(grid, sx, sy)
                         else:
                             tg_z = 0.0
                             outcome = OUTCOME_NO_GROUND
 
-        if vel_x_only:
-            rows.append(vel_x)
-        else:
-            # columns COL_TIME .. COL_PARITY, in order
-            rows.append((t_now, com_x, com_y, vel_x, vel_y, icp_x, icp_y,
-                         st_x, st_y, st_z, tg_x, tg_y, tg_z, heading, float(parity)))
-        if outcome != OUTCOME_COMPLETED:
-            fail_time = t_now
-            break
+            if vel_x_only:
+                rows.append(vel_x)
+            else:
+                # columns COL_TIME .. COL_PARITY, in order
+                rows.append((t_now, com_x, com_y, vel_x, vel_y, icp_x, icp_y,
+                             st_x, st_y, st_z, tg_x, tg_y, tg_z, heading, parity))
+            if outcome != OUTCOME_COMPLETED:
+                fail_time = t_now
+                break
 
-        com_x, com_y, vel_x, vel_y = lip_step(
-            com_x, com_y, vel_x, vel_y, st_x, st_y, omega, ch, sh)
-        if not (math.isfinite(com_x) and math.isfinite(com_y)
-                and math.isfinite(vel_x) and math.isfinite(vel_y)):
-            outcome = OUTCOME_NON_FINITE
-            fail_time = (i + 1) * dt
+            com_x, com_y, vel_x, vel_y = lip_step(
+                com_x, com_y, vel_x, vel_y, st_x, st_y, omega, ch, sh)
+            if not (math.isfinite(com_x) and math.isfinite(com_y)
+                    and math.isfinite(vel_x) and math.isfinite(vel_y)):
+                outcome = OUTCOME_NON_FINITE
+                fail_time = (i + 1) * dt
+                break
+        if outcome != OUTCOME_COMPLETED:
             break
 
     rows = np.array(rows, dtype=np.float64)

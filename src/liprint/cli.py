@@ -24,7 +24,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import __version__, _kernels, metrics, sim, terrain as terrain_mod
-from .gait import GaitParams, GaitState
+from .gait import GaitParams, GaitState, remaining_time
 from .lip_core import FootPosition, LipParams, LipState, icp_of
 from .planner import (StepCommand, desired_step_length, desired_step_width,
                       offsets, plan_step, predict_final_icp, turning_angle)
@@ -151,8 +151,10 @@ def _apply_config_file(argv):
     return argv[:depth] + extra + argv[depth:]
 
 
-def _make_config(args, terrain_spec) -> sim.SimConfig:
-    cmd = StepCommand(v_cmd=(args.vx, args.vy), w_cmd=args.width)
+def _make_config(args, terrain_spec, vx=None) -> sim.SimConfig:
+    """The run config of the parsed flags; vx, when given, stands for args.vx
+    (sweep's speed of the config, which leaves args unchanged)."""
+    cmd = StepCommand(v_cmd=(args.vx if vx is None else vx, args.vy), w_cmd=args.width)
     replan = args.replan
     if replan is None:
         replan = (sim.REPLAN_AT_STEP_START if terrain_spec is None
@@ -235,8 +237,7 @@ def _cmd_sweep(args) -> int:
     for text in terrain_texts:
         spec = _load_terrain(text)  # one load per flag: maps are immutable
         for vx in vx_values:
-            args.vx = vx
-            configs.append(_make_config(args, spec))
+            configs.append(_make_config(args, spec, vx))
             labels.append(text)
     rows = sim.sweep(configs, args.trials, base_seed=args.seed,
                      window=min(args.window, args.duration),
@@ -251,6 +252,14 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _state_numbers(state_spec: dict, key: str) -> list:
+    """state_spec[key] as floats; it must be a JSON list of numbers."""
+    v = state_spec[key]
+    if not isinstance(v, list) or not all(map(terrain_mod._is_json_number, v)):
+        raise ValueError(f"{key} must be a list of numbers, got {v!r}")
+    return [float(x) for x in v]
+
+
 def _cmd_plan(args) -> int:
     if args.vx is None:
         raise _UsageError("plan requires --vx")
@@ -262,25 +271,31 @@ def _cmd_plan(args) -> int:
         if not isinstance(loaded, dict):
             raise ValueError("state JSON must be an object")
         state_spec.update(loaded)
-        com = [float(v) for v in state_spec["com"]]
-        vel = [float(v) for v in state_spec["vel"]]
-        stance_raw = [float(v) for v in state_spec["stance"]]
-        parity = int(state_spec["parity"])
+        com, vel, stance_raw = (_state_numbers(state_spec, key)
+                                for key in ("com", "vel", "stance"))
+        parity = state_spec["parity"]
+        if type(parity) is not int:
+            raise ValueError(f"parity must be an integer, got {parity!r}")
         if len(com) != 2 or len(vel) != 2 or len(stance_raw) not in (2, 3):
             raise ValueError("com/vel need 2 components, stance 2 or 3")
     except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise _UsageError(f"malformed --state JSON: {e}") from None
 
-    Ts = args.step_duration
+    gait = GaitParams(step_duration=args.step_duration)
+    Ts = gait.step_duration
     remaining = args.remaining if args.remaining is not None else Ts
     if not (0.0 < remaining <= Ts):
         raise _UsageError(f"--dT must lie in (0, {Ts}]")
+    if not Ts - remaining < Ts:
+        raise _UsageError(f"--dT {remaining!r} is too small for --Ts {Ts!r}: Ts - dT rounds to Ts")
     params = LipParams(g=args.g, z0=args.base_height)
     state = LipState(com_pos=com, com_vel=vel, params=params)
     stance = FootPosition(p=stance_raw[:2],
                           z=stance_raw[2] if len(stance_raw) == 3 else 0.0)
-    gait_state = GaitState(t=Ts - remaining, parity=parity,
-                           params=GaitParams(step_duration=Ts))
+    gait_state = GaitState(t=Ts - remaining, parity=parity, params=gait)
+    # the step is planned over the gait clock's remaining time, which can
+    # differ from --dT by an ulp: every printed field uses that one value
+    remaining = remaining_time(gait_state)
     try:
         try:
             xi0 = icp_of(state)

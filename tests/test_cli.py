@@ -253,6 +253,25 @@ class TestPlan:
         assert capsys.readouterr().out == ""
         assert out.read_text() == printed
 
+    def test_step_is_final_icp_minus_rotated_offset(self, capsys):
+        # every printed field is planned over one remaining time, so the step
+        # equals xi_final - R(heading) (b_x, +/-b_y) bit for bit
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            vx, vy, dT = rng.uniform(-1.0, 1.0, 2).tolist() + [float(rng.uniform(0.001, 0.35))]
+            parity = int(rng.integers(0, 4))
+            state = json.dumps({"com": rng.uniform(-0.1, 0.1, 2).tolist(),
+                                "vel": rng.uniform(-1.0, 1.0, 2).tolist(), "parity": parity})
+            assert main(["plan", "--vx", repr(vx), "--vy", repr(vy), "--dT", repr(dT),
+                         "--state", state]) == 0
+            out = json.loads(capsys.readouterr().out)
+            (fx, fy), (bx, by), heading = out["xi_final"], out["offset"], out["heading"]
+            if parity % 2:
+                by = -by
+            c, s = math.cos(heading), math.sin(heading)
+            assert (out["step"]["x"], out["step"]["y"]) == (fx - c * bx - s * by,
+                                                            fy - s * bx + c * by)
+
     def test_malformed_state_json(self):
         assert main(["plan", "--vx", "1.0", "--state", "{not json"]) == 1
         assert main(["plan", "--vx", "1.0", "--state", '{"com": [1]}']) == 1
@@ -928,6 +947,19 @@ class TestUsage:
         (["plan", "--vx", "1", "--state", '{{"com":[1e308,0],"vel":[1e308,0]}}'],
          "--state overflows the capture point"),
         (["plan", "--vx", "1", "--width", "nan"], "step width command must be positive, got nan"),
+        # JSON strings, booleans and fractions are not numbers or a parity
+        (["plan", "--vx", "1", "--state", '{{"com":"12"}}'],
+         "malformed --state JSON: com must be a list of numbers, got '12'"),
+        (["plan", "--vx", "1", "--state", '{{"vel":[true,false]}}'],
+         "malformed --state JSON: vel must be a list of numbers, got [True, False]"),
+        (["plan", "--vx", "1", "--state", '{{"parity":1.5}}'],
+         "malformed --state JSON: parity must be an integer, got 1.5"),
+        (["plan", "--vx", "1", "--state", '{{"parity":"3"}}'],
+         "malformed --state JSON: parity must be an integer, got '3'"),
+        # 0.35 - 1e-17 rounds to 0.35: the step would have no time left
+        (["plan", "--vx", "1", "--dT", "1e-17"],
+         "--dT 1e-17 is too small for --Ts 0.35: Ts - dT rounds to Ts"),
+        (["plan", "--vx", "1", "--Ts", "inf", "--dT", "1"], "step duration must be positive, got inf"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-nan", "duration-overflow", "dt-underflow",
             "resolution-nan", "extent-inf",
@@ -955,7 +987,8 @@ class TestUsage:
             "terrain-gen-gap-node-overflow", "terrain-gen-rough-node-overflow",
             "terrain-gen-span-overflow", "terrain-gen-lattice-overflow",
             "terrain-gen-gap-offset-overflow", "score-vel-cmd-norm-overflow",
-            "plan-state-overflow", "plan-width-nan"])
+            "plan-state-overflow", "plan-width-nan", "plan-com-string", "plan-vel-bools",
+            "plan-parity-fraction", "plan-parity-string", "plan-dT-lost-in-rounding", "plan-Ts-inf"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}

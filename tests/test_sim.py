@@ -1126,7 +1126,14 @@ class TestReferenceLoop:
         # cosh(omega*dt) and the one-tick plan stay finite, the CoM step does not
         (replace(config(vx=1.0, duration=1.0), gait=GaitParams(step_duration=0.01),
                  lip=LipParams(g=3.1e9)), None, "non-finite"),
-    ], ids=["one-tick-steps", "one-tick-steps-turn", "zero-speed", "non-finite-after-step"])
+        # shorter than one step, and whole steps only: the last step's ticks
+        # end at n_ticks
+        (config(vx=0.8, duration=0.2, terrain=gap_spec()), None, "completed"),
+        (config(vx=0.8, duration=0.2, replan=_EVERY, terrain=gap_spec()), None, "completed"),
+        (config(vx=0.8, duration=0.7, terrain=gap_spec()), None, "completed"),
+        (config(vx=0.8, duration=0.7, replan=_EVERY, terrain=gap_spec()), None, "completed"),
+    ], ids=["one-tick-steps", "one-tick-steps-turn", "zero-speed", "non-finite-after-step",
+            "part-step", "part-step-every-tick", "whole-steps", "whole-steps-every-tick"])
     def test_edge_runs(self, cfg, turn, kind):
         schedule = sim_mod._constant_schedule(cfg)
         assert self._compare(cfg, schedule if turn is None else _turned(schedule, *turn)) == kind
