@@ -2,7 +2,9 @@
 
 Kernels are plain numpy/Python on floats, ndarrays and lists, and each
 formula is written once here: ICP propagation (icp_step), the foot
-placement with its offsets and heading rule (plan_placement), the
+placement (plan_placement: its per-step part, the heading rule and the
+rotated offsets, in placement_offsets, and its per-tick part, the
+predicted capture point less those offsets, in placement_at), the
 grid-cell lookup with its bilinear sum (_cell for one point, grid_resample
 for a separable grid of them), and the steppability test (steppable). The
 dataclass-based public API in lip_core / planner / terrain / sim validates
@@ -17,13 +19,17 @@ TerrainSpec's from its layout, rough heights node by node, with no map.
 The snap search tests grid nodes with steppable() itself, each at most
 once per run: a caller-owned memo of one byte per node keeps the answers.
 So a node's steppability is the exact scalar test by construction, and
-the search runs in plain Python. Each search also returns a certificate:
-the d2 of its answer and a lower bound on the d2 of every other
-steppable node. A later miss reuses that answer without a search only
-when the certificate, widened by the query's move and a bound on the
-rounding, proves that the search would return it again
-(snap_to_steppable), so a run that replans every tick searches about once
-per step instead of once per tick.
+the search runs in plain Python. Two certificates let a run that replans
+every tick skip work whose answer cannot change, as its target moves by
+about 1e-15 m within a step. A scan of the query records a margin with
+its answer: the distance within which none of the scan's decisions can
+flip. Each search returns the d2 of its answer and a lower bound on the
+d2 of every other steppable node. A later query reuses the answer, or a
+later miss the node, without a scan or a search only when the
+certificate, widened by the query's move and a bound on the rounding,
+proves that they would return it again (snap_to_steppable). Such a run
+scans its query and searches about once per step instead of once per
+tick.
 """
 
 import math
@@ -122,23 +128,42 @@ def command_heading(vx, vy, fallback_heading):
     return math.atan2(vy + 0.0, vx)
 
 
-def plan_placement(icp_x, icp_y, st_x, st_y, omega, dt_pred, span, Ts,
-                   vx, vy, w, parity, fallback_heading):
-    """Desired foot placement p_d = xi_f + R(heading) (-b_x, +/-b_y).
+def placement_offsets(omega, span, Ts, vx, vy, w, parity, fallback_heading):
+    """The per-step part of plan_placement: the offsets (b_x, +/-b_y) rotated
+    by the heading, as the four products (c*b_x, s*b_y, s*b_x, c*b_y), and
+    the heading: (cbx, sby, sbx, cby, heading).
 
-    xi_f is the capture point predicted over the remaining step time
-    dt_pred. Step length |v| * span and step_width(w, span, Ts) give the
-    offsets over `span`; b_y is positive for even parity. The heading is
-    command_heading(vx, vy, fallback_heading). Returns (x, y, heading).
+    Step length |v| * span and step_width(w, span, Ts) give the offsets
+    over `span`; b_y is positive for even parity. The heading is
+    command_heading(vx, vy, fallback_heading).
     """
-    fx, fy = icp_step(icp_x, icp_y, st_x, st_y, omega, dt_pred)
     heading = command_heading(vx, vy, fallback_heading)
     bx, by = offset_pair(math.hypot(vx, vy) * span, step_width(w, span, Ts), omega, span)
     if parity % 2 != 0:
         by = -by
     c = math.cos(heading)
     s = math.sin(heading)
-    return fx - c * bx - s * by, fy - s * bx + c * by, heading
+    return c * bx, s * by, s * bx, c * by, heading
+
+
+def placement_at(icp_x, icp_y, st_x, st_y, omega, dt_pred, offsets):
+    """The per-tick part of plan_placement: the capture point predicted over
+    dt_pred, less the rotated offsets of placement_offsets. Returns (x, y)."""
+    cbx, sby, sbx, cby, _ = offsets
+    fx, fy = icp_step(icp_x, icp_y, st_x, st_y, omega, dt_pred)
+    return fx - cbx - sby, fy - sbx + cby
+
+
+def plan_placement(icp_x, icp_y, st_x, st_y, omega, dt_pred, span, Ts,
+                   vx, vy, w, parity, fallback_heading):
+    """Desired foot placement p_d = xi_f + R(heading) (-b_x, +/-b_y).
+
+    xi_f is the capture point predicted over the remaining step time
+    dt_pred; the offsets and heading are placement_offsets(omega, span, Ts,
+    vx, vy, w, parity, fallback_heading). Returns (x, y, heading).
+    """
+    offsets = placement_offsets(omega, span, Ts, vx, vy, w, parity, fallback_heading)
+    return (*placement_at(icp_x, icp_y, st_x, st_y, omega, dt_pred, offsets), offsets[4])
 
 
 class Rows(dict):
@@ -225,50 +250,135 @@ def grid_contains(grid, x, y):
             and y >= oy and y <= oy + (rows - 1) * res)
 
 
-def steppable(grid, x, y, radius, max_dev):
+def steppable(grid, x, y, radius, max_dev, cert=None):
     """True when (x, y) offers foot-sized flat support.
 
     The four enclosing nodes must be supporting (mask marks gap cells, the
     stand-in for non-supporting ground), and every node within `radius`
     must be supporting with height within `max_dev` of the surface height
     at the query point. Samples falling outside the grid are ignored.
+
+    cert, when given, is a caller-owned list whose first four entries
+    become (x, y, answer, margin): every query within exact distance margin
+    of (x, y) gets the same answer (see snap_to_steppable for how a caller
+    measures that distance). The margin is the smallest distance at which
+    one of the scan's decisions could flip, taken from the decisions the
+    scan makes anyway:
+
+    - the containment slack, min(x - ox, ox + (cols-1)*res - x, ...);
+    - the distances (gx - j0)*res, (j0 + 1 - gx)*res of gx = (x - ox)/res
+      from its cell lines, and the same for gy;
+    - the distance res*|v - round(v)| of each box bound v ((x -+ radius -
+      ox)/res and its y twins) from its integer step, so the box of nodes
+      scanned stays the same;
+    - |sqrt(d2) - radius| of each boxed node, so nodes inside the foot
+      circle stay inside and the others outside;
+    - the height slack s = |max_dev - |h - h0|| of each node tested (the
+      excess, for a failing node), over G = (max(|h01 - h00|, |h11 - h10|)
+      + max(|h10 - h00|, |h11 - h01|)) / res, a bound on the gradient of
+      the bilinear surface of the query's cell (h_ij its corner heights):
+      within the cell, h0 moves by at most G per metre;
+
+    less the rounding (below). The terms are gathered as far as the scan
+    goes: a query off the map gets margin 0, one whose cell holds a gap
+    node only the first two, and a failing node ends the gathering.
+
+    Rounding, with u = 2**-53 and S = |x| + |y| + |ox| + |oy| + radius +
+    res. Each value the scan compares with a fixed float (an integer, r2,
+    max_dev) lies near its exact value by an error relative to the
+    magnitudes it is made of: gx*res within 2.01u*|x - ox| (two
+    roundings); a box bound, in metres, within u*(|x| + radius) +
+    2.01u*|x -+ radius - ox| <= 3.01u*S; the distance that d2 > r2
+    compares, sqrt(d2) = dist * (1 +- 2.01u) as d2 = dist**2 * (1 +-
+    4.01u), within 2.9u*radius for a boxed node. Over the two evaluations,
+    at the query and at a query up to margin away, a decision's compared
+    value moves by the exact move plus at most 6.1u*S, and computing its
+    margin term costs up to 2u*radius more (the sqrt of d2, and sqrt(r2)
+    against radius): 8.1u*S. The computed h0 lies within 7.1u*Hc +
+    2.01u*G*(|x - ox| + |y - oy|) of the exact bilinear value (Hc = max
+    |h_ij|; the weights sum to 1), and |h - h0| rounds by at most
+    u*(max_dev + s); over the two evaluations a height slack must cover
+    14.2u*Hc + 2.01u*max_dev of height and 4.03u*S of the move. So
+    margin = min(terms, (s - eh)/G) - ep with eh = 2e-15*(Hc + max_dev)
+    and ep = 2e-15*S, 18u each; s <= eh gives margin <= 0, and a flat cell
+    (G = 0) has no height term. Moves and roundings relative to the margin
+    itself (the margin terms as computed, G and the division, and the 2u*s
+    and 2.01u*move parts above) stay under 20u of the margin, which
+    snap_to_steppable's check covers.
     """
     if not grid_contains(grid, x, y):
+        if cert is not None:
+            cert[:4] = (x, y, False, 0.0)
         return False
     rows, cols, ox, oy, res, h, m = grid
-    i0, j0, h0 = _cell(h, rows, cols, (x - ox) / res, (y - oy) / res)
+    gx = (x - ox) / res
+    gy = (y - oy) / res
+    i0, j0, h0 = _cell(h, rows, cols, gx, gy)
+    track = cert is not None
+    if track:
+        near = min(x - ox, ox + (cols - 1) * res - x, y - oy, oy + (rows - 1) * res - y,
+                   (gx - j0) * res, (j0 + 1 - gx) * res, (gy - i0) * res, (i0 + 1 - gy) * res)
+        slack = math.inf
     lo = m[i0]
     hi = m[i0 + 1]
-    if lo[j0] != 0 or lo[j0 + 1] != 0 or hi[j0] != 0 or hi[j0 + 1] != 0:
-        return False
-    jlo = int(math.ceil((x - radius - ox) / res))
-    jhi = int(math.floor((x + radius - ox) / res))
-    ilo = int(math.ceil((y - radius - oy) / res))
-    ihi = int(math.floor((y + radius - oy) / res))
-    if jlo < 0:
-        jlo = 0
-    if ilo < 0:
-        ilo = 0
-    if jhi > cols - 1:
-        jhi = cols - 1
-    if ihi > rows - 1:
-        ihi = rows - 1
-    r2 = radius * radius
-    for i in range(ilo, ihi + 1):
-        ny = oy + i * res
-        dy = ny - y
-        h_row = h[i]
-        m_row = m[i]
-        for j in range(jlo, jhi + 1):
-            nx = ox + j * res
-            dx = nx - x
-            if dx * dx + dy * dy > r2:
-                continue
-            if m_row[j] != 0:
-                return False
-            if abs(h_row[j] - h0) >= max_dev:
-                return False
-    return True
+    ok = lo[j0] == 0 and lo[j0 + 1] == 0 and hi[j0] == 0 and hi[j0 + 1] == 0
+    if ok:
+        vjlo = (x - radius - ox) / res
+        vjhi = (x + radius - ox) / res
+        vilo = (y - radius - oy) / res
+        vihi = (y + radius - oy) / res
+        if track:
+            near = min(near, res * min(abs(vjlo - round(vjlo)), abs(vjhi - round(vjhi)),
+                                       abs(vilo - round(vilo)), abs(vihi - round(vihi))))
+        jlo = int(math.ceil(vjlo))
+        jhi = int(math.floor(vjhi))
+        ilo = int(math.ceil(vilo))
+        ihi = int(math.floor(vihi))
+        if jlo < 0:
+            jlo = 0
+        if ilo < 0:
+            ilo = 0
+        if jhi > cols - 1:
+            jhi = cols - 1
+        if ihi > rows - 1:
+            ihi = rows - 1
+        r2 = radius * radius
+        for i in range(ilo, ihi + 1):
+            dy = oy + i * res - y
+            dy2 = dy * dy
+            h_row = h[i]
+            m_row = m[i]
+            for j in range(jlo, jhi + 1):
+                dx = ox + j * res - x
+                d2 = dx * dx + dy2
+                if track:
+                    near = min(near, abs(math.sqrt(d2) - radius))
+                if d2 > r2:
+                    continue
+                if m_row[j] != 0:
+                    ok = False
+                    break
+                dev = abs(h_row[j] - h0)
+                if track:
+                    slack = min(slack, abs(max_dev - dev))
+                if dev >= max_dev:
+                    ok = False
+                    break
+            if not ok:
+                break
+    if track:
+        if slack < math.inf:
+            lo = h[i0]
+            hi = h[i0 + 1]
+            a, b, c, d = lo[j0], lo[j0 + 1], hi[j0], hi[j0 + 1]
+            g = (max(abs(b - a), abs(d - c)) + max(abs(c - a), abs(d - b))) / res
+            s = slack - 2e-15 * (max(abs(a), abs(b), abs(c), abs(d)) + max_dev)
+            if s <= 0.0:
+                near = 0.0
+            elif g > 0.0:
+                near = min(near, s / g)
+        cert[:4] = (x, y, ok, near - 2e-15 * (abs(x) + abs(y) + abs(ox) + abs(oy) + radius + res))
+    return ok
 
 
 def _nearest_steppable_node(grid, x, y, radius, max_dev, budget2, memo):
@@ -398,12 +508,29 @@ def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None):
     test each node at most once. The per-search arguments come first and
     the query last, at positions 5 and 6, where perfbench's tracer reads it.
 
-    last, when given, is a caller-owned list kept with memo: empty at
-    first, then [qx, qy, nx, ny, best, floor] of the last search, which a
-    not-found search empties. A miss at distance d = hypot(x - qx, y - qy)
-    from that search's query returns its node (nx, ny) without a search
-    when, with a = sqrt(best) + d, b = sqrt(floor) - d and
-    tol = 4e-15 * floor,
+    last, when given, is a caller-owned list kept with memo, empty at
+    first, that carries two certificates from call to call:
+    last[0:4] = (px, py, answer, margin) of the last scan of a query (see
+    steppable's cert), and last[4:10] = (qx, qy, nx, ny, best, floor) of
+    the last search, which a not-found search removes.
+
+    The query's own answer is reused without a scan when, with
+    d = hypot(x - px, y - py),
+
+        d + 4e-15 * margin < margin.
+
+    A move of d changes no decision of the scan within margin (steppable
+    derives the margin, net of every rounding that depends on the
+    coordinates' magnitude). What is left is relative: the computed d lies
+    within (1 +- 3u) of the exact move (two roundings of the differences,
+    one of hypot), the check's own multiply and add cost 2u, and the
+    computed margin lies within 20u of the one derived; 4e-15 is 36u. A
+    steppable answer returns (True, x, y); a non-steppable one goes on to
+    the search certificate.
+
+    A miss at distance d = hypot(x - qx, y - qy) from the last search's
+    query returns its node (nx, ny) without a search when, with
+    a = sqrt(best) + d, b = sqrt(floor) - d and tol = 4e-15 * floor,
 
         b > 0,  a*a + 1e-12 + 2*tol < b*b  and  a*a + tol <= budget2.
 
@@ -426,11 +553,17 @@ def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None):
     answer for any query sequence on one grid and memo. floor = inf (a map
     scanned to its edges) never passes.
     """
-    if steppable(grid, x, y, radius, max_dev):
+    if last is None:
+        ok = steppable(grid, x, y, radius, max_dev)
+    elif last and math.hypot(x - last[0], y - last[1]) + 4e-15 * last[3] < last[3]:
+        ok = last[2]
+    else:
+        ok = steppable(grid, x, y, radius, max_dev, last)
+    if ok:
         return True, x, y
     budget2 = max_search * max_search + 1e-12
-    if last:
-        qx, qy, nx, ny, best, floor = last
+    if last is not None and len(last) > 4:
+        _, _, _, _, qx, qy, nx, ny, best, floor = last
         d = math.hypot(x - qx, y - qy)
         a = math.sqrt(best) + d
         b = math.sqrt(floor) - d
@@ -440,7 +573,7 @@ def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None):
     found, nx, ny, best, floor = _nearest_steppable_node(grid, x, y, radius, max_dev,
                                                          budget2, memo)
     if last is not None:
-        last[:] = (x, y, nx, ny, best, floor) if found else ()
+        last[4:] = (x, y, nx, ny, best, floor) if found else ()
     return found, nx, ny
 
 
@@ -461,11 +594,16 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
 
     Per tick: the schedule's (tick, vx, vy, width) switches take effect (the
     first holds from tick 0); at the step's first tick, or every tick when
-    replan_every_tick, plan_placement plans the target over the remaining
-    time Ts - (i - i0)*dt (offsets over Ts) and snap_to_steppable moves it
-    onto steppable ground (one node memo and one `last` list per run; see
+    replan_every_tick, the target is planned over the remaining time
+    Ts - (i - i0)*dt (offsets over Ts) as plan_placement plans it, and
+    snap_to_steppable moves it onto steppable ground (one node memo per
+    run, and with replan_every_tick one `last` list; see
     snap_to_steppable); then the tick's row is recorded and the CoM
-    propagates over dt by lip_step.
+    propagates over dt by lip_step. Of the plan, placement_offsets runs at
+    the step's first plan and at the first plan after a switch, the only
+    places where its inputs change, and placement_at every plan, so every
+    target equals plan_placement's bit for bit. A snapped node met again
+    keeps the height grid_bilinear gave it.
     A plan whose exp overflows keeps the previous target; no steppable
     ground keeps the raw one. grid is the run's Grid view of its terrain,
     or None on flat ground (nothing snapped, every height 0). heading is the
@@ -484,8 +622,9 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     tg_x, tg_y, tg_z = st_x, st_y, 0.0
     if grid is not None:
         memo = bytearray(grid.rows * grid.cols)
-        last = []
+        last = [] if replan_every_tick else None
         tg_z = grid_bilinear(grid, st_x, st_y)
+        node_x = node_y = node_z = math.nan
 
     cmd_i = 0
     n_cmd = len(schedule)
@@ -498,6 +637,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
         # Step start: the support transfers to the swing target.
         st_x, st_y, st_z = tg_x, tg_y, tg_z
         parity = float(i0 // ticks_per_step)
+        fresh = True
         z0 = base_height - st_z
         if z0 <= 0.0:
             outcome = OUTCOME_BAD_HEIGHT
@@ -521,25 +661,36 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
             while cmd_i + 1 < n_cmd and i >= schedule[cmd_i + 1][0]:
                 cmd_i += 1
                 _, vx, vy, w = schedule[cmd_i]
+                fresh = True
             icp_x = com_x + vel_x / omega
             icp_y = com_y + vel_y / omega
 
-            if outcome == OUTCOME_COMPLETED and (i == i0 or replan_every_tick):
+            if (i == i0 or replan_every_tick) and outcome == OUTCOME_COMPLETED:
                 try:
-                    tg_x, tg_y, heading = plan_placement(
-                        icp_x, icp_y, st_x, st_y, omega, Ts - (i - i0) * dt, Ts, Ts,
-                        vx, vy, w, parity, heading)
+                    if fresh:
+                        offsets = placement_offsets(omega, Ts, Ts, vx, vy, w, parity, heading)
+                        fresh = False
+                    x, y = placement_at(icp_x, icp_y, st_x, st_y, omega, Ts - (i - i0) * dt,
+                                        offsets)
                 except OverflowError:
                     outcome = OUTCOME_NON_FINITE
                 else:
+                    heading = offsets[4]
+                    tg_x, tg_y = x, y
                     if grid is not None:
                         ok, sx, sy = snap_to_steppable(grid, FOOT_RADIUS, MAX_HEIGHT_DEV,
-                                                       SNAP_SEARCH_RADIUS, memo, tg_x, tg_y, last)
-                        if ok:
-                            tg_x, tg_y, tg_z = sx, sy, grid_bilinear(grid, sx, sy)
-                        else:
+                                                       SNAP_SEARCH_RADIUS, memo, x, y, last)
+                        if not ok:
                             tg_z = 0.0
                             outcome = OUTCOME_NO_GROUND
+                        elif sx == x and sy == y:
+                            tg_z = grid_bilinear(grid, x, y)
+                        else:
+                            # a grid node, whose coordinates are never -0.0: a
+                            # node met again keeps the height read for it
+                            if sx != node_x or sy != node_y:
+                                node_x, node_y, node_z = sx, sy, grid_bilinear(grid, sx, sy)
+                            tg_x, tg_y, tg_z = sx, sy, node_z
 
             if vel_x_only:
                 rows.append(vel_x)

@@ -270,6 +270,9 @@ def _cmd_plan(args) -> int:
         loaded = json.loads(args.state or "{}")
         if not isinstance(loaded, dict):
             raise ValueError("state JSON must be an object")
+        unknown = next((key for key in loaded if key not in state_spec), None)
+        if unknown is not None:
+            raise ValueError(f"unknown key {unknown!r}")
         state_spec.update(loaded)
         com, vel, stance_raw = (_state_numbers(state_spec, key)
                                 for key in ("com", "vel", "stance"))

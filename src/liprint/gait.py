@@ -25,8 +25,8 @@ class GaitParams:
 
 @dataclass(frozen=True)
 class GaitState:
-    """Step clock t in [0, Ts) and parity; the two-step clock t_prime in
-    [0, 2*Ts) is derived from them."""
+    """Step clock t in [0, Ts) and parity, the number of completed steps
+    (>= 0); the two-step clock t_prime in [0, 2*Ts) is derived from them."""
 
     t: float
     parity: int
@@ -36,6 +36,8 @@ class GaitState:
         Ts = self.params.step_duration
         if not (0.0 <= self.t < Ts):
             raise ValueError(f"t must lie in [0, {Ts}), got {self.t}")
+        if self.parity < 0:
+            raise ValueError(f"parity must be non-negative, got {self.parity}")
 
     @property
     def t_prime(self) -> float:

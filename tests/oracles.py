@@ -51,6 +51,26 @@ def lip_step_over(cx, cy, vx, vy, px, py, omega, t):
     return nx, ny, nvx, nvy
 
 
+def plan_placement_inline(icp_x, icp_y, st_x, st_y, omega, dt_pred, span, Ts,
+                          vx, vy, w, parity, fallback_heading):
+    """liprint._kernels.plan_placement as one function, every part
+    evaluated on every call: the capture point predicted over dt_pred, then
+    the heading, the offsets over span, their sign and the rotation,
+    x = fx - c*b_x - s*b_y and y = fy - s*b_x + c*b_y. The reference for
+    its split into a per-step and a per-tick kernel."""
+    from liprint import _kernels
+
+    fx, fy = _kernels.icp_step(icp_x, icp_y, st_x, st_y, omega, dt_pred)
+    heading = _kernels.command_heading(vx, vy, fallback_heading)
+    bx, by = _kernels.offset_pair(math.hypot(vx, vy) * span,
+                                  _kernels.step_width(w, span, Ts), omega, span)
+    if parity % 2 != 0:
+        by = -by
+    c = math.cos(heading)
+    s = math.sin(heading)
+    return fx - c * bx - s * by, fy - s * bx + c * by, heading
+
+
 def _bisect(f, lo, hi, iters=80):
     flo = f(lo)
     for _ in range(iters):

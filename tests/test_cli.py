@@ -960,6 +960,11 @@ class TestUsage:
         (["plan", "--vx", "1", "--dT", "1e-17"],
          "--dT 1e-17 is too small for --Ts 0.35: Ts - dT rounds to Ts"),
         (["plan", "--vx", "1", "--Ts", "inf", "--dT", "1"], "step duration must be positive, got inf"),
+        # a misspelt key is not dropped in silence; parity counts steps
+        (["plan", "--vx", "1", "--state", '{{"com":[1,2],"stnace":[0,0.15]}}'],
+         "malformed --state JSON: unknown key 'stnace'\n"),
+        (["plan", "--vx", "1", "--state", '{{"parity":-1}}'],
+         "parity must be non-negative, got -1\n"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-nan", "duration-overflow", "dt-underflow",
             "resolution-nan", "extent-inf",
@@ -988,7 +993,8 @@ class TestUsage:
             "terrain-gen-span-overflow", "terrain-gen-lattice-overflow",
             "terrain-gen-gap-offset-overflow", "score-vel-cmd-norm-overflow",
             "plan-state-overflow", "plan-width-nan", "plan-com-string", "plan-vel-bools",
-            "plan-parity-fraction", "plan-parity-string", "plan-dT-lost-in-rounding", "plan-Ts-inf"])
+            "plan-parity-fraction", "plan-parity-string", "plan-dT-lost-in-rounding", "plan-Ts-inf",
+            "plan-state-unknown-key", "plan-parity-negative"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}

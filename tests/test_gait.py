@@ -157,3 +157,9 @@ class TestValidation:
             gait(t=-0.01)
         with pytest.raises(ValueError):
             GaitParams(0.0)
+
+    def test_negative_parity_rejected(self):
+        # parity counts completed steps, as the simulator's step index does
+        with pytest.raises(ValueError, match="parity must be non-negative, got -1"):
+            gait(parity=-1)
+        assert gait(parity=0).parity == 0

@@ -11,7 +11,7 @@ from liprint import (FootPosition, GaitParams, GaitState, IcpPoint, LipParams,
 from liprint import _kernels
 from liprint.planner import wrap_angle
 
-from oracles import bisect_offsets
+from oracles import bisect_offsets, plan_placement_inline
 
 W_TABLE = 3.97776
 TS = 0.35
@@ -251,6 +251,64 @@ class TestPlanStep:
         npt.assert_array_equal(
             plan_step(state, foot, cmd(1.0), gait_at()).p_d,
             plan_step(state, foot, cmd(1.0), gait_at(), horizon=TS).p_d)
+
+
+def _bits(*values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+class TestPlacementSplit:
+    """_kernels.plan_placement as the simulator runs it, placement_offsets
+    once per step and at each command switch, then placement_at every
+    tick, against the formula evaluated whole on every call."""
+
+    def test_split_equals_inline_plan(self):
+        rng = np.random.default_rng(29)
+        n_zero_speed = n_odd = n_overflow = 0
+        for draw in range(600):
+            k = int(rng.integers(2, 40))
+            Ts = float(rng.uniform(0.2, 0.6))
+            dt = Ts / k
+            # omega*Ts log-uniform in [0.5, 2000]: expm1 and exp overflow
+            # beyond 709.78, at every tick of the step alike
+            omega = float(10 ** rng.uniform(-0.3, 3.3)) / Ts
+            parity = int(rng.integers(0, 9))
+            commands = []
+            for _ in range(2):
+                speed = float(rng.choice([0.0, 1e-7, 10 ** rng.uniform(-3, 0.5)]))
+                a = float(rng.uniform(-math.pi, math.pi))
+                commands.append((speed * math.cos(a), speed * math.sin(a),
+                                 float(rng.uniform(0.05, 0.5))))
+            switch = int(rng.integers(1, k))  # the tick of a mid-step switch
+            heading = float(rng.uniform(-math.pi, math.pi))
+            st_x, st_y = rng.uniform(-2.0, 2.0, 2).tolist()
+            n_zero_speed += math.hypot(*commands[0][:2]) < _kernels.ZERO_SPEED
+            n_odd += parity % 2
+            for s in range(k):
+                vx, vy, w = commands[s >= switch]
+                icp_x, icp_y = rng.uniform(-2.0, 2.0, 2).tolist()
+                dt_pred = Ts - s * dt
+                args = (icp_x, icp_y, st_x, st_y, omega, dt_pred, Ts, Ts, vx, vy, w, parity,
+                        heading)
+                try:
+                    ref = plan_placement_inline(*args)
+                except OverflowError:
+                    # the same call raises in both forms, at the step's first tick
+                    assert s == 0
+                    with pytest.raises(OverflowError):
+                        _kernels.placement_offsets(omega, Ts, Ts, vx, vy, w, parity, heading)
+                    with pytest.raises(OverflowError):
+                        _kernels.plan_placement(*args)
+                    n_overflow += 1
+                    break
+                if s in (0, switch):
+                    offsets = _kernels.placement_offsets(omega, Ts, Ts, vx, vy, w, parity,
+                                                         heading)
+                x, y = _kernels.placement_at(icp_x, icp_y, st_x, st_y, omega, dt_pred, offsets)
+                assert _bits(x, y, offsets[4]) == _bits(*ref), (draw, s)
+                assert _bits(*_kernels.plan_placement(*args)) == _bits(*ref), (draw, s)
+                heading = ref[2]
+        assert n_zero_speed > 50 and n_odd > 200 and 50 < n_overflow < 300
 
 
 class TestStepRecurrence:

@@ -21,7 +21,7 @@ from liprint._kernels import (COL_COM_X, COL_COM_Y, COL_CONTACT_SCHED, COL_ICP_X
                               COL_ICP_Y, COL_PARITY, COL_PHASE_COS, COL_PHASE_SIN,
                               COL_STANCE_X, COL_STANCE_Y, COL_STANCE_Z,
                               COL_TARGET_HEADING, COL_TARGET_X, COL_TARGET_Y,
-                              COL_TARGET_Z, COL_TIME, COL_VEL_X, COL_VEL_Y)
+                              COL_TARGET_Z, COL_TIME, COL_VEL_X, COL_VEL_Y, FOOT_RADIUS)
 
 from oracles import (reference_run, sweep_per_trial, write_rewards_csv_per_value,
                      write_step_events_per_event, write_trajectory_csv_per_value)
@@ -406,33 +406,56 @@ class TestTerrainRuns:
         # the node grid is a per-run memo of steppable() at the nodes a miss
         # tests: filled only on misses, and each node at most once per run
         calls = []  # (x, y) of every steppable() call: queries and node tests
-        real = _kernels.steppable
+        snaps = []  # one entry per snap_to_steppable() call, one a tick
+        scans = []  # the snap of each query scan (steppable() with a list)
+        refusals = []  # the snaps whose query certificate refuses
+        real, real_snap = _kernels.steppable, _kernels.snap_to_steppable
 
-        def spy(grid, x, y, radius, max_dev):
+        def spy(grid, x, y, radius, max_dev, cert=None):
             calls.append((x, y))
-            return real(grid, x, y, radius, max_dev)
+            if cert is None:
+                return real(grid, x, y, radius, max_dev)
+            scans.append(len(snaps) - 1)
+            return real(grid, x, y, radius, max_dev, cert)
+
+        def snap_spy(grid, radius, max_dev, max_search, memo, x, y, last):
+            # the reuse rule of snap_to_steppable's docstring
+            if not (last and math.hypot(x - last[0], y - last[1]) + 4e-15 * last[3] < last[3]):
+                refusals.append(len(snaps))
+            snaps.append((x, y))
+            return real_snap(grid, radius, max_dev, max_search, memo, x, y, last)
 
         monkeypatch.setattr(_kernels, "steppable", spy)
-        # gentle rough ground: every snap query is itself steppable, so the
-        # one call per tick is the query's and no node is tested
+        monkeypatch.setattr(_kernels, "snap_to_steppable", snap_spy)
+        # gentle rough ground: every snap query is itself steppable, so no
+        # node is tested, and a query is scanned once per step, where its
+        # certificate refuses: at the step's first tick, as the target jumps
         gentle = TerrainSpec(kind="rough", amplitude=0.005, correlation=0.5, seed=1)
-        res = run(config(vx=1.0, duration=4.0, replan=sim_mod.REPLAN_EVERY_TICK,
-                         terrain=gentle))
-        assert res.completed and len(calls) == res.sample_array.shape[0]
+        cfg = config(vx=1.0, duration=4.0, replan=sim_mod.REPLAN_EVERY_TICK, terrain=gentle)
+        res = run(cfg)
+        n, k = res.sample_array.shape[0], cfg.ticks_per_step
+        assert res.completed and len(snaps) == n
+        assert scans == refusals == list(range(0, n, k))
+        assert len(calls) == len(scans)
         # gap ground moves targets on many ticks, and the misses of a run
-        # share one memo: beyond one query per tick, each node is tested once
+        # share one memo: beyond the same query scans, each node is tested once
         calls.clear()
+        snaps.clear()
+        scans.clear()
+        refusals.clear()
         cfg = config(vx=0.7, duration=4.0, replan=sim_mod.REPLAN_EVERY_TICK,
                      terrain=gap_spec())
         res = run(cfg)
         assert res.completed
+        n = res.sample_array.shape[0]
+        assert len(snaps) == n and scans == refusals == list(range(0, n, k))
         hmap = terrain_mod.generate(cfg.terrain,
                                     sim_mod._auto_extent(cfg, [(0.0, 0.7, 0.0, 0.3)]),
                                     sim_mod.TERRAIN_RESOLUTION)
         ox, oy, r = float(hmap.origin[0]), float(hmap.origin[1]), hmap.resolution
         nodes = [(x, y) for x, y in calls
                  if x == ox + round((x - ox) / r) * r and y == oy + round((y - oy) / r) * r]
-        assert len(calls) - len(nodes) == res.sample_array.shape[0]
+        assert len(calls) - len(nodes) == len(scans)
         assert len(nodes) == len(set(nodes)) > 0
 
     def test_rough_heights_filled_only_where_read(self, monkeypatch):
@@ -1089,6 +1112,58 @@ class TestVelXOnlyMode:
         assert 0 < sum(successes) < 2 * len(successes)
 
 
+# The third step of an every-tick run on flat ground: its raw targets, the
+# snap queries of that step, lie within 2e-15 m of each other
+_EDGE_BASE = config(vx=0.8, duration=2.0, replan=_EVERY)
+_EDGE_STEP = 2
+
+
+def _edge_map(feature):
+    """A loaded map on which the queries of _EDGE_BASE's third step all lie
+    within 1e-15 m of a decision boundary of steppable(), and the node (i,
+    j) that makes it: "cell-line", a cell line with two gap nodes on the
+    cell beyond it (on a 0.1 m grid, so that the far corners of either cell
+    lie outside the foot circle and the line alone decides); "foot-circle",
+    the foot circle around a gap node; "max-dev", a node max_dev above h0
+    on a sloped patch. Elsewhere the map is level at 0 with no gap, so the
+    run's earlier steps, and with them the third step's queries, are those
+    of the run on flat ground."""
+    k = _EDGE_BASE.ticks_per_step
+    rows = run(_EDGE_BASE).sample_array[_EDGE_STEP * k:(_EDGE_STEP + 1) * k]
+    targets = rows[:, [COL_TARGET_X, COL_TARGET_Y]]
+    qx, qy = ((targets.min(axis=0) + targets.max(axis=0)) / 2).tolist()
+    res = 0.1 if feature == "cell-line" else 0.05
+    i = j = 20 if res == 0.05 else 10
+    if feature == "cell-line":
+        nx, ny = qx, qy - 0.5 * res  # node (i, j) on the line, below the query
+    elif feature == "foot-circle":
+        nx, ny = qx + 0.06, qy + math.sqrt(FOOT_RADIUS ** 2 - 0.06 ** 2)
+    else:
+        nx, ny = qx + 0.06, qy + 0.01  # within the foot, not a cell corner
+    origin = (nx - j * res, ny - i * res)
+    heights = np.zeros((int(1.6 / res), int(3.0 / res)))
+    mask = np.zeros(heights.shape, dtype=np.uint8)
+    if feature == "cell-line":
+        mask[i:i + 2, j + 1] = 1
+    elif feature == "foot-circle":
+        mask[i, j] = 1
+    else:
+        ys, xs = np.mgrid[0:heights.shape[0], 0:heights.shape[1]] * res + np.array(
+            origin)[::-1, None, None]
+        patch = (abs(xs - qx) <= 0.12) & (abs(ys - qy) <= 0.12)
+        heights[patch] = (0.15 * (xs - qx) + 0.05 * (ys - qy))[patch]
+        h0 = _kernels.grid_bilinear(
+            terrain_mod.Heightmap(origin=origin, resolution=res, heights=heights,
+                                  mask=mask).grid, qx, qy)
+        heights[i, j] = h0 + _kernels.MAX_HEIGHT_DEV
+    hmap = terrain_mod.Heightmap(origin=origin, resolution=res, heights=heights, mask=mask)
+    return hmap, targets.tolist(), (i, j)
+
+
+def _edge_config(feature):
+    return replace(_EDGE_BASE, terrain=_edge_map(feature)[0])
+
+
 class TestReferenceLoop:
     """sim_loop against tests/oracles.py::reference_run, the same loop one
     tick per iteration through the typed API: the 15 row columns byte for
@@ -1132,11 +1207,57 @@ class TestReferenceLoop:
         (config(vx=0.8, duration=0.2, replan=_EVERY, terrain=gap_spec()), None, "completed"),
         (config(vx=0.8, duration=0.7, terrain=gap_spec()), None, "completed"),
         (config(vx=0.8, duration=0.7, replan=_EVERY, terrain=gap_spec()), None, "completed"),
+        # a step's queries within 1e-15 m of a cell line, of the foot circle
+        # of a gap node, and of max_dev from a node: the query certificate
+        # refuses (see test_edge_maps_make_the_certificate_refuse)
+        (_edge_config("cell-line"), None, "completed"),
+        (_edge_config("foot-circle"), None, "completed"),
+        (_edge_config("max-dev"), None, "completed"),
     ], ids=["one-tick-steps", "one-tick-steps-turn", "zero-speed", "non-finite-after-step",
-            "part-step", "part-step-every-tick", "whole-steps", "whole-steps-every-tick"])
+            "part-step", "part-step-every-tick", "whole-steps", "whole-steps-every-tick",
+            "cell-line-every-tick", "foot-circle-every-tick", "max-dev-every-tick"])
     def test_edge_runs(self, cfg, turn, kind):
         schedule = sim_mod._constant_schedule(cfg)
         assert self._compare(cfg, schedule if turn is None else _turned(schedule, *turn)) == kind
+
+    @pytest.mark.parametrize("feature", ["cell-line", "foot-circle", "max-dev"])
+    def test_edge_maps_make_the_certificate_refuse(self, feature, monkeypatch):
+        hmap, queries, (i, j) = _edge_map(feature)
+        grid = hmap.grid
+        nx, ny = grid.ox + j * grid.res, grid.oy + i * grid.res
+        for x, y in queries:
+            if feature == "cell-line":
+                off = abs(x - nx)
+            elif feature == "foot-circle":
+                off = abs(math.hypot(nx - x, ny - y) - FOOT_RADIUS)
+            else:
+                off = abs(abs(grid.h[i][j] - _kernels.grid_bilinear(grid, x, y))
+                          - _kernels.MAX_HEIGHT_DEV)
+            assert off < 1e-15, (x, y, off)
+        scans = []  # the tick of each query scan
+        real, real_snap = _kernels.steppable, _kernels.snap_to_steppable
+        ticks = []
+
+        def steppable_spy(*args):
+            if len(args) == 6:
+                scans.append(len(ticks) - 1)
+            return real(*args)
+
+        def snap_spy(*args):
+            ticks.append(args[5:7])
+            return real_snap(*args)
+
+        monkeypatch.setattr(_kernels, "steppable", steppable_spy)
+        monkeypatch.setattr(_kernels, "snap_to_steppable", snap_spy)
+        cfg = replace(_EDGE_BASE, terrain=hmap)
+        n_rec, outcome, _, _ = _kernels.sim_loop(*sim_mod._loop_args(
+            cfg, sim_mod._constant_schedule(cfg)))
+        k = cfg.ticks_per_step
+        assert outcome == _kernels.OUTCOME_COMPLETED and len(ticks) == n_rec
+        # the step's queries are those of the run on flat ground, and some
+        # tick after its first rescans the query
+        assert ticks[_EDGE_STEP * k:(_EDGE_STEP + 1) * k] == [tuple(q) for q in queries]
+        assert any(_EDGE_STEP * k < t < (_EDGE_STEP + 1) * k for t in scans), scans
 
     @pytest.mark.parametrize("vx,vy,width,icp_farther", [(1.0, 0.0, 0.3, False),
                                                          (0.4, 0.9, 0.1, True)],

@@ -404,7 +404,7 @@ class TestSnapCertificate:
         # floor bounds the d2 of every steppable node but the answer, as
         # the search computes d2, unless another node ties with the answer
         # (within the 1e-12 band and its rounding): then floor = best
-        _, _, nx, ny, best, floor = last
+        _, _, nx, ny, best, floor = last[4:]
         dx = grid.ox + np.arange(grid.cols) * grid.res - x
         dy = grid.oy + np.arange(grid.rows) * grid.res - y
         d2 = (dy * dy)[:, None] + dx * dx
@@ -452,14 +452,14 @@ class TestSnapCertificate:
                         last0 = []
                         _kernels.snap_to_steppable(grid, radius, 0.03, max_search, memo,
                                                    x0, y0, last0)
-                        if last0 and not tie and rng.random() < 0.25:
+                        if last0[4:] and not tie and rng.random() < 0.25:
                             # a budget just above the answer's distance
                             margin = 10 ** float(rng.uniform(-15, -3))
-                            max_search = math.sqrt(last0[4]) * (1 + margin)
+                            max_search = math.sqrt(last0[8]) * (1 + margin)
                             last0 = []
                             _kernels.snap_to_steppable(grid, radius, 0.03, max_search, memo,
                                                        x0, y0, last0)
-                        if last0:
+                        if last0[4:]:
                             n_ties += tie and self._check_certificate(
                                 grid, steppable_nodes, x0, y0, last0)
                         # moves of 1e-14 to 1e-3 m in random directions
@@ -496,6 +496,223 @@ class TestSnapCertificate:
                             n_exhaustive += 1
         assert n_seq >= 100_000 and n_exhaustive >= 100 and n_ties >= 300
         # not vacuous: most second queries reuse the first one's node
+        assert n_reused > 0.6 * n_seq, (n_reused, n_seq)
+
+
+def _loaded_map(resolution, seed, slope=0.4):
+    """A heightmap as a file would give it: noisy heights on a slope about
+    3.7 m up (so the corner-height rounding term counts), about 8 % of the
+    nodes masked at random, and a non-round origin. It is 5.6 m long, so
+    that most grid coordinates (x - ox) / res are large and carry rounding
+    errors of about a float step of the node spacing."""
+    rng = np.random.default_rng(seed)
+    rows, cols = int(0.5 / resolution), int(5.6 / resolution)
+    x0, y0 = rng.uniform(-1.37, -1.11), rng.uniform(-0.53, -0.31)
+    ys, xs = np.mgrid[0:rows, 0:cols] * resolution
+    heights = 3.7 + slope * xs - 0.2 * ys + rng.uniform(-0.02, 0.02, (rows, cols))
+    mask = (rng.random((rows, cols)) < 0.08).astype(np.uint8)
+    return Heightmap(origin=(x0, y0), resolution=resolution, heights=heights, mask=mask)
+
+
+def _nudged(v, rng):
+    """v moved by -3 .. 3 float steps."""
+    for _ in range(abs(k := int(rng.integers(-3, 4)))):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+def _query_starts(grid, radius, max_dev, rng, n):
+    """n (x, y, kind, ux, uy) query points, (ux, uy) a unit direction that
+    crosses the point's decision boundary: three quarters of kind 0, random
+    points on the map and up to 0.02 m beyond it, and a sixteenth each of
+    points 1, within a few float steps of a cell line; 2, within a few
+    float steps of the foot circle around a node, half of them a gap node
+    (where the answer changes as the node enters the foot); 3, just outside
+    the edge of the box of nodes scanned, near where the foot circle of a
+    node (half of them gap nodes) touches it, slightly off the axis, so
+    that a small move brings into the foot a node that the box left out;
+    and 4, on the max_dev band of a node within the foot circle (see
+    _band_point, drawn until it finds one; once 1000 draws in a row find
+    none, as on a level map, kind 4 gives random points)."""
+    ox, oy, res, rows, cols = grid.ox, grid.oy, grid.res, grid.rows, grid.cols
+    x1, y1 = ox + (cols - 1) * res, oy + (rows - 1) * res
+    gaps = [i * cols + j for i in range(rows) for j in range(cols) if grid.m[i][j]]
+    points = []
+    band_misses = 0
+    while len(points) < n:
+        x, y = rng.uniform((ox - 0.02, oy - 0.02), (x1 + 0.02, y1 + 0.02)).tolist()
+        kind = max(0, int(rng.integers(-11, 5)))
+        ux, uy = 1.0, 0.0
+        if kind == 1:
+            # a cell line in x, in y, or both (a node)
+            line = int(rng.integers(0, 3))
+            if line != 1:
+                x = _nudged(ox + int(rng.integers(0, cols)) * res, rng)
+            if line != 0:
+                y = _nudged(oy + int(rng.integers(0, rows)) * res, rng)
+                ux, uy = 0.0, 1.0
+        elif kind in (2, 3):
+            if gaps and rng.random() < 0.5:
+                i, j = divmod(gaps[int(rng.integers(0, len(gaps)))], cols)
+            else:
+                j, i = int(rng.integers(0, cols)), int(rng.integers(0, rows))
+            if kind == 2:
+                a = float(rng.uniform(-math.pi, math.pi))
+                ux, uy = math.cos(a), math.sin(a)
+                u, v = radius * ux, radius * uy
+            else:
+                # (radius + e, t) from the node, turned by quarter turns
+                u = radius + 10 ** float(rng.uniform(-16, -9))
+                v = math.copysign(10 ** float(rng.uniform(-7, -3)), rng.random() - 0.5)
+                for _ in range(int(rng.integers(0, 4))):
+                    u, v, ux, uy = -v, u, -uy, ux
+            x = _nudged(ox + j * res + u, rng)
+            y = _nudged(oy + i * res + v, rng)
+        elif kind == 4:
+            band = None
+            while band is None and band_misses < 1000:
+                band = _band_point(grid, radius, max_dev, rng)
+                band_misses += band is None
+            if band is None:
+                kind = 0
+            else:
+                band_misses = 0
+                x, y, ux, uy = band
+        else:
+            kind = 0
+        points.append((x, y, kind, ux, uy))
+    return points
+
+
+def _band_point(grid, radius, max_dev, rng):
+    """(x, y, ux, uy): a point where |h - h0| of a node within the foot
+    circle crosses max_dev, within a float step, and so flips the answer,
+    and the direction of the crossing; or None when the random draw finds
+    no such crossing. From a random point, the node whose deviation lies
+    nearest max_dev sets the height h0 must reach; a segment down the slope
+    of h0, half as long again as the linear estimate, brackets it for the
+    bisection."""
+    ox, oy, res = grid.ox, grid.oy, grid.res
+    x = float(rng.uniform(ox, ox + (grid.cols - 1) * res))
+    y = float(rng.uniform(oy, oy + (grid.rows - 1) * res))
+    h0 = _kernels.grid_bilinear(grid, x, y)
+    nodes = [(abs(abs(grid.h[i][j] - h0) - max_dev), grid.h[i][j])
+             for i in range(max(0, math.ceil((y - radius - oy) / res)),
+                            min(grid.rows, math.floor((y + radius - oy) / res) + 1))
+             for j in range(max(0, math.ceil((x - radius - ox) / res)),
+                            min(grid.cols, math.floor((x + radius - ox) / res) + 1))
+             if math.hypot(ox + j * res - x, oy + i * res - y) < 0.8 * radius]
+    if not nodes:
+        return None
+    _, hn = min(nodes)
+    target = min(hn - max_dev, hn + max_dev, key=lambda c: abs(c - h0))
+    e = 1e-7
+    gx = (_kernels.grid_bilinear(grid, x + e, y) - _kernels.grid_bilinear(grid, x - e, y)) / (2 * e)
+    gy = (_kernels.grid_bilinear(grid, x, y + e) - _kernels.grid_bilinear(grid, x, y - e)) / (2 * e)
+    slope = math.hypot(gx, gy)
+    if slope == 0.0:
+        return None
+    t = 1.5 * (target - h0) / slope ** 2
+    ex, ey = x + t * gx, y + t * gy
+    if math.hypot(ex - x, ey - y) > 0.15 * radius or not _kernels.grid_contains(grid, ex, ey):
+        return None
+
+    def over(px, py):
+        return abs(hn - _kernels.grid_bilinear(grid, px, py)) >= max_dev
+
+    inside = over(x, y)
+    if over(ex, ey) == inside:
+        return None
+    ux, uy = (ex - x) / math.hypot(ex - x, ey - y), (ey - y) / math.hypot(ex - x, ey - y)
+    for _ in range(60):
+        mx, my = (x + ex) / 2, (y + ey) / 2
+        if over(mx, my) == inside:
+            x, y = mx, my
+        else:
+            ex, ey = mx, my
+    # the crossing decides the answer: no other node fails on either side
+    if _kernels.steppable(grid, x, y, radius, max_dev) == _kernels.steppable(
+            grid, ex, ey, radius, max_dev):
+        return None
+    return x, y, ux, uy
+
+
+class TestQueryCertificate:
+    """snap_to_steppable's reuse of the last scanned query's answer (the
+    first four entries of its `last` list) against the uncached call."""
+
+    def test_reuse_equals_uncached_snap(self, monkeypatch):
+        scans = []  # one entry per query scan, a steppable() call with a list
+        real = _kernels.steppable
+
+        def counting_steppable(grid, x, y, radius, max_dev, cert=None):
+            if cert is None:
+                return real(grid, x, y, radius, max_dev)
+            scans.append(None)
+            return real(grid, x, y, radius, max_dev, cert)
+
+        def first(grid, radius, memo, x0, y0):
+            # the `last` list that the query (x0, y0) leaves
+            last = []
+            _kernels.snap_to_steppable(grid, radius, 0.03, 1.0, memo, x0, y0, last)
+            return last
+
+        def check(grid, radius, memo, filled, last0, x1, y1):
+            # (reused, flipped) of the query (x1, y1) after the one of last0
+            last = list(last0)
+            n_before = len(scans)
+            got = _kernels.snap_to_steppable(grid, radius, 0.03, 1.0, memo, x1, y1, last)
+            reused = len(scans) == n_before
+            # the uncached call: no `last`, and a memo of its own, filled in
+            # advance with the answers a fresh one collects
+            ref = _kernels.snap_to_steppable(grid, radius, 0.03, 1.0, bytearray(filled), x1, y1)
+            assert got == ref, (grid.res, radius, tuple(last0[:2]), (x1, y1))
+            return reused, real(grid, x1, y1, radius, 0.03) != last0[2]
+
+        monkeypatch.setattr(_kernels, "steppable", counting_steppable)
+        rng = np.random.default_rng(23)
+        n_seq = n_reused = n_cross = 0
+        flips = [0] * 5  # sequences per start kind whose second query flips the answer
+        cross_flips = 0
+        for kind in ("gap", "rough", "loaded"):
+            for resolution in (0.03, 0.05, 0.1):
+                for radius in (0.6 * resolution, resolution, 2.3 * resolution):
+                    h = (_loaded_map(resolution, seed=int(resolution * 100))
+                         if kind == "loaded" else
+                         _node_grid_map(kind, resolution, seed=int(resolution * 100) + 2,
+                                        amplitude=0.006 / radius))
+                    grid = h.grid
+                    filled = bytearray((1 + node_grid_per_steppable(h, radius, 0.03).ravel())
+                                       .astype(np.uint8))
+                    memo = bytearray(grid.rows * grid.cols)  # shared, filled lazily
+                    starts = _query_starts(grid, radius, 0.03, rng, 470)
+                    moves = zip((10.0 ** rng.uniform(-16, -3, 8 * len(starts))).tolist(),
+                                rng.uniform(-math.pi, math.pi, 8 * len(starts)).tolist())
+                    for x0, y0, start, ux, uy in starts:
+                        last0 = first(grid, radius, memo, x0, y0)
+                        for d, angle in (next(moves) for _ in range(8)):
+                            reused, flip = check(grid, radius, memo, filled, last0,
+                                                 x0 + d * math.cos(angle), y0 + d * math.sin(angle))
+                            n_reused += reused
+                            flips[start] += flip
+                            n_seq += 1
+                        if start == 0:
+                            continue
+                        # and two crossings: from b before the boundary to
+                        # 0.2b .. 2b beyond it, with b from 1e-16 to 1e-4 m
+                        for b, c in zip((10 ** rng.uniform(-16, -4, 2)).tolist(),
+                                        rng.uniform(1.2, 3.0, 2).tolist()):
+                            xs, ys = x0 - b * ux, y0 - b * uy
+                            cross_flips += check(grid, radius, memo, filled,
+                                                 first(grid, radius, memo, xs, ys),
+                                                 xs + c * b * ux, ys + c * b * uy)[1]
+                            n_cross += 1
+        assert n_seq >= 100_000
+        # not vacuous: the answer flips within a move from every kind of
+        # start (fewest from random ones) and on many crossings, and most
+        # second queries reuse the first one's answer
+        assert min(flips) > 0 and min(flips[1:]) > 25, flips
+        assert cross_flips > 200, (cross_flips, n_cross)
         assert n_reused > 0.6 * n_seq, (n_reused, n_seq)
 
 
