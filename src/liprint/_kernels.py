@@ -19,17 +19,20 @@ TerrainSpec's from its layout, rough heights node by node, with no map.
 The snap search tests grid nodes with steppable() itself, each at most
 once per run: a caller-owned memo of one byte per node keeps the answers.
 So a node's steppability is the exact scalar test by construction, and
-the search runs in plain Python. Two certificates let a run that replans
-every tick skip work whose answer cannot change, as its target moves by
-about 1e-15 m within a step. A scan of the query records a margin with
-its answer: the distance within which none of the scan's decisions can
-flip. Each search returns the d2 of its answer and a lower bound on the
-d2 of every other steppable node. A later query reuses the answer, or a
-later miss the node, without a scan or a search only when the
-certificate, widened by the query's move and a bound on the rounding,
-proves that they would return it again (snap_to_steppable). Such a run
-scans its query and searches about once per step instead of once per
-tick.
+the search runs in plain Python, as one walk over the rows that meets the
+answer's ties too (_nearest_steppable_node). Two certificates let a run
+that replans every tick skip work whose answer cannot change, as its
+target moves by about 1e-15 m within a step. A scan of the query records
+a margin with its answer: the distance within which none of the scan's
+decisions can flip. Each search returns the d2 of its answer and a lower
+bound on the d2 of every other steppable node, the smallest of the d2
+where a row side stops, the dy*dy of each row pruned or stopped at, and
+the d2 of each steppable node met outside the tie band. A later query
+reuses the answer, or a later miss the node, without a scan or a search
+only when the certificate, widened by the query's move and a bound on
+the rounding, proves that they would return it again (snap_to_steppable).
+Such a run scans its query and searches about once per step instead of
+once per tick.
 """
 
 import math
@@ -391,106 +394,69 @@ def _nearest_steppable_node(grid, x, y, radius, max_dev, budget2, memo):
     2 steppable), so a node is tested at most once per memo.
 
     d2 = dy*dy + dx*dx with dx = ox + j*res - x and dy = oy + i*res - y.
-    Rows are scanned outward from the query's nearest row, first upward,
+    One walk over the rows meets the answer and its ties. With best the
+    smallest d2 of a steppable node met so far, limit = min(best + 1e-12,
+    budget2). Rows go outward from the query's nearest row, first upward,
     then downward; a side stops at the first row beyond y whose dy*dy
-    exceeds the best d2 so far plus the tie margin, since rows further out
-    lie further still. dx grows with j, so a row's d2 falls toward x and
-    rises beyond it: the row is scanned outward from gx = (x - ox)/res on
-    each side, left over the columns j < gx and right over j >= gx, up to
-    the first steppable node or the first column past that bound. (Where
-    gx and dx round to opposite sides of a column, that column lies within
-    rounding of x and is itself the minimum, unless res is as small as
-    that rounding.) Nodes within 1e-12 of the minimum d2 (and within the
-    budget) tie; a tie goes to the smaller x, then the smaller y, i.e. the
-    smaller column, then the smaller row.
+    exceeds limit, since rows further out lie further still. dx grows with
+    j, so a row's d2 falls toward x and rises beyond it: each row is walked
+    outward from gx = (x - ox)/res on each side, left over the columns
+    j < gx and right over j >= gx, while d2 <= limit, so a side goes on
+    past a steppable node to the nodes tied with it. (Where gx and dx round
+    to opposite sides of a column, that column lies within rounding of x
+    and is itself the minimum, unless res is as small as that rounding.)
+    The steppable nodes met within the final limit tie; a tie goes to the
+    smaller x, then the smaller y, i.e. the smaller column, then the
+    smaller row.
 
     The certificate is best, the d2 of the answer, and floor, a lower
-    bound on the d2 of every steppable node outside the tie set, taken
-    from bounds the scan meets anyway: the d2 at which a row side stops
-    (the computed d2 never falls further out along a side), the d2 of
-    each steppable node that a row scan finds but that loses, the dy*dy
-    of each row the scan prunes or stops at, and, where the answer is the
-    first node right of x in its row, the d2 of the column after it. A
-    tie set of more than one node gives floor = best. A not-found search's
-    certificate means nothing.
+    bound on the d2 of every steppable node outside the tie set: the
+    smallest of the d2 at which a row side stops (the computed d2 never
+    falls further out along a side), the dy*dy of each row the walk prunes
+    or stops at, and the d2 of each steppable node met that ends outside
+    the final tie band. A tie set of more than one node gives floor = best.
+    A not-found search's certificate means nothing.
     """
     rows, cols, ox, oy, res, _, _ = grid
-    floor = math.inf
-
-    def first(i, j, step, dy2, limit):
-        # (d2, j) of row i's first steppable node from column j on in
-        # direction step, or None once d2 exceeds limit (that d2 lowers
-        # floor) or the row ends
-        nonlocal floor
-        while 0 <= j < cols:
-            nx = ox + j * res
-            dx = nx - x
-            d2 = dy2 + dx * dx
-            if not d2 <= limit:
-                floor = min(floor, d2)
-                return None
-            k = i * cols + j
-            if not memo[k]:
-                memo[k] = 1 + steppable(grid, nx, oy + i * res, radius, max_dev)
-            if memo[k] == 2:
-                return d2, j
-            j += step
-        return None
-
     # the first column j >= gx, clamped to [0, cols]; max(0.0, gx) maps a NaN to 0
     jr = math.ceil(min(max(0.0, (x - ox) / res), cols))
     c = int(round(min(max((y - oy) / res, 0.0), rows - 1.0)))
-    best = math.inf
+    best = floor = math.inf
     limit = budget2
-    seen = []  # (i, dy2, left, right) of each scanned row with a node found
+    met = []  # (d2, j, i) of each steppable node met
     for i, step in ((c, 1), (c - 1, -1)):
         while 0 <= i < rows:
             dy = oy + i * res - y
             dy2 = dy * dy
             if dy2 <= limit:
-                left = first(i, jr - 1, -1, dy2, limit)
-                right = first(i, jr, 1, dy2, limit)
-                if left or right:
-                    for node in (left, right):
-                        if node and node[0] < best:
-                            best = node[0]
-                    limit = best + 1e-12 if best + 1e-12 < budget2 else budget2
-                    seen.append((i, dy2, left, right))
+                # the left side, then the right side, each outward from gx
+                for start, end, dj in ((jr - 1, -1, -1), (jr, cols, 1)):
+                    for j in range(start, end, dj):
+                        nx = ox + j * res
+                        dx = nx - x
+                        d2 = dy2 + dx * dx
+                        if not d2 <= limit:
+                            floor = min(floor, d2)
+                            break
+                        k = i * cols + j
+                        if not memo[k]:
+                            memo[k] = 1 + steppable(grid, nx, oy + i * res, radius, max_dev)
+                        if memo[k] == 2:
+                            met.append((d2, j, i))
+                            if d2 < best:
+                                best = d2
+                                limit = best + 1e-12 if best + 1e-12 < budget2 else budget2
             else:
                 floor = min(floor, dy2)
                 if (dy > 0.0) == (step > 0):
                     break
             i += step
-    if not best <= budget2:
+    ties = [(j, i, d2) for d2, j, i in met if d2 <= limit]
+    if not ties:
         return False, 0.0, 0.0, best, floor
-    win = None
-    ties = 0
-    for i, dy2, left, right in seen:
-        for node in (left, right):
-            if node:
-                if node[0] <= limit:
-                    ties += 1
-                else:
-                    floor = min(floor, node[0])
-        # the row's leftmost node with d2 <= limit: walk left from its
-        # nearest node left of x while d2 stays within it, else take its
-        # nearest node right of x, bounding the columns after it
-        if left and left[0] <= limit:
-            d2, j = left
-            while node := first(i, j - 1, -1, dy2, limit):
-                d2, j = node
-                ties += 1
-        elif right and right[0] <= limit:
-            d2, j = right
-            if j + 1 < cols:
-                dx = ox + (j + 1) * res - x
-                floor = min(floor, dy2 + dx * dx)
-        else:
-            continue
-        if win is None or (j, i) < win[:2]:
-            win = (j, i, d2)
-    j, i, best = win
-    return True, ox + j * res, oy + i * res, best, floor if ties == 1 else best
+    floor = min([floor] + [d2 for d2, _, _ in met if d2 > limit])
+    j, i, best = min(ties)
+    return True, ox + j * res, oy + i * res, best, floor if len(ties) == 1 else best
 
 
 def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None):
@@ -553,9 +519,7 @@ def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None):
     answer for any query sequence on one grid and memo. floor = inf (a map
     scanned to its edges) never passes.
     """
-    if last is None:
-        ok = steppable(grid, x, y, radius, max_dev)
-    elif last and math.hypot(x - last[0], y - last[1]) + 4e-15 * last[3] < last[3]:
+    if last and math.hypot(x - last[0], y - last[1]) + 4e-15 * last[3] < last[3]:
         ok = last[2]
     else:
         ok = steppable(grid, x, y, radius, max_dev, last)

@@ -130,7 +130,8 @@ def build_parser() -> _Parser:
 
 
 def _apply_config_file(argv):
-    """--config provides flag defaults; explicit flags still win."""
+    """--config provides flag defaults, one key=value line each (the flag
+    name without --; blank and # lines skipped); explicit flags still win."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
@@ -138,11 +139,14 @@ def _apply_config_file(argv):
         return argv
     extra = []
     with open(known.config) as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
+            key, eq, value = line.partition("=")
+            if not eq or not key.strip():
+                raise _UsageError(f"--config {known.config} line {n}: "
+                                  f"expected key=value, got {line!r}")
             extra.append(f"--{key.strip()}")
             extra.append(value.strip())
     # defaults go right after the full subcommand path ("simulate",

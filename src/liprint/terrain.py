@@ -154,7 +154,8 @@ class TerrainSpec:
     """Terrain kind plus parameters.
 
     kind 'flat': no parameters.
-    kind 'rough': amplitude (height bound, m), correlation (m), seed.
+    kind 'rough': amplitude (height bound, m), correlation (m), seed (a
+    non-negative integer).
     kind 'gap': width (m), period (m), offset of the first gap edge (m).
     A gap width >= period leaves no supporting ground; such degenerate
     specs are accepted and simply fail at the first snap.
@@ -178,6 +179,9 @@ class TerrainSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.amplitude < 0.0:
             raise ValueError(f"amplitude must be non-negative, got {self.amplitude}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         # heights are drawn from [-amplitude, amplitude], a range of 2 * amplitude
         if not math.isfinite(2.0 * self.amplitude):
             raise ValueError(f"amplitude must be at most {sys.float_info.max / 2.0}, "

@@ -965,6 +965,21 @@ class TestUsage:
          "malformed --state JSON: unknown key 'stnace'\n"),
         (["plan", "--vx", "1", "--state", '{{"parity":-1}}'],
          "parity must be non-negative, got -1\n"),
+        (["terrain", "gen", "--spec", "rough:0.05:0.5:-3"],
+         "bad terrain spec 'rough:0.05:0.5:-3': seed must be a non-negative integer, got -3\n"),
+        (["simulate", "--vx", "1", "--terrain", "rough:0.05:0.5:-3"],
+         "bad terrain spec 'rough:0.05:0.5:-3': seed must be a non-negative integer, got -3\n"),
+        (["simulate", "--vx", "1", "--terrain", "rough:0:0.5:-3"],
+         "bad terrain spec 'rough:0:0.5:-3': seed must be a non-negative integer, got -3\n"),
+        (["sweep", "--terrain", "rough:0.05:0.5:-3"],
+         "bad terrain spec 'rough:0.05:0.5:-3': seed must be a non-negative integer, got -3\n"),
+        # a config line that is not key=value is named, not read as a flag
+        (["simulate", "--config", "{cfg_no_equals}"],
+         "cfg_no_equals.cfg line 2: expected key=value, got 'duration'\n"),
+        (["simulate", "--config", "{cfg_space}"],
+         "cfg_space.cfg line 3: expected key=value, got 'vx 1'\n"),
+        (["simulate", "--config", "{cfg_empty_key}"],
+         "cfg_empty_key.cfg line 2: expected key=value, got '= 2'\n"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-nan", "duration-overflow", "dt-underflow",
             "resolution-nan", "extent-inf",
@@ -994,7 +1009,9 @@ class TestUsage:
             "terrain-gen-gap-offset-overflow", "score-vel-cmd-norm-overflow",
             "plan-state-overflow", "plan-width-nan", "plan-com-string", "plan-vel-bools",
             "plan-parity-fraction", "plan-parity-string", "plan-dT-lost-in-rounding", "plan-Ts-inf",
-            "plan-state-unknown-key", "plan-parity-negative"])
+            "plan-state-unknown-key", "plan-parity-negative", "terrain-gen-seed-negative",
+            "rough-seed-negative", "zero-amplitude-seed-negative", "sweep-seed-negative",
+            "config-no-equals", "config-space-for-equals", "config-empty-key"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}
@@ -1031,6 +1048,11 @@ class TestUsage:
         for name, doc in maps.items():
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text((doc if isinstance(doc, str) else json.dumps(doc)) + "\n")
+        for name, text in (("cfg_no_equals", "vx = 1\nduration\n"),
+                           ("cfg_space", "# run\n\nvx 1\n"),
+                           ("cfg_empty_key", "vx = 1\n = 2\n")):
+            paths[name] = tmp_path / f"{name}.cfg"
+            paths[name].write_text(text)
         (tmp_path / "empty.csv").write_text("")
         # one field longer than csv's default limit of 131072 characters
         (tmp_path / "huge.csv").write_text("1" * 200000 + "\n")

@@ -2,9 +2,11 @@
 
 Each child process gets a stub `numba` package first on its PYTHONPATH whose
 import raises RuntimeError, so any attempt to import numba fails loudly
-instead of quietly picking another code path.
+instead of quietly picking another code path. And every kernel is used by
+the package itself: one that nothing in src/liprint refers to is dead code.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -77,3 +79,32 @@ def test_in_process_run_matches_subprocess_bytes(tmp_path):
     r = _run_cli_in_subprocess(args + ["--out", str(sub)], _child_env())
     assert r.returncode == 0, r.stderr
     assert inproc.read_bytes() == sub.read_bytes()
+
+
+def _names(nodes):
+    """Every name the syntax trees `nodes` refer to: variables, attributes
+    and imported names."""
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                yield n.id
+            elif isinstance(n, ast.Attribute):
+                yield n.attr
+            elif isinstance(n, ast.alias):
+                yield n.name
+
+
+def test_every_kernel_is_referenced_in_the_package():
+    package = Path(liprint.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    kernels = [node for node in trees["_kernels.py"].body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert len(kernels) > 10
+    unused = []
+    for kernel in kernels:
+        # a kernel's own body does not count as a use of it
+        nodes = [node for tree in trees.values()
+                 for node in tree.body if node is not kernel]
+        if kernel.name not in _names(nodes):
+            unused.append(kernel.name)
+    assert unused == []

@@ -458,6 +458,42 @@ class TestTerrainRuns:
         assert len(calls) - len(nodes) == len(scans)
         assert len(nodes) == len(set(nodes)) > 0
 
+    def test_one_search_per_miss_step(self, monkeypatch):
+        # every-tick replanning moves the target by about 1e-15 m within a
+        # step, so the search's certificate should carry a step's first miss
+        # through the rest of the step: one search per step whose target
+        # misses (its snap does not return the query itself), none elsewhere
+        snaps = []  # per snap_to_steppable() call, one a tick: whether it missed
+        searches = []  # the snap index of each _nearest_steppable_node() call
+        real_snap, real_search = _kernels.snap_to_steppable, _kernels._nearest_steppable_node
+
+        def snap_spy(grid, radius, max_dev, max_search, memo, x, y, last):
+            got = real_snap(grid, radius, max_dev, max_search, memo, x, y, last)
+            snaps.append(got != (True, x, y))
+            return got
+
+        def search_spy(*args):
+            searches.append(len(snaps))
+            return real_search(*args)
+
+        monkeypatch.setattr(_kernels, "snap_to_steppable", snap_spy)
+        monkeypatch.setattr(_kernels, "_nearest_steppable_node", search_spy)
+        rng = np.random.default_rng(24)
+        total = 0
+        for _ in range(12):
+            vx, width, period, offset = rng.uniform((0.4, 0.1, 0.6, 0.0), (1.2, 0.25, 1.0, 0.6))
+            cfg = config(vx=vx, duration=3.0, replan=sim_mod.REPLAN_EVERY_TICK,
+                         terrain=gap_spec(width, period, offset))
+            snaps.clear()
+            searches.clear()
+            run(cfg)
+            k = cfg.ticks_per_step
+            for m in range(0, len(snaps), k):
+                n = sum(m <= s < m + k for s in searches)
+                assert n == any(snaps[m:m + k]), (vx, width, period, offset, m // k)
+            total += len(searches)
+        assert total > 0
+
     def test_rough_heights_filled_only_where_read(self, monkeypatch):
         # spies: the grid views sim builds, and every terrain.generate call
         grids, generate_calls = [], []

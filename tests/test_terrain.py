@@ -227,9 +227,9 @@ class TestNearestSteppable:
         # the same miss again reads the memo and tests only the query
         calls = []
 
-        def spy(grid, x, y, radius, max_dev):
+        def spy(grid, x, y, radius, max_dev, cert=None):
             calls.append((x, y))
-            return real(grid, x, y, radius, max_dev)
+            return real(grid, x, y, radius, max_dev, cert)
 
         monkeypatch.setattr(_kernels, "steppable", spy)
         assert _kernels.snap_to_steppable(*args, 0.0, 0.0) == (found, sx, sy)
@@ -988,7 +988,10 @@ class TestValidation:
         ({"kind": "rough", "correlation": 0.0}, "correlation length must be positive"),
         ({"kind": "rough", "correlation": -0.5}, "correlation length must be positive"),
         ({"kind": "gap", "gap_width": 0.0}, "gap width and period must be positive"),
-        ({"kind": "gap", "gap_period": -0.8}, "gap width and period must be positive")])
+        ({"kind": "gap", "gap_period": -0.8}, "gap width and period must be positive"),
+        ({"kind": "rough", "seed": -3}, "seed must be a non-negative integer, got -3"),
+        ({"kind": "rough", "seed": 1.0}, "seed must be a non-negative integer, got 1.0"),
+        ({"kind": "rough", "seed": True}, "seed must be a non-negative integer, got True")])
     def test_bad_spec_parameters(self, kw, message):
         with pytest.raises(ValueError, match=message):
             TerrainSpec(**kw)
