@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, _kernels, metrics, sim, terrain as terrain_mod
 from .gait import GaitParams, GaitState, remaining_time
-from .lip_core import FootPosition, LipParams, LipState, icp_of
+from .lip_core import BASE_HEIGHT, GRAVITY, FootPosition, LipParams, LipState, icp_of
 from .planner import (StepCommand, desired_step_length, desired_step_width,
                       offsets, plan_step, predict_final_icp, turning_angle)
 from .terrain import Heightmap
@@ -43,45 +43,45 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="key=value file providing flag defaults")
     p.add_argument("--out", help="output file path")
 
 
 def _add_command_flags(p):
-    p.add_argument("--vx", type=float, help="forward velocity command (m/s)")
     p.add_argument("--vy", type=float, default=0.0, help="lateral velocity command (m/s)")
-    p.add_argument("--base-height", type=float, default=0.62)
+    p.add_argument("--base-height", type=float, default=BASE_HEIGHT)
 
 
 def _add_model_flags(p):
     _add_command_flags(p)
-    p.add_argument("--width", type=float, default=0.3, help="step width command (m)")
-    p.add_argument("--Ts", type=float, default=0.35, dest="step_duration",
+    p.add_argument("--width", type=float, default=StepCommand.w_cmd, help="step width command (m)")
+    p.add_argument("--Ts", type=float, default=GaitParams.step_duration, dest="step_duration",
                    help="step duration (s)")
-    p.add_argument("--g", type=float, default=9.81)
+    p.add_argument("--g", type=float, default=GRAVITY)
 
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The CLI parser, built once per process: parse_args keeps no state
-    between calls and returns a fresh namespace each time."""
+    """The CLI parser, built once (parse_args keeps no state); each command
+    takes only the flags its handler reads, with the library's defaults."""
     parser = _Parser(prog="liprint", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run the closed-loop stepping simulator")
+    p.add_argument("--vx", type=float, help="forward velocity command (m/s)")
     _add_model_flags(p)
-    p.add_argument("--duration", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--duration", type=float, default=sim.SimConfig.total_duration)
+    p.add_argument("--dt", type=float, default=sim.SimConfig.dt)
     p.add_argument("--replan", choices=[sim.REPLAN_AT_STEP_START, sim.REPLAN_EVERY_TICK])
     p.add_argument("--terrain", default="flat")
-    p.add_argument("--reach-limit", type=float, default=0.6)
+    p.add_argument("--reach-limit", type=float, default=sim.SimConfig.reach_limit)
     p.add_argument("--turn", type=float, default=0.0,
                    help="rotate the command by this many degrees mid-run")
     p.add_argument("--turn-time", type=float, default=3.0)
     p.add_argument("--events", help="step-event JSON path (default: <out>.events.json)")
     p.add_argument("--manifest", help="manifest JSON path (default: <out>.manifest.json)")
+    p.add_argument("--seed", type=int, default=0, help="recorded in the manifest")
     _add_common(p)
     p.set_defaults(handler=_cmd_simulate)
 
@@ -92,15 +92,17 @@ def build_parser() -> _Parser:
                    help="terrain spec; may repeat to form the severity axis")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--duration", type=float, default=6.0)
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--dt", type=float, default=sim.SimConfig.dt)
     p.add_argument("--replan", choices=[sim.REPLAN_AT_STEP_START, sim.REPLAN_EVERY_TICK])
-    p.add_argument("--reach-limit", type=float, default=0.6)
+    p.add_argument("--reach-limit", type=float, default=sim.SimConfig.reach_limit)
     p.add_argument("--window", type=float, default=5.0)
     p.add_argument("--tolerance", type=float, default=0.1)
+    p.add_argument("--seed", type=int, default=0, help="base of the per-trial rough-terrain seeds")
     _add_common(p)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("plan", help="one-shot step plan for a given state")
+    p.add_argument("--vx", type=float, help="forward velocity command (m/s)")
     _add_model_flags(p)
     p.add_argument("--dT", type=float, dest="remaining", default=None,
                    help="remaining step time (default: the step duration)")
@@ -110,10 +112,11 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_plan)
 
     p = sub.add_parser("score", help="reward terms per trajectory row")
+    p.add_argument("--vx", type=float, help="forward velocity command (m/s)")
     _add_command_flags(p)
     p.add_argument("--traj", required=True, help="trajectory CSV (simulate schema)")
     p.add_argument("--joints", help="optional joint-log CSV for regularization terms")
-    p.add_argument("--sigma", type=float, default=0.25)
+    p.add_argument("--sigma", type=float, default=metrics.RewardParams.sigma)
     _add_common(p)
     p.set_defaults(handler=_cmd_score)
 
@@ -122,7 +125,7 @@ def build_parser() -> _Parser:
     pg = tsub.add_parser("gen", help="generate a heightmap JSON file")
     pg.add_argument("--spec", required=True)
     pg.add_argument("--extent", default="-2:-2:12:2", help="x0:y0:x1:y1")
-    pg.add_argument("--resolution", type=float, default=0.05)
+    pg.add_argument("--resolution", type=float, default=sim.TERRAIN_RESOLUTION)
     _add_common(pg)
     pg.set_defaults(handler=_cmd_terrain_gen)
 
@@ -155,10 +158,10 @@ def _apply_config_file(argv):
     return argv[:depth] + extra + argv[depth:]
 
 
-def _make_config(args, terrain_spec, vx=None) -> sim.SimConfig:
-    """The run config of the parsed flags; vx, when given, stands for args.vx
-    (sweep's speed of the config, which leaves args unchanged)."""
-    cmd = StepCommand(v_cmd=(args.vx if vx is None else vx, args.vy), w_cmd=args.width)
+def _make_config(args, terrain_spec, vx) -> sim.SimConfig:
+    """The run config of the parsed flags at forward speed vx: simulate's
+    --vx, or one of sweep's --vx-list values (sweep has no --vx)."""
+    cmd = StepCommand(v_cmd=(vx, args.vy), w_cmd=args.width)
     replan = args.replan
     if replan is None:
         replan = (sim.REPLAN_AT_STEP_START if terrain_spec is None
@@ -189,7 +192,7 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("simulate requires --vx")
     if not args.out:
         raise _UsageError("simulate requires --out")
-    config = _make_config(args, _load_terrain(args.terrain))
+    config = _make_config(args, _load_terrain(args.terrain), args.vx)
     if args.turn != 0.0:
         result = sim.turn_maneuver(config, math.radians(args.turn), args.turn_time)
     else:
@@ -220,8 +223,7 @@ def _cmd_simulate(args) -> int:
         },
     }
     with open(manifest_path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     log.info("simulate: %s (%s)", result.outcome, result.failure_reason or "ok")
     return 0 if result.completed else 2
 
@@ -234,7 +236,11 @@ def _sibling(out_path: str, suffix: str) -> str:
 def _cmd_sweep(args) -> int:
     if not args.out:
         raise _UsageError("sweep requires --out")
-    vx_values = [float(v) for v in args.vx_list.split(",") if v.strip() != ""]
+    try:
+        vx_values = [float(v) for v in args.vx_list.split(",") if v.strip() != ""]
+    except ValueError:
+        raise _UsageError(f"bad --vx-list {args.vx_list!r}: expected comma-separated "
+                          "numbers") from None
     terrain_texts = args.terrain if args.terrain else ["flat"]
     configs = []
     labels = []

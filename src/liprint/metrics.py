@@ -25,6 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .gait import GaitState, contact_schedule as gait_contact_schedule, swing_foot
+from .lip_core import BASE_HEIGHT
 
 RIGHT, LEFT = 0, 1
 
@@ -55,7 +56,7 @@ def _rowdot(x: np.ndarray) -> np.ndarray:
 class RobotSample:
     """One observation of the robot; vector fields default to empty."""
 
-    base_height: float = 0.62
+    base_height: float = BASE_HEIGHT
     base_heading: float = 0.0
     base_vel_world: np.ndarray = (0.0, 0.0)
     base_vel_z: float = 0.0
@@ -102,7 +103,7 @@ def _columns(n: int, cols: dict) -> SimpleNamespace:
 @dataclass(frozen=True)
 class RewardParams:
     sigma: float = 0.25
-    base_height_target: float = 0.62
+    base_height_target: float = BASE_HEIGHT
     heading_target: float = 0.0
     vel_cmd: np.ndarray = (0.0, 0.0)
     tau_max: np.ndarray = math.inf

@@ -73,6 +73,9 @@ class SimConfig:
     def __post_init__(self):
         if self.replan not in (REPLAN_AT_STEP_START, REPLAN_EVERY_TICK):
             raise ValueError(f"unknown replanning mode {self.replan!r}")
+        if not isinstance(self.terrain, (Heightmap, TerrainSpec, type(None))):
+            raise ValueError("terrain must be a Heightmap, TerrainSpec, or None, "
+                             f"got {type(self.terrain)}")
         for name in ("total_duration", "reach_limit", "dt"):
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
@@ -185,15 +188,11 @@ def _terrain_grid(config: SimConfig, schedule) -> "_kernels.Grid | None":
     TerrainSpec's view is terrain.generate_grid on _auto_extent at
     TERRAIN_RESOLUTION, which builds no map."""
     t = config.terrain
-    if t is None:
-        return None
     if isinstance(t, Heightmap):
         return t.grid
-    if isinstance(t, TerrainSpec):
-        if t.kind == "flat":
-            return None
-        return terrain_mod.generate_grid(t, _auto_extent(config, schedule), TERRAIN_RESOLUTION)
-    raise TypeError(f"terrain must be a Heightmap, TerrainSpec, or None, got {type(t)}")
+    if t is None or t.kind == "flat":
+        return None
+    return terrain_mod.generate_grid(t, _auto_extent(config, schedule), TERRAIN_RESOLUTION)
 
 
 @functools.lru_cache(maxsize=16)

@@ -140,8 +140,7 @@ class Heightmap:
 
     def save(self, path) -> None:
         with open(path, "w") as f:
-            json.dump(self.to_dict(), f, sort_keys=True)
-            f.write("\n")
+            f.write(json.dumps(self.to_dict(), sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "Heightmap":

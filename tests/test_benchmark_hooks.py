@@ -63,8 +63,7 @@ def test_traced_sweep_counts_the_simulated_ticks(tmp_path):
     for text in args.terrain:
         spec = cli._load_terrain(text)
         for vx in (0.6, 2.5):
-            args.vx = vx
-            cfg = cli._make_config(args, spec)
+            cfg = cli._make_config(args, spec, vx)
             if spec is None:
                 runs.append(cfg)
             else:

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import math
 import shlex
@@ -9,9 +11,10 @@ import numpy as np
 import pytest
 
 import liprint
-from liprint import cli
+from liprint import cli, sim
 from liprint.cli import build_parser, main
 from liprint.metrics import RewardParams, RobotSample
+from liprint.planner import StepCommand
 from liprint.sim import CSV_COLUMNS
 from liprint.terrain import Heightmap
 from oracles import score_lines
@@ -118,6 +121,18 @@ class TestSimulate:
                    "--out", str(out)])
         assert rc == 0
 
+    def test_events_and_manifest_paths(self, tmp_path):
+        out, events, manifest = (tmp_path / name for name in ("t.csv", "ev.json", "m.json"))
+        argv = ["simulate", "--vx", "1", "--duration", "2"]
+        assert main(argv + ["--out", str(out), "--events", str(events),
+                            "--manifest", str(manifest)]) == 0
+        assert events.exists() and manifest.exists()
+        assert not (tmp_path / "t.events.json").exists()
+        assert not (tmp_path / "t.manifest.json").exists()
+        assert json.loads(manifest.read_text())["outputs"]["events"] == str(events)
+        assert main(argv + ["--out", str(tmp_path / "ref.csv")]) == 0
+        assert events.read_bytes() == (tmp_path / "ref.events.json").read_bytes()
+
     def test_config_file_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("vx = 1.0\nduration = 2\n")
@@ -143,6 +158,13 @@ class TestSweep:
         assert len(lines) == 5
         for line in lines[1:]:
             assert line.endswith(",2,2,1")
+
+    def test_vx_resolves_to_vx_list(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--vx", "1.5", "--trials", "1", "--duration", "2",
+                     "--window", "1", "--out", str(out)]) == 0
+        with open(out, newline="") as f:
+            assert [row["vx"] for row in csv.DictReader(f)] == ["1.5"]
 
     def test_zero_trials_empty_table(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -827,6 +849,9 @@ class TestUsage:
         (["simulate", "--vx", "1", "--terrain", "file:{not_object}"],
          "heightmap must be a JSON object"),
         (["sweep", "--trials", "-2"], "trials must be non-negative"),
+        (["sweep", "--vx-list", "a"], "bad --vx-list 'a': expected comma-separated numbers\n"),
+        (["sweep", "--vx-list", "1,x"],
+         "bad --vx-list '1,x': expected comma-separated numbers\n"),
         (["sweep", "--window", "-1"], "window must be positive"),
         (["sweep", "--window", "0"], "window must be positive"),
         (["sweep", "--window", "nan"], "window must be positive"),
@@ -980,10 +1005,19 @@ class TestUsage:
          "cfg_space.cfg line 3: expected key=value, got 'vx 1'\n"),
         (["simulate", "--config", "{cfg_empty_key}"],
          "cfg_empty_key.cfg line 2: expected key=value, got '= 2'\n"),
+        # --seed only where a handler reads it, from the command line or a config
+        (["plan", "--vx", "1", "--seed", "3"], "error: unrecognized arguments: --seed 3\n"),
+        (["score", "--traj", "t.csv", "--seed", "3"],
+         "error: unrecognized arguments: --seed 3\n"),
+        (["terrain", "gen", "--spec", "flat", "--seed", "3"],
+         "error: unrecognized arguments: --seed 3\n"),
+        (["plan", "--vx", "1", "--config", "{cfg_seed}"],
+         "error: unrecognized arguments: --seed 3\n"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-nan", "duration-overflow", "dt-underflow",
             "resolution-nan", "extent-inf",
             "map-without-origin", "map-not-object", "sweep-trials-negative",
+            "sweep-vx-list-word", "sweep-vx-list-bad-entry",
             "sweep-window-negative", "sweep-window-zero", "sweep-window-nan",
             "sweep-tolerance-nan", "sweep-tolerance-negative",
             "rough-amplitude-inf", "terrain-gen-amplitude-inf", "rough-amplitude-nan",
@@ -1011,7 +1045,8 @@ class TestUsage:
             "plan-parity-fraction", "plan-parity-string", "plan-dT-lost-in-rounding", "plan-Ts-inf",
             "plan-state-unknown-key", "plan-parity-negative", "terrain-gen-seed-negative",
             "rough-seed-negative", "zero-amplitude-seed-negative", "sweep-seed-negative",
-            "config-no-equals", "config-space-for-equals", "config-empty-key"])
+            "config-no-equals", "config-space-for-equals", "config-empty-key",
+            "plan-seed", "score-seed", "terrain-gen-seed", "plan-config-seed"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}
@@ -1050,7 +1085,8 @@ class TestUsage:
             paths[name].write_text((doc if isinstance(doc, str) else json.dumps(doc)) + "\n")
         for name, text in (("cfg_no_equals", "vx = 1\nduration\n"),
                            ("cfg_space", "# run\n\nvx 1\n"),
-                           ("cfg_empty_key", "vx = 1\n = 2\n")):
+                           ("cfg_empty_key", "vx = 1\n = 2\n"),
+                           ("cfg_seed", "seed = 3\n")):
             paths[name] = tmp_path / f"{name}.cfg"
             paths[name].write_text(text)
         (tmp_path / "empty.csv").write_text("")
@@ -1075,6 +1111,62 @@ class TestUsage:
         assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_parsed_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["simulate", "--vx", "1"])
+        config = cli._make_config(args, None, args.vx)
+        default = sim.SimConfig(cmd=StepCommand(v_cmd=(1, 0)))
+        for f in dataclasses.fields(sim.SimConfig):
+            got, want = getattr(config, f.name), getattr(default, f.name)
+            if f.name == "cmd":
+                assert np.array_equal(got.v_cmd, want.v_cmd)
+                got, want = (got.w_cmd, got.fallback_heading), (want.w_cmd, want.fallback_heading)
+            assert got == want, f.name
+        args = build_parser().parse_args(["score", "--traj", "t.csv"])
+        assert args.sigma == RewardParams().sigma
+        assert args.base_height == RewardParams().base_height_target
+        args = build_parser().parse_args(["terrain", "gen", "--spec", "flat"])
+        assert args.resolution == sim.TERRAIN_RESOLUTION
+
+    def test_every_option_is_read_by_its_handler(self, tmp_path):
+        """Each leaf command's handler reads every option it declares, but
+        --config, which is consumed before parsing."""
+        class ReadLog(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads = object.__getattribute__(self, "__dict__").get("_reads")
+                if reads is not None:
+                    reads.add(name)
+                return object.__getattribute__(self, name)
+
+        traj = tmp_path / "traj.csv"
+        assert main(["simulate", "--vx", "1", "--duration", "1", "--out", str(traj)]) == 0
+        argvs = {
+            ("simulate",): ["--vx", "1", "--duration", "4", "--turn", "30"],
+            ("sweep",): ["--trials", "1", "--duration", "1", "--window", "1"],
+            ("plan",): ["--vx", "1"],
+            ("score",): ["--traj", str(traj)],
+            ("terrain", "gen"): ["--spec", "flat", "--extent=0:0:1:1"],
+        }
+
+        def leaves(parser, path=()):
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                yield path, parser
+            for action in subs:
+                for name, child in action.choices.items():
+                    yield from leaves(child, path + (name,))
+
+        unread = []
+        for path, leaf in leaves(build_parser()):
+            assert path in argvs, f"no argv for {' '.join(path)}"
+            argv = [*path, *argvs[path], "--out", str(tmp_path / "out")]
+            args = build_parser().parse_args(argv, namespace=ReadLog())
+            args._reads = set()
+            args.handler(args)
+            unread += [f"{' '.join(path)}: {a.dest}" for a in leaf._actions
+                       if a.option_strings and a.dest not in ("help", "config")
+                       and a.dest not in args._reads]
+        assert unread == []
 
     def test_turn_after_run_end_writes_plain_run(self, tmp_path):
         args = ["simulate", "--vx", "1", "--duration", "2", "--terrain", "rough:0.05:0.5:0"]

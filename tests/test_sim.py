@@ -54,6 +54,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="sweep needs at least one config"):
             sweep([], trials=1)
 
+    def test_terrain_of_another_type(self):
+        # a path is not a terrain: the config fails where it is built
+        with pytest.raises(ValueError, match="terrain must be a Heightmap, TerrainSpec, or None"):
+            SimConfig(cmd=StepCommand(v_cmd=(1, 0)), terrain="map.json")
+
 
 class TestFlatRuns:
     def test_forward_tracking(self):

@@ -939,6 +939,19 @@ class TestJsonFormat:
         # not vacuous: the map holds a negative zero and mask ones
         assert '"heights": [0.0, -0.0' in text and sum(per_value["mask"]) == 3
 
+    def test_save_writes_one_sorted_json_line(self, tmp_path):
+        h = generate(TerrainSpec(kind="gap", gap_width=0.2, gap_period=0.8), (0, 0, 2, 1), 0.1)
+        path = tmp_path / "map.json"
+        h.save(path)
+        assert path.read_text() == json.dumps(h.to_dict(), sort_keys=True) + "\n"
+        assert h.mask.any()
+
+    def test_map_without_mask_has_all_zero_mask(self):
+        d = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 3, "heights": [0.5] * 6}
+        h = Heightmap.from_dict(d)
+        assert h.mask.shape == (2, 3) and h.mask.dtype == np.uint8 and not h.mask.any()
+        assert h.to_dict() == {**d, "origin": [0.0, 0.0], "mask": [0] * 6}
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Heightmap.from_dict({"origin": [0, 0], "resolution": 0.1,
