@@ -1,14 +1,17 @@
 """Numerically hot kernels shared by the public modules.
 
 Kernels are plain numpy/Python on floats, ndarrays and lists, and each
-formula is written once here: ICP propagation (icp_step), the foot
-placement (plan_placement: its per-step part, the heading rule and the
-rotated offsets, in placement_offsets, and its per-tick part, the
-predicted capture point less those offsets, in placement_at), the
-grid-cell lookup with its bilinear sum (_cell for one point, grid_resample
-for a separable grid of them), and the steppability test (steppable). The
-dataclass-based public API in lip_core / planner / terrain / sim validates
-its arguments and calls these kernels.
+formula is written once here: the CoM state about a fixed stance after
+each duration of a block, in closed form per axis (lip_position and
+lip_velocity; lip_step for both axes) from libm's cosh/sinh pairs
+(hyperbolics), ICP propagation (icp_step), the foot placement
+(plan_placement: its per-step part, the heading rule and the rotated
+offsets, in placement_offsets, and its per-tick part, the predicted
+capture point less those offsets, in placement_at), the grid-cell lookup
+with its bilinear sum (_cell for one point, grid_resample for a separable
+grid of them), and the steppability test (steppable). The dataclass-based
+public API in lip_core / planner / terrain / sim validates its arguments
+and calls these kernels.
 
 The grid kernels read a map through one Grid view: its shape, origin and
 spacing as Python numbers, and node heights and mask flags read as
@@ -76,19 +79,53 @@ COL_PHASE_COS = 17
 N_SAMPLE_COLS = 18
 
 
-def lip_step(cx, cy, vx, vy, px, py, omega, ch, sh):
-    """Exact CoM propagation about a fixed stance foot over a duration t.
+def lip_position(c, v, p, omega, hyp):
+    """CoM position along one axis about a fixed stance foot at p, after
+    each duration t of a block, from position c and velocity v at t = 0:
+    p + r*cosh(omega*t) + v*sinh(omega*t)/omega with r = c - p.
 
-    ch and sh are cosh(omega*t) and sinh(omega*t); the caller computes them,
-    so a loop with a fixed t pays for them only when omega changes.
+    hyp lists (cosh(omega*t), sinh(omega*t)) per duration, as hyperbolics
+    gives them; the result has an entry per duration. An entry is the same
+    float expression whatever the block's length, so a block of one
+    duration (as lip_core.com_trajectory passes) gives it bit for bit.
     """
-    rx = cx - px
-    ry = cy - py
-    nx = px + rx * ch + vx * sh / omega
-    ny = py + ry * ch + vy * sh / omega
-    nvx = rx * omega * sh + vx * ch
-    nvy = ry * omega * sh + vy * ch
-    return nx, ny, nvx, nvy
+    r = c - p
+    return [p + r * ch + v * sh / omega for ch, sh in hyp]
+
+
+def lip_velocity(c, v, p, omega, hyp):
+    """The CoM velocity of lip_position's block, entry for entry:
+    r*omega*sinh(omega*t) + v*cosh(omega*t) with r = c - p."""
+    rw = (c - p) * omega
+    return [rw * sh + v * ch for ch, sh in hyp]
+
+
+def lip_step(cx, cy, vx, vy, px, py, omega, hyp):
+    """Exact CoM states about a fixed stance foot at (px, py) after each
+    duration of a block, from the state (cx, cy, vx, vy) at t = 0: the
+    columns (x, y, vx, vy), one list each, of lip_position and
+    lip_velocity on each axis."""
+    return (lip_position(cx, vx, px, omega, hyp), lip_position(cy, vy, py, omega, hyp),
+            lip_velocity(cx, vx, px, omega, hyp), lip_velocity(cy, vy, py, omega, hyp))
+
+
+def hyperbolics(omega, spans):
+    """(cosh(omega*t), sinh(omega*t)) for each t of the non-negative,
+    non-decreasing spans, from libm (math.cosh and math.sinh), up to the
+    first that overflows: there math raises OverflowError where the value
+    would be inf, as would every later one."""
+    cosh, sinh = math.cosh, math.sinh
+    wt = [omega * t for t in spans]
+    try:
+        return [(cosh(x), sinh(x)) for x in wt]
+    except OverflowError:
+        hyp = []
+        for x in wt:
+            try:
+                hyp.append((cosh(x), sinh(x)))
+            except OverflowError:
+                break
+        return hyp
 
 
 def icp_step(xx, xy, px, py, omega, t):
@@ -541,48 +578,76 @@ def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None):
     return found, nx, ny
 
 
+def _block_rows(ticks, dt, omega, cxs, cys, vxs, vys, fixed):
+    """The rows of `ticks`, a run of ticks from a step's first, when the
+    step plans once: per tick its time, CoM state (the columns' entries
+    from the first on) and capture point, then `fixed`, the step's columns
+    COL_STANCE_X .. COL_PARITY. (A function of its own, so that sim_loop's
+    locals stay out of a comprehension's closure.)"""
+    return [(i * dt, x, y, u, v, x + u / omega, y + v / omega) + fixed
+            for i, x, y, u, v in zip(ticks, cxs, cys, vxs, vys)]
+
+
 def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
              replan_every_tick, reach_limit, grid,
              com_x, com_y, vel_x, vel_y, st_x, st_y, heading, *, vel_x_only=False):
     """Closed-loop stepping simulation over n_ticks >= 1 ticks (SimConfig
-    guarantees it): one outer iteration per step, one inner per tick.
+    guarantees it): one iteration per step, whose CoM states come as one
+    block.
 
     Per step, at tick i0 = m * ticks_per_step (m >= 0, tick 0 included): the
     support transfers to the swing target (at tick 0, the initial stance at
-    its height), parity becomes m and the stance height re-derives omega and
-    cosh/sinh(omega*dt). A non-positive pendulum height or an overflowing
-    cosh fails the run; at tick 0 with no rows, later with the touchdown row,
-    which keeps the previous step's omega on a bad height. A touchdown (m >=
-    1) whose capture point or CoM lies beyond reach_limit of the new stance
-    fails too.
+    its height), parity becomes m and the stance height re-derives omega. A
+    non-positive pendulum height or an overflowing cosh(omega*dt) fails the
+    run; at tick 0 with no rows, later with the touchdown row, which keeps
+    the previous step's omega on a bad height. A touchdown (m >= 1) whose
+    capture point or CoM lies beyond reach_limit of the new stance fails
+    too.
 
-    Per tick: the schedule's (tick, vx, vy, width) switches take effect (the
-    first holds from tick 0); at the step's first tick, or every tick when
-    replan_every_tick, the target is planned over the remaining time
-    Ts - (i - i0)*dt (offsets over Ts) as plan_placement plans it, and
-    snap_to_steppable moves it onto steppable ground (one node memo per
-    run, and with replan_every_tick one `last` list; see
-    snap_to_steppable); then the tick's row is recorded and the CoM
-    propagates over dt by lip_step. Of the plan, placement_offsets runs at
-    the step's first plan and at the first plan after a switch, the only
-    places where its inputs change, and placement_at every plan, so every
-    target equals plan_placement's bit for bit. A snapped node met again
-    keeps the height grid_bilinear gave it.
-    A plan whose exp overflows keeps the previous target; no steppable
-    ground keeps the raw one. grid is the run's Grid view of its terrain,
-    or None on flat ground (nothing snapped, every height 0). heading is the
-    fallback heading until the first plan. Pass com_x .. heading as Python
-    floats, not numpy scalars.
+    The step's CoM states are closed form from its touchdown state, with no
+    per-tick propagation: tick i0 + j holds the touchdown state itself at
+    j = 0 and lip_step over j*dt for j = 1 .. n, n = min(ticks_per_step,
+    n_ticks - i0); the state at j = n is the next touchdown's. The cosh/sinh
+    pairs come from hyperbolics (math.cosh and math.sinh, as
+    lip_core.com_trajectory takes them), computed again only when omega
+    changes. A bound on every value of the block proves it finite in one
+    test; only where the bound fails are the states scanned. A non-finite
+    state at j, or a cosh/sinh of j*dt that overflows (math raises
+    OverflowError where the value would be inf), fails the run at time
+    (i0 + j) * dt after the row of tick i0 + j - 1, as a propagation from
+    tick to tick would. With vel_x_only and planning once a step, only the
+    vel_x column and the state at n are evaluated; the bound covers the
+    rest.
+
+    The step plans at its first tick, or at every tick when
+    replan_every_tick: the schedule's (tick, vx, vy, width) switches up to
+    that tick take effect (the first holds from tick 0), the target is
+    planned over the remaining time Ts - j*dt (offsets over Ts) as
+    plan_placement plans it, and snap_to_steppable moves it onto steppable
+    ground (one node memo per run, and with replan_every_tick one `last`
+    list; see snap_to_steppable). Of the plan, placement_offsets runs at the
+    step's first plan and at the first plan after a switch, the only places
+    where its inputs change, and placement_at every plan, so every target
+    equals plan_placement's bit for bit. A snapped node met again keeps the
+    height grid_bilinear gave it. A plan whose exp overflows keeps the
+    previous target; no steppable ground keeps the raw one. Planning once a
+    step, the step's rows share its target and come as one block
+    (_block_rows). grid is the run's Grid view of its terrain, or None on
+    flat ground (nothing snapped, every height 0). heading is the fallback
+    heading until the first plan. Pass com_x .. heading as Python floats,
+    not numpy scalars.
 
     Each failure only sets the outcome; one exit after the failed tick's row
-    stops the run at that row's time, except a non-finite CoM state after
-    lip_step, which fails at (i + 1) * dt. A row is one float tuple of the
+    stops the run at that row's time, except a non-finite state, which fails
+    at its own tick's time as above. A row is one float tuple of the
     columns COL_TIME .. COL_PARITY (the gait-phase columns are the caller's),
     and the rows stack into an (n_recorded, COL_PARITY + 1) array. Returns
     (n_recorded, outcome, fail_time, rows). With vel_x_only each row is its
     vel_x alone and rows is the 1-D array of them; n_recorded stays first.
     """
     Ts = ticks_per_step * dt
+    spans = (np.arange(1, ticks_per_step + 1) * dt).tolist()  # j * dt, j = 1 .. k, exactly
+    hyp_omega = None
     tg_x, tg_y, tg_z = st_x, st_y, 0.0
     if grid is not None:
         memo = bytearray(grid.rows * grid.cols)
@@ -607,10 +672,9 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
             outcome = OUTCOME_BAD_HEIGHT
         else:
             omega = math.sqrt(g / z0)
-            try:
-                ch = math.cosh(omega * dt)
-                sh = math.sinh(omega * dt)
-            except OverflowError:
+            if omega != hyp_omega:
+                hyp_omega, hyp = omega, hyperbolics(omega, spans)
+            if not hyp:
                 outcome = OUTCOME_NON_FINITE
         if outcome != OUTCOME_COMPLETED:
             if i0 == 0:
@@ -620,8 +684,44 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                          or math.hypot(st_x - com_x, st_y - com_y) > reach_limit):
             outcome = OUTCOME_REACH
 
-        for i in range(i0, min(i0 + ticks_per_step, n_ticks)):
-            t_now = i * dt
+        # The step's states, j = 0 .. n, of which the first n_ok + 1 are finite.
+        n = min(ticks_per_step, n_ticks - i0)
+        cxs, cys, vxs, vys = [com_x], [com_y], [vel_x], [vel_y]
+        n_ok = 0
+        if outcome == OUTCOME_COMPLETED:
+            block = hyp if n == len(hyp) else hyp[:n]
+            ch, sh = block[-1]
+            # Every value lip_step computes over the block, intermediates
+            # included, is at most this bound times a few roundings: cosh and
+            # sinh grow with t, so the last pair bounds the others (libm's
+            # ulp aside). Below 1e300 the block is finite with a margin of
+            # 1e8 to the float range.
+            finite = len(block) == n and (
+                max(abs(st_x), abs(st_y))
+                + max(abs(com_x - st_x), abs(com_y - st_y)) * (1.0 + omega)
+                + max(abs(vel_x), abs(vel_y)) * (1.0 + 1.0 / omega)) * (1.0 + ch + sh) < 1e300
+            if finite and vel_x_only and not replan_every_tick:
+                # the rows need vel_x alone, and the next touchdown the state at n
+                vxs += lip_velocity(com_x, vel_x, st_x, omega, block)
+                tail = block[-1:]
+                (x,), (y,), (v,) = (lip_position(com_x, vel_x, st_x, omega, tail),
+                                    lip_position(com_y, vel_y, st_y, omega, tail),
+                                    lip_velocity(com_y, vel_y, st_y, omega, tail))
+                touchdown = x, y, vxs[-1], v
+                n_ok = n
+            else:
+                for col, new in zip((cxs, cys, vxs, vys),
+                                    lip_step(com_x, com_y, vel_x, vel_y, st_x, st_y, omega, block)):
+                    col += new
+                touchdown = cxs[-1], cys[-1], vxs[-1], vys[-1]
+                n_ok = n if finite else next(
+                    (j - 1 for j, s in enumerate(zip(cxs, cys, vxs, vys))
+                     if not all(map(math.isfinite, s))), len(block))
+        n_rows = min(n, n_ok + 1)
+
+        for j, com_x, com_y, vel_x, vel_y in zip(range(n_rows if replan_every_tick else 1),
+                                                 cxs, cys, vxs, vys):
+            i = i0 + j
             while cmd_i + 1 < n_cmd and i >= schedule[cmd_i + 1][0]:
                 cmd_i += 1
                 _, vx, vy, w = schedule[cmd_i]
@@ -629,13 +729,12 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
             icp_x = com_x + vel_x / omega
             icp_y = com_y + vel_y / omega
 
-            if (i == i0 or replan_every_tick) and outcome == OUTCOME_COMPLETED:
+            if outcome == OUTCOME_COMPLETED:
                 try:
                     if fresh:
                         offsets = placement_offsets(omega, Ts, Ts, vx, vy, w, parity, heading)
                         fresh = False
-                    x, y = placement_at(icp_x, icp_y, st_x, st_y, omega, Ts - (i - i0) * dt,
-                                        offsets)
+                    x, y = placement_at(icp_x, icp_y, st_x, st_y, omega, Ts - j * dt, offsets)
                 except OverflowError:
                     outcome = OUTCOME_NON_FINITE
                 else:
@@ -656,25 +755,31 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                                 node_x, node_y, node_z = sx, sy, grid_bilinear(grid, sx, sy)
                             tg_x, tg_y, tg_z = sx, sy, node_z
 
-            if vel_x_only:
-                rows.append(vel_x)
-            else:
-                # columns COL_TIME .. COL_PARITY, in order
-                rows.append((t_now, com_x, com_y, vel_x, vel_y, icp_x, icp_y,
-                             st_x, st_y, st_z, tg_x, tg_y, tg_z, heading, parity))
+            if replan_every_tick:
+                if vel_x_only:
+                    rows.append(vel_x)
+                else:
+                    # columns COL_TIME .. COL_PARITY, in order
+                    rows.append((i * dt, com_x, com_y, vel_x, vel_y, icp_x, icp_y,
+                                 st_x, st_y, st_z, tg_x, tg_y, tg_z, heading, parity))
             if outcome != OUTCOME_COMPLETED:
-                fail_time = t_now
+                fail_time = i * dt
+                n_rows = j + 1
                 break
 
-            com_x, com_y, vel_x, vel_y = lip_step(
-                com_x, com_y, vel_x, vel_y, st_x, st_y, omega, ch, sh)
-            if not (math.isfinite(com_x) and math.isfinite(com_y)
-                    and math.isfinite(vel_x) and math.isfinite(vel_y)):
-                outcome = OUTCOME_NON_FINITE
-                fail_time = (i + 1) * dt
-                break
+        if not replan_every_tick:
+            if vel_x_only:
+                rows += vxs[:n_rows]
+            else:
+                rows += _block_rows(range(i0, i0 + n_rows), dt, omega, cxs, cys, vxs, vys,
+                                    (st_x, st_y, st_z, tg_x, tg_y, tg_z, heading, parity))
         if outcome != OUTCOME_COMPLETED:
             break
+        if n_ok < n:
+            outcome = OUTCOME_NON_FINITE
+            fail_time = (i0 + n_ok + 1) * dt
+            break
+        com_x, com_y, vel_x, vel_y = touchdown
 
     rows = np.array(rows, dtype=np.float64)
     if not vel_x_only:

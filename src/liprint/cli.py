@@ -158,10 +158,20 @@ def _apply_config_file(argv):
     return argv[:depth] + extra + argv[depth:]
 
 
+def _step_command(vx, vy, width) -> StepCommand:
+    """The StepCommand of the velocity and width flags. A non-finite
+    velocity is named by its flag, --vx or --vy (sweep checks its --vx-list
+    values as it parses them)."""
+    for flag, v in (("--vx", vx), ("--vy", vy)):
+        if not math.isfinite(v):
+            raise _UsageError(f"{flag} must be finite, got {v!r}")
+    return StepCommand(v_cmd=(vx, vy), w_cmd=width)
+
+
 def _make_config(args, terrain_spec, vx) -> sim.SimConfig:
     """The run config of the parsed flags at forward speed vx: simulate's
     --vx, or one of sweep's --vx-list values (sweep has no --vx)."""
-    cmd = StepCommand(v_cmd=(vx, args.vy), w_cmd=args.width)
+    cmd = _step_command(vx, args.vy, args.width)
     replan = args.replan
     if replan is None:
         replan = (sim.REPLAN_AT_STEP_START if terrain_spec is None
@@ -241,6 +251,9 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise _UsageError(f"bad --vx-list {args.vx_list!r}: expected comma-separated "
                           "numbers") from None
+    bad = next((v for v in vx_values if not math.isfinite(v)), None)
+    if bad is not None:
+        raise _UsageError(f"bad --vx-list {args.vx_list!r}: {bad!r} is not finite")
     terrain_texts = args.terrain if args.terrain else ["flat"]
     configs = []
     labels = []
@@ -273,7 +286,7 @@ def _state_numbers(state_spec: dict, key: str) -> list:
 def _cmd_plan(args) -> int:
     if args.vx is None:
         raise _UsageError("plan requires --vx")
-    cmd = StepCommand(v_cmd=(args.vx, args.vy), w_cmd=args.width)
+    cmd = _step_command(args.vx, args.vy, args.width)
     state_spec = {"com": [0.0, 0.0], "vel": [0.0, 0.0],
                   "stance": [0.0, -cmd.w_cmd / 2.0], "parity": 0}
     try:

@@ -3,7 +3,10 @@
 The plant is the pendulum itself: support transfers to the planned target
 instantaneously at each step boundary, the stance height re-derives the
 pendulum frequency (commanded base height minus stance height), and the
-CoM propagates analytically between boundaries. Planning runs either once
+CoM follows the pendulum's closed form between boundaries: each tick's
+state is evaluated from the step's touchdown state over the time since
+touchdown, not propagated tick by tick, so its rounding does not build up
+over the step (_kernels.sim_loop). Planning runs either once
 per step or every tick, through the same kernel as planner.plan_step;
 targets are snapped to steppable ground and their elevation refined from
 the terrain. The kernels read the terrain through its grid view: a

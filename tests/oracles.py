@@ -3,10 +3,13 @@
 These deliberately avoid the library's closed-form propagation: the CoM
 oracle integrates the second-order pendulum ODE with fixed-step RK4, and
 the offset oracle solves the step-geometry equations by bisection on the
-exponential capture-point prediction.
+exponential capture-point prediction. The decimal oracle evaluates the
+closed form itself, but in 60-digit arithmetic, as the measure of the
+float evaluations' rounding.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -38,8 +41,10 @@ def rk4_lip(pos0, vel0, foot, omega, duration, dt):
 
 
 def lip_step_over(cx, cy, vx, vy, px, py, omega, t):
-    """The closed-form CoM step with cosh/sinh of omega*t taken inline, as
-    the kernel computed it before they became arguments."""
+    """The closed-form CoM step over one duration t with cosh/sinh of
+    omega*t taken inline, as the kernel computed it before they became
+    arguments; chained over dt, the stepping loop before each step's
+    states came in closed form from its touchdown."""
     ch = math.cosh(omega * t)
     sh = math.sinh(omega * t)
     rx = cx - px
@@ -49,6 +54,26 @@ def lip_step_over(cx, cy, vx, vy, px, py, omega, t):
     nvx = rx * omega * sh + vx * ch
     nvy = ry * omega * sh + vy * ch
     return nx, ny, nvx, nvy
+
+
+def lip_decimal(cx, cy, vx, vy, px, py, omega, t, digits=60):
+    """The closed-form CoM state after time t about the stance (px, py),
+    evaluated in `digits`-digit decimal arithmetic from the float inputs
+    taken exactly (t may be a Decimal): per column (x, y, vx, vy), the pair
+    (value, scale), scale the sum of the magnitudes of the value's terms,
+    |p| + |r|*cosh + |v|*sinh/omega or |r|*omega*sinh + |v|*cosh."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        w = Decimal(omega)
+        e = (w * Decimal(t)).exp()
+        ch = (e + 1 / e) / 2
+        sh = (e - 1 / e) / 2
+        pos, vel = [], []
+        for c, v, p in ((cx, vx, px), (cy, vy, py)):
+            r, v, p = Decimal(c) - Decimal(p), Decimal(v), Decimal(p)
+            pos.append((p + r * ch + v * sh / w, abs(p) + abs(r) * ch + abs(v) * sh / w))
+            vel.append((r * w * sh + v * ch, abs(r) * w * sh + abs(v) * ch))
+        return (*pos, *vel)
 
 
 def plan_placement_inline(icp_x, icp_y, st_x, st_y, omega, dt_pred, span, Ts,
@@ -272,8 +297,11 @@ def reference_run(config, schedule):
       ("no ground") and the target is the raw plan at height 0;
     - the row is recorded at time i * dt; a failed tick ends the run with
       its own time as the failure time;
-    - else the CoM moves over dt by com_trajectory; a non-finite state
-      fails the run at time (i + 1) * dt.
+    - else the CoM moves to tick i + 1: com_trajectory from the step's
+      touchdown state (the state at its start, with the stance's pendulum)
+      over (s + 1) * dt, not a chain of moves over dt. A non-finite state,
+      or a cosh of that duration that overflows, fails the run at time
+      (i + 1) * dt.
     """
     from liprint import _kernels, sim, terrain
     from liprint.gait import GaitParams, GaitState
@@ -312,8 +340,8 @@ def reference_run(config, schedule):
                 if z0 <= 0.0:
                     outcome = _kernels.OUTCOME_BAD_HEIGHT
                 else:
-                    state = LipState(com_pos=state.com_pos, com_vel=state.com_vel,
-                                     params=LipParams(g=config.lip.g, z0=z0))
+                    state = touchdown = LipState(com_pos=state.com_pos, com_vel=state.com_vel,
+                                                 params=LipParams(g=config.lip.g, z0=z0))
                     try:
                         math.cosh(state.params.omega0 * dt)
                     except OverflowError:
@@ -353,8 +381,8 @@ def reference_run(config, schedule):
                 fail_time = i * dt
                 break
             try:
-                state = com_trajectory(state, stance, dt)
-            except ValueError:
+                state = com_trajectory(touchdown, stance, (s + 1) * dt)
+            except (ValueError, OverflowError):
                 outcome = _kernels.OUTCOME_NON_FINITE
                 fail_time = (i + 1) * dt
                 break

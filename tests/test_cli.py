@@ -62,14 +62,17 @@ class TestSimulate:
         assert rc == 1
 
     def test_non_finite_state_fails_with_manifest_reason(self, tmp_path):
-        # a reach limit nothing exceeds lets the fast pendulum blow up
+        # omega*Ts = 444: a step stretches the CoM's offset from the stance by
+        # about e**444, so the CoM is near 1e192 m at the first touchdown and
+        # the second step's state overflows at tick 56, a reach limit that
+        # nothing exceeds letting it run
         out = tmp_path / "t.csv"
-        rc = main(["simulate", "--vx", "1", "--g", "1e5", "--reach-limit", "1e300",
+        rc = main(["simulate", "--vx", "1", "--g", "1e6", "--reach-limit", "1e300",
                    "--duration", "5", "--out", str(out)])
         assert rc == 2
         outcome = json.loads((tmp_path / "t.manifest.json").read_text())["outcome"]
         assert outcome["reason"] == "non-finite state"
-        assert outcome["time"] == pytest.approx(2.02, abs=1e-9)
+        assert outcome["time"] == pytest.approx(0.56, abs=1e-9)
         assert len(read(out)) == outcome["samples"] + 1
 
     @pytest.mark.parametrize("flag,value", [("--g", "1e300"), ("--base-height", "1e-300")])
@@ -1111,6 +1114,16 @@ class TestUsage:
         assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    # the flag and its value, not StepCommand's field and numpy's array repr
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--vx", "nan"], "--vx must be finite, got nan"),
+        (["sweep", "--vx-list", "1,nan"], "bad --vx-list '1,nan': nan is not finite"),
+        (["plan", "--vx", "1", "--vy", "nan"], "--vy must be finite, got nan"),
+    ], ids=["simulate-vx", "sweep-vx-list", "plan-vy"])
+    def test_non_finite_velocity_names_its_flag(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_parsed_defaults_are_the_library_defaults(self):
         args = build_parser().parse_args(["simulate", "--vx", "1"])

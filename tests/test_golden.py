@@ -47,31 +47,31 @@ CASES = {
 }
 
 GOLDEN = {
-    "flat-step": "ae411b3a0b8a467bca2d20088deed2fc3aadf9e0659cb8bbd1355b9475c2bee6",
-    "flat-tick": "05598e128763bfcc800e773ffa83f5987bbe8fa8ec845933d79722f3a5b1ce35",
-    "rough-step": "9734b027bc5eb509355e6c3060a05d45e631fce9a32659d2cbaa729a2f2f2f19",
-    "rough-tick": "0ce505501119fae64e2e6dc975557ebb6379de85aaad2a8a46932e33728f8ae9",
-    "gap-step": "5336d0fc798d4fc57d8744a0abe4cb9d63d5f9e254b2ee3de497071682585c6f",
-    "gap-tick": "688c9c85957dd9a50e26029ea8dc07bc729f6d89fe9806bb9a74f4449ac0ff93",
-    "turn-90": "c7b5c1905d66d273e047e9525c3de060f9b4ed697630f88fe113e41c77519efc",
-    "turn-180-at-0": "5252d12ce18d414a3c3fe11c915e7c1af51ea48d9e8ced71b93088fff00adcb8",
+    "flat-step": "2366691dc133c749c03ba11e4695c937803762ae21ee1f24545a83da9e4869fd",
+    "flat-tick": "3659cf9349a485008bc7a6c3f4bb97f4669bddce4aeb877db6a1bcf48a4ea77c",
+    "rough-step": "b91e3d403466e2b51a63e751c4c8200281c08b58bd73a073ed4387d80bad8794",
+    "rough-tick": "7de46a8e5a70ef3ce32d9c4c708411a5179189ba3fbd0848257bb139da2c489e",
+    "gap-step": "0dee5123ad2337f9965381f2a458e2c06a4cc214c83f7f9b7ee948d657eeb603",
+    "gap-tick": "154d39dd5e67f50da96e004c67a555932f9ecb45d4aa6a9216419b1c900e8ea9",
+    "turn-90": "636225e3b882cb80ab616eeb807866cfd78c9430e7576b978f91ae4a6d764ec3",
+    "turn-180-at-0": "f101b49eb722e98ced7fa5512d3a5d3cc9a3a22e48c7bed22451b7190d702d83",
     "impassable-gap": "6bfac339345e1bd165c3fafafa940b7eb208ac7ad0b33906019a945fb6c4458e",
-    "reach-failure": "394ecca49e6888c1ccd9acd67520c5cbda2e8dfc3c1734b7f270121b79e421e4",
+    "reach-failure": "0122035ed2aab46798d03aa39b4209f385658330e9410ed3b8237548610c1919",
     "height-failure": "d555efc9d8dd3258c2fe5e05b18a1f97dc80c281dfd70a7425eda130d1d3601e",
     "sweep": "d1bc7f12af993d636cd50afae431c51b8f9bdd65c62ddd758921df604dbd0eea",
-    "score": "54812c4a756e6b26ac5e46fb06d57816e1b26878c27db1b177d939d64db4da74",
+    "score": "c7a9a71e7dc9b7c6e7d89a72a08598cafbeb05afb38fd71019572601d4846a06",
 }
 
 # step-event JSON of each simulate case
 GOLDEN_EVENTS = {
-    "flat-step": "2b5debfbf0ed266d51551afd55a5057f3683c733c7625100ec206d2893a7a8e3",
-    "flat-tick": "02ff809f31bf4023c0701f33ccdedb4131b3083e17cf24e04e7f20c596a1e12a",
-    "rough-step": "fc1cb774f2f2b86102f9c5c9d276426f44e42f824d40836fd66d3df96ee1cc50",
-    "rough-tick": "39fe54513b0c07df0fe36d3f7040f1b04c700a9a3ef8d925eba3848557d43383",
-    "gap-step": "89542f80b167fb1b6102ae5fb72ec926cbf0221570c5fde3d6f0557a9211b0c9",
-    "gap-tick": "c2ae735365cec3a9205b45b188184122c58a7e7bc9e7828d74f764371af54d87",
-    "turn-90": "7226785484207b92d3677899d806333cc83c426e386e39528a98151b42a047ca",
-    "turn-180-at-0": "d5e3d6d99b02edf822bb1eacbb5d99853db7776e7240a1319851ac8adc0ebe1e",
+    "flat-step": "1398ffbf2c3cb71790a0fcaad70407dd6ae1fcd0141c6be1708ec157472a859f",
+    "flat-tick": "69df197d4933017454f97af440f3d8a16e61b71176c965fb90c194226197c9d1",
+    "rough-step": "73418a6b0f182926c0c0177d2f89d6eb4d81e2cce7e13ce126ec2a73003aba8c",
+    "rough-tick": "89a554df0a4a05c86da2060133bf86c5e42908875fc815cb877688b975d4bddc",
+    "gap-step": "1207bcf7f3eff31fe62634df91dc27bf7a145ac0e4757fecbd43dff94da911ad",
+    "gap-tick": "cefabcdac45f7272e1de4805b9b5f15642f42dd2e9a836d54c10336c473021d0",
+    "turn-90": "a17e43a26e57b763c1f23e46d54eca63213504f6eee191f8698a4f97ab504ed6",
+    "turn-180-at-0": "8ac3c74bf28b58320e6fb26d1212d312d8c0ef6c6536bdc47d7847c0a7e34de7",
     "impassable-gap": "656a8ff98f2472b73d4a148f4bf5196b16c117f513952608b9e49b1c2c766210",
     "reach-failure": "002cd9924f6141c834a7d8e0d174c36976c939e3191355b63c216e6564222cf4",
     "height-failure": "656a8ff98f2472b73d4a148f4bf5196b16c117f513952608b9e49b1c2c766210",

@@ -1,8 +1,10 @@
 import functools
 import json
 import math
+import sys
 import warnings
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import numpy.testing as npt
@@ -23,8 +25,9 @@ from liprint._kernels import (COL_COM_X, COL_COM_Y, COL_CONTACT_SCHED, COL_ICP_X
                               COL_TARGET_HEADING, COL_TARGET_X, COL_TARGET_Y,
                               COL_TARGET_Z, COL_TIME, COL_VEL_X, COL_VEL_Y, FOOT_RADIUS)
 
-from oracles import (reference_run, sweep_per_trial, write_rewards_csv_per_value,
-                     write_step_events_per_event, write_trajectory_csv_per_value)
+from oracles import (lip_decimal, lip_step_over, reference_run, sweep_per_trial,
+                     write_rewards_csv_per_value, write_step_events_per_event,
+                     write_trajectory_csv_per_value)
 
 
 def config(vx=1.0, vy=0.0, duration=10.0, replan=sim_mod.REPLAN_AT_STEP_START,
@@ -991,6 +994,66 @@ class TestStepStarts:
         table = sim_mod._phase_table(k, cfg.dt)
         npt.assert_array_equal(arr[:, COL_CONTACT_SCHED:COL_PHASE_COS + 1],
                                table[i % (2 * k)])
+
+
+class TestClosedFormStates:
+    """sim_loop's CoM states against the closed form in 60-digit decimal
+    arithmetic from the same float inputs, at the exact tick time j*dt."""
+
+    def test_states_are_within_a_few_ulps_and_beat_the_chain(self):
+        # 300 seeded steps of 35 ticks on flat ground; n_ticks = 36 makes
+        # row 35 the next touchdown, the step's state at j = 35
+        rng = np.random.default_rng(13)
+        k, dt = 35, 0.01
+        closed, chained = [], []  # errors in units of 2**-53 of each value's scale
+        for _ in range(300):
+            z0 = rng.uniform(0.4, 0.8)
+            omega = math.sqrt(9.81 / z0)
+            px, py = rng.uniform(-5.0, 5.0, 2).tolist()
+            cx, cy = (np.array([px, py]) + rng.uniform(-0.3, 0.3, 2)).tolist()
+            start = [cx, cy, *rng.uniform(-1.5, 1.5, 2).tolist()]
+            n_rec, outcome, _, rows = _kernels.sim_loop(
+                k + 1, dt, k, 9.81, z0, [(0, 0.5, 0.0, 0.3)], False, math.inf, None,
+                *start, px, py, 0.0)
+            assert (n_rec, outcome) == (k + 1, _kernels.OUTCOME_COMPLETED)
+            chain = start
+            for j in range(1, k + 1):
+                chain = lip_step_over(*chain, px, py, omega, dt)
+                exact = lip_decimal(*start, px, py, omega, Decimal(dt) * j)
+                state = rows[j, COL_COM_X:COL_VEL_Y + 1].tolist()
+                for got, old, (value, scale) in zip(state, chain, exact):
+                    closed.append(float(abs(Decimal(got) - value) / scale) * 2.0 ** 53)
+                    chained.append(float(abs(Decimal(old) - value) / scale) * 2.0 ** 53)
+        # rounding j*dt, omega*t, libm's cosh/sinh and the four operations
+        # of a value cost a few units each
+        assert max(closed) <= 8.0
+        assert max(closed) < max(chained) and np.median(closed) < np.median(chained)
+
+    @pytest.mark.parametrize("every_tick,vel_x_only", [(False, False), (False, True),
+                                                       (True, False)])
+    def test_non_finite_mid_step(self, every_tick, vel_x_only):
+        # at rest over the stance with vel_x = 1e308: vel_x * cosh(omega*t)
+        # leaves the float range within the first step, at the first tick
+        # where the decimal closed form does, while the plan stays finite
+        dt, k, z0 = 0.01, 35, 0.62
+        omega = math.sqrt(9.81 / z0)
+        start = [0.0, 0.0, 1e308, 0.0]
+        j_bad = next(j for j in range(1, k + 1)
+                     if any(abs(value) > sys.float_info.max for value, _ in
+                            lip_decimal(*start, 0.0, 0.0, omega, Decimal(dt) * j)))
+        assert 1 < j_bad < k
+        n_rec, outcome, fail_time, rows = _kernels.sim_loop(
+            k, dt, k, 9.81, z0, [(0, 0.5, 0.0, 0.3)], every_tick, math.inf, None,
+            *start, 0.0, 0.0, 0.0, vel_x_only=vel_x_only)
+        assert (n_rec, outcome, fail_time) == (j_bad, _kernels.OUTCOME_NON_FINITE, j_bad * dt)
+        assert np.isfinite(rows).all()
+
+    def test_hyperbolics_stop_at_the_first_overflow(self):
+        # cosh(100 * t) overflows from t = 7.11 on
+        spans = [float(t) for t in range(1, 11)]
+        hyp = _kernels.hyperbolics(100.0, spans)
+        assert hyp == [(math.cosh(100.0 * t), math.sinh(100.0 * t)) for t in spans[:7]]
+        assert _kernels.hyperbolics(1e300, spans) == []
 
 
 class TestSimLoopRows:
