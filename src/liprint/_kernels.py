@@ -115,17 +115,14 @@ def hyperbolics(omega, spans):
     first that overflows: there math raises OverflowError where the value
     would be inf, as would every later one."""
     cosh, sinh = math.cosh, math.sinh
-    wt = [omega * t for t in spans]
+    hyp = []
     try:
-        return [(cosh(x), sinh(x)) for x in wt]
+        for t in spans:
+            x = omega * t
+            hyp.append((cosh(x), sinh(x)))
     except OverflowError:
-        hyp = []
-        for x in wt:
-            try:
-                hyp.append((cosh(x), sinh(x)))
-            except OverflowError:
-                break
-        return hyp
+        pass
+    return hyp
 
 
 def icp_step(xx, xy, px, py, omega, t):
@@ -578,16 +575,6 @@ def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None):
     return found, nx, ny
 
 
-def _block_rows(ticks, dt, omega, cxs, cys, vxs, vys, fixed):
-    """The rows of `ticks`, a run of ticks from a step's first, when the
-    step plans once: per tick its time, CoM state (the columns' entries
-    from the first on) and capture point, then `fixed`, the step's columns
-    COL_STANCE_X .. COL_PARITY. (A function of its own, so that sim_loop's
-    locals stay out of a comprehension's closure.)"""
-    return [(i * dt, x, y, u, v, x + u / omega, y + v / omega) + fixed
-            for i, x, y, u, v in zip(ticks, cxs, cys, vxs, vys)]
-
-
 def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
              replan_every_tick, reach_limit, grid,
              com_x, com_y, vel_x, vel_y, st_x, st_y, heading, *, vel_x_only=False):
@@ -631,11 +618,10 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     equals plan_placement's bit for bit. A snapped node met again keeps the
     height grid_bilinear gave it. A plan whose exp overflows keeps the
     previous target; no steppable ground keeps the raw one. Planning once a
-    step, the step's rows share its target and come as one block
-    (_block_rows). grid is the run's Grid view of its terrain, or None on
-    flat ground (nothing snapped, every height 0). heading is the fallback
-    heading until the first plan. Pass com_x .. heading as Python floats,
-    not numpy scalars.
+    step, the step's rows share its target. grid is the run's Grid view of
+    its terrain, or None on flat ground (nothing snapped, every height 0).
+    heading is the fallback heading until the first plan. Pass com_x ..
+    heading as Python floats, not numpy scalars.
 
     Each failure only sets the outcome; one exit after the failed tick's row
     stops the run at that row's time, except a non-finite state, which fails
@@ -644,6 +630,8 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     and the rows stack into an (n_recorded, COL_PARITY + 1) array. Returns
     (n_recorded, outcome, fail_time, rows). With vel_x_only each row is its
     vel_x alone and rows is the 1-D array of them; n_recorded stays first.
+    Planning once a step, such rows come as the step's vel_x block, with no
+    per-tick iteration.
     """
     Ts = ticks_per_step * dt
     spans = (np.arange(1, ticks_per_step + 1) * dt).tolist()  # j * dt, j = 1 .. k, exactly
@@ -661,6 +649,8 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     outcome = OUTCOME_COMPLETED
     fail_time = 0.0
     rows = []
+    # planning once a step, vel_x-only rows come as the step's block
+    block_vel_x = vel_x_only and not replan_every_tick
 
     for i0 in range(0, n_ticks, ticks_per_step):
         # Step start: the support transfers to the swing target.
@@ -700,7 +690,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                 max(abs(st_x), abs(st_y))
                 + max(abs(com_x - st_x), abs(com_y - st_y)) * (1.0 + omega)
                 + max(abs(vel_x), abs(vel_y)) * (1.0 + 1.0 / omega)) * (1.0 + ch + sh) < 1e300
-            if finite and vel_x_only and not replan_every_tick:
+            if finite and block_vel_x:
                 # the rows need vel_x alone, and the next touchdown the state at n
                 vxs += lip_velocity(com_x, vel_x, st_x, omega, block)
                 tail = block[-1:]
@@ -719,7 +709,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                      if not all(map(math.isfinite, s))), len(block))
         n_rows = min(n, n_ok + 1)
 
-        for j, com_x, com_y, vel_x, vel_y in zip(range(n_rows if replan_every_tick else 1),
+        for j, com_x, com_y, vel_x, vel_y in zip(range(1 if block_vel_x else n_rows),
                                                  cxs, cys, vxs, vys):
             i = i0 + j
             while cmd_i + 1 < n_cmd and i >= schedule[cmd_i + 1][0]:
@@ -729,7 +719,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
             icp_x = com_x + vel_x / omega
             icp_y = com_y + vel_y / omega
 
-            if outcome == OUTCOME_COMPLETED:
+            if (replan_every_tick or j == 0) and outcome == OUTCOME_COMPLETED:
                 try:
                     if fresh:
                         offsets = placement_offsets(omega, Ts, Ts, vx, vy, w, parity, heading)
@@ -755,24 +745,19 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                                 node_x, node_y, node_z = sx, sy, grid_bilinear(grid, sx, sy)
                             tg_x, tg_y, tg_z = sx, sy, node_z
 
-            if replan_every_tick:
-                if vel_x_only:
-                    rows.append(vel_x)
-                else:
-                    # columns COL_TIME .. COL_PARITY, in order
-                    rows.append((i * dt, com_x, com_y, vel_x, vel_y, icp_x, icp_y,
-                                 st_x, st_y, st_z, tg_x, tg_y, tg_z, heading, parity))
+            if not vel_x_only:
+                # columns COL_TIME .. COL_PARITY, in order
+                rows.append((i * dt, com_x, com_y, vel_x, vel_y, icp_x, icp_y,
+                             st_x, st_y, st_z, tg_x, tg_y, tg_z, heading, parity))
+            elif not block_vel_x:
+                rows.append(vel_x)
             if outcome != OUTCOME_COMPLETED:
                 fail_time = i * dt
                 n_rows = j + 1
                 break
 
-        if not replan_every_tick:
-            if vel_x_only:
-                rows += vxs[:n_rows]
-            else:
-                rows += _block_rows(range(i0, i0 + n_rows), dt, omega, cxs, cys, vxs, vys,
-                                    (st_x, st_y, st_z, tg_x, tg_y, tg_z, heading, parity))
+        if block_vel_x:
+            rows += vxs[:n_rows]
         if outcome != OUTCOME_COMPLETED:
             break
         if n_ok < n:
