@@ -616,10 +616,12 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     step's first plan and at the first plan after a switch, the only places
     where its inputs change, and placement_at every plan, so every target
     equals plan_placement's bit for bit. A snapped node met again keeps the
-    height grid_bilinear gave it. A plan whose exp overflows keeps the
-    previous target; no steppable ground keeps the raw one. Planning once a
-    step, the step's rows share its target. grid is the run's Grid view of
-    its terrain, or None on flat ground (nothing snapped, every height 0).
+    height grid_bilinear gave it. A plan whose exp overflows, or whose
+    target is not finite, fails the run as a non-finite state at its tick
+    and keeps the previous target and heading; no steppable ground keeps
+    the raw target. Planning once a step, the step's rows share its
+    target. grid is the run's Grid view of its terrain, or None on flat
+    ground (nothing snapped, every height 0).
     heading is the fallback heading until the first plan. Pass com_x ..
     heading as Python floats, not numpy scalars.
 
@@ -629,8 +631,8 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     columns COL_TIME .. COL_PARITY (the gait-phase columns are the caller's),
     and the rows stack into an (n_recorded, COL_PARITY + 1) array. Returns
     (n_recorded, outcome, fail_time, rows). With vel_x_only each row is its
-    vel_x alone and rows is the 1-D array of them; n_recorded stays first.
-    Planning once a step, such rows come as the step's vel_x block, with no
+    vel_x alone, added as one block per step, and rows is the 1-D array of
+    them; n_recorded stays first. Planning once a step, such rows need no
     per-tick iteration.
     """
     Ts = ticks_per_step * dt
@@ -649,7 +651,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     outcome = OUTCOME_COMPLETED
     fail_time = 0.0
     rows = []
-    # planning once a step, vel_x-only rows come as the step's block
+    # planning once a step, vel_x-only rows need no per-tick iteration
     block_vel_x = vel_x_only and not replan_every_tick
 
     for i0 in range(0, n_ticks, ticks_per_step):
@@ -726,6 +728,8 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                         fresh = False
                     x, y = placement_at(icp_x, icp_y, st_x, st_y, omega, Ts - j * dt, offsets)
                 except OverflowError:
+                    x = math.nan
+                if not (math.isfinite(x) and math.isfinite(y)):
                     outcome = OUTCOME_NON_FINITE
                 else:
                     heading = offsets[4]
@@ -749,20 +753,18 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                 # columns COL_TIME .. COL_PARITY, in order
                 rows.append((i * dt, com_x, com_y, vel_x, vel_y, icp_x, icp_y,
                              st_x, st_y, st_z, tg_x, tg_y, tg_z, heading, parity))
-            elif not block_vel_x:
-                rows.append(vel_x)
             if outcome != OUTCOME_COMPLETED:
                 fail_time = i * dt
                 n_rows = j + 1
                 break
 
-        if block_vel_x:
-            rows += vxs[:n_rows]
-        if outcome != OUTCOME_COMPLETED:
-            break
-        if n_ok < n:
+        if outcome == OUTCOME_COMPLETED and n_ok < n:
+            # the rows stop before the first non-finite state, at its own time
             outcome = OUTCOME_NON_FINITE
             fail_time = (i0 + n_ok + 1) * dt
+        if vel_x_only:
+            rows += vxs[:n_rows]
+        if outcome != OUTCOME_COMPLETED:
             break
         com_x, com_y, vel_x, vel_y = touchdown
 

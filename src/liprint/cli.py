@@ -5,6 +5,10 @@ for external plotting; no interactive UI. Exit codes: 0 success, 1 usage
 or input error, 2 simulated failure. The LIPRINT_LOG environment variable
 sets the logging level (e.g. INFO, DEBUG).
 
+The parser holds each flag's rules (required flags, a non-empty --out,
+finite velocities): a broken one exits 1 with one line naming the flag,
+e.g. "error: argument --vy: must be finite, got 'nan'".
+
 Terrain spec grammar:
     flat | rough:<amp>:<corr>:<seed> | gap:<width>:<period>[:<offset>]
          | file:<path>
@@ -42,13 +46,36 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(p):
+def _velocity(text: str) -> float:
+    """The argparse type of every velocity flag: a finite float."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return v
+
+
+def _velocity_list(text: str) -> list:
+    """The argparse type of --vx-list: comma-separated velocities, blanks skipped."""
+    return [_velocity(v) for v in text.split(",") if v.strip()]
+
+
+def _out_path(text: str) -> str:
+    """The argparse type of --out: a non-empty path."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
+
+
+def _add_common(p, out_required=True):
     p.add_argument("--config", help="key=value file providing flag defaults")
-    p.add_argument("--out", help="output file path")
+    p.add_argument("--out", type=_out_path, required=out_required, help="output file path")
 
 
 def _add_command_flags(p):
-    p.add_argument("--vy", type=float, default=0.0, help="lateral velocity command (m/s)")
+    p.add_argument("--vy", type=_velocity, default=0.0, help="lateral velocity command (m/s)")
     p.add_argument("--base-height", type=float, default=BASE_HEIGHT)
 
 
@@ -69,7 +96,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run the closed-loop stepping simulator")
-    p.add_argument("--vx", type=float, help="forward velocity command (m/s)")
+    p.add_argument("--vx", type=_velocity, required=True, help="forward velocity command (m/s)")
     _add_model_flags(p)
     p.add_argument("--duration", type=float, default=sim.SimConfig.total_duration)
     p.add_argument("--dt", type=float, default=sim.SimConfig.dt)
@@ -87,7 +114,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="success rates over a vx x terrain grid")
     _add_model_flags(p)
-    p.add_argument("--vx-list", default="1.0", help="comma-separated vx commands")
+    p.add_argument("--vx-list", type=_velocity_list, default="1.0",
+                   help="comma-separated vx commands")
     p.add_argument("--terrain", action="append", default=None,
                    help="terrain spec; may repeat to form the severity axis")
     p.add_argument("--trials", type=int, default=10)
@@ -102,17 +130,17 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("plan", help="one-shot step plan for a given state")
-    p.add_argument("--vx", type=float, help="forward velocity command (m/s)")
+    p.add_argument("--vx", type=_velocity, required=True, help="forward velocity command (m/s)")
     _add_model_flags(p)
     p.add_argument("--dT", type=float, dest="remaining", default=None,
                    help="remaining step time (default: the step duration)")
     p.add_argument("--state", help='state JSON, e.g. {"com":[0,0],"vel":[0,0],'
                                    '"stance":[0,-0.15],"parity":0}')
-    _add_common(p)
+    _add_common(p, out_required=False)
     p.set_defaults(handler=_cmd_plan)
 
     p = sub.add_parser("score", help="reward terms per trajectory row")
-    p.add_argument("--vx", type=float, help="forward velocity command (m/s)")
+    p.add_argument("--vx", type=_velocity, default=0.0, help="forward velocity command (m/s)")
     _add_command_flags(p)
     p.add_argument("--traj", required=True, help="trajectory CSV (simulate schema)")
     p.add_argument("--joints", help="optional joint-log CSV for regularization terms")
@@ -158,26 +186,15 @@ def _apply_config_file(argv):
     return argv[:depth] + extra + argv[depth:]
 
 
-def _step_command(vx, vy, width) -> StepCommand:
-    """The StepCommand of the velocity and width flags. A non-finite
-    velocity is named by its flag, --vx or --vy (sweep checks its --vx-list
-    values as it parses them)."""
-    for flag, v in (("--vx", vx), ("--vy", vy)):
-        if not math.isfinite(v):
-            raise _UsageError(f"{flag} must be finite, got {v!r}")
-    return StepCommand(v_cmd=(vx, vy), w_cmd=width)
-
-
 def _make_config(args, terrain_spec, vx) -> sim.SimConfig:
     """The run config of the parsed flags at forward speed vx: simulate's
     --vx, or one of sweep's --vx-list values (sweep has no --vx)."""
-    cmd = _step_command(vx, args.vy, args.width)
     replan = args.replan
     if replan is None:
         replan = (sim.REPLAN_AT_STEP_START if terrain_spec is None
                   else sim.REPLAN_EVERY_TICK)
     return sim.SimConfig(
-        cmd=cmd,
+        cmd=StepCommand(v_cmd=(vx, args.vy), w_cmd=args.width),
         gait=GaitParams(step_duration=args.step_duration),
         lip=LipParams(g=args.g, z0=args.base_height),
         dt=args.dt,
@@ -198,10 +215,6 @@ def _load_terrain(text: str):
 
 
 def _cmd_simulate(args) -> int:
-    if args.vx is None:
-        raise _UsageError("simulate requires --vx")
-    if not args.out:
-        raise _UsageError("simulate requires --out")
     config = _make_config(args, _load_terrain(args.terrain), args.vx)
     if args.turn != 0.0:
         result = sim.turn_maneuver(config, math.radians(args.turn), args.turn_time)
@@ -244,22 +257,12 @@ def _sibling(out_path: str, suffix: str) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    if not args.out:
-        raise _UsageError("sweep requires --out")
-    try:
-        vx_values = [float(v) for v in args.vx_list.split(",") if v.strip() != ""]
-    except ValueError:
-        raise _UsageError(f"bad --vx-list {args.vx_list!r}: expected comma-separated "
-                          "numbers") from None
-    bad = next((v for v in vx_values if not math.isfinite(v)), None)
-    if bad is not None:
-        raise _UsageError(f"bad --vx-list {args.vx_list!r}: {bad!r} is not finite")
     terrain_texts = args.terrain if args.terrain else ["flat"]
     configs = []
     labels = []
     for text in terrain_texts:
         spec = _load_terrain(text)  # one load per flag: maps are immutable
-        for vx in vx_values:
+        for vx in args.vx_list:
             configs.append(_make_config(args, spec, vx))
             labels.append(text)
     rows = sim.sweep(configs, args.trials, base_seed=args.seed,
@@ -284,9 +287,7 @@ def _state_numbers(state_spec: dict, key: str) -> list:
 
 
 def _cmd_plan(args) -> int:
-    if args.vx is None:
-        raise _UsageError("plan requires --vx")
-    cmd = _step_command(args.vx, args.vy, args.width)
+    cmd = StepCommand(v_cmd=(args.vx, args.vy), w_cmd=args.width)
     state_spec = {"com": [0.0, 0.0], "vel": [0.0, 0.0],
                   "stance": [0.0, -cmd.w_cmd / 2.0], "parity": 0}
     try:
@@ -500,8 +501,6 @@ def _joint_columns(path, n) -> dict:
 
 
 def _cmd_score(args) -> int:
-    if not args.out:
-        raise _UsageError("score requires --out")
     data = _read_table(args.traj, "trajectory", sim.CSV_COLUMNS)[1]
     n = len(data)
     # every column but outcome_flag
@@ -509,12 +508,11 @@ def _cmd_score(args) -> int:
     columns = _joint_columns(args.joints, n) if args.joints else {}
     t = dict(zip(sim.CSV_COLUMNS, table))
 
-    vx = args.vx or 0.0
     params = metrics.RewardParams(
         sigma=args.sigma,
         base_height_target=args.base_height,
-        heading_target=_kernels.command_heading(vx, args.vy, 0.0),  # the simulator's rule
-        vel_cmd=(vx, args.vy))
+        heading_target=_kernels.command_heading(args.vx, args.vy, 0.0),  # the simulator's rule
+        vel_cmd=(args.vx, args.vy))
     # each foot stands at its target: the stance foot at its touchdown point,
     # the swing foot at its planned one
     right = np.mod(np.trunc(t["parity"]), 2.0) == 0.0
@@ -536,8 +534,6 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_terrain_gen(args) -> int:
-    if not args.out:
-        raise _UsageError("terrain gen requires --out")
     spec = terrain_mod.parse_spec(args.spec)
     if isinstance(spec, str):
         raise _UsageError("terrain gen expects a generative spec, not file:")

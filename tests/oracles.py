@@ -290,8 +290,9 @@ def reference_run(config, schedule):
       every-tick replanning: plan_step over the step's remaining time with
       horizon Ts. A touchdown (step start after tick 0) first checks
       reach: the capture point or the CoM farther than the reach limit
-      from the stance fails it and keeps the target. An overflowing plan
-      fails as "non-finite" and keeps the target;
+      from the stance fails it and keeps the target. A plan that overflows,
+      or whose capture point or target is not finite (plan_step raises
+      ValueError), fails as "non-finite" and keeps the target and heading;
     - on a map the planned point is snapped by nearest_steppable and
       takes the map height there; with no ground in range the run fails
       ("no ground") and the target is the raw plan at height 0;
@@ -361,7 +362,7 @@ def reference_run(config, schedule):
                         step = plan_step(state, stance, cmd,
                                          GaitState(t=s * dt, parity=m, params=gait),
                                          horizon=Ts)
-                    except OverflowError:
+                    except (OverflowError, ValueError):
                         outcome = _kernels.OUTCOME_NON_FINITE
                     else:
                         heading = step.heading

@@ -63,17 +63,38 @@ class TestSimulate:
 
     def test_non_finite_state_fails_with_manifest_reason(self, tmp_path):
         # omega*Ts = 444: a step stretches the CoM's offset from the stance by
-        # about e**444, so the CoM is near 1e192 m at the first touchdown and
-        # the second step's state overflows at tick 56, a reach limit that
-        # nothing exceeds letting it run
+        # about e**444, so the capture point is near 1.7e192 m at the first
+        # touchdown, which a reach limit that nothing exceeds lets pass. The
+        # plan there predicts a capture point e**444 times farther, beyond
+        # the float range: the run fails at that tick, 0.35 s, before any
+        # state overflows (see TestClosedFormStates::test_non_finite_mid_step)
         out = tmp_path / "t.csv"
         rc = main(["simulate", "--vx", "1", "--g", "1e6", "--reach-limit", "1e300",
                    "--duration", "5", "--out", str(out)])
         assert rc == 2
         outcome = json.loads((tmp_path / "t.manifest.json").read_text())["outcome"]
         assert outcome["reason"] == "non-finite state"
-        assert outcome["time"] == pytest.approx(0.56, abs=1e-9)
+        assert outcome["time"] == pytest.approx(0.35, abs=1e-9)
         assert len(read(out)) == outcome["samples"] + 1
+
+    @pytest.mark.parametrize("terrain", [[], ["--terrain", "file:{map}"]], ids=["flat", "map"])
+    @pytest.mark.parametrize("replan", ["at-step-start", "every-tick"])
+    def test_non_finite_plan_fails_and_records_no_nan(self, tmp_path, terrain, replan):
+        # the run above, on flat ground or on a map whose nodes lie 1e300 m
+        # apart: the plan's non-finite target is neither recorded nor snapped
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps({"origin": [-1e300, -1e300], "resolution": 1e300,
+                                 "rows": 3, "cols": 3, "heights": [0] * 9, "mask": [0] * 9}))
+        out = tmp_path / "t.csv"
+        rc = main(["simulate", "--vx", "1", "--g", "1e6", "--reach-limit", "1e300",
+                   "--duration", "5", "--replan", replan, "--out", str(out),
+                   *(a.format(map=m) for a in terrain)])
+        assert rc == 2
+        outcome = json.loads((tmp_path / "t.manifest.json").read_text())["outcome"]
+        assert outcome["reason"] == "non-finite state"
+        assert outcome["time"] == pytest.approx(0.35, abs=1e-9)
+        assert len(read(out)) == outcome["samples"] + 1
+        assert "nan" not in out.read_text().lower()
 
     @pytest.mark.parametrize("flag,value", [("--g", "1e300"), ("--base-height", "1e-300")])
     def test_overflowing_pendulum_fails_before_the_first_tick(self, tmp_path, flag, value):
@@ -814,6 +835,27 @@ class TestTerrainGen:
         assert rc == 1
 
 
+def leaf_argvs(traj):
+    """A valid argv of each leaf command, less its --out, scoring `traj`."""
+    return {
+        ("simulate",): ["--vx", "1", "--duration", "4", "--turn", "30"],
+        ("sweep",): ["--trials", "1", "--duration", "1", "--window", "1"],
+        ("plan",): ["--vx", "1"],
+        ("score",): ["--traj", str(traj)],
+        ("terrain", "gen"): ["--spec", "flat", "--extent=0:0:1:1"],
+    }
+
+
+def leaves(parser, path=()):
+    """(subcommand path, parser) of each leaf command below `parser`."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from leaves(child, path + (name,))
+
+
 class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
@@ -824,8 +866,15 @@ class TestUsage:
                              ids=["simulate", "sweep", "score", "terrain-gen"])
     def test_missing_out_is_usage_error(self, capsys, argv):
         assert main(argv) == 1
-        command = " ".join(argv[:2] if argv[0] == "terrain" else argv[:1])
-        assert capsys.readouterr().err == f"error: {command} requires --out\n"
+        assert capsys.readouterr().err == "error: the following arguments are required: --out\n"
+
+    @pytest.mark.parametrize("argv", [["simulate", "--vx", "1"], ["sweep"], ["plan", "--vx", "1"],
+                                      ["score", "--traj", "t.csv"],
+                                      ["terrain", "gen", "--spec", "flat"]],
+                             ids=["simulate", "sweep", "plan", "score", "terrain-gen"])
+    def test_empty_out_is_named_before_any_work(self, capsys, argv):
+        assert main(argv + ["--out", ""]) == 1
+        assert capsys.readouterr() == ("", "error: argument --out: expected a file path, got ''\n")
 
     # a warning (numpy's RuntimeWarning on a non-finite value) is a failure:
     # bad input gets the one error line and nothing else
@@ -852,9 +901,9 @@ class TestUsage:
         (["simulate", "--vx", "1", "--terrain", "file:{not_object}"],
          "heightmap must be a JSON object"),
         (["sweep", "--trials", "-2"], "trials must be non-negative"),
-        (["sweep", "--vx-list", "a"], "bad --vx-list 'a': expected comma-separated numbers\n"),
+        (["sweep", "--vx-list", "a"], "error: argument --vx-list: invalid float value: 'a'\n"),
         (["sweep", "--vx-list", "1,x"],
-         "bad --vx-list '1,x': expected comma-separated numbers\n"),
+         "error: argument --vx-list: invalid float value: 'x'\n"),
         (["sweep", "--window", "-1"], "window must be positive"),
         (["sweep", "--window", "0"], "window must be positive"),
         (["sweep", "--window", "nan"], "window must be positive"),
@@ -874,8 +923,10 @@ class TestUsage:
         (["score", "--traj", "{traj}", "--sigma", "inf"], "sigma must be positive and finite"),
         (["score", "--traj", "{traj}", "--base-height", "nan"],
          "base_height_target must be finite"),
-        (["score", "--traj", "{traj}", "--vx", "1", "--vy", "nan"], "vel_cmd must be finite"),
-        (["score", "--traj", "{traj}", "--vx", "inf"], "vel_cmd must be finite"),
+        (["score", "--traj", "{traj}", "--vx", "1", "--vy", "nan"],
+         "error: argument --vy: must be finite, got 'nan'\n"),
+        (["score", "--traj", "{traj}", "--vx", "inf"],
+         "error: argument --vx: must be finite, got 'inf'\n"),
         (["simulate", "--vx", "1", "--terrain", "file:{rows_null}"],
          "heightmap rows must be a positive integer"),
         (["simulate", "--vx", "1", "--terrain", "file:{rows_list}"],
@@ -920,7 +971,7 @@ class TestUsage:
          "malformed --state JSON"),
         (["plan", "--vx", "1", "--state", "[1]"],
          "malformed --state JSON: state JSON must be an object"),
-        (["plan"], "plan requires --vx"),
+        (["plan"], "error: the following arguments are required: --vx\n"),
         (["plan", "--vx", "1", "--dT", "0"], "--dT must lie in (0, 0.35]"),
         (["plan", "--vx", "1", "--dT", "0.5"], "--dT must lie in (0, 0.35]"),
         (["plan", "--vx", "1", "--g", "1e300"], "lower --g"),
@@ -1117,16 +1168,53 @@ class TestUsage:
 
     # the flag and its value, not StepCommand's field and numpy's array repr
     @pytest.mark.parametrize("argv,message", [
-        (["simulate", "--vx", "nan"], "--vx must be finite, got nan"),
-        (["sweep", "--vx-list", "1,nan"], "bad --vx-list '1,nan': nan is not finite"),
-        (["plan", "--vx", "1", "--vy", "nan"], "--vy must be finite, got nan"),
+        (["simulate", "--vx", "nan"], "argument --vx: must be finite, got 'nan'"),
+        (["sweep", "--vx-list", "1,nan"], "argument --vx-list: must be finite, got 'nan'"),
+        (["plan", "--vx", "1", "--vy", "nan"], "argument --vy: must be finite, got 'nan'"),
     ], ids=["simulate-vx", "sweep-vx-list", "plan-vy"])
     def test_non_finite_velocity_names_its_flag(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    # every velocity flag of every command, through its one argparse type:
+    # one error line that names the flag, before any file is read
+    @pytest.mark.parametrize("argv,flag,value", [
+        pytest.param(argv, flag, value, id=f"{argv[0]}{flag}-{value}")
+        for argv, flag in ((["simulate", "--vx", "1"], "--vx"), (["simulate", "--vx", "1"], "--vy"),
+                           (["sweep"], "--vy"), (["sweep"], "--vx-list"),
+                           (["plan", "--vx", "1"], "--vx"), (["plan", "--vx", "1"], "--vy"),
+                           (["score", "--traj", "t.csv"], "--vx"),
+                           (["score", "--traj", "t.csv"], "--vy"))
+        for value in ("nan", "inf", "abc", *(["1,nan"] if flag == "--vx-list" else []))])
+    def test_bad_velocity_is_one_line_naming_its_flag(self, tmp_path, capsys, argv, flag, value):
+        assert main([*argv, flag, value, "--out", str(tmp_path / "t.csv")]) == 1
+        reason = ("invalid float value: 'abc'" if value == "abc"
+                  else f"must be finite, got {value.split(',')[-1]!r}")
+        assert capsys.readouterr().err == f"error: argument {flag}: {reason}\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_missing_required_flag_is_named(self, tmp_path, capsys):
+        """Each leaf command's argv of leaf_argvs, less one required flag and
+        its value, exits 1 naming that flag."""
+        traj = tmp_path / "traj.csv"
+        missing = []
+        for path, leaf in leaves(build_parser()):
+            argv = [*path, *leaf_argvs(traj)[path], "--out", str(tmp_path / "out")]
+            for action in leaf._actions:
+                if not action.required or not action.option_strings:
+                    continue
+                flag = action.option_strings[0]
+                at = argv.index(flag)
+                assert main(argv[:at] + argv[at + 2:]) == 1
+                assert (capsys.readouterr().err
+                        == f"error: the following arguments are required: {flag}\n")
+                missing.append(f"{' '.join(path)} {flag}")
+        assert sorted(missing) == ["plan --vx", "score --out", "score --traj",
+                                   "simulate --out", "simulate --vx", "sweep --out",
+                                   "terrain gen --out", "terrain gen --spec"]
+
     def test_parsed_defaults_are_the_library_defaults(self):
-        args = build_parser().parse_args(["simulate", "--vx", "1"])
+        args = build_parser().parse_args(["simulate", "--vx", "1", "--out", "t.csv"])
         config = cli._make_config(args, None, args.vx)
         default = sim.SimConfig(cmd=StepCommand(v_cmd=(1, 0)))
         for f in dataclasses.fields(sim.SimConfig):
@@ -1135,10 +1223,10 @@ class TestUsage:
                 assert np.array_equal(got.v_cmd, want.v_cmd)
                 got, want = (got.w_cmd, got.fallback_heading), (want.w_cmd, want.fallback_heading)
             assert got == want, f.name
-        args = build_parser().parse_args(["score", "--traj", "t.csv"])
+        args = build_parser().parse_args(["score", "--traj", "t.csv", "--out", "r.csv"])
         assert args.sigma == RewardParams().sigma
         assert args.base_height == RewardParams().base_height_target
-        args = build_parser().parse_args(["terrain", "gen", "--spec", "flat"])
+        args = build_parser().parse_args(["terrain", "gen", "--spec", "flat", "--out", "m.json"])
         assert args.resolution == sim.TERRAIN_RESOLUTION
 
     def test_every_option_is_read_by_its_handler(self, tmp_path):
@@ -1153,22 +1241,7 @@ class TestUsage:
 
         traj = tmp_path / "traj.csv"
         assert main(["simulate", "--vx", "1", "--duration", "1", "--out", str(traj)]) == 0
-        argvs = {
-            ("simulate",): ["--vx", "1", "--duration", "4", "--turn", "30"],
-            ("sweep",): ["--trials", "1", "--duration", "1", "--window", "1"],
-            ("plan",): ["--vx", "1"],
-            ("score",): ["--traj", str(traj)],
-            ("terrain", "gen"): ["--spec", "flat", "--extent=0:0:1:1"],
-        }
-
-        def leaves(parser, path=()):
-            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-            if not subs:
-                yield path, parser
-            for action in subs:
-                for name, child in action.choices.items():
-                    yield from leaves(child, path + (name,))
-
+        argvs = leaf_argvs(traj)
         unread = []
         for path, leaf in leaves(build_parser()):
             assert path in argvs, f"no argv for {' '.join(path)}"
@@ -1217,3 +1290,12 @@ class TestReadme:
         for argv in commands:
             args = build_parser().parse_args(argv)
             assert args.command == argv[0]
+
+    def test_cli_block_commands_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for argv in readme_cli_commands():
+            if argv[0] == "score":
+                # the joint log it names, one row per trajectory row
+                n = len(read(tmp_path / "traj.csv")) - 1
+                (tmp_path / "joints.csv").write_text("q0,dq0,a0\n" + "0,0,0\n" * n)
+            assert main(argv) == 0, (argv, capsys.readouterr().err)

@@ -1324,6 +1324,23 @@ class TestReferenceLoop:
         schedule = sim_mod._constant_schedule(cfg)
         assert self._compare(cfg, schedule if turn is None else _turned(schedule, *turn)) == kind
 
+    # omega*Ts = 444: the plan at the first touchdown predicts a capture
+    # point beyond the float range, on flat ground or on a map whose nodes
+    # lie 1e300 m apart; the run fails there, with finite rows
+    @pytest.mark.parametrize("terrain", [
+        None, terrain_mod.Heightmap(origin=(-1e300, -1e300), resolution=1e300,
+                                    heights=np.zeros((3, 3)), mask=np.zeros((3, 3)))],
+        ids=["flat", "map"])
+    @pytest.mark.parametrize("replan", [sim_mod.REPLAN_AT_STEP_START, _EVERY])
+    def test_non_finite_plan_fails_at_its_tick(self, terrain, replan):
+        cfg = replace(config(vx=1.0, duration=5.0, replan=replan, terrain=terrain,
+                             reach=1e300), lip=LipParams(g=1e6))
+        schedule = sim_mod._constant_schedule(cfg)
+        assert self._compare(cfg, schedule) == "non-finite"
+        rows, _, fail_time = reference_run(cfg, schedule)
+        assert fail_time == pytest.approx(0.35, abs=1e-9)
+        assert len(rows) == 36 and np.isfinite(rows).all()
+
     @pytest.mark.parametrize("feature", ["cell-line", "foot-circle", "max-dev"])
     def test_edge_maps_make_the_certificate_refuse(self, feature, monkeypatch):
         hmap, queries, (i, j) = _edge_map(feature)
