@@ -382,40 +382,78 @@ _FLOAT_SPEC = ".17g"
 def format_float(x: float) -> str:
     """17 significant digits, '.' decimal separator; -0.0 is written as 0.
 
-    The scalar form of write_csv: its row template's fields are
-    "%" + this spec, and "%.17g" % x equals format(x, ".17g").
+    The scalar form of write_csv, which formats each float value with
+    "%" + this spec ("%.17g" % x equals format(x, ".17g")), once per
+    distinct value in a repetitive column.
     """
     return format(float(x) + 0.0, _FLOAT_SPEC)
 
 
 # Rows write_csv formats per write: its memory stays bounded by one block
-# of text and values, whatever the row count.
+# of text and values, whatever the row count, and a column's distinct
+# values are counted per block.
 CSV_BLOCK_ROWS = 1024
+
+
+def _block_args(block: np.ndarray, int_columns) -> tuple[str, list]:
+    """(row template, argument list) that write one block of write_csv's rows
+    as `row * len(block) % tuple(args)`.
+
+    A column's field is "%d" at int_columns, else "%" + format_float's
+    spec, applied to the column + 0.0 (-0.0 is written as 0). A column
+    with at most half as many distinct values as the block has rows (each
+    NaN counted apart) is formatted once per distinct value instead, in
+    one template pass, and its field becomes "%s" over those strings put
+    back in row order.
+    """
+    n, m = block.shape
+    block = block + 0.0
+    # ordered[c] is column c sorted; first marks each distinct value's first
+    # place in it
+    ordered = np.sort(block.T)
+    first = np.ones((m, n), dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    distinct = np.count_nonzero(first, axis=1).tolist()
+    args = [None] * (n * m)
+    fields = []
+    for c in range(m):
+        spec = "%d" if c in int_columns else "%" + _FLOAT_SPEC
+        col = block[:, c]
+        if 2 * distinct[c] <= n:
+            values = ordered[c, first[c]]
+            text = ((spec + "\n") * len(values) % tuple(values.tolist())).split("\n")
+            args[c::m] = map(text.__getitem__, np.searchsorted(values, col).tolist())
+            spec = "%s"
+        else:
+            args[c::m] = col.tolist()
+        fields.append(spec)
+    return ",".join(fields) + "\n", args
 
 
 def write_csv(path, header, table: np.ndarray, int_columns=()) -> None:
     """A header line and one line per row of the 2-D array `table`.
 
-    One format pass per block of CSV_BLOCK_ROWS rows: a row template of
-    "%" + format_float's spec fields ("%.17g" % x equals format(x, ".17g"))
-    and "%d" fields at int_columns (truncating toward zero, as int() does)
-    is applied to the block + 0.0, where + 0.0 writes -0.0 as 0. Each
-    block's text goes out in one write.
+    Each value is written as format_float writes it ("%.17g" % x equals
+    format(x, ".17g"), -0.0 as 0), or as "%d" writes it at int_columns
+    (truncating toward zero, as int() does; NaN and ±inf raise ValueError
+    and OverflowError, as int() does). Each block of CSV_BLOCK_ROWS rows
+    is written by one format pass of _block_args's row template and one
+    write; a repetitive column has its distinct values formatted once.
     """
-    n, m = table.shape
-    row = ",".join("%d" if c in int_columns else "%" + _FLOAT_SPEC for c in range(m)) + "\n"
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
-        for start in range(0, n, CSV_BLOCK_ROWS):
+        for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
             block = table[start:start + CSV_BLOCK_ROWS]
-            f.write((row * block.shape[0]) % tuple((block + 0.0).ravel().tolist()))
+            row, args = _block_args(block, int_columns)
+            f.write((row * block.shape[0]) % tuple(args))
 
 
 def write_trajectory_csv(result: SimResult, path) -> None:
     """One row per tick in CSV_COLUMNS order, through write_csv: parity
     and outcome_flag as integers, every other value as format_float writes
-    it (17 significant digits, -0.0 as 0). The row template is derived from
-    format_float's spec, and "%.17g" % x equals format(x, ".17g")."""
+    it (17 significant digits, -0.0 as 0). Columns that repeat their
+    values, such as stance, target, parity, phase and outcome_flag, have
+    each distinct value formatted once per block; the bytes are the same."""
     arr = result.sample_array
     flag = np.full(arr.shape[0], 0.0 if result.completed else 2.0)
     write_csv(path, CSV_COLUMNS, np.column_stack((arr, flag)),

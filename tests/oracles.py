@@ -553,9 +553,10 @@ def score_lines(traj_rows, joint_rows, params, base_height, sample_cls):
 
 # ---------------------------------------------------------------- writers
 #
-# The per-value CSV and JSON writers that liprint.sim.write_csv's one format
-# pass replaced: one format() call per value and one write per line, as the
-# byte-for-byte reference for the trajectory, step-event and rewards files.
+# Per-value CSV and JSON writers: one format() call per value and one write
+# per line, as the byte-for-byte reference for the trajectory, step-event and
+# rewards files. liprint.sim.write_csv instead formats a block of rows in one
+# pass, each distinct value of a repetitive column once.
 
 def _format_value(x):
     return format(float(x) + 0.0, ".17g")

@@ -834,6 +834,24 @@ def _random_samples(rng, n):
     return arr
 
 
+def _pooled_samples(rng, n):
+    """(n, N_SAMPLE_COLS) floats, each column drawn from a pool of five
+    values, so every column of a block of 10 or more rows is repetitive.
+    The float pools cycle through SPECIAL_FLOATS (±0.0, NaN and ±inf
+    included); the parity pool holds -0.0, 2**62 and values that truncate
+    to the same integer."""
+    pools = [[SPECIAL_FLOATS[(5 * c + j) % len(SPECIAL_FLOATS)] for j in range(5)]
+             for c in range(_kernels.N_SAMPLE_COLS)]
+    pools[COL_PARITY] = [-0.0, 2.0 ** 62, 2.3, 2.7, -0.5]
+    return np.column_stack([rng.choice(pool, size=n) for pool in pools])
+
+
+def _row_fields(block, int_columns=()):
+    """The field of each column in write_csv's row template for `block`."""
+    row, _ = sim_mod._block_args(block, int_columns)
+    return row.rstrip("\n").split(",")
+
+
 @functools.cache
 def _writer_results():
     """name -> SimResult covering random rows, -0.0, failures (flag 2),
@@ -925,6 +943,86 @@ class TestWritersMatchPerValueOracles:
         sim_mod.write_csv(tmp_path / "new.csv", header, np.column_stack(columns))
         write_rewards_csv_per_value(tmp_path / "old.csv", header, columns)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [2, 300, sim_mod.CSV_BLOCK_ROWS, sim_mod.CSV_BLOCK_ROWS + 1])
+    def test_trajectory_csv_of_pooled_columns(self, n, tmp_path):
+        arr = _pooled_samples(np.random.default_rng(n), n)
+        result = sim_mod.SimResult(
+            config=config(), outcome="failed", failure_reason=None, failure_time=None,
+            sample_array=arr)
+        sim_mod.write_trajectory_csv(result, tmp_path / "new.csv")
+        write_trajectory_csv_per_value(result, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        if n >= 10:
+            block = arr[:sim_mod.CSV_BLOCK_ROWS]
+            assert np.isnan(block).any() and np.isinf(block).any() and np.signbit(block).any()
+            assert _row_fields(block, (COL_PARITY,)) == ["%s"] * _kernels.N_SAMPLE_COLS
+
+    @pytest.mark.parametrize("n", [2, 300, sim_mod.CSV_BLOCK_ROWS, sim_mod.CSV_BLOCK_ROWS + 1])
+    def test_rewards_csv_of_pooled_columns(self, n, tmp_path):
+        columns = list(_pooled_samples(np.random.default_rng(n), n)[:, :17].T)
+        header = [f"c{i}" for i in range(17)]
+        sim_mod.write_csv(tmp_path / "new.csv", header, np.column_stack(columns))
+        write_rewards_csv_per_value(tmp_path / "old.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [300, sim_mod.CSV_BLOCK_ROWS])
+    def test_half_the_rows_distinct_is_the_rule_edge(self, n, tmp_path):
+        # columns of n/2 and n/2 + 1 distinct values, as floats and as ints
+        values = 10.0 * np.random.default_rng(n).standard_normal(n // 2 + 1)
+        at_edge, past_edge = values[np.arange(n) % (n // 2)], values[np.arange(n) % (n // 2 + 1)]
+        table = np.column_stack((at_edge, past_edge, at_edge, past_edge))
+        assert _row_fields(table, (2, 3)) == ["%s", "%.17g", "%s", "%d"]
+        sim_mod.write_csv(tmp_path / "new.csv", ["a", "b"], table[:, :2])
+        write_rewards_csv_per_value(tmp_path / "old.csv", ["a", "b"], [at_edge, past_edge])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_constant_column_across_the_block_edge(self, tmp_path):
+        n = sim_mod.CSV_BLOCK_ROWS + 1
+        columns = [np.full(n, 0.1), np.random.default_rng(4).standard_normal(n)]
+        table = np.column_stack(columns)
+        assert _row_fields(table[:sim_mod.CSV_BLOCK_ROWS]) == ["%s", "%.17g"]
+        assert _row_fields(table[sim_mod.CSV_BLOCK_ROWS:]) == ["%.17g", "%.17g"]
+        sim_mod.write_csv(tmp_path / "new.csv", ["c", "r"], table)
+        write_rewards_csv_per_value(tmp_path / "old.csv", ["c", "r"], columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("repetitive", [True, False])
+    def test_non_finite_parity_raises_as_int_does(self, bad, repetitive, tmp_path):
+        arr = _random_samples(np.random.default_rng(5), 40)
+        arr[:, COL_PARITY] = 1.0 if repetitive else np.arange(40)
+        assert _row_fields(arr, (COL_PARITY,))[COL_PARITY] == ("%s" if repetitive else "%d")
+        arr[17, COL_PARITY] = bad
+        result = sim_mod.SimResult(
+            config=config(), outcome="completed", failure_reason=None, failure_time=None,
+            sample_array=arr)
+        with pytest.raises((ValueError, OverflowError)) as new:
+            sim_mod.write_trajectory_csv(result, tmp_path / "new.csv")
+        with pytest.raises((ValueError, OverflowError)) as old:
+            write_trajectory_csv_per_value(result, tmp_path / "old.csv")
+        assert (new.type, str(new.value)) == (old.type, str(old.value))
+        assert new.type is (ValueError if bad != bad else OverflowError)
+
+    def test_repetitive_trajectory_columns_are_formatted_once_per_value(self, monkeypatch,
+                                                                        tmp_path):
+        templates = []
+        block_args = sim_mod._block_args
+
+        def recording(block, int_columns):
+            row, args = block_args(block, int_columns)
+            templates.append(row)
+            return row, args
+
+        monkeypatch.setattr(sim_mod, "_block_args", recording)
+        sim_mod.write_trajectory_csv(_writer_results()["gap-tick"], tmp_path / "t.csv")
+        assert len(templates) == 1
+        field = dict(zip(sim_mod.CSV_COLUMNS, templates[0].rstrip("\n").split(",")))
+        for name in ("stance_x", "stance_y", "stance_z", "contact_schedule", "phase_sin",
+                     "phase_cos", "parity", "outcome_flag"):
+            assert field[name] == "%s", name
+        for name in ("time", "com_x", "vel_x", "icp_x"):
+            assert field[name] == "%.17g", name
 
 
 class TestPhaseTable:
