@@ -6,8 +6,9 @@ or input error, 2 simulated failure. The LIPRINT_LOG environment variable
 sets the logging level (e.g. INFO, DEBUG).
 
 The parser holds each flag's rules (required flags, a non-empty --out,
-finite velocities): a broken one exits 1 with one line naming the flag,
-e.g. "error: argument --vy: must be finite, got 'nan'".
+finite velocities, a non-negative sweep --seed): a broken one exits 1
+with one line naming the flag, e.g. "error: argument --vy: must be
+finite, got 'nan'".
 
 Terrain spec grammar:
     flat | rough:<amp>:<corr>:<seed> | gap:<width>:<period>[:<offset>]
@@ -60,6 +61,17 @@ def _velocity(text: str) -> float:
 def _velocity_list(text: str) -> list:
     """The argparse type of --vx-list: comma-separated velocities, blanks skipped."""
     return [_velocity(v) for v in text.split(",") if v.strip()]
+
+
+def _seed(text: str) -> int:
+    """The argparse type of sweep's --seed: a non-negative integer."""
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return v
 
 
 def _out_path(text: str) -> str:
@@ -125,7 +137,8 @@ def build_parser() -> _Parser:
     p.add_argument("--reach-limit", type=float, default=sim.SimConfig.reach_limit)
     p.add_argument("--window", type=float, default=5.0)
     p.add_argument("--tolerance", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0, help="base of the per-trial rough-terrain seeds")
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="base of the per-trial rough-terrain seeds")
     _add_common(p)
     p.set_defaults(handler=_cmd_sweep)
 

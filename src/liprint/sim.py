@@ -12,7 +12,9 @@ targets are snapped to steppable ground and their elevation refined from
 the terrain. The kernels read the terrain through its grid view: a
 Heightmap's rows become Python lists on first read, and a TerrainSpec
 builds no map (terrain.generate_grid): its view equals terrain.generate's
-map node for node, rough heights computed only where the run reads. The
+map node for node, rough heights computed only where the run reads. sweep
+lays a rough spec out once per config (terrain._layout) and draws only
+each trial's lattice on that layout (terrain.layout_grid). The
 contact-schedule and phase-clock columns come from gait.phase_signals at
 gait.cycle_phase of each tick's GaitState, tabulated once per
 (ticks_per_step, dt) and shared by every run with those values. Failure
@@ -31,7 +33,7 @@ outcome_flag is the run outcome code stamped on every row (0 completed,
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -211,13 +213,18 @@ def _phase_table(k: int, dt: float) -> np.ndarray:
     return table
 
 
-def _loop_args(config: SimConfig, schedule, initial=None) -> tuple:
+# The place of the terrain's grid view in sim_loop's positional arguments.
+_GRID_ARG = 8
+
+
+def _loop_args(config: SimConfig, schedule, initial=None, grid=None) -> tuple:
     """sim_loop's positional arguments for a run of config under a schedule
     of (time, vx, vy, width) command switches: the initial state (default
-    default_initial), the terrain's grid view, which must hold the initial
-    stance, and the switch table in ticks."""
+    default_initial), the terrain's grid view (default _terrain_grid's),
+    which must hold the initial stance, and the switch table in ticks."""
     state, stance = default_initial(config) if initial is None else initial
-    grid = _terrain_grid(config, schedule)
+    if grid is None:
+        grid = _terrain_grid(config, schedule)
     if grid is not None and not _kernels.grid_contains(grid, *map(float, stance.p)):
         raise ValueError("initial stance foot lies outside the heightmap")
     n_ticks = config.n_ticks
@@ -281,16 +288,19 @@ def turn_maneuver(config: SimConfig, turn_angle: float,
     return _simulate(config, schedule, initial)
 
 
-def _tracks(times: np.ndarray, vel_x: np.ndarray, vx_cmd: float, window: float,
-            tolerance: float) -> bool:
-    """True when the mean of vel_x over the samples whose times lie in the
-    trailing window is within the relative tolerance of vx_cmd (absolute
-    tolerance when the command is zero). times and vel_x are 1-D, one
-    entry per recorded tick, at least one."""
+def _window(times: np.ndarray, window: float) -> np.ndarray:
+    """The mask of the samples whose times lie in the trailing window, of
+    1-D times with one entry per recorded tick, at least one."""
     t_end = times[-1]
     # min(): a window under 1e-12 s still holds the last sample
-    sel = times >= min(t_end - window + 1e-12, t_end)
-    mean_vx = float(vel_x[sel].mean())
+    return times >= min(t_end - window + 1e-12, t_end)
+
+
+def _tracks(vel_x: np.ndarray, vx_cmd: float, tolerance: float) -> bool:
+    """True when the mean of vel_x, a window's samples (at least one), is
+    within the relative tolerance of vx_cmd (absolute tolerance when the
+    command is zero)."""
+    mean_vx = float(vel_x.mean())
     scale = abs(vx_cmd) if vx_cmd != 0.0 else 1.0
     return abs(mean_vx - vx_cmd) <= tolerance * scale
 
@@ -313,8 +323,8 @@ def success_metric(result: SimResult, vx_cmd: float, window: float,
     if not result.completed:
         return False
     arr = result.sample_array
-    return _tracks(arr[:, _kernels.COL_TIME], arr[:, _kernels.COL_VEL_X], vx_cmd, window,
-                   tolerance)
+    return _tracks(arr[_window(arr[:, _kernels.COL_TIME], window), _kernels.COL_VEL_X],
+                   vx_cmd, tolerance)
 
 
 @dataclass(frozen=True)
@@ -347,29 +357,50 @@ def sweep(configs, trials: int, base_seed: int = 0, window: float = 5.0,
     same seed draws other terrain on another extent. Every other config (no
     terrain, flat, gap, a loaded heightmap) makes the trials of one
     deterministic run, so it runs once and its success counts `trials`
-    times. Results are deterministic in (configs, trials, base_seed).
+    times. base_seed must be a non-negative integer; results are
+    deterministic in (configs, trials, base_seed).
+
+    The trial seeds are made once per sweep, for its first rough config.
+    A config is set up at its first trial, not at all without trials: its
+    loop arguments, its window mask, and for a rough spec its
+    terrain._layout. A rough trial then only draws its lattice into a
+    fresh grid (terrain.layout_grid), runs sim_loop and tests one mean.
     """
     if not configs:
         raise ValueError("sweep needs at least one config")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    if (isinstance(base_seed, bool) or not isinstance(base_seed, (int, np.integer))
+            or base_seed < 0):
+        raise ValueError(f"base_seed must be a non-negative integer, got {base_seed!r}")
     for config in configs:
         _check_window_tolerance(window, tolerance, config.total_duration)
+    seeds = []
     rows = []
     for config in configs:
         vx = float(config.cmd.v_cmd[0])
         spec = config.terrain
         rough = isinstance(spec, TerrainSpec) and spec.kind == "rough"
         successes = 0
-        for trial in range(trials if rough else min(trials, 1)):
-            cfg = config
+        if trials:
+            schedule = _constant_schedule(config)
+            grid = None
             if rough:
-                cfg = replace(config, terrain=spec.with_seed(_trial_seed(base_seed, trial)))
-            n, outcome, _, vel_x = _kernels.sim_loop(
-                *_loop_args(cfg, _constant_schedule(cfg)), vel_x_only=True)
-            if (outcome == _kernels.OUTCOME_COMPLETED
-                    and _tracks(cfg.dt * np.arange(n), vel_x, vx, window, tolerance)):
-                successes += 1 if rough else trials
+                seeds = seeds or [_trial_seed(base_seed, trial) for trial in range(trials)]
+                layout = terrain_mod._layout(spec, _auto_extent(config, schedule),
+                                             TERRAIN_RESOLUTION)
+                grid = terrain_mod.layout_grid(layout, seeds[0])
+            args = _loop_args(config, schedule, grid=grid)
+            sel = _window(config.dt * np.arange(config.n_ticks), window)
+            for trial in range(trials if rough else 1):
+                if trial:
+                    grid = terrain_mod.layout_grid(layout, seeds[trial])
+                    args = (*args[:_GRID_ARG], grid, *args[_GRID_ARG + 1:])
+                _, outcome, _, vel_x = _kernels.sim_loop(*args, vel_x_only=True)
+                # a completed run records all n_ticks ticks, as sel does
+                if (outcome == _kernels.OUTCOME_COMPLETED
+                        and _tracks(vel_x[sel], vx, tolerance)):
+                    successes += 1 if rough else trials
         rows.append(SweepRow(vx_cmd=vx, trials=trials, successes=successes))
     return rows
 

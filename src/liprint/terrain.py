@@ -266,17 +266,32 @@ def nearest_steppable(h: Heightmap, p, radius: float = FOOT_RADIUS,
     return np.array([sx, sy])
 
 
-def _layout(spec: TerrainSpec, extent, resolution: float):
-    """(x0, y0, rows, cols, gap, lattice): the geometry of spec's map on
-    extent = (x0, y0, x1, y1), which generate and generate_grid share.
-    Node (i, j) lies at (x0 + resolution*j, y0 + resolution*i), the grid
-    reaching x1 and y1. gap is every row's uint8 mask, nonzero only at
+# Most float64 values one numpy array can index: its byte count must fit
+# the index type.
+_MAX_NODES = np.iinfo(np.intp).max // 8
+
+
+def _check_count(count: int, what: str, spec: TerrainSpec, extent, resolution: float) -> None:
+    """Raise, naming the terrain, when count nodes are more than one array holds."""
+    if count > _MAX_NODES:
+        raise ValueError(f"{spec.kind} terrain on extent {extent} at resolution {resolution} "
+                         f"has more {what} than an array holds ({_MAX_NODES})")
+
+
+def _layout(spec: TerrainSpec, extent, resolution: float) -> tuple:
+    """(x0, y0, rows, cols, resolution, gap, lattice): spec's map on
+    extent = (x0, y0, x1, y1) short of its lattice draw, which generate,
+    generate_grid and a sweep's trial grids share. Node (i, j) lies at
+    (x0 + resolution*j, y0 + resolution*i), the grid reaching x1 and y1.
+    gap is the mask row of every row, a list of 0/1 flags, 1 only at
     nodes strictly inside a gap strip. lattice is None unless the spec is
-    rough of positive amplitude; then it is (values, gy, gx): uniform
-    heights in [-amplitude, amplitude] drawn from spec.seed, spaced by the
-    correlation length, one node beyond the extent on every side and
+    rough of positive amplitude; then it is (amplitude, lat_rows,
+    lat_cols, gy, gx): the height bound, the shape of a lattice spaced by
+    the correlation length, one node beyond the extent on every side and
     holding every grid node's cell, and the grid rows' and columns'
-    coordinates on it."""
+    coordinates on it as lists. _lattice_values draws it from a seed;
+    spec.seed is not read. The node count of each axis and the lattice's
+    are checked as Python ints, before any array is made."""
     x0, y0, x1, y1 = (float(v) for v in extent)
     if not (x1 > x0 and y1 > y0 and all(map(math.isfinite, (x0, y0, x1, y1)))):
         raise ValueError(f"extent {extent} must be finite and non-empty")
@@ -290,16 +305,7 @@ def _layout(spec: TerrainSpec, extent, resolution: float):
         far = (x0 + resolution * (cols - 1), y0 + resolution * (rows - 1))
     if not all(map(math.isfinite, far)):
         raise ValueError(f"extent {extent} at resolution {resolution} has non-finite nodes")
-    xs = x0 + resolution * np.arange(cols)
-    ys = y0 + resolution * np.arange(rows)
-    gap = np.zeros(cols, dtype=np.uint8)
-    if spec.kind == "gap":
-        # xs is monotone: both ends finite relative to the offset, all are
-        if not all(math.isfinite(v - spec.gap_offset) for v in (x0, far[0])):
-            raise ValueError(f"extent {extent} has non-finite node coordinates relative "
-                             f"to gap offset {spec.gap_offset}")
-        rel = np.mod(xs - spec.gap_offset, spec.gap_period)
-        gap[(rel > 1e-12) & (rel < spec.gap_width - 1e-12)] = 1
+    _check_count(max(rows, cols), "nodes on an axis", spec, extent, resolution)
     lattice = None
     if spec.kind == "rough" and spec.amplitude > 0.0:
         corr = spec.correlation
@@ -312,15 +318,31 @@ def _layout(spec: TerrainSpec, extent, resolution: float):
         if not all(map(math.isfinite, lat)):
             raise ValueError(f"extent {extent} has non-finite lattice coordinates at "
                              f"correlation length {corr}")
-        gx = xs / corr - lat_x0
-        gy = ys / corr - lat_y0
         # the lattice must hold the last node's cell, or _cell extrapolates
         lat_cols = max(int(math.ceil(lat[0])) - lat_x0 + 2, int(math.ceil(lat[2])) + 1)
         lat_rows = max(int(math.ceil(lat[1])) - lat_y0 + 2, int(math.ceil(lat[3])) + 1)
-        values = np.random.default_rng(spec.seed).uniform(
-            -spec.amplitude, spec.amplitude, (lat_rows, lat_cols))
-        lattice = values, gy, gx
-    return x0, y0, rows, cols, gap, lattice
+        _check_count(lat_rows * lat_cols, f"lattice nodes at correlation length {corr}",
+                     spec, extent, resolution)
+        gy = (y0 + resolution * np.arange(rows)) / corr - lat_y0
+        gx = (x0 + resolution * np.arange(cols)) / corr - lat_x0
+        lattice = (spec.amplitude, lat_rows, lat_cols, gy.tolist(), gx.tolist())
+    gap = np.zeros(cols, dtype=np.uint8)
+    if spec.kind == "gap":
+        # the nodes are monotone: both ends finite relative to the offset, all are
+        if not all(math.isfinite(v - spec.gap_offset) for v in (x0, far[0])):
+            raise ValueError(f"extent {extent} has non-finite node coordinates relative "
+                             f"to gap offset {spec.gap_offset}")
+        rel = np.mod(x0 + resolution * np.arange(cols) - spec.gap_offset, spec.gap_period)
+        gap[(rel > 1e-12) & (rel < spec.gap_width - 1e-12)] = 1
+    return x0, y0, rows, cols, resolution, gap.tolist(), lattice
+
+
+def _lattice_values(lattice: tuple, seed: int) -> np.ndarray:
+    """A _layout lattice's values drawn from seed: a (lat_rows, lat_cols)
+    array of independent uniform heights in [-amplitude, amplitude] from
+    np.random.default_rng(seed)."""
+    amplitude, lat_rows, lat_cols, _, _ = lattice
+    return np.random.default_rng(seed).uniform(-amplitude, amplitude, (lat_rows, lat_cols))
 
 
 def generate(spec: TerrainSpec, extent, resolution: float) -> Heightmap:
@@ -331,28 +353,42 @@ def generate(spec: TerrainSpec, extent, resolution: float) -> Heightmap:
     per lattice node, spaced by the correlation length, interpolated to the
     grid nodes by _kernels.grid_resample. Gap terrain is flat with periodic
     non-supporting strips across x; nodes strictly inside a strip are
-    masked. The geometry comes from _layout, which generate_grid shares.
+    masked. The geometry comes from _layout, which generate_grid shares,
+    and the lattice from _lattice_values at spec.seed. A map of more
+    nodes than one array holds raises before it is allocated.
     """
-    x0, y0, rows, cols, gap, lattice = _layout(spec, extent, resolution)
-    heights = (np.zeros((rows, cols)) if lattice is None
-               else _kernels.grid_resample(*lattice)[2])
-    return Heightmap(origin=np.array([x0, y0]), resolution=resolution,
-                     heights=heights, mask=np.broadcast_to(gap, (rows, cols)))
+    x0, y0, rows, cols, _, gap, lattice = _layout(spec, extent, resolution)
+    _check_count(rows * cols, "nodes", spec, extent, resolution)
+    if lattice is None:
+        heights = np.zeros((rows, cols))
+    else:
+        _, _, _, gy, gx = lattice
+        heights = _kernels.grid_resample(_lattice_values(lattice, spec.seed), np.array(gy),
+                                         np.array(gx))[2]
+    return Heightmap(origin=np.array([x0, y0]), resolution=resolution, heights=heights,
+                     mask=np.broadcast_to(np.array(gap, dtype=np.uint8), (rows, cols)))
 
 
-def generate_grid(spec: TerrainSpec, extent, resolution: float) -> _kernels.Grid:
-    """generate(spec, extent, resolution) as the grid kernels read it,
-    built from _layout without a map. Rows share one mask row, and flat
-    and gap rows one row of zeros. A rough height node is _kernels._cell
-    over the lattice at _layout's (gx[j], gy[i]), made on its first read,
-    so it equals generate's node bit for bit."""
-    x0, y0, rows, cols, gap, lattice = _layout(spec, extent, resolution)
+def layout_grid(layout: tuple, seed: int) -> _kernels.Grid:
+    """The grid view of layout with its lattice drawn from seed: node for
+    node, generate(spec.with_seed(seed), extent, resolution) for the spec,
+    extent and resolution that _layout was given. Rows share layout's mask
+    row, and without a lattice one row of zeros, and nothing is drawn. A
+    rough height node is _kernels._cell over the lattice at (gx[j], gy[i]),
+    made on its first read into this grid's own Rows, so it equals
+    generate's node bit for bit."""
+    x0, y0, rows, cols, resolution, gap, lattice = layout
     if lattice is None:
         h = [[0.0] * cols] * rows
     else:
-        values, gy, gx = lattice
-        lat_rows, lat_cols = values.shape
-        lat, gy, gx = values.tolist(), gy.tolist(), gx.tolist()
+        _, lat_rows, lat_cols, gy, gx = lattice
+        lat = _lattice_values(lattice, seed).tolist()
         h = _kernels.Rows(lambda i: _kernels.Rows(
             lambda j: _kernels._cell(lat, lat_rows, lat_cols, gx[j], gy[i])[2]))
-    return _kernels.Grid(rows, cols, x0, y0, resolution, h, [gap.tolist()] * rows)
+    return _kernels.Grid(rows, cols, x0, y0, resolution, h, [gap] * rows)
+
+
+def generate_grid(spec: TerrainSpec, extent, resolution: float) -> _kernels.Grid:
+    """generate(spec, extent, resolution) as the grid kernels read it:
+    layout_grid of _layout at spec.seed, built without a map."""
+    return layout_grid(_layout(spec, extent, resolution), spec.seed)

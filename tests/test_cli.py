@@ -240,6 +240,31 @@ class TestSweep:
         assert capsys.readouterr().err == ""
         assert read(out)[1] == "1,flat,at-step-start,3,0,0"
 
+    @pytest.mark.parametrize("terrain", ["rough:0.05:0.5:0", "flat", "gap:0.15:0.8"])
+    @pytest.mark.parametrize("seed,reason", [
+        ("-1", "must be a non-negative integer, got '-1'"),
+        ("x", "invalid int value: 'x'"),
+        ("1.5", "invalid int value: '1.5'"),
+    ])
+    def test_bad_seed_names_the_flag(self, tmp_path, capsys, terrain, seed, reason):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--seed", seed, "--terrain", terrain, "--trials", "1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: argument --seed: {reason}\n"
+        assert not out.exists()
+
+    def test_window_longer_than_the_run_uses_the_whole_run(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        common = ["sweep", "--vx-list", "0.5,1.0,2.5", "--terrain", "flat",
+                  "--terrain", "rough:0.05:0.5:0", "--trials", "2", "--duration", "2",
+                  "--reach-limit", "0.35", "--tolerance", "0.5"]
+        # the default --window, 5, is longer than the run
+        assert main(common + ["--out", str(a)]) == 0
+        assert main(common + ["--window", "2", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        # not vacuous: configs succeed in all, some and none of their trials
+        assert {line.split(",")[4] for line in read(a)[1:]} == {"0", "1", "2"}
+
     def test_consecutive_calls_share_no_parser_state(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         common = ["sweep", "--vx-list", "1.0", "--trials", "1", "--duration", "2",
@@ -828,6 +853,20 @@ class TestTerrainGen:
         # explicit flags still win over config values
         assert main(args + ["--resolution", "0.25"]) == 0
         assert Heightmap.load(out).resolution == 0.25
+
+    @pytest.mark.parametrize("argv,message", [
+        (["terrain", "gen", "--spec", "flat", "--extent=0:0:1e300:1"],
+         "error: flat terrain on extent (0.0, 0.0, 1e+300, 1.0) at resolution 0.05 has more "
+         "nodes on an axis than an array holds"),
+        (["simulate", "--vx", "1", "--terrain", "rough:0.05:1e-300:0"],
+         "error: rough terrain on extent (-2.0, -2.0, 17.0, 2.0) at resolution 0.05 has more "
+         "lattice nodes at correlation length 1e-300 than an array holds"),
+    ], ids=["terrain-gen-columns", "simulate-lattice"])
+    def test_unindexable_grid_names_terrain_extent_and_resolution(self, tmp_path, capsys,
+                                                                   argv, message):
+        assert main(argv + ["--out", str(tmp_path / "t.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
 
     def test_bad_extent(self, tmp_path):
         rc = main(["terrain", "gen", "--spec", "flat", "--extent", "1:2:3",

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -503,9 +504,11 @@ class TestTerrainRuns:
         assert total > 0
 
     def test_rough_heights_filled_only_where_read(self, monkeypatch):
-        # spies: the grid views sim builds, and every terrain.generate call
+        # spies: the grid views sim builds (a run's through generate_grid,
+        # each sweep trial's from its config's layout), and every
+        # terrain.generate call
         grids, generate_calls = [], []
-        real_grid, real_generate = terrain_mod.generate_grid, terrain_mod.generate
+        real_grid, real_generate = terrain_mod.layout_grid, terrain_mod.generate
 
         def grid_spy(*args):
             grids.append(real_grid(*args))
@@ -515,12 +518,12 @@ class TestTerrainRuns:
             generate_calls.append(args)
             return real_generate(*args)
 
-        monkeypatch.setattr(terrain_mod, "generate_grid", grid_spy)
+        monkeypatch.setattr(terrain_mod, "layout_grid", grid_spy)
         monkeypatch.setattr(terrain_mod, "generate", generate_spy)
         rough = TerrainSpec(kind="rough", amplitude=0.05, correlation=0.5, seed=7)
         assert run(config(vx=1.0, duration=6.0, terrain=rough)).completed
-        assert sweep([config(vx=1.0, duration=6.0, terrain=rough)], trials=1)[0].successes == 1
-        assert len(grids) == 2 and generate_calls == []
+        assert sweep([config(vx=1.0, duration=6.0, terrain=rough)], trials=2)[0].successes == 2
+        assert len(grids) == 3 and generate_calls == []
         for grid in grids:
             filled = sum(len(row) for row in grid.h.values())
             assert 0 < filled < 0.02 * grid.rows * grid.cols, filled
@@ -728,6 +731,49 @@ class TestSweep:
         r2 = sweep(cfgs, trials=5, base_seed=3)
         assert r1 == r2
 
+    def test_zero_trials_set_nothing_up(self):
+        # the map covers [5, 7] x [5, 7], not the initial stance (0, -0.15)
+        hmap = terrain_mod.generate(TerrainSpec(kind="flat"), (5.0, 5.0, 7.0, 7.0), 0.05)
+        cfgs = [config(vx=1.0, duration=2.0, terrain=hmap)]
+        assert sweep(cfgs, trials=0, window=1.0) == [sim_mod.SweepRow(vx_cmd=1.0, trials=0,
+                                                                      successes=0)]
+        # not vacuous: a trial sets the config up, which rejects the map
+        with pytest.raises(ValueError, match="initial stance foot lies outside the heightmap"):
+            sweep(cfgs, trials=1, window=1.0)
+
+    @pytest.mark.parametrize("base_seed", [-1, -2**40, 1.0, 2.5, True, "3", None])
+    @pytest.mark.parametrize("terrain", [None, TerrainSpec(kind="rough")], ids=["flat", "rough"])
+    def test_bad_base_seed_is_rejected_before_any_run(self, monkeypatch, base_seed, terrain):
+        loops = []
+        monkeypatch.setattr(_kernels, "sim_loop", lambda *args, **kw: loops.append(args))
+        with pytest.raises(ValueError, match=re.escape(
+                f"base_seed must be a non-negative integer, got {base_seed!r}")):
+            sweep([config(vx=1.0, duration=2.0, terrain=terrain)], trials=2,
+                  base_seed=base_seed, window=1.0)
+        assert loops == []
+
+    def test_numpy_integer_base_seed_equals_int(self):
+        cfgs = [config(vx=vx, duration=2.0, terrain=TerrainSpec(kind="rough"))
+                for vx in (0.6, 2.5)]
+        assert (sweep(cfgs, trials=2, base_seed=np.uint32(5), window=1.0)
+                == sweep(cfgs, trials=2, base_seed=5, window=1.0))
+
+    def test_each_rough_trial_runs_on_a_fresh_grid(self, monkeypatch):
+        grids = []
+        real_sim_loop = _kernels.sim_loop
+
+        def grid_spy(*args, **kwargs):
+            grids.append(args[sim_mod._GRID_ARG])
+            assert not grids[-1].h  # no node of this trial's grid is filled yet
+            return real_sim_loop(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "sim_loop", grid_spy)
+        rough = TerrainSpec(kind="rough", amplitude=0.05, correlation=0.5)
+        sweep([config(vx=vx, duration=2.0, terrain=rough) for vx in (0.6, 0.9)], trials=3,
+              window=1.0)
+        assert len(grids) == 6 and len({id(g.h) for g in grids}) == 6
+        assert all(g.h for g in grids)
+
 
 def _sweep_terrains(tmp_path):
     path = tmp_path / "map.json"
@@ -756,32 +802,44 @@ class TestSweepRunsTrialInvariantConfigsOnce:
 
     @pytest.mark.parametrize("trials", [0, 1, 3])
     def test_run_calls(self, tmp_path, monkeypatch, trials):
-        """One run set-up and one sim_loop per simulated trial."""
-        seen = []
-        loops = []
-        real_loop_args = sim_mod._loop_args
-        real_sim_loop = _kernels.sim_loop
+        """One set-up per config that runs, none without trials; per rough
+        trial one lattice draw and one sim_loop; each trial seed made once
+        per sweep; no map built."""
+        expected_seeds = [sim_mod._trial_seed(0, trial) for trial in range(trials)]
+        calls = {}  # spied function name -> the positional arguments of each call
 
-        def counting_loop_args(cfg, schedule, initial=None):
-            seen.append(cfg.terrain)
-            return real_loop_args(cfg, schedule, initial)
+        def spy(module, name):
+            real = getattr(module, name)
+            calls[name] = []
 
-        def counting_sim_loop(*args, **kwargs):
-            loops.append(args)
-            return real_sim_loop(*args, **kwargs)
+            def counting(*args, **kwargs):
+                calls[name].append(args)
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(sim_mod, "_loop_args", counting_loop_args)
-        monkeypatch.setattr(_kernels, "sim_loop", counting_sim_loop)
+            monkeypatch.setattr(module, name, counting)
+
+        for module, name in ((sim_mod, "_loop_args"), (sim_mod, "_trial_seed"),
+                             (_kernels, "sim_loop"), (terrain_mod, "_layout"),
+                             (terrain_mod, "_lattice_values"), (terrain_mod, "generate")):
+            spy(module, name)
         for name, spec in _sweep_terrains(tmp_path).items():
-            seen.clear()
-            loops.clear()
-            sweep([config(vx=0.6, duration=2.0, terrain=spec)], trials, window=1.0)
-            assert len(loops) == len(seen)
-            if name == "rough":
-                assert len(seen) == trials
-                assert len({t.seed for t in seen}) == trials  # one seed per trial
-            else:
-                assert seen == [spec] * min(trials, 1)
+            for spied in calls.values():
+                spied.clear()
+            cfgs = [config(vx=vx, duration=2.0, terrain=spec) for vx in (0.6, 0.9)]
+            sweep(cfgs, trials, window=1.0)
+            rough = name == "rough"
+            set_ups = len(cfgs) * min(trials, 1)
+            assert [cfg for cfg, _ in calls["_loop_args"]] == cfgs[:set_ups]
+            # a spec is laid out at its config's set-up, a map is not
+            assert len(calls["_layout"]) == (set_ups if name in ("gap", "rough") else 0)
+            runs = len(cfgs) * (trials if rough else min(trials, 1))
+            assert len(calls["sim_loop"]) == runs
+            draws = [seed for _, seed in calls["_lattice_values"]]
+            assert draws == (expected_seeds * len(cfgs) if rough else [])
+            # each trial seed once per sweep, shared by every rough config
+            assert calls["_trial_seed"] == ([(0, t) for t in range(trials)] if rough else [])
+            assert len(set(expected_seeds)) == trials
+            assert calls["generate"] == []
 
 
 class TestDeterminism:

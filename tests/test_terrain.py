@@ -10,6 +10,7 @@ import pytest
 from liprint import (Heightmap, TerrainSpec, generate, height_at, is_steppable,
                      nearest_steppable)
 from liprint import _kernels
+from liprint import terrain as terrain_mod
 from liprint.terrain import generate_grid, parse_spec
 
 from oracles import (exhaustive_nearest_steppable, node_grid_per_steppable,
@@ -907,6 +908,107 @@ class TestGenerateGrid:
         assert heights.tobytes() == eager.heights.tobytes()
         assert mask.tobytes() == eager.mask.tobytes()
         assert not eager.heights.any() and not eager.mask.any()
+
+
+class TestLayoutGrid:
+    """One layout per (spec, extent, resolution), one grid per seed on it."""
+
+    def test_trial_grids_equal_generate_per_seed(self):
+        rng = np.random.default_rng(29)
+        kinds = []
+        for _ in range(12):
+            kind = ("rough", "rough", "gap", "flat")[int(rng.integers(4))]
+            kinds.append(kind)
+            if kind == "rough":
+                spec = _rough(rng.uniform(0.01, 0.08), rng.uniform(0.03, 1.5),
+                              int(rng.integers(1000)))
+            elif kind == "gap":
+                spec = TerrainSpec(kind="gap", gap_width=rng.uniform(0.05, 0.3),
+                                   gap_period=rng.uniform(0.4, 1.0),
+                                   gap_offset=rng.uniform(-0.5, 0.5))
+            else:
+                spec = TerrainSpec(kind="flat")
+            resolution = rng.uniform(0.03, 0.2)
+            x0, y0 = rng.uniform(-3.0, 3.0, 2)
+            x1, y1 = (x0, y0) + rng.uniform(0.1, 2.5, 2)
+            extent = (x0, y0, x1, y1)
+            layout = terrain_mod._layout(spec, extent, resolution)
+            for seed in rng.integers(0, 2**32, 3).tolist():
+                grid = terrain_mod.layout_grid(layout, seed)
+                eager = generate(spec.with_seed(seed), extent, resolution)
+                assert (grid.rows, grid.cols) == eager.heights.shape
+                assert (grid.ox, grid.oy, grid.res) == (*eager.origin.tolist(),
+                                                        eager.resolution)
+                # the far-edge row and column first, on the fresh grid
+                last_row = [grid.h[grid.rows - 1][j] for j in range(grid.cols)]
+                last_col = [grid.h[i][grid.cols - 1] for i in range(grid.rows)]
+                assert np.array(last_row).tobytes() == eager.heights[-1].tobytes()
+                assert np.array(last_col).tobytes() == eager.heights[:, -1].copy().tobytes()
+                heights, mask = _view_nodes(grid)
+                assert heights.tobytes() == eager.heights.tobytes()
+                assert mask.tobytes() == eager.mask.tobytes()
+        assert set(kinds) == {"rough", "gap", "flat"}
+
+    def test_seeds_draw_other_lattices(self):
+        spec = _rough(0.05, 0.5, 0)
+        layout = terrain_mod._layout(spec, (-1.0, -1.0, 2.0, 1.0), 0.05)
+        a, b = (_view_nodes(terrain_mod.layout_grid(layout, seed))[0] for seed in (3, 4))
+        assert np.abs(a - b).max() > 0.01
+
+    def test_a_fill_stays_in_its_grid(self):
+        layout = terrain_mod._layout(_rough(0.05, 0.5, 0), (-1.0, -1.0, 2.0, 1.0), 0.05)
+        a, b, c = (terrain_mod.layout_grid(layout, seed) for seed in (3, 4, 3))
+        first = a.h[5][7]
+        assert dict(a.h) == {5: {7: first}}
+        assert not b.h and not c.h
+        assert b.h[5][7] != first
+        assert dict(a.h) == {5: {7: first}} and not c.h
+        assert c.h[5][7] == first  # the same seed draws the same lattice again
+
+    def test_layout_draws_nothing(self, monkeypatch):
+        draws = []
+        real_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: draws.append(a) or real_rng(*a))
+        layout = terrain_mod._layout(_rough(0.05, 0.5, 9), (-1.0, -1.0, 2.0, 1.0), 0.05)
+        assert draws == []
+        terrain_mod.layout_grid(layout, 12)
+        generate(_rough(0.05, 0.5, 9), (-1.0, -1.0, 2.0, 1.0), 0.05)
+        assert draws == [(12,), (9,)]
+
+    # counts beyond what one array indexes fail in _layout, before any
+    # array is made
+    @pytest.mark.parametrize("build", [generate, generate_grid])
+    @pytest.mark.parametrize("spec,extent,resolution,message", [
+        (TerrainSpec(kind="flat"), (0.0, 0.0, 1e300, 1.0), 0.05,
+         "flat terrain on extent (0.0, 0.0, 1e+300, 1.0) at resolution 0.05 has more nodes "
+         "on an axis than an array holds"),
+        (TerrainSpec(kind="gap"), (0.0, 0.0, 1.0, 1e300), 0.05,
+         "gap terrain on extent (0.0, 0.0, 1.0, 1e+300) at resolution 0.05 has more nodes "
+         "on an axis than an array holds"),
+        (_rough(0.05, 1e-300, 0), (-2.0, -2.0, 17.0, 2.0), 0.05,
+         "rough terrain on extent (-2.0, -2.0, 17.0, 2.0) at resolution 0.05 has more "
+         "lattice nodes at correlation length 1e-300 than an array holds"),
+        # each lattice axis fits, their product does not
+        (_rough(0.05, 1e-9, 0), (0.0, 0.0, 4.0, 4.0), 1.0,
+         "rough terrain on extent (0.0, 0.0, 4.0, 4.0) at resolution 1.0 has more "
+         "lattice nodes at correlation length 1e-09 than an array holds"),
+    ], ids=["flat-columns", "gap-rows", "rough-lattice", "rough-lattice-product"])
+    def test_unindexable_counts_are_named(self, monkeypatch, build, spec, extent, resolution,
+                                          message):
+        def no_array(*args, **kwargs):
+            raise AssertionError("an array was made")
+
+        monkeypatch.setattr(np, "arange", no_array)
+        monkeypatch.setattr(np.random, "default_rng", no_array)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(spec, extent, resolution)
+
+    def test_a_map_beyond_one_array_is_named(self):
+        # each axis fits one array, the map's rows x cols nodes do not
+        with pytest.raises(ValueError, match=re.escape(
+                "gap terrain on extent (0.0, 0.0, 1.0, 5e+16) at resolution 0.05 has more "
+                "nodes than an array holds")):
+            generate(TerrainSpec(kind="gap"), (0.0, 0.0, 1.0, 5e16), 0.05)
 
 
 class TestJsonFormat:
