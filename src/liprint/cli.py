@@ -5,10 +5,10 @@ for external plotting; no interactive UI. Exit codes: 0 success, 1 usage
 or input error, 2 simulated failure. The LIPRINT_LOG environment variable
 sets the logging level (e.g. INFO, DEBUG).
 
-The parser holds each flag's rules (required flags, a non-empty --out,
-finite velocities, a non-negative sweep --seed): a broken one exits 1
-with one line naming the flag, e.g. "error: argument --vy: must be
-finite, got 'nan'".
+The parser holds each flag's rules (required flags, non-empty output
+paths, finite velocities and turns, a non-negative sweep --seed and
+--trials): a broken one exits 1 with one line naming the flag, e.g.
+"error: argument --vy: must be finite, got 'nan'".
 
 Terrain spec grammar:
     flat | rough:<amp>:<corr>:<seed> | gap:<width>:<period>[:<offset>]
@@ -47,8 +47,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _velocity(text: str) -> float:
-    """The argparse type of every velocity flag: a finite float."""
+def _finite(text: str) -> float:
+    """The argparse type of the velocity and turn flags: a finite float."""
     try:
         v = float(text)
     except ValueError:
@@ -58,13 +58,13 @@ def _velocity(text: str) -> float:
     return v
 
 
-def _velocity_list(text: str) -> list:
-    """The argparse type of --vx-list: comma-separated velocities, blanks skipped."""
-    return [_velocity(v) for v in text.split(",") if v.strip()]
+def _finite_list(text: str) -> list:
+    """The argparse type of --vx-list: comma-separated finite floats, blanks skipped."""
+    return [_finite(v) for v in text.split(",") if v.strip()]
 
 
-def _seed(text: str) -> int:
-    """The argparse type of sweep's --seed: a non-negative integer."""
+def _non_negative_int(text: str) -> int:
+    """The argparse type of sweep's --seed and --trials: a non-negative integer."""
     try:
         v = int(text)
     except ValueError:
@@ -75,7 +75,7 @@ def _seed(text: str) -> int:
 
 
 def _out_path(text: str) -> str:
-    """The argparse type of --out: a non-empty path."""
+    """The argparse type of the output-path flags: a non-empty path."""
     if not text:
         raise argparse.ArgumentTypeError("expected a file path, got ''")
     return text
@@ -87,7 +87,7 @@ def _add_common(p, out_required=True):
 
 
 def _add_command_flags(p):
-    p.add_argument("--vy", type=_velocity, default=0.0, help="lateral velocity command (m/s)")
+    p.add_argument("--vy", type=_finite, default=0.0, help="lateral velocity command (m/s)")
     p.add_argument("--base-height", type=float, default=BASE_HEIGHT)
 
 
@@ -108,42 +108,43 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run the closed-loop stepping simulator")
-    p.add_argument("--vx", type=_velocity, required=True, help="forward velocity command (m/s)")
+    p.add_argument("--vx", type=_finite, required=True, help="forward velocity command (m/s)")
     _add_model_flags(p)
     p.add_argument("--duration", type=float, default=sim.SimConfig.total_duration)
     p.add_argument("--dt", type=float, default=sim.SimConfig.dt)
     p.add_argument("--replan", choices=[sim.REPLAN_AT_STEP_START, sim.REPLAN_EVERY_TICK])
     p.add_argument("--terrain", default="flat")
     p.add_argument("--reach-limit", type=float, default=sim.SimConfig.reach_limit)
-    p.add_argument("--turn", type=float, default=0.0,
+    p.add_argument("--turn", type=_finite, default=0.0,
                    help="rotate the command by this many degrees mid-run")
-    p.add_argument("--turn-time", type=float, default=3.0)
-    p.add_argument("--events", help="step-event JSON path (default: <out>.events.json)")
-    p.add_argument("--manifest", help="manifest JSON path (default: <out>.manifest.json)")
-    p.add_argument("--seed", type=int, default=0, help="recorded in the manifest")
+    p.add_argument("--turn-time", type=_finite, default=3.0)
+    p.add_argument("--events", type=_out_path,
+                   help="step-event JSON path (default: <out>.events.json)")
+    p.add_argument("--manifest", type=_out_path,
+                   help="manifest JSON path (default: <out>.manifest.json)")
     _add_common(p)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="success rates over a vx x terrain grid")
     _add_model_flags(p)
-    p.add_argument("--vx-list", type=_velocity_list, default="1.0",
+    p.add_argument("--vx-list", type=_finite_list, default="1.0",
                    help="comma-separated vx commands")
     p.add_argument("--terrain", action="append", default=None,
                    help="terrain spec; may repeat to form the severity axis")
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_non_negative_int, default=10)
     p.add_argument("--duration", type=float, default=6.0)
     p.add_argument("--dt", type=float, default=sim.SimConfig.dt)
     p.add_argument("--replan", choices=[sim.REPLAN_AT_STEP_START, sim.REPLAN_EVERY_TICK])
     p.add_argument("--reach-limit", type=float, default=sim.SimConfig.reach_limit)
     p.add_argument("--window", type=float, default=5.0)
     p.add_argument("--tolerance", type=float, default=0.1)
-    p.add_argument("--seed", type=_seed, default=0,
+    p.add_argument("--seed", type=_non_negative_int, default=0,
                    help="base of the per-trial rough-terrain seeds")
     _add_common(p)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("plan", help="one-shot step plan for a given state")
-    p.add_argument("--vx", type=_velocity, required=True, help="forward velocity command (m/s)")
+    p.add_argument("--vx", type=_finite, required=True, help="forward velocity command (m/s)")
     _add_model_flags(p)
     p.add_argument("--dT", type=float, dest="remaining", default=None,
                    help="remaining step time (default: the step duration)")
@@ -153,7 +154,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_plan)
 
     p = sub.add_parser("score", help="reward terms per trajectory row")
-    p.add_argument("--vx", type=_velocity, default=0.0, help="forward velocity command (m/s)")
+    p.add_argument("--vx", type=_finite, default=0.0, help="forward velocity command (m/s)")
     _add_command_flags(p)
     p.add_argument("--traj", required=True, help="trajectory CSV (simulate schema)")
     p.add_argument("--joints", help="optional joint-log CSV for regularization terms")
@@ -240,7 +241,6 @@ def _cmd_simulate(args) -> int:
     manifest = {
         "command": "simulate",
         "version": __version__,
-        "seed": args.seed,
         "config": {
             "vx": args.vx, "vy": args.vy, "width": args.width,
             "step_duration": args.step_duration, "base_height": args.base_height,

@@ -10,9 +10,11 @@ np.exp and x * x can differ in the last bit; row dot products use stacked
 matmul (the BLAS dot of `x @ x`) and row sums run over C-contiguous rows.
 
 The task terms peak at 1 (base height), 2 (base heading), 4 (velocity
-tracking), and 9 (contact schedule); eleven regularization terms mirror the
-weighted penalty table, with the termination term evaluating its five
-conditions on the sample (self-collision is an input flag, not computed).
+tracking), and 9 (contact schedule). Each of the eleven regularization
+terms is its constant weight in REG_WEIGHTS, the penalty table, times its
+unweighted term; the limits and the action period are RewardParams inputs.
+The termination term evaluates its five conditions on the sample
+(self-collision is an input flag, not computed).
 Note the heading term decays with |error|/sigma, not the squared error;
 its shaping scale therefore carries different units than the height term.
 This is deliberate and kept verbatim.
@@ -30,9 +32,12 @@ from .lip_core import BASE_HEIGHT
 RIGHT, LEFT = 0, 1
 
 TASK_TERMS = ("base_height", "base_orientation", "velocity_tracking", "contact_schedule")
-REG_TERMS = ("joint_torques", "torque_limits", "joint_velocity", "joint_limits",
-             "action_smoothness_1", "action_smoothness_2", "hip_regularization",
-             "base_rollpitch_velocity", "base_z_velocity", "base_tilting", "termination")
+# The weight of each regularization term, in the order of the penalty table.
+REG_WEIGHTS = {"joint_torques": 1e-4, "torque_limits": 1e-2, "joint_velocity": 1e-3,
+               "joint_limits": 10.0, "action_smoothness_1": 1e-3, "action_smoothness_2": 1e-4,
+               "hip_regularization": 1.25, "base_rollpitch_velocity": 1e-2,
+               "base_z_velocity": 1e-1, "base_tilting": 1.0, "termination": 100.0}
+REG_TERMS = tuple(REG_WEIGHTS)
 
 
 def _arr(v) -> np.ndarray:
@@ -102,6 +107,10 @@ def _columns(n: int, cols: dict) -> SimpleNamespace:
 
 @dataclass(frozen=True)
 class RewardParams:
+    """The reward's inputs: the task terms' targets and shaping scale, the
+    robot's limits (scalar or per-joint) and the log's action period. The
+    regularization weights are the constant REG_WEIGHTS."""
+
     sigma: float = 0.25
     base_height_target: float = BASE_HEIGHT
     heading_target: float = 0.0
@@ -109,17 +118,6 @@ class RewardParams:
     tau_max: np.ndarray = math.inf
     q_max: np.ndarray = math.inf
     action_dt: float = 0.01
-    w_torque: float = 1e-4
-    w_torque_limits: float = 1e-2
-    w_joint_vel: float = 1e-3
-    w_joint_limits: float = 10.0
-    w_smooth1: float = 1e-3
-    w_smooth2: float = 1e-4
-    w_hip: float = 1.25
-    w_rollpitch: float = 1e-2
-    w_zvel: float = 1e-1
-    w_tilt: float = 1.0
-    w_termination: float = 100.0
 
     def __post_init__(self):
         for name in ("sigma", "action_dt"):
@@ -174,22 +172,22 @@ def reward_table(columns: dict, params: RewardParams, schedule, targets,
         "contact_schedule": 9.0 * (s.foot_contact[:, RIGHT].astype(np.float64)
                                    - s.foot_contact[:, LEFT])
             * schedule * _exp(-foot_err / sig),
-        "joint_torques": params.w_torque * -_rowdot(s.tau),
-        "torque_limits": params.w_torque_limits
-            * -np.maximum(np.abs(s.tau) - 0.9 * tau_max, 0.0).sum(axis=1),
-        "joint_velocity": params.w_joint_vel * -_rowdot(s.dq),
-        "joint_limits": params.w_joint_limits
-            * -np.clip(np.abs(s.q) - 0.9 * q_max, 0.0, 1.0).sum(axis=1),
-        "action_smoothness_1": params.w_smooth1
-            * -(((a - a1) / dt) ** 2).sum(axis=1) if a.shape[1] else np.zeros(n),
-        "action_smoothness_2": params.w_smooth2
-            * -(((a - 2.0 * a1 + a2) / dt) ** 2).sum(axis=1) if a.shape[1] else np.zeros(n),
-        "hip_regularization": params.w_hip * _exp(-_rowdot(s.q_hip_xz) / sig),
-        "base_rollpitch_velocity": params.w_rollpitch * -(_sq(omega[:, 0]) + _sq(omega[:, 1])),
-        "base_z_velocity": params.w_zvel * -_sq(s.base_vel_z),
-        "base_tilting": params.w_tilt * _exp(-(_sq(g[:, 0]) + _sq(g[:, 1])) / sig),
-        "termination": params.w_termination * np.where(terminated, -1.0, 0.0),
     }
+    unweighted = {
+        "joint_torques": -_rowdot(s.tau),
+        "torque_limits": -np.maximum(np.abs(s.tau) - 0.9 * tau_max, 0.0).sum(axis=1),
+        "joint_velocity": -_rowdot(s.dq),
+        "joint_limits": -np.clip(np.abs(s.q) - 0.9 * q_max, 0.0, 1.0).sum(axis=1),
+        "action_smoothness_1": -(((a - a1) / dt) ** 2).sum(axis=1) if a.shape[1] else np.zeros(n),
+        "action_smoothness_2": (-(((a - 2.0 * a1 + a2) / dt) ** 2).sum(axis=1) if a.shape[1]
+                                else np.zeros(n)),
+        "hip_regularization": _exp(-_rowdot(s.q_hip_xz) / sig),
+        "base_rollpitch_velocity": -(_sq(omega[:, 0]) + _sq(omega[:, 1])),
+        "base_z_velocity": -_sq(s.base_vel_z),
+        "base_tilting": _exp(-(_sq(g[:, 0]) + _sq(g[:, 1])) / sig),
+        "termination": np.where(terminated, -1.0, 0.0),
+    }
+    breakdown.update((k, w * unweighted[k]) for k, w in REG_WEIGHTS.items())
     total = np.zeros(n)
     for v in breakdown.values():
         total = total + v

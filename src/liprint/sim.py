@@ -357,7 +357,7 @@ def sweep(configs, trials: int, base_seed: int = 0, window: float = 5.0,
     same seed draws other terrain on another extent. Every other config (no
     terrain, flat, gap, a loaded heightmap) makes the trials of one
     deterministic run, so it runs once and its success counts `trials`
-    times. base_seed must be a non-negative integer; results are
+    times. trials and base_seed must be non-negative integers; results are
     deterministic in (configs, trials, base_seed).
 
     The trial seeds are made once per sweep, for its first rough config.
@@ -368,11 +368,9 @@ def sweep(configs, trials: int, base_seed: int = 0, window: float = 5.0,
     """
     if not configs:
         raise ValueError("sweep needs at least one config")
-    if trials < 0:
-        raise ValueError(f"trials must be non-negative, got {trials}")
-    if (isinstance(base_seed, bool) or not isinstance(base_seed, (int, np.integer))
-            or base_seed < 0):
-        raise ValueError(f"base_seed must be a non-negative integer, got {base_seed!r}")
+    for name, value in (("trials", trials), ("base_seed", base_seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     for config in configs:
         _check_window_tolerance(window, tolerance, config.total_duration)
     seeds = []

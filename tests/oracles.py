@@ -442,31 +442,27 @@ def _terminated(s):
 
 
 def regularization_row(s, params):
-    """The eleven weighted regularization terms of one sample, keyed by name."""
+    """The eleven weighted regularization terms of one sample, keyed by name;
+    the weights are the penalty table's, restated here."""
     sig = params.sigma
     dt = params.action_dt
     tau_max = np.broadcast_to(np.asarray(params.tau_max, dtype=np.float64), s.tau.shape)
     q_max = np.broadcast_to(np.asarray(params.q_max, dtype=np.float64), s.q.shape)
     a, a1, a2 = s.action, s.action_prev, s.action_prev2
     return {
-        "joint_torques": params.w_torque * -float(s.tau @ s.tau),
-        "torque_limits": params.w_torque_limits
-            * -float(np.maximum(np.abs(s.tau) - 0.9 * tau_max, 0.0).sum()),
-        "joint_velocity": params.w_joint_vel * -float(s.dq @ s.dq),
-        "joint_limits": params.w_joint_limits
-            * -float(np.clip(np.abs(s.q) - 0.9 * q_max, 0.0, 1.0).sum()),
-        "action_smoothness_1": params.w_smooth1
-            * -float(np.sum(((a - a1) / dt) ** 2)) if a.size else 0.0,
-        "action_smoothness_2": params.w_smooth2
+        "joint_torques": 1e-4 * -float(s.tau @ s.tau),
+        "torque_limits": 1e-2 * -float(np.maximum(np.abs(s.tau) - 0.9 * tau_max, 0.0).sum()),
+        "joint_velocity": 1e-3 * -float(s.dq @ s.dq),
+        "joint_limits": 10.0 * -float(np.clip(np.abs(s.q) - 0.9 * q_max, 0.0, 1.0).sum()),
+        "action_smoothness_1": 1e-3 * -float(np.sum(((a - a1) / dt) ** 2)) if a.size else 0.0,
+        "action_smoothness_2": 1e-4
             * -float(np.sum(((a - 2.0 * a1 + a2) / dt) ** 2)) if a.size else 0.0,
-        "hip_regularization": params.w_hip
-            * math.exp(-float(s.q_hip_xz @ s.q_hip_xz) / sig),
-        "base_rollpitch_velocity": params.w_rollpitch
-            * -(s.base_ang_vel[0] ** 2 + s.base_ang_vel[1] ** 2),
-        "base_z_velocity": params.w_zvel * -(s.base_vel_z ** 2),
-        "base_tilting": params.w_tilt
+        "hip_regularization": 1.25 * math.exp(-float(s.q_hip_xz @ s.q_hip_xz) / sig),
+        "base_rollpitch_velocity": 1e-2 * -(s.base_ang_vel[0] ** 2 + s.base_ang_vel[1] ** 2),
+        "base_z_velocity": 1e-1 * -(s.base_vel_z ** 2),
+        "base_tilting": 1.0
             * math.exp(-(s.gravity_proj[0] ** 2 + s.gravity_proj[1] ** 2) / sig),
-        "termination": params.w_termination * (-1.0 if _terminated(s) else 0.0),
+        "termination": 100.0 * (-1.0 if _terminated(s) else 0.0),
     }
 
 

@@ -226,7 +226,7 @@ def test_criterion_7_reward_evaluators():
 def test_criterion_8_deterministic_cli_output(tmp_path):
     with criterion(8, "CLI reruns with the same seed are byte-identical"):
         for name, args in {
-            "sim": ["simulate", "--vx", "1.0", "--duration", "5", "--seed", "9",
+            "sim": ["simulate", "--vx", "1.0", "--duration", "5",
                     "--terrain", "rough:0.05:0.5:9", "--replan", "every-tick"],
             "sweep": ["sweep", "--vx-list", "0.5,1.0", "--trials", "3",
                       "--duration", "6", "--terrain", "rough:0.04:0.5:0",

@@ -129,8 +129,7 @@ class TestSimulate:
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["simulate", "--vx", "1.2", "--terrain", "rough:0.04:0.5:9",
-                "--duration", "4", "--seed", "3"]
+        args = ["simulate", "--vx", "1.2", "--terrain", "rough:0.04:0.5:9", "--duration", "4"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -915,6 +914,15 @@ class TestUsage:
         assert main(argv + ["--out", ""]) == 1
         assert capsys.readouterr() == ("", "error: argument --out: expected a file path, got ''\n")
 
+    @pytest.mark.parametrize("flag", ["--events", "--manifest"])
+    def test_empty_simulate_output_path_is_named_before_any_work(self, tmp_path, capsys, flag):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--vx", "1", "--duration", "1", flag, "",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: argument {flag}: "
+                                           "expected a file path, got ''\n")
+        assert list(tmp_path.iterdir()) == []
+
     # a warning (numpy's RuntimeWarning on a non-finite value) is a failure:
     # bad input gets the one error line and nothing else
     @pytest.mark.filterwarnings("error")
@@ -926,8 +934,11 @@ class TestUsage:
         (["simulate", "--vx", "1", "--base-height", "nan"], "pendulum height must be positive"),
         (["simulate", "--vx", "1", "--g", "nan"], "gravity must be positive"),
         (["simulate", "--vx", "1", "--turn", "90", "--turn-time", "inf"],
-         "turn angle and time must be finite"),
-        (["simulate", "--vx", "1", "--turn", "nan"], "turn angle and time must be finite"),
+         "error: argument --turn-time: must be finite, got 'inf'\n"),
+        (["simulate", "--vx", "1", "--turn", "90", "--turn-time", "nan"],
+         "error: argument --turn-time: must be finite, got 'nan'\n"),
+        (["simulate", "--vx", "1", "--turn", "nan"],
+         "error: argument --turn: must be finite, got 'nan'\n"),
         (["simulate", "--vx", "1", "--duration", "1e307"],
          "total duration 1e+307 a non-finite tick count"),
         (["simulate", "--vx", "1", "--dt", "1e-320"],
@@ -939,7 +950,8 @@ class TestUsage:
         (["simulate", "--vx", "1", "--terrain", "file:{no_origin}"], "heightmap lacks origin"),
         (["simulate", "--vx", "1", "--terrain", "file:{not_object}"],
          "heightmap must be a JSON object"),
-        (["sweep", "--trials", "-2"], "trials must be non-negative"),
+        (["sweep", "--trials", "-2"],
+         "error: argument --trials: must be a non-negative integer, got '-2'\n"),
         (["sweep", "--vx-list", "a"], "error: argument --vx-list: invalid float value: 'a'\n"),
         (["sweep", "--vx-list", "1,x"],
          "error: argument --vx-list: invalid float value: 'x'\n"),
@@ -1099,6 +1111,7 @@ class TestUsage:
         (["simulate", "--config", "{cfg_empty_key}"],
          "cfg_empty_key.cfg line 2: expected key=value, got '= 2'\n"),
         # --seed only where a handler reads it, from the command line or a config
+        (["simulate", "--vx", "1", "--seed", "3"], "error: unrecognized arguments: --seed 3\n"),
         (["plan", "--vx", "1", "--seed", "3"], "error: unrecognized arguments: --seed 3\n"),
         (["score", "--traj", "t.csv", "--seed", "3"],
          "error: unrecognized arguments: --seed 3\n"),
@@ -1107,7 +1120,8 @@ class TestUsage:
         (["plan", "--vx", "1", "--config", "{cfg_seed}"],
          "error: unrecognized arguments: --seed 3\n"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
-            "g-nan", "turn-time-inf", "turn-nan", "duration-overflow", "dt-underflow",
+            "g-nan", "turn-time-inf", "turn-time-nan", "turn-nan", "duration-overflow",
+            "dt-underflow",
             "resolution-nan", "extent-inf",
             "map-without-origin", "map-not-object", "sweep-trials-negative",
             "sweep-vx-list-word", "sweep-vx-list-bad-entry",
@@ -1139,7 +1153,7 @@ class TestUsage:
             "plan-state-unknown-key", "plan-parity-negative", "terrain-gen-seed-negative",
             "rough-seed-negative", "zero-amplitude-seed-negative", "sweep-seed-negative",
             "config-no-equals", "config-space-for-equals", "config-empty-key",
-            "plan-seed", "score-seed", "terrain-gen-seed", "plan-config-seed"])
+            "simulate-seed", "plan-seed", "score-seed", "terrain-gen-seed", "plan-config-seed"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}

@@ -19,7 +19,7 @@ import pytest
 
 from liprint.cli import main
 
-_SIM = ["simulate", "--duration", "3", "--seed", "3"]
+_SIM = ["simulate", "--duration", "3"]
 
 # name -> (argv, expected exit code)
 CASES = {

@@ -72,7 +72,7 @@ def test_child_with_numba_stub_writes_in_process_bytes(numba_stub, tmp_path):
 
 
 def test_in_process_run_matches_subprocess_bytes(tmp_path):
-    args = ["simulate", "--vx", "0.8", "--duration", "1", "--seed", "4"]
+    args = ["simulate", "--vx", "0.8", "--duration", "1"]
     inproc = tmp_path / "inproc.csv"
     sub = tmp_path / "sub.csv"
     assert main(args + ["--out", str(inproc)]) == 0

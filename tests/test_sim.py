@@ -752,6 +752,23 @@ class TestSweep:
                   base_seed=base_seed, window=1.0)
         assert loops == []
 
+    @pytest.mark.parametrize("trials", [-1, -2**40, 1.0, 2.5, True, False, "3", None])
+    @pytest.mark.parametrize("terrain", [None, TerrainSpec(kind="rough")], ids=["flat", "rough"])
+    def test_bad_trials_is_rejected_before_any_run(self, monkeypatch, trials, terrain):
+        loops = []
+        monkeypatch.setattr(_kernels, "sim_loop", lambda *args, **kw: loops.append(args))
+        with pytest.raises(ValueError, match=re.escape(
+                f"trials must be a non-negative integer, got {trials!r}")):
+            sweep([config(vx=1.0, duration=2.0, terrain=terrain)], trials=trials,
+                  window=1.0)
+        assert loops == []
+
+    def test_numpy_integer_trials_equals_int(self):
+        cfgs = [config(vx=vx, duration=2.0, terrain=terrain)
+                for vx in (0.6, 2.5) for terrain in (None, TerrainSpec(kind="rough"))]
+        assert (sweep(cfgs, trials=np.int64(2), window=1.0)
+                == sweep(cfgs, trials=2, window=1.0))
+
     def test_numpy_integer_base_seed_equals_int(self):
         cfgs = [config(vx=vx, duration=2.0, terrain=TerrainSpec(kind="rough"))
                 for vx in (0.6, 2.5)]
