@@ -9,6 +9,7 @@ contact schedule and the sine/cosine phase clock.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 _WRAP_TOL = 1e-9
@@ -25,8 +26,8 @@ class GaitParams:
 
 @dataclass(frozen=True)
 class GaitState:
-    """Step clock t in [0, Ts) and parity, the number of completed steps
-    (>= 0); the two-step clock t_prime in [0, 2*Ts) is derived from them."""
+    """Step clock t in [0, Ts) and parity, the integer number of completed
+    steps (>= 0); the two-step clock t_prime in [0, 2*Ts) is derived from them."""
 
     t: float
     parity: int
@@ -36,6 +37,8 @@ class GaitState:
         Ts = self.params.step_duration
         if not (0.0 <= self.t < Ts):
             raise ValueError(f"t must lie in [0, {Ts}), got {self.t}")
+        if isinstance(self.parity, bool) or not isinstance(self.parity, numbers.Integral):
+            raise ValueError(f"parity must be a non-negative integer, got {self.parity!r}")
         if self.parity < 0:
             raise ValueError(f"parity must be non-negative, got {self.parity}")
 

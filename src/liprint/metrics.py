@@ -1,9 +1,10 @@
 """Reward evaluators and the joint PD law.
 
 `reward_table` evaluates every reward term over whole columns: (n,) for
-scalar signals, (n, k) for per-joint vectors, (n, 2, 2) for the feet. The
-scalar API (`RobotSample`, the `r_*` terms, `regularization`,
-`total_reward`) runs the same core on one row, so each formula exists once.
+scalar signals, (n, k) for per-joint vectors, (n, 2, 2) for the feet.
+`total_reward` runs the same core on one `RobotSample` and returns its
+total and per-term breakdown (`regularization` picks the regularization
+terms out of it), so each formula exists once.
 Each row's values are bit-identical to scoring that row alone: exp is
 `math.exp` and squares of scalar signals use `pow` (Python's `**`), where
 np.exp and x * x can differ in the last bit; row dot products use stacked
@@ -108,8 +109,9 @@ def _columns(n: int, cols: dict) -> SimpleNamespace:
 @dataclass(frozen=True)
 class RewardParams:
     """The reward's inputs: the task terms' targets and shaping scale, the
-    robot's limits (scalar or per-joint) and the log's action period. The
-    regularization weights are the constant REG_WEIGHTS."""
+    robot's limits (non-negative, scalar or one per joint, inf for none) and
+    the log's action period. The regularization weights are the constant
+    REG_WEIGHTS."""
 
     sigma: float = 0.25
     base_height_target: float = BASE_HEIGHT
@@ -125,6 +127,13 @@ class RewardParams:
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         object.__setattr__(self, "vel_cmd", _arr(self.vel_cmd))
+        if self.vel_cmd.shape != (2,):
+            raise ValueError(f"vel_cmd must have 2 entries (x, y), got {self.vel_cmd}")
+        for name in ("tau_max", "q_max"):
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            if value.ndim > 1 or not np.all(value >= 0.0):
+                raise ValueError(f"{name} must be a non-negative scalar or one per joint "
+                                 f"(inf for no limit), got {getattr(self, name)}")
         for name in ("base_height_target", "vel_cmd", "heading_target"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -152,6 +161,10 @@ def reward_table(columns: dict, params: RewardParams, schedule, targets,
     a, a1, a2 = s.action, s.action_prev, s.action_prev2
     omega, g = s.base_ang_vel, s.gravity_proj
     tau_max, q_max = (np.asarray(v, dtype=np.float64) for v in (params.tau_max, params.q_max))
+    for name, limit, col in (("tau_max", tau_max, s.tau), ("q_max", q_max, s.q)):
+        if limit.ndim and limit.shape != col.shape[1:]:
+            raise ValueError(f"{name} must be a scalar or one per joint ({col.shape[1]}), "
+                             f"got {limit.size} entries")
     height_err = params.base_height_target - s.base_height
     heading_err = np.fmod(params.heading_target - s.base_heading, 2.0 * math.pi)
     heading_err = np.where(np.abs(heading_err) > math.pi,
@@ -194,38 +207,6 @@ def reward_table(columns: dict, params: RewardParams, schedule, targets,
     return total, breakdown
 
 
-def r_base_height(s: RobotSample, params: RewardParams) -> float:
-    """exp(-(target - height)^2 / sigma), peak 1 at exact tracking."""
-    return total_reward(s, params, 0.0, np.zeros((2, 2)))[1]["base_height"]
-
-
-def r_base_orientation(s: RobotSample, params: RewardParams) -> float:
-    """2 exp(-|target - heading| / sigma), peak 2; error wrapped to [0, pi]."""
-    return total_reward(s, params, 0.0, np.zeros((2, 2)))[1]["base_orientation"]
-
-
-def r_velocity_tracking(s: RobotSample, params: RewardParams) -> float:
-    """4 exp(-|(v_cmd - v)/(1 + |v_cmd|)|^2 / sigma), peak 4.
-
-    The error vector is normalized by 1 + |v_cmd| and enters as its squared
-    Euclidean norm.
-    """
-    return total_reward(s, params, 0.0, np.zeros((2, 2)))[1]["velocity_tracking"]
-
-
-def r_contact_schedule(s: RobotSample, params: RewardParams, gait,
-                       targets, stance_side: int | None = None) -> float:
-    """9 (1_r - 1_l) C exp(-||p_d - p|| / sigma), in [-9, 9].
-
-    `gait` is a GaitState or a raw schedule value C. targets is a (2, 2)
-    array of per-foot desired placements [right, left]; the placement error
-    is the stance foot's distance to its target (its touchdown location),
-    the stance side deriving from the gait parity (or the sign of C) unless
-    given explicitly.
-    """
-    return total_reward(s, params, gait, targets, stance_side)[1]["contact_schedule"]
-
-
 def pd_torque(q_ref, dq_action, q, qd, kp=30.0, kd=1.0) -> np.ndarray:
     """Joint PD law tau = Kp (q_ref + dq_action - q) + Kd (0 - qd).
 
@@ -243,10 +224,14 @@ def regularization(s: RobotSample, params: RewardParams) -> dict:
 
 def total_reward(s: RobotSample, params: RewardParams, gait, targets,
                  stance_side: int | None = None) -> tuple[float, dict]:
-    """Sum of the four task terms and all regularization terms.
+    """Sum of the four task terms and all regularization terms of one sample.
 
-    `gait` and `stance_side` are as in r_contact_schedule. Returns
-    (total, breakdown); the breakdown sums to the total exactly.
+    `gait` is a GaitState or a raw contact-schedule value C. targets is a
+    (2, 2) array of per-foot desired placements [right, left]; the contact
+    term's placement error is the stance foot's distance to its target, the
+    stance side deriving from the gait parity (or the sign of C) unless
+    given explicitly. Returns (total, breakdown): breakdown maps TASK_TERMS,
+    then REG_TERMS, to floats, and sums to the total exactly.
     """
     if isinstance(gait, GaitState):
         c = gait_contact_schedule(gait)

@@ -27,7 +27,8 @@ Trajectory CSV schema (one row per tick):
     stance_z, target_x, target_y, target_z, target_heading, parity,
     contact_schedule, phase_sin, phase_cos, outcome_flag
 outcome_flag is the run outcome code stamped on every row (0 completed,
-2 failed). A step-event JSON log accompanies the CSV.
+2 failed). A step-event JSON log accompanies the CSV: SimResult.step_events,
+one record per touchdown of its planned target and realized stance.
 """
 
 import functools
@@ -40,7 +41,7 @@ import numpy as np
 from . import _kernels, terrain as terrain_mod
 from .gait import GaitParams, GaitState, cycle_phase, phase_signals
 from .lip_core import FootPosition, LipParams, LipState
-from .planner import PlannedStep, StepCommand
+from .planner import StepCommand
 from .terrain import Heightmap, TerrainSpec
 
 # Node spacing (m) of the heightmaps generated for TerrainSpec terrain.
@@ -106,13 +107,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class StepEvent:
-    time: float
-    planned: PlannedStep
-    realized: np.ndarray
-
-
-@dataclass(frozen=True)
 class SimResult:
     config: SimConfig
     outcome: str
@@ -126,31 +120,35 @@ class SimResult:
 
     @property
     def n_steps(self) -> int:
-        """Number of touchdowns, len(step_events) without building them."""
+        """Number of touchdowns: len(step_events) without building its records."""
         return len(_touchdown_rows(self.sample_array, self.config.ticks_per_step)[0])
 
     @property
     def step_events(self) -> tuple:
-        """One StepEvent per touchdown row i = k, 2k, ... (k = ticks_per_step),
-        built on each access: `time` and `realized` (stance) from row i,
-        `planned` (target, heading, parity) from row i - 1, whose target the
-        stance moved onto. A run that fails at a touchdown lists it last."""
+        """The step-event log's records, one per touchdown row i = k, 2k, ...
+        (k = ticks_per_step), built on each access: {"time", "planned": {x, y,
+        z, heading, parity}, "realized": {x, y, z}}, with time and the
+        realized stance from row i and the planned target from row i - 1,
+        whose target the stance moved onto. A run that fails at a touchdown
+        lists it last."""
         touch, planned = _touchdown_rows(self.sample_array, self.config.ticks_per_step)
         return tuple(
-            StepEvent(time=float(t[_kernels.COL_TIME]),
-                      planned=PlannedStep(
-                          p_d=p[_kernels.COL_TARGET_X:_kernels.COL_TARGET_Y + 1].copy(),
-                          z_d=float(p[_kernels.COL_TARGET_Z]),
-                          heading=float(p[_kernels.COL_TARGET_HEADING]),
-                          parity=int(p[_kernels.COL_PARITY])),
-                      realized=t[_kernels.COL_STANCE_X:_kernels.COL_STANCE_Z + 1].copy())
-            for t, p in zip(touch, planned))
-
-    def boundary_samples(self) -> np.ndarray:
-        """Rows recorded at step-boundary instants (touchdowns)."""
-        k = self.config.ticks_per_step
-        n = self.sample_array.shape[0]
-        return self.sample_array[np.arange(0, n, k)]
+            {
+                "time": t[_kernels.COL_TIME],
+                "planned": {
+                    "x": p[_kernels.COL_TARGET_X],
+                    "y": p[_kernels.COL_TARGET_Y],
+                    "z": p[_kernels.COL_TARGET_Z],
+                    "heading": p[_kernels.COL_TARGET_HEADING],
+                    "parity": int(p[_kernels.COL_PARITY]),
+                },
+                "realized": {
+                    "x": t[_kernels.COL_STANCE_X],
+                    "y": t[_kernels.COL_STANCE_Y],
+                    "z": t[_kernels.COL_STANCE_Z],
+                },
+            }
+            for t, p in zip(touch.tolist(), planned.tolist()))
 
 
 def _touchdown_rows(arr: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -490,28 +488,8 @@ def write_trajectory_csv(result: SimResult, path) -> None:
 
 
 def write_step_events(result: SimResult, path) -> None:
-    """The step-event JSON log: per touchdown, its time and realized
-    stance from the touchdown row and the planned target from the row
-    before it (the rows SimResult.step_events reads)."""
-    touch, planned = _touchdown_rows(result.sample_array, result.config.ticks_per_step)
-    events = [
-        {
-            "time": t[_kernels.COL_TIME],
-            "planned": {
-                "x": p[_kernels.COL_TARGET_X],
-                "y": p[_kernels.COL_TARGET_Y],
-                "z": p[_kernels.COL_TARGET_Z],
-                "heading": p[_kernels.COL_TARGET_HEADING],
-                "parity": int(p[_kernels.COL_PARITY]),
-            },
-            "realized": {
-                "x": t[_kernels.COL_STANCE_X],
-                "y": t[_kernels.COL_STANCE_Y],
-                "z": t[_kernels.COL_STANCE_Z],
-            },
-        }
-        for t, p in zip(touch.tolist(), planned.tolist())
-    ]
-    text = json.dumps({"step_events": events}, indent=2, sort_keys=True)
+    """The step-event JSON log: {"step_events": [...]} holding
+    result.step_events, indented and with sorted keys."""
+    text = json.dumps({"step_events": result.step_events}, indent=2, sort_keys=True)
     with open(path, "w") as f:
         f.write(text + "\n")

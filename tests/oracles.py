@@ -399,12 +399,12 @@ def reference_run(config, schedule):
 RIGHT, LEFT = 0, 1
 
 
-def _r_base_height(s, params):
+def _base_height_term(s, params):
     err = params.base_height_target - s.base_height
     return math.exp(-err * err / params.sigma)
 
 
-def _r_base_orientation(s, params):
+def _base_orientation_term(s, params):
     d = math.fmod(params.heading_target - s.base_heading, 2.0 * math.pi)
     if d > math.pi:
         d -= 2.0 * math.pi
@@ -413,13 +413,13 @@ def _r_base_orientation(s, params):
     return 2.0 * math.exp(-abs(d) / params.sigma)
 
 
-def _r_velocity_tracking(s, params):
+def _velocity_tracking_term(s, params):
     v_cmd = params.vel_cmd
     err = (v_cmd - s.base_vel_world) / (1.0 + float(np.linalg.norm(v_cmd)))
     return 4.0 * math.exp(-float(err @ err) / params.sigma)
 
 
-def _r_contact_schedule(s, params, c, targets, stance_side):
+def _contact_schedule_term(s, params, c, targets, stance_side):
     targets = np.asarray(targets, dtype=np.float64).reshape(2, 2)
     indicator = float(bool(s.foot_contact[RIGHT])) - float(bool(s.foot_contact[LEFT]))
     err = float(np.linalg.norm(targets[stance_side] - s.foot_pos[stance_side]))
@@ -469,10 +469,10 @@ def regularization_row(s, params):
 def total_reward_row(s, params, c, targets, stance_side):
     """(total, breakdown) of one sample; the total sums the terms in order."""
     breakdown = {
-        "base_height": _r_base_height(s, params),
-        "base_orientation": _r_base_orientation(s, params),
-        "velocity_tracking": _r_velocity_tracking(s, params),
-        "contact_schedule": _r_contact_schedule(s, params, c, targets, stance_side),
+        "base_height": _base_height_term(s, params),
+        "base_orientation": _base_orientation_term(s, params),
+        "velocity_tracking": _velocity_tracking_term(s, params),
+        "contact_schedule": _contact_schedule_term(s, params, c, targets, stance_side),
     }
     breakdown.update(regularization_row(s, params))
     total = 0.0

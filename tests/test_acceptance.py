@@ -83,7 +83,7 @@ def test_criterion_3_step_length_recurrence_and_velocity_tracking():
                             total_duration=10.0, reach_limit=0.9)
             res = run(cfg)
             assert res.completed, (vx, res.failure_reason)
-            adv = np.diff(res.boundary_samples()[:, COL_ICP_X])
+            adv = np.diff(res.sample_array[::res.config.ticks_per_step, COL_ICP_X])
             npt.assert_allclose(adv[1:], vx * TS, atol=1e-9)
             sel = res.sample_array[:, COL_TIME] >= 3 * TS
             mean_vx = res.sample_array[sel, COL_VEL_X].mean()
@@ -163,7 +163,7 @@ def test_criterion_6_terrain_adaptation():
                                     sim_mod.TERRAIN_RESOLUTION)
         assert len(res.step_events) >= 25
         for ev in res.step_events:
-            assert is_steppable(hmap, ev.realized[:2]), ev
+            assert is_steppable(hmap, (ev["realized"]["x"], ev["realized"]["y"])), ev
 
         rough = TerrainSpec(kind="rough", amplitude=0.05, correlation=0.5, seed=0)
         cfgs = [SimConfig(cmd=StepCommand(v_cmd=(1.0, 0.0)), total_duration=6.0,

@@ -163,3 +163,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="parity must be non-negative, got -1"):
             gait(parity=-1)
         assert gait(parity=0).parity == 0
+
+    @pytest.mark.parametrize("parity", [1.5, 1.0, True, False])
+    def test_non_integer_parity_rejected(self, parity):
+        # a float parity would put cycle_phase outside [0, 1)
+        with pytest.raises(ValueError, match="parity must be a non-negative integer"):
+            gait(t=0.3, parity=parity)
+
+    def test_numpy_integer_parity_accepted(self):
+        assert gait(t=0.3, parity=np.int64(3)).t_prime == TS + 0.3

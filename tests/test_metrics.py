@@ -6,9 +6,7 @@ import pytest
 
 from liprint import GaitParams, GaitState
 from liprint.metrics import (LEFT, REG_TERMS, RIGHT, TASK_TERMS, RewardParams,
-                             RobotSample, pd_torque, r_base_height,
-                             r_base_orientation, r_contact_schedule,
-                             r_velocity_tracking, regularization, reward_table,
+                             RobotSample, pd_torque, regularization, reward_table,
                              total_reward)
 from oracles import regularization_row, total_reward_row
 
@@ -17,6 +15,11 @@ SIGMA = 0.25
 
 def params(**kw):
     return RewardParams(**kw)
+
+
+def term(name, s, p, gait=0.0, targets=((0.0, 0.0), (0.0, 0.0)), stance_side=None):
+    """One term of total_reward's breakdown for the sample s."""
+    return total_reward(s, p, gait, targets, stance_side)[1][name]
 
 
 def ideal_sample(vx=0.0, vy=0.0):
@@ -28,52 +31,52 @@ def ideal_sample(vx=0.0, vy=0.0):
 
 class TestBaseHeight:
     def test_exact_tracking(self):
-        assert r_base_height(ideal_sample(), params()) == 1.0
+        assert term("base_height", ideal_sample(), params()) == 1.0
 
     def test_ten_cm_error(self):
         s = RobotSample(base_height=0.52)
-        r = r_base_height(s, params(base_height_target=0.62))
+        r = term("base_height", s, params(base_height_target=0.62))
         assert r == pytest.approx(math.exp(-0.04), abs=1e-15)
         assert r == pytest.approx(0.960789, abs=1e-6)
 
     def test_limit(self):
         s = RobotSample(base_height=50.0)
-        assert r_base_height(s, params()) < 1e-12
+        assert term("base_height", s, params()) < 1e-12
 
 
 class TestBaseOrientation:
     def test_exact(self):
-        assert r_base_orientation(ideal_sample(), params()) == 2.0
+        assert term("base_orientation", ideal_sample(), params()) == 2.0
 
     def test_quarter_radian(self):
         s = RobotSample(base_heading=0.25)
-        r = r_base_orientation(s, params(heading_target=0.0))
+        r = term("base_orientation", s, params(heading_target=0.0))
         assert r == pytest.approx(2.0 * math.exp(-1.0), abs=1e-15)
         assert r == pytest.approx(0.735759, abs=1e-6)
 
     def test_large_error_vanishes(self):
         s = RobotSample(base_heading=math.pi)
-        assert r_base_orientation(s, params()) < 1e-5
+        assert term("base_orientation", s, params()) < 1e-5
 
     def test_wraps(self):
         s = RobotSample(base_heading=2 * math.pi)
-        assert r_base_orientation(s, params()) == pytest.approx(2.0, abs=1e-12)
+        assert term("base_orientation", s, params()) == pytest.approx(2.0, abs=1e-12)
 
 
 class TestVelocityTracking:
     def test_exact(self):
         s = ideal_sample(vx=1.0)
-        assert r_velocity_tracking(s, params(vel_cmd=(1.0, 0.0))) == 4.0
+        assert term("velocity_tracking", s, params(vel_cmd=(1.0, 0.0))) == 4.0
 
     def test_half_speed(self):
         s = RobotSample(base_vel_world=(0.5, 0.0))
-        r = r_velocity_tracking(s, params(vel_cmd=(1.0, 0.0)))
+        r = term("velocity_tracking", s, params(vel_cmd=(1.0, 0.0)))
         assert r == pytest.approx(4.0 * math.exp(-0.25), abs=1e-12)
         assert r == pytest.approx(3.115203, abs=1e-6)
 
     def test_limit(self):
         s = RobotSample(base_vel_world=(100.0, 0.0))
-        assert r_velocity_tracking(s, params(vel_cmd=(1.0, 0.0))) < 1e-12
+        assert term("velocity_tracking", s, params(vel_cmd=(1.0, 0.0))) < 1e-12
 
     def test_normalization_invariance(self):
         # any (v_cmd, v) pair with the same normalized error scores the same
@@ -84,10 +87,9 @@ class TestVelocityTracking:
             e = (v1 - v) / (1.0 + np.linalg.norm(v1))
             v2 = rng.uniform(-2, 2, 2)
             v_matched = v2 - e * (1.0 + np.linalg.norm(v2))
-            r1 = r_velocity_tracking(RobotSample(base_vel_world=v),
-                                     params(vel_cmd=v1))
-            r2 = r_velocity_tracking(RobotSample(base_vel_world=v_matched),
-                                     params(vel_cmd=v2))
+            r1 = term("velocity_tracking", RobotSample(base_vel_world=v), params(vel_cmd=v1))
+            r2 = term("velocity_tracking", RobotSample(base_vel_world=v_matched),
+                      params(vel_cmd=v2))
             assert r2 == pytest.approx(r1, rel=1e-12)
 
 
@@ -96,27 +98,26 @@ class TestContactSchedule:
         s = RobotSample(foot_pos=((0.1, -0.15), (0.5, 0.15)),
                         foot_contact=(True, False))
         targets = [(0.1, -0.15), (0.9, 0.15)]
-        r = r_contact_schedule(s, params(), 1.0, targets)
+        r = term("contact_schedule", s, params(), 1.0, targets)
         assert r == 9.0  # right stance at its target, C = 1
 
     def test_double_support_is_zero(self):
         s = RobotSample(foot_contact=(True, True))
-        assert r_contact_schedule(s, params(), 1.0,
-                                  [(0, 0), (0, 0)]) == 0.0
+        assert term("contact_schedule", s, params(), 1.0, [(0, 0), (0, 0)]) == 0.0
 
     def test_wrong_schedule_penalised(self):
         # right foot on the ground (at its target) during the C = -1 half
         s = RobotSample(foot_pos=((0.1, -0.15), (0.5, 0.15)),
                         foot_contact=(True, False))
         targets = [(0.1, -0.15), (0.9, 0.15)]
-        r = r_contact_schedule(s, params(), -1.0, targets, stance_side=RIGHT)
+        r = term("contact_schedule", s, params(), -1.0, targets, stance_side=RIGHT)
         assert r == -9.0
 
     def test_placement_error_decay(self):
         s = RobotSample(foot_pos=((0.2, -0.15), (0.5, 0.15)),
                         foot_contact=(True, False))
         targets = [(0.1, -0.15), (0.9, 0.15)]  # stance foot 0.1 m off
-        r = r_contact_schedule(s, params(), 1.0, targets)
+        r = term("contact_schedule", s, params(), 1.0, targets)
         assert r == pytest.approx(9.0 * math.exp(-0.1 / SIGMA), rel=1e-12)
 
     def test_gait_state_input(self):
@@ -124,7 +125,7 @@ class TestContactSchedule:
         s = RobotSample(foot_pos=((0.1, -0.15), (0.5, 0.15)),
                         foot_contact=(True, False))
         targets = [(0.1, -0.15), (0.9, 0.15)]
-        r = r_contact_schedule(s, params(), g, targets)
+        r = term("contact_schedule", s, params(), g, targets)
         assert r == pytest.approx(9.0 / math.sqrt(1.04), abs=1e-9)
 
     def test_bounded(self):
@@ -133,7 +134,7 @@ class TestContactSchedule:
             s = RobotSample(foot_pos=rng.uniform(-1, 1, (2, 2)),
                             foot_contact=(bool(rng.integers(2)), bool(rng.integers(2))))
             c = rng.uniform(-1, 1)
-            r = r_contact_schedule(s, params(), c, rng.uniform(-1, 1, (2, 2)))
+            r = term("contact_schedule", s, params(), c, rng.uniform(-1, 1, (2, 2)))
             assert abs(r) <= 9.0
 
 
@@ -237,6 +238,36 @@ class TestRewardParams:
         p = params(tau_max=math.inf, q_max=math.inf)
         assert p.tau_max == p.q_max == math.inf
 
+    @pytest.mark.parametrize("name", ["tau_max", "q_max"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0, -math.inf, [30.0, math.nan],
+                                       [30.0, -0.5], [[30.0, 30.0]]])
+    def test_bad_limits_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative scalar"):
+            params(**{name: value})
+
+    def test_zero_and_per_joint_limits_allowed(self):
+        s = RobotSample(q=[0.5, -0.5], tau=[1.0, -1.0])
+        p = params(tau_max=[0.0, math.inf], q_max=0.0)
+        terms = regularization(s, p)
+        assert terms["torque_limits"] == pytest.approx(-1e-2, rel=1e-12)
+        assert terms["joint_limits"] == pytest.approx(-10.0, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["tau_max", "q_max"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_per_joint_limit_must_match_joint_count(self, name, k):
+        p = params(**{name: np.full(2, 30.0)})
+        s = RobotSample(q=np.zeros(k), tau=np.zeros(k))
+        with pytest.raises(ValueError, match=f"{name} must be a scalar or one per joint "
+                                             rf"\({k}\), got 2 entries"):
+            total_reward(s, p, 0.0, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=name):
+            reward_table(stack([s, s]), p, np.zeros(2), np.zeros((2, 2, 2)), [RIGHT, LEFT])
+
+    @pytest.mark.parametrize("vel_cmd", [(1.0,), (1.0, 0.0, 0.0), ()])
+    def test_vel_cmd_needs_two_entries(self, vel_cmd):
+        with pytest.raises(ValueError, match="vel_cmd must have 2 entries"):
+            params(vel_cmd=vel_cmd)
+
 
 class TestPdTorque:
     def test_zero_at_setpoint(self):
@@ -307,9 +338,9 @@ class TestTotalReward:
                             base_heading=rng.uniform(-3, 3),
                             base_vel_world=rng.uniform(-3, 3, 2))
             p = params(vel_cmd=(1.0, 0.0))
-            assert 0.0 < r_base_height(s, p) <= 1.0
-            assert 0.0 < r_base_orientation(s, p) <= 2.0
-            assert 0.0 < r_velocity_tracking(s, p) <= 4.0
+            assert 0.0 < term("base_height", s, p) <= 1.0
+            assert 0.0 < term("base_orientation", s, p) <= 2.0
+            assert 0.0 < term("velocity_tracking", s, p) <= 4.0
 
 
 def stack(samples):
@@ -365,16 +396,12 @@ class TestArrayCoreOracle:
         targets = rng.uniform(-1.0, 1.0, (n, 2, 2))
         sides = rng.integers(0, 2, n)
         assert_rows_match_oracle(samples, p, schedule, targets, sides)
-        # the one-row wrappers run the same core
+        # the one-row form runs the same core
         for i in range(min(n, 3)):
             s, c, t, side = samples[i], schedule[i], targets[i], sides[i]
             o_total, o_breakdown = total_reward_row(s, p, c, t, side)
             assert total_reward(s, p, c, t, stance_side=side) == (o_total, o_breakdown)
             assert regularization(s, p) == regularization_row(s, p)
-            assert r_base_height(s, p) == o_breakdown["base_height"]
-            assert r_base_orientation(s, p) == o_breakdown["base_orientation"]
-            assert r_velocity_tracking(s, p) == o_breakdown["velocity_tracking"]
-            assert r_contact_schedule(s, p, c, t, side) == o_breakdown["contact_schedule"]
 
     def test_both_parities(self):
         rng = np.random.default_rng(12)

@@ -81,7 +81,7 @@ class TestFlatRuns:
         assert abs(arr[-1, COL_COM_X] - arr[0, COL_COM_X]) <= 1e-6
         assert np.abs(arr[:, COL_COM_Y]).max() < 1.0  # bounded lateral cycle
         # the lateral cycle repeats with period 2 Ts once the transient decays
-        ys = res.boundary_samples()[16:, COL_COM_Y]
+        ys = res.sample_array[::res.config.ticks_per_step][16:, COL_COM_Y]
         npt.assert_allclose(ys[2:], ys[:-2], atol=1e-9)
 
     def test_fast_command_completes(self):
@@ -93,7 +93,7 @@ class TestFlatRuns:
     def test_per_step_icp_advance(self):
         for vx in (0.2, 0.5, 1.0, 1.5, 2.0):
             res = run(config(vx=vx, reach=0.9))
-            b = res.boundary_samples()
+            b = res.sample_array[::res.config.ticks_per_step]
             adv = np.diff(b[:, COL_ICP_X])
             npt.assert_allclose(adv[1:], vx * 0.35, atol=1e-9)
 
@@ -113,13 +113,12 @@ class TestFlatRuns:
     def test_touchdown_equals_plan(self):
         res = run(config(vx=1.0))
         for ev in res.step_events:
-            npt.assert_array_equal(ev.realized[:2], ev.planned.p_d)
-            assert ev.realized[2] == ev.planned.z_d
+            assert ev["realized"] == {k: ev["planned"][k] for k in "xyz"}
 
     def test_touchdown_within_reach(self):
         res = run(config(vx=2.0, reach=0.9))
         arr = res.sample_array
-        b = res.boundary_samples()
+        b = res.sample_array[::res.config.ticks_per_step]
         d = np.hypot(b[:, COL_ICP_X] - b[:, COL_STANCE_X],
                      b[:, COL_ICP_Y] - b[:, COL_STANCE_Y])
         assert d.max() <= 0.9
@@ -127,8 +126,8 @@ class TestFlatRuns:
     def test_replan_modes_agree_on_flat(self):
         r1 = run(config(vx=1.0, replan=sim_mod.REPLAN_AT_STEP_START))
         r2 = run(config(vx=1.0, replan=sim_mod.REPLAN_EVERY_TICK))
-        td1 = np.array([ev.realized for ev in r1.step_events])
-        td2 = np.array([ev.realized for ev in r2.step_events])
+        td1 = np.array([[ev["realized"][k] for k in "xyz"] for ev in r1.step_events])
+        td2 = np.array([[ev["realized"][k] for k in "xyz"] for ev in r2.step_events])
         npt.assert_allclose(td1, td2, atol=1e-9)
         sel = r2.sample_array[:, COL_TIME] >= 3 * 0.35
         assert r2.sample_array[sel, COL_VEL_X].mean() == pytest.approx(1.0, rel=0.01)
@@ -256,8 +255,8 @@ class TestSampleConsistency:
         s = arr[40]
         assert s[COL_TIME] == pytest.approx(0.40, abs=1e-12)
         assert s[COL_PARITY] == 1
-        npt.assert_array_equal(s[COL_STANCE_X:COL_STANCE_Y + 1],
-                               res.step_events[0].realized[:2])
+        realized = res.step_events[0]["realized"]
+        npt.assert_array_equal(s[COL_STANCE_X:COL_STANCE_Y + 1], [realized["x"], realized["y"]])
 
 
 class TestTurning:
@@ -389,7 +388,7 @@ class TestTerrainRuns:
                                     sim_mod._auto_extent(cfg, [(0.0, 1.0, 0.0, 0.3)]),
                                     sim_mod.TERRAIN_RESOLUTION)
         for ev in res.step_events:
-            assert is_steppable(hmap, ev.realized[:2])
+            assert is_steppable(hmap, (ev["realized"]["x"], ev["realized"]["y"]))
 
     def test_impassable_gap_fails(self):
         res = run(config(vx=1.0, terrain=gap_spec(width=2.0, period=0.1)))
@@ -630,18 +629,18 @@ class TestStepEvents:
         events = res.step_events
         assert res.n_steps == len(events) >= 1
         last = events[-1]
+        realized = [last["realized"][k] for k in "xyz"]
         arr = res.sample_array
-        assert last.time == res.failure_time == arr[-1, COL_TIME] > 0.0
-        npt.assert_array_equal(last.realized, arr[-1, COL_STANCE_X:COL_STANCE_Z + 1])
-        npt.assert_array_equal(last.planned.p_d, last.realized[:2])
-        assert last.planned.z_d == last.realized[2]
+        assert last["time"] == res.failure_time == arr[-1, COL_TIME] > 0.0
+        npt.assert_array_equal(realized, arr[-1, COL_STANCE_X:COL_STANCE_Z + 1])
+        assert [last["planned"][k] for k in "xyz"] == realized
         if case == "height":
-            assert last.realized[2] >= cfg.lip.z0
+            assert realized[2] >= cfg.lip.z0
         if case == "overflow":
-            assert 0.0 < cfg.lip.z0 - last.realized[2] < 1e-12
+            assert 0.0 < cfg.lip.z0 - realized[2] < 1e-12
             assert np.isfinite(arr).all()
         if case == "plan-overflow":
-            assert 1e-12 < cfg.lip.z0 - last.realized[2] < 2e-6
+            assert 1e-12 < cfg.lip.z0 - realized[2] < 2e-6
             assert np.isfinite(arr).all()
             # the failed plan leaves the target the stance moved onto
             npt.assert_array_equal(arr[-1, COL_TARGET_X:COL_TARGET_Z + 1],
@@ -670,7 +669,7 @@ class TestStepEvents:
         assert res.failure_reason == sim_mod._FAIL_REASONS[outcome]
         k = cfg.ticks_per_step
         fail_tick = round(res.failure_time / cfg.dt)
-        times = [ev.time for ev in res.step_events]
+        times = [ev["time"] for ev in res.step_events]
         assert res.n_steps == len(times) == fail_tick // k
         assert all(t < res.failure_time for t in times)
         if case == "no-ground-mid-step":
@@ -687,27 +686,28 @@ class TestStepEvents:
             sim_mod.write_step_events(res, tmp_path / "e.json")
             logged = [ev["planned"]["heading"] for ev in
                       json.loads((tmp_path / "e.json").read_text())["step_events"]]
-            planned = [ev.planned.heading for ev in res.step_events]
+            planned = [ev["planned"]["heading"] for ev in res.step_events]
             assert np.array(logged).tobytes() == np.array(planned).tobytes()
             backward = planned
         assert backward and set(backward) == {math.pi}
 
     def test_sweep_builds_no_step_events(self, tmp_path, monkeypatch):
-        built = []
-        real_event = sim_mod.StepEvent
+        calls = []
+        real_rows = sim_mod._touchdown_rows
 
-        def counting_event(*args, **kwargs):
-            built.append(kwargs["time"])
-            return real_event(*args, **kwargs)
+        def counting_rows(*args):
+            calls.append(args[1])
+            return real_rows(*args)
 
-        monkeypatch.setattr(sim_mod, "StepEvent", counting_event)
+        monkeypatch.setattr(sim_mod, "_touchdown_rows", counting_rows)
         cfgs = [config(vx=vx, duration=2.0, terrain=spec, reach=reach)
                 for spec in _sweep_terrains(tmp_path).values()
                 for vx, reach in ((0.6, 0.6), (2.5, 0.35))]
         sweep(cfgs, trials=2, window=1.0)
-        assert built == []
-        # not vacuous: reading the events goes through the counter
-        assert len(run(cfgs[0]).step_events) == len(built) > 0
+        assert calls == []
+        # not vacuous: reading the events goes through the counter, once
+        assert len(run(cfgs[0]).step_events) > 0
+        assert calls == [cfgs[0].ticks_per_step]
 
 
 class TestSweep:
@@ -865,8 +865,7 @@ class TestDeterminism:
         r1 = run(cfg)
         r2 = run(cfg)
         npt.assert_array_equal(r1.sample_array, r2.sample_array)
-        assert [tuple(e.realized) for e in r1.step_events] == \
-               [tuple(e.realized) for e in r2.step_events]
+        assert r1.step_events == r2.step_events
 
 
 class TestTrajectoryCsv:
@@ -1008,6 +1007,8 @@ class TestWritersMatchPerValueOracles:
         sim_mod.write_step_events(result, tmp_path / "new.json")
         write_step_events_per_event(result, tmp_path / "old.json")
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+        old = json.loads((tmp_path / "old.json").read_text())["step_events"]
+        assert result.step_events == tuple(old)
 
     @pytest.mark.parametrize("n", [0, 1, 300, sim_mod.CSV_BLOCK_ROWS - 1,
                                    sim_mod.CSV_BLOCK_ROWS, sim_mod.CSV_BLOCK_ROWS + 1])
