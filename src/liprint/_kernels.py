@@ -8,16 +8,19 @@ lip_velocity; lip_step for both axes) from libm's cosh/sinh pairs
 (plan_placement: its per-step part, the heading rule and the rotated
 offsets, in placement_offsets, and its per-tick part, the predicted
 capture point less those offsets, in placement_at), the grid-cell lookup
-with its bilinear sum (_cell for one point, grid_resample for a separable
-grid of them), and the steppability test (steppable). The dataclass-based
-public API in lip_core / planner / terrain / sim validates its arguments
-and calls these kernels.
+with its bilinear sum (_bilinear, the one scalar sum, for one point in
+_cell and for a resampled grid's nodes in CellRow; grid_resample, its
+vector twin, for a separable grid of points; cell_table, the cells and
+weights of one axis), and the steppability test (steppable). The
+dataclass-based public API in lip_core / planner / terrain / sim
+validates its arguments and calls these kernels.
 
 The grid kernels read a map through one Grid view: its shape, origin and
 spacing as Python numbers, and node heights and mask flags read as
-h[i][j] and m[i][j] from Rows that fill each row (or node) on first read.
-terrain builds the views: a Heightmap's rows as Python lists, and a
-TerrainSpec's from its layout, rough heights node by node, with no map.
+h[i][j] and m[i][j] from Rows that fill each row on first read. terrain
+builds the views: a Heightmap's rows as Python lists, and a TerrainSpec's
+from its layout, with no map: a rough height row is a CellRow, which
+fills each node on its first read from the layout's cell tables.
 
 The snap search tests grid nodes with steppable() itself, each at most
 once per run: a caller-owned memo of one byte per node keeps the answers.
@@ -205,8 +208,8 @@ def plan_placement(icp_x, icp_y, st_x, st_y, omega, dt_pred, span, Ts,
 
 class Rows(dict):
     """Rows of a grid read as rows[i]: row i is fill(i), made on first read
-    and kept. A row may itself be Rows of nodes, so that rows[i][j] makes
-    only the nodes that are read."""
+    and kept. A row may itself fill its nodes on first read (CellRow), so
+    that rows[i][j] makes only the nodes that are read."""
 
     __slots__ = ("fill",)
 
@@ -232,13 +235,20 @@ class Grid(NamedTuple):
     m: "Rows | list"
 
 
+def _bilinear(lo, hi, j, ey, fy, ex, fx):
+    """The bilinear sum over columns j, j + 1 of node rows lo (weight ey)
+    and hi (weight fy), with column weights ex and fx."""
+    return lo[j] * ey * ex + lo[j + 1] * ey * fx + hi[j] * fy * ex + hi[j + 1] * fy * fx
+
+
 def _cell(h, rows, cols, gx, gy):
     """Cell (i, j) enclosing grid coordinates (gx, gy) of a rows x cols
     grid of node values h[i][j], and the bilinear value there. The cell is
     the floor of the coordinates, clamped so points on the far edges fall
-    in the last cell."""
-    j = int(math.floor(gx))
-    i = int(math.floor(gy))
+    in the last cell; the weights are 1 - f and f on each axis, with f the
+    coordinate less the cell's."""
+    j = math.floor(gx)
+    i = math.floor(gy)
     if j > cols - 2:
         j = cols - 2
     if j < 0:
@@ -249,30 +259,51 @@ def _cell(h, rows, cols, gx, gy):
         i = 0
     fx = gx - j
     fy = gy - i
-    lo = h[i]
-    hi = h[i + 1]
-    return i, j, (lo[j] * (1.0 - fy) * (1.0 - fx)
-                  + lo[j + 1] * (1.0 - fy) * fx
-                  + hi[j] * fy * (1.0 - fx)
-                  + hi[j + 1] * fy * fx)
+    return i, j, _bilinear(h[i], h[i + 1], j, 1.0 - fy, fy, 1.0 - fx, fx)
+
+
+def cell_table(g, n):
+    """_cell's cell and weights along one axis of n nodes, for each
+    coordinate of the array g: the clamped floors k and the weights 1 - f
+    and f, f = g - k, as three arrays."""
+    k = np.clip(np.floor(g).astype(np.int64), 0, n - 2)
+    f = g - k
+    return k, 1.0 - f, f
+
+
+class CellRow(dict):
+    """Row i of a grid resampled from node rows h, read as row[j]: with
+    (k, ey, fy) the row's cell_table entry and (kx, ex, fx) column j's,
+    node j is _bilinear(h[k], h[k + 1], kx, ey, fy, ex, fx), as _cell
+    gives it at those coordinates, made on first read and kept."""
+
+    __slots__ = ("lo", "hi", "ey", "fy", "cols")
+
+    def __init__(self, h, cell, cols):
+        k, self.ey, self.fy = cell
+        self.lo = h[k]
+        self.hi = h[k + 1]
+        self.cols = cols
+
+    def __missing__(self, j):
+        kx, ex, fx = self.cols[j]
+        v = self[j] = _bilinear(self.lo, self.hi, kx, self.ey, self.fy, ex, fx)
+        return v
 
 
 def grid_resample(grid, gy, gx):
     """_cell on separable grid coordinates: gy holds one per output row, gx
     one per output column. Returns (i, j, values): the clamped floors
-    (see _cell) and the (len(gy), len(gx)) bilinear values. Each
-    value is _cell's four terms in _cell's order, the row weight applied
-    to whole grid rows before the column gather, so it equals _cell bit
-    for bit.
+    (see _cell) and the (len(gy), len(gx)) bilinear values. Each value is
+    _bilinear's four terms in its order, from cell_table's weights, the row
+    weight applied to whole grid rows before the column gather, so it
+    equals _cell bit for bit.
     """
-    i = np.clip(np.floor(gy).astype(np.int64), 0, grid.shape[0] - 2)
-    j = np.clip(np.floor(gx).astype(np.int64), 0, grid.shape[1] - 2)
-    fy = (gy - i)[:, None]
-    fx = gx - j
-    lo = grid[i] * (1.0 - fy)
-    hi = grid[i + 1] * fy
-    return i, j, (lo[:, j] * (1.0 - fx) + lo[:, j + 1] * fx
-                  + hi[:, j] * (1.0 - fx) + hi[:, j + 1] * fx)
+    i, ey, fy = cell_table(gy, grid.shape[0])
+    j, ex, fx = cell_table(gx, grid.shape[1])
+    lo = grid[i] * ey[:, None]
+    hi = grid[i + 1] * fy[:, None]
+    return i, j, (lo[:, j] * ex + lo[:, j + 1] * fx + hi[:, j] * ex + hi[:, j + 1] * fx)
 
 
 def grid_bilinear(grid, x, y):
@@ -287,7 +318,7 @@ def grid_contains(grid, x, y):
             and y >= oy and y <= oy + (rows - 1) * res)
 
 
-def steppable(grid, x, y, radius, max_dev, cert=None):
+def steppable(grid, x, y, radius, max_dev, cert=None, height=None):
     """True when (x, y) offers foot-sized flat support.
 
     The four enclosing nodes must be supporting (mask marks gap cells, the
@@ -342,6 +373,10 @@ def steppable(grid, x, y, radius, max_dev, cert=None):
     itself (the margin terms as computed, G and the division, and the 2u*s
     and 2.01u*move parts above) stay under 20u of the margin, which
     snap_to_steppable's check covers.
+
+    height, when given, is a caller-owned list whose first entry becomes
+    h0, the bilinear height at (x, y) (grid_bilinear's value), when (x, y)
+    lies on the map.
     """
     if not grid_contains(grid, x, y):
         if cert is not None:
@@ -351,6 +386,8 @@ def steppable(grid, x, y, radius, max_dev, cert=None):
     gx = (x - ox) / res
     gy = (y - oy) / res
     i0, j0, h0 = _cell(h, rows, cols, gx, gy)
+    if height is not None:
+        height[0] = h0
     track = cert is not None
     if track:
         near = min(x - ox, ox + (cols - 1) * res - x, y - oy, oy + (rows - 1) * res - y,
@@ -493,7 +530,8 @@ def _nearest_steppable_node(grid, x, y, radius, max_dev, budget2, memo):
     return True, ox + j * res, oy + i * res, best, floor if len(ties) == 1 else best
 
 
-def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None):
+def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None,
+                      height=None):
     """Closest steppable point to the query (x, y) within max_search.
 
     Returns (found, sx, sy). The query point itself wins when steppable.
@@ -552,11 +590,17 @@ def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None):
     floor > 1e-12 whenever the rule holds.) So reuse returns the search's
     answer for any query sequence on one grid and memo. floor = inf (a map
     scanned to its edges) never passes.
+
+    height, when given, is a caller-owned list whose first entry becomes
+    grid_bilinear's height at the query when the query itself is returned:
+    steppable's h0 from a scan, grid_bilinear's call on a reused answer.
     """
     if last and math.hypot(x - last[0], y - last[1]) + 4e-15 * last[3] < last[3]:
         ok = last[2]
+        if ok and height is not None:
+            height[0] = grid_bilinear(grid, x, y)
     else:
-        ok = steppable(grid, x, y, radius, max_dev, last)
+        ok = steppable(grid, x, y, radius, max_dev, last, height)
     if ok:
         return True, x, y
     budget2 = max_search * max_search + 1e-12
@@ -615,13 +659,16 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     list; see snap_to_steppable). Of the plan, placement_offsets runs at the
     step's first plan and at the first plan after a switch, the only places
     where its inputs change, and placement_at every plan, so every target
-    equals plan_placement's bit for bit. A snapped node met again keeps the
-    height grid_bilinear gave it. A plan whose exp overflows, or whose
-    target is not finite, fails the run as a non-finite state at its tick
-    and keeps the previous target and heading; no steppable ground keeps
-    the raw target. Planning once a step, the step's rows share its
-    target. grid is the run's Grid view of its terrain, or None on flat
-    ground (nothing snapped, every height 0).
+    equals plan_placement's bit for bit. A kept query's height is the h0
+    of the snap's scan (snap_to_steppable's height list), or grid_bilinear's
+    on a reused answer; a snapped node met again keeps the height
+    grid_bilinear gave it. So every target's height is grid_bilinear's,
+    read once. A plan whose exp overflows, or whose target is not finite,
+    fails the run as a non-finite state at its tick and keeps the previous
+    target and heading; no steppable ground keeps the raw target. Planning
+    once a step, the step's rows share its target. grid is the run's Grid
+    view of its terrain, or None on flat ground (nothing snapped, every
+    height 0).
     heading is the fallback heading until the first plan. Pass com_x ..
     heading as Python floats, not numpy scalars.
 
@@ -642,6 +689,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     if grid is not None:
         memo = bytearray(grid.rows * grid.cols)
         last = [] if replan_every_tick else None
+        kept = [0.0]  # the height of a query that the snap keeps
         tg_z = grid_bilinear(grid, st_x, st_y)
         node_x = node_y = node_z = math.nan
 
@@ -687,7 +735,11 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
             # included, is at most this bound times a few roundings: cosh and
             # sinh grow with t, so the last pair bounds the others (libm's
             # ulp aside). Below 1e300 the block is finite with a margin of
-            # 1e8 to the float range.
+            # 1e8 to the float range. Any bound a few roundings under the
+            # range would give the same rows (1e308 is an equivalent
+            # mutant): a block that passes cannot overflow, and a block
+            # that fails is computed in full and scanned, so the bound only
+            # decides whether the scan runs.
             finite = len(block) == n and (
                 max(abs(st_x), abs(st_y))
                 + max(abs(com_x - st_x), abs(com_y - st_y)) * (1.0 + omega)
@@ -736,12 +788,15 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                     tg_x, tg_y = x, y
                     if grid is not None:
                         ok, sx, sy = snap_to_steppable(grid, FOOT_RADIUS, MAX_HEIGHT_DEV,
-                                                       SNAP_SEARCH_RADIUS, memo, x, y, last)
+                                                       SNAP_SEARCH_RADIUS, memo, x, y, last,
+                                                       kept)
                         if not ok:
                             tg_z = 0.0
                             outcome = OUTCOME_NO_GROUND
                         elif sx == x and sy == y:
-                            tg_z = grid_bilinear(grid, x, y)
+                            # the query kept: a node found for an unsteppable
+                            # query never equals it
+                            tg_z = kept[0]
                         else:
                             # a grid node, whose coordinates are never -0.0: a
                             # node met again keeps the height read for it

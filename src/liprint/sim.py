@@ -12,9 +12,10 @@ targets are snapped to steppable ground and their elevation refined from
 the terrain. The kernels read the terrain through its grid view: a
 Heightmap's rows become Python lists on first read, and a TerrainSpec
 builds no map (terrain.generate_grid): its view equals terrain.generate's
-map node for node, rough heights computed only where the run reads. sweep
-lays a rough spec out once per config (terrain._layout) and draws only
-each trial's lattice on that layout (terrain.layout_grid). The
+map node for node, rough heights computed only where the run reads, each
+from the layout's per-axis cell tables. sweep lays a rough spec out once
+per config (terrain._layout, cell tables included) and draws only each
+trial's lattice on that layout (terrain.layout_grid). The
 contact-schedule and phase-clock columns come from gait.phase_signals at
 gait.cycle_phase of each tick's GaitState, tabulated once per
 (ticks_per_step, dt) and shared by every run with those values. Failure

@@ -286,12 +286,14 @@ def _layout(spec: TerrainSpec, extent, resolution: float) -> tuple:
     gap is the mask row of every row, a list of 0/1 flags, 1 only at
     nodes strictly inside a gap strip. lattice is None unless the spec is
     rough of positive amplitude; then it is (amplitude, lat_rows,
-    lat_cols, gy, gx): the height bound, the shape of a lattice spaced by
-    the correlation length, one node beyond the extent on every side and
-    holding every grid node's cell, and the grid rows' and columns'
-    coordinates on it as lists. _lattice_values draws it from a seed;
-    spec.seed is not read. The node count of each axis and the lattice's
-    are checked as Python ints, before any array is made."""
+    lat_cols, gy, gx, row_cells, col_cells): the height bound, the shape of
+    a lattice spaced by the correlation length, one node beyond the extent
+    on every side and holding every grid node's cell, the grid rows' and
+    columns' coordinates on it as arrays, and their cell tables, per grid
+    row (and column) the entry (k, 1 - f, f) of _kernels.cell_table as a
+    tuple in a list. _lattice_values draws it from a seed; spec.seed is
+    not read. The node count of each axis and the lattice's are checked as
+    Python ints, before any array is made."""
     x0, y0, x1, y1 = (float(v) for v in extent)
     if not (x1 > x0 and y1 > y0 and all(map(math.isfinite, (x0, y0, x1, y1)))):
         raise ValueError(f"extent {extent} must be finite and non-empty")
@@ -325,7 +327,9 @@ def _layout(spec: TerrainSpec, extent, resolution: float) -> tuple:
                      spec, extent, resolution)
         gy = (y0 + resolution * np.arange(rows)) / corr - lat_y0
         gx = (x0 + resolution * np.arange(cols)) / corr - lat_x0
-        lattice = (spec.amplitude, lat_rows, lat_cols, gy.tolist(), gx.tolist())
+        cells = [list(zip(*(a.tolist() for a in _kernels.cell_table(g, n))))
+                 for g, n in ((gy, lat_rows), (gx, lat_cols))]
+        lattice = (spec.amplitude, lat_rows, lat_cols, gy, gx, *cells)
     gap = np.zeros(cols, dtype=np.uint8)
     if spec.kind == "gap":
         # the nodes are monotone: both ends finite relative to the offset, all are
@@ -341,7 +345,7 @@ def _lattice_values(lattice: tuple, seed: int) -> np.ndarray:
     """A _layout lattice's values drawn from seed: a (lat_rows, lat_cols)
     array of independent uniform heights in [-amplitude, amplitude] from
     np.random.default_rng(seed)."""
-    amplitude, lat_rows, lat_cols, _, _ = lattice
+    amplitude, lat_rows, lat_cols = lattice[:3]
     return np.random.default_rng(seed).uniform(-amplitude, amplitude, (lat_rows, lat_cols))
 
 
@@ -362,9 +366,8 @@ def generate(spec: TerrainSpec, extent, resolution: float) -> Heightmap:
     if lattice is None:
         heights = np.zeros((rows, cols))
     else:
-        _, _, _, gy, gx = lattice
-        heights = _kernels.grid_resample(_lattice_values(lattice, spec.seed), np.array(gy),
-                                         np.array(gx))[2]
+        gy, gx = lattice[3:5]
+        heights = _kernels.grid_resample(_lattice_values(lattice, spec.seed), gy, gx)[2]
     return Heightmap(origin=np.array([x0, y0]), resolution=resolution, heights=heights,
                      mask=np.broadcast_to(np.array(gap, dtype=np.uint8), (rows, cols)))
 
@@ -374,17 +377,18 @@ def layout_grid(layout: tuple, seed: int) -> _kernels.Grid:
     node, generate(spec.with_seed(seed), extent, resolution) for the spec,
     extent and resolution that _layout was given. Rows share layout's mask
     row, and without a lattice one row of zeros, and nothing is drawn. A
-    rough height node is _kernels._cell over the lattice at (gx[j], gy[i]),
-    made on its first read into this grid's own Rows, so it equals
-    generate's node bit for bit."""
+    rough height row i is a _kernels.CellRow over the lattice from the
+    layout's cell tables, made on its first read into this grid's own Rows,
+    and its node j the bilinear sum at (gx[j], gy[i]) on its first read:
+    _kernels._cell's value there, so it equals generate's node bit for
+    bit."""
     x0, y0, rows, cols, resolution, gap, lattice = layout
     if lattice is None:
         h = [[0.0] * cols] * rows
     else:
-        _, lat_rows, lat_cols, gy, gx = lattice
+        row_cells, col_cells = lattice[5:]
         lat = _lattice_values(lattice, seed).tolist()
-        h = _kernels.Rows(lambda i: _kernels.Rows(
-            lambda j: _kernels._cell(lat, lat_rows, lat_cols, gx[j], gy[i])[2]))
+        h = _kernels.Rows(lambda i: _kernels.CellRow(lat, row_cells[i], col_cells))
     return _kernels.Grid(rows, cols, x0, y0, resolution, h, [gap] * rows)
 
 

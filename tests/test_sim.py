@@ -419,19 +419,18 @@ class TestTerrainRuns:
         refusals = []  # the snaps whose query certificate refuses
         real, real_snap = _kernels.steppable, _kernels.snap_to_steppable
 
-        def spy(grid, x, y, radius, max_dev, cert=None):
+        def spy(grid, x, y, radius, max_dev, cert=None, height=None):
             calls.append((x, y))
-            if cert is None:
-                return real(grid, x, y, radius, max_dev)
-            scans.append(len(snaps) - 1)
-            return real(grid, x, y, radius, max_dev, cert)
+            if cert is not None:
+                scans.append(len(snaps) - 1)
+            return real(grid, x, y, radius, max_dev, cert, height)
 
-        def snap_spy(grid, radius, max_dev, max_search, memo, x, y, last):
+        def snap_spy(grid, radius, max_dev, max_search, memo, x, y, last, height=None):
             # the reuse rule of snap_to_steppable's docstring
             if not (last and math.hypot(x - last[0], y - last[1]) + 4e-15 * last[3] < last[3]):
                 refusals.append(len(snaps))
             snaps.append((x, y))
-            return real_snap(grid, radius, max_dev, max_search, memo, x, y, last)
+            return real_snap(grid, radius, max_dev, max_search, memo, x, y, last, height)
 
         monkeypatch.setattr(_kernels, "steppable", spy)
         monkeypatch.setattr(_kernels, "snap_to_steppable", snap_spy)
@@ -475,8 +474,8 @@ class TestTerrainRuns:
         searches = []  # the snap index of each _nearest_steppable_node() call
         real_snap, real_search = _kernels.snap_to_steppable, _kernels._nearest_steppable_node
 
-        def snap_spy(grid, radius, max_dev, max_search, memo, x, y, last):
-            got = real_snap(grid, radius, max_dev, max_search, memo, x, y, last)
+        def snap_spy(grid, radius, max_dev, max_search, memo, x, y, last, height=None):
+            got = real_snap(grid, radius, max_dev, max_search, memo, x, y, last, height)
             snaps.append(got != (True, x, y))
             return got
 
@@ -590,6 +589,77 @@ class TestTerrainRuns:
                             arr[:, COL_COM_X] + arr[:, COL_VEL_X] / w, atol=1e-12)
         npt.assert_allclose(arr[:, COL_ICP_Y],
                             arr[:, COL_COM_Y] + arr[:, COL_VEL_Y] / w, atol=1e-12)
+
+
+class TestSnapHeights:
+    """A target's height is read once: steppable's h0 for a kept query, one
+    grid_bilinear call for a snapped node or a reused answer."""
+
+    SPECS = [TerrainSpec(kind="rough", amplitude=a, correlation=0.5, seed=seed)
+             for a in (0.05, 0.2) for seed in (0, 1)]
+
+    @staticmethod
+    def _loop(cfg, monkeypatch):
+        """sim_loop's result and arguments for cfg, with each grid_bilinear
+        call's (x, y) and each snap's (x, y, result)."""
+        reads, snaps = [], []
+        real_read, real_snap = _kernels.grid_bilinear, _kernels.snap_to_steppable
+
+        def read_spy(grid, x, y):
+            reads.append((x, y))
+            return real_read(grid, x, y)
+
+        def snap_spy(*args):
+            got = real_snap(*args)
+            snaps.append((*args[5:7], got))
+            return got
+
+        args = sim_mod._loop_args(cfg, sim_mod._constant_schedule(cfg))
+        monkeypatch.setattr(_kernels, "grid_bilinear", read_spy)
+        monkeypatch.setattr(_kernels, "snap_to_steppable", snap_spy)
+        result = _kernels.sim_loop(*args)
+        monkeypatch.undo()
+        return result, args, reads, snaps
+
+    def test_at_step_start_reads_stance_and_snapped_nodes(self, monkeypatch):
+        moved_runs = 0
+        for spec in self.SPECS:
+            cfg = config(vx=1.0, duration=6.0, terrain=spec)
+            (n_rec, outcome, _, _), args, reads, snaps = self._loop(cfg, monkeypatch)
+            assert outcome == _kernels.OUTCOME_COMPLETED and len(snaps) == 18
+            # the initial stance, then each snapped node unless it is the last one
+            nodes = []
+            for x, y, (found, sx, sy) in snaps:
+                assert found
+                if (sx, sy) != (x, y) and (sx, sy) not in nodes[-1:]:
+                    nodes.append((sx, sy))
+            assert reads == [args[13:15]] + nodes
+            moved_runs += bool(nodes)
+            if spec.amplitude == 0.05:
+                # every target is kept: the stance is the only read
+                assert reads == [args[13:15]]
+        assert moved_runs == 2
+
+    @pytest.mark.parametrize("replan", [sim_mod.REPLAN_AT_STEP_START, sim_mod.REPLAN_EVERY_TICK])
+    def test_target_z_is_the_bilinear_height(self, replan):
+        kept = moved = 0
+        for spec in self.SPECS:
+            cfg = config(vx=1.0, duration=6.0, replan=replan, terrain=spec)
+            schedule = sim_mod._constant_schedule(cfg)
+            n_rec, outcome, _, rows = _kernels.sim_loop(*sim_mod._loop_args(cfg, schedule))
+            assert outcome == _kernels.OUTCOME_COMPLETED and n_rec == 600
+            # read on a fresh view of the same terrain
+            grid = sim_mod._terrain_grid(cfg, schedule)
+            targets = rows[:, COL_TARGET_X:COL_TARGET_Y + 1].tolist()
+            z = [_kernels.grid_bilinear(grid, x, y) for x, y in targets]
+            assert np.array(z).tobytes() == rows[:, COL_TARGET_Z].tobytes()
+            for x, y in targets:
+                j, i = round((x - grid.ox) / grid.res), round((y - grid.oy) / grid.res)
+                on_node = (x, y) == (grid.ox + j * grid.res, grid.oy + i * grid.res)
+                moved += on_node
+                kept += not on_node
+        # not vacuous: rows hold kept queries and snapped nodes
+        assert kept > 0 and moved > 0
 
 
 def loaded_map(step_height=0.0, gap=False):
@@ -857,6 +927,27 @@ class TestSweepRunsTrialInvariantConfigsOnce:
             assert calls["_trial_seed"] == ([(0, t) for t in range(trials)] if rough else [])
             assert len(set(expected_seeds)) == trials
             assert calls["generate"] == []
+
+
+    def test_cell_tables_built_once_per_rough_config(self, monkeypatch):
+        """A rough config's cell tables, one per axis, are built at its
+        set-up and shared by its trials; a run builds its own."""
+        tables = []
+        real = _kernels.cell_table
+
+        def spy(g, n):
+            tables.append(n)
+            return real(g, n)
+
+        monkeypatch.setattr(_kernels, "cell_table", spy)
+        rough = TerrainSpec(kind="rough", amplitude=0.05, correlation=0.5, seed=0)
+        cfgs = [config(vx=vx, duration=2.0, terrain=t)
+                for vx in (0.6, 0.9) for t in (rough, TerrainSpec(kind="flat"), gap_spec())]
+        rows = sweep(cfgs, 4, window=1.0)
+        assert len(rows) == 6 and [r.successes for r in rows[::3]] == [4, 4]
+        assert len(tables) == 2 * 2
+        tables.clear()
+        assert run(cfgs[0]).completed and len(tables) == 2
 
 
 class TestDeterminism:
@@ -1534,7 +1625,7 @@ class TestReferenceLoop:
         ticks = []
 
         def steppable_spy(*args):
-            if len(args) == 6:
+            if len(args) > 5:
                 scans.append(len(ticks) - 1)
             return real(*args)
 

@@ -228,9 +228,9 @@ class TestNearestSteppable:
         # the same miss again reads the memo and tests only the query
         calls = []
 
-        def spy(grid, x, y, radius, max_dev, cert=None):
+        def spy(grid, x, y, radius, max_dev, cert=None, height=None):
             calls.append((x, y))
-            return real(grid, x, y, radius, max_dev, cert)
+            return real(grid, x, y, radius, max_dev, cert, height)
 
         monkeypatch.setattr(_kernels, "steppable", spy)
         assert _kernels.snap_to_steppable(*args, 0.0, 0.0) == (found, sx, sy)
@@ -646,11 +646,10 @@ class TestQueryCertificate:
         scans = []  # one entry per query scan, a steppable() call with a list
         real = _kernels.steppable
 
-        def counting_steppable(grid, x, y, radius, max_dev, cert=None):
-            if cert is None:
-                return real(grid, x, y, radius, max_dev)
-            scans.append(None)
-            return real(grid, x, y, radius, max_dev, cert)
+        def counting_steppable(grid, x, y, radius, max_dev, cert=None, height=None):
+            if cert is not None:
+                scans.append(None)
+            return real(grid, x, y, radius, max_dev, cert, height)
 
         def first(grid, radius, memo, x0, y0):
             # the `last` list that the query (x0, y0) leaves
@@ -742,6 +741,81 @@ class TestGridResample:
                 ci, cj, h0 = _kernels._cell(rows, 13, 17, (x - ox) / res, (y - oy) / res)
                 assert (int(i[a]), int(j[b])) == (ci, cj)
                 assert values[a, b].tobytes() == np.float64(h0).tobytes(), (x, y)
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+class TestCellTables:
+    """cell_table's (k, 1 - f, f) entries and a CellRow's nodes are _cell's
+    cells and values, bit for bit, at the clamp edges too."""
+
+    @staticmethod
+    def _coords(n, rng):
+        # integers, the far edge n - 1 (clamped to the last cell) and the
+        # points around it, points before 0, and random points
+        return [*map(float, range(n)), math.nextafter(n - 1.0, 0.0),
+                math.nextafter(n - 1.0, math.inf), n - 0.6, -0.3, -0.0,
+                *rng.uniform(0.0, n - 1.0, 9).tolist()]
+
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 7), (6, 2), (5, 9)])
+    def test_equal_scalar_cell(self, rows, cols):
+        rng = np.random.default_rng(rows * 10 + cols)
+        lattice = rng.uniform(-0.1, 0.1, (rows, cols)).tolist()
+        gy, gx = self._coords(rows, rng), self._coords(cols, rng)
+        row_cells, col_cells = (list(zip(*(a.tolist() for a in
+                                           _kernels.cell_table(np.array(g), n))))
+                                for g, n in ((gy, rows), (gx, cols)))
+        assert len(row_cells) == len(gy) and len(col_cells) == len(gx)
+        for cells, coords, n in ((row_cells, gy, rows), (col_cells, gx, cols)):
+            # the far edge is the last cell at weights (0.0, 1.0); an integer
+            # inside is its own cell at (1.0, 0.0)
+            assert cells[n - 1] == (n - 2, 0.0, 1.0)
+            assert cells[0] == (0, 1.0, 0.0)
+            assert all(type(k) is int for k, _, _ in cells)
+            for (k, e, f), g in zip(cells, coords):
+                assert 0 <= k <= n - 2 and _bits(f) == _bits(g - k)
+                assert _bits(e) == _bits(1.0 - f)
+        for a, y in enumerate(gy):
+            row = _kernels.CellRow(lattice, row_cells[a], col_cells)
+            for b, x in enumerate(gx):
+                i, j, v = _kernels._cell(lattice, rows, cols, x, y)
+                assert (row_cells[a][0], col_cells[b][0]) == (i, j)
+                assert _bits(row[b]) == _bits(v), (x, y)
+            assert len(row) == len(gx)
+
+    def test_layout_tables_equal_scalar_cell(self):
+        # a layout's tables hold _cell's cell and weights at its lattice
+        # coordinates, one entry per grid row and column
+        layout = terrain_mod._layout(_rough(0.05, 0.5, 0), (-1.0, -1.0, 2.0, 1.0), 0.05)
+        _, lat_rows, lat_cols, gy, gx, row_cells, col_cells = layout[6]
+        assert (len(row_cells), len(col_cells)) == (layout[2], layout[3])
+        for cells, coords, n in ((row_cells, gy, lat_rows), (col_cells, gx, lat_cols)):
+            for (k, e, f), g in zip(cells, coords.tolist()):
+                # _cell's row cell on an n x 2 grid
+                i, _, _ = _kernels._cell([[0.0, 0.0]] * n, n, 2, 0.0, g)
+                assert k == i and _bits(f) == _bits(g - i) and _bits(e) == _bits(1.0 - f)
+
+    def test_one_frame_per_node(self, monkeypatch):
+        # a node fill reads the table and calls the scalar sum once: no
+        # _cell call, and a node read again is not filled again
+        layout = terrain_mod._layout(_rough(0.05, 0.5, 0), (-1.0, -1.0, 2.0, 1.0), 0.05)
+        grid = terrain_mod.layout_grid(layout, 3)
+        sums = []
+        real = _kernels._bilinear
+
+        def spy(*args):
+            sums.append(args[2:])
+            return real(*args)
+
+        monkeypatch.setattr(_kernels, "_bilinear", spy)
+        monkeypatch.setattr(_kernels, "_cell", None)
+        first = grid.h[5][7]
+        assert grid.h[5][7] == first and isinstance(grid.h[5], _kernels.CellRow)
+        row_cells, col_cells = layout[6][5:]
+        (_, ey, fy), (kx, ex, fx) = row_cells[5], col_cells[7]
+        assert sums == [(kx, ey, fy, ex, fx)]
 
 
 class TestGenerate:
