@@ -8,7 +8,7 @@ from .gait import (GaitParams, GaitState, advance, contact_schedule,
                    phase_clock, remaining_time, swing_foot)
 from .planner import (OffsetVector, PlannedStep, StepCommand,
                       desired_step_length, desired_step_width, offsets,
-                      plan_step, predict_final_icp, turning_angle)
+                      plan_step, turning_angle)
 from .terrain import (Heightmap, TerrainSpec, generate, height_at,
                       is_steppable, nearest_steppable)
 from .sim import (SimConfig, SimResult, run, success_metric, sweep, turn_maneuver)
@@ -29,7 +29,7 @@ __all__ = [
     "phase_clock", "remaining_time", "swing_foot",
     "OffsetVector", "PlannedStep", "StepCommand",
     "desired_step_length", "desired_step_width", "offsets",
-    "plan_step", "predict_final_icp", "turning_angle",
+    "plan_step", "turning_angle",
     "Heightmap", "TerrainSpec", "generate", "height_at",
     "is_steppable", "nearest_steppable",
     "SimConfig", "SimResult", "run", "success_metric", "sweep", "turn_maneuver",

@@ -17,10 +17,11 @@ validates its arguments and calls these kernels.
 
 The grid kernels read a map through one Grid view: its shape, origin and
 spacing as Python numbers, and node heights and mask flags read as
-h[i][j] and m[i][j] from Rows that fill each row on first read. terrain
-builds the views: a Heightmap's rows as Python lists, and a TerrainSpec's
-from its layout, with no map: a rough height row is a CellRow, which
-fills each node on its first read from the layout's cell tables.
+h[i][j] and m[i][j] from lists of rows, or from Rows that fill each row
+on first read. terrain builds the views: a Heightmap's rows as Python
+lists, and a TerrainSpec's from its layout, with no map: a rough height
+row is a CellRow, which fills each node on its first read from the
+layout's cell tables.
 
 The snap search tests grid nodes with steppable() itself, each at most
 once per run: a caller-owned memo of one byte per node keeps the answers.
@@ -231,7 +232,7 @@ class Grid(NamedTuple):
     ox: float
     oy: float
     res: float
-    h: Rows
+    h: "Rows | list"
     m: "Rows | list"
 
 
@@ -404,10 +405,10 @@ def steppable(grid, x, y, radius, max_dev, cert=None, height=None):
         if track:
             near = min(near, res * min(abs(vjlo - round(vjlo)), abs(vjhi - round(vjhi)),
                                        abs(vilo - round(vilo)), abs(vihi - round(vihi))))
-        jlo = int(math.ceil(vjlo))
-        jhi = int(math.floor(vjhi))
-        ilo = int(math.ceil(vilo))
-        ihi = int(math.floor(vihi))
+        jlo = math.ceil(vjlo)
+        jhi = math.floor(vjhi)
+        ilo = math.ceil(vilo)
+        ihi = math.floor(vihi)
         if jlo < 0:
             jlo = 0
         if ilo < 0:
@@ -491,7 +492,7 @@ def _nearest_steppable_node(grid, x, y, radius, max_dev, budget2, memo):
     rows, cols, ox, oy, res, _, _ = grid
     # the first column j >= gx, clamped to [0, cols]; max(0.0, gx) maps a NaN to 0
     jr = math.ceil(min(max(0.0, (x - ox) / res), cols))
-    c = int(round(min(max((y - oy) / res, 0.0), rows - 1.0)))
+    c = round(min(max((y - oy) / res, 0.0), rows - 1.0))
     best = floor = math.inf
     limit = budget2
     met = []  # (d2, j, i) of each steppable node met
@@ -620,8 +621,8 @@ def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None,
 
 
 def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
-             replan_every_tick, reach_limit, grid,
-             com_x, com_y, vel_x, vel_y, st_x, st_y, heading, *, vel_x_only=False):
+             replan_every_tick, reach_limit,
+             com_x, com_y, vel_x, vel_y, st_x, st_y, heading, *, grid, vel_x_only=False):
     """Closed-loop stepping simulation over n_ticks >= 1 ticks (SimConfig
     guarantees it): one iteration per step, whose CoM states come as one
     block.
@@ -666,9 +667,9 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     read once. A plan whose exp overflows, or whose target is not finite,
     fails the run as a non-finite state at its tick and keeps the previous
     target and heading; no steppable ground keeps the raw target. Planning
-    once a step, the step's rows share its target. grid is the run's Grid
-    view of its terrain, or None on flat ground (nothing snapped, every
-    height 0).
+    once a step, the step's rows share its target. grid, a keyword, is
+    the run's Grid view of its terrain, or None on flat ground (nothing
+    snapped, every height 0).
     heading is the fallback heading until the first plan. Pass com_x ..
     heading as Python floats, not numpy scalars.
 

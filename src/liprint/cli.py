@@ -8,7 +8,11 @@ sets the logging level (e.g. INFO, DEBUG).
 The parser holds each flag's rules (required flags, non-empty output
 paths, finite velocities and turns, a non-negative sweep --seed and
 --trials): a broken one exits 1 with one line naming the flag, e.g.
-"error: argument --vy: must be finite, got 'nan'".
+"error: argument --vy: must be finite, got 'nan'". A value that starts
+with '-' and is not a plain decimal, such as a negative number with an
+exponent or an --extent, takes the '=' form: --vx=-1e-3 runs, while
+--vx -1e-3 exits 1 with "error: argument --vx: expected one argument"
+where argparse reads -1e-3 as a flag (Python 3.11's does).
 
 Terrain spec grammar:
     flat | rough:<amp>:<corr>:<seed> | gap:<width>:<period>[:<offset>]
@@ -30,21 +34,18 @@ import numpy as np
 
 from . import __version__, _kernels, metrics, sim, terrain as terrain_mod
 from .gait import GaitParams, GaitState, remaining_time
-from .lip_core import BASE_HEIGHT, GRAVITY, FootPosition, LipParams, LipState, icp_of
+from .lip_core import (BASE_HEIGHT, GRAVITY, FootPosition, LipParams, LipState, icp_of,
+                       icp_trajectory)
 from .planner import (StepCommand, desired_step_length, desired_step_width,
-                      offsets, plan_step, predict_final_icp, turning_angle)
+                      offsets, plan_step, turning_angle)
 from .terrain import Heightmap
 
 log = logging.getLogger("liprint")
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _finite(text: str) -> float:
@@ -190,8 +191,8 @@ def _apply_config_file(argv):
                 continue
             key, eq, value = line.partition("=")
             if not eq or not key.strip():
-                raise _UsageError(f"--config {known.config} line {n}: "
-                                  f"expected key=value, got {line!r}")
+                raise ValueError(f"--config {known.config} line {n}: "
+                                 f"expected key=value, got {line!r}")
             extra.append(f"--{key.strip()}")
             extra.append(value.strip())
     # defaults go right after the full subcommand path ("simulate",
@@ -319,15 +320,15 @@ def _cmd_plan(args) -> int:
         if len(com) != 2 or len(vel) != 2 or len(stance_raw) not in (2, 3):
             raise ValueError("com/vel need 2 components, stance 2 or 3")
     except (ValueError, KeyError, TypeError, OverflowError) as e:
-        raise _UsageError(f"malformed --state JSON: {e}") from None
+        raise ValueError(f"malformed --state JSON: {e}") from None
 
     gait = GaitParams(step_duration=args.step_duration)
     Ts = gait.step_duration
     remaining = args.remaining if args.remaining is not None else Ts
     if not (0.0 < remaining <= Ts):
-        raise _UsageError(f"--dT must lie in (0, {Ts}]")
+        raise ValueError(f"--dT must lie in (0, {Ts}]")
     if not Ts - remaining < Ts:
-        raise _UsageError(f"--dT {remaining!r} is too small for --Ts {Ts!r}: Ts - dT rounds to Ts")
+        raise ValueError(f"--dT {remaining!r} is too small for --Ts {Ts!r}: Ts - dT rounds to Ts")
     params = LipParams(g=args.g, z0=args.base_height)
     state = LipState(com_pos=com, com_vel=vel, params=params)
     stance = FootPosition(p=stance_raw[:2],
@@ -339,19 +340,19 @@ def _cmd_plan(args) -> int:
     try:
         try:
             xi0 = icp_of(state)
-            xi_f = predict_final_icp(xi0, stance, params.omega0, remaining)
+            xi_f = icp_trajectory(xi0, stance, params.omega0, remaining)
         except ValueError as e:
             # a finite exp(omega * dT) (an overflow raises OverflowError):
             # the state itself is beyond the float range
-            raise _UsageError(f"--state overflows the capture point: {e}") from None
+            raise ValueError(f"--state overflows the capture point: {e}") from None
         s_d = desired_step_length(cmd, remaining)
         w_d = desired_step_width(cmd.w_cmd, remaining, Ts)
         b = offsets(s_d, w_d, params.omega0, remaining)
         step = plan_step(state, stance, cmd, gait_state)
     except OverflowError:
-        raise _UsageError(f"exp(omega * dT) overflows (omega = {params.omega0:g} 1/s, "
-                          f"dT = {remaining:g} s): lower --g, raise --base-height "
-                          "or shorten --dT") from None
+        raise ValueError(f"exp(omega * dT) overflows (omega = {params.omega0:g} 1/s, "
+                         f"dT = {remaining:g} s): lower --g, raise --base-height "
+                         "or shorten --dT") from None
     out = {
         "xi0": [float(xi0.xi[0]), float(xi0.xi[1])],
         "xi_final": [float(xi_f.xi[0]), float(xi_f.xi[1])],
@@ -433,18 +434,18 @@ def _read_table(path, what, header=None) -> tuple:
             return parsed
         rows = list(csv.reader(lines))
     except (OSError, csv.Error) as e:
-        raise _UsageError(f"cannot read {path}: {e}") from None
+        raise ValueError(f"cannot read {path}: {e}") from None
     if not rows:
-        raise _UsageError(f"{what} {path} is empty")
+        raise ValueError(f"{what} {path} is empty")
     names, data = rows[0], rows[1:]
     if header is not None and tuple(names) != header:
-        raise _UsageError(f"{what} columns {names} do not match the simulate "
-                          f"schema {list(header)}")
+        raise ValueError(f"{what} columns {names} do not match the simulate "
+                         f"schema {list(header)}")
     if header is None:
         for i, row in enumerate(data, 1):
             if row and len(row) != len(names):
-                raise _UsageError(f"bad joint row {i}: {len(row)} fields, "
-                                  f"the header has {len(names)}")
+                raise ValueError(f"bad joint row {i}: {len(row)} fields, "
+                                 f"the header has {len(names)}")
     return names, data
 
 
@@ -470,15 +471,15 @@ def _float_table(data, cols, what) -> np.ndarray:
                 try:
                     [float(row[c]) for c in cols]
                 except (ValueError, IndexError):
-                    raise _UsageError(f"bad {what} row {i}"
-                                      + ("" if row else ": blank line")) from None
+                    raise ValueError(f"bad {what} row {i}"
+                                     + ("" if row else ": blank line")) from None
             raise
         table = table.reshape(len(cols), len(data))
         if [] in data:  # a blank row is too short even where no column is read
-            raise _UsageError(f"bad {what} row {data.index([]) + 1}: blank line")
+            raise ValueError(f"bad {what} row {data.index([]) + 1}: blank line")
     finite = np.isfinite(table).all(axis=0)
     if not finite.all():
-        raise _UsageError(f"bad {what} row {int(np.argmin(finite)) + 1}")
+        raise ValueError(f"bad {what} row {int(np.argmin(finite)) + 1}")
     return table
 
 
@@ -487,16 +488,16 @@ def _joint_columns(path, n) -> dict:
     header, data = _read_table(path, "joint log")
     if len(data) != n:
         blank = next((i for i, row in enumerate(data, 1) if not len(row)), None)
-        raise _UsageError(f"joint log has {len(data)} rows but the trajectory has {n}"
-                          + (f"; joint row {blank} is a blank line" if blank else ""))
+        raise ValueError(f"joint log has {len(data)} rows but the trajectory has {n}"
+                         + (f"; joint row {blank} is a blank line" if blank else ""))
     pos = {}  # (prefix, joint index) or (name, None) -> column
     for c, name in enumerate(header):
         prefix = next((p for p in _JOINT_VECTORS
                        if name.startswith(p) and name[len(p):].isdigit()), None)
         key = (prefix, int(name[len(prefix):])) if prefix else (name, None)
         if key in pos:
-            raise _UsageError(f"joint log column {name!r} duplicates "
-                              f"column {header[pos[key]]!r}")
+            raise ValueError(f"joint log column {name!r} duplicates "
+                             f"column {header[pos[key]]!r}")
         pos[key] = c
     fields = {f: [pos[k] for k in sorted(k for k in pos if k[0] == p and k[1] is not None)]
               for p, f in _JOINT_VECTORS.items()}
@@ -549,13 +550,13 @@ def _cmd_score(args) -> int:
 def _cmd_terrain_gen(args) -> int:
     spec = terrain_mod.parse_spec(args.spec)
     if isinstance(spec, str):
-        raise _UsageError("terrain gen expects a generative spec, not file:")
+        raise ValueError("terrain gen expects a generative spec, not file:")
     try:
         extent = tuple(float(v) for v in args.extent.split(":"))
         if len(extent) != 4:
             raise ValueError
     except ValueError:
-        raise _UsageError(f"bad --extent {args.extent!r}, expected x0:y0:x1:y1") from None
+        raise ValueError(f"bad --extent {args.extent!r}, expected x0:y0:x1:y1") from None
     hmap = terrain_mod.generate(spec, extent, args.resolution)
     hmap.save(args.out)
     return 0

@@ -2,9 +2,11 @@
 
 `reward_table` evaluates every reward term over whole columns: (n,) for
 scalar signals, (n, k) for per-joint vectors, (n, 2, 2) for the feet.
-`total_reward` runs the same core on one `RobotSample` and returns its
-total and per-term breakdown (`regularization` picks the regularization
-terms out of it), so each formula exists once.
+`total_reward` runs the same core on one `RobotSample` and its
+contact-schedule value C and returns its total and per-term breakdown
+(`regularization` picks the regularization terms out of it), so each
+formula exists once. A gait state enters as numbers: C, and the stance
+side from its parity.
 Each row's values are bit-identical to scoring that row alone: exp is
 `math.exp` and squares of scalar signals use `pow` (Python's `**`), where
 np.exp and x * x can differ in the last bit; row dot products use stacked
@@ -27,7 +29,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .gait import GaitState, contact_schedule as gait_contact_schedule, swing_foot
 from .lip_core import BASE_HEIGHT
 
 RIGHT, LEFT = 0, 1
@@ -222,25 +223,23 @@ def regularization(s: RobotSample, params: RewardParams) -> dict:
     return {k: breakdown[k] for k in REG_TERMS}
 
 
-def total_reward(s: RobotSample, params: RewardParams, gait, targets,
+def total_reward(s: RobotSample, params: RewardParams, c: float, targets,
                  stance_side: int | None = None) -> tuple[float, dict]:
     """Sum of the four task terms and all regularization terms of one sample.
 
-    `gait` is a GaitState or a raw contact-schedule value C. targets is a
-    (2, 2) array of per-foot desired placements [right, left]; the contact
-    term's placement error is the stance foot's distance to its target, the
-    stance side deriving from the gait parity (or the sign of C) unless
-    given explicitly. Returns (total, breakdown): breakdown maps TASK_TERMS,
-    then REG_TERMS, to floats, and sums to the total exactly.
+    c is the contact-schedule value C. targets is a (2, 2) array of
+    per-foot desired placements [right, left]; the contact term's placement
+    error is the stance foot's distance to its target, the stance side
+    deriving from the sign of C (RIGHT for C >= 0) unless given explicitly.
+    A caller holding a gait state passes stance_side from its parity, as
+    score does (RIGHT on an even step): at an odd step's first tick C is
+    sin(pi)/... = +6.1e-16, whose sign picks RIGHT where the parity picks
+    LEFT. Returns (total, breakdown): breakdown maps TASK_TERMS, then
+    REG_TERMS, to floats, and sums to the total exactly.
     """
-    if isinstance(gait, GaitState):
-        c = gait_contact_schedule(gait)
-        if stance_side is None:
-            stance_side = RIGHT if swing_foot(gait) == "left" else LEFT
-    else:
-        c = float(gait)
-        if stance_side is None:
-            stance_side = RIGHT if c >= 0.0 else LEFT
+    c = float(c)
+    if stance_side is None:
+        stance_side = RIGHT if c >= 0.0 else LEFT
     total, breakdown = reward_table(
         {k: np.asarray(v)[None] for k, v in vars(s).items()}, params, [c],
         np.asarray(targets, dtype=np.float64).reshape(1, 2, 2), [stance_side])

@@ -19,7 +19,7 @@ import numpy as np
 from . import lip_core
 from .gait import GaitState, remaining_time
 from ._kernels import command_heading, offset_pair, plan_placement, step_width
-from .lip_core import FootPosition, IcpPoint, LipState
+from .lip_core import FootPosition, LipState
 
 
 def wrap_angle(a: float) -> float:
@@ -99,12 +99,6 @@ def desired_step_width(w_cmd: float, dT: float, Ts: float) -> float:
     if not (0.0 < dT <= Ts):
         raise ValueError(f"remaining time must lie in (0, {Ts}], got {dT}")
     return step_width(w_cmd, dT, Ts)
-
-
-def predict_final_icp(xi0: IcpPoint, stance: FootPosition, omega0: float,
-                      dT: float) -> IcpPoint:
-    """Capture point at the end of the step; the exact propagation."""
-    return lip_core.icp_trajectory(xi0, stance, omega0, dT)
 
 
 def offsets(s_d: float, w_d: float, omega0: float, dT: float) -> OffsetVector:

@@ -10,10 +10,10 @@ over the step (_kernels.sim_loop). Planning runs either once
 per step or every tick, through the same kernel as planner.plan_step;
 targets are snapped to steppable ground and their elevation refined from
 the terrain. The kernels read the terrain through its grid view: a
-Heightmap's rows become Python lists on first read, and a TerrainSpec
-builds no map (terrain.generate_grid): its view equals terrain.generate's
-map node for node, rough heights computed only where the run reads, each
-from the layout's per-axis cell tables. sweep lays a rough spec out once
+Heightmap's rows are Python lists, and a TerrainSpec builds no map
+(terrain.generate_grid): its view equals terrain.generate's map node for
+node, rough heights computed only where the run reads, each from the
+layout's per-axis cell tables. sweep lays a rough spec out once
 per config (terrain._layout, cell tables included) and draws only each
 trial's lattice on that layout (terrain.layout_grid). The
 contact-schedule and phase-clock columns come from gait.phase_signals at
@@ -212,18 +212,13 @@ def _phase_table(k: int, dt: float) -> np.ndarray:
     return table
 
 
-# The place of the terrain's grid view in sim_loop's positional arguments.
-_GRID_ARG = 8
-
-
-def _loop_args(config: SimConfig, schedule, initial=None, grid=None) -> tuple:
-    """sim_loop's positional arguments for a run of config under a schedule
-    of (time, vx, vy, width) command switches: the initial state (default
-    default_initial), the terrain's grid view (default _terrain_grid's),
-    which must hold the initial stance, and the switch table in ticks."""
+def _loop_args(config: SimConfig, schedule, grid, initial=None) -> tuple:
+    """sim_loop's positional arguments for a run of config on the grid view
+    `grid` (None on flat ground), which must hold the initial stance, under
+    a schedule of (time, vx, vy, width) command switches: the switch table
+    in ticks and the initial state (default default_initial). The grid
+    itself goes to sim_loop by keyword."""
     state, stance = default_initial(config) if initial is None else initial
-    if grid is None:
-        grid = _terrain_grid(config, schedule)
     if grid is not None and not _kernels.grid_contains(grid, *map(float, stance.p)):
         raise ValueError("initial stance foot lies outside the heightmap")
     n_ticks = config.n_ticks
@@ -232,14 +227,16 @@ def _loop_args(config: SimConfig, schedule, initial=None, grid=None) -> tuple:
     switches = [(round(min(max(t / config.dt, 0.0), n_ticks)), float(vx), float(vy), float(w))
                 for t, vx, vy, w in schedule]
     return (n_ticks, config.dt, config.ticks_per_step, config.lip.g, config.lip.z0,
-            switches, config.replan == REPLAN_EVERY_TICK, config.reach_limit, grid,
+            switches, config.replan == REPLAN_EVERY_TICK, config.reach_limit,
             *map(float, (*state.com_pos, *state.com_vel, *stance.p)),
             config.cmd.fallback_heading)
 
 
 def _simulate(config: SimConfig, schedule, initial=None) -> SimResult:
     """Run sim_loop under a schedule of (time, vx, vy, width) command switches."""
-    n_rec, outcome, fail_time, rows = _kernels.sim_loop(*_loop_args(config, schedule, initial))
+    grid = _terrain_grid(config, schedule)
+    n_rec, outcome, fail_time, rows = _kernels.sim_loop(
+        *_loop_args(config, schedule, grid, initial), grid=grid)
     k = config.ticks_per_step
     samples = np.hstack((rows, _phase_table(k, config.dt)[np.arange(n_rec) % (2 * k)]))
     completed = outcome == _kernels.OUTCOME_COMPLETED
@@ -361,9 +358,10 @@ def sweep(configs, trials: int, base_seed: int = 0, window: float = 5.0,
 
     The trial seeds are made once per sweep, for its first rough config.
     A config is set up at its first trial, not at all without trials: its
-    loop arguments, its window mask, and for a rough spec its
-    terrain._layout. A rough trial then only draws its lattice into a
-    fresh grid (terrain.layout_grid), runs sim_loop and tests one mean.
+    grid view (for a rough spec from its terrain._layout), sim_loop's
+    positional arguments and its window mask. A rough trial then only
+    draws its lattice into a fresh grid (terrain.layout_grid), runs
+    sim_loop on that grid, passed by name, and tests one mean.
     """
     if not configs:
         raise ValueError("sweep needs at least one config")
@@ -381,19 +379,19 @@ def sweep(configs, trials: int, base_seed: int = 0, window: float = 5.0,
         successes = 0
         if trials:
             schedule = _constant_schedule(config)
-            grid = None
             if rough:
                 seeds = seeds or [_trial_seed(base_seed, trial) for trial in range(trials)]
                 layout = terrain_mod._layout(spec, _auto_extent(config, schedule),
                                              TERRAIN_RESOLUTION)
                 grid = terrain_mod.layout_grid(layout, seeds[0])
-            args = _loop_args(config, schedule, grid=grid)
+            else:
+                grid = _terrain_grid(config, schedule)
+            args = _loop_args(config, schedule, grid)
             sel = _window(config.dt * np.arange(config.n_ticks), window)
             for trial in range(trials if rough else 1):
                 if trial:
                     grid = terrain_mod.layout_grid(layout, seeds[trial])
-                    args = (*args[:_GRID_ARG], grid, *args[_GRID_ARG + 1:])
-                _, outcome, _, vel_x = _kernels.sim_loop(*args, vel_x_only=True)
+                _, outcome, _, vel_x = _kernels.sim_loop(*args, grid=grid, vel_x_only=True)
                 # a completed run records all n_ticks ticks, as sel does
                 if (outcome == _kernels.OUTCOME_COMPLETED
                         and _tracks(vel_x[sel], vx, tolerance)):

@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +42,6 @@ def _json_numbers(d: dict, key: str, expected: str, size=None) -> np.ndarray:
     if bad is not None:
         raise ValueError(f"heightmap {key} must be {expected}, got {v[bad]!r} at index {bad}")
     return np.array(v, dtype=np.float64)
-
-
-def _row_list(array: np.ndarray, i: int) -> list:
-    return array[i].tolist()
 
 
 @dataclass(frozen=True)
@@ -88,13 +84,11 @@ class Heightmap:
 
     @functools.cached_property
     def grid(self) -> _kernels.Grid:
-        """The map as the grid kernels read it: each height and mask row
-        becomes a Python list on its first read."""
+        """The map as the grid kernels read it: its height and mask rows as
+        Python lists."""
         ox, oy = self.origin.tolist()
-        # the fills hold the arrays, not self: no cycle keeps the map alive
         return _kernels.Grid(self.rows, self.cols, ox, oy, self.resolution,
-                             _kernels.Rows(functools.partial(_row_list, self.heights)),
-                             _kernels.Rows(functools.partial(_row_list, self.mask)))
+                             self.heights.tolist(), self.mask.tolist())
 
     def to_dict(self) -> dict:
         return {
@@ -189,9 +183,6 @@ class TerrainSpec:
             raise ValueError(f"correlation length must be positive, got {self.correlation}")
         if self.kind == "gap" and (self.gap_width <= 0.0 or self.gap_period <= 0.0):
             raise ValueError("gap width and period must be positive")
-
-    def with_seed(self, seed: int) -> "TerrainSpec":
-        return replace(self, seed=seed)
 
 
 def parse_spec(text: str) -> "TerrainSpec | str":
@@ -302,8 +293,8 @@ def _layout(spec: TerrainSpec, extent, resolution: float) -> tuple:
     # the spans in node spacings, then the last node
     far = ((x1 - x0) / resolution, (y1 - y0) / resolution)
     if all(map(math.isfinite, far)):
-        cols = max(2, int(math.ceil(far[0])) + 1)
-        rows = max(2, int(math.ceil(far[1])) + 1)
+        cols = max(2, math.ceil(far[0]) + 1)
+        rows = max(2, math.ceil(far[1]) + 1)
         far = (x0 + resolution * (cols - 1), y0 + resolution * (rows - 1))
     if not all(map(math.isfinite, far)):
         raise ValueError(f"extent {extent} at resolution {resolution} has non-finite nodes")
@@ -321,8 +312,8 @@ def _layout(spec: TerrainSpec, extent, resolution: float) -> tuple:
             raise ValueError(f"extent {extent} has non-finite lattice coordinates at "
                              f"correlation length {corr}")
         # the lattice must hold the last node's cell, or _cell extrapolates
-        lat_cols = max(int(math.ceil(lat[0])) - lat_x0 + 2, int(math.ceil(lat[2])) + 1)
-        lat_rows = max(int(math.ceil(lat[1])) - lat_y0 + 2, int(math.ceil(lat[3])) + 1)
+        lat_cols = max(math.ceil(lat[0]) - lat_x0 + 2, math.ceil(lat[2]) + 1)
+        lat_rows = max(math.ceil(lat[1]) - lat_y0 + 2, math.ceil(lat[3]) + 1)
         _check_count(lat_rows * lat_cols, f"lattice nodes at correlation length {corr}",
                      spec, extent, resolution)
         gy = (y0 + resolution * np.arange(rows)) / corr - lat_y0
@@ -374,14 +365,14 @@ def generate(spec: TerrainSpec, extent, resolution: float) -> Heightmap:
 
 def layout_grid(layout: tuple, seed: int) -> _kernels.Grid:
     """The grid view of layout with its lattice drawn from seed: node for
-    node, generate(spec.with_seed(seed), extent, resolution) for the spec,
-    extent and resolution that _layout was given. Rows share layout's mask
-    row, and without a lattice one row of zeros, and nothing is drawn. A
-    rough height row i is a _kernels.CellRow over the lattice from the
-    layout's cell tables, made on its first read into this grid's own Rows,
-    and its node j the bilinear sum at (gx[j], gy[i]) on its first read:
-    _kernels._cell's value there, so it equals generate's node bit for
-    bit."""
+    node, generate(dataclasses.replace(spec, seed=seed), extent, resolution)
+    for the spec, extent and resolution that _layout was given. Rows share
+    layout's mask row, and without a lattice one row of zeros, and nothing
+    is drawn. A rough height row i is a _kernels.CellRow over the lattice
+    from the layout's cell tables, made on its first read into this grid's
+    own Rows, and its node j the bilinear sum at (gx[j], gy[i]) on its
+    first read: _kernels._cell's value there, so it equals generate's node
+    bit for bit."""
     x0, y0, rows, cols, resolution, gap, lattice = layout
     if lattice is None:
         h = [[0.0] * cols] * rows

@@ -259,7 +259,7 @@ def sweep_per_trial(configs, trials, base_seed=0, window=5.0, tolerance=0.1):
         for trial in range(trials):
             cfg = config
             if isinstance(config.terrain, sim.TerrainSpec) and config.terrain.kind == "rough":
-                spec = config.terrain.with_seed(sim._trial_seed(base_seed, trial))
+                spec = replace(config.terrain, seed=sim._trial_seed(base_seed, trial))
                 cfg = replace(config, terrain=spec)
             result = sim.run(cfg)
             if sim.success_metric(result, float(cfg.cmd.v_cmd[0]), window, tolerance):

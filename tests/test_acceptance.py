@@ -15,7 +15,7 @@ import pytest
 import liprint as lp
 from liprint import (FootPosition, GaitParams, GaitState, LipParams, LipState,
                      SimConfig, StepCommand, TerrainSpec, contact_schedule,
-                     offsets, plan_step, predict_final_icp, icp_of, is_steppable,
+                     offsets, plan_step, icp_of, icp_trajectory, is_steppable,
                      run, sweep, turn_maneuver)
 from liprint import sim as sim_mod
 from liprint import terrain as terrain_mod
@@ -143,7 +143,7 @@ def test_criterion_5_turning():
         for parity in (0, 1):
             g = GaitState(t=0.0, parity=parity, params=GaitParams(TS))
             step = plan_step(state, foot, StepCommand(v_cmd=(1.0, 0.0)), g)
-            xi_f = predict_final_icp(icp_of(state), foot, p.omega0, TS)
+            xi_f = icp_trajectory(icp_of(state), foot, p.omega0, TS)
             b = offsets(1.0 * TS, 0.3, p.omega0, TS)
             sign = 1.0 if parity % 2 == 0 else -1.0
             assert step.p_d[0] == xi_f.xi[0] - b.b_x

@@ -67,7 +67,7 @@ def test_traced_sweep_counts_the_simulated_ticks(tmp_path):
             if spec is None:
                 runs.append(cfg)
             else:
-                runs += [replace(cfg, terrain=spec.with_seed(sim._trial_seed(0, trial)))
+                runs += [replace(cfg, terrain=replace(spec, seed=sim._trial_seed(0, trial)))
                          for trial in range(2)]
     ticks = [sim.run(cfg).sample_array.shape[0] for cfg in runs]
     assert len(ticks) == 6 and min(ticks) < 200 == max(ticks)

@@ -923,6 +923,32 @@ class TestUsage:
                                            "expected a file path, got ''\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv,flag,value,key", [
+        (["plan", "--vx"], "--vx", "-1e-3", "heading"),
+        (["simulate", "--vx", "1", "--duration", "1", "--vy"], "--vy", "-2e-1", "vy")],
+        ids=["plan-vx", "simulate-vy"])
+    def test_negative_value_with_exponent_takes_the_equals_form(self, tmp_path, capsys,
+                                                                argv, flag, value, key):
+        out = tmp_path / "out"
+        probe = argparse.ArgumentParser(exit_on_error=False)
+        probe.add_argument("--x")
+        try:
+            probe.parse_args(["--x", value])
+        except argparse.ArgumentError:
+            # this argparse reads value as a flag, not as the value of the
+            # flag before it (Python 3.11's does; later releases may not)
+            assert main(argv + [value, "--out", str(out)]) == 1
+            assert capsys.readouterr() == ("", f"error: argument {flag}: "
+                                               "expected one argument\n")
+            assert list(tmp_path.iterdir()) == []
+        # the '=' form is read on every version
+        assert main(argv[:-1] + [f"{flag}={value}", "--out", str(out)]) == 0
+        if key == "heading":  # the command points backwards
+            assert json.loads(out.read_text())["heading"] == math.pi
+        else:
+            manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+            assert manifest["config"]["vy"] == -0.2
+
     # a warning (numpy's RuntimeWarning on a non-finite value) is a failure:
     # bad input gets the one error line and nothing else
     @pytest.mark.filterwarnings("error")

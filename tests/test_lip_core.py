@@ -172,6 +172,15 @@ class TestIcpTrajectory:
         assert xi.xi[0] == pytest.approx(expected, abs=1e-12)
         assert xi.xi[0] == pytest.approx(0.402372, abs=1e-5)
 
+    def test_table_value(self):
+        # the capture point at the end of a 0.35 s step, from 0.0597 m off
+        # the stance foot on both axes
+        xi = icp_trajectory(IcpPoint(xi=(0.0597, 0.0597)), FootPosition(p=(0.0, 0.0)),
+                            W_TABLE, 0.35)
+        expected = 0.0597 * math.exp(W_TABLE * 0.35)
+        npt.assert_allclose(xi.xi, [expected, expected], atol=1e-12)
+        assert xi.xi[0] == pytest.approx(0.240216, abs=1e-5)
+
     def test_negative_duration(self):
         with pytest.raises(ValueError):
             icp_trajectory(IcpPoint(xi=(0.1, 0.0)), FootPosition(p=(0.0, 0.0)),

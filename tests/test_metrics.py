@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from liprint import GaitParams, GaitState
+from liprint import GaitParams, GaitState, contact_schedule
 from liprint.metrics import (LEFT, REG_TERMS, RIGHT, TASK_TERMS, RewardParams,
                              RobotSample, pd_torque, regularization, reward_table,
                              total_reward)
@@ -17,9 +17,9 @@ def params(**kw):
     return RewardParams(**kw)
 
 
-def term(name, s, p, gait=0.0, targets=((0.0, 0.0), (0.0, 0.0)), stance_side=None):
+def term(name, s, p, c=0.0, targets=((0.0, 0.0), (0.0, 0.0)), stance_side=None):
     """One term of total_reward's breakdown for the sample s."""
-    return total_reward(s, p, gait, targets, stance_side)[1][name]
+    return total_reward(s, p, c, targets, stance_side)[1][name]
 
 
 def ideal_sample(vx=0.0, vy=0.0):
@@ -121,12 +121,32 @@ class TestContactSchedule:
         assert r == pytest.approx(9.0 * math.exp(-0.1 / SIGMA), rel=1e-12)
 
     def test_gait_state_input(self):
+        # a caller holding a gait state passes its C and the stance side of
+        # its parity (RIGHT on an even step)
         g = GaitState(t=0.175, parity=0, params=GaitParams(0.35))
         s = RobotSample(foot_pos=((0.1, -0.15), (0.5, 0.15)),
                         foot_contact=(True, False))
         targets = [(0.1, -0.15), (0.9, 0.15)]
-        r = term("contact_schedule", s, params(), g, targets)
+        r = term("contact_schedule", s, params(), contact_schedule(g), targets,
+                 stance_side=RIGHT if g.parity % 2 == 0 else LEFT)
         assert r == pytest.approx(9.0 / math.sqrt(1.04), abs=1e-9)
+
+    def test_odd_step_first_tick_sign_and_parity_differ(self):
+        # at an odd step's first tick C = sin(pi)/sqrt(sin(pi)**2 + 0.04) is
+        # +6.1e-16: its sign picks RIGHT, the parity (as score reads it) LEFT
+        g = GaitState(t=0.0, parity=1, params=GaitParams(0.35))
+        c = contact_schedule(g)
+        assert c == math.sin(math.pi) / math.sqrt(math.sin(math.pi) ** 2 + 0.04)
+        assert 6e-16 < c < 6.2e-16
+        # left foot in stance at its target, right foot 0.1 m off its own
+        s = RobotSample(foot_pos=((0.2, -0.15), (0.5, 0.15)),
+                        foot_contact=(False, True))
+        targets = [(0.1, -0.15), (0.5, 0.15)]
+        by_sign = term("contact_schedule", s, params(), c, targets)
+        by_parity = term("contact_schedule", s, params(), c, targets, stance_side=LEFT)
+        assert by_sign == term("contact_schedule", s, params(), c, targets, stance_side=RIGHT)
+        assert by_sign == -9.0 * c * math.exp(-0.1 / SIGMA)
+        assert by_parity == -9.0 * c
 
     def test_bounded(self):
         rng = np.random.default_rng(5)

@@ -4,10 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from liprint import (FootPosition, GaitParams, GaitState, IcpPoint, LipParams,
+from liprint import (FootPosition, GaitParams, GaitState, LipParams,
                      LipState, PlannedStep, StepCommand, com_trajectory, desired_step_length,
                      desired_step_width, icp_of, icp_trajectory, offsets,
-                     plan_step, predict_final_icp, turning_angle)
+                     plan_step, turning_angle)
 from liprint import _kernels
 from liprint.planner import wrap_angle
 
@@ -47,28 +47,6 @@ class TestStepLengthWidth:
 
     def test_width_vanishes(self):
         assert desired_step_width(0.3, 1e-9, TS) == pytest.approx(0.0, abs=1e-9)
-
-
-class TestPredictFinalIcp:
-    def test_zero_remaining(self):
-        xi = predict_final_icp(IcpPoint(xi=(0.2, 0.1)), FootPosition(p=(0.0, 0.0)),
-                               W_TABLE, 0.0)
-        npt.assert_array_equal(xi.xi, [0.2, 0.1])
-
-    def test_fixed_point(self):
-        xi = predict_final_icp(IcpPoint(xi=(0.1, -0.3)), FootPosition(p=(0.1, -0.3)),
-                               W_TABLE, 0.35)
-        npt.assert_allclose(xi.xi, [0.1, -0.3], rtol=1e-12)
-
-    def test_delegates_to_icp_trajectory(self):
-        xi0 = IcpPoint(xi=(0.0597, 0.0597))
-        foot = FootPosition(p=(0.0, 0.0))
-        got = predict_final_icp(xi0, foot, W_TABLE, 0.35)
-        ref = icp_trajectory(xi0, foot, W_TABLE, 0.35)
-        npt.assert_array_equal(got.xi, ref.xi)
-        expected = 0.0597 * math.exp(W_TABLE * 0.35)
-        npt.assert_allclose(got.xi, [expected, expected], atol=1e-12)
-        assert got.xi[0] == pytest.approx(0.240216, abs=1e-5)
 
 
 class TestOffsets:
@@ -182,7 +160,7 @@ class TestPlanStep:
         state = LipState(com_pos=(0.02, 0.01), com_vel=(0.5, -0.1), params=p)
         for parity in (0, 1):
             step = plan_step(state, foot, cmd(1.0, 0.0), gait_at(parity=parity))
-            xi_f = predict_final_icp(icp_of(state), foot, p.omega0, TS)
+            xi_f = icp_trajectory(icp_of(state), foot, p.omega0, TS)
             b = offsets(0.35, 0.3, p.omega0, TS)
             sign = 1.0 if parity % 2 == 0 else -1.0
             assert step.p_d[0] == xi_f.xi[0] - b.b_x
@@ -195,7 +173,7 @@ class TestPlanStep:
         fwd = plan_step(at_rest, foot, cmd(1.0, 0.0), gait_at())
         lat = plan_step(at_rest, foot, cmd(0.0, 1.0), gait_at())
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        xi_f = predict_final_icp(icp_of(at_rest), foot, p.omega0, TS).xi
+        xi_f = icp_trajectory(icp_of(at_rest), foot, p.omega0, TS).xi
         npt.assert_allclose(lat.p_d, xi_f + rot @ (fwd.p_d - xi_f), atol=1e-12)
         assert lat.heading == pytest.approx(math.pi / 2, abs=1e-15)
 
@@ -242,7 +220,7 @@ class TestPlanStep:
         g = gait_at(t=0.2)
         literal = plan_step(state, foot, cmd(1.0), g)
         held = plan_step(state, foot, cmd(1.0), g, horizon=TS)
-        xi_f = predict_final_icp(icp_of(state), foot, p.omega0, TS - 0.2)
+        xi_f = icp_trajectory(icp_of(state), foot, p.omega0, TS - 0.2)
         b = offsets(0.35, 0.3, p.omega0, TS)
         npt.assert_allclose(held.p_d, [xi_f.xi[0] - b.b_x, xi_f.xi[1] + b.b_y],
                             atol=1e-12)
@@ -324,7 +302,7 @@ class TestStepRecurrence:
             speed = rng.uniform(0.1, 2.0)
             step = plan_step(state, foot, cmd(speed), gait_at())
             s_d = speed * TS
-            xi_f = predict_final_icp(icp_of(state), foot, p.omega0, TS)
+            xi_f = icp_trajectory(icp_of(state), foot, p.omega0, TS)
             xi_next = icp_trajectory(xi_f, FootPosition(p=step.p_d), p.omega0, TS)
             assert xi_next.xi[0] - xi_f.xi[0] == pytest.approx(s_d, abs=1e-9)
 

@@ -43,6 +43,13 @@ def gap_spec(width=0.15, period=0.8, offset=0.4):
                        gap_offset=offset)
 
 
+def loop_call(cfg, schedule):
+    """(sim_loop's positional arguments, its grid keyword) for a run of cfg
+    under schedule, as sim._simulate passes them."""
+    grid = sim_mod._terrain_grid(cfg, schedule)
+    return sim_mod._loop_args(cfg, schedule, grid), grid
+
+
 class TestConfigValidation:
     def test_dt_must_divide_step(self):
         with pytest.raises(ValueError):
@@ -614,10 +621,10 @@ class TestSnapHeights:
             snaps.append((*args[5:7], got))
             return got
 
-        args = sim_mod._loop_args(cfg, sim_mod._constant_schedule(cfg))
+        args, grid = loop_call(cfg, sim_mod._constant_schedule(cfg))
         monkeypatch.setattr(_kernels, "grid_bilinear", read_spy)
         monkeypatch.setattr(_kernels, "snap_to_steppable", snap_spy)
-        result = _kernels.sim_loop(*args)
+        result = _kernels.sim_loop(*args, grid=grid)
         monkeypatch.undo()
         return result, args, reads, snaps
 
@@ -633,11 +640,11 @@ class TestSnapHeights:
                 assert found
                 if (sx, sy) != (x, y) and (sx, sy) not in nodes[-1:]:
                     nodes.append((sx, sy))
-            assert reads == [args[13:15]] + nodes
+            assert reads == [args[12:14]] + nodes
             moved_runs += bool(nodes)
             if spec.amplitude == 0.05:
                 # every target is kept: the stance is the only read
-                assert reads == [args[13:15]]
+                assert reads == [args[12:14]]
         assert moved_runs == 2
 
     @pytest.mark.parametrize("replan", [sim_mod.REPLAN_AT_STEP_START, sim_mod.REPLAN_EVERY_TICK])
@@ -646,7 +653,8 @@ class TestSnapHeights:
         for spec in self.SPECS:
             cfg = config(vx=1.0, duration=6.0, replan=replan, terrain=spec)
             schedule = sim_mod._constant_schedule(cfg)
-            n_rec, outcome, _, rows = _kernels.sim_loop(*sim_mod._loop_args(cfg, schedule))
+            args, grid = loop_call(cfg, schedule)
+            n_rec, outcome, _, rows = _kernels.sim_loop(*args, grid=grid)
             assert outcome == _kernels.OUTCOME_COMPLETED and n_rec == 600
             # read on a fresh view of the same terrain
             grid = sim_mod._terrain_grid(cfg, schedule)
@@ -850,7 +858,7 @@ class TestSweep:
         real_sim_loop = _kernels.sim_loop
 
         def grid_spy(*args, **kwargs):
-            grids.append(args[sim_mod._GRID_ARG])
+            grids.append(kwargs["grid"])
             assert not grids[-1].h  # no node of this trial's grid is filled yet
             return real_sim_loop(*args, **kwargs)
 
@@ -916,7 +924,7 @@ class TestSweepRunsTrialInvariantConfigsOnce:
             sweep(cfgs, trials, window=1.0)
             rough = name == "rough"
             set_ups = len(cfgs) * min(trials, 1)
-            assert [cfg for cfg, _ in calls["_loop_args"]] == cfgs[:set_ups]
+            assert [args[0] for args in calls["_loop_args"]] == cfgs[:set_ups]
             # a spec is laid out at its config's set-up, a map is not
             assert len(calls["_layout"]) == (set_ups if name in ("gap", "rough") else 0)
             runs = len(cfgs) * (trials if rough else min(trials, 1))
@@ -1278,8 +1286,8 @@ class TestClosedFormStates:
             cx, cy = (np.array([px, py]) + rng.uniform(-0.3, 0.3, 2)).tolist()
             start = [cx, cy, *rng.uniform(-1.5, 1.5, 2).tolist()]
             n_rec, outcome, _, rows = _kernels.sim_loop(
-                k + 1, dt, k, 9.81, z0, [(0, 0.5, 0.0, 0.3)], False, math.inf, None,
-                *start, px, py, 0.0)
+                k + 1, dt, k, 9.81, z0, [(0, 0.5, 0.0, 0.3)], False, math.inf,
+                *start, px, py, 0.0, grid=None)
             assert (n_rec, outcome) == (k + 1, _kernels.OUTCOME_COMPLETED)
             chain = start
             for j in range(1, k + 1):
@@ -1308,8 +1316,8 @@ class TestClosedFormStates:
                             lip_decimal(*start, 0.0, 0.0, omega, Decimal(dt) * j)))
         assert 1 < j_bad < k
         n_rec, outcome, fail_time, rows = _kernels.sim_loop(
-            k, dt, k, 9.81, z0, [(0, 0.5, 0.0, 0.3)], every_tick, math.inf, None,
-            *start, 0.0, 0.0, 0.0, vel_x_only=vel_x_only)
+            k, dt, k, 9.81, z0, [(0, 0.5, 0.0, 0.3)], every_tick, math.inf,
+            *start, 0.0, 0.0, 0.0, grid=None, vel_x_only=vel_x_only)
         assert (n_rec, outcome, fail_time) == (j_bad, _kernels.OUTCOME_NON_FINITE, j_bad * dt)
         assert np.isfinite(rows).all()
 
@@ -1327,8 +1335,8 @@ class TestSimLoopRows:
         res = run(cfg)
         n_rec, outcome, fail_time, rows = _kernels.sim_loop(
             cfg.n_ticks, cfg.dt, cfg.ticks_per_step, cfg.lip.g, cfg.lip.z0,
-            [(0, 1.0, 0.0, 0.3)], False, cfg.reach_limit, None,
-            0.0, 0.0, 0.0, 0.0, 0.0, -0.15, 0.0)
+            [(0, 1.0, 0.0, 0.3)], False, cfg.reach_limit,
+            0.0, 0.0, 0.0, 0.0, 0.0, -0.15, 0.0, grid=None)
         assert outcome == _kernels.OUTCOME_REACH and fail_time == res.failure_time
         assert rows.shape == (n_rec, COL_PARITY + 1) == (res.sample_array.shape[0], 15)
         npt.assert_array_equal(rows, res.sample_array[:, :COL_PARITY + 1])
@@ -1336,8 +1344,8 @@ class TestSimLoopRows:
     def test_bad_height_at_start_records_no_rows(self):
         hmap = loaded_map(step_height=0.0)
         n_rec, outcome, fail_time, rows = _kernels.sim_loop(
-            10, 0.01, 35, 9.81, 0.0, [(0, 1.0, 0.0, 0.3)], False, 0.6, hmap.grid,
-            0.0, 0.0, 0.0, 0.0, 0.0, -0.15, 0.0)
+            10, 0.01, 35, 9.81, 0.0, [(0, 1.0, 0.0, 0.3)], False, 0.6,
+            0.0, 0.0, 0.0, 0.0, 0.0, -0.15, 0.0, grid=hmap.grid)
         assert (n_rec, outcome, fail_time) == (0, _kernels.OUTCOME_BAD_HEIGHT, 0.0)
         assert rows.shape == (0, COL_PARITY + 1)
 
@@ -1346,8 +1354,8 @@ class TestSimLoopRows:
         # cosh(omega * dt) overflows before the first tick: a failed run, as
         # a non-positive pendulum height gives
         n_rec, outcome, fail_time, rows = _kernels.sim_loop(
-            10, 0.01, 35, g, z0, [(0, 1.0, 0.0, 0.3)], False, 0.6, None,
-            0.0, 0.0, 0.0, 0.0, 0.0, -0.15, 0.0)
+            10, 0.01, 35, g, z0, [(0, 1.0, 0.0, 0.3)], False, 0.6,
+            0.0, 0.0, 0.0, 0.0, 0.0, -0.15, 0.0, grid=None)
         assert (n_rec, outcome, fail_time) == (0, _kernels.OUTCOME_NON_FINITE, 0.0)
         assert rows.shape == (0, COL_PARITY + 1)
         res = run(replace(config(vx=1.0), lip=LipParams(g=g, z0=z0)))
@@ -1360,16 +1368,16 @@ class TestSimLoopRows:
         calls = []
         loop = _kernels.sim_loop
 
-        def spy(*args):
-            calls.append(args)
-            return loop(*args)
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return loop(*args, **kwargs)
 
         monkeypatch.setattr(_kernels, "sim_loop", spy)
         # the default initial state and the command are numpy arrays
         assert sim_mod.turn_maneuver(config(vx=0.7, duration=1.0, terrain=gap_spec()),
                                      0.5, 0.5).completed
-        (args,) = calls
-        schedule, grid, state = args[5], args[8], args[9:]
+        ((args, kwargs),) = calls
+        schedule, grid, state = args[5], kwargs["grid"], args[8:]
         assert [type(v) for v in state] == [float] * 7
         assert [tuple(map(type, c)) for c in schedule] == [(int, float, float, float)] * 2
         assert [c[0] for c in schedule] == [0, 50]
@@ -1451,9 +1459,10 @@ class TestVelXOnlyMode:
     def test_matches_the_full_rows(self):
         kinds = []
         for cfg, schedule, expected in _seeded_runs():
-            args = sim_mod._loop_args(cfg, schedule)
-            n_rec, outcome, fail_time, rows = _kernels.sim_loop(*args)
-            n_vx, outcome_vx, fail_time_vx, vel_x = _kernels.sim_loop(*args, vel_x_only=True)
+            args, grid = loop_call(cfg, schedule)
+            n_rec, outcome, fail_time, rows = _kernels.sim_loop(*args, grid=grid)
+            n_vx, outcome_vx, fail_time_vx, vel_x = _kernels.sim_loop(*args, grid=grid,
+                                                                      vel_x_only=True)
             assert (n_vx, outcome_vx, fail_time_vx) == (n_rec, outcome, fail_time)
             assert vel_x.dtype == np.float64 and vel_x.shape == (n_rec,)
             assert vel_x.tobytes() == rows[:, COL_VEL_X].tobytes()
@@ -1540,7 +1549,8 @@ class TestReferenceLoop:
 
     @staticmethod
     def _compare(cfg, schedule):
-        n_rec, outcome, fail_time, rows = _kernels.sim_loop(*sim_mod._loop_args(cfg, schedule))
+        args, grid = loop_call(cfg, schedule)
+        n_rec, outcome, fail_time, rows = _kernels.sim_loop(*args, grid=grid)
         ref_rows, ref_outcome, ref_fail_time = reference_run(cfg, schedule)
         assert rows.shape == ref_rows.shape
         assert rows.tobytes() == ref_rows.tobytes()
@@ -1636,8 +1646,8 @@ class TestReferenceLoop:
         monkeypatch.setattr(_kernels, "steppable", steppable_spy)
         monkeypatch.setattr(_kernels, "snap_to_steppable", snap_spy)
         cfg = replace(_EDGE_BASE, terrain=hmap)
-        n_rec, outcome, _, _ = _kernels.sim_loop(*sim_mod._loop_args(
-            cfg, sim_mod._constant_schedule(cfg)))
+        args, grid = loop_call(cfg, sim_mod._constant_schedule(cfg))
+        n_rec, outcome, _, _ = _kernels.sim_loop(*args, grid=grid)
         k = cfg.ticks_per_step
         assert outcome == _kernels.OUTCOME_COMPLETED and len(ticks) == n_rec
         # the step's queries are those of the run on flat ground, and some
@@ -1681,7 +1691,8 @@ class TestReferenceLoop:
 
         monkeypatch.setattr(_kernels, "snap_to_steppable", snap_spy)
         monkeypatch.setattr(_kernels, "_nearest_steppable_node", search_spy)
-        n_rec, outcome, _, _ = _kernels.sim_loop(*sim_mod._loop_args(cfg, schedule))
+        args, grid = loop_call(cfg, schedule)
+        n_rec, outcome, _, _ = _kernels.sim_loop(*args, grid=grid)
         monkeypatch.undo()
         k = cfg.ticks_per_step
         assert outcome == _kernels.OUTCOME_COMPLETED and len(moved) == n_rec == 200

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -849,7 +850,7 @@ class TestGenerate:
         h1 = generate(spec, (-1, -1, 1, 1), 0.05)
         h2 = generate(spec, (-1, -1, 1, 1), 0.05)
         npt.assert_array_equal(h1.heights, h2.heights)
-        h3 = generate(spec.with_seed(18), (-1, -1, 1, 1), 0.05)
+        h3 = generate(replace(spec, seed=18), (-1, -1, 1, 1), 0.05)
         assert not np.array_equal(h1.heights, h3.heights)
 
     def test_amplitude_bound(self):
@@ -1009,7 +1010,7 @@ class TestLayoutGrid:
             layout = terrain_mod._layout(spec, extent, resolution)
             for seed in rng.integers(0, 2**32, 3).tolist():
                 grid = terrain_mod.layout_grid(layout, seed)
-                eager = generate(spec.with_seed(seed), extent, resolution)
+                eager = generate(replace(spec, seed=seed), extent, resolution)
                 assert (grid.rows, grid.cols) == eager.heights.shape
                 assert (grid.ox, grid.oy, grid.res) == (*eager.origin.tolist(),
                                                         eager.resolution)
