@@ -49,6 +49,28 @@ class TestStepLengthWidth:
         assert desired_step_width(0.3, 1e-9, TS) == pytest.approx(0.0, abs=1e-9)
 
 
+class TestPredictFinalIcp:
+    # the capture point the planner places from: placement_at with zero
+    # offsets is the prediction alone
+    NO_OFFSET = (0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_zero_remaining(self):
+        xi = _kernels.placement_at(0.2, 0.1, 0.0, 0.0, W_TABLE, 0.0, self.NO_OFFSET)
+        npt.assert_array_equal(xi, [0.2, 0.1])
+
+    def test_fixed_point(self):
+        xi = _kernels.placement_at(0.1, -0.3, 0.1, -0.3, W_TABLE, 0.35, self.NO_OFFSET)
+        npt.assert_allclose(xi, [0.1, -0.3], rtol=1e-12)
+        # plan_step from a capture point on the stance foot places the
+        # offsets about the foot itself
+        p = params_for()
+        foot = FootPosition(p=(0.1, -0.3))
+        state = LipState(com_pos=foot.p, com_vel=(0.0, 0.0), params=p)
+        step = plan_step(state, foot, cmd(1.0), gait_at())
+        b = offsets(0.35, 0.3, p.omega0, TS)
+        npt.assert_allclose(step.p_d, [0.1 - b.b_x, -0.3 + b.b_y], rtol=1e-12)
+
+
 class TestOffsets:
     def test_table_values(self):
         b = offsets(0.35, 0.3, W_TABLE, 0.35)
