@@ -8,12 +8,12 @@ lip_velocity; lip_step for both axes) from libm's cosh/sinh pairs
 (plan_placement: its per-step part, the heading rule and the rotated
 offsets, in placement_offsets, and its per-tick part, the predicted
 capture point less those offsets, in placement_at), the grid-cell lookup
-with its bilinear sum (_bilinear, the one scalar sum, for one point in
-_cell and for a resampled grid's nodes in CellRow; grid_resample, its
-vector twin, for a separable grid of points; cell_table, the cells and
-weights of one axis), and the steppability test (steppable). The
-dataclass-based public API in lip_core / planner / terrain / sim
-validates its arguments and calls these kernels.
+with its bilinear sum (_bilinear, on scalars for one point in _cell and
+a resampled grid's node in CellRow, on arrays for terrain.generate's map;
+cell_table, _cell's cells and weights of one axis as arrays), and the
+steppability test (steppable). The dataclass-based public API in
+lip_core / planner / terrain / sim validates its arguments and calls
+these kernels.
 
 The grid kernels read a map through one Grid view: its shape, origin and
 spacing as Python numbers, and node heights and mask flags read as
@@ -238,7 +238,8 @@ class Grid(NamedTuple):
 
 def _bilinear(lo, hi, j, ey, fy, ex, fx):
     """The bilinear sum over columns j, j + 1 of node rows lo (weight ey)
-    and hi (weight fy), with column weights ex and fx."""
+    and hi (weight fy), with column weights ex and fx: on scalars, or on
+    broadcasting arrays with the same products and sums, bit for bit."""
     return lo[j] * ey * ex + lo[j + 1] * ey * fx + hi[j] * fy * ex + hi[j + 1] * fy * fx
 
 
@@ -264,9 +265,9 @@ def _cell(h, rows, cols, gx, gy):
 
 
 def cell_table(g, n):
-    """_cell's cell and weights along one axis of n nodes, for each
-    coordinate of the array g: the clamped floors k and the weights 1 - f
-    and f, f = g - k, as three arrays."""
+    """The vector form of _cell's inline clamp: for each coordinate of the
+    array g on an axis of n nodes, the clamped floor k and the weights
+    1 - f and f, f = g - k, as three arrays."""
     k = np.clip(np.floor(g).astype(np.int64), 0, n - 2)
     f = g - k
     return k, 1.0 - f, f
@@ -275,8 +276,8 @@ def cell_table(g, n):
 class CellRow(dict):
     """Row i of a grid resampled from node rows h, read as row[j]: with
     (k, ey, fy) the row's cell_table entry and (kx, ex, fx) column j's,
-    node j is _bilinear(h[k], h[k + 1], kx, ey, fy, ex, fx), as _cell
-    gives it at those coordinates, made on first read and kept."""
+    node j is _bilinear(h[k], h[k + 1], kx, ey, fy, ex, fx), made on first
+    read and kept: _cell's value there, and terrain.generate's node."""
 
     __slots__ = ("lo", "hi", "ey", "fy", "cols")
 
@@ -290,21 +291,6 @@ class CellRow(dict):
         kx, ex, fx = self.cols[j]
         v = self[j] = _bilinear(self.lo, self.hi, kx, self.ey, self.fy, ex, fx)
         return v
-
-
-def grid_resample(grid, gy, gx):
-    """_cell on separable grid coordinates: gy holds one per output row, gx
-    one per output column. Returns (i, j, values): the clamped floors
-    (see _cell) and the (len(gy), len(gx)) bilinear values. Each value is
-    _bilinear's four terms in its order, from cell_table's weights, the row
-    weight applied to whole grid rows before the column gather, so it
-    equals _cell bit for bit.
-    """
-    i, ey, fy = cell_table(gy, grid.shape[0])
-    j, ex, fx = cell_table(gx, grid.shape[1])
-    lo = grid[i] * ey[:, None]
-    hi = grid[i + 1] * fy[:, None]
-    return i, j, (lo[:, j] * ex + lo[:, j + 1] * fx + hi[:, j] * ex + hi[:, j + 1] * fx)
 
 
 def grid_bilinear(grid, x, y):

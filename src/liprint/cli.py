@@ -37,7 +37,7 @@ from .gait import GaitParams, GaitState, remaining_time
 from .lip_core import (BASE_HEIGHT, GRAVITY, FootPosition, LipParams, LipState, icp_of,
                        icp_trajectory)
 from .planner import (StepCommand, desired_step_length, desired_step_width,
-                      offsets, plan_step, turning_angle)
+                      offsets, plan_step)
 from .terrain import Heightmap
 
 log = logging.getLogger("liprint")
@@ -177,24 +177,28 @@ def build_parser() -> _Parser:
 
 def _apply_config_file(argv):
     """--config provides flag defaults, one key=value line each (the flag
-    name without --; blank and # lines skipped); explicit flags still win."""
+    name without --; blank and # lines skipped), passed as one --key=value
+    token, so a value may start with '-'; explicit flags still win."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return argv
     extra = []
-    with open(known.config) as f:
-        for n, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            if not eq or not key.strip():
-                raise ValueError(f"--config {known.config} line {n}: "
-                                 f"expected key=value, got {line!r}")
-            extra.append(f"--{key.strip()}")
-            extra.append(value.strip())
+    try:
+        with open(known.config) as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"cannot read {known.config}: {e}") from None
+    for n, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        if not eq or not key.strip():
+            raise ValueError(f"--config {known.config} line {n}: "
+                             f"expected key=value, got {line!r}")
+        extra.append(f"--{key.strip()}={value.strip()}")
     # defaults go right after the full subcommand path ("simulate",
     # "terrain gen") so that later flags override them
     depth = next((i for i, a in enumerate(argv) if a.startswith("-")), len(argv))
@@ -357,7 +361,7 @@ def _cmd_plan(args) -> int:
         "xi0": [float(xi0.xi[0]), float(xi0.xi[1])],
         "xi_final": [float(xi_f.xi[0]), float(xi_f.xi[1])],
         "offset": [b.b_x, b.b_y],
-        "heading": turning_angle(cmd),
+        "heading": step.heading,
         "step": {"x": float(step.p_d[0]), "y": float(step.p_d[1]),
                  "z": step.z_d, "heading": step.heading, "parity": step.parity},
     }
@@ -433,7 +437,7 @@ def _read_table(path, what, header=None) -> tuple:
         if parsed is not None:
             return parsed
         rows = list(csv.reader(lines))
-    except (OSError, csv.Error) as e:
+    except (OSError, csv.Error, UnicodeDecodeError) as e:
         raise ValueError(f"cannot read {path}: {e}") from None
     if not rows:
         raise ValueError(f"{what} {path} is empty")

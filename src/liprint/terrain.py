@@ -138,8 +138,11 @@ class Heightmap:
 
     @classmethod
     def load(cls, path) -> "Heightmap":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        try:
+            with open(path) as f:
+                return cls.from_dict(json.load(f))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise ValueError(f"cannot read {path}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -277,14 +280,14 @@ def _layout(spec: TerrainSpec, extent, resolution: float) -> tuple:
     gap is the mask row of every row, a list of 0/1 flags, 1 only at
     nodes strictly inside a gap strip. lattice is None unless the spec is
     rough of positive amplitude; then it is (amplitude, lat_rows,
-    lat_cols, gy, gx, row_cells, col_cells): the height bound, the shape of
-    a lattice spaced by the correlation length, one node beyond the extent
-    on every side and holding every grid node's cell, the grid rows' and
-    columns' coordinates on it as arrays, and their cell tables, per grid
-    row (and column) the entry (k, 1 - f, f) of _kernels.cell_table as a
-    tuple in a list. _lattice_values draws it from a seed; spec.seed is
-    not read. The node count of each axis and the lattice's are checked as
-    Python ints, before any array is made."""
+    lat_cols, row_cells, col_cells): the height bound, the shape of a
+    lattice spaced by the correlation length, one node beyond the extent
+    on every side and holding every grid node's cell, and the cell tables
+    that generate and layout_grid read: per grid row (and column), the
+    entry (k, 1 - f, f) of _kernels.cell_table at its lattice coordinate,
+    as a tuple in a list. _lattice_values draws the lattice from a seed;
+    spec.seed is not read. The node count of each axis and the lattice's
+    are checked as Python ints, before any array is made."""
     x0, y0, x1, y1 = (float(v) for v in extent)
     if not (x1 > x0 and y1 > y0 and all(map(math.isfinite, (x0, y0, x1, y1)))):
         raise ValueError(f"extent {extent} must be finite and non-empty")
@@ -320,7 +323,7 @@ def _layout(spec: TerrainSpec, extent, resolution: float) -> tuple:
         gx = (x0 + resolution * np.arange(cols)) / corr - lat_x0
         cells = [list(zip(*(a.tolist() for a in _kernels.cell_table(g, n))))
                  for g, n in ((gy, lat_rows), (gx, lat_cols))]
-        lattice = (spec.amplitude, lat_rows, lat_cols, gy, gx, *cells)
+        lattice = (spec.amplitude, lat_rows, lat_cols, *cells)
     gap = np.zeros(cols, dtype=np.uint8)
     if spec.kind == "gap":
         # the nodes are monotone: both ends finite relative to the offset, all are
@@ -346,19 +349,24 @@ def generate(spec: TerrainSpec, extent, resolution: float) -> Heightmap:
     Deterministic in (spec, extent, resolution). Rough terrain is bilinear
     value noise: an independent uniform height in [-amplitude, amplitude]
     per lattice node, spaced by the correlation length, interpolated to the
-    grid nodes by _kernels.grid_resample. Gap terrain is flat with periodic
-    non-supporting strips across x; nodes strictly inside a strip are
-    masked. The geometry comes from _layout, which generate_grid shares,
-    and the lattice from _lattice_values at spec.seed. A map of more
-    nodes than one array holds raises before it is allocated.
+    grid nodes by _kernels._bilinear on arrays of the layout's cell tables,
+    as a grid view's CellRow sums them per node, bit for bit. Gap terrain
+    is flat with periodic non-supporting strips across x; nodes strictly
+    inside a strip are masked. The geometry comes from _layout, which
+    generate_grid shares, and the lattice from _lattice_values at
+    spec.seed. A map of more nodes than one array holds raises before it
+    is allocated.
     """
     x0, y0, rows, cols, _, gap, lattice = _layout(spec, extent, resolution)
     _check_count(rows * cols, "nodes", spec, extent, resolution)
     if lattice is None:
         heights = np.zeros((rows, cols))
     else:
-        gy, gx = lattice[3:5]
-        heights = _kernels.grid_resample(_lattice_values(lattice, spec.seed), gy, gx)[2]
+        lat = _lattice_values(lattice, spec.seed)
+        (k, ey, fy), (kx, ex, fx) = (map(np.array, zip(*cells)) for cells in lattice[3:])
+        # columns along the first axis, where _bilinear's lo[j] gathers
+        heights = _kernels._bilinear(lat[k].T, lat[k + 1].T, kx, ey, fy,
+                                     ex[:, None], fx[:, None]).T
     return Heightmap(origin=np.array([x0, y0]), resolution=resolution, heights=heights,
                      mask=np.broadcast_to(np.array(gap, dtype=np.uint8), (rows, cols)))
 
@@ -370,14 +378,14 @@ def layout_grid(layout: tuple, seed: int) -> _kernels.Grid:
     layout's mask row, and without a lattice one row of zeros, and nothing
     is drawn. A rough height row i is a _kernels.CellRow over the lattice
     from the layout's cell tables, made on its first read into this grid's
-    own Rows, and its node j the bilinear sum at (gx[j], gy[i]) on its
-    first read: _kernels._cell's value there, so it equals generate's node
-    bit for bit."""
+    own Rows, and its node j, on its first read, _kernels._bilinear of row
+    i's and column j's table entries: _kernels._cell's value there, and
+    generate's node bit for bit."""
     x0, y0, rows, cols, resolution, gap, lattice = layout
     if lattice is None:
         h = [[0.0] * cols] * rows
     else:
-        row_cells, col_cells = lattice[5:]
+        row_cells, col_cells = lattice[3:]
         lat = _lattice_values(lattice, seed).tolist()
         h = _kernels.Rows(lambda i: _kernels.CellRow(lat, row_cells[i], col_cells))
     return _kernels.Grid(rows, cols, x0, y0, resolution, h, [gap] * rows)

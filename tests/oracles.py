@@ -221,7 +221,7 @@ def rough_heights_per_formula(spec, extent, resolution):
     """liprint.terrain.generate's rough heights with the bilinear sum written
     out on 2-D index arrays, each corner gathered before its two weights
     are applied: the reference for generate reading the lattice through
-    _kernels.grid_resample."""
+    _kernels._bilinear on the layout's cell tables."""
     x0, y0, x1, y1 = (float(v) for v in extent)
     cols = max(2, int(math.ceil((x1 - x0) / resolution)) + 1)
     rows = max(2, int(math.ceil((y1 - y0) / resolution)) + 1)

@@ -169,6 +169,16 @@ class TestSimulate:
         assert rc == 0
         assert len(read(out)) == 101
 
+    def test_config_value_may_start_with_a_dash(self, tmp_path):
+        # a file line is one --key=value token, so a negative value with an
+        # exponent is read as the value, not as a flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("vx = 1.0\nvy = -2e-1\nduration = 1\n")
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "t.manifest.json").read_text())
+        assert manifest["config"]["vy"] == -0.2
+
 
 class TestSweep:
     def test_flat_grid(self, tmp_path):
@@ -853,6 +863,15 @@ class TestTerrainGen:
         assert main(args + ["--resolution", "0.25"]) == 0
         assert Heightmap.load(out).resolution == 0.25
 
+    def test_config_extent_may_start_with_a_dash(self, tmp_path):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("extent = -2:-2:3:2\n")
+        out, ref = tmp_path / "m.json", tmp_path / "ref.json"
+        spec = ["terrain", "gen", "--spec", "rough:0.05:0.5:1"]
+        assert main(spec + ["--config", str(cfg), "--out", str(out)]) == 0
+        assert main(spec + ["--extent=-2:-2:3:2", "--out", str(ref)]) == 0
+        assert out.read_bytes() == ref.read_bytes()
+
     @pytest.mark.parametrize("argv,message", [
         (["terrain", "gen", "--spec", "flat", "--extent=0:0:1e300:1"],
          "error: flat terrain on extent (0.0, 0.0, 1e+300, 1.0) at resolution 0.05 has more "
@@ -1144,7 +1163,18 @@ class TestUsage:
         (["terrain", "gen", "--spec", "flat", "--seed", "3"],
          "error: unrecognized arguments: --seed 3\n"),
         (["plan", "--vx", "1", "--config", "{cfg_seed}"],
-         "error: unrecognized arguments: --seed 3\n"),
+         "error: unrecognized arguments: --seed=3\n"),
+        # a file that is not UTF-8, or a map that is not JSON, is named
+        (["score", "--traj", "{not_utf8_csv}"],
+         "not_utf8_csv.csv: 'utf-8' codec can't decode byte 0xff in position 5"),
+        (["score", "--traj", "{traj}", "--joints", "{not_utf8_csv}"],
+         "not_utf8_csv.csv: 'utf-8' codec can't decode byte 0xff in position 5"),
+        (["simulate", "--vx", "1", "--config", "{not_utf8_cfg}"],
+         "not_utf8_cfg.cfg: 'utf-8' codec can't decode byte 0xff in position 7"),
+        (["simulate", "--vx", "1", "--terrain", "file:{not_utf8_json}"],
+         "not_utf8_json.json: 'utf-8' codec can't decode byte 0xff in position 12"),
+        (["simulate", "--vx", "1", "--terrain", "file:{not_json}"],
+         "not_json.json: Expecting property name enclosed in double quotes: line 1 column 2"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-time-nan", "turn-nan", "duration-overflow",
             "dt-underflow",
@@ -1179,7 +1209,9 @@ class TestUsage:
             "plan-state-unknown-key", "plan-parity-negative", "terrain-gen-seed-negative",
             "rough-seed-negative", "zero-amplitude-seed-negative", "sweep-seed-negative",
             "config-no-equals", "config-space-for-equals", "config-empty-key",
-            "simulate-seed", "plan-seed", "score-seed", "terrain-gen-seed", "plan-config-seed"])
+            "simulate-seed", "plan-seed", "score-seed", "terrain-gen-seed", "plan-config-seed",
+            "score-traj-not-utf8", "score-joints-not-utf8", "config-not-utf8", "map-not-utf8",
+            "map-not-json"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}
@@ -1222,6 +1254,12 @@ class TestUsage:
                            ("cfg_seed", "seed = 3\n")):
             paths[name] = tmp_path / f"{name}.cfg"
             paths[name].write_text(text)
+        for name, ext, data in (("not_utf8_csv", "csv", b"time,\xff\n0\n"),
+                                ("not_utf8_cfg", "cfg", b"vx = 1\n\xff\n"),
+                                ("not_utf8_json", "json", b'{"origin": [\xff]}\n'),
+                                ("not_json", "json", b"{origin: [0, 0]}\n")):
+            paths[name] = tmp_path / f"{name}.{ext}"
+            paths[name].write_bytes(data)
         (tmp_path / "empty.csv").write_text("")
         # one field longer than csv's default limit of 131072 characters
         (tmp_path / "huge.csv").write_text("1" * 200000 + "\n")

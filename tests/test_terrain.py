@@ -718,6 +718,9 @@ class TestQueryCertificate:
 
 
 class TestGridResample:
+    """_bilinear on whole arrays, in the form generate calls it, is _cell at
+    every point of a separable grid, bit for bit."""
+
     def test_equals_scalar_cell(self):
         rng = np.random.default_rng(13)
         heights = rng.uniform(-0.1, 0.1, (13, 17))
@@ -733,7 +736,10 @@ class TestGridResample:
                              *rng.uniform(lo, hi, 25).tolist()])
 
         xs, ys = coords(ox, x1, 17), coords(oy, y1, 13)
-        i, j, values = _kernels.grid_resample(heights, (ys - oy) / res, (xs - ox) / res)
+        i, ey, fy = _kernels.cell_table((ys - oy) / res, 13)
+        j, ex, fx = _kernels.cell_table((xs - ox) / res, 17)
+        values = _kernels._bilinear(heights[i].T, heights[i + 1].T, j, ey, fy,
+                                    ex[:, None], fx[:, None]).T
         assert values.shape == (ys.size, xs.size)
         assert i.max() == 11 and j.max() == 15  # the last cell is reached
         rows = heights.tolist()
@@ -790,8 +796,12 @@ class TestCellTables:
         # a layout's tables hold _cell's cell and weights at its lattice
         # coordinates, one entry per grid row and column
         layout = terrain_mod._layout(_rough(0.05, 0.5, 0), (-1.0, -1.0, 2.0, 1.0), 0.05)
-        _, lat_rows, lat_cols, gy, gx, row_cells, col_cells = layout[6]
+        _, lat_rows, lat_cols, row_cells, col_cells = layout[6]
         assert (len(row_cells), len(col_cells)) == (layout[2], layout[3])
+        # the grid nodes' lattice coordinates: the lattice starts one
+        # correlation length before the cell of the extent's corner
+        gy = (-1.0 + 0.05 * np.arange(layout[2])) / 0.5 - (math.floor(-1.0 / 0.5) - 1)
+        gx = (-1.0 + 0.05 * np.arange(layout[3])) / 0.5 - (math.floor(-1.0 / 0.5) - 1)
         for cells, coords, n in ((row_cells, gy, lat_rows), (col_cells, gx, lat_cols)):
             for (k, e, f), g in zip(cells, coords.tolist()):
                 # _cell's row cell on an n x 2 grid
@@ -814,7 +824,7 @@ class TestCellTables:
         monkeypatch.setattr(_kernels, "_cell", None)
         first = grid.h[5][7]
         assert grid.h[5][7] == first and isinstance(grid.h[5], _kernels.CellRow)
-        row_cells, col_cells = layout[6][5:]
+        row_cells, col_cells = layout[6][3:]
         (_, ey, fy), (kx, ex, fx) = row_cells[5], col_cells[7]
         assert sums == [(kx, ey, fy, ex, fx)]
 
