@@ -4,16 +4,16 @@ Kernels are plain numpy/Python on floats, ndarrays and lists, and each
 formula is written once here: the CoM state about a fixed stance after
 each duration of a block, in closed form per axis (lip_position and
 lip_velocity; lip_step for both axes) from libm's cosh/sinh pairs
-(hyperbolics), ICP propagation (icp_step), the foot placement
-(plan_placement: its per-step part, the heading rule and the rotated
-offsets, in placement_offsets, and its per-tick part, the predicted
-capture point less those offsets, in placement_at), the grid-cell lookup
-with its bilinear sum (_bilinear, on scalars for one point in _cell and
-a resampled grid's node in CellRow, on arrays for terrain.generate's map;
-cell_table, _cell's cells and weights of one axis as arrays), and the
-steppability test (steppable). The dataclass-based public API in
-lip_core / planner / terrain / sim validates its arguments and calls
-these kernels.
+(hyperbolics), ICP propagation (icp_step), the foot placement as the two
+calls that planner.plan_step and sim_loop both make (its per-step part,
+the heading rule and the rotated offsets, in placement_offsets, then its
+per-tick part, the predicted capture point less those offsets, in
+placement_at), the grid-cell lookup with its bilinear sum (_bilinear, on
+scalars for one point in _cell and a resampled grid's node in CellRow, on
+arrays for terrain.generate's map; cell_table, _cell's cells and weights
+of one axis as arrays), and the steppability test (steppable). The
+dataclass-based public API in lip_core / planner / terrain / sim
+validates its arguments and calls these kernels.
 
 The grid kernels read a map through one Grid view: its shape, origin and
 spacing as Python numbers, and node heights and mask flags read as
@@ -170,13 +170,16 @@ def command_heading(vx, vy, fallback_heading):
 
 
 def placement_offsets(omega, span, Ts, vx, vy, w, parity, fallback_heading):
-    """The per-step part of plan_placement: the offsets (b_x, +/-b_y) rotated
-    by the heading, as the four products (c*b_x, s*b_y, s*b_x, c*b_y), and
-    the heading: (cbx, sby, sbx, cby, heading).
+    """The per-step part of the foot placement p_d = xi_f + R(heading)
+    (-b_x, +/-b_y): the offsets (b_x, +/-b_y) rotated by the heading, as the
+    four products (c*b_x, s*b_y, s*b_x, c*b_y), and the heading: (cbx, sby,
+    sbx, cby, heading).
 
     Step length |v| * span and step_width(w, span, Ts) give the offsets
     over `span`; b_y is positive for even parity. The heading is
-    command_heading(vx, vy, fallback_heading).
+    command_heading(vx, vy, fallback_heading). placement_at completes the
+    placement; planner.plan_step and sim_loop make both calls, in this
+    order, so they agree bit for bit.
     """
     heading = command_heading(vx, vy, fallback_heading)
     bx, by = offset_pair(math.hypot(vx, vy) * span, step_width(w, span, Ts), omega, span)
@@ -188,23 +191,12 @@ def placement_offsets(omega, span, Ts, vx, vy, w, parity, fallback_heading):
 
 
 def placement_at(icp_x, icp_y, st_x, st_y, omega, dt_pred, offsets):
-    """The per-tick part of plan_placement: the capture point predicted over
-    dt_pred, less the rotated offsets of placement_offsets. Returns (x, y)."""
+    """The per-tick part of the foot placement: xi_f, the capture point
+    predicted over the remaining step time dt_pred, less the rotated offsets
+    of placement_offsets. Returns (x, y); the heading is offsets[4]."""
     cbx, sby, sbx, cby, _ = offsets
     fx, fy = icp_step(icp_x, icp_y, st_x, st_y, omega, dt_pred)
     return fx - cbx - sby, fy - sbx + cby
-
-
-def plan_placement(icp_x, icp_y, st_x, st_y, omega, dt_pred, span, Ts,
-                   vx, vy, w, parity, fallback_heading):
-    """Desired foot placement p_d = xi_f + R(heading) (-b_x, +/-b_y).
-
-    xi_f is the capture point predicted over the remaining step time
-    dt_pred; the offsets and heading are placement_offsets(omega, span, Ts,
-    vx, vy, w, parity, fallback_heading). Returns (x, y, heading).
-    """
-    offsets = placement_offsets(omega, span, Ts, vx, vy, w, parity, fallback_heading)
-    return (*placement_at(icp_x, icp_y, st_x, st_y, omega, dt_pred, offsets), offsets[4])
 
 
 class Rows(dict):
@@ -640,20 +632,20 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     The step plans at its first tick, or at every tick when
     replan_every_tick: the schedule's (tick, vx, vy, width) switches up to
     that tick take effect (the first holds from tick 0), the target is
-    planned over the remaining time Ts - j*dt (offsets over Ts) as
-    plan_placement plans it, and snap_to_steppable moves it onto steppable
-    ground (one node memo per run, and with replan_every_tick one `last`
-    list; see snap_to_steppable). Of the plan, placement_offsets runs at the
-    step's first plan and at the first plan after a switch, the only places
-    where its inputs change, and placement_at every plan, so every target
-    equals plan_placement's bit for bit. A kept query's height is the h0
-    of the snap's scan (snap_to_steppable's height list), or grid_bilinear's
-    on a reused answer; a snapped node met again keeps the height
-    grid_bilinear gave it. So every target's height is grid_bilinear's,
-    read once. A plan whose exp overflows, or whose target is not finite,
-    fails the run as a non-finite state at its tick and keeps the previous
-    target and heading; no steppable ground keeps the raw target. Planning
-    once a step, the step's rows share its target. grid, a keyword, is
+    planned over the remaining time Ts - j*dt (offsets over Ts), and
+    snap_to_steppable moves it onto steppable ground (one node memo per
+    run, and with replan_every_tick one `last` list; see
+    snap_to_steppable). The plan makes planner.plan_step's two calls:
+    placement_offsets at the step's first plan and at the first plan after
+    a switch, the only places where its inputs change, and placement_at
+    every plan. A kept query's height is the h0 of the snap's scan
+    (snap_to_steppable's height list), or grid_bilinear's on a reused
+    answer; a snapped node met again keeps the height grid_bilinear gave
+    it. So every target's height is grid_bilinear's, read once. A plan
+    whose exp overflows, or whose target is not finite, fails the run as a
+    non-finite state at its tick and keeps the previous target and heading;
+    no steppable ground keeps the raw target. Planning once a step, the
+    step's rows share its target. grid, a keyword, is
     the run's Grid view of its terrain, or None on flat ground (nothing
     snapped, every height 0).
     heading is the fallback heading until the first plan. Pass com_x ..

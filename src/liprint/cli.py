@@ -175,34 +175,45 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(argv):
-    """--config provides flag defaults, one key=value line each (the flag
-    name without --; blank and # lines skipped), passed as one --key=value
-    token, so a value may start with '-'; explicit flags still win."""
-    probe = argparse.ArgumentParser(add_help=False)
+def _parse_args(argv):
+    """The parsed flags of argv, with defaults from its --config file: one
+    key=value line per flag (the flag name without --; blank and # lines
+    skipped; no config key), passed as one --key=value token, so a value
+    may start with '-'. Explicit flags still win: the file's tokens go
+    before the command line's, and where the command line gives sweep's
+    repeatable --terrain (the probe matches abbreviations as the parser
+    does), its values replace the file's, the first entries of the list."""
+    probe = _Parser(add_help=False)
     probe.add_argument("--config")
+    probe.add_argument("--terrain", action="append")
     known, _ = probe.parse_known_args(argv)
-    if not known.config:
-        return argv
     extra = []
-    try:
-        with open(known.config) as f:
-            lines = f.readlines()
-    except UnicodeDecodeError as e:
-        raise ValueError(f"cannot read {known.config}: {e}") from None
-    for n, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = line.partition("=")
-        if not eq or not key.strip():
-            raise ValueError(f"--config {known.config} line {n}: "
-                             f"expected key=value, got {line!r}")
-        extra.append(f"--{key.strip()}={value.strip()}")
+    if known.config is not None:
+        try:
+            with open(known.config) as f:
+                lines = f.readlines()
+        except (OSError, UnicodeDecodeError) as e:
+            raise ValueError(f"cannot read {known.config}: {e}") from None
+        for n, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, eq, value = line.partition("=")
+            if not eq or not key.strip():
+                raise ValueError(f"--config {known.config} line {n}: "
+                                 f"expected key=value, got {line!r}")
+            token = f"--{key.strip()}={value.strip()}"
+            if probe.parse_known_args([token])[0].config is not None:
+                raise ValueError(f"--config {known.config} line {n}: "
+                                 f"a config file cannot name another, got {line!r}")
+            extra.append(token)
     # defaults go right after the full subcommand path ("simulate",
     # "terrain gen") so that later flags override them
     depth = next((i for i, a in enumerate(argv) if a.startswith("-")), len(argv))
-    return argv[:depth] + extra + argv[depth:]
+    args = build_parser().parse_args(argv[:depth] + extra + argv[depth:])
+    if known.terrain and isinstance(getattr(args, "terrain", None), list):
+        args.terrain = args.terrain[-len(known.terrain):]
+    return args
 
 
 def _make_config(args, terrain_spec, vx) -> sim.SimConfig:
@@ -227,7 +238,10 @@ def _load_terrain(text: str):
     """Terrain flag -> SimConfig.terrain; file specs load the map."""
     spec = terrain_mod.parse_spec(text)
     if isinstance(spec, str):
-        return Heightmap.load(spec)
+        try:
+            return Heightmap.load(spec)
+        except OSError as e:
+            raise ValueError(f"cannot read {spec}: {e}") from None
     if spec.kind == "flat":
         return None
     return spec
@@ -363,7 +377,7 @@ def _cmd_plan(args) -> int:
         "offset": [b.b_x, b.b_y],
         "heading": step.heading,
         "step": {"x": float(step.p_d[0]), "y": float(step.p_d[1]),
-                 "z": step.z_d, "heading": step.heading, "parity": step.parity},
+                 "z": stance.z, "heading": step.heading, "parity": step.parity},
     }
     text = json.dumps(out, indent=2, sort_keys=True)
     if args.out:
@@ -569,12 +583,10 @@ def _cmd_terrain_gen(args) -> int:
 def main(argv=None) -> int:
     level = os.environ.get("LIPRINT_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        argv = _apply_config_file(list(argv))
-        args = parser.parse_args(argv)
+        args = _parse_args(list(argv))
         return args.handler(args)
     except SystemExit as e:
         # argparse -h/--help exits 0; treat other argparse exits as usage errors

@@ -8,7 +8,8 @@ exactly the desired length; the lateral offset alternates sign with the
 step parity. Turning reuses the same offsets rotated by the command heading.
 
 The functions here validate typed arguments and call the scalar kernels
-the simulator runs (`_kernels.plan_placement` and its parts).
+the simulator runs: plan_step makes the simulator's two placement calls,
+`_kernels.placement_offsets` then `_kernels.placement_at`.
 """
 
 import math
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import lip_core
 from .gait import GaitState, remaining_time
-from ._kernels import command_heading, offset_pair, plan_placement, step_width
+from ._kernels import command_heading, offset_pair, placement_at, placement_offsets, step_width
 from .lip_core import FootPosition, LipState
 
 
@@ -60,14 +61,11 @@ class PlannedStep:
     """Desired foot placement with heading and the planning parity."""
 
     p_d: np.ndarray
-    z_d: float
     heading: float
     parity: int
 
     def __post_init__(self):
         object.__setattr__(self, "p_d", lip_core._vec2(self.p_d, "p_d"))
-        if not math.isfinite(self.z_d):
-            raise ValueError(f"step height must be finite, got {self.z_d}")
         object.__setattr__(self, "heading", wrap_angle(self.heading))
 
 
@@ -130,7 +128,9 @@ def plan_step(state: LipState, stance: FootPosition, cmd: StepCommand,
     passing `horizon` evaluates step length, width, and offsets over that
     duration instead (the simulator replans every tick with the full step
     duration as horizon so that the executed touchdown keeps the per-step
-    velocity recurrence). With step_duration = ticks_per_step * dt and
+    velocity recurrence). The placement is the simulator's two kernel
+    calls, placement_offsets over that span then placement_at over the
+    remaining time, so with step_duration = ticks_per_step * dt and
     horizon = Ts the result equals the simulator's target bit for bit.
     """
     dT = remaining_time(gait)  # in (0, Ts], as GaitState holds 0 <= t < Ts
@@ -138,8 +138,8 @@ def plan_step(state: LipState, stance: FootPosition, cmd: StepCommand,
     span = dT if horizon is None else horizon
     if not (0.0 < span <= Ts):
         raise ValueError(f"step horizon must lie in (0, {Ts}], got {span}")
-    xi0 = lip_core.icp_of(state).xi
-    x, y, gamma = plan_placement(
-        xi0[0], xi0[1], stance.p[0], stance.p[1], state.params.omega0, dT, span, Ts,
-        cmd.v_cmd[0], cmd.v_cmd[1], cmd.w_cmd, gait.parity, cmd.fallback_heading)
-    return PlannedStep(p_d=(x, y), z_d=stance.z, heading=gamma, parity=gait.parity)
+    xi0 = lip_core.icp_of(state).xi  # first: a non-finite one raises before expm1 overflows
+    offs = placement_offsets(state.params.omega0, span, Ts, cmd.v_cmd[0], cmd.v_cmd[1],
+                             cmd.w_cmd, gait.parity, cmd.fallback_heading)
+    x, y = placement_at(xi0[0], xi0[1], stance.p[0], stance.p[1], state.params.omega0, dT, offs)
+    return PlannedStep(p_d=(x, y), heading=offs[4], parity=gait.parity)

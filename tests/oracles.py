@@ -78,11 +78,13 @@ def lip_decimal(cx, cy, vx, vy, px, py, omega, t, digits=60):
 
 def plan_placement_inline(icp_x, icp_y, st_x, st_y, omega, dt_pred, span, Ts,
                           vx, vy, w, parity, fallback_heading):
-    """liprint._kernels.plan_placement as one function, every part
-    evaluated on every call: the capture point predicted over dt_pred, then
-    the heading, the offsets over span, their sign and the rotation,
-    x = fx - c*b_x - s*b_y and y = fy - s*b_x + c*b_y. The reference for
-    its split into a per-step and a per-tick kernel."""
+    """The foot placement as one function, every part evaluated on every
+    call: the capture point predicted over dt_pred, then the heading, the
+    offsets over span, their sign and the rotation, x = fx - c*b_x - s*b_y
+    and y = fy - s*b_x + c*b_y; returns (x, y, heading). The reference for
+    its split into _kernels.placement_offsets (per step) and
+    _kernels.placement_at (per tick), the two calls that sim_loop and
+    planner.plan_step both make."""
     from liprint import _kernels
 
     fx, fy = _kernels.icp_step(icp_x, icp_y, st_x, st_y, omega, dt_pred)

@@ -215,6 +215,23 @@ class TestSweep:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flags,terrains", [
+        ([], ["flat", "gap:0.15:0.8"]),
+        (["--terrain", "rough:0.05:0.5:1"], ["rough:0.05:0.5:1"]),
+        # an abbreviation that argparse accepts replaces them too
+        (["--terr", "rough:0.05:0.5:1", "--terrain=flat"], ["rough:0.05:0.5:1", "flat"]),
+    ], ids=["file-only", "command-line", "abbreviated"])
+    def test_command_line_terrain_replaces_config_terrain(self, tmp_path, flags, terrains):
+        # the file's terrain lines form the severity axis unless the
+        # command line gives --terrain, which wins as other flags do
+        cfg = tmp_path / "sw.cfg"
+        cfg.write_text("terrain = flat\nterrain = gap:0.15:0.8\n"
+                       "trials = 1\nduration = 1\nwindow = 1\n")
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(cfg), *flags, "--out", str(out)]) == 0
+        with open(out, newline="") as f:
+            assert [row["terrain"] for row in csv.DictReader(f)] == terrains
+
     def test_each_terrain_flag_loads_its_map_once(self, tmp_path, monkeypatch):
         m = tmp_path / "m.json"
         assert main(["terrain", "gen", "--spec", "flat", "--extent=-3:-3:8:3",
@@ -306,6 +323,12 @@ class TestPlan:
         assert main(["plan", "--vx", "-1", "--vy", "-0"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["heading"] == out["step"]["heading"] == math.pi
+
+    def test_stance_height_is_step_z(self, capsys):
+        # the swing foot is planned at the stance foot's height, 0 by default
+        for stance, z in (("[0.1, -0.15, 0.07]", 0.07), ("[0.1, -0.15]", 0.0)):
+            assert main(["plan", "--vx", "1", "--state", f'{{"stance": {stance}}}']) == 0
+            assert json.loads(capsys.readouterr().out)["step"]["z"] == z
 
     def test_zero_velocity_zero_bx(self, tmp_path, capsys):
         rc = main(["plan", "--vx", "0.0"])
@@ -1175,6 +1198,18 @@ class TestUsage:
          "not_utf8_json.json: 'utf-8' codec can't decode byte 0xff in position 12"),
         (["simulate", "--vx", "1", "--terrain", "file:{not_json}"],
          "not_json.json: Expecting property name enclosed in double quotes: line 1 column 2"),
+        # a config file cannot name another, which would go unread
+        (["simulate", "--config", "{cfg_config}"],
+         "cfg_config.cfg line 2: a config file cannot name another, got 'config = b.cfg'\n"),
+        (["simulate", "--vx", "1", "--config"], "error: argument --config: expected one argument\n"),
+        # a missing file is named as an unreadable one is
+        (["simulate", "--vx", "1", "--config", "no/such/run.cfg"],
+         "cannot read no/such/run.cfg: [Errno 2] No such file or directory"),
+        (["simulate", "--vx", "1", "--config", ""], "cannot read : [Errno 2] No such file"),
+        (["simulate", "--vx", "1", "--terrain", "file:no/such/map.json"],
+         "cannot read no/such/map.json: [Errno 2] No such file or directory"),
+        (["sweep", "--terrain", "file:no/such/map.json"],
+         "cannot read no/such/map.json: [Errno 2] No such file or directory"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-time-nan", "turn-nan", "duration-overflow",
             "dt-underflow",
@@ -1211,7 +1246,8 @@ class TestUsage:
             "config-no-equals", "config-space-for-equals", "config-empty-key",
             "simulate-seed", "plan-seed", "score-seed", "terrain-gen-seed", "plan-config-seed",
             "score-traj-not-utf8", "score-joints-not-utf8", "config-not-utf8", "map-not-utf8",
-            "map-not-json"])
+            "map-not-json", "config-names-config", "config-without-path", "config-missing",
+            "config-empty-path", "map-missing", "sweep-map-missing"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}
@@ -1251,7 +1287,8 @@ class TestUsage:
         for name, text in (("cfg_no_equals", "vx = 1\nduration\n"),
                            ("cfg_space", "# run\n\nvx 1\n"),
                            ("cfg_empty_key", "vx = 1\n = 2\n"),
-                           ("cfg_seed", "seed = 3\n")):
+                           ("cfg_seed", "seed = 3\n"),
+                           ("cfg_config", "vx = 1\nconfig = b.cfg\n")):
             paths[name] = tmp_path / f"{name}.cfg"
             paths[name].write_text(text)
         for name, ext, data in (("not_utf8_csv", "csv", b"time,\xff\n0\n"),

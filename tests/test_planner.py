@@ -158,7 +158,7 @@ class TestWrapAngle:
         assert wrap_angle(a) == pytest.approx(wrapped, abs=1e-15)
 
     def test_planned_step_heading_is_wrapped(self):
-        step = PlannedStep(p_d=(0.0, 0.0), z_d=0.0, heading=4.0, parity=0)
+        step = PlannedStep(p_d=(0.0, 0.0), heading=4.0, parity=0)
         assert step.heading == 4.0 - 2.0 * math.pi
 
 
@@ -258,9 +258,10 @@ def _bits(*values):
 
 
 class TestPlacementSplit:
-    """_kernels.plan_placement as the simulator runs it, placement_offsets
-    once per step and at each command switch, then placement_at every
-    tick, against the formula evaluated whole on every call."""
+    """The placement as the simulator makes it, placement_offsets once per
+    step and at each command switch, then placement_at every tick, against
+    the formula evaluated whole on every call. plan_step makes the same two
+    calls, and is checked against the simulator in test_sim."""
 
     def test_split_equals_inline_plan(self):
         rng = np.random.default_rng(29)
@@ -297,8 +298,6 @@ class TestPlacementSplit:
                     assert s == 0
                     with pytest.raises(OverflowError):
                         _kernels.placement_offsets(omega, Ts, Ts, vx, vy, w, parity, heading)
-                    with pytest.raises(OverflowError):
-                        _kernels.plan_placement(*args)
                     n_overflow += 1
                     break
                 if s in (0, switch):
@@ -306,7 +305,6 @@ class TestPlacementSplit:
                                                          heading)
                 x, y = _kernels.placement_at(icp_x, icp_y, st_x, st_y, omega, dt_pred, offsets)
                 assert _bits(x, y, offsets[4]) == _bits(*ref), (draw, s)
-                assert _bits(*_kernels.plan_placement(*args)) == _bits(*ref), (draw, s)
                 heading = ref[2]
         assert n_zero_speed > 50 and n_odd > 200 and 50 < n_overflow < 300
 
@@ -357,8 +355,6 @@ class TestValidation:
     @pytest.mark.parametrize("call,message", [
         (lambda: cmd(1.0, w=0.0), "step width command must be positive"),
         (lambda: cmd(1.0, w=math.inf), "step width command must be positive"),
-        (lambda: PlannedStep(p_d=(0.0, 0.0), z_d=math.nan, heading=0.0, parity=0),
-         "step height must be finite"),
         (lambda: desired_step_length(cmd(1.0), 0.0), "remaining time must be positive"),
         (lambda: desired_step_width(0.3, 0.0, TS), r"remaining time must lie in \(0, 0.35\]"),
         (lambda: desired_step_width(0.3, 0.5, TS), r"remaining time must lie in \(0, 0.35\]"),

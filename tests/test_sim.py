@@ -292,6 +292,12 @@ class TestTurning:
             err = (d - target + math.pi) % (2 * math.pi) - math.pi
             assert abs(err) <= 0.05
 
+    @pytest.mark.parametrize("angle,switch_time", [(math.nan, 3.0), (math.pi / 2, math.inf)],
+                             ids=["angle-nan", "time-inf"])
+    def test_non_finite_turn_raises(self, angle, switch_time):
+        with pytest.raises(ValueError, match="turn angle and time must be finite"):
+            turn_maneuver(config(vx=1.0, duration=1.0), angle, switch_time)
+
     def test_zero_turn_is_plain_run(self):
         r1 = run(config(vx=1.0, duration=5.0))
         r2 = turn_maneuver(config(vx=1.0, duration=5.0), 0.0, switch_time=2.0)
