@@ -4,11 +4,9 @@ reduced-order walking simulator, and locomotion reward evaluators."""
 from .lip_core import (FootPosition, IcpPoint, LipParams, LipState,
                        com_trajectory, icp_derivative, icp_of, icp_trajectory,
                        lip_acceleration, natural_frequency)
-from .gait import (GaitParams, GaitState, advance, contact_schedule,
-                   phase_clock, remaining_time, swing_foot)
-from .planner import (OffsetVector, PlannedStep, StepCommand,
-                      desired_step_length, desired_step_width, offsets,
-                      plan_step, turning_angle)
+from .gait import (GaitParams, GaitState, contact_schedule, phase_clock,
+                   remaining_time, swing_foot)
+from .planner import PlannedStep, StepCommand, plan_step
 from .terrain import (Heightmap, TerrainSpec, generate, height_at,
                       is_steppable, nearest_steppable)
 from .sim import (SimConfig, SimResult, run, success_metric, sweep, turn_maneuver)
@@ -25,11 +23,9 @@ __all__ = [
     "FootPosition", "IcpPoint", "LipParams", "LipState",
     "com_trajectory", "icp_derivative", "icp_of", "icp_trajectory",
     "lip_acceleration", "natural_frequency",
-    "GaitParams", "GaitState", "advance", "contact_schedule",
+    "GaitParams", "GaitState", "contact_schedule",
     "phase_clock", "remaining_time", "swing_foot",
-    "OffsetVector", "PlannedStep", "StepCommand",
-    "desired_step_length", "desired_step_width", "offsets",
-    "plan_step", "turning_angle",
+    "PlannedStep", "StepCommand", "plan_step",
     "Heightmap", "TerrainSpec", "generate", "height_at",
     "is_steppable", "nearest_steppable",
     "SimConfig", "SimResult", "run", "success_metric", "sweep", "turn_maneuver",

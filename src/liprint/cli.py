@@ -20,6 +20,7 @@ Terrain spec grammar:
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -36,8 +37,7 @@ from . import __version__, _kernels, metrics, sim, terrain as terrain_mod
 from .gait import GaitParams, GaitState, remaining_time
 from .lip_core import (BASE_HEIGHT, GRAVITY, FootPosition, LipParams, LipState, icp_of,
                        icp_trajectory)
-from .planner import (StepCommand, desired_step_length, desired_step_width,
-                      offsets, plan_step)
+from .planner import StepCommand, plan_step
 from .terrain import Heightmap
 
 log = logging.getLogger("liprint")
@@ -253,10 +253,8 @@ def _cmd_simulate(args) -> int:
         result = sim.turn_maneuver(config, math.radians(args.turn), args.turn_time)
     else:
         result = sim.run(config)
-    sim.write_trajectory_csv(result, args.out)
     events_path = args.events or _sibling(args.out, ".events.json")
     manifest_path = args.manifest or _sibling(args.out, ".manifest.json")
-    sim.write_step_events(result, events_path)
     manifest = {
         "command": "simulate",
         "version": __version__,
@@ -277,8 +275,10 @@ def _cmd_simulate(args) -> int:
             "samples": int(result.sample_array.shape[0]),
         },
     }
-    with open(manifest_path, "w") as f:
-        f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_outputs((args.out, functools.partial(sim.write_trajectory_csv, result)),
+                   (events_path, functools.partial(sim.write_step_events, result)),
+                   (manifest_path, functools.partial(
+                       _write_text, json.dumps(manifest, indent=2, sort_keys=True) + "\n")))
     log.info("simulate: %s (%s)", result.outcome, result.failure_reason or "ok")
     return 0 if result.completed else 2
 
@@ -286,6 +286,30 @@ def _cmd_simulate(args) -> int:
 def _sibling(out_path: str, suffix: str) -> str:
     root, _ = os.path.splitext(str(out_path))
     return root + suffix
+
+
+def _write_text(text: str, path) -> None:
+    with open(path, "w") as f:
+        f.write(text)
+
+
+def _write_outputs(*outputs) -> None:
+    """Make each (path, write) output in turn by calling write(path). An
+    output that cannot be opened or written is an input error, "cannot
+    write <path>: <reason>", and the outputs this call already made are
+    removed first, so that a command leaves its whole set or none of it.
+    The failed path is left as it is: it may be a file the command did not
+    make."""
+    made = []
+    for path, write in outputs:
+        try:
+            write(path)
+        except OSError as e:
+            for done in made:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(done)
+            raise ValueError(f"cannot write {path}: {e}") from None
+        made.append(path)
 
 
 def _cmd_sweep(args) -> int:
@@ -300,13 +324,17 @@ def _cmd_sweep(args) -> int:
     rows = sim.sweep(configs, args.trials, base_seed=args.seed,
                      window=min(args.window, args.duration),
                      tolerance=args.tolerance)
-    with open(args.out, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["vx", "terrain", "replan", "trials", "successes", "success_rate"])
-        for row, label, config in zip(rows, labels, configs):
-            rate = "" if row.trials == 0 else sim.format_float(row.success_rate)
-            w.writerow([sim.format_float(row.vx_cmd), label, config.replan,
-                        row.trials, row.successes, rate])
+
+    def write(path):
+        with open(path, "w", newline="") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(["vx", "terrain", "replan", "trials", "successes", "success_rate"])
+            for row, label, config in zip(rows, labels, configs):
+                rate = "" if row.trials == 0 else sim.format_float(row.success_rate)
+                w.writerow([sim.format_float(row.vx_cmd), label, config.replan,
+                            row.trials, row.successes, rate])
+
+    _write_outputs((args.out, write))
     return 0
 
 
@@ -363,9 +391,10 @@ def _cmd_plan(args) -> int:
             # a finite exp(omega * dT) (an overflow raises OverflowError):
             # the state itself is beyond the float range
             raise ValueError(f"--state overflows the capture point: {e}") from None
-        s_d = desired_step_length(cmd, remaining)
-        w_d = desired_step_width(cmd.w_cmd, remaining, Ts)
-        b = offsets(s_d, w_d, params.omega0, remaining)
+        # the unsigned offsets that plan_step's placement_offsets rotates
+        b = _kernels.offset_pair(math.hypot(*cmd.v_cmd) * remaining,
+                                 _kernels.step_width(cmd.w_cmd, remaining, Ts),
+                                 params.omega0, remaining)
         step = plan_step(state, stance, cmd, gait_state)
     except OverflowError:
         raise ValueError(f"exp(omega * dT) overflows (omega = {params.omega0:g} 1/s, "
@@ -374,15 +403,14 @@ def _cmd_plan(args) -> int:
     out = {
         "xi0": [float(xi0.xi[0]), float(xi0.xi[1])],
         "xi_final": [float(xi_f.xi[0]), float(xi_f.xi[1])],
-        "offset": [b.b_x, b.b_y],
+        "offset": list(b),
         "heading": step.heading,
         "step": {"x": float(step.p_d[0]), "y": float(step.p_d[1]),
                  "z": stance.z, "heading": step.heading, "parity": step.parity},
     }
     text = json.dumps(out, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+        _write_outputs((args.out, functools.partial(_write_text, text + "\n")))
     else:
         print(text)
     return 0
@@ -559,9 +587,8 @@ def _cmd_score(args) -> int:
                                             np.where(right, metrics.RIGHT, metrics.LEFT))
 
     out = [t["time"], *(breakdown[k] for k in metrics.TASK_TERMS + metrics.REG_TERMS), total]
-    sim.write_csv(args.out, ["time", *metrics.TASK_TERMS,
-                             *(f"reg_{k}" for k in metrics.REG_TERMS), "total"],
-                  np.column_stack(out))
+    header = ["time", *metrics.TASK_TERMS, *(f"reg_{k}" for k in metrics.REG_TERMS), "total"]
+    _write_outputs((args.out, lambda path: sim.write_csv(path, header, np.column_stack(out))))
     return 0
 
 
@@ -576,7 +603,7 @@ def _cmd_terrain_gen(args) -> int:
     except ValueError:
         raise ValueError(f"bad --extent {args.extent!r}, expected x0:y0:x1:y1") from None
     hmap = terrain_mod.generate(spec, extent, args.resolution)
-    hmap.save(args.out)
+    _write_outputs((args.out, hmap.save))
     return 0
 
 

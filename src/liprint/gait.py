@@ -5,14 +5,14 @@ steps (even n plans the left foot while the right foot supports, odd n the
 opposite). One clock runs: t since the current step began. The two-step
 clock t' = (n % 2) * Ts + t, since the start of the last right-foot step,
 follows from t and the parity; it drives the two-step phase used by the
-contact schedule and the sine/cosine phase clock.
+contact schedule and the sine/cosine phase clock. The simulator sets the
+clock from the tick index, t = (i % k) * dt and n = i // k at tick i of k
+ticks per step, so a step boundary falls exactly on t = 0.
 """
 
 import math
 import numbers
 from dataclasses import dataclass
-
-_WRAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,29 +46,6 @@ class GaitState:
     def t_prime(self) -> float:
         """Two-step clock (parity % 2) * Ts + t."""
         return (self.parity % 2) * self.params.step_duration + self.t
-
-    @classmethod
-    def start(cls, params: GaitParams) -> "GaitState":
-        return cls(t=0.0, parity=0, params=params)
-
-
-def advance(g: GaitState, dt: float) -> tuple[GaitState, bool]:
-    """Tick the step clock by dt; returns (new state, crossed a step boundary)."""
-    Ts = g.params.step_duration
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if dt >= Ts:
-        raise ValueError(f"clock tick {dt} must be shorter than the step duration {Ts}")
-    t = g.t + dt
-    parity = g.parity
-    boundary = False
-    if t >= Ts - _WRAP_TOL:
-        t -= Ts
-        if abs(t) < _WRAP_TOL:
-            t = 0.0
-        parity += 1
-        boundary = True
-    return GaitState(t=t, parity=parity, params=g.params), boundary
 
 
 def remaining_time(g: GaitState) -> float:

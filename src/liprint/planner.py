@@ -1,15 +1,17 @@
 """Step-pattern generation: foot placement from the predicted capture point.
 
-Given the remaining step time dT, the desired step length is |v_cmd| * dT
-and the width |w_cmd| * (dT / Ts). Predicting the capture point at the end
+For offsets over a span dT of the step (the remaining step time, or
+plan_step's horizon), the desired step length is |v_cmd| * dT and the
+width |w_cmd| * (dT / Ts). Predicting the capture point at the end
 of the step and subtracting a constant offset (b_x, b_y) in the walking
 frame yields a placement whose next step advances the capture point by
 exactly the desired length; the lateral offset alternates sign with the
-step parity. Turning reuses the same offsets rotated by the command heading.
+step parity. Turning rotates the same offsets by the command heading.
 
-The functions here validate typed arguments and call the scalar kernels
-the simulator runs: plan_step makes the simulator's two placement calls,
-`_kernels.placement_offsets` then `_kernels.placement_at`.
+The types here validate their fields, and plan_step makes the simulator's
+two placement calls, `_kernels.placement_offsets` then
+`_kernels.placement_at`; the offsets themselves are `_kernels.offset_pair`
+and the heading `_kernels.command_heading`.
 """
 
 import math
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import lip_core
 from .gait import GaitState, remaining_time
-from ._kernels import command_heading, offset_pair, placement_at, placement_offsets, step_width
+from ._kernels import placement_at, placement_offsets
 from .lip_core import FootPosition, LipState
 
 
@@ -35,9 +37,10 @@ def wrap_angle(a: float) -> float:
 
 @dataclass(frozen=True)
 class StepCommand:
-    """Velocity and step-width command; fallback_heading is used while the
-    commanded speed is below the zero threshold (stepping in place must not
-    spin); it must be finite and is stored wrapped to (-pi, pi]."""
+    """Velocity and step-width command; the speed |v_cmd| must be finite.
+    fallback_heading is used while the commanded speed is below the zero
+    threshold (stepping in place must not spin); it must be finite and is
+    stored wrapped to (-pi, pi]."""
 
     v_cmd: np.ndarray
     w_cmd: float = 0.3
@@ -45,15 +48,14 @@ class StepCommand:
 
     def __post_init__(self):
         object.__setattr__(self, "v_cmd", lip_core._vec2(self.v_cmd, "v_cmd"))
+        vx, vy = map(float, self.v_cmd)
+        if not math.isfinite(math.hypot(vx, vy)):
+            raise ValueError(f"commanded speed overflows: |({vx!r}, {vy!r})| is not finite")
         if not (self.w_cmd > 0.0 and math.isfinite(self.w_cmd)):
             raise ValueError(f"step width command must be positive, got {self.w_cmd}")
         if not math.isfinite(self.fallback_heading):
             raise ValueError(f"fallback heading must be finite, got {self.fallback_heading}")
         object.__setattr__(self, "fallback_heading", wrap_angle(self.fallback_heading))
-
-    @property
-    def speed(self) -> float:
-        return float(math.hypot(self.v_cmd[0], self.v_cmd[1]))
 
 
 @dataclass(frozen=True)
@@ -67,56 +69,6 @@ class PlannedStep:
     def __post_init__(self):
         object.__setattr__(self, "p_d", lip_core._vec2(self.p_d, "p_d"))
         object.__setattr__(self, "heading", wrap_angle(self.heading))
-
-
-@dataclass(frozen=True)
-class OffsetVector:
-    b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", lip_core._vec2(self.b, "b"))
-
-    @property
-    def b_x(self) -> float:
-        return float(self.b[0])
-
-    @property
-    def b_y(self) -> float:
-        return float(self.b[1])
-
-
-def desired_step_length(cmd: StepCommand, dT: float) -> float:
-    """s_d = |v_cmd| * dT."""
-    if dT <= 0.0:
-        raise ValueError(f"remaining time must be positive, got {dT}")
-    return cmd.speed * dT
-
-
-def desired_step_width(w_cmd: float, dT: float, Ts: float) -> float:
-    """w_d = |w_cmd| * (dT / Ts)."""
-    if not (0.0 < dT <= Ts):
-        raise ValueError(f"remaining time must lie in (0, {Ts}], got {dT}")
-    return step_width(w_cmd, dT, Ts)
-
-
-def offsets(s_d: float, w_d: float, omega0: float, dT: float) -> OffsetVector:
-    """Constant offsets b_x = s_d/(e^{w dT} - 1), b_y = w_d/(e^{w dT} + 1).
-
-    Evaluated via expm1 so the dT -> 0 limit (b_x -> s_d/(omega0*dT) with
-    s_d proportional to dT, b_y -> w_d/2) carries full precision.
-    """
-    if dT < 0.0:
-        raise ValueError(f"remaining time must be non-negative, got {dT}")
-    if dT == 0.0 and s_d != 0.0:
-        raise ValueError("dT == 0 with a nonzero step length has no finite offset")
-    bx, by = offset_pair(s_d, w_d, omega0, dT)
-    return OffsetVector(b=(bx, by))
-
-
-def turning_angle(cmd: StepCommand) -> float:
-    """Command heading in (-pi, pi] via full-quadrant arctangent; held at the
-    fallback heading while the commanded speed is effectively zero."""
-    return command_heading(cmd.v_cmd[0], cmd.v_cmd[1], cmd.fallback_heading)
 
 
 def plan_step(state: LipState, stance: FootPosition, cmd: StepCommand,

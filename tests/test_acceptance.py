@@ -15,11 +15,12 @@ import pytest
 import liprint as lp
 from liprint import (FootPosition, GaitParams, GaitState, LipParams, LipState,
                      SimConfig, StepCommand, TerrainSpec, contact_schedule,
-                     offsets, plan_step, icp_of, icp_trajectory, is_steppable,
+                     plan_step, icp_of, icp_trajectory, is_steppable,
                      run, sweep, turn_maneuver)
 from liprint import sim as sim_mod
 from liprint import terrain as terrain_mod
-from liprint._kernels import COL_COM_X, COL_COM_Y, COL_ICP_X, COL_TIME, COL_VEL_X
+from liprint._kernels import (COL_COM_X, COL_COM_Y, COL_ICP_X, COL_PARITY, COL_TIME,
+                              COL_VEL_X, offset_pair)
 from liprint.cli import main as cli_main
 from liprint.metrics import RobotSample, RewardParams, regularization, total_reward
 
@@ -48,8 +49,8 @@ def test_criterion_1_offset_formula_oracle():
         worst = 0.0
         for s_d, w_d, w, dT in cases:
             bx_ref, by_ref = bisect_offsets(s_d, w_d, w, dT)
-            b = offsets(s_d, w_d, w, dT)
-            worst = max(worst, abs(b.b_x - bx_ref), abs(b.b_y - by_ref))
+            bx, by = offset_pair(s_d, w_d, w, dT)
+            worst = max(worst, abs(bx - bx_ref), abs(by - by_ref))
         elapsed = time.perf_counter() - t0
         assert worst <= 1e-9, f"worst offset deviation {worst}"
         assert elapsed < 1.0, f"oracle comparison took {elapsed:.2f} s"
@@ -105,14 +106,12 @@ def test_criterion_4_contact_schedule_properties():
             assert C(tp + TS) == pytest.approx(-C(tp), abs=1e-9)  # antisymmetry
         assert C(0.25 * 2 * TS) == pytest.approx(0.980581, abs=1e-6)
 
-        # the commanded stance window per foot is exactly Ts
-        g = GaitState.start(params)
-        flips = []
-        for i in range(1, 281):
-            g, boundary = lp.advance(g, 0.01)
-            if boundary:
-                flips.append(i)
-        windows = np.diff(flips) * 0.01
+        # the commanded stance window per foot is exactly Ts, on the clock
+        # the simulator runs: the ticks where its parity column changes
+        res = run(SimConfig(cmd=StepCommand(v_cmd=(1.0, 0.0)), dt=0.01, total_duration=2.8))
+        assert res.completed, res.failure_reason
+        flips = np.flatnonzero(np.diff(res.sample_array[:, COL_PARITY])) + 1
+        windows = np.diff(flips) * res.config.dt
         assert len(windows) >= 6
         npt.assert_allclose(windows, TS, atol=1e-12)
 
@@ -144,10 +143,10 @@ def test_criterion_5_turning():
             g = GaitState(t=0.0, parity=parity, params=GaitParams(TS))
             step = plan_step(state, foot, StepCommand(v_cmd=(1.0, 0.0)), g)
             xi_f = icp_trajectory(icp_of(state), foot, p.omega0, TS)
-            b = offsets(1.0 * TS, 0.3, p.omega0, TS)
+            bx, by = offset_pair(1.0 * TS, 0.3, p.omega0, TS)
             sign = 1.0 if parity % 2 == 0 else -1.0
-            assert step.p_d[0] == xi_f.xi[0] - b.b_x
-            assert step.p_d[1] == xi_f.xi[1] + sign * b.b_y
+            assert step.p_d[0] == xi_f.xi[0] - bx
+            assert step.p_d[1] == xi_f.xi[1] + sign * by
 
 
 def test_criterion_6_terrain_adaptation():

@@ -156,6 +156,18 @@ class TestSimulate:
         assert main(argv + ["--out", str(tmp_path / "ref.csv")]) == 0
         assert events.read_bytes() == (tmp_path / "ref.events.json").read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--events", "--manifest"])
+    def test_unwritable_output_is_named_and_leaves_no_output(self, tmp_path, capsys, flag):
+        # the trajectory (and, for --manifest, the events) are written first,
+        # then removed when a later output cannot be
+        bad = tmp_path / "no" / "dir" / "x.json"
+        assert main(["simulate", "--vx", "1", "--duration", "1", flag, str(bad),
+                     "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {bad}: [Errno 2] No such file or directory")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_file_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("vx = 1.0\nduration = 2\n")
@@ -1210,6 +1222,11 @@ class TestUsage:
          "cannot read no/such/map.json: [Errno 2] No such file or directory"),
         (["sweep", "--terrain", "file:no/such/map.json"],
          "cannot read no/such/map.json: [Errno 2] No such file or directory"),
+        # each component is finite, the speed |(vx, vy)| is not
+        (["plan", "--vx", "1.7e308", "--vy", "1.7e308"],
+         "commanded speed overflows: |(1.7e+308, 1.7e+308)| is not finite\n"),
+        (["simulate", "--vx", "1.7e308", "--vy", "1.7e308"],
+         "commanded speed overflows: |(1.7e+308, 1.7e+308)| is not finite\n"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-time-nan", "turn-nan", "duration-overflow",
             "dt-underflow",
@@ -1247,7 +1264,8 @@ class TestUsage:
             "simulate-seed", "plan-seed", "score-seed", "terrain-gen-seed", "plan-config-seed",
             "score-traj-not-utf8", "score-joints-not-utf8", "config-not-utf8", "map-not-utf8",
             "map-not-json", "config-names-config", "config-without-path", "config-missing",
-            "config-empty-path", "map-missing", "sweep-map-missing"])
+            "config-empty-path", "map-missing", "sweep-map-missing", "plan-speed-overflow",
+            "simulate-speed-overflow"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}
@@ -1346,6 +1364,16 @@ class TestUsage:
                   else f"must be finite, got {value.split(',')[-1]!r}")
         assert capsys.readouterr().err == f"error: argument {flag}: {reason}\n"
         assert not (tmp_path / "t.csv").exists()
+
+    def test_unwritable_out_is_named(self, tmp_path, capsys):
+        """Each leaf command's --out in a missing directory exits 1 naming it."""
+        traj = tmp_path / "traj.csv"
+        assert main(["simulate", "--vx", "1", "--duration", "1", "--out", str(traj)]) == 0
+        bad = tmp_path / "no" / "out"
+        for path, _ in leaves(build_parser()):
+            assert main([*path, *leaf_argvs(traj)[path], "--out", str(bad)]) == 1
+            assert capsys.readouterr().err == (f"error: cannot write {bad}: [Errno 2] "
+                                               f"No such file or directory: '{bad}'\n")
 
     def test_missing_required_flag_is_named(self, tmp_path, capsys):
         """Each leaf command's argv of leaf_argvs, less one required flag and

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from liprint import (GaitParams, GaitState, advance, contact_schedule,
-                     phase_clock, remaining_time, swing_foot)
+from liprint import (GaitParams, GaitState, contact_schedule, phase_clock,
+                     remaining_time, swing_foot)
 
 TS = 0.35
 
@@ -13,48 +13,48 @@ def gait(t=0.0, parity=0, Ts=TS):
     return GaitState(t=t, parity=parity, params=GaitParams(Ts))
 
 
+def tick(i, k=35, dt=0.01):
+    """The simulator's clock at tick i of a run with k ticks of dt per step,
+    as sim's phase table builds it: t = (i % k) * dt, parity i // k."""
+    return GaitState(t=(i % k) * dt, parity=i // k, params=GaitParams(k * dt))
+
+
 def at(tp, Ts=TS):
     """The state whose two-step clock reads tp: t = tp % Ts, parity tp // Ts."""
     return gait(t=tp % Ts, parity=int(tp // Ts), Ts=Ts)
 
 
 class TestAdvance:
+    """The clock advanced tick by tick, as the simulator reads it: from the
+    tick index, so a step boundary lands exactly on t = 0."""
+
     def test_exact_wraparound(self):
-        g, boundary = advance(gait(t=0.34, parity=2), 0.01)
-        assert boundary
+        before, g = tick(2 * 35 + 34), tick(2 * 35 + 35)
+        assert (before.t, before.parity) == (pytest.approx(0.34, abs=1e-12), 2)
         assert g.t == 0.0
         assert g.parity == 3
 
     def test_interior_tick(self):
-        g, boundary = advance(gait(t=0.10), 0.01)
-        assert not boundary
+        before, g = tick(10), tick(11)
+        assert before.t == pytest.approx(0.10, abs=1e-12)
+        assert g.parity == before.parity  # no boundary
         assert g.t == pytest.approx(0.11, abs=1e-12)
         assert g.parity == 0
 
     def test_boundary_count_over_two_steps(self):
-        g = GaitState.start(GaitParams(TS))
-        boundaries = 0
-        for _ in range(70):
-            g, b = advance(g, 0.01)
-            boundaries += int(b)
+        boundaries = sum(tick(i + 1).parity != tick(i).parity for i in range(70))
+        g = tick(70)
         assert boundaries == 2
         assert g.t == 0.0
         assert g.parity == 2
         assert g.t_prime == 0.0
 
-    def test_tick_must_beat_step(self):
-        with pytest.raises(ValueError):
-            advance(gait(), TS)
-        with pytest.raises(ValueError):
-            advance(gait(), -0.01)
-
     def test_t_prime_wraps_every_two_steps(self):
-        g = GaitState.start(GaitParams(TS))
         tps = []
-        for _ in range(140):
-            g, _ = advance(g, 0.01)
+        for i in range(1, 141):
+            g = tick(i)
             tps.append(g.t_prime)
-            assert g.t_prime == (g.parity % 2) * TS + g.t
+            assert g.t_prime == (g.parity % 2) * g.params.step_duration + g.t
         assert max(tps) < 2 * TS
         assert min(tps) >= 0.0
 
@@ -67,10 +67,8 @@ class TestRemainingTime:
         assert remaining_time(gait(t=0.30)) == pytest.approx(0.05, abs=1e-12)
 
     def test_positive_limit(self):
-        g = gait(t=0.34)
-        for _ in range(5):
-            assert remaining_time(g) > 0.0
-            g, _ = advance(g, 0.01)
+        for i in range(34, 39):  # from t = 0.34 across the boundary
+            assert remaining_time(tick(i)) > 0.0
 
 
 class TestContactSchedule:
@@ -128,23 +126,14 @@ class TestSwingFoot:
         assert swing_foot(gait(parity=7)) == "right"
 
     def test_alternation_over_cycle(self):
-        g = GaitState.start(GaitParams(TS))
-        changes = []
-        prev = swing_foot(g)
-        for i in range(70):
-            g, _ = advance(g, 0.01)
-            cur = swing_foot(g)
-            if cur != prev:
-                changes.append(i)
-                prev = cur
+        changes = [i for i in range(70) if swing_foot(tick(i + 1)) != swing_foot(tick(i))]
         assert len(changes) == 2  # one alternation per step over 2 Ts
 
 
 class TestRemainingAdvanceConsistency:
     def test_linear_away_from_boundaries(self):
-        g = gait(t=0.1)
-        g2, b = advance(g, 0.01)
-        assert not b
+        g, g2 = tick(10), tick(11)  # t = 0.1, then one tick of 0.01 on
+        assert g2.parity == g.parity
         assert remaining_time(g2) == pytest.approx(remaining_time(g) - 0.01,
                                                    abs=1e-12)
 

@@ -2,8 +2,8 @@
 
 Each case runs one `liprint` command and hashes its main output (the
 trajectory CSV of `simulate`, the rates CSV of `sweep`, the rewards CSV of
-`score`) and, for `simulate`, its step-event JSON on its own, so a change
-to the event log leaves the CSV hashes pinned. Manifests are left out
+`score`, the plan JSON of `plan`) and, for `simulate`, its step-event JSON
+on its own, so a change to the event log leaves the CSV hashes pinned. Manifests are left out
 because they record paths. The pinned SHA-256 values assume glibc's libm,
 like the hashes in perfbench/README.md. A change that means to alter the
 output re-pins them:
@@ -20,6 +20,7 @@ import pytest
 from liprint.cli import main
 
 _SIM = ["simulate", "--duration", "3"]
+_STATE = '{"com":[0.04,-0.02],"vel":[0.6,0.1],"stance":[0.1,%s],"parity":%d}'
 
 # name -> (argv, expected exit code)
 CASES = {
@@ -44,6 +45,13 @@ CASES = {
                "--terrain", "rough:0.05:0.5:0", "--trials", "2", "--duration", "3",
                "--window", "2", "--seed", "4"], 0),
     "score": (["score", "--vx", "0.9", "--vy", "0.05", "--base-height", "0.6"], 0),
+    "plan-readme": (["plan", "--vx", "1.0", "--state",
+                     '{"com":[0,0],"vel":[0,0],"stance":[0,-0.15],"parity":0}'], 0),
+    "plan-odd": (["plan", "--vx", "0.8", "--state", _STATE % ("0.15", 3)], 0),
+    "plan-stance-z": (["plan", "--vx", "0.8", "--state", _STATE % ("-0.15, 0.07", 2)], 0),
+    "plan-dT": (["plan", "--vx", "0.8", "--dT", "0.1", "--state", _STATE % ("-0.15", 0)], 0),
+    "plan-vy": (["plan", "--vx", "0.5", "--vy", "0.3", "--state", _STATE % ("0.15", 1)], 0),
+    "plan-backward": (["plan", "--vx=-1"], 0),
 }
 
 GOLDEN = {
@@ -60,6 +68,12 @@ GOLDEN = {
     "height-failure": "d555efc9d8dd3258c2fe5e05b18a1f97dc80c281dfd70a7425eda130d1d3601e",
     "sweep": "d1bc7f12af993d636cd50afae431c51b8f9bdd65c62ddd758921df604dbd0eea",
     "score": "c7a9a71e7dc9b7c6e7d89a72a08598cafbeb05afb38fd71019572601d4846a06",
+    "plan-readme": "596f797b7a5e607b9aa96f6df18c2fd1a7559cb41b9f2f2489b4d6b2097a856e",
+    "plan-odd": "cb8614456e4ef20aecaa887fa2ddfa357978d1404a52f3fc72dd24334168a680",
+    "plan-stance-z": "6c2e39d3914824eb692fd93ea3d6579f60097edd0ad773661847e848e085656e",
+    "plan-dT": "d8683438e817d3a4787a4e9d06a7900b23d65db8cbe2900ecc31d8073ec29857",
+    "plan-vy": "0d60eb6f67467fd44c4e471b57815a62c5b3ee98bbc831e46f982019f15cdfa8",
+    "plan-backward": "d416464487186e0d06349c13c8323df099d2316187cdb897273db7b0ce46cd02",
 }
 
 # step-event JSON of each simulate case

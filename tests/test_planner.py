@@ -5,10 +5,10 @@ import numpy.testing as npt
 import pytest
 
 from liprint import (FootPosition, GaitParams, GaitState, LipParams,
-                     LipState, PlannedStep, StepCommand, com_trajectory, desired_step_length,
-                     desired_step_width, icp_of, icp_trajectory, offsets,
-                     plan_step, turning_angle)
+                     LipState, PlannedStep, StepCommand, com_trajectory, icp_of,
+                     icp_trajectory, plan_step)
 from liprint import _kernels
+from liprint._kernels import command_heading, offset_pair, step_width
 from liprint.planner import wrap_angle
 
 from oracles import bisect_offsets, plan_placement_inline
@@ -29,24 +29,38 @@ def cmd(vx, vy=0.0, w=0.3):
     return StepCommand(v_cmd=(vx, vy), w_cmd=w)
 
 
+def cmd_heading(c: StepCommand) -> float:
+    """The command's heading as plan_step's placement takes it."""
+    return command_heading(c.v_cmd[0], c.v_cmd[1], c.fallback_heading)
+
+
+def placed_bx(c: StepCommand, dT: float) -> float:
+    """b_x of the placement's offsets over dT for a forward command (heading
+    0 leaves it unrotated): offset_pair's b_x of the step length it takes."""
+    return _kernels.placement_offsets(W_TABLE, dT, TS, c.v_cmd[0], c.v_cmd[1], c.w_cmd, 0,
+                                      0.0)[0]
+
+
 class TestStepLengthWidth:
+    """The step length |v_cmd| * dT, as the placement takes it, and the width."""
+
     def test_unit_command(self):
-        assert desired_step_length(cmd(1.0), 0.35) == pytest.approx(0.35, abs=1e-15)
+        assert placed_bx(cmd(1.0), 0.35) == offset_pair(0.35, 0.3, W_TABLE, 0.35)[0]
 
     def test_zero_command(self):
-        assert desired_step_length(cmd(0.0), 0.2) == 0.0
+        assert placed_bx(cmd(0.0), 0.2) == offset_pair(0.0, 0.3, W_TABLE, 0.2)[0] == 0.0
 
     def test_max_command(self):
-        assert desired_step_length(cmd(2.0), 0.35) == pytest.approx(0.70, abs=1e-15)
+        assert placed_bx(cmd(2.0), 0.35) == offset_pair(0.70, 0.3, W_TABLE, 0.35)[0]
 
     def test_width_full_step(self):
-        assert desired_step_width(0.3, TS, TS) == pytest.approx(0.3, abs=1e-15)
+        assert step_width(0.3, TS, TS) == pytest.approx(0.3, abs=1e-15)
 
     def test_width_half_step(self):
-        assert desired_step_width(0.3, TS / 2, TS) == pytest.approx(0.15, abs=1e-15)
+        assert step_width(0.3, TS / 2, TS) == pytest.approx(0.15, abs=1e-15)
 
     def test_width_vanishes(self):
-        assert desired_step_width(0.3, 1e-9, TS) == pytest.approx(0.0, abs=1e-9)
+        assert step_width(0.3, 1e-9, TS) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestPredictFinalIcp:
@@ -67,38 +81,35 @@ class TestPredictFinalIcp:
         foot = FootPosition(p=(0.1, -0.3))
         state = LipState(com_pos=foot.p, com_vel=(0.0, 0.0), params=p)
         step = plan_step(state, foot, cmd(1.0), gait_at())
-        b = offsets(0.35, 0.3, p.omega0, TS)
-        npt.assert_allclose(step.p_d, [0.1 - b.b_x, -0.3 + b.b_y], rtol=1e-12)
+        bx, by = offset_pair(0.35, 0.3, p.omega0, TS)
+        npt.assert_allclose(step.p_d, [0.1 - bx, -0.3 + by], rtol=1e-12)
 
 
 class TestOffsets:
     def test_table_values(self):
-        b = offsets(0.35, 0.3, W_TABLE, 0.35)
+        bx, by = offset_pair(0.35, 0.3, W_TABLE, 0.35)
         e = math.exp(W_TABLE * 0.35)
-        assert b.b_x == pytest.approx(0.35 / (e - 1.0), abs=1e-15)
-        assert b.b_y == pytest.approx(0.3 / (e + 1.0), abs=1e-15)
-        assert b.b_x == pytest.approx(0.115752, abs=5e-6)
-        assert b.b_y == pytest.approx(0.059718, abs=5e-6)
+        assert bx == pytest.approx(0.35 / (e - 1.0), abs=1e-15)
+        assert by == pytest.approx(0.3 / (e + 1.0), abs=1e-15)
+        assert bx == pytest.approx(0.115752, abs=5e-6)
+        assert by == pytest.approx(0.059718, abs=5e-6)
 
     def test_zero_command(self):
-        b = offsets(0.0, 0.0, W_TABLE, 0.35)
-        assert b.b_x == 0.0 and b.b_y == 0.0
+        assert offset_pair(0.0, 0.0, W_TABLE, 0.35) == (0.0, 0.0)
 
     def test_small_dT_limit(self):
         # with s_d = |v| dT the x offset tends to |v|/omega0, the y offset to 0
         for dT in (1e-6, 1e-8):
-            b = offsets(1.0 * dT, 0.3 * dT / TS, W_TABLE, dT)
-            assert b.b_x == pytest.approx(1.0 / W_TABLE, rel=1e-5)
-            assert b.b_y == pytest.approx(0.0, abs=1e-6)
-        assert offsets(1e-6, 0.3 * 1e-6 / TS, W_TABLE, 1e-6).b_x == pytest.approx(
+            bx, by = offset_pair(1.0 * dT, 0.3 * dT / TS, W_TABLE, dT)
+            assert bx == pytest.approx(1.0 / W_TABLE, rel=1e-5)
+            assert by == pytest.approx(0.0, abs=1e-6)
+        assert offset_pair(1e-6, 0.3 * 1e-6 / TS, W_TABLE, 1e-6)[0] == pytest.approx(
             0.251397, abs=1e-6)
 
     def test_zero_dT(self):
-        b = offsets(0.0, 0.2, W_TABLE, 0.0)
-        assert b.b_x == 0.0
-        assert b.b_y == pytest.approx(0.1, abs=1e-15)  # w_d / 2 limit
-        with pytest.raises(ValueError):
-            offsets(0.1, 0.2, W_TABLE, 0.0)
+        bx, by = offset_pair(0.0, 0.2, W_TABLE, 0.0)
+        assert bx == 0.0
+        assert by == pytest.approx(0.1, abs=1e-15)  # w_d / 2 limit
 
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(7)
@@ -108,25 +119,25 @@ class TestOffsets:
             w = rng.uniform(2.0, 6.0)
             dT = rng.uniform(0.05, 0.5)
             bx_ref, by_ref = bisect_offsets(s_d, w_d, w, dT)
-            b = offsets(s_d, w_d, w, dT)
-            assert b.b_x == pytest.approx(bx_ref, abs=1e-9)
-            assert b.b_y == pytest.approx(by_ref, abs=1e-9)
+            bx, by = offset_pair(s_d, w_d, w, dT)
+            assert bx == pytest.approx(bx_ref, abs=1e-9)
+            assert by == pytest.approx(by_ref, abs=1e-9)
 
 
 class TestTurningAngle:
     def test_cardinal_directions(self):
-        assert turning_angle(cmd(1.0, 0.0)) == 0.0
-        assert turning_angle(cmd(0.0, 1.0)) == pytest.approx(math.pi / 2, abs=1e-15)
+        assert cmd_heading(cmd(1.0, 0.0)) == 0.0
+        assert cmd_heading(cmd(0.0, 1.0)) == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_full_quadrant(self):
-        assert turning_angle(cmd(-1.0, 1.0)) == pytest.approx(3 * math.pi / 4,
+        assert cmd_heading(cmd(-1.0, 1.0)) == pytest.approx(3 * math.pi / 4,
                                                               abs=1e-15)
-        assert turning_angle(cmd(-1.0, 0.0)) == pytest.approx(math.pi, abs=1e-15)
+        assert cmd_heading(cmd(-1.0, 0.0)) == pytest.approx(math.pi, abs=1e-15)
 
     def test_zero_velocity_holds_fallback(self):
         c = StepCommand(v_cmd=(0.0, 0.0), w_cmd=0.3, fallback_heading=0.7)
-        assert turning_angle(c) == pytest.approx(0.7, abs=1e-15)
-        assert turning_angle(cmd(0.0, 0.0)) == 0.0
+        assert cmd_heading(c) == pytest.approx(0.7, abs=1e-15)
+        assert cmd_heading(cmd(0.0, 0.0)) == 0.0
 
     @pytest.mark.parametrize("vy", [-0.0, 0.0])
     def test_signed_zero_lateral_never_gives_minus_pi(self, vy):
@@ -134,7 +145,7 @@ class TestTurningAngle:
         for vx in (-1.0, -1e-3, -0.0, 0.0, 1e-3, 1.0):
             h = _kernels.command_heading(vx, vy, 0.5)
             assert -math.pi < h <= math.pi and (vx >= 0.0 or h == math.pi)
-        assert turning_angle(cmd(-1.0, vy)) == math.pi
+        assert cmd_heading(cmd(-1.0, vy)) == math.pi
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_fallback_heading_rejected(self, bad):
@@ -144,7 +155,7 @@ class TestTurningAngle:
     def test_fallback_heading_stored_wrapped(self):
         c = StepCommand(v_cmd=(0.0, 0.0), fallback_heading=7.0)
         assert c.fallback_heading == 7.0 - 2.0 * math.pi
-        assert turning_angle(c) == c.fallback_heading
+        assert cmd_heading(c) == c.fallback_heading
 
 
 class TestWrapAngle:
@@ -169,8 +180,8 @@ class TestPlanStep:
         foot = FootPosition(p=(0.2, -0.1))
         state = LipState(com_pos=foot.p, com_vel=(0.0, 0.0), params=p)
         step = plan_step(state, foot, cmd(0.0), gait_at())
-        b = offsets(0.0, 0.3, p.omega0, TS)
-        npt.assert_allclose(step.p_d, [0.2, -0.1 + b.b_y], atol=1e-12)
+        by = offset_pair(0.0, 0.3, p.omega0, TS)[1]
+        npt.assert_allclose(step.p_d, [0.2, -0.1 + by], atol=1e-12)
         assert step.p_d[1] - foot.p[1] == pytest.approx(0.059718, abs=5e-6)
         assert step.parity == 0
         assert step.heading == 0.0
@@ -183,10 +194,10 @@ class TestPlanStep:
         for parity in (0, 1):
             step = plan_step(state, foot, cmd(1.0, 0.0), gait_at(parity=parity))
             xi_f = icp_trajectory(icp_of(state), foot, p.omega0, TS)
-            b = offsets(0.35, 0.3, p.omega0, TS)
+            bx, by = offset_pair(0.35, 0.3, p.omega0, TS)
             sign = 1.0 if parity % 2 == 0 else -1.0
-            assert step.p_d[0] == xi_f.xi[0] - b.b_x
-            assert step.p_d[1] == xi_f.xi[1] + sign * b.b_y
+            assert step.p_d[0] == xi_f.xi[0] - bx
+            assert step.p_d[1] == xi_f.xi[1] + sign * by
 
     def test_pure_lateral_is_rotated_forward_plan(self):
         p = params_for()
@@ -243,9 +254,8 @@ class TestPlanStep:
         literal = plan_step(state, foot, cmd(1.0), g)
         held = plan_step(state, foot, cmd(1.0), g, horizon=TS)
         xi_f = icp_trajectory(icp_of(state), foot, p.omega0, TS - 0.2)
-        b = offsets(0.35, 0.3, p.omega0, TS)
-        npt.assert_allclose(held.p_d, [xi_f.xi[0] - b.b_x, xi_f.xi[1] + b.b_y],
-                            atol=1e-12)
+        bx, by = offset_pair(0.35, 0.3, p.omega0, TS)
+        npt.assert_allclose(held.p_d, [xi_f.xi[0] - bx, xi_f.xi[1] + by], atol=1e-12)
         assert held.p_d[0] > literal.p_d[0]  # literal offsets grow as dT shrinks
         # at a step start the two parameterizations coincide
         npt.assert_array_equal(
@@ -334,7 +344,7 @@ class TestStepRecurrence:
         command = cmd(0.8)
         state = LipState(com_pos=(0.0, 0.0), com_vel=(0.0, 0.0), params=p)
         foot = FootPosition(p=(0.0, -0.15))
-        b = offsets(0.8 * Ts, 0.3, p.omega0, Ts)
+        by = offset_pair(0.8 * Ts, 0.3, p.omega0, Ts)[1]
         for n in range(9):
             step = plan_step(state, foot, command, gait_at(parity=n))
             state = com_trajectory(state, foot, Ts)
@@ -343,7 +353,7 @@ class TestStepRecurrence:
                 xi = icp_of(state).xi
                 lateral = xi[1] - foot.p[1]
                 expected_sign = 1.0 if (n + 1) % 2 == 0 else -1.0
-                assert lateral == pytest.approx(expected_sign * b.b_y, abs=1e-9)
+                assert lateral == pytest.approx(expected_sign * by, abs=1e-9)
 
 
 def _plan_at_rest(horizon):
@@ -355,10 +365,9 @@ class TestValidation:
     @pytest.mark.parametrize("call,message", [
         (lambda: cmd(1.0, w=0.0), "step width command must be positive"),
         (lambda: cmd(1.0, w=math.inf), "step width command must be positive"),
-        (lambda: desired_step_length(cmd(1.0), 0.0), "remaining time must be positive"),
-        (lambda: desired_step_width(0.3, 0.0, TS), r"remaining time must lie in \(0, 0.35\]"),
-        (lambda: desired_step_width(0.3, 0.5, TS), r"remaining time must lie in \(0, 0.35\]"),
-        (lambda: offsets(0.0, 0.2, W_TABLE, -0.1), "remaining time must be non-negative"),
+        # each component is finite, the speed is not
+        (lambda: cmd(1.7e308, 1.7e308),
+         r"commanded speed overflows: \|\(1.7e\+308, 1.7e\+308\)\| is not finite"),
         (lambda: _plan_at_rest(horizon=0.5), r"step horizon must lie in \(0, 0.35\], got 0.5"),
         (lambda: _plan_at_rest(horizon=0.0), r"step horizon must lie in \(0, 0.35\], got 0.0")])
     def test_bad_arguments_raise(self, call, message):
