@@ -151,11 +151,6 @@ def offset_pair(s_d, w_d, omega, duration):
     return bx, by
 
 
-def step_width(w, span, Ts):
-    """Desired step width |w| * (span / Ts); exactly |w| when span == Ts."""
-    return abs(w) * (span / Ts)
-
-
 # Commanded speeds below this hold the fallback heading (stepping in place
 # must not spin).
 ZERO_SPEED = 1e-6
@@ -169,20 +164,21 @@ def command_heading(vx, vy, fallback_heading):
     return math.atan2(vy + 0.0, vx)
 
 
-def placement_offsets(omega, span, Ts, vx, vy, w, parity, fallback_heading):
+def placement_offsets(omega, Ts, vx, vy, w, parity, fallback_heading):
     """The per-step part of the foot placement p_d = xi_f + R(heading)
     (-b_x, +/-b_y): the offsets (b_x, +/-b_y) rotated by the heading, as the
     four products (c*b_x, s*b_y, s*b_x, c*b_y), and the heading: (cbx, sby,
     sbx, cby, heading).
 
-    Step length |v| * span and step_width(w, span, Ts) give the offsets
-    over `span`; b_y is positive for even parity. The heading is
-    command_heading(vx, vy, fallback_heading). placement_at completes the
+    The offsets are offset_pair of the step length |v| * Ts and the width
+    |w| over the step duration Ts, so that the next step advances the
+    capture point by |v| * Ts; b_y is positive for even parity. The heading
+    is command_heading(vx, vy, fallback_heading). placement_at completes the
     placement; planner.plan_step and sim_loop make both calls, in this
     order, so they agree bit for bit.
     """
     heading = command_heading(vx, vy, fallback_heading)
-    bx, by = offset_pair(math.hypot(vx, vy) * span, step_width(w, span, Ts), omega, span)
+    bx, by = offset_pair(math.hypot(vx, vy) * Ts, abs(w), omega, Ts)
     if parity % 2 != 0:
         by = -by
     c = math.cos(heading)
@@ -755,7 +751,7 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
             if (replan_every_tick or j == 0) and outcome == OUTCOME_COMPLETED:
                 try:
                     if fresh:
-                        offsets = placement_offsets(omega, Ts, Ts, vx, vy, w, parity, heading)
+                        offsets = placement_offsets(omega, Ts, vx, vy, w, parity, heading)
                         fresh = False
                     x, y = placement_at(icp_x, icp_y, st_x, st_y, omega, Ts - j * dt, offsets)
                 except OverflowError:

@@ -380,8 +380,8 @@ def _cmd_plan(args) -> int:
     stance = FootPosition(p=stance_raw[:2],
                           z=stance_raw[2] if len(stance_raw) == 3 else 0.0)
     gait_state = GaitState(t=Ts - remaining, parity=parity, params=gait)
-    # the step is planned over the gait clock's remaining time, which can
-    # differ from --dT by an ulp: every printed field uses that one value
+    # the capture point is predicted over the gait clock's remaining time,
+    # which can differ from --dT by an ulp: xi_final and step use that one value
     remaining = remaining_time(gait_state)
     try:
         try:
@@ -391,15 +391,14 @@ def _cmd_plan(args) -> int:
             # a finite exp(omega * dT) (an overflow raises OverflowError):
             # the state itself is beyond the float range
             raise ValueError(f"--state overflows the capture point: {e}") from None
-        # the unsigned offsets that plan_step's placement_offsets rotates
-        b = _kernels.offset_pair(math.hypot(*cmd.v_cmd) * remaining,
-                                 _kernels.step_width(cmd.w_cmd, remaining, Ts),
-                                 params.omega0, remaining)
         step = plan_step(state, stance, cmd, gait_state)
+        # the unsigned offsets over Ts that plan_step's placement_offsets rotates
+        b = _kernels.offset_pair(math.hypot(*cmd.v_cmd) * Ts, cmd.w_cmd, params.omega0, Ts)
     except OverflowError:
-        raise ValueError(f"exp(omega * dT) overflows (omega = {params.omega0:g} 1/s, "
-                         f"dT = {remaining:g} s): lower --g, raise --base-height "
-                         "or shorten --dT") from None
+        # dT <= Ts: exp(omega * Ts) is the first to overflow
+        raise ValueError(f"exp(omega * Ts) overflows (omega = {params.omega0:g} 1/s, "
+                         f"Ts = {Ts:g} s): lower --g, raise --base-height "
+                         "or shorten --Ts") from None
     out = {
         "xi0": [float(xi0.xi[0]), float(xi0.xi[1])],
         "xi_final": [float(xi_f.xi[0]), float(xi_f.xi[1])],

@@ -1,12 +1,12 @@
 """Step-pattern generation: foot placement from the predicted capture point.
 
-For offsets over a span dT of the step (the remaining step time, or
-plan_step's horizon), the desired step length is |v_cmd| * dT and the
-width |w_cmd| * (dT / Ts). Predicting the capture point at the end
-of the step and subtracting a constant offset (b_x, b_y) in the walking
-frame yields a placement whose next step advances the capture point by
-exactly the desired length; the lateral offset alternates sign with the
-step parity. Turning rotates the same offsets by the command heading.
+The desired step length is |v_cmd| * Ts and the width |w_cmd|, over the
+step duration Ts. Predicting the capture point at the end of the step and
+subtracting a constant offset (b_x, b_y) in the walking frame yields a
+placement whose next step advances the capture point by exactly the
+desired length, at any time of the step; the lateral offset alternates
+sign with the step parity. Turning rotates the same offsets by the command
+heading.
 
 The types here validate their fields, and plan_step makes the simulator's
 two placement calls, `_kernels.placement_offsets` then
@@ -58,6 +58,13 @@ class StepCommand:
         object.__setattr__(self, "fallback_heading", wrap_angle(self.fallback_heading))
 
 
+def _check_step_length(v_cmd, Ts: float) -> None:
+    """Raise ValueError unless the step length |v_cmd| * Ts is finite."""
+    if not math.isfinite(math.hypot(*v_cmd) * Ts):
+        raise ValueError(f"step length overflows: speed {math.hypot(*v_cmd)!r} m/s times "
+                         f"step duration {Ts!r} s is not finite")
+
+
 @dataclass(frozen=True)
 class PlannedStep:
     """Desired foot placement with heading and the planning parity."""
@@ -72,26 +79,21 @@ class PlannedStep:
 
 
 def plan_step(state: LipState, stance: FootPosition, cmd: StepCommand,
-              gait: GaitState, horizon: float | None = None) -> PlannedStep:
+              gait: GaitState) -> PlannedStep:
     """Desired foot placement for the current swing foot.
 
     p_d = xi_f + R(gamma) @ (-b_x, (-1)^n b_y), with xi_f predicted over the
-    remaining step time. By default the offsets use the same remaining time;
-    passing `horizon` evaluates step length, width, and offsets over that
-    duration instead (the simulator replans every tick with the full step
-    duration as horizon so that the executed touchdown keeps the per-step
-    velocity recurrence). The placement is the simulator's two kernel
-    calls, placement_offsets over that span then placement_at over the
-    remaining time, so with step_duration = ticks_per_step * dt and
-    horizon = Ts the result equals the simulator's target bit for bit.
+    remaining step time and the offsets over the step duration Ts, so that
+    the next step advances the capture point by |v_cmd| * Ts (which must be
+    finite). The placement is the simulator's two kernel calls,
+    placement_offsets then placement_at, so with step_duration =
+    ticks_per_step * dt the result equals the simulator's target bit for bit.
     """
     dT = remaining_time(gait)  # in (0, Ts], as GaitState holds 0 <= t < Ts
     Ts = gait.params.step_duration
-    span = dT if horizon is None else horizon
-    if not (0.0 < span <= Ts):
-        raise ValueError(f"step horizon must lie in (0, {Ts}], got {span}")
+    _check_step_length(cmd.v_cmd, Ts)
     xi0 = lip_core.icp_of(state).xi  # first: a non-finite one raises before expm1 overflows
-    offs = placement_offsets(state.params.omega0, span, Ts, cmd.v_cmd[0], cmd.v_cmd[1],
+    offs = placement_offsets(state.params.omega0, Ts, cmd.v_cmd[0], cmd.v_cmd[1],
                              cmd.w_cmd, gait.parity, cmd.fallback_heading)
     x, y = placement_at(xi0[0], xi0[1], stance.p[0], stance.p[1], state.params.omega0, dT, offs)
     return PlannedStep(p_d=(x, y), heading=offs[4], parity=gait.parity)

@@ -42,7 +42,7 @@ import numpy as np
 from . import _kernels, terrain as terrain_mod
 from .gait import GaitParams, GaitState, cycle_phase, phase_signals
 from .lip_core import FootPosition, LipParams, LipState
-from .planner import StepCommand
+from .planner import StepCommand, _check_step_length
 from .terrain import Heightmap, TerrainSpec
 
 # Node spacing (m) of the heightmaps generated for TerrainSpec terrain.
@@ -96,6 +96,7 @@ class SimConfig:
         k = round(Ts / self.dt)
         if k < 1 or abs(k * self.dt - Ts) > 1e-9:
             raise ValueError(f"dt = {self.dt} must divide the step duration {Ts}")
+        _check_step_length(self.cmd.v_cmd, Ts)
 
     @property
     def ticks_per_step(self) -> int:
@@ -172,18 +173,21 @@ def default_initial(config: SimConfig) -> tuple[LipState, FootPosition]:
 def _auto_extent(config: SimConfig, schedule) -> tuple[float, float, float, float]:
     margin = 2.0
     x_lo = x_hi = y_lo = y_hi = 0.0
-    t_prev = 0.0
+    t_start = t_prev = 0.0
     for i, (_t, vx, vy, _w) in enumerate(schedule):
         # segment ends clipped to [t_prev, total_duration]: a switch after
-        # the run ends adds no travel
-        t_next = schedule[i + 1][0] if i + 1 < len(schedule) else math.inf
-        t_end = min(max(t_next, t_prev), config.total_duration)
-        span = t_end - t_prev
+        # the run ends adds no travel, and one that keeps (vx, vy) ends no
+        # segment, so that the travel rounds as under one command
+        t_next, *v_next = schedule[i + 1] if i + 1 < len(schedule) else (math.inf,)
+        t_prev = min(max(t_next, t_prev), config.total_duration)
+        if v_next[:2] == [vx, vy]:
+            continue
+        span = t_prev - t_start
         x_hi += max(vx, 0.0) * span * 1.5
         x_lo += min(vx, 0.0) * span * 1.5
         y_hi += max(vy, 0.0) * span * 1.5
         y_lo += min(vy, 0.0) * span * 1.5
-        t_prev = t_end
+        t_start = t_prev
     return (x_lo - margin, y_lo - margin, x_hi + margin, y_hi + margin)
 
 

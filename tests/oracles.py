@@ -76,21 +76,21 @@ def lip_decimal(cx, cy, vx, vy, px, py, omega, t, digits=60):
         return (*pos, *vel)
 
 
-def plan_placement_inline(icp_x, icp_y, st_x, st_y, omega, dt_pred, span, Ts,
+def plan_placement_inline(icp_x, icp_y, st_x, st_y, omega, dt_pred, Ts,
                           vx, vy, w, parity, fallback_heading):
     """The foot placement as one function, every part evaluated on every
     call: the capture point predicted over dt_pred, then the heading, the
-    offsets over span, their sign and the rotation, x = fx - c*b_x - s*b_y
-    and y = fy - s*b_x + c*b_y; returns (x, y, heading). The reference for
-    its split into _kernels.placement_offsets (per step) and
+    offsets of step length |v| * Ts and width |w| over the step duration Ts,
+    their sign and the rotation, x = fx - c*b_x - s*b_y and
+    y = fy - s*b_x + c*b_y; returns (x, y, heading). The reference for its
+    split into _kernels.placement_offsets (per step) and
     _kernels.placement_at (per tick), the two calls that sim_loop and
     planner.plan_step both make."""
     from liprint import _kernels
 
     fx, fy = _kernels.icp_step(icp_x, icp_y, st_x, st_y, omega, dt_pred)
     heading = _kernels.command_heading(vx, vy, fallback_heading)
-    bx, by = _kernels.offset_pair(math.hypot(vx, vy) * span,
-                                  _kernels.step_width(w, span, Ts), omega, span)
+    bx, by = _kernels.offset_pair(math.hypot(vx, vy) * Ts, abs(w), omega, Ts)
     if parity % 2 != 0:
         by = -by
     c = math.cos(heading)
@@ -289,8 +289,9 @@ def reference_run(config, schedule):
       overflowing cosh(omega * dt) fails it as "non-finite". Either at
       tick 0 ends the run with no row;
     - the target is planned at every step start, or every tick under
-      every-tick replanning: plan_step over the step's remaining time with
-      horizon Ts. A touchdown (step start after tick 0) first checks
+      every-tick replanning: plan_step at the tick's time of the step, its
+      capture point predicted over the remaining time and its offsets over
+      Ts. A touchdown (step start after tick 0) first checks
       reach: the capture point or the CoM farther than the reach limit
       from the stance fails it and keeps the target. A plan that overflows,
       or whose capture point or target is not finite (plan_step raises
@@ -362,8 +363,7 @@ def reference_run(config, schedule):
                     cmd = StepCommand(v_cmd=(vx, vy), w_cmd=w, fallback_heading=heading)
                     try:
                         step = plan_step(state, stance, cmd,
-                                         GaitState(t=s * dt, parity=m, params=gait),
-                                         horizon=Ts)
+                                         GaitState(t=s * dt, parity=m, params=gait))
                     except (OverflowError, ValueError):
                         outcome = _kernels.OUTCOME_NON_FINITE
                     else:

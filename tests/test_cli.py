@@ -369,8 +369,9 @@ class TestPlan:
         assert out.read_text() == printed
 
     def test_step_is_final_icp_minus_rotated_offset(self, capsys):
-        # every printed field is planned over one remaining time, so the step
-        # equals xi_final - R(heading) (b_x, +/-b_y) bit for bit
+        # xi_final is predicted over the remaining time and the offsets are
+        # over Ts, as plan_step takes them, so the step equals
+        # xi_final - R(heading) (b_x, +/-b_y) bit for bit
         rng = np.random.default_rng(0)
         for _ in range(300):
             vx, vy, dT = rng.uniform(-1.0, 1.0, 2).tolist() + [float(rng.uniform(0.001, 0.35))]
@@ -1107,7 +1108,7 @@ class TestUsage:
         (["plan", "--vx", "1", "--dT", "0.5"], "--dT must lie in (0, 0.35]"),
         (["plan", "--vx", "1", "--g", "1e300"], "lower --g"),
         (["plan", "--vx", "1", "--base-height", "1e-300"], "raise --base-height"),
-        (["plan", "--vx", "1", "--Ts", "1000"], "shorten --dT"),
+        (["plan", "--vx", "1", "--Ts", "1000"], "shorten --Ts"),
         (["simulate", "--vx", "1", "--terrain", "file:{far_away}"],
          "initial stance foot lies outside the heightmap"),
         (["terrain", "gen", "--spec", "file:x"],
@@ -1227,6 +1228,18 @@ class TestUsage:
          "commanded speed overflows: |(1.7e+308, 1.7e+308)| is not finite\n"),
         (["simulate", "--vx", "1.7e308", "--vy", "1.7e308"],
          "commanded speed overflows: |(1.7e+308, 1.7e+308)| is not finite\n"),
+        # the offsets are over Ts: exp(omega * Ts) overflows, exp(omega * dT) does not
+        (["plan", "--vx", "1", "--Ts", "1000", "--dT", "0.1"],
+         "exp(omega * Ts) overflows (omega = 3.97776 1/s, Ts = 1000 s): lower --g, "
+         "raise --base-height or shorten --Ts\n"),
+        # the speed is finite, the step length |v| * Ts is not
+        (["plan", "--vx", "1e308", "--Ts", "2"],
+         "step length overflows: speed 1e+308 m/s times step duration 2.0 s is not finite\n"),
+        (["simulate", "--vx", "1e308", "--Ts", "2", "--duration", "2"],
+         "step length overflows: speed 1e+308 m/s times step duration 2.0 s is not finite\n"),
+        (["sweep", "--vx-list", "1e308", "--Ts", "2", "--duration", "2", "--window", "1",
+          "--trials", "1"],
+         "step length overflows: speed 1e+308 m/s times step duration 2.0 s is not finite\n"),
     ], ids=["duration-inf", "duration-nan", "dt-nan", "reach-nan", "base-height-nan",
             "g-nan", "turn-time-inf", "turn-time-nan", "turn-nan", "duration-overflow",
             "dt-underflow",
@@ -1265,7 +1278,9 @@ class TestUsage:
             "score-traj-not-utf8", "score-joints-not-utf8", "config-not-utf8", "map-not-utf8",
             "map-not-json", "config-names-config", "config-without-path", "config-missing",
             "config-empty-path", "map-missing", "sweep-map-missing", "plan-speed-overflow",
-            "simulate-speed-overflow"])
+            "simulate-speed-overflow", "plan-Ts-overflow-short-dT",
+            "plan-step-length-overflow", "simulate-step-length-overflow",
+            "sweep-step-length-overflow"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}

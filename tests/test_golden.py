@@ -71,7 +71,7 @@ GOLDEN = {
     "plan-readme": "596f797b7a5e607b9aa96f6df18c2fd1a7559cb41b9f2f2489b4d6b2097a856e",
     "plan-odd": "cb8614456e4ef20aecaa887fa2ddfa357978d1404a52f3fc72dd24334168a680",
     "plan-stance-z": "6c2e39d3914824eb692fd93ea3d6579f60097edd0ad773661847e848e085656e",
-    "plan-dT": "d8683438e817d3a4787a4e9d06a7900b23d65db8cbe2900ecc31d8073ec29857",
+    "plan-dT": "9812fe2a2221378cbb5800dd6ddd46cc8fd28bd1630d8ba99eb118d29b46e669",
     "plan-vy": "0d60eb6f67467fd44c4e471b57815a62c5b3ee98bbc831e46f982019f15cdfa8",
     "plan-backward": "d416464487186e0d06349c13c8323df099d2316187cdb897273db7b0ce46cd02",
 }

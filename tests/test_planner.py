@@ -8,7 +8,7 @@ from liprint import (FootPosition, GaitParams, GaitState, LipParams,
                      LipState, PlannedStep, StepCommand, com_trajectory, icp_of,
                      icp_trajectory, plan_step)
 from liprint import _kernels
-from liprint._kernels import command_heading, offset_pair, step_width
+from liprint._kernels import command_heading, offset_pair
 from liprint.planner import wrap_angle
 
 from oracles import bisect_offsets, plan_placement_inline
@@ -34,33 +34,23 @@ def cmd_heading(c: StepCommand) -> float:
     return command_heading(c.v_cmd[0], c.v_cmd[1], c.fallback_heading)
 
 
-def placed_bx(c: StepCommand, dT: float) -> float:
-    """b_x of the placement's offsets over dT for a forward command (heading
+def placed_bx(c: StepCommand) -> float:
+    """b_x of the placement's offsets over TS for a forward command (heading
     0 leaves it unrotated): offset_pair's b_x of the step length it takes."""
-    return _kernels.placement_offsets(W_TABLE, dT, TS, c.v_cmd[0], c.v_cmd[1], c.w_cmd, 0,
-                                      0.0)[0]
+    return _kernels.placement_offsets(W_TABLE, TS, c.v_cmd[0], c.v_cmd[1], c.w_cmd, 0, 0.0)[0]
 
 
 class TestStepLengthWidth:
-    """The step length |v_cmd| * dT, as the placement takes it, and the width."""
+    """The step length |v_cmd| * Ts, as the placement takes it."""
 
     def test_unit_command(self):
-        assert placed_bx(cmd(1.0), 0.35) == offset_pair(0.35, 0.3, W_TABLE, 0.35)[0]
+        assert placed_bx(cmd(1.0)) == offset_pair(0.35, 0.3, W_TABLE, 0.35)[0]
 
     def test_zero_command(self):
-        assert placed_bx(cmd(0.0), 0.2) == offset_pair(0.0, 0.3, W_TABLE, 0.2)[0] == 0.0
+        assert placed_bx(cmd(0.0)) == offset_pair(0.0, 0.3, W_TABLE, TS)[0] == 0.0
 
     def test_max_command(self):
-        assert placed_bx(cmd(2.0), 0.35) == offset_pair(0.70, 0.3, W_TABLE, 0.35)[0]
-
-    def test_width_full_step(self):
-        assert step_width(0.3, TS, TS) == pytest.approx(0.3, abs=1e-15)
-
-    def test_width_half_step(self):
-        assert step_width(0.3, TS / 2, TS) == pytest.approx(0.15, abs=1e-15)
-
-    def test_width_vanishes(self):
-        assert step_width(0.3, 1e-9, TS) == pytest.approx(0.0, abs=1e-9)
+        assert placed_bx(cmd(2.0)) == offset_pair(0.70, 0.3, W_TABLE, 0.35)[0]
 
 
 class TestPredictFinalIcp:
@@ -242,25 +232,11 @@ class TestPlanStep:
             g = gait_at(t=TS - dT)
             plans[dT] = plan_step(state, foot, cmd(1.0), g).p_d
         xi_f = icp_of(state).xi  # dT -> 0 prediction collapses onto the state
-        limit = np.array([xi_f[0] - 1.0 / p.omega0, xi_f[1]])
+        # the offsets stay those over TS: parity 0 places b_y to the left
+        bx, by = offset_pair(1.0 * TS, 0.3, p.omega0, TS)
+        limit = np.array([xi_f[0] - bx, xi_f[1] + by])
         npt.assert_allclose(plans[1e-6], limit, atol=1e-5)
         npt.assert_allclose(plans[1e-8], limit, atol=1e-7)
-
-    def test_horizon_overrides_offset_span(self):
-        p = params_for()
-        foot = FootPosition(p=(0.0, -0.15))
-        state = LipState(com_pos=(0.05, 0.0), com_vel=(0.8, 0.0), params=p)
-        g = gait_at(t=0.2)
-        literal = plan_step(state, foot, cmd(1.0), g)
-        held = plan_step(state, foot, cmd(1.0), g, horizon=TS)
-        xi_f = icp_trajectory(icp_of(state), foot, p.omega0, TS - 0.2)
-        bx, by = offset_pair(0.35, 0.3, p.omega0, TS)
-        npt.assert_allclose(held.p_d, [xi_f.xi[0] - bx, xi_f.xi[1] + by], atol=1e-12)
-        assert held.p_d[0] > literal.p_d[0]  # literal offsets grow as dT shrinks
-        # at a step start the two parameterizations coincide
-        npt.assert_array_equal(
-            plan_step(state, foot, cmd(1.0), gait_at()).p_d,
-            plan_step(state, foot, cmd(1.0), gait_at(), horizon=TS).p_d)
 
 
 def _bits(*values):
@@ -299,20 +275,18 @@ class TestPlacementSplit:
                 vx, vy, w = commands[s >= switch]
                 icp_x, icp_y = rng.uniform(-2.0, 2.0, 2).tolist()
                 dt_pred = Ts - s * dt
-                args = (icp_x, icp_y, st_x, st_y, omega, dt_pred, Ts, Ts, vx, vy, w, parity,
-                        heading)
+                args = (icp_x, icp_y, st_x, st_y, omega, dt_pred, Ts, vx, vy, w, parity, heading)
                 try:
                     ref = plan_placement_inline(*args)
                 except OverflowError:
                     # the same call raises in both forms, at the step's first tick
                     assert s == 0
                     with pytest.raises(OverflowError):
-                        _kernels.placement_offsets(omega, Ts, Ts, vx, vy, w, parity, heading)
+                        _kernels.placement_offsets(omega, Ts, vx, vy, w, parity, heading)
                     n_overflow += 1
                     break
                 if s in (0, switch):
-                    offsets = _kernels.placement_offsets(omega, Ts, Ts, vx, vy, w, parity,
-                                                         heading)
+                    offsets = _kernels.placement_offsets(omega, Ts, vx, vy, w, parity, heading)
                 x, y = _kernels.placement_at(icp_x, icp_y, st_x, st_y, omega, dt_pred, offsets)
                 assert _bits(x, y, offsets[4]) == _bits(*ref), (draw, s)
                 heading = ref[2]
@@ -336,6 +310,33 @@ class TestStepRecurrence:
             xi_next = icp_trajectory(xi_f, FootPosition(p=step.p_d), p.omega0, TS)
             assert xi_next.xi[0] - xi_f.xi[0] == pytest.approx(s_d, abs=1e-9)
 
+    def test_advance_is_step_length_at_any_remaining_time(self):
+        # planned at any time of the step, the foot makes the next step of
+        # duration Ts advance the capture point by |v| * Ts in the walking
+        # frame; the prediction xi_f over the remaining time dT is numpy's
+        rng = np.random.default_rng(37)
+        n_early = 0
+        for draw in range(400):
+            Ts = float(rng.uniform(0.2, 0.6))
+            dT = Ts if draw % 8 == 0 else float(rng.uniform(0.0, Ts)) or Ts
+            n_early += dT < Ts
+            p = LipParams(g=9.81, z0=float(rng.uniform(0.4, 1.2)))
+            state = LipState(com_pos=rng.uniform(-0.3, 0.3, 2),
+                             com_vel=rng.uniform(-1.0, 1.0, 2), params=p)
+            foot = FootPosition(p=rng.uniform(-0.3, 0.3, 2))
+            speed, angle = rng.uniform(0.1, 2.0), rng.uniform(-math.pi, math.pi)
+            c = StepCommand(v_cmd=(speed * math.cos(angle), speed * math.sin(angle)),
+                            w_cmd=float(rng.uniform(0.1, 0.4)))
+            g = GaitState(t=Ts - dT, parity=int(rng.integers(0, 6)), params=GaitParams(Ts))
+            step = plan_step(state, foot, c, g)
+            e = np.exp(p.omega0 * (Ts - g.t))
+            xi_f = e * (state.com_pos + state.com_vel / p.omega0) + (1.0 - e) * foot.p
+            ch, sh = np.cos(step.heading), np.sin(step.heading)
+            d = xi_f - step.p_d
+            advance = np.expm1(p.omega0 * Ts) * (ch * d[0] + sh * d[1])
+            assert advance == pytest.approx(math.hypot(*c.v_cmd) * Ts, rel=1e-12), draw
+        assert n_early > 300
+
     def test_lateral_alternation_steady_gait(self):
         # closed loop with lip_core + planner only: at each step start the
         # capture point sits b_y from the stance foot, sign alternating
@@ -356,11 +357,6 @@ class TestStepRecurrence:
                 assert lateral == pytest.approx(expected_sign * by, abs=1e-9)
 
 
-def _plan_at_rest(horizon):
-    state = LipState(com_pos=(0.0, 0.0), com_vel=(0.0, 0.0), params=params_for())
-    return plan_step(state, FootPosition(p=(0.0, -0.15)), cmd(1.0), gait_at(), horizon=horizon)
-
-
 class TestValidation:
     @pytest.mark.parametrize("call,message", [
         (lambda: cmd(1.0, w=0.0), "step width command must be positive"),
@@ -368,8 +364,10 @@ class TestValidation:
         # each component is finite, the speed is not
         (lambda: cmd(1.7e308, 1.7e308),
          r"commanded speed overflows: \|\(1.7e\+308, 1.7e\+308\)\| is not finite"),
-        (lambda: _plan_at_rest(horizon=0.5), r"step horizon must lie in \(0, 0.35\], got 0.5"),
-        (lambda: _plan_at_rest(horizon=0.0), r"step horizon must lie in \(0, 0.35\], got 0.0")])
+        # the speed is finite, the step length |v_cmd| * Ts is not
+        (lambda: plan_step(LipState(com_pos=(0.0, 0.0), com_vel=(0.0, 0.0), params=params_for()),
+                           FootPosition(p=(0.0, -0.15)), cmd(1e308), gait_at(Ts=2.0)),
+         r"step length overflows: speed 1e\+308 m/s times step duration 2.0 s is not finite")])
     def test_bad_arguments_raise(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()

@@ -65,6 +65,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="sweep needs at least one config"):
             sweep([], trials=1)
 
+    def test_step_length_overflow(self):
+        # the speed is finite, the step length |v_cmd| * Ts is not
+        with pytest.raises(ValueError, match=r"step length overflows: speed 1e\+308 m/s "
+                                             r"times step duration 2.0 s is not finite"):
+            SimConfig(cmd=StepCommand(v_cmd=(1e308, 0.0)), gait=GaitParams(step_duration=2.0))
+
     def test_terrain_of_another_type(self):
         # a path is not a terrain: the config fails where it is built
         with pytest.raises(ValueError, match="terrain must be a Heightmap, TerrainSpec, or None"):
@@ -104,6 +110,32 @@ class TestFlatRuns:
             adv = np.diff(b[:, COL_ICP_X])
             npt.assert_allclose(adv[1:], vx * 0.35, atol=1e-9)
 
+    @pytest.mark.parametrize("replan", [sim_mod.REPLAN_AT_STEP_START,
+                                        sim_mod.REPLAN_EVERY_TICK])
+    @pytest.mark.parametrize("vx,vy", [(0.8, 0.0), (0.6, -0.3), (0.0, 0.0), (-0.4, 0.5),
+                                       (1.5, 0.2)])
+    def test_deadbeat_offsets_at_touchdown(self, replan, vx, vy):
+        # at each touchdown the capture point sits at R(heading) (b_x, -b_y)
+        # from the new stance, the offsets of the last plan, with b_y signed
+        # by its parity (positive when even): the H-LIP step-to-step rule,
+        # its offsets over Ts computed here in numpy
+        cfg = config(vx=vx, vy=vy, duration=4.0, replan=replan, reach=0.9)
+        res = run(cfg)
+        assert res.completed
+        k = cfg.ticks_per_step
+        Ts = k * cfg.dt
+        e = np.exp(cfg.lip.omega0 * Ts)
+        bx = np.hypot(vx, vy) * Ts / (e - 1.0)
+        by = cfg.cmd.w_cmd / (e + 1.0)
+        touch, planned = sim_mod._touchdown_rows(res.sample_array, k)
+        assert len(touch) == 11
+        by_signed = np.where(planned[:, COL_PARITY] % 2 == 0, by, -by)
+        h = planned[:, COL_TARGET_HEADING]
+        expected = np.column_stack((np.cos(h) * bx + np.sin(h) * by_signed,
+                                    np.sin(h) * bx - np.cos(h) * by_signed))
+        got = touch[:, COL_ICP_X:COL_ICP_Y + 1] - touch[:, COL_STANCE_X:COL_STANCE_Y + 1]
+        npt.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
     def test_icp_continuous_across_transfer(self):
         res = run(config(vx=1.2))
         arr = res.sample_array
@@ -141,8 +173,8 @@ class TestFlatRuns:
 
 
 def planned_from_row(cfg, row, fallback_heading=0.0):
-    """plan_step at a recorded sample, with the simulator's tick grid and the
-    full step as horizon: the placement the simulator plans there, unsnapped."""
+    """plan_step at a recorded sample, with the simulator's tick grid: the
+    placement the simulator plans there, unsnapped."""
     k, dt = cfg.ticks_per_step, cfg.dt
     Ts = k * dt
     i = round(row[COL_TIME] / dt)
@@ -154,7 +186,7 @@ def planned_from_row(cfg, row, fallback_heading=0.0):
     c = StepCommand(v_cmd=cfg.cmd.v_cmd, w_cmd=cfg.cmd.w_cmd,
                     fallback_heading=fallback_heading)
     gait = GaitState(t=i % k * dt, parity=parity, params=GaitParams(step_duration=Ts))
-    return plan_step(state, stance, c, gait, horizon=Ts)
+    return plan_step(state, stance, c, gait)
 
 
 class TestSharedCore:
@@ -194,6 +226,33 @@ class TestSharedCore:
             step = planned_from_row(cfg, arr[i], arr[i - 1, COL_TARGET_HEADING])
             assert (step.p_d[0], step.p_d[1]) == (arr[i, COL_TARGET_X],
                                                   arr[i, COL_TARGET_Y])
+
+    def test_every_tick_targets_equal_plan_step(self):
+        # every target of flat-ground every-tick runs, each planned at its
+        # own time of the step, is plan_step's at that row
+        rng = np.random.default_rng(41)
+        n_targets = 0
+        for _ in range(4):
+            dt = float(rng.choice([0.005, 0.01, 0.02]))
+            k = int(rng.integers(10, 25))
+            speed, angle = rng.uniform(0.0, 1.0), rng.uniform(-math.pi, math.pi)
+            cfg = SimConfig(cmd=StepCommand(v_cmd=(speed * math.cos(angle),
+                                                   speed * math.sin(angle)),
+                                            w_cmd=rng.uniform(0.1, 0.4)),
+                            gait=GaitParams(step_duration=k * dt),
+                            lip=LipParams(z0=rng.uniform(0.5, 1.0)), dt=dt,
+                            total_duration=400 * dt, replan=sim_mod.REPLAN_EVERY_TICK,
+                            reach_limit=0.9)
+            res = run(cfg)
+            assert res.completed
+            arr = res.sample_array
+            for i in range(len(arr)):
+                fallback = arr[i - 1, COL_TARGET_HEADING] if i else cfg.cmd.fallback_heading
+                step = planned_from_row(cfg, arr[i], fallback)
+                assert (step.p_d[0], step.p_d[1], step.heading) == (
+                    arr[i, COL_TARGET_X], arr[i, COL_TARGET_Y], arr[i, COL_TARGET_HEADING]), i
+                n_targets += 1
+        assert n_targets == 1600
 
     @pytest.mark.parametrize("fb", [0.7, -2.0, 4.0, math.pi, -math.pi])
     @pytest.mark.parametrize("vx,vy", [(0.0, 0.0), (0.6, -0.3)])
@@ -302,6 +361,29 @@ class TestTurning:
         r1 = run(config(vx=1.0, duration=5.0))
         r2 = turn_maneuver(config(vx=1.0, duration=5.0), 0.0, switch_time=2.0)
         npt.assert_array_equal(r1.sample_array, r2.sample_array)
+
+    def test_zero_turn_is_plain_run_on_terrain(self):
+        """A switch that keeps (vx, vy) adds no segment to the map's extent,
+        so a zero turn at any time equals run() on terrain too."""
+        rough = functools.partial(TerrainSpec, kind="rough", amplitude=0.05, correlation=0.5)
+        # the extent of two equal segments once rounded apart from one segment's
+        cfg = config(vx=-0.8896342779715511, vy=-0.2376866595581505, duration=2.0,
+                     terrain=rough(seed=0))
+        assert (turn_maneuver(cfg, 0.0, 1.5007293452601052).sample_array.tobytes()
+                == run(cfg).sample_array.tobytes())
+        rng = np.random.default_rng(43)
+        for draw in range(300):
+            vx, vy = float(rng.uniform(-1.5, 1.5)), float(rng.uniform(-0.5, 0.5))
+            duration = float(rng.choice([2.0, 3.7, 5.0, 6.3, 10.0]))
+            switch_time = float(rng.uniform(0.0, duration))
+            cfg = config(vx=vx, vy=vy, duration=duration,
+                         terrain=rough(seed=draw) if draw % 2 == 0 else gap_spec())
+            schedule = sim_mod._constant_schedule(cfg)
+            assert (sim_mod._auto_extent(cfg, schedule + [(switch_time, vx, vy, 0.3)])
+                    == sim_mod._auto_extent(cfg, schedule)), draw
+            plain, turned = run(cfg), turn_maneuver(cfg, 0.0, switch_time)
+            assert (turned.outcome, turned.failure_time) == (plain.outcome, plain.failure_time)
+            assert turned.sample_array.tobytes() == plain.sample_array.tobytes(), draw
 
     @pytest.mark.parametrize("replan", [sim_mod.REPLAN_AT_STEP_START,
                                         sim_mod.REPLAN_EVERY_TICK])
