@@ -4,8 +4,7 @@ reduced-order walking simulator, and locomotion reward evaluators."""
 from .lip_core import (FootPosition, IcpPoint, LipParams, LipState,
                        com_trajectory, icp_derivative, icp_of, icp_trajectory,
                        lip_acceleration, natural_frequency)
-from .gait import (GaitParams, GaitState, contact_schedule, phase_clock,
-                   remaining_time, swing_foot)
+from .gait import GaitParams, GaitState, cycle_phase, phase_signals, remaining_time
 from .planner import PlannedStep, StepCommand, plan_step
 from .terrain import (Heightmap, TerrainSpec, generate, height_at,
                       is_steppable, nearest_steppable)
@@ -23,8 +22,7 @@ __all__ = [
     "FootPosition", "IcpPoint", "LipParams", "LipState",
     "com_trajectory", "icp_derivative", "icp_of", "icp_trajectory",
     "lip_acceleration", "natural_frequency",
-    "GaitParams", "GaitState", "contact_schedule",
-    "phase_clock", "remaining_time", "swing_foot",
+    "GaitParams", "GaitState", "cycle_phase", "phase_signals", "remaining_time",
     "PlannedStep", "StepCommand", "plan_step",
     "Heightmap", "TerrainSpec", "generate", "height_at",
     "is_steppable", "nearest_steppable",

@@ -60,6 +60,7 @@ OUTCOME_REACH = 1
 OUTCOME_NO_GROUND = 2
 OUTCOME_NON_FINITE = 3
 OUTCOME_BAD_HEIGHT = 4
+OUTCOME_OFF_MAP = 5
 
 # Column layout of the per-tick sample array produced by sim_loop.
 COL_TIME = 0
@@ -640,10 +641,11 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     it. So every target's height is grid_bilinear's, read once. A plan
     whose exp overflows, or whose target is not finite, fails the run as a
     non-finite state at its tick and keeps the previous target and heading;
-    no steppable ground keeps the raw target. Planning once a step, the
-    step's rows share its target. grid, a keyword, is
-    the run's Grid view of its terrain, or None on flat ground (nothing
-    snapped, every height 0).
+    no steppable ground keeps the raw target and fails the run, as
+    OUTCOME_OFF_MAP where the raw target lies outside the grid, else as
+    OUTCOME_NO_GROUND. Planning once a step, the step's rows share its
+    target. grid, a keyword, is the run's Grid view of its terrain, or None
+    on flat ground (nothing snapped, every height 0).
     heading is the fallback heading until the first plan. Pass com_x ..
     heading as Python floats, not numpy scalars.
 
@@ -767,7 +769,8 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                                                        kept)
                         if not ok:
                             tg_z = 0.0
-                            outcome = OUTCOME_NO_GROUND
+                            outcome = (OUTCOME_NO_GROUND if grid_contains(grid, x, y)
+                                       else OUTCOME_OFF_MAP)
                         elif sx == x and sy == y:
                             # the query kept: a node found for an unsteppable
                             # query never equals it

@@ -29,7 +29,6 @@ import math
 import os
 import sys
 import warnings
-from operator import itemgetter
 
 import numpy as np
 
@@ -247,6 +246,10 @@ def _load_terrain(text: str):
     return spec
 
 
+# The parsed entries that simulate's manifest does not echo under "config".
+_NOT_ECHOED = ("command", "handler", "config", "out", "events", "manifest")
+
+
 def _cmd_simulate(args) -> int:
     config = _make_config(args, _load_terrain(args.terrain), args.vx)
     if args.turn != 0.0:
@@ -258,14 +261,10 @@ def _cmd_simulate(args) -> int:
     manifest = {
         "command": "simulate",
         "version": __version__,
-        "config": {
-            "vx": args.vx, "vy": args.vy, "width": args.width,
-            "step_duration": args.step_duration, "base_height": args.base_height,
-            "g": args.g, "dt": args.dt, "duration": args.duration,
-            "replan": config.replan, "terrain": args.terrain,
-            "reach_limit": args.reach_limit, "turn": args.turn,
-            "turn_time": args.turn_time,
-        },
+        # every parsed flag but the paths and the parser's own entries, with
+        # the replanning mode the run resolved
+        "config": {**{k: v for k, v in vars(args).items() if k not in _NOT_ECHOED},
+                   "replan": config.replan},
         "outputs": {"trajectory": str(args.out), "events": str(events_path)},
         "outcome": {
             "status": result.outcome,
@@ -501,27 +500,25 @@ def _float_table(data, cols, what) -> np.ndarray:
     `data` is `_read_table`'s data rows, numpy's array or csv.reader's
     records. A row too short for `cols` (a blank line is named as one), or
     holding a non-numeric or non-finite value in one of them, is an input
-    error naming its 1-based data row.
+    error naming its 1-based data row. csv.reader's records are parsed
+    row by row up to the first bad one; the finiteness test follows the
+    parse, so a row that does not parse is named before an earlier
+    non-finite one.
     """
     if isinstance(data, np.ndarray):
         # C order, as below, so that reductions over the columns add in
         # the same order
         table = np.ascontiguousarray(data[:, cols].T)
     else:
-        try:
-            table = np.array([np.fromiter(map(float, map(itemgetter(c), data)),
-                                          np.float64, len(data)) for c in cols])
-        except (ValueError, IndexError):
-            for i, row in enumerate(data, 1):
-                try:
-                    [float(row[c]) for c in cols]
-                except (ValueError, IndexError):
-                    raise ValueError(f"bad {what} row {i}"
-                                     + ("" if row else ": blank line")) from None
-            raise
-        table = table.reshape(len(cols), len(data))
-        if [] in data:  # a blank row is too short even where no column is read
-            raise ValueError(f"bad {what} row {data.index([]) + 1}: blank line")
+        values = []
+        for i, row in enumerate(data, 1):
+            if not row:  # too short even where no column is read
+                raise ValueError(f"bad {what} row {i}: blank line")
+            try:
+                values.append([float(row[c]) for c in cols])
+            except (ValueError, IndexError):
+                raise ValueError(f"bad {what} row {i}") from None
+        table = np.array(values, dtype=np.float64).reshape(len(data), len(cols)).T.copy()
     finite = np.isfinite(table).all(axis=0)
     if not finite.all():
         raise ValueError(f"bad {what} row {int(np.argmin(finite)) + 1}")

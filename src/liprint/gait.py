@@ -4,10 +4,12 @@ The gait is a fixed-duration alternation: step parity n counts completed
 steps (even n plans the left foot while the right foot supports, odd n the
 opposite). One clock runs: t since the current step began. The two-step
 clock t' = (n % 2) * Ts + t, since the start of the last right-foot step,
-follows from t and the parity; it drives the two-step phase used by the
-contact schedule and the sine/cosine phase clock. The simulator sets the
-clock from the tick index, t = (i % k) * dt and n = i // k at tick i of k
-ticks per step, so a step boundary falls exactly on t = 0.
+follows from t and the parity; its two-step phase (cycle_phase) gives the
+contact schedule and the sine/cosine phase clock (phase_signals). The
+stance side is the parity's, not the sign of the contact schedule, which
+is +6.1e-16 at an odd step's first tick. The simulator sets the clock from
+the tick index, t = (i % k) * dt and n = i // k at tick i of k ticks per
+step, so a step boundary falls exactly on t = 0.
 """
 
 import math
@@ -65,18 +67,3 @@ def phase_signals(phase: float) -> tuple[float, float, float]:
     a = 2.0 * math.pi * phase
     s = math.sin(a)
     return s / math.sqrt(s * s + 0.04), s, math.cos(a)
-
-
-def contact_schedule(g: GaitState) -> float:
-    """Smoothed square wave in [-1, 1]: positive half assigns right-foot stance."""
-    return phase_signals(cycle_phase(g))[0]
-
-
-def phase_clock(g: GaitState) -> tuple[float, float]:
-    """(sin, cos) of the two-step phase angle."""
-    return phase_signals(cycle_phase(g))[1:]
-
-
-def swing_foot(g: GaitState) -> str:
-    """Foot currently being planned: 'left' for even parity, 'right' for odd."""
-    return "left" if g.parity % 2 == 0 else "right"

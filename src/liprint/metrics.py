@@ -3,10 +3,10 @@
 `reward_table` evaluates every reward term over whole columns: (n,) for
 scalar signals, (n, k) for per-joint vectors, (n, 2, 2) for the feet.
 `total_reward` runs the same core on one `RobotSample` and its
-contact-schedule value C and returns its total and per-term breakdown
-(`regularization` picks the regularization terms out of it), so each
-formula exists once. A gait state enters as numbers: C, and the stance
-side from its parity.
+contact-schedule value C and stance side and returns its total and
+per-term breakdown (`regularization` picks the regularization terms out of
+it), so each formula exists once. A gait state enters as numbers: C, and
+the stance side from its parity; neither form infers the side from C.
 Each row's values are bit-identical to scoring that row alone: exp is
 `math.exp` and squares of scalar signals use `pow` (Python's `**`), where
 np.exp and x * x can differ in the last bit; row dot products use stacked
@@ -219,28 +219,24 @@ def pd_torque(q_ref, dq_action, q, qd, kp=30.0, kd=1.0) -> np.ndarray:
 
 def regularization(s: RobotSample, params: RewardParams) -> dict:
     """Weighted regularization terms, keyed by name."""
-    breakdown = total_reward(s, params, 0.0, np.zeros((2, 2)))[1]
+    # the stance side is immaterial: the contact term is 0 at C = 0
+    breakdown = total_reward(s, params, 0.0, np.zeros((2, 2)), RIGHT)[1]
     return {k: breakdown[k] for k in REG_TERMS}
 
 
 def total_reward(s: RobotSample, params: RewardParams, c: float, targets,
-                 stance_side: int | None = None) -> tuple[float, dict]:
+                 stance_side: int) -> tuple[float, dict]:
     """Sum of the four task terms and all regularization terms of one sample.
 
     c is the contact-schedule value C. targets is a (2, 2) array of
     per-foot desired placements [right, left]; the contact term's placement
-    error is the stance foot's distance to its target, the stance side
-    deriving from the sign of C (RIGHT for C >= 0) unless given explicitly.
-    A caller holding a gait state passes stance_side from its parity, as
-    score does (RIGHT on an even step): at an odd step's first tick C is
-    sin(pi)/... = +6.1e-16, whose sign picks RIGHT where the parity picks
-    LEFT. Returns (total, breakdown): breakdown maps TASK_TERMS, then
-    REG_TERMS, to floats, and sums to the total exactly.
+    error is the stance foot's (stance_side, RIGHT or LEFT) distance to its
+    target. A caller holding a gait state passes the side of its parity,
+    as score does (RIGHT on an even step). Returns (total, breakdown):
+    breakdown maps TASK_TERMS, then REG_TERMS, to floats, and sums to the
+    total exactly.
     """
-    c = float(c)
-    if stance_side is None:
-        stance_side = RIGHT if c >= 0.0 else LEFT
     total, breakdown = reward_table(
-        {k: np.asarray(v)[None] for k, v in vars(s).items()}, params, [c],
+        {k: np.asarray(v)[None] for k, v in vars(s).items()}, params, [float(c)],
         np.asarray(targets, dtype=np.float64).reshape(1, 2, 2), [stance_side])
     return float(total[0]), {k: float(v[0]) for k, v in breakdown.items()}

@@ -6,22 +6,24 @@ pendulum frequency (commanded base height minus stance height), and the
 CoM follows the pendulum's closed form between boundaries: each tick's
 state is evaluated from the step's touchdown state over the time since
 touchdown, not propagated tick by tick, so its rounding does not build up
-over the step (_kernels.sim_loop). Planning runs either once
-per step or every tick, through the same kernel as planner.plan_step;
-targets are snapped to steppable ground and their elevation refined from
-the terrain. The kernels read the terrain through its grid view: a
-Heightmap's rows are Python lists, and a TerrainSpec builds no map
-(terrain.generate_grid): its view equals terrain.generate's map node for
-node, rough heights computed only where the run reads, each from the
-layout's per-axis cell tables. sweep lays a rough spec out once
-per config (terrain._layout, cell tables included) and draws only each
+over the step (_kernels.sim_loop). Planning runs either once per step or
+every tick, making the same two kernel calls as planner.plan_step
+(placement_offsets, then placement_at); targets are snapped to steppable
+ground and their elevation refined from the terrain. The kernels read the
+terrain through its grid view: a Heightmap's rows are Python lists, and a
+TerrainSpec builds no map (terrain.generate_grid): its view equals
+terrain.generate's map node for node, rough heights computed only where
+the run reads, each from the layout's per-axis cell tables. sweep lays a
+rough spec out once per config (terrain._layout, cell tables included) and draws only each
 trial's lattice on that layout (terrain.layout_grid). The
 contact-schedule and phase-clock columns come from gait.phase_signals at
 gait.cycle_phase of each tick's GaitState, tabulated once per
 (ticks_per_step, dt) and shared by every run with those values. Failure
 is recorded, not raised: a touchdown farther than the reach limit from the
-capture point or the CoM, no steppable ground within the snap radius, a
-non-positive pendulum height at a step start, or a non-finite state.
+capture point or the CoM, no steppable ground within the snap radius of
+the planned target (its own reason, "target outside the heightmap", when
+the target lies off the map), a non-positive pendulum height at a step
+start, or a non-finite state.
 
 Trajectory CSV schema (one row per tick):
     time, com_x, com_y, vel_x, vel_y, icp_x, icp_y, stance_x, stance_y,
@@ -63,6 +65,7 @@ _FAIL_REASONS = {
     _kernels.OUTCOME_NO_GROUND: "no steppable ground within search radius",
     _kernels.OUTCOME_NON_FINITE: "non-finite state",
     _kernels.OUTCOME_BAD_HEIGHT: "non-positive pendulum height",
+    _kernels.OUTCOME_OFF_MAP: "target outside the heightmap",
 }
 
 

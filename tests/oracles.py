@@ -298,7 +298,10 @@ def reference_run(config, schedule):
       ValueError), fails as "non-finite" and keeps the target and heading;
     - on a map the planned point is snapped by nearest_steppable and
       takes the map height there; with no ground in range the run fails
-      ("no ground") and the target is the raw plan at height 0;
+      and the target is the raw plan at height 0. The failure is "off
+      map" when the raw plan lies outside the map's node rectangle
+      [origin, origin + (cols - 1, rows - 1) * resolution], else "no
+      ground";
     - the row is recorded at time i * dt; a failed tick ends the run with
       its own time as the failure time;
     - else the CoM moves to tick i + 1: com_trajectory from the step's
@@ -373,7 +376,12 @@ def reference_run(config, schedule):
                             try:
                                 p = terrain.nearest_steppable(hmap, step.p_d)
                             except ValueError:
-                                outcome = _kernels.OUTCOME_NO_GROUND
+                                far = hmap.origin + (np.array(hmap.heights.shape[::-1]) - 1) \
+                                    * hmap.resolution
+                                on_map = bool(np.all((hmap.origin <= step.p_d)
+                                                     & (step.p_d <= far)))
+                                outcome = (_kernels.OUTCOME_NO_GROUND if on_map
+                                           else _kernels.OUTCOME_OFF_MAP)
                                 target = FootPosition(p=step.p_d, z=0.0)
                             else:
                                 target = FootPosition(p=p, z=terrain.height_at(hmap, p))

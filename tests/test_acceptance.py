@@ -14,15 +14,15 @@ import pytest
 
 import liprint as lp
 from liprint import (FootPosition, GaitParams, GaitState, LipParams, LipState,
-                     SimConfig, StepCommand, TerrainSpec, contact_schedule,
-                     plan_step, icp_of, icp_trajectory, is_steppable,
+                     SimConfig, StepCommand, TerrainSpec, cycle_phase,
+                     phase_signals, plan_step, icp_of, icp_trajectory, is_steppable,
                      run, sweep, turn_maneuver)
 from liprint import sim as sim_mod
 from liprint import terrain as terrain_mod
 from liprint._kernels import (COL_COM_X, COL_COM_Y, COL_ICP_X, COL_PARITY, COL_TIME,
                               COL_VEL_X, offset_pair)
 from liprint.cli import main as cli_main
-from liprint.metrics import RobotSample, RewardParams, regularization, total_reward
+from liprint.metrics import RIGHT, RobotSample, RewardParams, regularization, total_reward
 
 from oracles import bisect_offsets, rk4_lip
 
@@ -97,8 +97,8 @@ def test_criterion_4_contact_schedule_properties():
         params = GaitParams(step_duration=TS)
 
         def C(tp):
-            return contact_schedule(GaitState(t=tp % TS, parity=int(tp // TS),
-                                              params=params))
+            return phase_signals(cycle_phase(GaitState(t=tp % TS, parity=int(tp // TS),
+                                                       params=params)))[0]
 
         for tp in np.linspace(0.0, 2 * TS, 141):
             assert -1.0 <= C(tp) <= 1.0
@@ -184,7 +184,7 @@ def test_criterion_7_reward_evaluators():
                             foot_contact=(True, False))
         params = RewardParams(vel_cmd=(1.0, 0.0))
         targets = [(0.1, -0.15), (0.9, 0.15)]
-        total, breakdown = total_reward(ideal, params, 1.0, targets)
+        total, breakdown = total_reward(ideal, params, 1.0, targets, RIGHT)
         assert breakdown["base_height"] == 1.0
         assert breakdown["base_orientation"] == 2.0
         assert breakdown["velocity_tracking"] == 4.0
@@ -204,7 +204,7 @@ def test_criterion_7_reward_evaluators():
                             q_hip_xz=rng.uniform(-1, 1, 4))
             p = RewardParams(vel_cmd=(1.0, 0.0), tau_max=30.0, q_max=1.5)
             total, breakdown = total_reward(s, p, rng.uniform(-1, 1),
-                                            rng.uniform(-1, 1, (2, 2)))
+                                            rng.uniform(-1, 1, (2, 2)), RIGHT)
             assert total == pytest.approx(sum(breakdown.values()), abs=1e-12)
 
         def term(**kw):

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import shlex
@@ -50,6 +51,21 @@ class TestSimulate:
         assert main(["simulate", "--vx", "1", "--duration", "1", "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "t.manifest.json").read_text())
         assert manifest["version"] == liprint.__version__
+
+    def test_manifest_echoes_every_parsed_flag(self, tmp_path):
+        # the config block is simulate's parser destinations less the paths
+        # and the parser's own entries, so a new flag is recorded unlisted
+        parser = dict(leaves(build_parser()))[("simulate",)]
+        dests = {a.dest for a in parser._actions if a.dest != "help"}
+        dests |= set(parser._defaults) | {"command"}
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--vx", "1", "--duration", "1", "--out", str(out)]) == 0
+        config = json.loads((tmp_path / "t.manifest.json").read_text())["config"]
+        assert set(config) == dests - {"command", "handler", "config", "out", "events",
+                                       "manifest"}
+        assert len(config) == 13
+        # replan is the mode the run resolved, not the flag's None
+        assert config["replan"] == "at-step-start"
 
     def test_pyproject_version_is_package_version(self):
         tomllib = pytest.importorskip("tomllib")
@@ -125,7 +141,24 @@ class TestSimulate:
         assert rc == 2
         manifest = json.loads((tmp_path / "t.manifest.json").read_text())
         assert manifest["outcome"]["status"] == "failed"
-        assert "steppable" in manifest["outcome"]["reason"]
+        # the gap's raw target lies on the map: not the off-map reason
+        assert manifest["outcome"]["reason"] == "no steppable ground within search radius"
+
+    def test_walking_off_the_map_fails_with_manifest_reason(self, tmp_path):
+        hmap, out = tmp_path / "map.json", tmp_path / "t.csv"
+        assert main(["terrain", "gen", "--spec", "flat", "--extent=-1:-1:2:1",
+                     "--out", str(hmap)]) == 0
+        assert main(["simulate", "--vx", "1.0", "--terrain", f"file:{hmap}",
+                     "--duration", "6", "--out", str(out)]) == 2
+        outcome = json.loads((tmp_path / "t.manifest.json").read_text())["outcome"]
+        assert outcome == {"status": "failed", "reason": "target outside the heightmap",
+                           "time": 2.8000000000000003, "steps": 8, "samples": 281}
+        # the reason is the manifest's alone: the trajectory and events keep
+        # their bytes
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (out, tmp_path / "t.events.json")]
+        assert digests == ["5b306b0dc78889b271c79e3399f73c88003faf21633ecea881f9c750d07c0a79",
+                           "0485f6034afdab0bb449cb3d01de6336f4af3d096ec548ec0f13795bad86f69c"]
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -1127,6 +1160,9 @@ class TestUsage:
         (["score", "--traj", "{traj}", "--joints", "{joints_inf}"], "bad joint row 40\n"),
         (["score", "--traj", "{traj}", "--joints", "{joints_neg_inf}"], "bad joint row 7\n"),
         (["score", "--traj", "{traj}", "--joints", "{joints_nan}"], "bad joint row 100\n"),
+        # csv.reader's rows (a quoted field): a row that does not parse is
+        # named before an earlier non-finite one
+        (["score", "--traj", "{traj_quoted}"], "error: bad trajectory row 4\n"),
         # 14 m at 1e-15 m needs 1.4e16 nodes: the first array (99.5 PiB) is
         # beyond the address space, so its allocation fails at once
         (["terrain", "gen", "--spec", "flat", "--resolution", "1e-15"],
@@ -1280,7 +1316,7 @@ class TestUsage:
             "config-empty-path", "map-missing", "sweep-map-missing", "plan-speed-overflow",
             "simulate-speed-overflow", "plan-Ts-overflow-short-dT",
             "plan-step-length-overflow", "simulate-step-length-overflow",
-            "sweep-step-length-overflow"])
+            "sweep-step-length-overflow", "score-traj-quoted-parse-before-non-finite"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}
@@ -1343,6 +1379,13 @@ class TestUsage:
             paths[name] = tmp_path / f"{name}.csv"
             paths[name].write_text("\n".join(["q0,dq0,a0,v_z"] + [",".join(r) for r in rows])
                                    + "\n")
+        # four rows of zeros but row 2's vel_x, inf, and row 4's com_x, a quoted word
+        rows = [["0"] * len(CSV_COLUMNS) for _ in range(4)]
+        rows[1][CSV_COLUMNS.index("vel_x")] = "inf"
+        rows[3][CSV_COLUMNS.index("com_x")] = '"x"'
+        paths["traj_quoted"] = tmp_path / "traj_quoted.csv"
+        paths["traj_quoted"].write_text(
+            "\n".join([",".join(CSV_COLUMNS)] + [",".join(r) for r in rows]) + "\n")
         traj = tmp_path / "traj.csv"
         if "{traj}" in argv:
             assert main(["simulate", "--vx", "1", "--duration", "1", "--out", str(traj)]) == 0
@@ -1430,10 +1473,13 @@ class TestUsage:
         """Each leaf command's handler reads every option it declares, but
         --config, which is consumed before parsing."""
         class ReadLog(argparse.Namespace):
+            reads = None  # the names read, once parsing is done
+
             def __getattribute__(self, name):
-                reads = object.__getattribute__(self, "__dict__").get("_reads")
-                if reads is not None:
-                    reads.add(name)
+                entries = object.__getattribute__(self, "__dict__")
+                if ReadLog.reads is not None:
+                    # vars(args) reads the __dict__, and so every entry
+                    ReadLog.reads.update(entries if name == "__dict__" else (name,))
                 return object.__getattribute__(self, name)
 
         traj = tmp_path / "traj.csv"
@@ -1443,12 +1489,13 @@ class TestUsage:
         for path, leaf in leaves(build_parser()):
             assert path in argvs, f"no argv for {' '.join(path)}"
             argv = [*path, *argvs[path], "--out", str(tmp_path / "out")]
+            ReadLog.reads = None
             args = build_parser().parse_args(argv, namespace=ReadLog())
-            args._reads = set()
+            ReadLog.reads = set()
             args.handler(args)
             unread += [f"{' '.join(path)}: {a.dest}" for a in leaf._actions
                        if a.option_strings and a.dest not in ("help", "config")
-                       and a.dest not in args._reads]
+                       and a.dest not in ReadLog.reads]
         assert unread == []
 
     def test_turn_after_run_end_writes_plain_run(self, tmp_path):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from liprint import (GaitParams, GaitState, contact_schedule, phase_clock,
-                     remaining_time, swing_foot)
+from liprint import GaitParams, GaitState, cycle_phase, phase_signals, remaining_time
 
 TS = 0.35
 
@@ -17,6 +16,12 @@ def tick(i, k=35, dt=0.01):
     """The simulator's clock at tick i of a run with k ticks of dt per step,
     as sim's phase table builds it: t = (i % k) * dt, parity i // k."""
     return GaitState(t=(i % k) * dt, parity=i // k, params=GaitParams(k * dt))
+
+
+def signals(g):
+    """(contact schedule, sin, cos) of the state g, as the simulator's phase
+    columns take them."""
+    return phase_signals(cycle_phase(g))
 
 
 def at(tp, Ts=TS):
@@ -73,61 +78,50 @@ class TestRemainingTime:
 
 class TestContactSchedule:
     def test_zero_phase(self):
-        assert contact_schedule(gait()) == 0.0
+        assert signals(gait())[0] == 0.0
 
     def test_quarter_phase(self):
-        c = contact_schedule(gait(t=0.175))
+        c = signals(gait(t=0.175))[0]
         assert c == pytest.approx(1.0 / math.sqrt(1.04), abs=1e-12)
         assert c == pytest.approx(0.980581, abs=1e-6)
 
     def test_three_quarter_phase(self):
-        c = contact_schedule(gait(t=0.175, parity=1))
+        c = signals(gait(t=0.175, parity=1))[0]
         assert c == pytest.approx(-1.0 / math.sqrt(1.04), abs=1e-12)
 
     def test_bounds_and_period(self):
         # sampled over one full cycle: bounded, and exactly periodic in 2 Ts
         for frac in np.linspace(0.0, 0.999, 97):
             tp = frac * 2 * TS
-            c = contact_schedule(at(tp))
+            c = signals(at(tp))[0]
             assert -1.0 <= c <= 1.0
 
     def test_half_period_antisymmetry(self):
         for frac in np.linspace(0.0, 0.499, 41):
             tp = frac * 2 * TS
-            c1 = contact_schedule(at(tp))
-            c2 = contact_schedule(at(tp + TS))
+            c1 = signals(at(tp))[0]
+            c2 = signals(at(tp + TS))[0]
             assert c2 == pytest.approx(-c1, abs=1e-12)
 
 
 class TestPhaseClock:
     def test_phase_zero(self):
-        assert phase_clock(gait()) == (0.0, 1.0)
+        assert signals(gait())[1:] == (0.0, 1.0)
 
     def test_quarter(self):
-        s, c = phase_clock(gait(t=0.175))
+        s, c = signals(gait(t=0.175))[1:]
         assert s == pytest.approx(1.0, abs=1e-12)
         assert c == pytest.approx(0.0, abs=1e-12)
 
     def test_tenth(self):
-        s, c = phase_clock(gait(t=0.07))
+        s, c = signals(gait(t=0.07))[1:]
         assert s == pytest.approx(0.587785, abs=1e-6)
         assert c == pytest.approx(0.809017, abs=1e-6)
 
     def test_unit_circle(self):
         for tp in np.linspace(0.0, 2 * TS * 0.999, 29):
-            s, c = phase_clock(at(tp))
+            s, c = signals(at(tp))[1:]
             assert s * s + c * c == pytest.approx(1.0, rel=1e-12)
-
-
-class TestSwingFoot:
-    def test_parity_convention(self):
-        assert swing_foot(gait(parity=0)) == "left"
-        assert swing_foot(gait(parity=1)) == "right"
-        assert swing_foot(gait(parity=7)) == "right"
-
-    def test_alternation_over_cycle(self):
-        changes = [i for i in range(70) if swing_foot(tick(i + 1)) != swing_foot(tick(i))]
-        assert len(changes) == 2  # one alternation per step over 2 Ts
 
 
 class TestRemainingAdvanceConsistency:

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from liprint import GaitParams, GaitState, contact_schedule
+from liprint import GaitParams, GaitState, cycle_phase, phase_signals
 from liprint.metrics import (LEFT, REG_TERMS, RIGHT, TASK_TERMS, RewardParams,
                              RobotSample, pd_torque, regularization, reward_table,
                              total_reward)
@@ -17,8 +17,9 @@ def params(**kw):
     return RewardParams(**kw)
 
 
-def term(name, s, p, c=0.0, targets=((0.0, 0.0), (0.0, 0.0)), stance_side=None):
-    """One term of total_reward's breakdown for the sample s."""
+def term(name, s, p, c=0.0, targets=((0.0, 0.0), (0.0, 0.0)), stance_side=RIGHT):
+    """One term of total_reward's breakdown for the sample s; the stance side
+    only enters the contact term, whose tests give it."""
     return total_reward(s, p, c, targets, stance_side)[1][name]
 
 
@@ -98,12 +99,12 @@ class TestContactSchedule:
         s = RobotSample(foot_pos=((0.1, -0.15), (0.5, 0.15)),
                         foot_contact=(True, False))
         targets = [(0.1, -0.15), (0.9, 0.15)]
-        r = term("contact_schedule", s, params(), 1.0, targets)
+        r = term("contact_schedule", s, params(), 1.0, targets, RIGHT)
         assert r == 9.0  # right stance at its target, C = 1
 
     def test_double_support_is_zero(self):
         s = RobotSample(foot_contact=(True, True))
-        assert term("contact_schedule", s, params(), 1.0, [(0, 0), (0, 0)]) == 0.0
+        assert term("contact_schedule", s, params(), 1.0, [(0, 0), (0, 0)], RIGHT) == 0.0
 
     def test_wrong_schedule_penalised(self):
         # right foot on the ground (at its target) during the C = -1 half
@@ -117,7 +118,7 @@ class TestContactSchedule:
         s = RobotSample(foot_pos=((0.2, -0.15), (0.5, 0.15)),
                         foot_contact=(True, False))
         targets = [(0.1, -0.15), (0.9, 0.15)]  # stance foot 0.1 m off
-        r = term("contact_schedule", s, params(), 1.0, targets)
+        r = term("contact_schedule", s, params(), 1.0, targets, RIGHT)
         assert r == pytest.approx(9.0 * math.exp(-0.1 / SIGMA), rel=1e-12)
 
     def test_gait_state_input(self):
@@ -127,25 +128,23 @@ class TestContactSchedule:
         s = RobotSample(foot_pos=((0.1, -0.15), (0.5, 0.15)),
                         foot_contact=(True, False))
         targets = [(0.1, -0.15), (0.9, 0.15)]
-        r = term("contact_schedule", s, params(), contact_schedule(g), targets,
+        r = term("contact_schedule", s, params(), phase_signals(cycle_phase(g))[0], targets,
                  stance_side=RIGHT if g.parity % 2 == 0 else LEFT)
         assert r == pytest.approx(9.0 / math.sqrt(1.04), abs=1e-9)
 
     def test_odd_step_first_tick_sign_and_parity_differ(self):
         # at an odd step's first tick C = sin(pi)/sqrt(sin(pi)**2 + 0.04) is
-        # +6.1e-16: its sign picks RIGHT, the parity (as score reads it) LEFT
+        # +6.1e-16: its sign would pick RIGHT, the parity (as score reads it)
+        # picks LEFT, and the term scores the left foot
         g = GaitState(t=0.0, parity=1, params=GaitParams(0.35))
-        c = contact_schedule(g)
+        c = phase_signals(cycle_phase(g))[0]
         assert c == math.sin(math.pi) / math.sqrt(math.sin(math.pi) ** 2 + 0.04)
         assert 6e-16 < c < 6.2e-16
         # left foot in stance at its target, right foot 0.1 m off its own
         s = RobotSample(foot_pos=((0.2, -0.15), (0.5, 0.15)),
                         foot_contact=(False, True))
         targets = [(0.1, -0.15), (0.5, 0.15)]
-        by_sign = term("contact_schedule", s, params(), c, targets)
-        by_parity = term("contact_schedule", s, params(), c, targets, stance_side=LEFT)
-        assert by_sign == term("contact_schedule", s, params(), c, targets, stance_side=RIGHT)
-        assert by_sign == -9.0 * c * math.exp(-0.1 / SIGMA)
+        by_parity = term("contact_schedule", s, params(), c, targets, LEFT)
         assert by_parity == -9.0 * c
 
     def test_bounded(self):
@@ -153,9 +152,9 @@ class TestContactSchedule:
         for _ in range(50):
             s = RobotSample(foot_pos=rng.uniform(-1, 1, (2, 2)),
                             foot_contact=(bool(rng.integers(2)), bool(rng.integers(2))))
-            c = rng.uniform(-1, 1)
-            r = term("contact_schedule", s, params(), c, rng.uniform(-1, 1, (2, 2)))
-            assert abs(r) <= 9.0
+            c, targets = rng.uniform(-1, 1), rng.uniform(-1, 1, (2, 2))
+            for side in (RIGHT, LEFT):
+                assert abs(term("contact_schedule", s, params(), c, targets, side)) <= 9.0
 
 
 class TestRegularization:
@@ -279,7 +278,7 @@ class TestRewardParams:
         s = RobotSample(q=np.zeros(k), tau=np.zeros(k))
         with pytest.raises(ValueError, match=f"{name} must be a scalar or one per joint "
                                              rf"\({k}\), got 2 entries"):
-            total_reward(s, p, 0.0, np.zeros((2, 2)))
+            total_reward(s, p, 0.0, np.zeros((2, 2)), RIGHT)
         with pytest.raises(ValueError, match=name):
             reward_table(stack([s, s]), p, np.zeros(2), np.zeros((2, 2, 2)), [RIGHT, LEFT])
 
@@ -322,12 +321,17 @@ class TestTotalReward:
                         foot_contact=(True, False))
         p = params(vel_cmd=(1.0, 0.0))
         targets = [(0.1, -0.15), (0.9, 0.15)]
-        total, breakdown = total_reward(s, p, 1.0, targets)
+        total, breakdown = total_reward(s, p, 1.0, targets, RIGHT)
         assert breakdown["base_height"] == 1.0
         assert breakdown["base_orientation"] == 2.0
         assert breakdown["velocity_tracking"] == 4.0
         assert breakdown["contact_schedule"] == 9.0
         assert total == pytest.approx(18.25, abs=1e-12)
+
+    def test_stance_side_is_required(self):
+        # no rule infers the side from the sign of C
+        with pytest.raises(TypeError):
+            total_reward(RobotSample(), params(), 1.0, np.zeros((2, 2)))
 
     def test_breakdown_sums_exactly(self):
         rng = np.random.default_rng(8)
@@ -348,7 +352,7 @@ class TestTotalReward:
                             foot_contact=(True, False))
             p = params(vel_cmd=(1.0, 0.0), tau_max=30.0, q_max=1.5)
             total, breakdown = total_reward(s, p, rng.uniform(-1, 1),
-                                            rng.uniform(-1, 1, (2, 2)))
+                                            rng.uniform(-1, 1, (2, 2)), RIGHT)
             assert total == pytest.approx(sum(breakdown.values()), abs=1e-12)
 
     def test_bounds(self):

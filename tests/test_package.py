@@ -17,6 +17,15 @@ def test_every_exported_name_resolves():
     assert len(set(liprint.__all__)) == len(liprint.__all__)
 
 
+def test_gait_exports_one_phase_rule():
+    # the contact schedule and phase clock come from phase_signals at
+    # cycle_phase alone, and the stance side from the parity
+    assert {"cycle_phase", "phase_signals"} <= set(liprint.__all__)
+    for name in ("contact_schedule", "phase_clock", "swing_foot"):
+        assert name not in liprint.__all__
+        assert not hasattr(liprint.gait, name)
+
+
 def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from liprint import *", namespace)

@@ -13,12 +13,11 @@ import pytest
 
 from liprint import (FootPosition, GaitParams, GaitState, IcpPoint, LipParams,
                      LipState, SimConfig, StepCommand, TerrainSpec,
-                     contact_schedule, icp_trajectory, is_steppable, phase_clock,
+                     cycle_phase, icp_trajectory, is_steppable, phase_signals,
                      plan_step, run, success_metric, sweep, turn_maneuver)
 from liprint import _kernels
 from liprint import sim as sim_mod
 from liprint import terrain as terrain_mod
-from liprint.gait import phase_signals
 from liprint.planner import wrap_angle
 from liprint._kernels import (COL_COM_X, COL_COM_Y, COL_CONTACT_SCHED, COL_ICP_X,
                               COL_ICP_Y, COL_PARITY, COL_PHASE_COS, COL_PHASE_SIN,
@@ -135,6 +134,27 @@ class TestFlatRuns:
                                     np.sin(h) * bx - np.cos(h) * by_signed))
         got = touch[:, COL_ICP_X:COL_ICP_Y + 1] - touch[:, COL_STANCE_X:COL_STANCE_Y + 1]
         npt.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("replan", [sim_mod.REPLAN_AT_STEP_START,
+                                        sim_mod.REPLAN_EVERY_TICK])
+    @pytest.mark.parametrize("vx,vy", [(1.0, 0.0), (0.5, 0.3), (1.5, 0.0), (0.8, -0.2)])
+    def test_two_step_contraction(self, replan, vx, vy):
+        # H-LIP's step-to-step map: with the capture point deadbeat, what is
+        # left of a touchdown state's distance from the period-2 orbit is the
+        # pendulum's stable mode, which shrinks by e^(-omega Ts) per step. So
+        # per axis, d_m = s_(m+2) - s_m of s = CoM - stance and of s = velocity
+        # at touchdowns m = 1, 2, ... shrinks by e^(-2 omega Ts) per two steps
+        cfg = config(vx=vx, vy=vy, duration=6.0, replan=replan)
+        res = run(cfg)
+        assert res.completed
+        k = cfg.ticks_per_step
+        rate = np.exp(-2.0 * np.sqrt(cfg.lip.g / cfg.lip.z0) * (k * cfg.dt))
+        touch = sim_mod._touchdown_rows(res.sample_array, k)[0]
+        for s in (touch[:, COL_COM_X:COL_COM_Y + 1] - touch[:, COL_STANCE_X:COL_STANCE_Y + 1],
+                  touch[:, COL_VEL_X:COL_VEL_Y + 1]):
+            d = s[2:] - s[:-2]
+            assert np.abs(d[:6]).min() > 1e-6  # no ratio of rounding noise
+            npt.assert_allclose(d[2:6] / d[:4], rate, rtol=1e-9, atol=0.0)
 
     def test_icp_continuous_across_transfer(self):
         res = run(config(vx=1.2))
@@ -296,8 +316,8 @@ class TestSharedCore:
         for i, row in enumerate(arr):
             parity = int(row[COL_PARITY])
             g = GaitState(t=i % k * dt, parity=parity, params=GaitParams(step_duration=Ts))
-            assert row[COL_CONTACT_SCHED] == contact_schedule(g)
-            assert (row[COL_PHASE_SIN], row[COL_PHASE_COS]) == phase_clock(g)
+            assert (row[COL_CONTACT_SCHED], row[COL_PHASE_SIN],
+                    row[COL_PHASE_COS]) == phase_signals(cycle_phase(g))
 
 
 class TestSampleConsistency:
@@ -486,10 +506,30 @@ class TestTerrainRuns:
             assert is_steppable(hmap, (ev["realized"]["x"], ev["realized"]["y"]))
 
     def test_impassable_gap_fails(self):
-        res = run(config(vx=1.0, terrain=gap_spec(width=2.0, period=0.1)))
+        cfg = config(vx=1.0, terrain=gap_spec(width=2.0, period=0.1))
+        res = run(cfg)
         assert res.outcome == "failed"
-        assert "steppable" in res.failure_reason
+        assert res.failure_reason == "no steppable ground within search radius"
         assert res.failure_time == 0.0
+        # its raw target lies on the map, so the reason is not the off-map one
+        grid = sim_mod._terrain_grid(cfg, sim_mod._constant_schedule(cfg))
+        row = res.sample_array[-1]
+        assert _kernels.grid_contains(grid, row[COL_TARGET_X], row[COL_TARGET_Y])
+
+    @pytest.mark.parametrize("replan", [sim_mod.REPLAN_AT_STEP_START, sim_mod.REPLAN_EVERY_TICK])
+    def test_walking_off_the_map_fails_as_off_map(self, replan):
+        cfg = config(vx=1.0, duration=6.0, replan=replan, terrain=small_flat_map())
+        res = run(cfg)
+        assert res.failure_reason == "target outside the heightmap"
+        assert res.failure_reason == sim_mod._FAIL_REASONS[_kernels.OUTCOME_OFF_MAP]
+        row = res.sample_array[-1]
+        assert res.failure_time == row[COL_TIME] > 0.0
+        assert not _kernels.grid_contains(cfg.terrain.grid, row[COL_TARGET_X],
+                                          row[COL_TARGET_Y])
+        # the raw target is kept at height 0, as on a miss on the map
+        step = planned_from_row(cfg, row)
+        assert (row[COL_TARGET_X], row[COL_TARGET_Y]) == (step.p_d[0], step.p_d[1])
+        assert row[COL_TARGET_Z] == 0.0
 
     def test_reach_limit_failure(self):
         res = run(config(vx=1.0, reach=0.05))
@@ -756,6 +796,13 @@ class TestSnapHeights:
                 kept += not on_node
         # not vacuous: rows hold kept queries and snapped nodes
         assert kept > 0 and moved > 0
+
+
+def small_flat_map():
+    """`terrain gen --spec flat --extent=-1:-1:2:1`'s map: a run at 1 m/s
+    plans beyond x = 2 within 3 s."""
+    return terrain_mod.generate(TerrainSpec(kind="flat"), (-1.0, -1.0, 2.0, 1.0),
+                                sim_mod.TERRAIN_RESOLUTION)
 
 
 def loaded_map(step_height=0.0, gap=False):
@@ -1499,6 +1546,7 @@ _FAILING_RUNS = [
     (replace(config(vx=1.0), lip=LipParams(g=1e300)), None, "non-finite"),
     (config(vx=1.0, terrain=loaded_map(step_height=0.62 - 1e-13)), None, "non-finite"),
     (config(vx=1.0, terrain=loaded_map(step_height=0.62 - 1e-6)), None, "non-finite"),
+    (config(vx=1.0, duration=6.0, replan=_EVERY, terrain=small_flat_map()), None, "off-map"),
 ]
 
 
@@ -1537,7 +1585,7 @@ def _kind(outcome, n_rec):
     if outcome == _kernels.OUTCOME_BAD_HEIGHT:
         return "bad-height-at-start" if n_rec == 0 else "bad-height-at-touchdown"
     return {_kernels.OUTCOME_COMPLETED: "completed", _kernels.OUTCOME_REACH: "reach",
-            _kernels.OUTCOME_NO_GROUND: "no-ground",
+            _kernels.OUTCOME_NO_GROUND: "no-ground", _kernels.OUTCOME_OFF_MAP: "off-map",
             _kernels.OUTCOME_NON_FINITE: "non-finite"}[outcome]
 
 
@@ -1557,7 +1605,7 @@ class TestVelXOnlyMode:
             kinds.append(_kind(outcome, n_rec))
             assert expected in (None, kinds[-1])
         counts = {kind: kinds.count(kind) for kind in set(kinds)}
-        assert counts == {"completed": 41, "reach": 20, "no-ground": 2,
+        assert counts == {"completed": 41, "reach": 20, "no-ground": 2, "off-map": 1,
                           "bad-height-at-start": 1, "bad-height-at-touchdown": 1,
                           "non-finite": 3}
 
@@ -1651,7 +1699,7 @@ class TestReferenceLoop:
             kinds.append(self._compare(cfg, schedule))
             assert expected in (None, kinds[-1])
         counts = {kind: kinds.count(kind) for kind in set(kinds)}
-        assert counts == {"completed": 41, "reach": 20, "no-ground": 2,
+        assert counts == {"completed": 41, "reach": 20, "no-ground": 2, "off-map": 1,
                           "bad-height-at-start": 1, "bad-height-at-touchdown": 1,
                           "non-finite": 3}
 
