@@ -29,6 +29,7 @@ import math
 import os
 import sys
 import warnings
+from operator import itemgetter
 
 import numpy as np
 
@@ -500,25 +501,29 @@ def _float_table(data, cols, what) -> np.ndarray:
     `data` is `_read_table`'s data rows, numpy's array or csv.reader's
     records. A row too short for `cols` (a blank line is named as one), or
     holding a non-numeric or non-finite value in one of them, is an input
-    error naming its 1-based data row. csv.reader's records are parsed
-    row by row up to the first bad one; the finiteness test follows the
-    parse, so a row that does not parse is named before an earlier
-    non-finite one.
+    error naming its 1-based data row. A row that does not parse is named
+    before an earlier non-finite one.
     """
     if isinstance(data, np.ndarray):
         # C order, as below, so that reductions over the columns add in
         # the same order
         table = np.ascontiguousarray(data[:, cols].T)
     else:
-        values = []
-        for i, row in enumerate(data, 1):
-            if not row:  # too short even where no column is read
-                raise ValueError(f"bad {what} row {i}: blank line")
-            try:
-                values.append([float(row[c]) for c in cols])
-            except (ValueError, IndexError):
-                raise ValueError(f"bad {what} row {i}") from None
-        table = np.array(values, dtype=np.float64).reshape(len(data), len(cols)).T.copy()
+        try:
+            table = np.array([np.fromiter(map(float, map(itemgetter(c), data)),
+                                          np.float64, len(data)) for c in cols])
+            if [] in data:  # a blank row is too short even where no column is read
+                raise IndexError
+        except (ValueError, IndexError):
+            for i, row in enumerate(data, 1):  # name the first bad or blank row
+                if not row:
+                    raise ValueError(f"bad {what} row {i}: blank line") from None
+                try:
+                    [float(row[c]) for c in cols]
+                except (ValueError, IndexError):
+                    raise ValueError(f"bad {what} row {i}") from None
+            raise
+        table = table.reshape(len(cols), len(data))
     finite = np.isfinite(table).all(axis=0)
     if not finite.all():
         raise ValueError(f"bad {what} row {int(np.argmin(finite)) + 1}")

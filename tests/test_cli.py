@@ -1476,10 +1476,9 @@ class TestUsage:
             reads = None  # the names read, once parsing is done
 
             def __getattribute__(self, name):
-                entries = object.__getattribute__(self, "__dict__")
+                # a read of the __dict__, as vars(args) makes, reads no option
                 if ReadLog.reads is not None:
-                    # vars(args) reads the __dict__, and so every entry
-                    ReadLog.reads.update(entries if name == "__dict__" else (name,))
+                    ReadLog.reads.add(name)
                 return object.__getattribute__(self, name)
 
         traj = tmp_path / "traj.csv"
