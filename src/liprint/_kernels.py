@@ -302,9 +302,10 @@ def steppable(grid, x, y, radius, max_dev, cert=None, height=None):
     must be supporting with height within `max_dev` of the surface height
     at the query point. Samples falling outside the grid are ignored.
 
-    cert, when given, is a caller-owned list whose first four entries
-    become (x, y, answer, margin): every query within exact distance margin
-    of (x, y) gets the same answer (see snap_to_steppable for how a caller
+    cert, when given, is a caller-owned list whose first six entries
+    become (x, y, answer, margin, i0, j0): every query within exact
+    distance margin of (x, y) gets the same answer and lies in the same
+    cell (i0, j0) of the map (see snap_to_steppable for how a caller
     measures that distance). The margin is the smallest distance at which
     one of the scan's decisions could flip, taken from the decisions the
     scan makes anyway:
@@ -356,7 +357,7 @@ def steppable(grid, x, y, radius, max_dev, cert=None, height=None):
     """
     if not grid_contains(grid, x, y):
         if cert is not None:
-            cert[:4] = (x, y, False, 0.0)
+            cert[:6] = (x, y, False, 0.0, 0, 0)
         return False
     rows, cols, ox, oy, res, h, m = grid
     gx = (x - ox) / res
@@ -427,7 +428,8 @@ def steppable(grid, x, y, radius, max_dev, cert=None, height=None):
                 near = 0.0
             elif g > 0.0:
                 near = min(near, s / g)
-        cert[:4] = (x, y, ok, near - 2e-15 * (abs(x) + abs(y) + abs(ox) + abs(oy) + radius + res))
+        cert[:6] = (x, y, ok, near - 2e-15 * (abs(x) + abs(y) + abs(ox) + abs(oy) + radius + res),
+                    i0, j0)
     return ok
 
 
@@ -524,9 +526,9 @@ def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None,
 
     last, when given, is a caller-owned list kept with memo, empty at
     first, that carries two certificates from call to call:
-    last[0:4] = (px, py, answer, margin) of the last scan of a query (see
-    steppable's cert), and last[4:10] = (qx, qy, nx, ny, best, floor) of
-    the last search, which a not-found search removes.
+    last[0:6] = (px, py, answer, margin, i0, j0) of the last scan of a
+    query (see steppable's cert), and last[6:12] = (qx, qy, nx, ny, best,
+    floor) of the last search, which a not-found search removes.
 
     The query's own answer is reused without a scan when, with
     d = hypot(x - px, y - py),
@@ -569,19 +571,26 @@ def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None,
 
     height, when given, is a caller-owned list whose first entry becomes
     grid_bilinear's height at the query when the query itself is returned:
-    steppable's h0 from a scan, grid_bilinear's call on a reused answer.
+    steppable's h0 from a scan. A reused answer keeps the scan's cell
+    (i0, j0), which the margin covers (its distances to the cell lines), so
+    only the weights and the bilinear sum are computed, as grid_bilinear
+    computes them in that cell, bit for bit.
     """
     if last and math.hypot(x - last[0], y - last[1]) + 4e-15 * last[3] < last[3]:
         ok = last[2]
         if ok and height is not None:
-            height[0] = grid_bilinear(grid, x, y)
+            _, _, ox, oy, res, h, _ = grid
+            i, j = last[4], last[5]
+            fx = (x - ox) / res - j
+            fy = (y - oy) / res - i
+            height[0] = _bilinear(h[i], h[i + 1], j, 1.0 - fy, fy, 1.0 - fx, fx)
     else:
         ok = steppable(grid, x, y, radius, max_dev, last, height)
     if ok:
         return True, x, y
     budget2 = max_search * max_search + 1e-12
-    if last is not None and len(last) > 4:
-        _, _, _, _, qx, qy, nx, ny, best, floor = last
+    if last is not None and len(last) > 6:
+        qx, qy, nx, ny, best, floor = last[6:]
         d = math.hypot(x - qx, y - qy)
         a = math.sqrt(best) + d
         b = math.sqrt(floor) - d
@@ -591,7 +600,7 @@ def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None,
     found, nx, ny, best, floor = _nearest_steppable_node(grid, x, y, radius, max_dev,
                                                          budget2, memo)
     if last is not None:
-        last[4:] = (x, y, nx, ny, best, floor) if found else ()
+        last[6:] = (x, y, nx, ny, best, floor) if found else ()
     return found, nx, ny
 
 
@@ -636,16 +645,17 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     placement_offsets at the step's first plan and at the first plan after
     a switch, the only places where its inputs change, and placement_at
     every plan. A kept query's height is the h0 of the snap's scan
-    (snap_to_steppable's height list), or grid_bilinear's on a reused
-    answer; a snapped node met again keeps the height grid_bilinear gave
-    it. So every target's height is grid_bilinear's, read once. A plan
-    whose exp overflows, or whose target is not finite, fails the run as a
-    non-finite state at its tick and keeps the previous target and heading;
-    no steppable ground keeps the raw target and fails the run, as
-    OUTCOME_OFF_MAP where the raw target lies outside the grid, else as
-    OUTCOME_NO_GROUND. Planning once a step, the step's rows share its
-    target. grid, a keyword, is the run's Grid view of its terrain, or None
-    on flat ground (nothing snapped, every height 0).
+    (snap_to_steppable's height list), or on a reused answer the bilinear
+    sum in the scan's kept cell, grid_bilinear's value; a snapped node met
+    again keeps the height grid_bilinear gave it. So every target's height
+    is grid_bilinear's, read once. A plan whose exp overflows, or whose
+    target is not finite, fails the run as a non-finite state at its tick
+    and keeps the previous target and heading; no steppable ground keeps
+    the raw target and fails the run, as OUTCOME_OFF_MAP where the raw
+    target lies outside the grid, else as OUTCOME_NO_GROUND. Planning once
+    a step, the step's rows share its target. grid, a keyword, is the run's
+    Grid view of its terrain, or None on flat ground (nothing snapped,
+    every height 0).
     heading is the fallback heading until the first plan. Pass com_x ..
     heading as Python floats, not numpy scalars.
 

@@ -12,7 +12,9 @@ paths, finite velocities and turns, a non-negative sweep --seed and
 with '-' and is not a plain decimal, such as a negative number with an
 exponent or an --extent, takes the '=' form: --vx=-1e-3 runs, while
 --vx -1e-3 exits 1 with "error: argument --vx: expected one argument"
-where argparse reads -1e-3 as a flag (Python 3.11's does).
+where argparse reads -1e-3 as a flag (Python 3.11's does). An output
+path that names the same file as another output or an input exits 1
+before any run or write, naming both flags (_check_paths).
 
 Terrain spec grammar:
     flat | rough:<amp>:<corr>:<seed> | gap:<width>:<period>[:<offset>]
@@ -257,8 +259,7 @@ def _cmd_simulate(args) -> int:
         result = sim.turn_maneuver(config, math.radians(args.turn), args.turn_time)
     else:
         result = sim.run(config)
-    events_path = args.events or _sibling(args.out, ".events.json")
-    manifest_path = args.manifest or _sibling(args.out, ".manifest.json")
+    (_, out), (_, events_path), (_, manifest_path) = _outputs(args)
     manifest = {
         "command": "simulate",
         "version": __version__,
@@ -266,7 +267,7 @@ def _cmd_simulate(args) -> int:
         # the replanning mode the run resolved
         "config": {**{k: v for k, v in vars(args).items() if k not in _NOT_ECHOED},
                    "replan": config.replan},
-        "outputs": {"trajectory": str(args.out), "events": str(events_path)},
+        "outputs": {"trajectory": str(out), "events": str(events_path)},
         "outcome": {
             "status": result.outcome,
             "reason": result.failure_reason,
@@ -275,7 +276,7 @@ def _cmd_simulate(args) -> int:
             "samples": int(result.sample_array.shape[0]),
         },
     }
-    _write_outputs((args.out, functools.partial(sim.write_trajectory_csv, result)),
+    _write_outputs((out, functools.partial(sim.write_trajectory_csv, result)),
                    (events_path, functools.partial(sim.write_step_events, result)),
                    (manifest_path, functools.partial(
                        _write_text, json.dumps(manifest, indent=2, sort_keys=True) + "\n")))
@@ -286,6 +287,39 @@ def _cmd_simulate(args) -> int:
 def _sibling(out_path: str, suffix: str) -> str:
     root, _ = os.path.splitext(str(out_path))
     return root + suffix
+
+
+def _outputs(args) -> list:
+    """(flag, path) of each file the parsed command writes, in the order
+    it writes them: --out, and for simulate the event log and the manifest,
+    whose defaults are <out>.events.json and <out>.manifest.json (their
+    flag then reads "--events's default")."""
+    if args.command != "simulate":
+        return [("--out", args.out)] if args.out else []
+    return [("--out", args.out)] + [
+        (flag, given) if given else (f"{flag}'s default", _sibling(args.out, suffix))
+        for flag, given, suffix in (("--events", args.events, ".events.json"),
+                                    ("--manifest", args.manifest, ".manifest.json"))]
+
+
+def _check_paths(args) -> None:
+    """Refuse, before any run or write, an output that names the same file
+    as another output or an input (--config, each --terrain file:<path>,
+    score's --traj and --joints), compared by os.path.realpath: an input
+    error naming both flags."""
+    terrains = getattr(args, "terrain", None)
+    inputs = [("--config", args.config),
+              ("--traj", getattr(args, "traj", None)), ("--joints", getattr(args, "joints", None))]
+    inputs += [("--terrain", t[len("file:"):])
+               for t in (terrains if isinstance(terrains, list) else [terrains])
+               if t is not None and t.startswith("file:")]
+    seen = [(flag, os.path.realpath(path)) for flag, path in inputs if path is not None]
+    for flag, path in _outputs(args):
+        real = os.path.realpath(path)
+        other = next((f for f, p in seen if p == real), None)
+        if other is not None:
+            raise ValueError(f"{flag} and {other} name the same file: {path}")
+        seen.append((flag, real))
 
 
 def _write_text(text: str, path) -> None:
@@ -615,6 +649,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = _parse_args(list(argv))
+        _check_paths(args)
         return args.handler(args)
     except SystemExit as e:
         # argparse -h/--help exits 0; treat other argparse exits as usage errors

@@ -424,20 +424,23 @@ def format_float(x: float) -> str:
 
 # Rows write_csv formats per write: its memory stays bounded by one block
 # of text and values, whatever the row count, and a column's distinct
-# values are counted per block.
+# values, and so its per-value rule, are counted per block.
 CSV_BLOCK_ROWS = 1024
 
 
-def _block_args(block: np.ndarray, int_columns) -> tuple[str, list]:
-    """(row template, argument list) that write one block of write_csv's rows
-    as `row * len(block) % tuple(args)`.
+def _block_parts(block: np.ndarray, int_columns) -> tuple[list, list]:
+    """(per_value, parts) of one block of write_csv's rows: per_value[c]
+    is True where column c is formatted once per distinct value, and parts
+    holds, from left to right, one list of len(block) row strings per run
+    of adjacent columns that the block's rows join with ",".
 
     A column's field is "%d" at int_columns, else "%" + format_float's
     spec, applied to the column + 0.0 (-0.0 is written as 0). A column
     with at most half as many distinct values as the block has rows (each
-    NaN counted apart) is formatted once per distinct value instead, in
-    one template pass, and its field becomes "%s" over those strings put
-    back in row order.
+    NaN counted apart) is its own run: each distinct value is formatted
+    once, in one template pass, and one object gather puts the strings
+    back in row order. A run of the other columns is formatted in one
+    template pass over its values in row order and split into rows.
     """
     n, m = block.shape
     block = block + 0.0
@@ -446,21 +449,34 @@ def _block_args(block: np.ndarray, int_columns) -> tuple[str, list]:
     ordered = np.sort(block.T)
     first = np.ones((m, n), dtype=bool)
     first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    distinct = np.count_nonzero(first, axis=1).tolist()
-    args = [None] * (n * m)
-    fields = []
-    for c in range(m):
-        spec = "%d" if c in int_columns else "%" + _FLOAT_SPEC
-        col = block[:, c]
-        if 2 * distinct[c] <= n:
+    per_value = (2 * np.count_nonzero(first, axis=1) <= n).tolist()
+    specs = ["%d" if c in int_columns else "%" + _FLOAT_SPEC for c in range(m)]
+    parts = []
+    c = 0
+    while c < m:
+        e = c + 1
+        if per_value[c]:
             values = ordered[c, first[c]]
-            text = ((spec + "\n") * len(values) % tuple(values.tolist())).split("\n")
-            args[c::m] = map(text.__getitem__, np.searchsorted(values, col).tolist())
-            spec = "%s"
+            text = "\n".join([specs[c]] * len(values)) % tuple(values.tolist())
+            strings = np.array(text.split("\n"), dtype=object)
+            parts.append(strings[np.searchsorted(values, block[:, c])].tolist())
         else:
-            args[c::m] = col.tolist()
-        fields.append(spec)
-    return ",".join(fields) + "\n", args
+            while e < m and not per_value[e]:
+                e += 1
+            row = ",".join(specs[c:e])
+            parts.append(("\n".join([row] * n) % tuple(block[:, c:e].ravel().tolist()))
+                         .split("\n"))
+        c = e
+    return per_value, parts
+
+
+def _block_text(block: np.ndarray, int_columns) -> str:
+    """One block of write_csv's rows as text, each row the ",".join of its
+    _block_parts and ended by a newline. The parts are freed before the
+    text is joined, and the rows before it is written."""
+    rows = list(map(",".join, zip(*_block_parts(block, int_columns)[1])))
+    rows.append("")
+    return "\n".join(rows)
 
 
 def write_csv(path, header, table: np.ndarray, int_columns=()) -> None:
@@ -469,16 +485,16 @@ def write_csv(path, header, table: np.ndarray, int_columns=()) -> None:
     Each value is written as format_float writes it ("%.17g" % x equals
     format(x, ".17g"), -0.0 as 0), or as "%d" writes it at int_columns
     (truncating toward zero, as int() does; NaN and ±inf raise ValueError
-    and OverflowError, as int() does). Each block of CSV_BLOCK_ROWS rows
-    is written by one format pass of _block_args's row template and one
-    write; a repetitive column has its distinct values formatted once.
+    and OverflowError, as int() does; of several, one in the leftmost run
+    of _block_parts that holds one raises). Each block of
+    CSV_BLOCK_ROWS rows is one write of _block_text: a run of columns with
+    many distinct values is formatted in one template pass, a repetitive
+    column once per distinct value.
     """
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS]
-            row, args = _block_args(block, int_columns)
-            f.write((row * block.shape[0]) % tuple(args))
+            f.write(_block_text(table[start:start + CSV_BLOCK_ROWS], int_columns))
 
 
 def write_trajectory_csv(result: SimResult, path) -> None:
@@ -486,16 +502,59 @@ def write_trajectory_csv(result: SimResult, path) -> None:
     and outcome_flag as integers, every other value as format_float writes
     it (17 significant digits, -0.0 as 0). Columns that repeat their
     values, such as stance, target, parity, phase and outcome_flag, have
-    each distinct value formatted once per block; the bytes are the same."""
+    each distinct value formatted once per block, and the time, CoM,
+    velocity and ICP columns, adjacent and all distinct, are one run
+    formatted in one pass; the bytes are the same."""
     arr = result.sample_array
     flag = np.full(arr.shape[0], 0.0 if result.completed else 2.0)
     write_csv(path, CSV_COLUMNS, np.column_stack((arr, flag)),
               (_kernels.COL_PARITY, _kernels.N_SAMPLE_COLS))
 
 
+# The leaf marker of write_step_events's template: json.dumps writes it as
+# "\u0000". A key holding that text would add a field that no leaf fills,
+# and the template's "%" raises TypeError.
+_LEAF = "\x00"
+_LEAF_JSON = json.dumps(_LEAF)
+
+
+def _marked(node, leaves: list):
+    """node's JSON layout: node with every leaf (a value other than a dict,
+    list or tuple) replaced by _LEAF, and its leaves appended to `leaves`
+    in the order json.dumps(..., sort_keys=True) writes them."""
+    if isinstance(node, dict):
+        return {k: _marked(node[k], leaves) for k in sorted(node)}
+    if isinstance(node, (list, tuple)):
+        return [_marked(v, leaves) for v in node]
+    leaves.append(node)
+    return _LEAF
+
+
 def write_step_events(result: SimResult, path) -> None:
     """The step-event JSON log: {"step_events": [...]} holding
-    result.step_events, indented and with sorted keys."""
-    text = json.dumps({"step_events": result.step_events}, indent=2, sort_keys=True)
-    with open(path, "w") as f:
+    result.step_events, as json.dumps(..., indent=2, sort_keys=True)
+    writes it, and a newline.
+
+    The text is rendered from one record template, the json.dumps layout
+    of the first record with each leaf replaced by a marker: the layout is
+    read from the record, not restated. Every record must share it. The
+    leaves' text comes from one json.dumps of the flat list of every
+    record's leaves, whose compact form holds no raw newline to split at.
+    """
+    leaves = []
+    layouts = [_marked(event, leaves) for event in result.step_events]
+    if not layouts:
+        text = json.dumps({"step_events": []}, indent=2, sort_keys=True)
+    else:
+        layout = layouts[0]
+        if layouts.count(layout) != len(layouts):
+            raise ValueError("step events differ in layout")
+        # the list's opening, item separator and closing
+        head, sep, tail = json.dumps({"step_events": [_LEAF, _LEAF]}, indent=2).split(_LEAF_JSON)
+        one = json.dumps({"step_events": [layout]}, indent=2, sort_keys=True)
+        record = one[len(head):len(one) - len(tail)]
+        pieces = (head + sep.join([record] * len(layouts)) + tail).split(_LEAF_JSON)
+        values = json.dumps(leaves, separators=("\n", ":"))[1:-1].split("\n") if leaves else []
+        text = "%s".join(p.replace("%", "%%") for p in pieces) % tuple(values)
+    with open(path, "w", newline="") as f:
         f.write(text + "\n")

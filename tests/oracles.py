@@ -561,8 +561,9 @@ def score_lines(traj_rows, joint_rows, params, base_height, sample_cls):
 #
 # Per-value CSV and JSON writers: one format() call per value and one write
 # per line, as the byte-for-byte reference for the trajectory, step-event and
-# rewards files. liprint.sim.write_csv instead formats a block of rows in one
-# pass, each distinct value of a repetitive column once.
+# rewards files. liprint.sim.write_csv instead formats a block of rows by runs
+# of adjacent columns, each distinct value of a repetitive column once, and
+# liprint.sim.write_step_events fills one record template.
 
 def _format_value(x):
     return format(float(x) + 0.0, ".17g")

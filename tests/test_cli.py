@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import shlex
 import warnings
 from pathlib import Path
@@ -188,6 +189,32 @@ class TestSimulate:
         assert json.loads(manifest.read_text())["outputs"]["events"] == str(events)
         assert main(argv + ["--out", str(tmp_path / "ref.csv")]) == 0
         assert events.read_bytes() == (tmp_path / "ref.events.json").read_bytes()
+
+    @pytest.mark.parametrize("case", ["events-is-out", "manifest-is-events", "out-is-map",
+                                      "out-is-traj", "out-is-linked-traj"])
+    def test_output_naming_another_file_changes_no_file(self, tmp_path, capsys, monkeypatch,
+                                                         case):
+        monkeypatch.chdir(tmp_path)
+        assert main(["terrain", "gen", "--spec", "flat", "--extent=-1:-1:2:1",
+                     "--out", "m.json"]) == 0
+        assert main(["simulate", "--vx", "0.5", "--duration", "1", "--out", "in.csv"]) == 0
+        os.symlink("in.csv", "link.csv")
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        run = ["simulate", "--vx", "0.5", "--duration", "1"]
+        # the same file under another spelling: absolute, ./, a symlink
+        argv = {
+            "events-is-out": run + ["--out", "s.csv", "--events", str(tmp_path / "s.csv")],
+            "manifest-is-events": run + ["--out", "s.csv", "--manifest", "./s.events.json"],
+            "out-is-map": run + ["--terrain", "file:m.json", "--out", str(tmp_path / "m.json")],
+            "out-is-traj": ["score", "--traj", "in.csv", "--out", "./in.csv"],
+            "out-is-linked-traj": ["score", "--traj", "link.csv", "--out", "in.csv"],
+        }[case]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert " name the same file: " in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("flag", ["--events", "--manifest"])
     def test_unwritable_output_is_named_and_leaves_no_output(self, tmp_path, capsys, flag):
@@ -1163,6 +1190,22 @@ class TestUsage:
         # csv.reader's rows (a quoted field): a row that does not parse is
         # named before an earlier non-finite one
         (["score", "--traj", "{traj_quoted}"], "error: bad trajectory row 4\n"),
+        # an output that names another output or an input: the command would
+        # replace that file
+        (["simulate", "--vx", "0.5", "--duration", "1", "--events", "{out}"],
+         "error: --events and --out name the same file: "),
+        (["simulate", "--vx", "0.5", "--duration", "1", "--manifest", "{out_events}"],
+         "error: --manifest and --events's default name the same file: "),
+        (["simulate", "--vx", "0.5", "--duration", "1", "--events", "{out_manifest}"],
+         "error: --manifest's default and --events name the same file: "),
+        (["simulate", "--vx", "0.5", "--duration", "1", "--terrain", "file:{out}"],
+         "error: --out and --terrain name the same file: "),
+        (["sweep", "--terrain", "flat", "--terrain", "file:{out}"],
+         "error: --out and --terrain name the same file: "),
+        (["score", "--traj", "{out}"], "error: --out and --traj name the same file: "),
+        (["score", "--traj", "{traj}", "--joints", "{out}"],
+         "error: --out and --joints name the same file: "),
+        (["simulate", "--config", "{out}"], "error: --out and --config name the same file: "),
         # 14 m at 1e-15 m needs 1.4e16 nodes: the first array (99.5 PiB) is
         # beyond the address space, so its allocation fails at once
         (["terrain", "gen", "--spec", "flat", "--resolution", "1e-15"],
@@ -1316,7 +1359,10 @@ class TestUsage:
             "config-empty-path", "map-missing", "sweep-map-missing", "plan-speed-overflow",
             "simulate-speed-overflow", "plan-Ts-overflow-short-dT",
             "plan-step-length-overflow", "simulate-step-length-overflow",
-            "sweep-step-length-overflow", "score-traj-quoted-parse-before-non-finite"])
+            "sweep-step-length-overflow", "score-traj-quoted-parse-before-non-finite",
+            "events-is-out", "manifest-is-default-events", "default-manifest-is-events",
+            "out-is-map", "sweep-out-is-map", "score-out-is-traj", "score-out-is-joints",
+            "out-is-config"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, message):
         good = {"origin": [0, 0], "resolution": 0.1, "rows": 2, "cols": 2,
                 "heights": [0, 0, 0, 0], "mask": [0, 0, 0, 0]}
@@ -1390,9 +1436,14 @@ class TestUsage:
         if "{traj}" in argv:
             assert main(["simulate", "--vx", "1", "--duration", "1", "--out", str(traj)]) == 0
             capsys.readouterr()
+        out = tmp_path / "t.csv"
+        if any("{out" in a for a in argv):
+            # the --out file exists, and is a config file where a row reads it as one
+            out.write_text("vx = 1\nduration = 1\n")
         argv = [a.format(traj=traj, empty=tmp_path / "empty.csv", huge=tmp_path / "huge.csv",
-                         **paths) for a in argv]
-        assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 1
+                         out=out, out_events=tmp_path / "t.events.json",
+                         out_manifest=tmp_path / "t.manifest.json", **paths) for a in argv]
+        assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 

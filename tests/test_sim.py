@@ -727,8 +727,9 @@ class TestTerrainRuns:
 
 
 class TestSnapHeights:
-    """A target's height is read once: steppable's h0 for a kept query, one
-    grid_bilinear call for a snapped node or a reused answer."""
+    """A target's height is read once: steppable's h0 for a kept query, the
+    bilinear sum in the scan's kept cell for a reused answer, one
+    grid_bilinear call for a snapped node."""
 
     SPECS = [TerrainSpec(kind="rough", amplitude=a, correlation=0.5, seed=seed)
              for a in (0.05, 0.2) for seed in (0, 1)]
@@ -796,6 +797,37 @@ class TestSnapHeights:
                 kept += not on_node
         # not vacuous: rows hold kept queries and snapped nodes
         assert kept > 0 and moved > 0
+
+    def test_reused_answer_height_is_grid_bilinear_bit_for_bit(self, monkeypatch):
+        scans = []  # one entry per query scan, a steppable() call with a list
+        checked = []  # (reused, height equal to grid_bilinear's bits) per kept query
+        real, real_snap = _kernels.steppable, _kernels.snap_to_steppable
+
+        def spy(grid, x, y, radius, max_dev, cert=None, height=None):
+            if cert is not None:
+                scans.append(None)
+            return real(grid, x, y, radius, max_dev, cert, height)
+
+        def snap_spy(grid, radius, max_dev, max_search, memo, x, y, last=None, height=None):
+            n_scans = len(scans)
+            got = real_snap(grid, radius, max_dev, max_search, memo, x, y, last, height)
+            if got == (True, x, y):
+                bits = np.float64(_kernels.grid_bilinear(grid, x, y)).tobytes()
+                checked.append((len(scans) == n_scans,
+                                np.float64(height[0]).tobytes() == bits))
+            return got
+
+        monkeypatch.setattr(_kernels, "steppable", spy)
+        monkeypatch.setattr(_kernels, "snap_to_steppable", snap_spy)
+        for spec in self.SPECS + [gap_spec(), gap_spec(width=0.3, offset=0.1)]:
+            for vx, vy in ((0.7, 0.0), (1.0, 0.2)):
+                res = run(config(vx=vx, vy=vy, duration=6.0, replan=sim_mod.REPLAN_EVERY_TICK,
+                                 terrain=spec))
+                assert res.sample_array.shape[0] > 100
+        assert all(same for _, same in checked)
+        # not vacuous: most kept heights come from a reused answer's cell
+        reused = sum(r for r, _ in checked)
+        assert len(checked) - reused > 20 and reused > len(checked) / 2
 
 
 def small_flat_map():
@@ -1154,10 +1186,10 @@ def _pooled_samples(rng, n):
     return np.column_stack([rng.choice(pool, size=n) for pool in pools])
 
 
-def _row_fields(block, int_columns=()):
-    """The field of each column in write_csv's row template for `block`."""
-    row, _ = sim_mod._block_args(block, int_columns)
-    return row.rstrip("\n").split(",")
+def _per_value(block, int_columns=()):
+    """Per column of `block`, whether write_csv formats it once per
+    distinct value (else in a one-pass run of columns)."""
+    return sim_mod._block_parts(block, int_columns)[0]
 
 
 @functools.cache
@@ -1266,7 +1298,7 @@ class TestWritersMatchPerValueOracles:
         if n >= 10:
             block = arr[:sim_mod.CSV_BLOCK_ROWS]
             assert np.isnan(block).any() and np.isinf(block).any() and np.signbit(block).any()
-            assert _row_fields(block, (COL_PARITY,)) == ["%s"] * _kernels.N_SAMPLE_COLS
+            assert _per_value(block, (COL_PARITY,)) == [True] * _kernels.N_SAMPLE_COLS
 
     @pytest.mark.parametrize("n", [2, 300, sim_mod.CSV_BLOCK_ROWS, sim_mod.CSV_BLOCK_ROWS + 1])
     def test_rewards_csv_of_pooled_columns(self, n, tmp_path):
@@ -1282,7 +1314,12 @@ class TestWritersMatchPerValueOracles:
         values = 10.0 * np.random.default_rng(n).standard_normal(n // 2 + 1)
         at_edge, past_edge = values[np.arange(n) % (n // 2)], values[np.arange(n) % (n // 2 + 1)]
         table = np.column_stack((at_edge, past_edge, at_edge, past_edge))
-        assert _row_fields(table, (2, 3)) == ["%s", "%.17g", "%s", "%d"]
+        per_value, parts = sim_mod._block_parts(table, (2, 3))
+        assert per_value == [True, False, True, False]
+        # each column its own run, as "%.17g" or, at the int columns, "%d" writes it
+        assert parts == [[sim_mod.format_float(v) for v in col.tolist()]
+                         for col in (at_edge, past_edge)] + [
+                         [str(int(v)) for v in col.tolist()] for col in (at_edge, past_edge)]
         sim_mod.write_csv(tmp_path / "new.csv", ["a", "b"], table[:, :2])
         write_rewards_csv_per_value(tmp_path / "old.csv", ["a", "b"], [at_edge, past_edge])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -1291,8 +1328,8 @@ class TestWritersMatchPerValueOracles:
         n = sim_mod.CSV_BLOCK_ROWS + 1
         columns = [np.full(n, 0.1), np.random.default_rng(4).standard_normal(n)]
         table = np.column_stack(columns)
-        assert _row_fields(table[:sim_mod.CSV_BLOCK_ROWS]) == ["%s", "%.17g"]
-        assert _row_fields(table[sim_mod.CSV_BLOCK_ROWS:]) == ["%.17g", "%.17g"]
+        assert _per_value(table[:sim_mod.CSV_BLOCK_ROWS]) == [True, False]
+        assert _per_value(table[sim_mod.CSV_BLOCK_ROWS:]) == [False, False]
         sim_mod.write_csv(tmp_path / "new.csv", ["c", "r"], table)
         write_rewards_csv_per_value(tmp_path / "old.csv", ["c", "r"], columns)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -1302,7 +1339,7 @@ class TestWritersMatchPerValueOracles:
     def test_non_finite_parity_raises_as_int_does(self, bad, repetitive, tmp_path):
         arr = _random_samples(np.random.default_rng(5), 40)
         arr[:, COL_PARITY] = 1.0 if repetitive else np.arange(40)
-        assert _row_fields(arr, (COL_PARITY,))[COL_PARITY] == ("%s" if repetitive else "%d")
+        assert _per_value(arr, (COL_PARITY,))[COL_PARITY] == repetitive
         arr[17, COL_PARITY] = bad
         result = sim_mod.SimResult(
             config=config(), outcome="completed", failure_reason=None, failure_time=None,
@@ -1316,23 +1353,195 @@ class TestWritersMatchPerValueOracles:
 
     def test_repetitive_trajectory_columns_are_formatted_once_per_value(self, monkeypatch,
                                                                         tmp_path):
-        templates = []
-        block_args = sim_mod._block_args
+        blocks = []
+        block_parts = sim_mod._block_parts
 
         def recording(block, int_columns):
-            row, args = block_args(block, int_columns)
-            templates.append(row)
-            return row, args
+            per_value, parts = block_parts(block, int_columns)
+            blocks.append((per_value, parts))
+            return per_value, parts
 
-        monkeypatch.setattr(sim_mod, "_block_args", recording)
+        monkeypatch.setattr(sim_mod, "_block_parts", recording)
         sim_mod.write_trajectory_csv(_writer_results()["gap-tick"], tmp_path / "t.csv")
-        assert len(templates) == 1
-        field = dict(zip(sim_mod.CSV_COLUMNS, templates[0].rstrip("\n").split(",")))
+        assert len(blocks) == 1
+        per_value, parts = blocks[0]
+        kind = dict(zip(sim_mod.CSV_COLUMNS, per_value))
         for name in ("stance_x", "stance_y", "stance_z", "contact_schedule", "phase_sin",
                      "phase_cos", "parity", "outcome_flag"):
-            assert field[name] == "%s", name
+            assert kind[name], name
         for name in ("time", "com_x", "vel_x", "icp_x"):
-            assert field[name] == "%.17g", name
+            assert not kind[name], name
+        # one part per once-per-value column and one per run of the others
+        runs = sum(1 for c, p in enumerate(per_value) if p or c == 0 or per_value[c - 1])
+        assert len(parts) == runs
+
+
+def _kinds_table(rng, n, kinds, finite=()):
+    """(n, len(kinds)) floats, column c of one kind: "d", n distinct values
+    over many decades; "r", a pool of max(1, min(n, CSV_BLOCK_ROWS) // 8)
+    values cycled and shuffled, so that from 2 rows up write_csv formats it
+    once per value. From 16 rows (a pool from 8 values), -0.0, 5e-324,
+    1e16 and 2**62 are among a column's values, and NaN (twice in a "d"
+    column) and ±inf too unless c is in `finite`."""
+    cols = []
+    for c, kind in enumerate(kinds):
+        specials = [-0.0, 5e-324, 1e16, 2.0 ** 62]
+        if c not in finite:
+            specials += [math.nan, math.inf, -math.inf]
+        if kind == "d":
+            col = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, size=n)
+            if n >= 16:
+                col[:len(specials) + 1] = specials + [math.nan if c not in finite else 0.5]
+        else:
+            pool = rng.standard_normal(max(1, min(n, sim_mod.CSV_BLOCK_ROWS) // 8))
+            if len(pool) >= 8:
+                pool[:len(specials)] = specials
+            col = pool[np.arange(n) % len(pool)]
+        cols.append(rng.permutation(col))
+    return np.column_stack(cols)
+
+
+# a distinct and a repetitive column, and runs of distinct columns, interleaved
+INTERLEAVED = "drrddrdrrrddrdrrd"
+# the same over the sample columns, with parity (an int column, 14) inside
+# the run of distinct columns 13-15
+INTERLEAVED_SAMPLES = "rdrrddrdrrrdrdddrr"
+RUN_EDGE_ROWS = [1, 2, sim_mod.CSV_BLOCK_ROWS - 1, sim_mod.CSV_BLOCK_ROWS,
+                 sim_mod.CSV_BLOCK_ROWS + 1, 2 * sim_mod.CSV_BLOCK_ROWS + 1]
+
+
+class TestColumnRunsMatchPerValueOracles:
+    """write_csv's runs of columns against the per-value writers, on tables
+    whose column kinds are fixed by construction."""
+
+    @staticmethod
+    def _check_kinds(table, kinds, int_columns=()):
+        # not vacuous: the first block's columns take the path their kind names
+        if len(table) >= 2:
+            per_value = _per_value(table[:sim_mod.CSV_BLOCK_ROWS], int_columns)
+            assert per_value[:len(kinds)] == [k == "r" for k in kinds]
+
+    @pytest.mark.parametrize("n", RUN_EDGE_ROWS)
+    @pytest.mark.parametrize("kinds", [INTERLEAVED, "d", "r", "d" * 17, "r" * 17],
+                             ids=["interleaved", "one-distinct", "one-repetitive",
+                                  "all-distinct", "all-repetitive"])
+    def test_rewards_csv(self, kinds, n, tmp_path):
+        table = _kinds_table(np.random.default_rng(n), n, kinds)
+        self._check_kinds(table, kinds)
+        header = [f"c{i}" for i in range(len(kinds))]
+        sim_mod.write_csv(tmp_path / "new.csv", header, table)
+        write_rewards_csv_per_value(tmp_path / "old.csv", header, list(table.T))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", RUN_EDGE_ROWS)
+    @pytest.mark.parametrize("kinds", [INTERLEAVED_SAMPLES, "d" * 18, "r" * 18],
+                             ids=["interleaved", "all-distinct", "all-repetitive"])
+    def test_trajectory_csv(self, kinds, n, tmp_path):
+        assert len(kinds) == _kernels.N_SAMPLE_COLS
+        arr = _kinds_table(np.random.default_rng(n), n, kinds, finite=(COL_PARITY,))
+        self._check_kinds(arr, kinds, (COL_PARITY,))
+        result = sim_mod.SimResult(
+            config=config(), outcome="failed", failure_reason=None, failure_time=None,
+            sample_array=arr)
+        sim_mod.write_trajectory_csv(result, tmp_path / "new.csv")
+        write_trajectory_csv_per_value(result, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+EVENT_LEAVES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-7]
+
+
+def _event_result(arr):
+    return sim_mod.SimResult(config=config(), outcome="completed", failure_reason=None,
+                             failure_time=None, sample_array=arr)
+
+
+class TestStepEventsTemplate:
+    """write_step_events renders every record from the first record's
+    json.dumps layout; its bytes are json.dumps's."""
+
+    @staticmethod
+    def _written(result, path):
+        sim_mod.write_step_events(result, path)
+        data = path.read_bytes()
+        assert b"\r" not in data
+        return data
+
+    @staticmethod
+    def _dumped(result):
+        return (json.dumps({"step_events": result.step_events}, indent=2, sort_keys=True)
+                + "\n").encode()
+
+    @pytest.mark.parametrize("records", [0, 1, 30])
+    @pytest.mark.parametrize("leaf", EVENT_LEAVES + ["mixed"])
+    def test_special_leaves(self, leaf, records, tmp_path):
+        k = config().ticks_per_step
+        n = records * k + 1
+        if leaf == "mixed":
+            # each leaf drawn from the specials
+            arr = np.random.default_rng(records).choice(EVENT_LEAVES,
+                                                        size=(n, _kernels.N_SAMPLE_COLS))
+        else:
+            arr = np.full((n, _kernels.N_SAMPLE_COLS), leaf)
+        arr[:, COL_PARITY] = 2.0 ** 62
+        result = _event_result(arr)
+        assert result.n_steps == records
+        if records:
+            assert result.step_events[-1]["planned"]["parity"] == 2 ** 62
+        data = self._written(result, tmp_path / "new.json")
+        write_step_events_per_event(result, tmp_path / "old.json")
+        assert data == (tmp_path / "old.json").read_bytes() == self._dumped(result)
+
+    def test_layout_is_read_from_the_record(self, monkeypatch, tmp_path):
+        real = sim_mod.SimResult.step_events
+
+        def extended(self):
+            return tuple({**e, "extra": {"nested": {"b": e["time"], "a": [e["time"], []]},
+                                         "count": 3, "empty": {}}}
+                         for e in real.fget(self))
+
+        monkeypatch.setattr(sim_mod.SimResult, "step_events", property(extended))
+        result = _writer_results()["gap-tick"]
+        assert result.n_steps > 5
+        assert self._written(result, tmp_path / "e.json") == self._dumped(result)
+        assert b'"nested"' in self._dumped(result)
+
+    @pytest.mark.parametrize("leaf", ["a, b", "a\nb", 'q"uote, %s %d', "\x00", "", None,
+                                      True, False, 2 ** 70, -3])
+    def test_non_number_leaf_is_encoded_as_json_dumps_does(self, leaf, monkeypatch,
+                                                           tmp_path):
+        real = sim_mod.SimResult.step_events
+        monkeypatch.setattr(sim_mod.SimResult, "step_events", property(
+            lambda self: tuple({**e, "note": leaf} for e in real.fget(self))))
+        result = _writer_results()["gap-tick"]
+        assert self._written(result, tmp_path / "e.json") == self._dumped(result)
+
+    def test_leaf_that_json_cannot_encode_raises(self, monkeypatch, tmp_path):
+        real = sim_mod.SimResult.step_events
+        monkeypatch.setattr(sim_mod.SimResult, "step_events", property(
+            lambda self: tuple({**e, "note": object()} for e in real.fget(self))))
+        result = _writer_results()["gap-tick"]
+        with pytest.raises(TypeError):
+            json.dumps(result.step_events)
+        with pytest.raises(TypeError):
+            sim_mod.write_step_events(result, tmp_path / "e.json")
+
+    @pytest.mark.parametrize("edit", ["layout", "marker-key"])
+    def test_records_the_template_cannot_hold_raise(self, edit, monkeypatch, tmp_path):
+        real = sim_mod.SimResult.step_events
+
+        def edited(self):
+            events = list(real.fget(self))
+            if edit == "layout":
+                events[-1] = {**events[-1], "note": 1}
+            else:
+                events = [{**e, "\x00": 1} for e in events]
+            return tuple(events)
+
+        monkeypatch.setattr(sim_mod.SimResult, "step_events", property(edited))
+        # a key holding the marker's text adds a field that no leaf fills
+        with pytest.raises(ValueError if edit == "layout" else TypeError):
+            sim_mod.write_step_events(_writer_results()["gap-tick"], tmp_path / "e.json")
 
 
 class TestPhaseTable:

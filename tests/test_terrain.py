@@ -406,7 +406,7 @@ class TestSnapCertificate:
         # floor bounds the d2 of every steppable node but the answer, as
         # the search computes d2, unless another node ties with the answer
         # (within the 1e-12 band and its rounding): then floor = best
-        _, _, nx, ny, best, floor = last[4:]
+        _, _, nx, ny, best, floor = last[6:]
         dx = grid.ox + np.arange(grid.cols) * grid.res - x
         dy = grid.oy + np.arange(grid.rows) * grid.res - y
         d2 = (dy * dy)[:, None] + dx * dx
@@ -454,14 +454,14 @@ class TestSnapCertificate:
                         last0 = []
                         _kernels.snap_to_steppable(grid, radius, 0.03, max_search, memo,
                                                    x0, y0, last0)
-                        if last0[4:] and not tie and rng.random() < 0.25:
+                        if last0[6:] and not tie and rng.random() < 0.25:
                             # a budget just above the answer's distance
                             margin = 10 ** float(rng.uniform(-15, -3))
-                            max_search = math.sqrt(last0[8]) * (1 + margin)
+                            max_search = math.sqrt(last0[10]) * (1 + margin)
                             last0 = []
                             _kernels.snap_to_steppable(grid, radius, 0.03, max_search, memo,
                                                        x0, y0, last0)
-                        if last0[4:]:
+                        if last0[6:]:
                             n_ties += tie and self._check_certificate(
                                 grid, steppable_nodes, x0, y0, last0)
                         # moves of 1e-14 to 1e-3 m in random directions
@@ -641,7 +641,7 @@ def _band_point(grid, radius, max_dev, rng):
 
 class TestQueryCertificate:
     """snap_to_steppable's reuse of the last scanned query's answer (the
-    first four entries of its `last` list) against the uncached call."""
+    first six entries of its `last` list) against the uncached call."""
 
     def test_reuse_equals_uncached_snap(self, monkeypatch):
         scans = []  # one entry per query scan, a steppable() call with a list
