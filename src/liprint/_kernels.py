@@ -527,8 +527,9 @@ def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None,
     last, when given, is a caller-owned list kept with memo, empty at
     first, that carries two certificates from call to call:
     last[0:6] = (px, py, answer, margin, i0, j0) of the last scan of a
-    query (see steppable's cert), and last[6:12] = (qx, qy, nx, ny, best,
-    floor) of the last search, which a not-found search removes.
+    query (see steppable's cert), and last[6:13] = (qx, qy, nx, ny, best,
+    floor, nz) of the last search, nz its node's height, which a not-found
+    search removes.
 
     The query's own answer is reused without a scan when, with
     d = hypot(x - px, y - py),
@@ -570,11 +571,11 @@ def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None,
     scanned to its edges) never passes.
 
     height, when given, is a caller-owned list whose first entry becomes
-    grid_bilinear's height at the query when the query itself is returned:
-    steppable's h0 from a scan. A reused answer keeps the scan's cell
-    (i0, j0), which the margin covers (its distances to the cell lines), so
-    only the weights and the bilinear sum are computed, as grid_bilinear
-    computes them in that cell, bit for bit.
+    grid_bilinear's height at each point found, read once per answer: the
+    query's h0 from steppable's scan, or on a reused answer the sum in the
+    scan's cell (i0, j0), which the margin covers, computed as grid_bilinear
+    computes it there, bit for bit; a node's one grid_bilinear call per
+    search that finds it, kept as last's nz for a reused answer.
     """
     if last and math.hypot(x - last[0], y - last[1]) + 4e-15 * last[3] < last[3]:
         ok = last[2]
@@ -590,17 +591,22 @@ def snap_to_steppable(grid, radius, max_dev, max_search, memo, x, y, last=None,
         return True, x, y
     budget2 = max_search * max_search + 1e-12
     if last is not None and len(last) > 6:
-        qx, qy, nx, ny, best, floor = last[6:]
+        qx, qy, nx, ny, best, floor, nz = last[6:]
         d = math.hypot(x - qx, y - qy)
         a = math.sqrt(best) + d
         b = math.sqrt(floor) - d
         tol = 4e-15 * floor
         if b > 0.0 and a * a + 1e-12 + 2.0 * tol < b * b and a * a + tol <= budget2:
+            if height is not None:
+                height[0] = nz
             return True, nx, ny
     found, nx, ny, best, floor = _nearest_steppable_node(grid, x, y, radius, max_dev,
                                                          budget2, memo)
+    nz = grid_bilinear(grid, nx, ny) if found else 0.0
+    if found and height is not None:
+        height[0] = nz
     if last is not None:
-        last[6:] = (x, y, nx, ny, best, floor) if found else ()
+        last[6:] = (x, y, nx, ny, best, floor, nz) if found else ()
     return found, nx, ny
 
 
@@ -644,11 +650,8 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     snap_to_steppable). The plan makes planner.plan_step's two calls:
     placement_offsets at the step's first plan and at the first plan after
     a switch, the only places where its inputs change, and placement_at
-    every plan. A kept query's height is the h0 of the snap's scan
-    (snap_to_steppable's height list), or on a reused answer the bilinear
-    sum in the scan's kept cell, grid_bilinear's value; a snapped node met
-    again keeps the height grid_bilinear gave it. So every target's height
-    is grid_bilinear's, read once. A plan whose exp overflows, or whose
+    every plan. A found target takes the height snap_to_steppable returns
+    with it (its height list). A plan whose exp overflows, or whose
     target is not finite, fails the run as a non-finite state at its tick
     and keeps the previous target and heading; no steppable ground keeps
     the raw target and fails the run, as OUTCOME_OFF_MAP where the raw
@@ -676,9 +679,8 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
     if grid is not None:
         memo = bytearray(grid.rows * grid.cols)
         last = [] if replan_every_tick else None
-        kept = [0.0]  # the height of a query that the snap keeps
+        kept = [0.0]  # the height of the snap's answer
         tg_z = grid_bilinear(grid, st_x, st_y)
-        node_x = node_y = node_z = math.nan
 
     cmd_i = 0
     n_cmd = len(schedule)
@@ -777,20 +779,12 @@ def sim_loop(n_ticks, dt, ticks_per_step, g, base_height, schedule,
                         ok, sx, sy = snap_to_steppable(grid, FOOT_RADIUS, MAX_HEIGHT_DEV,
                                                        SNAP_SEARCH_RADIUS, memo, x, y, last,
                                                        kept)
-                        if not ok:
+                        if ok:
+                            tg_x, tg_y, tg_z = sx, sy, kept[0]
+                        else:
                             tg_z = 0.0
                             outcome = (OUTCOME_NO_GROUND if grid_contains(grid, x, y)
                                        else OUTCOME_OFF_MAP)
-                        elif sx == x and sy == y:
-                            # the query kept: a node found for an unsteppable
-                            # query never equals it
-                            tg_z = kept[0]
-                        else:
-                            # a grid node, whose coordinates are never -0.0: a
-                            # node met again keeps the height read for it
-                            if sx != node_x or sy != node_y:
-                                node_x, node_y, node_z = sx, sy, grid_bilinear(grid, sx, sy)
-                            tg_x, tg_y, tg_z = sx, sy, node_z
 
             if not vel_x_only:
                 # columns COL_TIME .. COL_PARITY, in order

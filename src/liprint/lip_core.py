@@ -3,8 +3,8 @@
 With the CoM held at constant height above the stance foot, the planar
 dynamics decouple per axis and both the CoM state and the capture point
 xi = x + xdot/omega0 propagate in closed form. These exact solutions are
-the substrate for the planner and the stepping simulator; derivative
-evaluators are kept alongside so numerical oracles can cross-check them.
+the substrate for the planner and the simulator; the ODEs' right-hand sides
+lip_acceleration and icp_derivative serve callers that check a trajectory.
 
 All types are immutable values and all operations are pure functions.
 """

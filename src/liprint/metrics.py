@@ -51,7 +51,11 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 
 def _sq(x: np.ndarray) -> np.ndarray:
-    return np.array([v ** 2 for v in x.tolist()], dtype=np.float64)
+    vals = x.tolist()
+    try:
+        return np.array([v ** 2 for v in vals], dtype=np.float64)
+    except OverflowError:  # ** raises past sqrt(max float), where the square is inf
+        return np.array([math.inf if abs(v) > 1.3407807929942596e154 else v ** 2 for v in vals])
 
 
 def _rowdot(x: np.ndarray) -> np.ndarray:
@@ -144,6 +148,7 @@ class RewardParams:
             raise ValueError(f"vel_cmd must have a finite squared norm, got {self.vel_cmd}")
 
 
+@np.errstate(over="ignore")
 def reward_table(columns: dict, params: RewardParams, schedule, targets,
                  stance_side) -> tuple[np.ndarray, dict]:
     """Every task and regularization term of n samples, and their totals.

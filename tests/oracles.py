@@ -400,6 +400,77 @@ def reference_run(config, schedule):
     return np.array(rows, dtype=np.float64).reshape(-1, 15), outcome, fail_time
 
 
+def step_to_step_run(config, schedule):
+    """A flat-ground run of liprint.sim as H-LIP's step-to-step map
+    (Xiong & Ames, arXiv:2101.09588): the reference for every tick of
+    _kernels.sim_loop over many steps. It shares no code with sim_loop or
+    _kernels; from liprint it reads only the typed config.
+
+    schedule lists (time, vx, vy, width) command switches as for
+    reference_run; each must act on a step boundary (a tick that is a
+    multiple of ticks_per_step), so that a step's command is the one at its
+    first tick. The run starts at rest with the CoM at the origin and the
+    stance at (0, -width/2), as sim.default_initial; config.terrain must be
+    flat and config.reach_limit must not bind.
+
+    Per step m, with omega = sqrt(g / z0), T the step duration and
+    E = e^(omega*T), the stance p stays put and the target is the
+    placement p + E*(xi - p) - R(heading) (b_x, -b_y) of the touchdown
+    capture point xi: b_x = s_d / (E - 1) with s_d = |v| * T,
+    b_y = +-w / (E + 1), positive on an even step, and heading
+    atan2(vy, vx) (the fallback heading, or the last plan's, below a speed
+    of 1e-6). Replanning every tick predicts the same point, as the capture
+    point itself follows p + e^(omega*t) (xi - p) within the step, so both
+    replan modes share one target per step. Per axis the touchdown state
+    (c - p, v) maps to the next by [[cosh, sinh/omega], [omega*sinh, cosh]]
+    of omega*T, and tick j of the step holds that map over j*dt, from
+    numpy's cosh and sinh. The next stance is the target.
+
+    Returns a dict of (n_ticks, 2) arrays "com", "vel", "icp", "stance",
+    "target", and (n_ticks,) arrays "time" and "heading".
+    """
+    if config.terrain is not None and getattr(config.terrain, "kind", None) != "flat":
+        raise ValueError("step_to_step_run models flat ground only")
+    dt, k, n = config.dt, config.ticks_per_step, config.n_ticks
+    T = k * dt
+    omega = np.sqrt(config.lip.g / config.lip.z0)
+    E = np.exp(omega * T)
+    switch_ticks = [min(max(round(t / dt), 0), n) for t, _, _, _ in schedule]
+    if any(i % k for i in switch_ticks):
+        raise ValueError("every command switch must act on a step boundary")
+    j = np.arange(k)
+    ch, sh = np.cosh(omega * j * dt)[:, None], np.sinh(omega * j * dt)[:, None]
+    step_map = np.array([[np.cosh(omega * T), np.sinh(omega * T) / omega],
+                         [omega * np.sinh(omega * T), np.cosh(omega * T)]])
+    c, v = np.zeros(2), np.zeros(2)
+    p = np.array([0.0, -schedule[0][3] / 2.0])
+    heading = config.cmd.fallback_heading
+    out = {key: [] for key in ("com", "vel", "stance", "target", "heading")}
+    for m in range(-(-n // k)):
+        _, vx, vy, w = schedule[max(i for i, t in enumerate(switch_ticks) if t <= m * k)]
+        speed = np.hypot(vx, vy)
+        if speed >= 1e-6:
+            heading = np.arctan2(vy, vx)
+        bx = speed * T / (E - 1.0)
+        by = (1.0 if m % 2 == 0 else -1.0) * abs(w) / (E + 1.0)
+        rot = np.array([[np.cos(heading), -np.sin(heading)], [np.sin(heading), np.cos(heading)]])
+        xi = c + v / omega
+        target = p + E * (xi - p) - rot @ np.array([bx, -by])
+        r = c - p
+        out["com"].append(p + r * ch + v * sh / omega)
+        out["vel"].append(r * omega * sh + v * ch)
+        out["stance"].append(np.broadcast_to(p, (k, 2)))
+        out["target"].append(np.broadcast_to(target, (k, 2)))
+        out["heading"].append(np.full(k, heading))
+        r, v = step_map @ np.vstack((r, v))  # rows: CoM - stance, velocity; a column per axis
+        c = p + r
+        p = target
+    out = {key: np.concatenate(val)[:n] for key, val in out.items()}
+    out["icp"] = out["com"] + out["vel"] / omega
+    out["time"] = np.arange(n) * dt
+    return out
+
+
 # ---------------------------------------------------------------- rewards
 #
 # The per-row reward evaluation, one sample at a time, as the reference for

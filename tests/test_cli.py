@@ -593,6 +593,47 @@ class TestScore:
                      "--out", str(tmp_path / "r.csv")]) == 1
         assert "duplicates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header, signal, term", [
+        ("q0,v_z", "v_z", "reg_base_z_velocity"),
+        ("q0,omega_x,omega_y,omega_z", "omega_x", "reg_base_rollpitch_velocity"),
+        ("q0,omega_x,omega_y,omega_z", "omega_y", "reg_base_rollpitch_velocity"),
+        ("q0,g_x,g_y,g_z", "g_x", "reg_base_tilting"),
+        ("q0,g_x,g_y,g_z", "g_y", "reg_base_tilting"),
+        ("q0,tau0", "tau0", "reg_joint_torques"),
+    ])
+    def test_overflowing_joint_signal_is_scored(self, tmp_path, capsys, header, signal, term):
+        # row 3's signal squares past the float range: the row is scored with
+        # that square inf, and nothing but the rewards file is written
+        traj = write_traj(tmp_path, [zero_row() for _ in range(5)])
+        names = header.split(",")
+        rows = [["-1" if n == "g_z" else "0.5" if n == "q0" else "0" for n in names]
+                for _ in range(5)]
+        joints, big = tmp_path / "j.csv", tmp_path / "big.csv"
+        joints.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+        rows[2][names.index(signal)] = "1e200"
+        big.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+        outs = []
+        for log in (joints, big):
+            outs.append(tmp_path / f"r_{log.stem}.csv")
+            assert main(["score", "--traj", str(traj), "--joints", str(log),
+                         "--out", str(outs[-1])]) == 0
+        assert capsys.readouterr() == ("", "")
+        ref, got = read(outs[0]), read(outs[1])
+        assert got[:3] + got[4:] == ref[:3] + ref[4:]
+        row = dict(zip(got[0].split(","), got[3].split(",")))
+        # a tilt past the limit: no tilting reward, and the run terminates
+        assert row[term] == ("0" if signal.startswith("g_") else "-inf")
+        terms = [float(v) for k, v in row.items() if k not in ("time", "total")]
+        assert float(row["total"]) == sum(terms)
+
+    def test_overflowing_sigma_division_warns_nothing(self, tmp_path, capsys):
+        traj = write_traj(tmp_path, [zero_row() for _ in range(3)])
+        out = tmp_path / "r.csv"
+        assert main(["score", "--traj", str(traj), "--vx", "1", "--sigma", "5e-324",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert len(read(out)) == 4
+
     @pytest.mark.parametrize("bad", ["x", "short", "inf"])
     def test_bad_trajectory_row(self, tmp_path, capsys, bad):
         row = zero_row()

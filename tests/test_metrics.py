@@ -333,6 +333,41 @@ class TestTotalReward:
         with pytest.raises(TypeError):
             total_reward(RobotSample(), params(), 1.0, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("field, value, term, expected, terminated", [
+        ("base_vel_z", 1e200, "base_z_velocity", -math.inf, True),
+        ("base_vel_z", -2e154, "base_z_velocity", -math.inf, True),
+        ("base_ang_vel", (0.0, 1e200, 0.0), "base_rollpitch_velocity", -math.inf, True),
+        ("gravity_proj", (1e200, 0.0, -1.0), "base_tilting", 0.0, True),
+        ("tau", (1e200, 0.0), "joint_torques", -math.inf, False),
+    ])
+    def test_overflowing_square_reads_inf(self, field, value, term, expected, terminated):
+        # a square past the float range is inf, with no OverflowError or
+        # warning (pytest turns warnings into errors)
+        total, breakdown = total_reward(RobotSample(**{field: value}), params(), 0.0,
+                                        np.zeros((2, 2)), RIGHT)
+        assert breakdown[term] == expected
+        assert breakdown["termination"] == (-100.0 if terminated else 0.0)
+        assert total == (-math.inf if expected else sum(breakdown.values()))
+
+    def test_overflowing_square_keeps_every_finite_square(self):
+        # a column with an overflowing square: the largest float whose square
+        # is finite keeps **'s value, the next one up reads inf, and every
+        # other row keeps the bits it has in a column without them
+        edge = math.sqrt(1.7976931348623157e308)
+        rng = np.random.default_rng(3)
+        # 5000 draws, of which v * v differs from v ** 2 in four
+        finite = rng.normal(0.0, 1.0, 5000).tolist() + [math.nan, -0.0]
+        tails = ([edge, -edge], [-edge, 1e200], [math.nextafter(edge, math.inf), -1e200])
+        tables = [reward_table({"base_vel_z": np.array(finite + tail)}, params(),
+                               np.zeros(len(finite) + 2), np.zeros((len(finite) + 2, 2, 2)),
+                               np.zeros(len(finite) + 2, dtype=int))[1]["base_z_velocity"]
+                  for tail in tails]
+        assert len({t[:-2].tobytes() for t in tables}) == 1
+        at_edge = 0.1 * -(edge ** 2)
+        assert [t[-2:].tolist() for t in tables] == [[at_edge, at_edge], [at_edge, -math.inf],
+                                                     [-math.inf, -math.inf]]
+        assert tables[0][0] == 0.1 * -(finite[0] ** 2)
+
     def test_breakdown_sums_exactly(self):
         rng = np.random.default_rng(8)
         for _ in range(20):

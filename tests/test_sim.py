@@ -25,8 +25,8 @@ from liprint._kernels import (COL_COM_X, COL_COM_Y, COL_CONTACT_SCHED, COL_ICP_X
                               COL_TARGET_HEADING, COL_TARGET_X, COL_TARGET_Y,
                               COL_TARGET_Z, COL_TIME, COL_VEL_X, COL_VEL_Y, FOOT_RADIUS)
 
-from oracles import (lip_decimal, lip_step_over, reference_run, sweep_per_trial,
-                     write_rewards_csv_per_value, write_step_events_per_event,
+from oracles import (lip_decimal, lip_step_over, reference_run, step_to_step_run,
+                     sweep_per_trial, write_rewards_csv_per_value, write_step_events_per_event,
                      write_trajectory_csv_per_value)
 
 
@@ -155,6 +155,39 @@ class TestFlatRuns:
             d = s[2:] - s[:-2]
             assert np.abs(d[:6]).min() > 1e-6  # no ratio of rounding noise
             npt.assert_allclose(d[2:6] / d[:4], rate, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("replan", [sim_mod.REPLAN_AT_STEP_START,
+                                        sim_mod.REPLAN_EVERY_TICK])
+    @pytest.mark.parametrize("vx,vy,turn", [(1.0, 0.0, None), (0.5, 0.3, None),
+                                            (1.5, 0.0, None), (0.8, -0.2, math.pi / 2)])
+    def test_every_tick_matches_step_to_step_map(self, replan, vx, vy, turn):
+        # every tick of a 10 s run against H-LIP's step-to-step map in numpy:
+        # each quantity to 1e-12 of its largest magnitude over the run; the
+        # turn switches at the start of step 7
+        cfg = config(vx=vx, vy=vy, replan=replan)
+        schedule = sim_mod._constant_schedule(cfg)
+        if turn is None:
+            res = run(cfg)
+        else:
+            switch = 7 * cfg.gait.step_duration
+            res = sim_mod.turn_maneuver(cfg, turn, switch)
+            c, s = math.cos(turn), math.sin(turn)
+            schedule.append((switch, c * vx - s * vy, s * vx + c * vy, cfg.cmd.w_cmd))
+        assert res.completed
+        arr = res.sample_array
+        ref = step_to_step_run(cfg, schedule)
+        assert arr.shape[0] == len(ref["time"]) == cfg.n_ticks
+        assert arr[:, COL_TIME].tolist() == ref["time"].tolist()
+        for key, col in (("com", COL_COM_X), ("vel", COL_VEL_X), ("icp", COL_ICP_X),
+                         ("stance", COL_STANCE_X), ("target", COL_TARGET_X)):
+            scale = np.abs(ref[key]).max()
+            npt.assert_allclose(arr[:, col:col + 2], ref[key], rtol=0.0, atol=1e-12 * scale,
+                                err_msg=key)
+        npt.assert_allclose(arr[:, COL_TARGET_HEADING], ref["heading"], rtol=0.0, atol=1e-12)
+        if turn is not None:
+            # not vacuous: the heading turns at the switch
+            k = cfg.ticks_per_step
+            assert ref["heading"][7 * k] - ref["heading"][7 * k - 1] == pytest.approx(turn)
 
     def test_icp_continuous_across_transfer(self):
         res = run(config(vx=1.2))
@@ -727,9 +760,11 @@ class TestTerrainRuns:
 
 
 class TestSnapHeights:
-    """A target's height is read once: steppable's h0 for a kept query, the
-    bilinear sum in the scan's kept cell for a reused answer, one
-    grid_bilinear call for a snapped node."""
+    """A target's height is the one snap_to_steppable returns with it, read
+    once per answer: steppable's h0 for a kept query, the bilinear sum in
+    the scan's kept cell for a reused query answer, one grid_bilinear call
+    for a node a search finds, and the height kept in the search
+    certificate for a reused node answer."""
 
     SPECS = [TerrainSpec(kind="rough", amplitude=a, correlation=0.5, seed=seed)
              for a in (0.05, 0.2) for seed in (0, 1)]
@@ -763,11 +798,12 @@ class TestSnapHeights:
             cfg = config(vx=1.0, duration=6.0, terrain=spec)
             (n_rec, outcome, _, _), args, reads, snaps = self._loop(cfg, monkeypatch)
             assert outcome == _kernels.OUTCOME_COMPLETED and len(snaps) == 18
-            # the initial stance, then each snapped node unless it is the last one
+            # the initial stance, then each snapped node: planning once a
+            # step, every snap that moves its query is a search of its own
             nodes = []
             for x, y, (found, sx, sy) in snaps:
                 assert found
-                if (sx, sy) != (x, y) and (sx, sy) not in nodes[-1:]:
+                if (sx, sy) != (x, y):
                     nodes.append((sx, sy))
             assert reads == [args[12:14]] + nodes
             moved_runs += bool(nodes)
@@ -797,6 +833,56 @@ class TestSnapHeights:
                 kept += not on_node
         # not vacuous: rows hold kept queries and snapped nodes
         assert kept > 0 and moved > 0
+
+    @pytest.mark.parametrize("replan", [sim_mod.REPLAN_AT_STEP_START, sim_mod.REPLAN_EVERY_TICK])
+    def test_every_answer_height_is_grid_bilinear_read_once(self, monkeypatch, replan):
+        # per found snap: (moved, searched, grid_bilinear reads, height has
+        # grid_bilinear's bits at the answer, gap terrain)
+        answers = []
+        searches, reads = [], []
+        real_read, real_search = _kernels.grid_bilinear, _kernels._nearest_steppable_node
+        real_snap = _kernels.snap_to_steppable
+
+        def read_spy(grid, x, y):
+            reads.append(None)
+            return real_read(grid, x, y)
+
+        def search_spy(*args):
+            searches.append(None)
+            return real_search(*args)
+
+        def snap_spy(grid, radius, max_dev, max_search, memo, x, y, last=None, height=None):
+            n_reads, n_searches = len(reads), len(searches)
+            height[0] = math.nan  # each found answer writes its own height
+            got = real_snap(grid, radius, max_dev, max_search, memo, x, y, last, height)
+            found, sx, sy = got
+            if found:
+                bits = np.float64(real_read(grid, sx, sy)).tobytes()
+                answers.append(((sx, sy) != (x, y), len(searches) > n_searches,
+                                len(reads) - n_reads, np.float64(height[0]).tobytes() == bits,
+                                on_gap))
+            return got
+
+        monkeypatch.setattr(_kernels, "grid_bilinear", read_spy)
+        monkeypatch.setattr(_kernels, "_nearest_steppable_node", search_spy)
+        monkeypatch.setattr(_kernels, "snap_to_steppable", snap_spy)
+        for spec in self.SPECS + [gap_spec(), gap_spec(width=0.3, offset=0.1)]:
+            on_gap = spec.kind == "gap"
+            for vx, vy in ((0.7, 0.0), (1.0, 0.2)):
+                res = run(config(vx=vx, vy=vy, duration=6.0, replan=replan, terrain=spec))
+                assert res.sample_array.shape[0] > 100
+        assert all(same for *_, same, _ in answers)
+        # a kept query reads no grid_bilinear, a found node one, a reused node none
+        assert all(n == (moved and searched) for moved, searched, n, _, _ in answers)
+        nodes = [(searched, gap) for moved, searched, _, _, gap in answers if moved]
+        fresh = sum(searched for searched, _ in nodes)
+        gap_nodes = [searched for searched, gap in nodes if gap]
+        assert fresh > 10 and len(answers) - len(nodes) > 10
+        if replan == sim_mod.REPLAN_EVERY_TICK:
+            # not vacuous: most node answers on gap ground are reused
+            assert len(gap_nodes) - sum(gap_nodes) > len(gap_nodes) / 2
+        else:
+            assert fresh == len(nodes)
 
     def test_reused_answer_height_is_grid_bilinear_bit_for_bit(self, monkeypatch):
         scans = []  # one entry per query scan, a steppable() call with a list

@@ -406,7 +406,7 @@ class TestSnapCertificate:
         # floor bounds the d2 of every steppable node but the answer, as
         # the search computes d2, unless another node ties with the answer
         # (within the 1e-12 band and its rounding): then floor = best
-        _, _, nx, ny, best, floor = last[6:]
+        _, _, nx, ny, best, floor = last[6:12]
         dx = grid.ox + np.arange(grid.cols) * grid.res - x
         dy = grid.oy + np.arange(grid.rows) * grid.res - y
         d2 = (dy * dy)[:, None] + dx * dx
